@@ -36,8 +36,8 @@ use dmf_core::coords::dot;
 use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError};
 use dmf_datasets::Metric;
 use dmf_proto::{
-    decode_any, encode, encode_v2, ContextError, DecoderContext, EncoderContext, Message,
-    MessageV2, WireMessage, WireVersion,
+    decode_any, encode, encode_v2, Block, ContextError, CoordUpdate, DecoderContext,
+    EncoderContext, Message, MessageV2, WireMessage, WireVersion,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -228,10 +228,7 @@ pub fn run_agent<T: Transport>(
                 }
                 (WireVersion::V2, Metric::Abw) => {
                     let ack = dec_ctxs.get(&target).and_then(|d| d.ack());
-                    let update = enc_ctxs
-                        .entry(target)
-                        .or_default()
-                        .encode(&node.coords.u.to_vec());
+                    let update = enc_ctxs.entry(target).or_default().encode(&node.coords.u);
                     encode_v2(&MessageV2::AbwProbe {
                         nonce: nonce as u32,
                         rate_mbps: oracle.tau(),
@@ -466,6 +463,34 @@ fn handle_v1<T: Transport>(
     }
 }
 
+/// Applies a v2 update of `expected` values through `dec`, counting a
+/// refusal in `stats`. A block of another length is refused before the
+/// context sees it: it must not become a baseline, let alone an acked
+/// one. After a stale delta the next probe's ack carries
+/// `want_keyframe`.
+fn apply_update(
+    dec: &mut DecoderContext,
+    update: &CoordUpdate,
+    expected: usize,
+    stats: &mut AgentStats,
+) -> Option<Block<f64>> {
+    if update.rank() != expected {
+        stats.decode_errors += 1;
+        return None;
+    }
+    match dec.apply(update) {
+        Ok(coords) => Some(coords.into()),
+        Err(ContextError::StaleBaseline { .. }) => {
+            stats.stale_deltas += 1;
+            None
+        }
+        Err(ContextError::RankMismatch { .. }) => {
+            stats.decode_errors += 1;
+            None
+        }
+    }
+}
+
 /// Algorithm 1/2 dispatch for a v2 datagram: quantized updates
 /// through the per-peer contexts, acks fed back to the encoders.
 #[allow(clippy::too_many_arguments)]
@@ -496,8 +521,7 @@ fn handle_v2<T: Transport>(
             }
             // One update block carries u ‖ v under one sequence number.
             let (u, v) = node.rtt_reply();
-            let mut coords = u.to_vec();
-            coords.extend_from_slice(&v.to_vec());
+            let coords: Block<f64> = u.iter().chain(v.iter()).copied().collect();
             let update = enc.encode(&coords);
             let reply = encode_v2(&MessageV2::RttReply { nonce, update });
             if socket.send_to(&reply, src).is_ok() {
@@ -510,22 +534,9 @@ fn handle_v2<T: Transport>(
                 return;
             };
             let dec = dec_ctxs.entry(target).or_default();
-            let coords = match dec.apply(&update) {
-                Ok(coords) => coords,
-                Err(ContextError::StaleBaseline { .. }) => {
-                    // The next probe's ack carries want_keyframe.
-                    stats.stale_deltas += 1;
-                    return;
-                }
-                Err(ContextError::RankMismatch { .. }) => {
-                    stats.decode_errors += 1;
-                    return;
-                }
-            };
-            if coords.len() != 2 * config.rank {
-                stats.decode_errors += 1;
+            let Some(coords) = apply_update(dec, &update, 2 * config.rank, stats) else {
                 return;
-            }
+            };
             let (u, v) = coords.split_at(config.rank);
             if let Some(x) = oracle.rtt_class(id, target) {
                 if let Some(slot) = metrics {
@@ -549,27 +560,15 @@ fn handle_v2<T: Transport>(
                 enc_ctxs.entry(prober).or_default().on_ack(ack);
             }
             let dec = dec_ctxs.entry(prober).or_default();
-            let u = match dec.apply(&update) {
-                Ok(u) => u,
-                Err(ContextError::StaleBaseline { .. }) => {
-                    stats.stale_deltas += 1;
-                    return;
-                }
-                Err(ContextError::RankMismatch { .. }) => {
-                    stats.decode_errors += 1;
-                    return;
-                }
-            };
-            if u.len() != config.rank {
-                stats.decode_errors += 1;
+            let Some(u) = apply_update(dec, &update, config.rank, stats) else {
                 return;
-            }
+            };
             let reply_ack = dec.ack();
             let Some(x) = oracle.abw_class(prober, id) else {
                 return;
             };
             let v = node.on_abw_probe(x, &u, params);
-            let update = enc_ctxs.entry(prober).or_default().encode(&v.to_vec());
+            let update = enc_ctxs.entry(prober).or_default().encode(&v);
             let reply = encode_v2(&MessageV2::AbwReply {
                 nonce,
                 x,
@@ -595,26 +594,37 @@ fn handle_v2<T: Transport>(
                 enc_ctxs.entry(target).or_default().on_ack(ack);
             }
             let dec = dec_ctxs.entry(target).or_default();
-            let v = match dec.apply(&update) {
-                Ok(v) => v,
-                Err(ContextError::StaleBaseline { .. }) => {
-                    stats.stale_deltas += 1;
-                    return;
-                }
-                Err(ContextError::RankMismatch { .. }) => {
-                    stats.decode_errors += 1;
-                    return;
-                }
-            };
-            if v.len() != config.rank {
-                stats.decode_errors += 1;
+            let Some(v) = apply_update(dec, &update, config.rank, stats) else {
                 return;
-            }
+            };
             if let Some(slot) = metrics {
                 slot.record_quality(x > 0.0, dot(&node.coords.u, &v));
             }
             node.on_abw_reply(x, &v, params);
             stats.updates_applied += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wrong_rank_update_never_reaches_the_decoder() {
+        let mut dec = DecoderContext::new();
+        let mut stats = AgentStats::default();
+        let first = EncoderContext::new().encode(&[0.5; 20]);
+        assert!(apply_update(&mut dec, &first, 20, &mut stats).is_some());
+        let before = dec.clone();
+
+        // A keyframe two values short, numbered so that the decoder
+        // would take it as its newest.
+        let mut short = EncoderContext::new().encode(&[0.25; 18]);
+        short.seq = first.seq.wrapping_add(5);
+        assert!(apply_update(&mut dec, &short, 20, &mut stats).is_none());
+        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(dec.ack(), before.ack(), "the refused block was acked");
+        assert_eq!(dec, before, "the refused block changed the decoder");
     }
 }

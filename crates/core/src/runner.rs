@@ -34,6 +34,10 @@
 //! per-node scratch lists whose capacity is reused, and the event
 //! queue recycles its payload slots. Outstanding-probe bookkeeping is
 //! O(probes actually in flight) per node, not O(n²) in the population.
+//! The same holds in wire mode over protocol v2: datagram buffers come
+//! back from delivery to a free list, update blocks are inline, and
+//! the per-pair contexts sit in one table indexed by the prober's
+//! neighbor slot ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
 
 use crate::config::DmfsgdConfig;
 use crate::coords::CoordVec;
@@ -42,14 +46,15 @@ use crate::node::DmfsgdNode;
 use crate::session::{Driver, Session, SessionBuilder};
 use dmf_datasets::{Dataset, Metric};
 use dmf_linalg::Matrix;
+use dmf_proto::codec::encode_v2_into;
 use dmf_proto::{
-    decode_any, encode, encode_v2, ContextError, DecoderContext, EncoderContext, Message,
+    decode_any, encode, Block, ContextError, CoordUpdate, DecoderContext, EncoderContext, Message,
     MessageV2, WireMessage, WireVersion,
 };
+use dmf_simnet::neighbors::NeighborSets;
 use dmf_simnet::probe::PathloadProber;
 use dmf_simnet::{NetConfig, SimNet};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Protocol messages exchanged by DMFSGD nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -272,6 +277,83 @@ pub(crate) fn fused_on_exchange<N: RttTransport>(
     }
 }
 
+/// One direction of a v2 coordinate stream: the encoder at its sending
+/// end and the decoder at its receiving end.
+#[derive(Debug, Default)]
+struct Stream {
+    enc: EncoderContext,
+    dec: DecoderContext,
+}
+
+/// v2 state of one (prober → target) exchange, both ends of it.
+#[derive(Debug, Default)]
+struct Exchange {
+    /// `(prober, target)` the contexts belong to. Churn can hand a
+    /// neighbor slot to another pair, which then starts afresh.
+    pair: (usize, usize),
+    /// Target → prober: `u ‖ v` in RTT replies, `v` in ABW replies.
+    reply: Stream,
+    /// Prober → target: `u` in ABW probes; RTT probes carry no
+    /// coordinates.
+    probe: Stream,
+}
+
+/// The v2 state of the (prober → target) exchange: `table` has one
+/// entry per neighbor slot. `None` when `target` is not, or no longer,
+/// a neighbor of `prober`.
+fn exchange<'a>(
+    table: &'a mut Vec<Exchange>,
+    neighbors: &NeighborSets,
+    prober: usize,
+    target: usize,
+) -> Option<&'a mut Exchange> {
+    let slot = neighbors.slot(prober, target)?;
+    if table.len() != neighbors.slots() {
+        // First use, or a row changed length and moved every slot.
+        table.clear();
+        table.resize_with(neighbors.slots(), Exchange::default);
+    }
+    let found = &mut table[slot];
+    if found.pair != (prober, target) {
+        *found = Exchange {
+            pair: (prober, target),
+            ..Exchange::default()
+        };
+    }
+    Some(found)
+}
+
+/// Applies a v2 update of `expected` values through `dec`, mapping
+/// refusals onto the wire statistics. A block of another length is
+/// refused before the context sees it: it must not become a baseline,
+/// let alone an acked one. `None` means the update was dropped; after
+/// a stale baseline, recovery rides the next ack's `want_keyframe`.
+fn apply_update(
+    dec: &mut DecoderContext,
+    update: &CoordUpdate,
+    expected: usize,
+    stats: &mut WireStats,
+) -> Option<Block<f64>> {
+    if update.rank() != expected {
+        stats.decode_errors += 1;
+        return None;
+    }
+    let gaps_before = dec.gaps_detected();
+    let applied = dec.apply(update).map(Block::from);
+    stats.gaps_detected += dec.gaps_detected() - gaps_before;
+    match applied {
+        Ok(coords) => Some(coords),
+        Err(ContextError::StaleBaseline { .. }) => {
+            stats.stale_deltas += 1;
+            None
+        }
+        Err(ContextError::RankMismatch { .. }) => {
+            stats.decode_errors += 1;
+            None
+        }
+    }
+}
+
 /// The simulated-network front-end: owns the transport (event queue,
 /// latency/loss model, outstanding-probe bookkeeping) while the
 /// [`Session`] owns the learning state. Advance it with
@@ -301,11 +383,11 @@ pub struct SimnetDriver {
     /// payloads.
     wire: Option<WireVersion>,
     wire_nonce: u64,
-    /// v2 coordinate-stream state, keyed `(me, peer)`: encoders for
-    /// streams this node sends toward the peer, decoders for streams
-    /// received from it.
-    enc_ctxs: HashMap<(usize, usize), EncoderContext>,
-    dec_ctxs: HashMap<(usize, usize), DecoderContext>,
+    /// v2 coordinate-stream state, one entry per neighbor slot (see
+    /// [`exchange`]); empty until the first v2 datagram.
+    exchanges: Vec<Exchange>,
+    /// Datagram buffers back from delivery, for the next sends.
+    free_bufs: Vec<Vec<u8>>,
     wire_stats: WireStats,
 }
 
@@ -361,8 +443,8 @@ impl SimnetDriver {
             stats: RunnerStats::default(),
             wire: None,
             wire_nonce: 0,
-            enc_ctxs: HashMap::new(),
-            dec_ctxs: HashMap::new(),
+            exchanges: Vec::new(),
+            free_bufs: Vec::new(),
             wire_stats: WireStats::default(),
         })
     }
@@ -413,13 +495,9 @@ impl SimnetDriver {
     }
 
     /// Byte-level statistics of a wire-mode run (all zeros unless
-    /// [`with_wire_version`](Self::with_wire_version) was set), with
-    /// gap/keyframe counters folded in from the per-pair contexts.
+    /// [`with_wire_version`](Self::with_wire_version) was set).
     pub fn wire_stats(&self) -> WireStats {
-        let mut s = self.wire_stats;
-        s.gaps_detected = self.dec_ctxs.values().map(|d| d.gaps_detected()).sum();
-        s.keyframes_sent = self.enc_ctxs.values().map(|e| e.keyframes_sent()).sum();
-        s
+        self.wire_stats
     }
 
     /// Current simulated time (the timestamp of the last delivered
@@ -596,6 +674,42 @@ impl SimnetDriver {
         self.net.send(from, to, Msg::Wire(bytes));
     }
 
+    /// A recycled datagram buffer, or a new one roomy enough for any v2
+    /// datagram at an inline rank, so that recycling settles at once.
+    fn take_buf(&mut self) -> Vec<u8> {
+        self.free_bufs
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(96))
+    }
+
+    fn send_v1(&mut self, from: usize, to: usize, msg: &Message) {
+        let mut bytes = self.take_buf();
+        bytes.clear();
+        bytes.extend_from_slice(&encode(msg));
+        self.send_wire(from, to, bytes);
+    }
+
+    fn send_v2(&mut self, from: usize, to: usize, msg: &MessageV2) {
+        if msg.update().is_some_and(|update| update.is_keyframe()) {
+            self.wire_stats.keyframes_sent += 1;
+        }
+        let mut bytes = self.take_buf();
+        encode_v2_into(msg, &mut bytes);
+        self.send_wire(from, to, bytes);
+    }
+
+    /// Remembers that `i` probed `j` at `now`. One slot per target:
+    /// re-probing a neighbor whose reply is still pending (or was
+    /// lost) restarts its timestamp, so a stale entry can never pair
+    /// with a fresh reply.
+    fn note_rtt_probe(&mut self, i: usize, j: usize, now: f64) {
+        let pending = &mut self.pending_rtt[i];
+        match pending.iter_mut().find(|(target, _)| *target == j) {
+            Some(entry) => entry.1 = now,
+            None => pending.push((j, now)),
+        }
+    }
+
     /// Wire-mode probe firing at node `i`: draw the neighbor, encode
     /// the probe in the configured version, remember the RTT pending
     /// entry, and put the bytes on the (lossy, delayed) network.
@@ -604,70 +718,34 @@ impl SimnetDriver {
         self.stats.probes_sent += 1;
         self.wire_nonce += 1;
         let nonce = self.wire_nonce;
-        let bytes = match (version, self.dataset.metric) {
-            (WireVersion::V1, Metric::Rtt) => encode(&Message::RttProbe { nonce }).to_vec(),
-            (WireVersion::V2, Metric::Rtt) => {
-                let ack = self.dec_ctxs.get(&(i, j)).and_then(|d| d.ack());
-                encode_v2(&MessageV2::RttProbe {
-                    nonce: nonce as u32,
-                    ack,
-                })
-                .to_vec()
-            }
-            (WireVersion::V1, Metric::Abw) => encode(&Message::AbwProbe {
-                nonce,
-                rate_mbps: self.tau,
-                u: session.nodes[i].coords.u.to_vec(),
-            })
-            .to_vec(),
-            (WireVersion::V2, Metric::Abw) => {
-                let ack = self.dec_ctxs.get(&(i, j)).and_then(|d| d.ack());
-                let update = self
-                    .enc_ctxs
-                    .entry((i, j))
-                    .or_default()
-                    .encode(&session.nodes[i].coords.u.to_vec());
-                encode_v2(&MessageV2::AbwProbe {
-                    nonce: nonce as u32,
-                    rate_mbps: self.tau,
-                    ack,
-                    update,
-                })
-                .to_vec()
-            }
-        };
         if self.dataset.metric == Metric::Rtt {
-            // Same slot-per-target bookkeeping as the native path:
-            // re-probing restarts the timestamp, so a stale entry can
-            // never pair with a fresh reply.
-            let pending = &mut self.pending_rtt[i];
-            match pending.iter_mut().find(|(target, _)| *target == j) {
-                Some(entry) => entry.1 = now,
-                None => pending.push((j, now)),
-            }
+            self.note_rtt_probe(i, j, now);
         }
-        self.send_wire(i, j, bytes);
-    }
-
-    /// Applies a v2 update through the `(me, peer)` decoder context,
-    /// mapping context errors onto the wire statistics. `None` means
-    /// the update was dropped (stale baseline or rank mismatch) —
-    /// recovery rides the next ack's `want_keyframe`.
-    fn apply_update(
-        &mut self,
-        me: usize,
-        peer: usize,
-        update: &dmf_proto::CoordUpdate,
-    ) -> Option<Vec<f64>> {
-        match self.dec_ctxs.entry((me, peer)).or_default().apply(update) {
-            Ok(coords) => Some(coords),
-            Err(ContextError::StaleBaseline { .. }) => {
-                self.wire_stats.stale_deltas += 1;
-                None
+        match (version, self.dataset.metric) {
+            (WireVersion::V1, Metric::Rtt) => self.send_v1(i, j, &Message::RttProbe { nonce }),
+            (WireVersion::V1, Metric::Abw) => {
+                let probe = Message::AbwProbe {
+                    nonce,
+                    rate_mbps: self.tau,
+                    u: session.nodes[i].coords.u.to_vec(),
+                };
+                self.send_v1(i, j, &probe);
             }
-            Err(ContextError::RankMismatch { .. }) => {
-                self.wire_stats.decode_errors += 1;
-                None
+            (WireVersion::V2, metric) => {
+                let ex = exchange(&mut self.exchanges, &session.neighbors, i, j)
+                    .expect("j was drawn from i's neighbors");
+                let nonce = nonce as u32;
+                let ack = ex.reply.dec.ack();
+                let probe = match metric {
+                    Metric::Rtt => MessageV2::RttProbe { nonce, ack },
+                    Metric::Abw => MessageV2::AbwProbe {
+                        nonce,
+                        rate_mbps: self.tau,
+                        ack,
+                        update: ex.probe.enc.encode(&session.nodes[i].coords.u),
+                    },
+                };
+                self.send_v2(i, j, &probe);
             }
         }
     }
@@ -700,13 +778,12 @@ impl SimnetDriver {
         match msg {
             WireMessage::V1(Message::RttProbe { nonce }) => {
                 let (u, v) = session.nodes[to].rtt_reply();
-                let reply = encode(&Message::RttReply {
+                let reply = Message::RttReply {
                     nonce,
                     u: u.to_vec(),
                     v: v.to_vec(),
-                })
-                .to_vec();
-                self.send_wire(to, from, reply);
+                };
+                self.send_v1(to, from, &reply);
             }
             WireMessage::V1(Message::RttReply { u, v, .. }) => {
                 if u.len() != rank || v.len() != rank {
@@ -730,13 +807,12 @@ impl SimnetDriver {
                     return;
                 };
                 let v = session.nodes[to].on_abw_probe(x, &u, &params);
-                let reply = encode(&Message::AbwReply {
+                let reply = Message::AbwReply {
                     nonce,
                     x,
                     v: v.to_vec(),
-                })
-                .to_vec();
-                self.send_wire(to, from, reply);
+                };
+                self.send_v1(to, from, &reply);
             }
             WireMessage::V1(Message::AbwReply { x, v, .. }) => {
                 if v.len() != rank {
@@ -748,43 +824,45 @@ impl SimnetDriver {
                 self.stats.measurements_completed += 1;
             }
             WireMessage::V2(MessageV2::RttProbe { nonce, ack }) => {
-                let enc = self.enc_ctxs.entry((to, from)).or_default();
+                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, from, to) else {
+                    return;
+                };
+                let enc = &mut ex.reply.enc;
                 if let Some(ack) = ack {
                     enc.on_ack(ack);
                 }
                 // One update block carries u ‖ v under one sequence.
                 let (u, v) = session.nodes[to].rtt_reply();
-                let mut coords = u.to_vec();
-                coords.extend_from_slice(&v.to_vec());
-                let update = enc.encode(&coords);
-                let reply = encode_v2(&MessageV2::RttReply { nonce, update }).to_vec();
-                self.send_wire(to, from, reply);
+                let block: Block<f64> = u.iter().chain(v.iter()).copied().collect();
+                let update = enc.encode(&block);
+                self.send_v2(to, from, &MessageV2::RttReply { nonce, update });
             }
             WireMessage::V2(MessageV2::RttReply { update, .. }) => {
-                let Some(coords) = self.apply_update(to, from, &update) else {
+                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, to, from) else {
                     return;
                 };
-                if coords.len() != 2 * rank {
-                    self.wire_stats.decode_errors += 1;
+                let dec = &mut ex.reply.dec;
+                let Some(coords) = apply_update(dec, &update, 2 * rank, &mut self.wire_stats)
+                else {
                     return;
-                }
+                };
                 let (u, v) = coords.split_at(rank);
                 self.complete_rtt_cycle(session, now, to, from, u, v);
             }
             WireMessage::V2(MessageV2::AbwProbe {
                 nonce, ack, update, ..
             }) => {
-                if let Some(ack) = ack {
-                    self.enc_ctxs.entry((to, from)).or_default().on_ack(ack);
-                }
-                let Some(u) = self.apply_update(to, from, &update) else {
+                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, from, to) else {
                     return;
                 };
-                if u.len() != rank {
-                    self.wire_stats.decode_errors += 1;
-                    return;
+                if let Some(ack) = ack {
+                    ex.reply.enc.on_ack(ack);
                 }
-                let reply_ack = self.dec_ctxs.get(&(to, from)).and_then(|d| d.ack());
+                let dec = &mut ex.probe.dec;
+                let Some(u) = apply_update(dec, &update, rank, &mut self.wire_stats) else {
+                    return;
+                };
+                let reply_ack = dec.ack();
                 let Some(x) = self.abw_prober.probe_class(
                     &self.dataset,
                     from,
@@ -795,31 +873,25 @@ impl SimnetDriver {
                     return;
                 };
                 let v = session.nodes[to].on_abw_probe(x, &u, &params);
-                let update = self
-                    .enc_ctxs
-                    .entry((to, from))
-                    .or_default()
-                    .encode(&v.to_vec());
-                let reply = encode_v2(&MessageV2::AbwReply {
+                let reply = MessageV2::AbwReply {
                     nonce,
                     x,
                     ack: reply_ack,
-                    update,
-                })
-                .to_vec();
-                self.send_wire(to, from, reply);
+                    update: ex.reply.enc.encode(&v),
+                };
+                self.send_v2(to, from, &reply);
             }
             WireMessage::V2(MessageV2::AbwReply { x, ack, update, .. }) => {
-                if let Some(ack) = ack {
-                    self.enc_ctxs.entry((to, from)).or_default().on_ack(ack);
-                }
-                let Some(v) = self.apply_update(to, from, &update) else {
+                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, to, from) else {
                     return;
                 };
-                if v.len() != rank {
-                    self.wire_stats.decode_errors += 1;
-                    return;
+                if let Some(ack) = ack {
+                    ex.probe.enc.on_ack(ack);
                 }
+                let dec = &mut ex.reply.dec;
+                let Some(v) = apply_update(dec, &update, rank, &mut self.wire_stats) else {
+                    return;
+                };
                 session.nodes[to].on_abw_reply(x, &v, &params);
                 session.measurements += 1;
                 self.stats.measurements_completed += 1;
@@ -827,9 +899,9 @@ impl SimnetDriver {
         }
     }
 
-    /// RTT steps 3–4 at the prober in wire mode: pair the reply with
-    /// its pending probe, infer the RTT from the exchange's simulated
-    /// timing, classify at τ, and train.
+    /// RTT steps 3–4 at the prober `i`: pair the reply with its
+    /// pending probe, infer the RTT from the measured round-trip time
+    /// of this very exchange, classify at τ, and train.
     fn complete_rtt_cycle(
         &mut self,
         session: &mut Session,
@@ -879,15 +951,7 @@ impl SimnetDriver {
                 self.stats.probes_sent += 1;
                 match self.dataset.metric {
                     Metric::Rtt => {
-                        // One slot per target: re-probing a neighbor
-                        // whose reply is still pending (or was lost)
-                        // restarts its timestamp, so a stale entry can
-                        // never pair with a fresh reply.
-                        let pending = &mut self.pending_rtt[i];
-                        match pending.iter_mut().find(|(target, _)| *target == j) {
-                            Some(entry) => entry.1 = now,
-                            None => pending.push((j, now)),
-                        }
+                        self.note_rtt_probe(i, j, now);
                         self.net.send(i, j, Msg::RttProbe);
                     }
                     Metric::Abw => {
@@ -898,7 +962,10 @@ impl SimnetDriver {
                 // Re-arm the timer.
                 self.rearm_timer(session, i);
             }
-            Msg::Wire(bytes) => self.handle_wire(session, now, from, to, &bytes),
+            Msg::Wire(bytes) => {
+                self.handle_wire(session, now, from, to, &bytes);
+                self.free_bufs.push(bytes);
+            }
             Msg::RttProbe => {
                 // Step 2 at node j: reply with coordinates (departed
                 // nodes answer no probes; the prober's pending entry
@@ -925,24 +992,10 @@ impl SimnetDriver {
                 );
             }
             Msg::RttReply { u, v } => {
-                // Steps 3–4 at node i: infer the RTT from the measured
-                // round-trip time of this very exchange.
-                let i = to;
-                let j = from;
-                if !session.is_alive(i) {
-                    return;
+                // Steps 3–4 at node i.
+                if session.is_alive(to) {
+                    self.complete_rtt_cycle(session, now, to, from, &u, &v);
                 }
-                let pending = &mut self.pending_rtt[i];
-                let Some(pos) = pending.iter().position(|&(target, _)| target == j) else {
-                    return; // duplicate or stale reply
-                };
-                let (_, sent_at) = pending.swap_remove(pos);
-                let rtt_ms = (now - sent_at) * 1000.0;
-                let x = Metric::Rtt.classify(rtt_ms, self.tau);
-                let params = session.config.sgd;
-                session.nodes[i].on_rtt_measurement(x, &u, &v, &params);
-                session.measurements += 1;
-                self.stats.measurements_completed += 1;
             }
             Msg::AbwProbe { u } => {
                 // Steps 2–4 at target j: measure, snapshot v_j, update.
@@ -1764,9 +1817,61 @@ mod tests {
         assert!(stats.bytes_sent > 0 && stats.messages_sent > 0);
         assert!(stats.keyframes_sent > 0, "cadence must send keyframes");
         assert_eq!(stats.decode_errors, 0, "clean simnet, no corruption");
+        // Recorded before the per-pair state moved to trimmed rings in
+        // a slot table: the datagrams are the same, byte for byte.
+        assert_eq!(
+            (stats.messages_sent, stats.bytes_sent, stats.keyframes_sent),
+            (17_985, 549_199, 643)
+        );
         let (_, stats2, scores2) = build();
         assert_eq!(scores, scores2, "wire mode must stay deterministic");
         assert_eq!(stats, stats2, "wire stats must stay deterministic");
+    }
+
+    #[test]
+    fn wrong_rank_keyframe_never_reaches_the_context() {
+        let d = meridian_like(30, 25);
+        let tau = d.median();
+        let (mut session, mut driver) =
+            SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
+                .expect("valid")
+                .with_wire_version(WireVersion::V2)
+                .into_parts();
+        driver.run_until(&mut session, 60.0).expect("run");
+        // A pair that has exchanged: its decoder holds baselines and
+        // has something to ack.
+        let (prober, target) = driver
+            .exchanges
+            .iter()
+            .find(|ex| ex.reply.dec.ack().is_some())
+            .expect("60 s complete many cycles")
+            .pair;
+        let decoder = |driver: &mut SimnetDriver, session: &Session| {
+            let ex = exchange(&mut driver.exchanges, &session.neighbors, prober, target);
+            ex.expect("still neighbors").reply.dec.clone()
+        };
+        let before = decoder(&mut driver, &session);
+        let newest = before.ack().expect("checked above").seq;
+
+        // A well-formed reply whose block is two values short of u ‖ v,
+        // numbered so that the decoder would take it as its newest.
+        let rank = session.config.rank;
+        let mut update = EncoderContext::new().encode(&vec![0.25; 2 * rank - 2]);
+        assert!(
+            update.is_keyframe(),
+            "a fresh encoder opens with a keyframe"
+        );
+        update.seq = newest.wrapping_add(5);
+        let mut bytes = Vec::new();
+        encode_v2_into(&MessageV2::RttReply { nonce: 1, update }, &mut bytes);
+        let errors = driver.wire_stats().decode_errors;
+        let now = driver.now();
+        driver.handle_wire(&mut session, now, target, prober, &bytes);
+
+        assert_eq!(driver.wire_stats().decode_errors, errors + 1);
+        let after = decoder(&mut driver, &session);
+        assert_eq!(after.ack(), before.ack(), "the refused block was acked");
+        assert_eq!(after, before, "the refused block changed the decoder");
     }
 
     #[test]

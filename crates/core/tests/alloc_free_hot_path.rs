@@ -9,6 +9,7 @@
 use dmf_core::runner::{ExchangeFidelity, SimnetRunner};
 use dmf_core::{DmfsgdConfig, Session};
 use dmf_datasets::rtt::meridian_like;
+use dmf_proto::WireVersion;
 use dmf_simnet::NetConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +79,30 @@ fn training_hot_paths_allocate_nothing_after_warmup() {
         "per-message probe/reply cycles allocated {during} times after warmup \
          (coordinate snapshots must ride inline CoordVecs)"
     );
+
+    // --- wire mode, protocol v2: real datagrams, per-pair contexts ---
+    let d = meridian_like(40, 4);
+    let tau = d.median();
+    let mut runner =
+        SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
+            .expect("valid config")
+            .with_wire_version(WireVersion::V2);
+    // A context's buffer reaches its final size at the pair's first
+    // periodic keyframe, 17 exchanges in, and a pair is probed once in
+    // 10 s on average: 600 s take every pair well past that (and fill
+    // the free list of datagram buffers on the way).
+    runner.run_for(600.0).expect("positive duration");
+    let before = allocations();
+    runner.run_for(660.0).expect("positive duration");
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "wire-v2 probe/reply cycles allocated {during} times after warmup \
+         (update blocks must be inline, datagram buffers recycled)"
+    );
+    let wire = runner.wire_stats();
+    assert!(wire.messages_sent > 50_000 && wire.keyframes_sent > 0);
+    assert_eq!(wire.decode_errors + wire.stale_deltas, 0);
 
     // --- oracle-driven system ticks ----------------------------------
     let d = meridian_like(40, 3);

@@ -14,7 +14,7 @@
 
 use crate::context::Ack;
 use crate::delta::{
-    f16_from_f64, f16_is_finite, f16_to_f64, CoordUpdate, UpdatePayload, MAX_BLOCK,
+    f16_from_f64, f16_is_finite, f16_to_f64, Block, CoordUpdate, UpdatePayload, MAX_BLOCK,
 };
 use crate::message::Message;
 use crate::message_v2::MessageV2;
@@ -62,6 +62,8 @@ impl std::fmt::Display for WireVersion {
 }
 
 /// A successfully decoded datagram of either protocol version.
+// A v2 message carries its update block inline (see `UpdatePayload`).
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireMessage {
     /// A protocol-v1 message.
@@ -311,7 +313,7 @@ const FLAG_WANT_KEYFRAME: u8 = 0b10;
 /// Update-block flag bit (v2): payload is a keyframe, not a delta.
 const FLAG_KEYFRAME: u8 = 0b01;
 
-fn put_ack_flags(buf: &mut BytesMut, ack: Option<Ack>) {
+fn put_ack_flags(buf: &mut Vec<u8>, ack: Option<Ack>) {
     match ack {
         None => buf.put_u8(0),
         Some(ack) => {
@@ -325,7 +327,7 @@ fn put_ack_flags(buf: &mut BytesMut, ack: Option<Ack>) {
     }
 }
 
-fn put_update(buf: &mut BytesMut, update: &CoordUpdate) {
+fn put_update(buf: &mut Vec<u8>, update: &CoordUpdate) {
     let rank = update.rank();
     assert!(
         (1..=MAX_BLOCK).contains(&rank),
@@ -336,7 +338,7 @@ fn put_update(buf: &mut BytesMut, update: &CoordUpdate) {
             buf.put_u8(FLAG_KEYFRAME);
             buf.put_u16_le(update.seq);
             buf.put_u16_le(coords.len() as u16);
-            for &c in coords {
+            for &c in coords.iter() {
                 buf.put_u16_le(f16_from_f64(c));
             }
         }
@@ -350,7 +352,7 @@ fn put_update(buf: &mut BytesMut, update: &CoordUpdate) {
             buf.put_u16_le(*base_seq);
             buf.put_u16_le(f16_from_f64(*scale));
             buf.put_u16_le(quants.len() as u16);
-            for &q in quants {
+            for &q in quants.iter() {
                 buf.put_i8(q);
             }
         }
@@ -360,16 +362,32 @@ fn put_update(buf: &mut BytesMut, update: &CoordUpdate) {
 /// Encodes a v2 message into a standalone datagram.
 ///
 /// # Panics
+/// As [`encode_v2_into`].
+pub fn encode_v2(msg: &MessageV2) -> Bytes {
+    let mut out = Vec::with_capacity(64);
+    encode_v2_into(msg, &mut out);
+    Bytes::from(out)
+}
+
+/// [`encode_v2`] into a caller-owned buffer: `out` is cleared and left
+/// holding exactly the datagram, so a reused buffer makes encoding
+/// allocation-free.
+///
+/// # Panics
 /// Panics if an update block is empty or exceeds
 /// [`MAX_BLOCK`] values, or if an `RttReply`
 /// block has odd rank (it must carry `u ‖ v`) — internal programming
 /// errors, not network conditions.
-pub fn encode_v2(msg: &MessageV2) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
+pub fn encode_v2_into(msg: &MessageV2, out: &mut Vec<u8>) {
+    out.clear();
+    out.put_u16_le(MAGIC);
+    out.put_u8(VERSION_V2);
+    out.put_u8(msg.type_tag());
+    out.put_u16_le(0); // payload length, known once the payload is written
     match msg {
         MessageV2::RttProbe { nonce, ack } => {
-            payload.put_u32_le(*nonce);
-            put_ack_flags(&mut payload, *ack);
+            out.put_u32_le(*nonce);
+            put_ack_flags(out, *ack);
         }
         MessageV2::RttReply { nonce, update } => {
             assert!(
@@ -377,8 +395,8 @@ pub fn encode_v2(msg: &MessageV2) -> Bytes {
                 "RttReply update must carry u ‖ v (even rank, got {})",
                 update.rank()
             );
-            payload.put_u32_le(*nonce);
-            put_update(&mut payload, update);
+            out.put_u32_le(*nonce);
+            put_update(out, update);
         }
         MessageV2::AbwProbe {
             nonce,
@@ -386,10 +404,10 @@ pub fn encode_v2(msg: &MessageV2) -> Bytes {
             ack,
             update,
         } => {
-            payload.put_u32_le(*nonce);
-            put_ack_flags(&mut payload, *ack);
-            payload.put_f32_le(*rate_mbps as f32);
-            put_update(&mut payload, update);
+            out.put_u32_le(*nonce);
+            put_ack_flags(out, *ack);
+            out.put_f32_le(*rate_mbps as f32);
+            put_update(out, update);
         }
         MessageV2::AbwReply {
             nonce,
@@ -397,23 +415,18 @@ pub fn encode_v2(msg: &MessageV2) -> Bytes {
             ack,
             update,
         } => {
-            payload.put_u32_le(*nonce);
-            put_ack_flags(&mut payload, *ack);
-            payload.put_i8(if *x >= 0.0 { 1 } else { -1 });
-            put_update(&mut payload, update);
+            out.put_u32_le(*nonce);
+            put_ack_flags(out, *ack);
+            out.put_i8(if *x >= 0.0 { 1 } else { -1 });
+            put_update(out, update);
         }
     }
 
-    debug_assert!(payload.len() <= u16::MAX as usize);
-    let mut out = BytesMut::with_capacity(HEADER_LEN_V2 + payload.len() + CHECKSUM_LEN);
-    out.put_u16_le(MAGIC);
-    out.put_u8(VERSION_V2);
-    out.put_u8(msg.type_tag());
-    out.put_u16_le(payload.len() as u16);
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a(&out);
+    let payload_len = out.len() - HEADER_LEN_V2;
+    debug_assert!(payload_len <= u16::MAX as usize);
+    out[HEADER_LEN_V2 - 2..HEADER_LEN_V2].copy_from_slice(&(payload_len as u16).to_le_bytes());
+    let checksum = fnv1a(out);
     out.put_u32_le(checksum);
-    out.freeze()
 }
 
 fn get_ack_flags(payload: &mut &[u8]) -> Result<Option<Ack>, DecodeError> {
@@ -466,13 +479,15 @@ fn get_update(payload: &mut &[u8]) -> Result<CoordUpdate, DecodeError> {
         if payload.remaining() < rank * 2 {
             return Err(DecodeError::TruncatedPayload);
         }
-        let mut coords = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let bits = payload.get_u16_le();
+        let (values, rest) = payload.split_at(rank * 2);
+        *payload = rest;
+        let mut coords = Block::zeros(rank);
+        for (coord, bytes) in coords.iter_mut().zip(values.chunks_exact(2)) {
+            let bits = u16::from_le_bytes([bytes[0], bytes[1]]);
             if !f16_is_finite(bits) {
                 return Err(DecodeError::BadValue);
             }
-            coords.push(f16_to_f64(bits));
+            *coord = f16_to_f64(bits);
         }
         Ok(CoordUpdate {
             seq,
@@ -494,9 +509,11 @@ fn get_update(payload: &mut &[u8]) -> Result<CoordUpdate, DecodeError> {
         if payload.remaining() < rank {
             return Err(DecodeError::TruncatedPayload);
         }
-        let mut quants = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            quants.push(payload.get_i8());
+        let (values, rest) = payload.split_at(rank);
+        *payload = rest;
+        let mut quants = Block::zeros(rank);
+        for (quant, &byte) in quants.iter_mut().zip(values) {
+            *quant = byte as i8;
         }
         Ok(CoordUpdate {
             seq,
@@ -847,7 +864,7 @@ mod tests {
             payload: UpdatePayload::Delta {
                 base_seq,
                 scale: f16_to_f64(f16_from_f64(scale)),
-                quants,
+                quants: quants.into(),
             },
         }
     }

@@ -15,24 +15,124 @@
 //! Sequence numbers are per-stream wrapping `u16`s; a non-contiguous
 //! arrival is counted as a detected gap (the alec-codec discipline:
 //! verify, then update the context only from what actually decoded).
+//!
+//! # What the rings retain
+//!
+//! Both sides keep `(seq, reconstruction)` entries, and both keep only
+//! the entries that can still be referenced:
+//!
+//! * **Encoder.** The acked baseline, followed by every update sent
+//!   after it (at most [`SENT_RING`] of those). [`EncoderContext::on_ack`]
+//!   accepts an ack only if it is newer than the baseline, so an entry
+//!   sent before the baseline can never be selected again and is
+//!   dropped when the baseline advances. This is unobservable: every
+//!   datagram is byte-identical to what an untrimmed ring produces.
+//! * **Decoder.** The reconstructions at or after the `base_seq` of the
+//!   last delta applied (at most [`DECODED_RING`]). The encoder's
+//!   baseline only moves forward, so every delta sent later references
+//!   that `base_seq` or a newer one. An in-order stream — lossy and
+//!   duplicated as it may be — decodes exactly as with an untrimmed
+//!   ring. The one difference: a delta overtaken *in flight* by a delta
+//!   on a newer baseline finds its own baseline gone, is dropped as
+//!   [`ContextError::StaleBaseline`] and costs a keyframe — extra bytes,
+//!   never wrong coordinates.
+//!
+//! A block of a different length (a rank change) clears the ring: no
+//! held entry could serve as its baseline.
+//!
+//! The reconstructions of one context share one buffer at a fixed
+//! stride, grown (by doubling) to the most entries ever held at once,
+//! and a delta is reconstructed from one entry straight into the next.
+//! On a stream whose acks arrive, an encoder holds the baseline and the
+//! update in flight. A decoder holds the same two, and a third around
+//! each periodic keyframe: a keyframe drops nothing, because the
+//! encoder keeps its old baseline until the keyframe's ack arrives. At
+//! rank 10 an RTT stream's block is `u ‖ v` = 20 values = 160 B, so the
+//! encoder's buffer settles at 2 × 160 B beside 72 B of fields and the
+//! decoder's at 4 × 160 B beside 88 B: about 1.1 KB per ordered pair,
+//! where untrimmed rings of one `Vec` per entry came to about 10 KB
+//! (32 + 8 entries, each 160 B and its own allocation).
 
 use crate::delta::{apply_delta, quantize_delta, quantize_keyframe, CoordUpdate, UpdatePayload};
-use std::collections::VecDeque;
 
 /// Default number of deltas between unconditional keyframes.
 pub const DEFAULT_KEYFRAME_INTERVAL: u16 = 16;
 
-/// How many recently-sent reconstructions the encoder keeps to resolve
+/// Most sent-but-unacked reconstructions the encoder keeps to resolve
 /// acks against.
-const SENT_RING: usize = 32;
+pub const SENT_RING: usize = 32;
 
-/// How many recently-decoded reconstructions the decoder keeps as
+/// Most recently-decoded reconstructions the decoder keeps as
 /// candidate delta baselines.
-const DECODED_RING: usize = 8;
+pub const DECODED_RING: usize = 8;
 
 /// `true` if wrapping sequence number `a` is newer than `b`.
 fn seq_newer(a: u16, b: u16) -> bool {
     a.wrapping_sub(b) as i16 > 0
+}
+
+/// Reconstructions of one length, oldest first, packed at that stride
+/// in one buffer that grows to the most entries ever held.
+#[derive(Clone, Debug, Default)]
+struct States {
+    len: usize,
+    /// Values per reconstruction; 0 until the first push.
+    stride: usize,
+    data: Vec<f64>,
+}
+
+/// Equal when the held entries are; what dropped entries left behind
+/// in the buffer does not count.
+impl PartialEq for States {
+    fn eq(&self, other: &Self) -> bool {
+        self.stride == other.stride
+            && self.data[..self.len * self.stride] == other.data[..other.len * other.stride]
+    }
+}
+
+impl States {
+    fn get(&self, idx: usize) -> &[f64] {
+        &self.data[idx * self.stride..(idx + 1) * self.stride]
+    }
+
+    /// Appends a state, still to be written, and returns it with the
+    /// states held before it, so that a delta is reconstructed from one
+    /// of those straight into it.
+    fn push_slot(&mut self) -> (&[f64], &mut [f64]) {
+        let (start, end) = (self.len * self.stride, (self.len + 1) * self.stride);
+        if self.data.len() < end {
+            self.data.resize(end, 0.0);
+        }
+        self.len += 1;
+        let (held, slot) = self.data[..end].split_at_mut(start);
+        (held, slot)
+    }
+
+    /// Appends a copy of `state`, which has the held length (see
+    /// [`reset`](Self::reset)).
+    fn push(&mut self, state: &[f64]) {
+        self.push_slot().1.copy_from_slice(state);
+    }
+
+    /// Empties the ring for states of `stride` values.
+    fn reset(&mut self, stride: usize) {
+        self.len = 0;
+        self.stride = stride;
+        self.data.clear();
+    }
+
+    /// Overwrites entry `to` with entry `from`.
+    fn copy_entry(&mut self, from: usize, to: usize) {
+        let from = from * self.stride;
+        self.data
+            .copy_within(from..from + self.stride, to * self.stride);
+    }
+
+    fn drop_oldest(&mut self, count: usize) {
+        self.data
+            .copy_within(count * self.stride..self.len * self.stride, 0);
+        self.len -= count;
+    }
 }
 
 /// A cumulative acknowledgement riding on reverse-direction traffic:
@@ -82,18 +182,21 @@ impl std::fmt::Display for ContextError {
 impl std::error::Error for ContextError {}
 
 /// Sender half of a v2 coordinate stream toward one peer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EncoderContext {
     next_seq: u16,
     keyframe_interval: u16,
     since_keyframe: u16,
     force_keyframe: bool,
-    /// Receiver-confirmed `(seq, reconstruction)` — the only state
-    /// deltas are computed against.
-    acked: Option<(u16, Vec<f64>)>,
-    /// Recently-sent reconstructions, so an incoming ack can be
-    /// resolved to the exact bytes-derived state.
-    sent: VecDeque<(u16, Vec<f64>)>,
+    /// Whether the oldest entry of `sent` is the receiver-confirmed
+    /// baseline, numbered `base_seq` — the only state deltas are
+    /// computed against.
+    acked: bool,
+    base_seq: u16,
+    /// The baseline (when `acked`), then the reconstructions of the
+    /// updates sent last, the newest numbered `next_seq − 1`, so that an
+    /// incoming ack resolves to the exact bytes-derived state.
+    sent: States,
     keyframes_sent: u64,
     deltas_sent: u64,
 }
@@ -118,8 +221,9 @@ impl EncoderContext {
             keyframe_interval: interval.max(1),
             since_keyframe: 0,
             force_keyframe: false,
-            acked: None,
-            sent: VecDeque::new(),
+            acked: false,
+            base_seq: 0,
+            sent: States::default(),
             keyframes_sent: 0,
             deltas_sent: 0,
         }
@@ -132,42 +236,38 @@ impl EncoderContext {
     /// changed.
     pub fn encode(&mut self, coords: &[f64]) -> CoordUpdate {
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
 
         let need_keyframe = self.force_keyframe
             || self.since_keyframe >= self.keyframe_interval
-            || match &self.acked {
-                None => true,
-                Some((_, base)) => base.len() != coords.len(),
-            };
+            || !self.acked
+            || self.sent.stride != coords.len();
 
-        if need_keyframe {
+        let payload = if need_keyframe {
             let quantized = quantize_keyframe(coords);
-            self.remember(seq, quantized.clone());
+            if quantized.len() != self.sent.stride {
+                self.sent.reset(quantized.len());
+                self.acked = false;
+            }
+            self.make_room();
+            self.sent.push(&quantized);
             self.force_keyframe = false;
             self.since_keyframe = 0;
             self.keyframes_sent += 1;
-            CoordUpdate {
-                seq,
-                payload: UpdatePayload::Keyframe { coords: quantized },
-            }
+            UpdatePayload::Keyframe { coords: quantized }
         } else {
-            let (base_seq, base) = self.acked.as_ref().expect("checked above");
-            let (scale, quants) = quantize_delta(base, coords);
-            let reconstruction = apply_delta(base, scale, &quants);
-            let base_seq = *base_seq;
-            self.remember(seq, reconstruction);
+            self.make_room();
+            let (held, reconstruction) = self.sent.push_slot();
+            let (scale, quants) = quantize_delta(&held[..coords.len()], coords, reconstruction);
             self.since_keyframe += 1;
             self.deltas_sent += 1;
-            CoordUpdate {
-                seq,
-                payload: UpdatePayload::Delta {
-                    base_seq,
-                    scale,
-                    quants,
-                },
+            UpdatePayload::Delta {
+                base_seq: self.base_seq,
+                scale,
+                quants,
             }
-        }
+        };
+        self.next_seq = seq.wrapping_add(1);
+        CoordUpdate { seq, payload }
     }
 
     /// Feeds back an [`Ack`] from the peer. Advances the delta
@@ -177,14 +277,17 @@ impl EncoderContext {
         if ack.want_keyframe {
             self.force_keyframe = true;
         }
-        let newer = self
-            .acked
-            .as_ref()
-            .is_none_or(|(current, _)| seq_newer(ack.seq, *current));
-        if newer {
-            if let Some(state) = self.sent.iter().find(|(s, _)| *s == ack.seq) {
-                self.acked = Some(state.clone());
-            }
+        if self.acked && !seq_newer(ack.seq, self.base_seq) {
+            return;
+        }
+        // The unacked entries are numbered consecutively up to
+        // `next_seq − 1`.
+        let age = usize::from(self.next_seq.wrapping_sub(ack.seq));
+        let unacked = self.sent.len - usize::from(self.acked);
+        if (1..=unacked).contains(&age) {
+            self.sent.drop_oldest(self.sent.len - age);
+            self.base_seq = ack.seq;
+            self.acked = true;
         }
     }
 
@@ -203,10 +306,14 @@ impl EncoderContext {
         self.deltas_sent
     }
 
-    fn remember(&mut self, seq: u16, reconstruction: Vec<f64>) {
-        self.sent.push_back((seq, reconstruction));
-        while self.sent.len() > SENT_RING {
-            self.sent.pop_front();
+    /// Before a push: a ring full of unacked updates loses the oldest
+    /// of them; the baseline in front of it stays.
+    fn make_room(&mut self) {
+        if self.sent.len - usize::from(self.acked) == SENT_RING {
+            if self.acked {
+                self.sent.copy_entry(0, 1);
+            }
+            self.sent.drop_oldest(1);
         }
     }
 }
@@ -214,14 +321,30 @@ impl EncoderContext {
 /// Receiver half of a v2 coordinate stream from one peer.
 #[derive(Clone, Debug, Default)]
 pub struct DecoderContext {
-    /// Recently-decoded `(seq, reconstruction)` baselines.
-    states: VecDeque<(u16, Vec<f64>)>,
+    /// Recently-decoded reconstructions, candidate baselines, in
+    /// arrival order…
+    states: States,
+    /// …and the sequence number each arrived under (one more than the
+    /// cap: a new state is written before the oldest goes).
+    seqs: [u16; DECODED_RING + 1],
     /// Newest decoded sequence number.
     newest: Option<u16>,
     want_keyframe: bool,
     gaps_detected: u64,
     keyframes_accepted: u64,
     deltas_applied: u64,
+}
+
+/// Equal when the held baselines, flags and counters are.
+impl PartialEq for DecoderContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.states == other.states
+            && self.seqs[..self.states.len] == other.seqs[..other.states.len]
+            && (self.newest, self.want_keyframe) == (other.newest, other.want_keyframe)
+            && self.gaps_detected == other.gaps_detected
+            && self.keyframes_accepted == other.keyframes_accepted
+            && self.deltas_applied == other.deltas_applied
+    }
 }
 
 impl DecoderContext {
@@ -231,13 +354,14 @@ impl DecoderContext {
         Self::default()
     }
 
-    /// Applies one update, returning the reconstructed coordinates.
+    /// Applies one update, returning the reconstructed coordinates
+    /// (the context's own copy, good until the next call).
     ///
     /// Keyframes always succeed. Deltas succeed iff the referenced
     /// baseline is still held; otherwise the context records the gap,
     /// raises `want_keyframe`, and the caller drops the update —
     /// stale data is never half-applied.
-    pub fn apply(&mut self, update: &CoordUpdate) -> Result<Vec<f64>, ContextError> {
+    pub fn apply(&mut self, update: &CoordUpdate) -> Result<&[f64], ContextError> {
         if let Some(newest) = self.newest {
             let jump = update.seq.wrapping_sub(newest);
             if (jump as i16) > 1 {
@@ -245,47 +369,72 @@ impl DecoderContext {
             }
         }
 
-        let coords = match &update.payload {
+        match &update.payload {
             UpdatePayload::Keyframe { coords } => {
                 self.want_keyframe = false;
                 self.keyframes_accepted += 1;
-                coords.clone()
+                if coords.len() != self.states.stride {
+                    self.states.reset(coords.len());
+                }
+                self.states.push(coords);
             }
             UpdatePayload::Delta {
                 base_seq,
                 scale,
                 quants,
             } => {
-                let base = match self.states.iter().find(|(s, _)| s == base_seq) {
-                    Some((_, base)) => base,
-                    None => {
-                        self.want_keyframe = true;
-                        return Err(ContextError::StaleBaseline {
-                            base_seq: *base_seq,
-                            seq: update.seq,
-                        });
-                    }
-                };
-                if base.len() != quants.len() {
+                if self.position(*base_seq).is_none() {
+                    self.want_keyframe = true;
+                    return Err(ContextError::StaleBaseline {
+                        base_seq: *base_seq,
+                        seq: update.seq,
+                    });
+                }
+                if self.states.stride != quants.len() {
                     self.want_keyframe = true;
                     return Err(ContextError::RankMismatch {
-                        expected: base.len(),
+                        expected: self.states.stride,
                         got: quants.len(),
                     });
                 }
                 self.deltas_applied += 1;
-                apply_delta(base, *scale, quants)
+                self.drop_older_than(*base_seq);
+                let at = self.position(*base_seq).expect("the baseline is kept");
+                let (held, coords) = self.states.push_slot();
+                let base = &held[at * quants.len()..][..quants.len()];
+                apply_delta(base, *scale, quants, coords);
             }
-        };
-
-        self.states.push_back((update.seq, coords.clone()));
-        while self.states.len() > DECODED_RING {
-            self.states.pop_front();
+        }
+        self.seqs[self.states.len - 1] = update.seq;
+        if self.states.len > DECODED_RING {
+            self.seqs.copy_within(1.., 0);
+            self.states.drop_oldest(1);
         }
         if self.newest.is_none_or(|n| seq_newer(update.seq, n)) {
             self.newest = Some(update.seq);
         }
-        Ok(coords)
+        Ok(self.states.get(self.states.len - 1))
+    }
+
+    /// Index of the oldest held state numbered `seq`.
+    fn position(&self, seq: u16) -> Option<usize> {
+        self.seqs[..self.states.len].iter().position(|&s| s == seq)
+    }
+
+    /// Drops every held state older than `seq`, keeping arrival order.
+    fn drop_older_than(&mut self, seq: u16) {
+        let mut kept = 0;
+        for idx in 0..self.states.len {
+            if seq_newer(seq, self.seqs[idx]) {
+                continue;
+            }
+            if kept != idx {
+                self.seqs[kept] = self.seqs[idx];
+                self.states.copy_entry(idx, kept);
+            }
+            kept += 1;
+        }
+        self.states.len = kept;
     }
 
     /// The acknowledgement to piggyback on the next reverse-direction
@@ -341,11 +490,11 @@ mod tests {
                 keyframes += 1;
             }
             let recon = dec.apply(&update).expect("lossless stream decodes");
-            // Feed the ack straight back, as the reverse channel would.
-            enc.on_ack(dec.ack().expect("decoded at least one update"));
             for (r, c) in recon.iter().zip(&coords) {
                 assert!((r - c).abs() < 0.02, "round {round}: {r} vs {c}");
             }
+            // Feed the ack straight back, as the reverse channel would.
+            enc.on_ack(dec.ack().expect("decoded at least one update"));
             coords = drift(&coords, 0.003);
         }
         assert_eq!(keyframes, 1, "only the priming update is a keyframe");
@@ -397,10 +546,10 @@ mod tests {
         let update = enc.encode(&coords);
         assert!(update.is_keyframe(), "gap must trigger a keyframe");
         let recon = fresh.apply(&update).expect("keyframe always decodes");
-        assert!(!fresh.wants_keyframe(), "keyframe clears the request");
         for (r, c) in recon.iter().zip(&coords) {
             assert!((r - c).abs() < 0.02);
         }
+        assert!(!fresh.wants_keyframe(), "keyframe clears the request");
     }
 
     #[test]
@@ -485,7 +634,7 @@ mod tests {
             payload: UpdatePayload::Delta {
                 base_seq: 3,
                 scale: 0.01,
-                quants: vec![1, -1],
+                quants: vec![1, -1].into(),
             },
         };
         assert!(dec.apply(&update).is_err());

@@ -22,6 +22,125 @@ pub const F16_MAX: f64 = 65504.0;
 /// `u` and `v` concatenated, so this is twice [`crate::codec::MAX_RANK`]).
 pub const MAX_BLOCK: usize = 2 * crate::codec::MAX_RANK;
 
+/// Values a [`Block`] holds without touching the heap: `u ‖ v` at
+/// rank 16, the same rank up to which `dmf_linalg::CoordVec` is inline.
+pub const INLINE_BLOCK: usize = 32;
+
+/// The values of one update block — coordinates or delta quanta —
+/// stored in the value itself up to [`INLINE_BLOCK`] of them, so that
+/// encoding and decoding at the paper's ranks never allocate. Longer
+/// blocks (up to [`MAX_BLOCK`] from the network) spill to a `Vec`.
+///
+/// Dereferences to a slice; equality compares the values regardless of
+/// storage.
+#[derive(Clone)]
+pub struct Block<T>(Repr<T>);
+
+#[derive(Clone)]
+enum Repr<T> {
+    Inline { len: u8, data: [T; INLINE_BLOCK] },
+    Spilled(Vec<T>),
+}
+
+impl<T: Copy + Default> Block<T> {
+    /// A block of `len` default values (zeros), to be written through
+    /// the slice it dereferences to.
+    pub fn zeros(len: usize) -> Self {
+        if len > INLINE_BLOCK {
+            return Block(Repr::Spilled(vec![T::default(); len]));
+        }
+        Block(Repr::Inline {
+            len: len as u8,
+            data: [T::default(); INLINE_BLOCK],
+        })
+    }
+
+    /// Appends one value.
+    fn push(&mut self, value: T) {
+        match &mut self.0 {
+            Repr::Inline { len, data } => {
+                if let Some(slot) = data.get_mut(usize::from(*len)) {
+                    *slot = value;
+                    *len += 1;
+                } else {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_BLOCK);
+                    spilled.extend_from_slice(data);
+                    spilled.push(value);
+                    self.0 = Repr::Spilled(spilled);
+                }
+            }
+            Repr::Spilled(values) => values.push(value),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Block<T> {
+    type Target = [T];
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline { len, data } => &data[..usize::from(*len)],
+            Repr::Spilled(values) => values,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Block<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline { len, data } => &mut data[..usize::from(*len)],
+            Repr::Spilled(values) => values,
+        }
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for Block<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut block = Block::zeros(0);
+        for value in iter {
+            block.push(value);
+        }
+        block
+    }
+}
+
+impl<T: Copy + Default> From<&[T]> for Block<T> {
+    fn from(values: &[T]) -> Self {
+        let mut block = Block::zeros(values.len());
+        block.copy_from_slice(values);
+        block
+    }
+}
+
+impl<T: Copy + Default> From<Vec<T>> for Block<T> {
+    fn from(values: Vec<T>) -> Self {
+        if values.len() <= INLINE_BLOCK {
+            Block::from(values.as_slice())
+        } else {
+            Block(Repr::Spilled(values))
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Block<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Block<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Block<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Rounds an `f64` to the nearest binary16 and returns its bit
 /// pattern. Non-finite input is treated as zero; magnitudes beyond
 /// [`F16_MAX`] saturate to the largest finite half. Never produces an
@@ -76,13 +195,21 @@ pub fn f16_from_f64(value: f64) -> u16 {
 /// patterns (inf/NaN) map to NaN; the codec rejects them before this
 /// is reached on the decode path.
 pub fn f16_to_f64(bits: u16) -> f64 {
-    let sign = if bits & 0x8000 != 0 { -1.0 } else { 1.0 };
-    let exp = ((bits >> 10) & 0x1F) as i32;
-    let mant = (bits & 0x3FF) as f64;
+    let negative = bits & 0x8000 != 0;
+    let exp = u32::from(bits >> 10) & 0x1F;
+    let mant = u32::from(bits & 0x3FF);
     match exp {
-        0 => sign * mant * (-24f64).exp2(),
+        // Subnormal (and signed zero): ±mant × 2⁻²⁴.
+        0 => {
+            let sign = if negative { -1.0 } else { 1.0 };
+            sign * f64::from(mant) / 16_777_216.0
+        }
         31 => f64::NAN,
-        e => sign * (1.0 + mant / 1024.0) * f64::from(e - 15).exp2(),
+        // Normal: sign, exponent and mantissa moved into a binary32.
+        e => {
+            let sign = u32::from(negative) << 31;
+            f64::from(f32::from_bits(sign | (e + 112) << 23 | mant << 13))
+        }
     }
 }
 
@@ -93,15 +220,25 @@ pub fn f16_is_finite(bits: u16) -> bool {
 
 /// Rounds every coordinate to its nearest binary16 value — the exact
 /// state a receiver reconstructs from a keyframe.
-pub fn quantize_keyframe(coords: &[f64]) -> Vec<f64> {
-    coords
-        .iter()
-        .map(|&c| f16_to_f64(f16_from_f64(c)))
-        .collect()
+pub fn quantize_keyframe(coords: &[f64]) -> Block<f64> {
+    let mut quantized = Block::zeros(coords.len());
+    for (q, &c) in quantized.iter_mut().zip(coords) {
+        *q = f16_to_f64(f16_from_f64(c));
+    }
+    quantized
+}
+
+/// One reconstructed value — the arithmetic both encoder and decoder
+/// run, so their states stay bit-identical.
+#[inline]
+fn reconstruct(base: f64, quant: i8, scale: f64) -> f64 {
+    base + f64::from(quant) * scale
 }
 
 /// Quantizes `coords − baseline` to a shared binary16 scale and
-/// per-coordinate `i8` steps.
+/// per-coordinate `i8` steps, and writes the state a receiver will
+/// reconstruct from them into `reconstruction` (in the same pass: the
+/// encoder keeps exactly that state, see the module docs).
 ///
 /// Returns `(scale, quants)` with every quant in `[-127, 127]` and
 /// `scale ≥ 0` exactly representable in binary16. A zero scale means
@@ -111,7 +248,11 @@ pub fn quantize_keyframe(coords: &[f64]) -> Vec<f64> {
 /// Panics if the slices differ in length (an internal programming
 /// error — the encoder context always deltas against a same-rank
 /// baseline).
-pub fn quantize_delta(baseline: &[f64], coords: &[f64]) -> (f64, Vec<i8>) {
+pub fn quantize_delta(
+    baseline: &[f64],
+    coords: &[f64],
+    reconstruction: &mut [f64],
+) -> (f64, Block<i8>) {
     assert_eq!(
         baseline.len(),
         coords.len(),
@@ -119,31 +260,34 @@ pub fn quantize_delta(baseline: &[f64], coords: &[f64]) -> (f64, Vec<i8>) {
         baseline.len(),
         coords.len()
     );
+    assert_eq!(baseline.len(), reconstruction.len());
     let max_abs = baseline
         .iter()
         .zip(coords)
         .map(|(&b, &c)| (c - b).abs())
         .fold(0.0f64, f64::max);
     let scale = f16_to_f64(f16_from_f64(max_abs / 127.0));
+    let mut quants = Block::zeros(coords.len());
     if scale == 0.0 || !scale.is_finite() {
-        return (0.0, vec![0; coords.len()]);
+        apply_delta(baseline, 0.0, &quants, reconstruction);
+        return (0.0, quants);
     }
-    let quants = baseline
-        .iter()
-        .zip(coords)
-        .map(|(&b, &c)| ((c - b) / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
+    let inputs = baseline.iter().zip(coords);
+    let outputs = quants.iter_mut().zip(reconstruction);
+    for ((&base, &coord), (quant, reconstructed)) in inputs.zip(outputs) {
+        *quant = ((coord - base) / scale).round().clamp(-127.0, 127.0) as i8;
+        *reconstructed = reconstruct(base, *quant, scale);
+    }
     (scale, quants)
 }
 
-/// Reconstructs coordinates from a baseline and a quantized delta —
-/// the shared arithmetic both encoder and decoder run, so their
-/// states stay bit-identical.
+/// Reconstructs coordinates from a baseline and a quantized delta into
+/// `out`.
 ///
 /// # Panics
 /// Panics if the slices differ in length; callers validate rank
 /// before reconstruction.
-pub fn apply_delta(baseline: &[f64], scale: f64, quants: &[i8]) -> Vec<f64> {
+pub fn apply_delta(baseline: &[f64], scale: f64, quants: &[i8], out: &mut [f64]) {
     assert_eq!(
         baseline.len(),
         quants.len(),
@@ -151,11 +295,10 @@ pub fn apply_delta(baseline: &[f64], scale: f64, quants: &[i8]) -> Vec<f64> {
         baseline.len(),
         quants.len()
     );
-    baseline
-        .iter()
-        .zip(quants)
-        .map(|(&b, &q)| b + f64::from(q) * scale)
-        .collect()
+    assert_eq!(baseline.len(), out.len());
+    for ((out, &base), &quant) in out.iter_mut().zip(baseline).zip(quants) {
+        *out = reconstruct(base, quant, scale);
+    }
 }
 
 /// One coordinate update on a v2 stream: a sequence number plus a
@@ -170,12 +313,15 @@ pub struct CoordUpdate {
 }
 
 /// The body of a [`CoordUpdate`].
+// Inline on purpose: boxing the keyframe's block, as the lint
+// suggests, puts an allocation back on the probe path.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum UpdatePayload {
     /// Full state, each value binary16-rounded. Always decodable.
     Keyframe {
         /// The reconstructed coordinate block.
-        coords: Vec<f64>,
+        coords: Block<f64>,
     },
     /// Differences against an earlier update's reconstruction.
     Delta {
@@ -184,7 +330,7 @@ pub enum UpdatePayload {
         /// Step size shared by all quants (binary16-exact, ≥ 0).
         scale: f64,
         /// Per-coordinate steps in `[-127, 127]`.
-        quants: Vec<i8>,
+        quants: Block<i8>,
     },
 }
 
@@ -212,6 +358,25 @@ mod tests {
         for value in [0.0, -0.0, 1.0, -1.0, 0.5, 1024.0, 65504.0, -65504.0] {
             let bits = f16_from_f64(value);
             assert_eq!(f16_to_f64(bits), value, "{value} must round-trip");
+        }
+    }
+
+    /// Every finite pattern expands to the value its fields spell out.
+    #[test]
+    fn f16_to_f64_matches_the_definition_on_every_pattern() {
+        for bits in 0..=u16::MAX {
+            let sign = if bits & 0x8000 != 0 { -1.0 } else { 1.0 };
+            let exp = i32::from((bits >> 10) & 0x1F);
+            let mant = f64::from(bits & 0x3FF);
+            let want = match exp {
+                0 => sign * mant * (-24f64).exp2(),
+                31 => {
+                    assert!(f16_to_f64(bits).is_nan());
+                    continue;
+                }
+                e => sign * (1.0 + mant / 1024.0) * f64::from(e - 15).exp2(),
+            };
+            assert_eq!(f16_to_f64(bits).to_bits(), want.to_bits(), "{bits:#06x}");
         }
     }
 
@@ -255,12 +420,30 @@ mod tests {
     }
 
     #[test]
+    fn block_is_inline_until_cap_then_spills() {
+        let at_cap: Block<i8> = (0..INLINE_BLOCK).map(|i| i as i8).collect();
+        assert!(matches!(at_cap.0, Repr::Inline { .. }));
+        assert_eq!(at_cap.len(), INLINE_BLOCK);
+        let mut over = at_cap.clone();
+        over.push(99);
+        assert!(matches!(over.0, Repr::Spilled(_)));
+        assert_eq!(over[..INLINE_BLOCK], at_cap[..]);
+        assert_eq!(over[INLINE_BLOCK], 99);
+        // Equality looks at the values, not at where they live.
+        let values: Vec<i8> = over.to_vec();
+        assert_eq!(Block::from(values.clone()), over);
+        assert_eq!(Block::from(&values[..3]), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn delta_roundtrip_recovers_small_motion() {
         let baseline: Vec<f64> = (0..10).map(|i| i as f64 * 0.1 - 0.4).collect();
         let coords: Vec<f64> = baseline.iter().map(|b| b + 0.011).collect();
-        let (scale, quants) = quantize_delta(&baseline, &coords);
+        let (mut sent, mut recon) = ([0.0; 10], [0.0; 10]);
+        let (scale, quants) = quantize_delta(&baseline, &coords, &mut sent);
         assert!(quants.iter().all(|&q| (-127..=127).contains(&q)));
-        let recon = apply_delta(&baseline, scale, &quants);
+        apply_delta(&baseline, scale, &quants, &mut recon);
+        assert_eq!(sent, recon, "both ends hold the same state");
         for (r, c) in recon.iter().zip(&coords) {
             assert!((r - c).abs() <= scale, "recon {r} vs {c} (scale {scale})");
         }
@@ -269,10 +452,12 @@ mod tests {
     #[test]
     fn delta_of_identical_states_is_zero() {
         let baseline = [1.0, -2.0, 3.0];
-        let (scale, quants) = quantize_delta(&baseline, &baseline);
+        let (mut sent, mut recon) = ([9.0; 3], [9.0; 3]);
+        let (scale, quants) = quantize_delta(&baseline, &baseline, &mut sent);
         assert_eq!(scale, 0.0);
         assert_eq!(quants, vec![0, 0, 0]);
-        assert_eq!(apply_delta(&baseline, scale, &quants), baseline.to_vec());
+        apply_delta(&baseline, scale, &quants, &mut recon);
+        assert_eq!((sent, recon), (baseline, baseline));
     }
 
     #[test]
@@ -280,9 +465,11 @@ mod tests {
         // Large asymmetric motion still quantizes into range.
         let baseline = [0.0, 0.0, 0.0, 0.0];
         let coords = [5.0, -5.0, 0.1, 0.0];
-        let (scale, quants) = quantize_delta(&baseline, &coords);
+        let (mut sent, mut recon) = ([0.0; 4], [0.0; 4]);
+        let (scale, quants) = quantize_delta(&baseline, &coords, &mut sent);
         assert!(quants.iter().all(|&q| (-127..=127).contains(&q)));
-        let recon = apply_delta(&baseline, scale, &quants);
+        apply_delta(&baseline, scale, &quants, &mut recon);
+        assert_eq!(sent, recon, "both ends hold the same state");
         for (r, c) in recon.iter().zip(&coords) {
             assert!((r - c).abs() <= scale, "recon {r} vs {c}");
         }

@@ -63,7 +63,7 @@ pub use codec::{
     decode, decode_any, decode_v2, encode, encode_v2, fnv1a, DecodeError, WireMessage, WireVersion,
 };
 pub use context::{Ack, ContextError, DecoderContext, EncoderContext};
-pub use delta::{CoordUpdate, UpdatePayload};
+pub use delta::{Block, CoordUpdate, UpdatePayload};
 pub use fault::{FaultCounts, FaultInjector, FaultSpec};
 pub use message::Message;
 pub use message_v2::MessageV2;

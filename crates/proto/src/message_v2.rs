@@ -99,7 +99,9 @@ mod tests {
     fn keyframe(seq: u16, coords: Vec<f64>) -> CoordUpdate {
         CoordUpdate {
             seq,
-            payload: UpdatePayload::Keyframe { coords },
+            payload: UpdatePayload::Keyframe {
+                coords: coords.into(),
+            },
         }
     }
 

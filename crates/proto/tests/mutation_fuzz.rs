@@ -39,7 +39,7 @@ fn corpus() -> Vec<Vec<u8>> {
         payload: UpdatePayload::Delta {
             base_seq,
             scale: 0.0078125, // exactly representable in binary16
-            quants,
+            quants: quants.into(),
         },
     };
     let ack = Some(Ack {

@@ -113,7 +113,7 @@ proptest! {
                 payload: UpdatePayload::Delta {
                     base_seq: 4,
                     scale: 0.0,
-                    quants: vec![0; 2 * rank],
+                    quants: vec![0; 2 * rank].into(),
                 },
             },
         };

@@ -73,6 +73,22 @@ impl NeighborSets {
         &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Neighbor entries over all nodes: the number of
+    /// [`slot`](Self::slot)s.
+    pub fn slots(&self) -> usize {
+        self.flat.len()
+    }
+
+    /// Where `j` sits in the concatenated neighbor table, if it is one
+    /// of node `i`'s neighbors: an index in `0..slots()` that names the
+    /// ordered pair `(i, j)`, for per-pair state kept in one flat
+    /// table. Stable as long as no row changes length.
+    #[inline]
+    pub fn slot(&self, i: usize, j: usize) -> Option<usize> {
+        let at = self.neighbors(i).iter().position(|&x| x == j)?;
+        Some(self.offsets[i] as usize + at)
+    }
+
     /// Uniformly samples one neighbor of node `i`.
     #[inline]
     pub fn sample_neighbor(&self, i: usize, rng: &mut impl Rng) -> usize {
@@ -252,6 +268,23 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn slots_number_the_ordered_pairs_densely() {
+        let mut sets = NeighborSets::from_sets(vec![vec![1, 2], vec![2], vec![0, 1]]);
+        assert_eq!(sets.slots(), 5);
+        let slots: Vec<_> = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 1)]
+            .iter()
+            .map(|&(i, j)| sets.slot(i, j))
+            .collect();
+        assert_eq!(slots, (0..5).map(Some).collect::<Vec<_>>());
+        assert_eq!(sets.slot(1, 0), None, "0 is not a neighbor of 1");
+        // A repaired row keeps its slots; the new neighbor takes over
+        // the departed one's.
+        assert!(sets.replace_in_row(0, 2, 3));
+        assert_eq!(sets.slot(0, 3), Some(1));
+        assert_eq!(sets.slot(0, 2), None);
+    }
 
     /// The sparse virtual-pool sampler must replay the materialized
     /// partial Fisher–Yates draw-for-draw: neighbor tables seed every
