@@ -118,8 +118,9 @@ pub struct BatchingStats {
     pub batches: u64,
     /// Updates applied through those batches.
     pub updates: u64,
-    /// Batches drained by the dedicated shard workers (the rest were
-    /// drained inline by submitting connections acting as combiners).
+    /// Always 0 since the service stopped running worker threads
+    /// (every batch is drained by a submitting connection); kept for
+    /// the `BENCH.json` v5 schema.
     pub worker_batches: u64,
     /// Mean updates per batch.
     pub mean_batch: f64,

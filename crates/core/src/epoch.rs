@@ -1,14 +1,15 @@
 //! Lock-free published coordinates: [`EpochView`].
 //!
-//! A [`CoordView`](crate::CoordView) answers queries bit-identically
-//! to the session it was published from, but sharing one between
-//! reader threads and a republishing writer needs a lock — and under
-//! serving traffic that lock is exactly where shards stop scaling
-//! (the reader/writer convoy on the view `RwLock` was the dominant
-//! cost in the sharded service's tail).
+//! A [`Session`]'s incremental queries take `&self`, its training
+//! methods `&mut self`: under Rust's aliasing rules a serving thread
+//! cannot answer predictions while a training round is in flight, and
+//! sharing the session behind a lock puts readers and the writer in
+//! one convoy — exactly where shards stop scaling.
 //!
-//! `EpochView` is the same published snapshot laid out as a flat
-//! array of atomic words with a per-slot *seqlock*, so the query
+//! `EpochView` is the read half of that split: a published snapshot
+//! of everything the queries touch (coordinates, alive flags,
+//! neighbor rows, prediction mode) laid out as a flat array of
+//! atomic words with a per-slot *seqlock*, so the query
 //! methods ([`raw_score`](EpochView::raw_score),
 //! [`predict`](EpochView::predict),
 //! [`rank_neighbors_into`](EpochView::rank_neighbors_into) and the
@@ -30,8 +31,8 @@
 //! epochs — slot `i` from before a concurrent batch and slot `j`
 //! from after it. That relaxation is what buys lock-freedom; with no
 //! concurrent writer (e.g. the single-threaded conformance suites)
-//! queries are bit-identical to the equivalent
-//! [`CoordView`](crate::CoordView) queries.
+//! queries are bit-identical to the equivalent [`Session`] queries
+//! as of the last publication.
 //!
 //! # Writer contract
 //!
@@ -43,9 +44,9 @@
 //! but they assume **externally serialized writers** (one writer at a
 //! time per view). Two unserialized writers racing on one slot could
 //! interleave their sequence bumps so that a reader validates a mix
-//! of their payloads. The sharded service serializes publication
-//! behind a per-shard publish lock; single-writer embedders get the
-//! guarantee for free.
+//! of their payloads. The sharded service publishes under each
+//! shard's write lock; single-writer embedders get the guarantee for
+//! free.
 
 use crate::config::PredictionMode;
 use crate::coords::Coordinates;
@@ -60,9 +61,9 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 const SLOT_HEADER: usize = 2;
 
 /// A lock-free, torn-read-free published snapshot of a session's
-/// coordinates — the concurrent counterpart of
-/// [`CoordView`](crate::CoordView) (see the [module docs](self) for
-/// the consistency model and the single-writer contract).
+/// coordinates — the concurrent read half of a [`Session`] (see the
+/// [module docs](self) for the consistency model and the
+/// single-writer contract).
 pub struct EpochView {
     rank: usize,
     mode: PredictionMode,
@@ -77,8 +78,7 @@ pub struct EpochView {
 
 impl EpochView {
     /// Captures a query-ready view of `session`'s current
-    /// coordinates, membership and neighbor rows — the lock-free
-    /// analogue of [`Session::publish`].
+    /// coordinates, membership and neighbor rows.
     pub fn capture(session: &Session) -> Self {
         let rank = session.config().rank;
         let len = session.len();
@@ -244,13 +244,9 @@ impl EpochView {
         Ok(())
     }
 
-    /// Publishes new coordinates (and alive flag) into slot `id` —
-    /// the lock-free analogue of
-    /// [`CoordView::republish_node`](crate::CoordView::republish_node),
-    /// taking the already-copied slot payload so no session lock need
-    /// be held while publishing (the short-critical-section rule).
-    /// Fails (leaving the slot untouched) when `id` is out of range
-    /// or `coords` has the wrong rank. Writers must be externally
+    /// Publishes new coordinates (and alive flag) into slot `id`,
+    /// `O(r)`. Fails (leaving the slot untouched) when `id` is out of
+    /// range or `coords` has the wrong rank. Writers must be externally
     /// serialized (see the [module docs](self)).
     pub fn publish_slot(
         &self,
@@ -292,7 +288,8 @@ impl EpochView {
 
     /// Publishes node `id`'s current slot straight from `session` —
     /// [`publish_slot`](Self::publish_slot) with the copy done here.
-    /// Errors mirror [`CoordView::republish_node`](crate::CoordView::republish_node).
+    /// An id outside the session is the session's own
+    /// [`MembershipError::UnknownNode`].
     pub fn publish_from(&self, session: &Session, id: NodeId) -> Result<(), DmfsgdError> {
         let Some(node) = session.node(id) else {
             return Err(MembershipError::UnknownNode {
@@ -326,8 +323,8 @@ impl EpochView {
     }
 
     /// Raw predictor output `u_i · v_j` — bit-identical to
-    /// [`CoordView::raw_score`](crate::CoordView::raw_score) (same
-    /// dot kernel), reading each slot atomically.
+    /// [`Session::raw_score`] (same dot kernel), reading each slot
+    /// atomically.
     pub fn raw_score(&self, i: NodeId, j: NodeId) -> Result<f64, DmfsgdError> {
         let mut u_i = CoordVec::zeros(self.rank);
         let mut v_j = CoordVec::zeros(self.rank);
@@ -389,7 +386,7 @@ impl EpochView {
     }
 
     /// Node `i`'s neighbors ranked by predicted score into a
-    /// caller-owned buffer — [`CoordView::rank_neighbors_into`](crate::CoordView::rank_neighbors_into)
+    /// caller-owned buffer — [`Session::rank_neighbors_into`]
     /// semantics (same tie-break, departed neighbors included), each
     /// slot read atomically.
     pub fn rank_neighbors_into(
@@ -460,25 +457,21 @@ mod tests {
             s.apply_measurement(i, j, x, dmf_datasets::Metric::Rtt)
                 .unwrap();
         }
-        let view = s.publish();
         let epoch = EpochView::capture(&s);
         assert_eq!(epoch.len(), 20);
-        assert_eq!(epoch.rank(), view.rank());
+        assert_eq!(epoch.rank(), s.config().rank);
         for i in 0..20 {
             for j in 0..20 {
-                match (view.raw_score(i, j), epoch.raw_score(i, j)) {
+                match (s.raw_score(i, j), epoch.raw_score(i, j)) {
                     (Ok(a), Ok(b)) => assert!(a == b, "({i},{j}): {a} != {b}"),
                     (Err(a), Err(b)) => assert_eq!(a, b),
                     (a, b) => panic!("({i},{j}): {a:?} vs {b:?}"),
                 }
-                assert_eq!(view.predict(i, j).ok(), epoch.predict(i, j).ok());
-                assert_eq!(
-                    view.predict_class(i, j).ok(),
-                    epoch.predict_class(i, j).ok()
-                );
+                assert_eq!(s.predict(i, j).ok(), epoch.predict(i, j).ok());
+                assert_eq!(s.predict_class(i, j).ok(), epoch.predict_class(i, j).ok());
             }
             assert_eq!(
-                view.rank_neighbors(i, 8).unwrap(),
+                s.rank_neighbors(i, 8).unwrap(),
                 epoch.rank_neighbors(i, 8).unwrap()
             );
         }
@@ -548,10 +541,9 @@ mod tests {
                 .unwrap();
         }
         epoch.publish_all(&s).unwrap();
-        let view = s.publish();
         for i in 0..12 {
             for j in 0..12 {
-                assert_eq!(epoch.raw_score(i, j).ok(), view.raw_score(i, j).ok());
+                assert_eq!(epoch.raw_score(i, j).ok(), s.raw_score(i, j).ok());
             }
         }
         let other = session(5, 1);

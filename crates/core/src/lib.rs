@@ -39,16 +39,13 @@
 //!   the [`Driver`] trait all front-ends implement.
 //! * [`snapshot`] — serializable checkpoints; restore is
 //!   bit-identical to never having stopped.
-//! * [`view`] — the read half of the session's read/write split:
-//!   [`Session::publish`] snapshots the coordinates into an immutable
-//!   [`CoordView`] that keeps answering queries while a training
-//!   round holds `&mut Session` (the shard-serving primitive behind
-//!   `dmf-service`).
-//! * [`epoch`] — the concurrent form of that read half: an
-//!   [`EpochView`] lays the published slots out as per-slot seqlocks
-//!   so reader threads never take a lock (and never see a torn
-//!   slot) while a single writer republishes batches behind a
-//!   monotone epoch counter.
+//! * [`epoch`] — the read half of the session's read/write split
+//!   (the shard-serving primitive behind `dmf-service`): an
+//!   [`EpochView`] lays the published coordinates out as per-slot
+//!   seqlocks, answering [`Session`]'s queries bit-identically while
+//!   reader threads never take a lock (and never see a torn slot)
+//!   and a single writer republishes batches behind a monotone epoch
+//!   counter.
 //! * [`runner`] — the simulated-network front-end
 //!   ([`runner::SimnetDriver`]): the same node logic driven through
 //!   `dmf-simnet` message passing with latency and loss,
@@ -96,8 +93,6 @@ pub mod sharded;
 #[deny(missing_docs)]
 pub mod snapshot;
 pub mod update;
-#[deny(missing_docs)]
-pub mod view;
 
 pub use config::{DmfsgdConfig, PredictionMode, SgdParams};
 pub use coords::{CoordVec, Coordinates};
@@ -109,4 +104,3 @@ pub use runner::{ExchangeFidelity, SimnetDriver, SimnetRunner, WireStats};
 pub use session::{Driver, OracleDriver, Session, SessionBuilder};
 pub use sharded::ShardedSimnetDriver;
 pub use snapshot::Snapshot;
-pub use view::CoordView;

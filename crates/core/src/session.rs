@@ -36,7 +36,6 @@ use crate::loss::Loss;
 use crate::node::DmfsgdNode;
 use crate::provider::MeasurementProvider;
 use crate::snapshot::Snapshot;
-use crate::view::CoordView;
 use dmf_datasets::{DynamicTrace, Metric};
 use dmf_linalg::Matrix;
 use dmf_simnet::NeighborSets;
@@ -265,7 +264,7 @@ impl Session {
 
     /// [`rank_neighbors`](Self::rank_neighbors) into a caller-owned
     /// buffer (cleared first), reusing its allocation across queries.
-    /// This is the serving-path variant: a shard worker answering rank
+    /// This is the serving-path variant: a connection answering rank
     /// traffic keeps one buffer per connection and never allocates per
     /// query. On error the buffer is left cleared.
     pub fn rank_neighbors_into(
@@ -284,17 +283,6 @@ impl Session {
         );
         rank_scored(out, top_k);
         Ok(())
-    }
-
-    /// Publishes an immutable [`CoordView`] of the current
-    /// coordinates, membership and neighbor rows — the read half of
-    /// the session's read/write split. The view answers the
-    /// incremental queries bit-identically to this session *as of
-    /// now* and stays valid (and stale) while the session keeps
-    /// training; refresh it with [`CoordView::republish_node`] (per
-    /// update, `O(r)`) or [`CoordView::republish_from`].
-    pub fn publish(&self) -> CoordView {
-        CoordView::capture(self)
     }
 
     /// Materializes all pairwise raw scores (diagonal zeroed) for
@@ -410,7 +398,7 @@ impl Session {
 
     /// Applies a whole batch of remote RTT replies through
     /// [`apply_rtt_remote`](Self::apply_rtt_remote) semantics,
-    /// amortizing the per-update entry overhead — the shard workers'
+    /// amortizing the per-update entry overhead — the service shards'
     /// drain path.
     ///
     /// Validation is all-or-nothing: every update is checked
@@ -735,8 +723,9 @@ impl Session {
 /// Sorts `(id, score)` pairs best-first — score descending, id
 /// ascending on ties — and truncates to `top_k`. The single ordering
 /// shared by [`Session::rank_neighbors_into`],
-/// [`CoordView::rank_neighbors_into`] and the cross-shard rank merge
-/// in `dmf-service`, so every surface breaks ties identically.
+/// [`EpochView::rank_neighbors_into`](crate::EpochView::rank_neighbors_into)
+/// and the cross-shard rank merge in `dmf-service`, so every surface
+/// breaks ties identically.
 pub fn rank_scored(scored: &mut Vec<(NodeId, f64)>, top_k: usize) {
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

@@ -53,7 +53,7 @@ pub struct ServerConnection {
     /// Reusable rank buffer: neighbor ranking allocates nothing per
     /// query ([`PredictionService::rank_neighbors_into`]).
     rank_buf: Vec<(NodeId, f64)>,
-    /// Reusable update-completion ticket: in-order execution means at
+    /// Reusable update result cell: in-order execution means at
     /// most one update from this connection is ever in flight, so one
     /// ticket serves the whole connection without per-update
     /// allocation.
@@ -77,7 +77,7 @@ impl ServerConnection {
             inbuf: Vec::new(),
             pending: VecDeque::new(),
             rank_buf: Vec::new(),
-            update_ticket: Arc::new(UpdateTicket::new()),
+            update_ticket: Arc::default(),
             overload_rejections: 0,
             metrics: None,
         }

@@ -16,17 +16,15 @@
 //!   queries never block on writers. Updates route to the owning
 //!   shard carrying the peer's reply coordinates (the paper's
 //!   Algorithm 1 wire shape), drain in arrival order through a
-//!   bounded per-shard queue — applied inline by the submitting
-//!   connection when the shard is uncontended, or by the shard's
-//!   dedicated worker thread under contention — and publish as one
-//!   epoch swap per batch. Sharded answers are **bit-identical** to
+//!   bounded per-shard queue — applied by whichever submitting
+//!   connection holds the shard's write lock; the service owns no
+//!   threads — and publish as one epoch swap per batch. Sharded answers are **bit-identical** to
 //!   a single-session oracle fed the same operations in the same
 //!   order — the conformance suite pins this at several shard
 //!   counts.
 //! * [`worker`] — the building blocks of that write path: the
-//!   bounded MPSC update queue, the parked submitters' completion
-//!   tickets ([`UpdateTicket`]), and always-on batch-size /
-//!   queue-depth distribution statistics
+//!   bounded MPSC update queue, the jobs' result cells, and always-on
+//!   batch-size / queue-depth distribution statistics
 //!   ([`WorkerStatsSnapshot`]).
 //! * [`protocol`] — the framed request/response wire format:
 //!   `check`/`consume` buffered decoding over a byte stream
@@ -87,4 +85,4 @@ pub use protocol::{
     HEADER_LEN, MAX_HEALTH_REASONS, MAX_PAYLOAD, MAX_RANKED, SERVICE_MAGIC, SERVICE_VERSION,
 };
 pub use service::{PredictionService, DEFAULT_UPDATE_QUEUE};
-pub use worker::{UpdateTicket, WorkerStatsSnapshot, DIST_BUCKETS};
+pub use worker::{WorkerStatsSnapshot, DIST_BUCKETS};

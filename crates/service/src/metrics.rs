@@ -185,7 +185,7 @@ impl ServiceMetrics {
         let worker_batch = registry.histogram(
             MetricDesc::plain(
                 "dmf_service_worker_batch_size",
-                "Updates drained per write-lock acquisition (combiner or worker batch).",
+                "Updates drained per shard write-lock acquisition.",
                 Unit::None,
             ),
             &crate::worker::DIST_BUCKETS,

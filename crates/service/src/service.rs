@@ -26,19 +26,20 @@
 //! seqlocks: each slot read is atomic (never torn), retried only for
 //! the nanoseconds a publication of that very slot is in flight.
 //!
-//! *Writes are single-writer per shard, batched.* An update is
-//! validated against the published membership, enqueued on the owning
-//! shard's bounded FIFO (`UpdateQueue`), and then drained by
-//! whoever holds that shard's write lock — the submitting connection
-//! itself when the shard is uncontended (it `try_lock`s and becomes
-//! the *combiner*, applying the queued batch inline), or the shard's
-//! dedicated worker thread when the lock is busy (the submitter
-//! notifies the worker and parks on its [`UpdateTicket`]). Batches
-//! drain in arrival order through
-//! [`Session::apply_rtt_remote_batch`], are published as one epoch
-//! swap, and tickets complete only after publication — so a caller
-//! that saw its update return reads its own write, and per-shard
-//! update order (hence byte-determinism) is preserved.
+//! *Writes are single-writer per shard, and there are no service
+//! threads.* An update is validated against the published membership,
+//! enqueued on the owning shard's bounded FIFO (`UpdateQueue`), and
+//! then its submitter takes that shard's (blocking) write lock and
+//! drains the queue — its own job and whatever other submitters
+//! queued behind the lock — until its own result is in. Batches drain
+//! in arrival order through [`Session::apply_rtt_remote_batch`] and
+//! are published as one epoch swap *under the same lock*, before any
+//! result is handed out — so a caller that saw its update return
+//! reads its own write, and per-shard update order (hence
+//! byte-determinism) is preserved. Mutual exclusion alone guarantees
+//! that no accepted job strands: every submitter either finds its
+//! result already filled in by an earlier lock holder or finds its
+//! job still queued and applies it itself.
 //!
 //! A full queue is *backpressure*, not blocking: `try_push` failure
 //! surfaces as the wire protocol's `Overloaded` rejection
@@ -46,20 +47,15 @@
 //!
 //! # Lock order
 //!
-//! Pinned crate-wide (and exercised by the concurrent stress suite):
+//! Pinned crate-wide (and exercised by the concurrent stress suites):
 //!
-//! 1. `write[s]` → `queue-inner[s]`: the combiner pops batches while
-//!    holding the shard write lock (only the write-lock holder may
-//!    pop). Pushers take the queue-inner mutex alone.
-//! 2. `write[s]` and `publish[s]` are **never held together**: a
-//!    batch's dirty slots are copied out under the write lock, the
-//!    write lock drops, and publication happens under the publish
-//!    lock (the short-critical-section rule). The versioned frontier
-//!    (`apply_seq` vs `published_seq`) makes the out-of-lock
-//!    publication safe: a slow publisher carrying stale slot copies
-//!    finds the frontier already past its batch and skips them.
-//! 3. Cross-shard acquisition (restore only) is ascending by shard
-//!    index, write locks before publish locks per shard.
+//! 1. `write[s]` → `queue-inner[s]`: jobs are popped while holding
+//!    the shard write lock (only the write-lock holder may pop).
+//!    Pushers take the queue-inner mutex alone, and a submitter holds
+//!    at most one shard's write lock — peers' reply coordinates are
+//!    read lock-free from their owners' stores.
+//! 2. Cross-shard acquisition (restore only) is ascending by shard
+//!    index.
 //!
 //! The service population is *static*: membership changes
 //! (join/leave) are a session-level concern not exposed through the
@@ -74,7 +70,7 @@ use dmf_core::{
     Session, Snapshot,
 };
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default bound of each shard's update queue. Deep enough that
 /// well-behaved pipelined connections (each with at most one update
@@ -87,42 +83,18 @@ pub const DEFAULT_UPDATE_QUEUE: usize = 1024;
 /// queued behind a long burst).
 const MAX_BATCH: usize = 64;
 
-/// The write half of one shard: the authoritative session plus the
-/// monotone apply sequence stamped onto every drained batch.
-struct ShardWrite {
-    session: Session,
-    /// Bumped once per applied batch (and per restore); never reset,
-    /// so slot copies stamped before a restore can never overwrite
-    /// the restored state.
-    apply_seq: u64,
-}
-
-/// One shard: single-writer state, lock-free read store, the bounded
-/// update queue its worker drains, and the publication frontier.
+/// One shard: the authoritative session behind its single-writer
+/// lock, the lock-free read store published from it, and the bounded
+/// update queue its submitters drain.
 struct Shard {
-    write: Mutex<ShardWrite>,
+    write: Mutex<Session>,
     store: EpochView,
     queue: UpdateQueue,
-    /// `published_seq` per slot: the `apply_seq` of the newest batch
-    /// whose copy of that slot has been published. Guarded by its own
-    /// mutex so publication never holds the write lock.
-    publish: Mutex<Vec<u64>>,
     stats: WorkerStats,
 }
 
-/// The shared state behind [`PredictionService`] (the service itself
-/// additionally owns the worker threads' join handles).
-struct ServiceInner {
-    partition: Partition,
-    shards: Vec<Shard>,
-    /// Set once by the first instrumented connection
-    /// ([`attach_metrics`](PredictionService::attach_metrics)); read
-    /// lock-free on the update hot path.
-    metrics: OnceLock<Arc<crate::metrics::ServiceMetrics>>,
-}
-
-/// Reusable per-thread buffers for the drain path, so the inline
-/// combiner fast path allocates (almost) nothing per update.
+/// Reusable per-thread buffers for the drain path, so an update
+/// allocates (almost) nothing.
 #[derive(Default)]
 struct DrainScratch {
     batch: Vec<UpdateJob>,
@@ -130,8 +102,6 @@ struct DrainScratch {
     reply: Vec<f64>,
     scores: Vec<f64>,
     results: Vec<Result<f64, DmfsgdError>>,
-    /// Dirty slots copied out under the write lock for publication.
-    slots: Vec<(NodeId, dmf_core::Coordinates, bool)>,
 }
 
 thread_local! {
@@ -143,11 +113,14 @@ thread_local! {
 /// consistency and threading model).
 ///
 /// All methods take `&self`; the service is `Sync` and meant to be
-/// shared across connection threads behind an `Arc`. Dropping it
-/// stops and joins the per-shard worker threads.
+/// shared across connection threads behind an `Arc`.
 pub struct PredictionService {
-    inner: Arc<ServiceInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    partition: Partition,
+    shards: Vec<Shard>,
+    /// Set once by the first instrumented connection
+    /// ([`attach_metrics`](Self::attach_metrics)); read lock-free on
+    /// the update hot path.
+    metrics: OnceLock<Arc<crate::metrics::ServiceMetrics>>,
 }
 
 impl PredictionService {
@@ -160,8 +133,8 @@ impl PredictionService {
     }
 
     /// As [`build`](Self::build) with an explicit per-shard update
-    /// queue bound (backpressure knob; `>= 1`).
-    pub fn build_with_queue(
+    /// queue bound (`>= 1`), so a test can fill the queue.
+    pub(crate) fn build_with_queue(
         config: DmfsgdConfig,
         n: usize,
         shards: usize,
@@ -200,74 +173,55 @@ impl PredictionService {
     }
 
     fn from_sessions(partition: Partition, sessions: Vec<Session>, queue_capacity: usize) -> Self {
-        let n = partition.len();
-        let shards: Vec<Shard> = sessions
+        let shards = sessions
             .into_iter()
             .map(|session| Shard {
                 store: EpochView::capture(&session),
-                write: Mutex::new(ShardWrite {
-                    session,
-                    apply_seq: 0,
-                }),
+                write: Mutex::new(session),
                 queue: UpdateQueue::new(queue_capacity),
-                publish: Mutex::new(vec![0; n]),
                 stats: WorkerStats::default(),
             })
             .collect();
-        let inner = Arc::new(ServiceInner {
+        Self {
             partition,
             shards,
             metrics: OnceLock::new(),
-        });
-        let workers = (0..inner.shards.len())
-            .map(|s| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("dmf-shard-{s}"))
-                    .spawn(move || worker_loop(&inner, s))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        Self { inner, workers }
+        }
     }
 
     /// The id partition routing queries to shards.
     pub fn partition(&self) -> &Partition {
-        &self.inner.partition
+        &self.partition
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.inner.shards.len()
+        self.shards.len()
     }
 
     /// Number of node slots served.
     pub fn len(&self) -> usize {
-        self.inner.partition.len()
+        self.partition.len()
     }
 
     /// True when the service covers no nodes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.inner.partition.is_empty()
+        self.partition.is_empty()
     }
 
     /// Attaches the observability sink (idempotent; the first call
     /// wins). Once attached, the update path publishes
-    /// `dmf_service_shard_queue_depth` and the worker batch-size
-    /// histogram into it. Called by
+    /// `dmf_service_shard_queue_depth` and the batch-size histogram
+    /// into it. Called by
     /// [`ServerConnection::with_metrics`](crate::ServerConnection::with_metrics).
     pub fn attach_metrics(&self, metrics: &Arc<crate::metrics::ServiceMetrics>) {
-        let _ = self.inner.metrics.set(Arc::clone(metrics));
+        let _ = self.metrics.set(Arc::clone(metrics));
     }
 
     /// Point-in-time batching statistics per shard: how updates
     /// batched, how deep the queues ran (see [`WorkerStatsSnapshot`]).
     pub fn worker_stats(&self) -> Vec<WorkerStatsSnapshot> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.stats.snapshot())
-            .collect()
+        self.shards.iter().map(|s| s.stats.snapshot()).collect()
     }
 
     /// True when `e` is the bounded-update-queue rejection — the
@@ -280,10 +234,9 @@ impl PredictionService {
     /// Raw predictor output `u_i · v_j` plus the prediction mode, read
     /// lock-free from the owning shards' published stores.
     fn scored(&self, i: NodeId, j: NodeId) -> Result<(f64, PredictionMode), DmfsgdError> {
-        let inner = &*self.inner;
-        let n = inner.partition.len();
-        let store_i = &inner.shards[inner.partition.owner(i)].store;
-        let store_j = &inner.shards[inner.partition.owner(j)].store;
+        let n = self.partition.len();
+        let store_i = &self.shards[self.partition.owner(i)].store;
+        let store_j = &self.shards[self.partition.owner(j)].store;
         let rank = store_i.rank();
         let mut u_i = CoordVec::zeros(rank);
         let mut v_j = CoordVec::zeros(rank);
@@ -340,12 +293,11 @@ impl PredictionService {
         top_k: usize,
         out: &mut Vec<(NodeId, f64)>,
     ) -> Result<(), DmfsgdError> {
-        let inner = &*self.inner;
-        if inner.shards.len() == 1 {
-            return inner.shards[0].store.rank_neighbors_into(i, top_k, out);
+        if self.shards.len() == 1 {
+            return self.shards[0].store.rank_neighbors_into(i, top_k, out);
         }
         out.clear();
-        let store_i = &inner.shards[inner.partition.owner(i)].store;
+        let store_i = &self.shards[self.partition.owner(i)].store;
         store_i.check_alive(i)?;
         let rank = store_i.rank();
         let mut u_i = CoordVec::zeros(rank);
@@ -354,7 +306,7 @@ impl PredictionService {
         // Neighbor rows are replicated (same seed), so any store
         // serves them; coordinates come from each neighbor's owner.
         for &j in store_i.neighbors().neighbors(i) {
-            inner.shards[inner.partition.owner(j)]
+            self.shards[self.partition.owner(j)]
                 .store
                 .read_v_into(j, &mut v_j);
             out.push((j, dmf_core::coords::dot(&u_i, &v_j)));
@@ -399,7 +351,7 @@ impl PredictionService {
     /// write. A full shard queue returns the `Overloaded`-mapped
     /// rejection immediately ([`is_overload`](Self::is_overload)).
     pub fn update_rtt_scored(&self, i: NodeId, j: NodeId, x: f64) -> Result<f64, DmfsgdError> {
-        let ticket = Arc::new(UpdateTicket::new());
+        let ticket = Arc::new(UpdateTicket::default());
         self.update_rtt_scored_with(i, j, x, &ticket)
     }
 
@@ -412,13 +364,12 @@ impl PredictionService {
         x: f64,
         ticket: &Arc<UpdateTicket>,
     ) -> Result<f64, DmfsgdError> {
-        let inner = &*self.inner;
         // Admission validation against the published membership, in
         // the session's error order (flags are replicated, so
         // owner(j)'s store can run the full pair check); the x
         // finiteness check mirrors `apply_rtt_remote`'s. Invalid
         // requests never enqueue.
-        inner.shards[inner.partition.owner(j)]
+        self.shards[self.partition.owner(j)]
             .store
             .check_pair(i, j)?;
         if !x.is_finite() {
@@ -426,8 +377,8 @@ impl PredictionService {
                 "remote reply carries non-finite values".to_string(),
             ));
         }
-        let s = inner.partition.owner(i);
-        let shard = &inner.shards[s];
+        let s = self.partition.owner(i);
+        let shard = &self.shards[s];
         let depth = shard
             .queue
             .try_push(UpdateJob {
@@ -443,16 +394,120 @@ impl PredictionService {
                 ))
             })?;
         shard.stats.record_depth(depth);
-        if let Some(m) = inner.metrics.get() {
+        if let Some(m) = self.metrics.get() {
             m.set_shard_queue_depth(s, depth);
         }
-        // Combine or delegate: become the shard's writer if the lock
-        // is free (the uncontended fast path applies the update
-        // inline, no handoff); otherwise wake the dedicated worker.
+        // Become the shard's writer and drain until our own result is
+        // in. Whenever the write lock is free, every accepted job is
+        // either still queued or already completed, so an empty pop
+        // means an earlier holder did ours. Pop before looking:
+        // uncontended, our job is the one just queued.
+        let mut session = shard.write.lock().expect("shard write lock");
         SCRATCH.with(|scratch| {
-            drain_queue(inner, s, &mut scratch.borrow_mut(), false, Some(ticket));
-        });
-        ticket.take()
+            let scratch = &mut *scratch.borrow_mut();
+            loop {
+                shard.queue.pop_batch(&mut scratch.batch, MAX_BATCH);
+                if scratch.batch.is_empty() {
+                    return ticket
+                        .take()
+                        .expect("accepted update neither queued nor completed");
+                }
+                self.apply_batch(s, &mut session, scratch);
+                if let Some(result) = ticket.take() {
+                    return result;
+                }
+            }
+        })
+    }
+
+    /// Applies `scratch.batch` to shard `s` under its held write lock
+    /// and completes its jobs: fetches every reply lock-free from the
+    /// owners' stores, applies the whole batch through
+    /// [`Session::apply_rtt_remote_batch`] (with a per-job fallback
+    /// preserving the exact sequential error surface if any job turned
+    /// invalid since admission), publishes the updated slots as one
+    /// epoch, and only then hands each job its result — so every
+    /// completed update reads its own write.
+    fn apply_batch(&self, s: usize, session: &mut Session, scratch: &mut DrainScratch) {
+        let shard = &self.shards[s];
+        let rank = shard.store.rank();
+        let DrainScratch {
+            batch,
+            reply,
+            scores,
+            results,
+        } = scratch;
+        reply.clear();
+        reply.resize(batch.len() * 2 * rank, 0.0);
+        results.clear();
+        let mut all_fetched = true;
+        for (k, job) in batch.iter().enumerate() {
+            let slot = &mut reply[k * 2 * rank..(k + 1) * 2 * rank];
+            let (u_j, v_j) = slot.split_at_mut(rank);
+            let owner_j = &self.shards[self.partition.owner(job.j)].store;
+            if owner_j.read_into(job.j, u_j, v_j) != Some(true) {
+                all_fetched = false;
+            }
+        }
+        let batched_ok = all_fetched && {
+            let updates: Vec<RemoteRtt<'_>> = batch
+                .iter()
+                .enumerate()
+                .map(|(k, job)| {
+                    let slot = &reply[k * 2 * rank..(k + 1) * 2 * rank];
+                    let (u_j, v_j) = slot.split_at(rank);
+                    RemoteRtt {
+                        i: job.i,
+                        x: job.x,
+                        u_j,
+                        v_j,
+                    }
+                })
+                .collect();
+            session.apply_rtt_remote_batch(&updates, scores).is_ok()
+        };
+        if batched_ok {
+            results.extend(scores.iter().copied().map(Ok));
+        } else {
+            // Rare: some job became invalid between admission and apply
+            // (a concurrent restore flipped membership, or a published
+            // reply carried non-finite values). Re-run the batch job by
+            // job so valid updates still land and each invalid one gets
+            // the exact error the sequential path would have produced.
+            for (k, job) in batch.iter().enumerate() {
+                let slot = &mut reply[k * 2 * rank..(k + 1) * 2 * rank];
+                let (u_j, v_j) = slot.split_at_mut(rank);
+                let owner_j = &self.shards[self.partition.owner(job.j)].store;
+                let result = owner_j
+                    .check_pair(job.i, job.j)
+                    .map_err(DmfsgdError::from)
+                    .and_then(|()| {
+                        if owner_j.read_into(job.j, u_j, v_j) != Some(true) {
+                            return Err(MembershipError::Departed { id: job.j }.into());
+                        }
+                        let score =
+                            dmf_core::coords::dot(&session.nodes()[job.i].coords.u, &v_j[..rank]);
+                        session.apply_rtt_remote(job.i, job.x, &u_j[..rank], &v_j[..rank])?;
+                        Ok(score)
+                    });
+                results.push(result);
+            }
+        }
+        for job in batch.iter() {
+            shard
+                .store
+                .publish_from(session, job.i)
+                .expect("admission-validated id");
+        }
+        shard.store.bump_epoch();
+        shard.stats.record_batch(batch.len());
+        if let Some(m) = self.metrics.get() {
+            m.record_worker_batch(batch.len());
+            m.set_shard_queue_depth(s, shard.queue.depth());
+        }
+        for (job, result) in batch.drain(..).zip(results.drain(..)) {
+            job.ticket.set(result);
+        }
     }
 
     /// Restores every shard of a *live* service from `snapshot` — the
@@ -463,12 +518,10 @@ impl PredictionService {
     /// The swap is atomic with respect to updates: restored sessions
     /// are built and validated *before* any lock is taken, then all
     /// shard write locks are acquired in ascending order (the
-    /// crate-wide rule), each store is republished wholesale under
-    /// its publish lock, and the publication frontier jumps past
-    /// every in-flight batch — a straggling publisher carrying
-    /// pre-restore slot copies finds the frontier ahead of its batch
-    /// and skips them. Updates still queued when the restore lands
-    /// apply *after* it, to the restored coordinates.
+    /// crate-wide rule) and each session is swapped and its store
+    /// republished wholesale under them. Updates still queued when
+    /// the restore lands apply *after* it, to the restored
+    /// coordinates.
     ///
     /// The snapshot must describe the same population the service was
     /// built for: size, rank, prediction mode and neighbor rows (the
@@ -476,7 +529,6 @@ impl PredictionService {
     /// via [`from_snapshot`](Self::from_snapshot) for structural
     /// changes.
     pub fn restore_from_snapshot(&self, snapshot: &Snapshot) -> Result<(), DmfsgdError> {
-        let inner = &*self.inner;
         if snapshot.len() != self.len() {
             return Err(DmfsgdError::Import(format!(
                 "snapshot has {} nodes, the service serves {}",
@@ -486,11 +538,11 @@ impl PredictionService {
         }
         // Build (and thereby validate) every replacement session while
         // the service keeps serving; only then stop the world.
-        let mut restored = Vec::with_capacity(inner.shards.len());
-        for _ in 0..inner.shards.len() {
+        let mut restored = Vec::with_capacity(self.shards.len());
+        for _ in 0..self.shards.len() {
             restored.push(Session::restore(snapshot)?);
         }
-        let store0 = &inner.shards[0].store;
+        let store0 = &self.shards[0].store;
         let fresh = restored.first().expect("at least one shard");
         if fresh.config().rank != store0.rank()
             || fresh.config().mode != store0.mode()
@@ -502,23 +554,17 @@ impl PredictionService {
                     .to_string(),
             ));
         }
-        let mut guards: Vec<_> = inner
+        let mut guards: Vec<_> = self
             .shards
             .iter()
             .map(|sh| sh.write.lock().expect("shard write lock"))
             .collect();
-        for ((shard, guard), fresh) in inner.shards.iter().zip(guards.iter_mut()).zip(restored) {
-            let mut frontier = shard.publish.lock().expect("shard publish lock");
-            guard.session = fresh;
-            guard.apply_seq += 1;
-            let seq = guard.apply_seq;
+        for ((shard, session), fresh) in self.shards.iter().zip(guards.iter_mut()).zip(restored) {
+            **session = fresh;
             shard
                 .store
-                .publish_all(&guard.session)
+                .publish_all(session)
                 .expect("structure validated above");
-            for f in frontier.iter_mut() {
-                *f = seq;
-            }
         }
         Ok(())
     }
@@ -526,41 +572,28 @@ impl PredictionService {
     /// JSON snapshot of shard `shard`'s session (authoritative for its
     /// own partition range; replica state elsewhere).
     pub fn snapshot_json(&self, shard: usize) -> Result<Vec<u8>, DmfsgdError> {
-        let Some(s) = self.inner.shards.get(shard) else {
+        let Some(s) = self.shards.get(shard) else {
             return Err(DmfsgdError::Transport(format!(
                 "snapshot of shard {shard}, but the service has {} shards",
-                self.inner.shards.len()
+                self.shards.len()
             )));
         };
-        let w = s.write.lock().expect("shard write lock");
-        Ok(w.session.snapshot().to_json().into_bytes())
+        let session = s.write.lock().expect("shard write lock");
+        Ok(session.snapshot().to_json().into_bytes())
     }
 
     /// Total measurements applied across all shards (each update lands
     /// on exactly one shard, so this is the service-wide count).
     pub fn measurements_used(&self) -> usize {
-        self.inner
-            .shards
+        self.shards
             .iter()
             .map(|s| {
                 s.write
                     .lock()
                     .expect("shard write lock")
-                    .session
                     .measurements_used()
             })
             .sum()
-    }
-}
-
-impl Drop for PredictionService {
-    fn drop(&mut self) {
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -569,182 +602,6 @@ impl Drop for PredictionService {
 fn same_neighbors(session: &Session, store: &EpochView) -> bool {
     let (a, b) = (session.neighbors(), store.neighbors());
     session.len() == store.len() && (0..session.len()).all(|i| a.neighbors(i) == b.neighbors(i))
-}
-
-/// The dedicated single-writer backstop of shard `s`: parks on the
-/// queue condvar, drains on every handoff, exits when the service
-/// drops.
-fn worker_loop(inner: &ServiceInner, s: usize) {
-    let mut scratch = DrainScratch::default();
-    while inner.shards[s].queue.wait_for_work() {
-        drain_queue(inner, s, &mut scratch, true, None);
-    }
-}
-
-/// Drains shard `s`'s queue in arrival-order batches: acquire the
-/// write lock (blocking for the worker, `try` for an inline
-/// combiner), pop a batch, apply it, *release*, publish, complete
-/// tickets; repeat until the queue is observed empty (or, for a
-/// combiner, its own ticket completed). Always leaves a non-empty
-/// queue with a worker wakeup pending, so no accepted job strands.
-fn drain_queue(
-    inner: &ServiceInner,
-    s: usize,
-    scratch: &mut DrainScratch,
-    by_worker: bool,
-    own: Option<&UpdateTicket>,
-) {
-    let shard = &inner.shards[s];
-    loop {
-        let guard = if by_worker {
-            Some(shard.write.lock().expect("shard write lock"))
-        } else {
-            match shard.write.try_lock() {
-                Ok(g) => Some(g),
-                Err(TryLockError::WouldBlock) => None,
-                Err(TryLockError::Poisoned(e)) => panic!("shard write lock: {e}"),
-            }
-        };
-        let Some(mut w) = guard else {
-            // Combine lost the race: hand the shard to its worker.
-            break;
-        };
-        shard.queue.pop_batch(&mut scratch.batch, MAX_BATCH);
-        if scratch.batch.is_empty() {
-            break;
-        }
-        let batch_seq = apply_batch(inner, s, &mut w, scratch);
-        // Lock-order rule 2: the write lock drops before publication;
-        // the O(r) slot copies in `scratch.slots` travel across.
-        drop(w);
-        publish_batch(inner, s, batch_seq, scratch);
-        shard.stats.record_batch(scratch.batch.len(), by_worker);
-        if let Some(m) = inner.metrics.get() {
-            m.record_worker_batch(scratch.batch.len());
-            m.set_shard_queue_depth(s, shard.queue.depth());
-        }
-        // Tickets complete only now — the publication is visible, so
-        // every completed update reads its own write.
-        for (job, result) in scratch.batch.drain(..).zip(scratch.results.drain(..)) {
-            job.ticket.complete(result);
-        }
-        if own.is_some_and(UpdateTicket::is_done) {
-            break;
-        }
-    }
-    if !shard.queue.is_empty() {
-        shard.queue.notify_worker();
-    }
-}
-
-/// Applies `scratch.batch` to shard `s` under its held write lock:
-/// fetches every reply lock-free from the owners' stores, applies the
-/// whole batch through [`Session::apply_rtt_remote_batch`] (with a
-/// per-job fallback preserving the exact sequential error surface if
-/// any job turned invalid since admission), stamps the batch
-/// sequence, and copies the dirty slots out for publication. Fills
-/// `scratch.results` (one per job, in order) and `scratch.slots`.
-fn apply_batch(
-    inner: &ServiceInner,
-    s: usize,
-    w: &mut ShardWrite,
-    scratch: &mut DrainScratch,
-) -> u64 {
-    let shard = &inner.shards[s];
-    let rank = shard.store.rank();
-    let DrainScratch {
-        batch,
-        reply,
-        scores,
-        results,
-        slots,
-    } = scratch;
-    reply.clear();
-    reply.resize(batch.len() * 2 * rank, 0.0);
-    results.clear();
-    let mut all_fetched = true;
-    for (k, job) in batch.iter().enumerate() {
-        let slot = &mut reply[k * 2 * rank..(k + 1) * 2 * rank];
-        let (u_j, v_j) = slot.split_at_mut(rank);
-        let owner_j = &inner.shards[inner.partition.owner(job.j)].store;
-        if owner_j.read_into(job.j, u_j, v_j) != Some(true) {
-            all_fetched = false;
-        }
-    }
-    let batched_ok = all_fetched && {
-        let updates: Vec<RemoteRtt<'_>> = batch
-            .iter()
-            .enumerate()
-            .map(|(k, job)| {
-                let slot = &reply[k * 2 * rank..(k + 1) * 2 * rank];
-                let (u_j, v_j) = slot.split_at(rank);
-                RemoteRtt {
-                    i: job.i,
-                    x: job.x,
-                    u_j,
-                    v_j,
-                }
-            })
-            .collect();
-        w.session.apply_rtt_remote_batch(&updates, scores).is_ok()
-    };
-    if batched_ok {
-        results.extend(scores.iter().copied().map(Ok));
-    } else {
-        // Rare: some job became invalid between admission and apply
-        // (a concurrent restore flipped membership, or a published
-        // reply carried non-finite values). Re-run the batch job by
-        // job so valid updates still land and each invalid one gets
-        // the exact error the sequential path would have produced.
-        for (k, job) in batch.iter().enumerate() {
-            let slot = &mut reply[k * 2 * rank..(k + 1) * 2 * rank];
-            let (u_j, v_j) = slot.split_at_mut(rank);
-            let owner_j = &inner.shards[inner.partition.owner(job.j)].store;
-            let result = owner_j
-                .check_pair(job.i, job.j)
-                .map_err(DmfsgdError::from)
-                .and_then(|()| {
-                    if owner_j.read_into(job.j, u_j, v_j) != Some(true) {
-                        return Err(MembershipError::Departed { id: job.j }.into());
-                    }
-                    let score =
-                        dmf_core::coords::dot(&w.session.nodes()[job.i].coords.u, &v_j[..rank]);
-                    w.session
-                        .apply_rtt_remote(job.i, job.x, &u_j[..rank], &v_j[..rank])?;
-                    Ok(score)
-                });
-            results.push(result);
-        }
-    }
-    w.apply_seq += 1;
-    let batch_seq = w.apply_seq;
-    slots.clear();
-    for job in batch.iter() {
-        if !slots.iter().any(|&(id, ..)| id == job.i) {
-            let node = w.session.node(job.i).expect("admission-validated id");
-            slots.push((job.i, node.coords.clone(), w.session.is_alive(job.i)));
-        }
-    }
-    batch_seq
-}
-
-/// Publishes a drained batch's slot copies under the shard's publish
-/// lock, skipping any slot the frontier already carried past
-/// `batch_seq` (a fresher batch published first), then bumps the
-/// store epoch once for the whole batch.
-fn publish_batch(inner: &ServiceInner, s: usize, batch_seq: u64, scratch: &mut DrainScratch) {
-    let shard = &inner.shards[s];
-    let mut frontier = shard.publish.lock().expect("shard publish lock");
-    for (id, coords, alive) in &scratch.slots {
-        if batch_seq > frontier[*id] {
-            shard
-                .store
-                .publish_slot(*id, coords, *alive)
-                .expect("slot copied from the owning session");
-            frontier[*id] = batch_seq;
-        }
-    }
-    shard.store.bump_epoch();
 }
 
 #[cfg(test)]
@@ -971,34 +828,33 @@ mod tests {
     }
 
     /// The backpressure path end to end: with the shard write lock
-    /// pinned (so neither an inline combiner nor the worker can
-    /// drain), a capacity-1 queue accepts exactly one update and
-    /// rejects the next with the `Overloaded`-mapped error; releasing
-    /// the lock lets the dedicated worker drain the queued update and
-    /// complete its parked submitter.
+    /// pinned (so no submitter can drain), a capacity-1 queue accepts
+    /// exactly one update and rejects the next with the
+    /// `Overloaded`-mapped error; releasing the lock lets the blocked
+    /// submitter drain its own job.
     #[test]
     fn full_queue_rejects_as_overload_and_the_worker_drains_the_backlog() {
         let cfg = config(12, 14);
         let svc = Arc::new(PredictionService::build_with_queue(cfg, 12, 1, 1).unwrap());
-        let guard = svc.inner.shards[0].write.lock().unwrap();
-        let parked = {
+        let guard = svc.shards[0].write.lock().unwrap();
+        let blocked = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.update_rtt_scored(0, 1, 1.0))
         };
-        // Wait until the parked submitter's job is queued.
-        while svc.inner.shards[0].queue.depth() < 1 {
+        // Wait until the blocked submitter's job is queued.
+        while svc.shards[0].queue.depth() < 1 {
             std::thread::yield_now();
         }
         let err = svc.update_rtt(2, 3, 1.0).unwrap_err();
         assert!(PredictionService::is_overload(&err), "{err}");
         assert!(matches!(err, DmfsgdError::Transport(_)));
         drop(guard);
-        let score = parked.join().unwrap().unwrap();
+        let score = blocked.join().unwrap().unwrap();
         assert!(score.is_finite());
         assert_eq!(svc.measurements_used(), 1);
         let stats = svc.worker_stats();
         assert_eq!(stats[0].updates, 1);
-        assert_eq!(stats[0].worker_batches, 1, "the backstop drained it");
+        assert_eq!(stats[0].worker_batches, 0, "no worker thread exists");
         assert_eq!(stats[0].max_depth, 1);
     }
 }

@@ -1,21 +1,21 @@
 //! Per-shard single-writer update machinery: the bounded update
-//! queue, completion tickets, and the always-on batching statistics.
+//! queue, the result cells its jobs complete, and the always-on
+//! batching statistics.
 //!
 //! Every shard of a [`PredictionService`](crate::PredictionService)
-//! owns one `UpdateQueue` (a bounded MPSC FIFO of update jobs) and
-//! one dedicated worker thread parked on the queue's condvar. The
-//! enqueue-then-combine protocol lives in
-//! [`service`](crate::service); this module provides the moving
-//! parts:
+//! owns one `UpdateQueue` (a bounded MPSC FIFO of update jobs). There
+//! is no worker thread: the enqueue-then-drain protocol lives in
+//! [`service`](crate::service), run by the submitting connections
+//! themselves; this module provides the moving parts:
 //!
 //! * `UpdateQueue` — connections `try_push` jobs (a full queue maps
 //!   to the wire's `Overloaded` rejection, never blocking); whoever
 //!   holds the shard write lock pops jobs in arrival-order batches.
 //!   The queue never blocks a pusher and never drops an accepted job.
-//! * [`UpdateTicket`] — the per-job completion cell a submitting
-//!   connection parks on. Tickets are completed only *after* the
-//!   update's publication is visible, so a caller that observed its
-//!   `update` complete reads its own write.
+//! * `UpdateTicket` — the per-job result cell. The write-lock holder
+//!   that applied the job fills it only *after* the update's
+//!   publication is visible, so a caller that observed its `update`
+//!   complete reads its own write.
 //! * `WorkerStats` — relaxed-atomic distributions of batch sizes
 //!   and queue depths, cheap enough to stay on in production and
 //!   exported through the bench (`BENCH.json` schema v5) and
@@ -24,10 +24,10 @@
 use dmf_core::{DmfsgdError, NodeId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// One queued RTT update: the pair, the measured class, and the
-/// ticket its submitter is parked on.
+/// cell its submitter collects the result from.
 #[derive(Debug)]
 pub(crate) struct UpdateJob {
     pub(crate) i: NodeId,
@@ -36,65 +36,31 @@ pub(crate) struct UpdateJob {
     pub(crate) ticket: std::sync::Arc<UpdateTicket>,
 }
 
-/// The completion cell of one queued update: filled exactly once per
+/// The result cell of one queued update: set exactly once per
 /// submission with the update's result (the pre-update score, or the
 /// apply-time error), after its publication is visible.
 ///
-/// A ticket is reusable: `take` consumes the
-/// result and resets the cell, so a connection — whose pipelined
-/// updates execute strictly one at a time — allocates one ticket for
-/// its whole lifetime.
-#[derive(Debug)]
-pub struct UpdateTicket {
-    result: Mutex<Option<Result<f64, DmfsgdError>>>,
-    done: Condvar,
-}
-
-impl Default for UpdateTicket {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A ticket is reusable: `take` consumes the result and empties the
+/// cell, so a connection — whose pipelined updates execute strictly
+/// one at a time — allocates one ticket for its whole lifetime. Both
+/// sides touch the cell only while holding the shard write lock; the
+/// mutex is what lets safe code say so.
+#[derive(Debug, Default)]
+pub(crate) struct UpdateTicket(Mutex<Option<Result<f64, DmfsgdError>>>);
 
 impl UpdateTicket {
-    /// An empty ticket.
-    pub fn new() -> Self {
-        Self {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Fills the ticket and wakes the submitter.
-    pub(crate) fn complete(&self, result: Result<f64, DmfsgdError>) {
-        let mut cell = self.result.lock().expect("ticket lock");
-        debug_assert!(cell.is_none(), "ticket completed twice");
+    /// Fills the cell.
+    pub(crate) fn set(&self, result: Result<f64, DmfsgdError>) {
+        let mut cell = self.0.lock().expect("ticket lock");
+        debug_assert!(cell.is_none(), "ticket set twice");
         *cell = Some(result);
-        self.done.notify_all();
     }
 
-    /// True once [`complete`](Self::complete) ran for the current
-    /// submission.
-    pub(crate) fn is_done(&self) -> bool {
-        self.result.lock().expect("ticket lock").is_some()
+    /// Consumes the result, if one is in (emptying the cell for
+    /// reuse).
+    pub(crate) fn take(&self) -> Option<Result<f64, DmfsgdError>> {
+        self.0.lock().expect("ticket lock").take()
     }
-
-    /// Blocks until the ticket is filled, then consumes the result
-    /// (resetting the ticket for reuse).
-    pub(crate) fn take(&self) -> Result<f64, DmfsgdError> {
-        let mut cell = self.result.lock().expect("ticket lock");
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = self.done.wait(cell).expect("ticket lock");
-        }
-    }
-}
-
-struct QueueInner {
-    jobs: VecDeque<UpdateJob>,
-    closed: bool,
 }
 
 /// The bounded per-shard update queue (see the [module docs](self)).
@@ -104,11 +70,7 @@ struct QueueInner {
 /// *around* their pop calls (single-writer discipline: only the
 /// write-lock holder removes jobs), pushers hold nothing else.
 pub(crate) struct UpdateQueue {
-    inner: Mutex<QueueInner>,
-    /// The dedicated worker parks here; woken on failed-combine
-    /// handoffs and on close, and re-checks the queue under the inner
-    /// mutex before sleeping, so a wakeup can never be lost.
-    ready: Condvar,
+    inner: Mutex<VecDeque<UpdateJob>>,
     capacity: usize,
     /// Mirror of the queue length for lock-free depth reads
     /// (metrics/stats; the inner mutex holds the truth).
@@ -118,11 +80,7 @@ pub(crate) struct UpdateQueue {
 impl UpdateQueue {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(QueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
+            inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
             depth: AtomicUsize::new(0),
         }
@@ -142,11 +100,11 @@ impl UpdateQueue {
     /// caller maps that to the `Overloaded` rejection).
     pub(crate) fn try_push(&self, job: UpdateJob) -> Result<usize, UpdateJob> {
         let mut q = self.inner.lock().expect("update queue lock");
-        if q.jobs.len() >= self.capacity {
+        if q.len() >= self.capacity {
             return Err(job);
         }
-        q.jobs.push_back(job);
-        let depth = q.jobs.len();
+        q.push_back(job);
+        let depth = q.len();
         self.depth.store(depth, Ordering::Relaxed);
         Ok(depth)
     }
@@ -156,47 +114,9 @@ impl UpdateQueue {
     pub(crate) fn pop_batch(&self, out: &mut Vec<UpdateJob>, max: usize) {
         out.clear();
         let mut q = self.inner.lock().expect("update queue lock");
-        let take = q.jobs.len().min(max);
-        out.extend(q.jobs.drain(..take));
-        self.depth.store(q.jobs.len(), Ordering::Relaxed);
-    }
-
-    /// True when no jobs are queued right now.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("update queue lock")
-            .jobs
-            .is_empty()
-    }
-
-    /// Wakes the dedicated worker (a handoff: the pusher or a
-    /// finishing combiner observed work it won't drain itself).
-    pub(crate) fn notify_worker(&self) {
-        self.ready.notify_one();
-    }
-
-    /// Parks the worker until jobs are queued (true) or the queue is
-    /// closed *and* drained (false, the worker exits). The queue
-    /// state is re-checked under the inner mutex before every sleep.
-    pub(crate) fn wait_for_work(&self) -> bool {
-        let mut q = self.inner.lock().expect("update queue lock");
-        loop {
-            if !q.jobs.is_empty() {
-                return true;
-            }
-            if q.closed {
-                return false;
-            }
-            q = self.ready.wait(q).expect("update queue lock");
-        }
-    }
-
-    /// Marks the queue closed and wakes the worker for its final
-    /// drain-and-exit pass.
-    pub(crate) fn close(&self) {
-        self.inner.lock().expect("update queue lock").closed = true;
-        self.ready.notify_all();
+        let take = q.len().min(max);
+        out.extend(q.drain(..take));
+        self.depth.store(q.len(), Ordering::Relaxed);
     }
 }
 
@@ -218,7 +138,6 @@ fn bucket_index(value: u64) -> usize {
 pub(crate) struct WorkerStats {
     batches: AtomicU64,
     updates: AtomicU64,
-    worker_batches: AtomicU64,
     max_batch: AtomicU64,
     max_depth: AtomicU64,
     batch_hist: [AtomicU64; DIST_BUCKETS.len() + 1],
@@ -230,16 +149,11 @@ fn fetch_max(cell: &AtomicU64, value: u64) {
 }
 
 impl WorkerStats {
-    /// Records one drained batch of `size` jobs; `by_worker` says
-    /// whether the dedicated worker (vs an inline combiner) drained
-    /// it.
-    pub(crate) fn record_batch(&self, size: usize, by_worker: bool) {
+    /// Records one drained batch of `size` jobs.
+    pub(crate) fn record_batch(&self, size: usize) {
         let size = size as u64;
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.updates.fetch_add(size, Ordering::Relaxed);
-        if by_worker {
-            self.worker_batches.fetch_add(1, Ordering::Relaxed);
-        }
         fetch_max(&self.max_batch, size);
         self.batch_hist[bucket_index(size)].fetch_add(1, Ordering::Relaxed);
     }
@@ -255,7 +169,7 @@ impl WorkerStats {
         WorkerStatsSnapshot {
             batches: self.batches.load(Ordering::Relaxed),
             updates: self.updates.load(Ordering::Relaxed),
-            worker_batches: self.worker_batches.load(Ordering::Relaxed),
+            worker_batches: 0,
             max_batch: self.max_batch.load(Ordering::Relaxed),
             max_depth: self.max_depth.load(Ordering::Relaxed),
             batch_hist: self
@@ -275,11 +189,13 @@ impl WorkerStats {
 /// tracks per service run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
-    /// Batches drained (inline combiners and the worker together).
+    /// Batches drained, each by the submitter holding the shard
+    /// write lock.
     pub batches: u64,
     /// Updates applied across all batches.
     pub updates: u64,
-    /// Batches drained by the dedicated worker thread specifically.
+    /// Always 0: no dedicated worker thread exists. Kept because the
+    /// `BENCH.json` schema v5 and the repo benchmark read the field.
     pub worker_batches: u64,
     /// Largest single batch.
     pub max_batch: u64,
@@ -336,7 +252,7 @@ mod tests {
     #[test]
     fn queue_is_fifo_bounded_and_depth_tracked() {
         let q = UpdateQueue::new(3);
-        let t = Arc::new(UpdateTicket::new());
+        let t = Arc::new(UpdateTicket::default());
         assert_eq!(q.try_push(job(0, &t)).unwrap(), 1);
         assert_eq!(q.try_push(job(1, &t)).unwrap(), 2);
         assert_eq!(q.try_push(job(2, &t)).unwrap(), 3);
@@ -349,66 +265,33 @@ mod tests {
         assert_eq!(q.depth(), 1);
         q.pop_batch(&mut batch, 8);
         assert_eq!(batch.len(), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn tickets_park_until_completed_and_reset_on_take() {
-        let t = Arc::new(UpdateTicket::new());
-        assert!(!t.is_done());
-        let waiter = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || t.take())
-        };
-        t.complete(Ok(0.25));
-        assert_eq!(waiter.join().unwrap().unwrap(), 0.25);
+        let t = UpdateTicket::default();
+        assert!(t.take().is_none(), "empty until set");
+        t.set(Ok(0.25));
+        assert_eq!(t.take().unwrap().unwrap(), 0.25);
         // Reusable: the cell is empty again.
-        assert!(!t.is_done());
-        t.complete(Err(DmfsgdError::Transport("boom".into())));
-        assert!(t.is_done());
-        assert!(t.take().is_err());
-    }
-
-    #[test]
-    fn a_parked_worker_wakes_for_work_and_exits_on_close() {
-        let q = Arc::new(UpdateQueue::new(8));
-        let worker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut rounds = 0;
-                while q.wait_for_work() {
-                    let mut batch = Vec::new();
-                    q.pop_batch(&mut batch, 64);
-                    rounds += batch.len();
-                }
-                rounds
-            })
-        };
-        let t = Arc::new(UpdateTicket::new());
-        q.try_push(job(0, &t)).unwrap();
-        q.notify_worker();
-        // Push without notify: the close wakeup must still find it
-        // (the worker re-checks the queue before sleeping).
-        while !q.is_empty() {
-            std::thread::yield_now();
-        }
-        q.try_push(job(1, &t)).unwrap();
-        q.close();
-        assert_eq!(worker.join().unwrap(), 2);
+        assert!(t.take().is_none());
+        t.set(Err(DmfsgdError::Transport("boom".into())));
+        assert!(t.take().unwrap().is_err());
     }
 
     #[test]
     fn stats_bucket_batches_and_depths() {
         let s = WorkerStats::default();
-        s.record_batch(1, false);
-        s.record_batch(3, true);
-        s.record_batch(200, true);
+        s.record_batch(1);
+        s.record_batch(3);
+        s.record_batch(200);
         s.record_depth(1);
         s.record_depth(70);
         let snap = s.snapshot();
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.updates, 204);
-        assert_eq!(snap.worker_batches, 2);
+        assert_eq!(snap.worker_batches, 0);
         assert_eq!(snap.max_batch, 200);
         assert_eq!(snap.max_depth, 70);
         assert_eq!(snap.batch_hist[0], 1, "size 1 → bucket ≤1");

@@ -1,0 +1,141 @@
+//! `restore_from_snapshot` against a service under write load.
+//!
+//! A restore stops the world: it takes every shard's write lock in
+//! ascending order, swaps the sessions and republishes the stores.
+//! Submitters meanwhile block on those same locks with their jobs
+//! already queued, and drain them once the restore lets go. This
+//! suite runs the two against each other — two writers per shard (so
+//! every shard has a submitter blocked behind another) and a thread
+//! restoring in a loop — and pins what a lost publication, a stranded
+//! job or a lock-order inversion would break:
+//!
+//! * the run finishes (a watchdog fails the test instead of hanging);
+//! * every update returns `Ok` or the typed `Overloaded` rejection;
+//! * once quiet, every published slot equals its owner's
+//!   authoritative session, snapshotted through the public surface:
+//!   the service's predictions and rankings are bit-equal to the same
+//!   queries composed from the owners' restored sessions.
+//!
+//! CI runs this suite both natively and under `DMF_FORCE_SCALAR=1`.
+
+use dmf_core::coords::dot;
+use dmf_core::session::rank_scored;
+use dmf_core::{DmfsgdConfig, Session, SessionBuilder, Snapshot};
+use dmf_service::PredictionService;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
+use std::thread;
+use std::time::Duration;
+
+const SHARDS: usize = 4;
+const NODES: usize = 32;
+const WRITERS_PER_SHARD: usize = 2;
+/// Each writer runs at least this many updates …
+const MIN_UPDATES: usize = 300;
+/// … and keeps going until the last of this many restores has landed,
+/// so every restore meets live writers and the final state is the
+/// checkpoint plus whatever updates raced the last restore.
+const RESTORES: usize = 25;
+const TOP_K: usize = 8;
+
+fn config(n: usize, seed: u64) -> DmfsgdConfig {
+    let s = SessionBuilder::new()
+        .nodes(n)
+        .seed(seed)
+        .build()
+        .expect("valid defaults");
+    *s.config()
+}
+
+fn shard_session(svc: &PredictionService, shard: usize) -> Session {
+    let json = svc.snapshot_json(shard).expect("shard snapshot");
+    let text = std::str::from_utf8(&json).expect("snapshot JSON is UTF-8");
+    Session::restore(&Snapshot::from_json(text).expect("snapshot parses")).expect("restores")
+}
+
+/// Runs writers and the restorer to completion and checks the
+/// quiescent state; panics (failing the test) on any violation.
+fn scenario() {
+    let svc = Arc::new(PredictionService::build(config(NODES, 47), NODES, SHARDS).expect("build"));
+    let checkpoint = shard_session(&svc, 0).snapshot();
+    let start = Arc::new(Barrier::new(SHARDS * WRITERS_PER_SHARD + 1));
+    let restores = Arc::new(AtomicUsize::new(0));
+
+    let writers: Vec<_> = (0..SHARDS * WRITERS_PER_SHARD)
+        .map(|w| {
+            let svc = Arc::clone(&svc);
+            let start = Arc::clone(&start);
+            let restores = Arc::clone(&restores);
+            thread::spawn(move || {
+                let own = svc.partition().range(w % SHARDS);
+                start.wait();
+                let mut step = w;
+                while step < MIN_UPDATES || restores.load(Ordering::Relaxed) < RESTORES {
+                    let i = own.start + step % own.len();
+                    let j = (i + 1 + step % (NODES - 1)) % NODES;
+                    let x = if step.is_multiple_of(3) { -1.0 } else { 1.0 };
+                    match svc.update_rtt_scored(i, j, x) {
+                        Ok(score) => assert!(score.is_finite(), "writer {w}: score {score}"),
+                        Err(e) => assert!(
+                            PredictionService::is_overload(&e),
+                            "writer {w}: update ({i},{j}) failed with {e}"
+                        ),
+                    }
+                    step += 1;
+                }
+            })
+        })
+        .collect();
+
+    start.wait();
+    for _ in 0..RESTORES {
+        svc.restore_from_snapshot(&checkpoint).expect("restore");
+        restores.fetch_add(1, Ordering::Relaxed);
+    }
+    for w in writers {
+        w.join().expect("writer panicked");
+    }
+
+    let sessions: Vec<Session> = (0..SHARDS).map(|s| shard_session(&svc, s)).collect();
+    let coords = |id: usize| {
+        let owner = &sessions[svc.partition().owner(id)];
+        &owner.node(id).expect("id < n").coords
+    };
+    // The default configuration is class mode, where `predict` is the
+    // raw score `u_i · v_j`.
+    for i in 0..NODES {
+        for j in (0..NODES).filter(|&j| j != i) {
+            let want = dot(&coords(i).u, &coords(j).v);
+            let got = svc.predict(i, j).expect("live pair");
+            assert!(
+                got == want,
+                "predict({i},{j}): published {got}, owner {want}"
+            );
+        }
+        let mut want: Vec<_> = sessions[0]
+            .neighbors()
+            .neighbors(i)
+            .iter()
+            .map(|&j| (j, dot(&coords(i).u, &coords(j).v)))
+            .collect();
+        rank_scored(&mut want, TOP_K);
+        assert_eq!(svc.rank_neighbors(i, TOP_K).expect("live id"), want);
+    }
+}
+
+#[test]
+fn restores_and_blocked_submitters_neither_deadlock_nor_lose_publications() {
+    let (done, finished) = mpsc::channel();
+    let run = thread::spawn(move || {
+        scenario();
+        let _ = done.send(());
+    });
+    // A failed assertion drops `done` (disconnect); only a hang times
+    // out. Either way the join below reports what happened.
+    match finished.recv_timeout(Duration::from_secs(120)) {
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("restore under load did not finish in 120 s: deadlock")
+        }
+        _ => run.join().expect("scenario panicked"),
+    }
+}

@@ -19,7 +19,6 @@ GUARDS=(
   "crates/core/src/lib.rs:session"
   "crates/core/src/lib.rs:snapshot"
   "crates/core/src/lib.rs:error"
-  "crates/core/src/lib.rs:view"
   "crates/agent/src/lib.rs:driver"
   "crates/agent/src/lib.rs:fleet"
   "crates/agent/src/lib.rs:metrics"

@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# First-party lines of rust per crate: `src/` only, with the lines
+# inside `#[cfg(test)] mod tests` blocks (always the tail of a file in
+# this repo) and under `tests/` counted separately. ROADMAP's "least
+# code" aim tracks these numbers; run before and after a PR that
+# claims to shrink something.
+#
+# Usage: ./tools/loc.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+printf '%-12s %8s %10s %8s\n' crate src unit-tests tests/
+total_src=0 total_unit=0 total_integ=0
+for dir in crates/* .; do
+  [ -d "$dir/src" ] || continue
+  name=$(basename "$dir")
+  [ "$dir" = . ] && name=facade
+  # Per file: lines before the first `#[cfg(test)]` are source, the
+  # rest are unit tests.
+  read -r src unit < <(find "$dir/src" -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    { if (in_tests) unit++; else src++ }
+    END { print src + 0, unit + 0 }' | awk '
+    { src += $1; unit += $2 } END { print src + 0, unit + 0 }')
+  integ=0
+  if [ -d "$dir/tests" ]; then
+    integ=$(find "$dir/tests" -name '*.rs' -print0 | xargs -0 cat | wc -l)
+  fi
+  printf '%-12s %8d %10d %8d\n' "$name" "$src" "$unit" "$integ"
+  total_src=$((total_src + src))
+  total_unit=$((total_unit + unit))
+  total_integ=$((total_integ + integ))
+done
+printf '%-12s %8d %10d %8d\n' total "$total_src" "$total_unit" "$total_integ"
