@@ -129,8 +129,7 @@ pub struct AgentHandle<T: Transport = std::net::UdpSocket> {
     /// Optional live metrics mirror: the loop flushes its counters
     /// here every probe firing and records each applied update's
     /// (ground truth, pre-update score) pair into its quality window.
-    /// `None` (the batch-cluster default) leaves the hot path
-    /// untouched.
+    /// `None` leaves the hot path untouched.
     pub metrics: Option<Arc<AgentMetricsSlot>>,
 }
 

@@ -3,7 +3,9 @@
 //! Binds one UDP socket per node on 127.0.0.1 (ephemeral ports),
 //! distributes the address book and random neighbor sets, runs every
 //! agent on its own OS thread for a wall-clock budget, then joins the
-//! threads and returns the trained coordinates for evaluation.
+//! threads and returns the trained coordinates for evaluation — a
+//! [`Fleet`] that is launched, left alone for `duration` and shut
+//! down.
 //!
 //! The harness can optionally route every agent's outgoing datagrams
 //! through a seeded [`FaultSpec`] (drop / duplicate / reorder /
@@ -11,18 +13,14 @@
 //! `examples/lossy_cluster.rs` exercise the v2 recovery machinery
 //! end to end over real sockets.
 
-use crate::agent::{run_agent, AgentHandle, AgentStats};
+use crate::agent::AgentStats;
+use crate::fleet::{seed_oracle, seed_population, Fleet};
 use crate::oracle::MeasurementOracle;
-use crate::transport::FaultySocket;
-use dmf_core::{ConfigError, DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError};
+use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode};
 use dmf_datasets::Dataset;
 use dmf_linalg::Matrix;
 use dmf_proto::{FaultSpec, WireVersion};
 use dmf_simnet::NeighborSets;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -125,20 +123,7 @@ impl UdpCluster {
         tau: f64,
         config: ClusterConfig,
     ) -> Result<ClusterOutcome, DmfsgdError> {
-        config.dmfsgd.try_validate()?;
-        let n = dataset.len();
-        if n <= config.dmfsgd.k {
-            return Err(ConfigError::TooFewNodes {
-                n,
-                k: config.dmfsgd.k,
-            }
-            .into());
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(config.dmfsgd.seed ^ 0x7ea2_0001);
-        let nodes: Vec<DmfsgdNode> = (0..n)
-            .map(|i| DmfsgdNode::new(i, config.dmfsgd.rank, &mut rng))
-            .collect();
-        let neighbor_sets = NeighborSets::random(n, config.dmfsgd.k, &mut rng);
+        let (nodes, neighbor_sets) = seed_population(dataset.len(), &config.dmfsgd)?;
         Self::run_with_nodes(dataset, tau, config, nodes, &neighbor_sets)
     }
 
@@ -154,12 +139,7 @@ impl UdpCluster {
         nodes: Vec<DmfsgdNode>,
         neighbor_sets: &NeighborSets,
     ) -> Result<ClusterOutcome, DmfsgdError> {
-        ConfigError::check_tau(tau)?;
-        let oracle = Arc::new(MeasurementOracle::new(
-            dataset,
-            tau,
-            config.dmfsgd.seed ^ 0x0c0a_17e5,
-        ));
+        let oracle = seed_oracle(dataset, tau, config.dmfsgd.seed)?;
         Self::run_with_oracle(oracle, config, nodes, neighbor_sets)
     }
 
@@ -173,99 +153,16 @@ impl UdpCluster {
         nodes: Vec<DmfsgdNode>,
         neighbor_sets: &NeighborSets,
     ) -> Result<ClusterOutcome, DmfsgdError> {
-        config.dmfsgd.try_validate()?;
-        let n = nodes.len();
-        if oracle.len() != n || neighbor_sets.len() != n {
-            return Err(MembershipError::ProviderMismatch {
-                provider: oracle.len().min(neighbor_sets.len()),
-                session: n,
-            }
-            .into());
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            if node.id != i {
-                return Err(MembershipError::UnknownNode {
-                    id: node.id,
-                    slots: n,
-                }
-                .into());
-            }
-        }
-        let io_err = |e: std::io::Error| DmfsgdError::Transport(e.to_string());
-
-        // Bind all sockets first so the address book is complete
-        // before any agent starts. The short read timeout is what
-        // keeps the agent loop responsive; failing to set it is a
-        // typed transport error, not a panic.
-        let mut sockets = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let socket = UdpSocket::bind("127.0.0.1:0").map_err(io_err)?;
-            socket
-                .set_read_timeout(Some(Duration::from_millis(2)))
-                .map_err(io_err)?;
-            addrs.push(socket.local_addr().map_err(io_err)?);
-            sockets.push(socket);
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(n);
-        // The handle construction is duplicated across the two arms
-        // because `AgentHandle<T>` is generic in its transport: one
-        // arm builds `AgentHandle<FaultySocket>`, the other
-        // `AgentHandle<UdpSocket>`.
-        macro_rules! spawn_agent {
-            ($socket:expr, $node:expr, $id:expr, $seed:expr) => {{
-                let handle = AgentHandle {
-                    node: $node,
-                    socket: $socket,
-                    peers: addrs.clone(),
-                    neighbors: neighbor_sets.neighbors($id).to_vec(),
-                    oracle: Arc::clone(&oracle),
-                    config: config.dmfsgd,
-                    stop: Arc::clone(&stop),
-                    probe_interval: config.probe_interval,
-                    wire: config.wire,
-                    probe_timeout: config.probe_timeout,
-                    max_retries: config.max_retries,
-                    metrics: None,
-                };
-                let seed = $seed;
-                thread::spawn(move || run_agent(handle, seed))
-            }};
-        }
-        for (id, (socket, node)) in sockets.into_iter().zip(nodes).enumerate() {
-            let seed = config.dmfsgd.seed ^ ((id as u64) << 8) ^ 0xa9e1;
-            handles.push(match config.faults {
-                Some(spec) if !spec.is_none() => {
-                    let faulty = FaultySocket::new(socket, spec, seed ^ 0xfa17_0000);
-                    spawn_agent!(faulty, node, id, seed)
-                }
-                _ => spawn_agent!(socket, node, id, seed),
-            });
-        }
-
+        let fleet = Fleet::from_parts(oracle, config, nodes, neighbor_sets)?;
         thread::sleep(config.duration);
-        stop.store(true, Ordering::Relaxed);
-
-        let mut nodes = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        for handle in handles {
-            let (node, agent_stats) = handle.join().expect("agent thread panicked")?;
-            nodes.push(node);
-            stats.push(agent_stats);
-        }
-        // Threads are joined in spawn order, so ids line up; assert it.
-        for (idx, node) in nodes.iter().enumerate() {
-            assert_eq!(node.id, idx, "node ids must line up with indices");
-        }
-        Ok(ClusterOutcome { nodes, stats })
+        fleet.shutdown()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_core::MembershipError;
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
     use dmf_eval::{collect_scores, roc::auc};
@@ -352,6 +249,46 @@ mod tests {
             assert!(s.probes_sent > 0, "every agent must probe");
             assert!(s.bytes_sent > 0, "every agent must send bytes");
             assert!(s.bytes_received > 0, "every agent must receive bytes");
+        }
+    }
+
+    #[test]
+    fn the_shared_constructor_keeps_id_order_and_names_the_mismatched_length() {
+        let config = ClusterConfig {
+            duration: Duration::from_millis(200),
+            probe_interval: Duration::from_millis(2),
+            ..ClusterConfig::default()
+        };
+        let n = 14;
+        let oracle_over = |nodes| {
+            let d = meridian_like(nodes, 8);
+            let tau = d.median();
+            seed_oracle(d, tau, config.dmfsgd.seed).expect("valid tau")
+        };
+        let (nodes, neighbor_sets) = seed_population(n, &config.dmfsgd).expect("valid");
+
+        let outcome =
+            UdpCluster::run_with_oracle(oracle_over(n), config, nodes.clone(), &neighbor_sets)
+                .expect("cluster run");
+        let ids: Vec<usize> = outcome.nodes.iter().map(|node| node.id).collect();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        assert_eq!(outcome.stats.len(), n);
+        assert!(outcome.stats.iter().all(|s| s.probes_sent > 0));
+
+        // Whichever side is off, the error carries that side's length.
+        let (_, longer_sets) = seed_population(n + 3, &config.dmfsgd).expect("valid");
+        for (oracle, sets, offending) in [
+            (oracle_over(n + 5), &neighbor_sets, n + 5),
+            (oracle_over(n), &longer_sets, n + 3),
+        ] {
+            match UdpCluster::run_with_oracle(oracle, config, nodes.clone(), sets) {
+                Err(DmfsgdError::Membership(MembershipError::ProviderMismatch {
+                    provider,
+                    session,
+                })) => assert_eq!((provider, session), (offending, n)),
+                Err(e) => panic!("expected a length mismatch, got {e}"),
+                Ok(_) => panic!("mismatched lengths must not run"),
+            }
         }
     }
 

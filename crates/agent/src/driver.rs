@@ -17,6 +17,7 @@
 //! front-ends for churn experiments.
 
 use crate::cluster::{ClusterConfig, UdpCluster};
+use crate::fleet::seed_oracle;
 use crate::oracle::MeasurementOracle;
 use dmf_core::session::{Driver, Session};
 use dmf_core::{DmfsgdError, MembershipError};
@@ -68,11 +69,7 @@ impl UdpDriver {
             .into());
         }
         cluster.dmfsgd.try_validate()?;
-        let oracle = Arc::new(MeasurementOracle::new(
-            dataset,
-            tau,
-            cluster.dmfsgd.seed ^ 0x0c0a_17e5,
-        ));
+        let oracle = seed_oracle(dataset, tau, cluster.dmfsgd.seed)?;
         Ok(Self {
             oracle,
             cluster,

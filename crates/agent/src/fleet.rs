@@ -1,12 +1,12 @@
 //! Long-running fleet operations: [`Fleet`].
 //!
-//! [`UdpCluster`](crate::cluster::UdpCluster) is a batch harness — it
-//! spawns every agent, sleeps for a fixed budget, and joins them all.
-//! An operator's deployment does none of those things on a schedule:
-//! agents **join and leave while the rest keep running**, faults come
-//! and go, and the fleet must be observable and checkpointable the
-//! whole time. `Fleet` is that lifecycle, built from the same pieces
-//! (one socket and one OS thread per agent, the shared
+//! [`UdpCluster`](crate::cluster::UdpCluster) is a batch harness — a
+//! fleet that is launched, left alone for a fixed budget and shut
+//! down. An operator's deployment does none of those things on a
+//! schedule: agents **join and leave while the rest keep running**,
+//! faults come and go, and the fleet must be observable and
+//! checkpointable the whole time. `Fleet` is that lifecycle (one
+//! socket and one OS thread per agent, the shared
 //! [`MeasurementOracle`], [`run_agent`]):
 //!
 //! * [`join`](Fleet::join) / [`leave`](Fleet::leave) — start or stop
@@ -40,7 +40,9 @@ use crate::cluster::{ClusterConfig, ClusterOutcome};
 use crate::metrics::{stats_snapshot, AgentMetricsSlot, STAT_METRICS};
 use crate::oracle::MeasurementOracle;
 use crate::transport::FaultySocket;
-use dmf_core::{ConfigError, DmfsgdError, DmfsgdNode, MembershipError, Session, Snapshot};
+use dmf_core::{
+    ConfigError, DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError, Session, Snapshot,
+};
 use dmf_datasets::Dataset;
 use dmf_ops::{
     Health, HealthPolicy, HealthSignals, LiveQuality, MetricKind, MetricSample, MetricsSnapshot,
@@ -94,12 +96,46 @@ struct Slot {
     running: Option<Running>,
 }
 
+/// Fresh random coordinates and neighbor sets for `n` nodes: the seed
+/// derivation [`Fleet::launch`] and
+/// [`UdpCluster::run`](crate::cluster::UdpCluster::run) share, so
+/// their outcomes are comparable.
+pub(crate) fn seed_population(
+    n: usize,
+    config: &DmfsgdConfig,
+) -> Result<(Vec<DmfsgdNode>, NeighborSets), DmfsgdError> {
+    config.try_validate()?;
+    if n <= config.k {
+        return Err(ConfigError::TooFewNodes { n, k: config.k }.into());
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7ea2_0001);
+    let nodes = (0..n)
+        .map(|i| DmfsgdNode::new(i, config.rank, &mut rng))
+        .collect();
+    let neighbor_sets = NeighborSets::random(n, config.k, &mut rng);
+    Ok((nodes, neighbor_sets))
+}
+
+/// The shared oracle over `dataset` classifying at `tau`, its probe
+/// noise seeded from the run's `seed`.
+pub(crate) fn seed_oracle(
+    dataset: Dataset,
+    tau: f64,
+    seed: u64,
+) -> Result<Arc<MeasurementOracle>, DmfsgdError> {
+    ConfigError::check_tau(tau)?;
+    Ok(Arc::new(MeasurementOracle::new(
+        dataset,
+        tau,
+        seed ^ 0x0c0a_17e5,
+    )))
+}
+
 /// A long-running localhost fleet with live membership, metrics,
 /// health and checkpointing (see the [module docs](self)).
 pub struct Fleet {
     oracle: Arc<MeasurementOracle>,
     config: ClusterConfig,
-    tau: f64,
     neighbor_sets: NeighborSets,
     addrs: Vec<SocketAddr>,
     slots: Vec<Slot>,
@@ -118,27 +154,47 @@ impl Fleet {
     /// agents joined now and on every later (re)join until changed
     /// with [`set_faults`](Self::set_faults).
     pub fn launch(dataset: Dataset, tau: f64, config: ClusterConfig) -> Result<Self, DmfsgdError> {
-        config.dmfsgd.try_validate()?;
-        ConfigError::check_tau(tau)?;
-        let n = dataset.len();
-        if n <= config.dmfsgd.k {
-            return Err(ConfigError::TooFewNodes {
-                n,
-                k: config.dmfsgd.k,
-            }
-            .into());
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(config.dmfsgd.seed ^ 0x7ea2_0001);
-        let nodes: Vec<DmfsgdNode> = (0..n)
-            .map(|i| DmfsgdNode::new(i, config.dmfsgd.rank, &mut rng))
-            .collect();
-        let neighbor_sets = NeighborSets::random(n, config.dmfsgd.k, &mut rng);
-        let oracle = Arc::new(MeasurementOracle::new(
-            dataset,
-            tau,
-            config.dmfsgd.seed ^ 0x0c0a_17e5,
-        ));
+        let (nodes, neighbor_sets) = seed_population(dataset.len(), &config.dmfsgd)?;
+        let oracle = seed_oracle(dataset, tau, config.dmfsgd.seed)?;
+        Self::from_parts(oracle, config, nodes, &neighbor_sets)
+    }
 
+    /// [`launch`](Self::launch) from explicit node states, neighbor
+    /// sets and a pre-built oracle: binds the sockets, builds the
+    /// address book and joins every agent. `nodes[i].id` must equal
+    /// `i`, and the oracle and the neighbor sets must cover exactly
+    /// that population.
+    pub(crate) fn from_parts(
+        oracle: Arc<MeasurementOracle>,
+        config: ClusterConfig,
+        nodes: Vec<DmfsgdNode>,
+        neighbor_sets: &NeighborSets,
+    ) -> Result<Self, DmfsgdError> {
+        config.dmfsgd.try_validate()?;
+        let n = nodes.len();
+        for covered in [oracle.len(), neighbor_sets.len()] {
+            if covered != n {
+                return Err(MembershipError::ProviderMismatch {
+                    provider: covered,
+                    session: n,
+                }
+                .into());
+            }
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if node.id != i {
+                return Err(MembershipError::UnknownNode {
+                    id: node.id,
+                    slots: n,
+                }
+                .into());
+            }
+        }
+
+        // Bind all sockets first so the address book is complete
+        // before any agent starts. The short read timeout is what
+        // keeps the agent loop responsive; failing to set it is a
+        // typed transport error, not a panic.
         let io_err = |e: std::io::Error| DmfsgdError::Transport(e.to_string());
         let quality = Arc::new(LiveQuality::new(FLEET_QUALITY_WINDOW));
         let mut slots = Vec::with_capacity(n);
@@ -161,8 +217,7 @@ impl Fleet {
         let mut fleet = Self {
             oracle,
             config,
-            tau,
-            neighbor_sets,
+            neighbor_sets: neighbor_sets.clone(),
             addrs,
             slots,
             quality,
@@ -219,9 +274,9 @@ impl Fleet {
         let node = slot.node.take().expect("parked slot holds its node");
         let stop = Arc::new(AtomicBool::new(false));
         let seed = self.config.dmfsgd.seed ^ ((id as u64) << 8) ^ 0xa9e1;
-        // The construction is duplicated across the two arms because
-        // `AgentHandle<T>` is generic in its transport (see the same
-        // pattern in `UdpCluster::run_with_oracle`).
+        // A macro, not a function, because `AgentHandle<T>` is generic
+        // in its transport: one arm builds `AgentHandle<FaultySocket>`,
+        // the other `AgentHandle<UdpSocket>`.
         macro_rules! spawn_agent {
             ($socket:expr) => {{
                 let handle = AgentHandle {
@@ -314,7 +369,7 @@ impl Fleet {
         let mut session = Session::builder()
             .config(self.config.dmfsgd)
             .nodes(nodes.len())
-            .tau(self.tau)
+            .tau(self.oracle.tau())
             .build()?;
         session.import_nodes(nodes, applied)?;
         let snapshot = session.snapshot();
@@ -328,6 +383,11 @@ impl Fleet {
     /// [`ClusterOutcome`]: trained nodes per slot and each slot's
     /// counters accumulated over all of its runs.
     pub fn shutdown(mut self) -> Result<ClusterOutcome, DmfsgdError> {
+        // Raise every stop flag before the first join, so no agent
+        // keeps probing peers that have already left.
+        for running in self.slots.iter().filter_map(|s| s.running.as_ref()) {
+            running.stop.store(true, Ordering::Relaxed);
+        }
         for id in self.running_ids() {
             self.leave(id)?;
         }

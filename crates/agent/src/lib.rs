@@ -10,7 +10,8 @@
 //! and the agents don't need one). What is simulated: the *measured
 //! value* itself — localhost paths are homogeneous, so probes consult
 //! a shared [`oracle::MeasurementOracle`] backed by a synthetic ground
-//! truth (see DESIGN.md §4 for the substitution rationale).
+//! truth (the `dmf-datasets` crate docs give the substitution
+//! rationale).
 //!
 //! * [`oracle`] — the ground-truth measurement oracle.
 //! * [`agent`] — the per-node event loop (Algorithms 1 and 2 over

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md design-choice check): how much accuracy does
+//! Ablation (design-choice check): how much accuracy does
 //! decentralization cost versus a centralized solver on the same
 //! objective, across measurement budgets?
 //!

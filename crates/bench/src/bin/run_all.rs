@@ -1,6 +1,6 @@
 //! Runs every table/figure experiment in sequence — plus the
 //! non-stationary scenario quality suite — and records all JSON
-//! outputs (the data behind EXPERIMENTS.md).
+//! outputs under `results/`.
 
 use dmf_bench::experiments::{
     fig1, fig3, fig4, fig5, fig6, fig7, scenario, table1, table2, table3,

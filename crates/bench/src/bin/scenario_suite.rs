@@ -1,8 +1,8 @@
 //! Tracked quality suite: runs the non-stationary scenario registry
 //! end-to-end and writes a schema-stable `QUALITY.json` — the quality
-//! analog of `perf_suite`'s `BENCH.json`. Exits non-zero when any
-//! scenario's final-window AUC breaks its pinned floor, which is what
-//! makes the CI `quality-gate` job a real gate.
+//! counterpart of the speed numbers `benchmark/` produces. Exits
+//! non-zero when any scenario's final-window AUC breaks its pinned
+//! floor, which is what makes the CI `quality-gate` job a real gate.
 //!
 //! ```text
 //! cargo run --release --bin scenario_suite                  # standard → QUALITY.json

@@ -6,14 +6,10 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod perf;
 pub mod scale;
-pub mod scale_sim;
 pub mod scenario;
-pub mod service;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod training;
 pub mod trio;
-pub mod wire;

@@ -88,6 +88,20 @@ impl Scale {
         }
     }
 
+    /// Preset name recorded in reports (`QUALITY.json`'s `scale`
+    /// field): presets are told apart by their Meridian node count,
+    /// and anything that is neither paper nor standard size reads
+    /// `quick`.
+    pub fn name(&self) -> &'static str {
+        if self.meridian_nodes == Self::paper().meridian_nodes {
+            "paper"
+        } else if self.meridian_nodes == Self::standard().meridian_nodes {
+            "standard"
+        } else {
+            "quick"
+        }
+    }
+
     /// Training tick budget for a dataset of `n` nodes with `k`
     /// neighbors: `n · k · budget_k_multiplier` total measurements
     /// (= `k · multiplier` per node on average).
@@ -97,8 +111,7 @@ impl Scale {
 }
 
 /// The value following `flag` in argv (`--out FILE` style), if any —
-/// the argument convention shared by the suite binaries
-/// (`perf_suite`, `scenario_suite`).
+/// the argument convention of `scenario_suite`.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -135,6 +148,16 @@ mod tests {
             Scale::from_args(&[]).meridian_nodes,
             Scale::standard().meridian_nodes
         );
+    }
+
+    #[test]
+    fn names_follow_the_presets_and_the_argv_flags() {
+        assert_eq!(Scale::quick().name(), "quick");
+        assert_eq!(Scale::standard().name(), "standard");
+        assert_eq!(Scale::paper().name(), "paper");
+        assert_eq!(Scale::from_args(&["--quick".into()]).name(), "quick");
+        assert_eq!(Scale::from_args(&[]).name(), "standard");
+        assert_eq!(Scale::from_args(&["--paper".into()]).name(), "paper");
     }
 
     #[test]

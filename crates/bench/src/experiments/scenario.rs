@@ -1,9 +1,9 @@
 //! Tracked prediction-quality suite over non-stationary scenarios
 //! (`scenario_suite` binary).
 //!
-//! The perf suite ([`crate::experiments::perf`]) tracks how *fast* the
-//! hot paths run; this module tracks whether prediction quality
-//! *holds* when the network refuses to stand still. A [`registry`] of
+//! The repo benchmark (`benchmark/`) tracks how *fast* the hot paths
+//! run; this module tracks whether prediction quality *holds* when
+//! the network refuses to stand still. A [`registry`] of
 //! named [`ScenarioSpec`]s — stationary baseline, drift, flash
 //! congestion, routing changes, partition + loss, churn under drift —
 //! is executed end-to-end on the simulated network: the harness cuts
@@ -13,7 +13,7 @@
 //! with [`dmf_eval::window`]. The result is a schema-stable
 //! [`QualityReport`] (`QUALITY.json`) with per-scenario, per-window
 //! AUC/accuracy and a pinned AUC floor per scenario — the quality
-//! analog of the tracked `BENCH.json`.
+//! counterpart of the speed numbers `benchmark/` produces.
 //!
 //! Quality floors are CI-safe where wall-clock thresholds are not:
 //! every run is byte-deterministic given the spec seeds, so a broken
@@ -418,7 +418,7 @@ pub fn run(scale: &Scale, label: &str) -> QualityReport {
     let all_pass = scenarios.iter().all(|s| s.pass);
     QualityReport {
         schema_version: QUALITY_SCHEMA_VERSION,
-        scale: crate::experiments::perf::scale_name(scale).to_string(),
+        scale: scale.name().to_string(),
         label: label.to_string(),
         scenarios,
         all_pass,

@@ -1,18 +1,20 @@
 //! # dmf-bench
 //!
 //! Experiment harness regenerating every table and figure of the
-//! DMFSGD paper, plus shared infrastructure for the Criterion
-//! micro-benchmarks.
+//! DMFSGD paper, plus the non-stationary scenario quality suite
+//! (`scenario_suite` → `QUALITY.json`). How fast the system runs is
+//! not measured here: that is the separate `benchmark/` package.
 //!
 //! One binary per artifact (see `src/bin/`): each prints the same
-//! rows/series the paper reports and writes a JSON record for
-//! `EXPERIMENTS.md`. Absolute numbers differ (the substrate is a
+//! rows/series the paper reports and writes a JSON record under
+//! `results/`. Absolute numbers differ (the substrate is a
 //! calibrated synthetic dataset, not the authors' testbed); the
 //! qualitative shape — who wins, where the plateaus and crossovers
 //! sit — is asserted by the binaries themselves where the paper makes
 //! a claim.
 //!
-//! The experiment index lives in `DESIGN.md` §5.
+//! The experiment index is the README's "Paper artifact → binary
+//! map".
 //!
 //! # Position in the workspace
 //!

@@ -1,5 +1,5 @@
 //! Result persistence: every experiment binary writes its rows as JSON
-//! under `results/` so `EXPERIMENTS.md` can cite reproducible numbers.
+//! under `results/` so write-ups can cite reproducible numbers.
 
 use serde::Serialize;
 use std::fs;

@@ -563,16 +563,18 @@ mod tests {
         let s = session(4, 9);
         let rank = s.config().rank;
         let epoch = Arc::new(EpochView::capture(&s));
+        let pattern = move |k: f64| Coordinates {
+            u: CoordVec::from_fn(rank, |_| k),
+            v: CoordVec::from_fn(rank, |_| -k),
+        };
+        // A reader may be scheduled before the writer's first round:
+        // replace the captured random coordinates with a pattern first.
+        epoch.publish_slot(0, &pattern(0.0), true).unwrap();
         let writer = {
             let epoch = Arc::clone(&epoch);
             std::thread::spawn(move || {
                 for round in 1..=2_000u64 {
-                    let k = round as f64;
-                    let coords = Coordinates {
-                        u: CoordVec::from_fn(rank, |_| k),
-                        v: CoordVec::from_fn(rank, |_| -k),
-                    };
-                    epoch.publish_slot(0, &coords, true).unwrap();
+                    epoch.publish_slot(0, &pattern(round as f64), true).unwrap();
                     epoch.bump_epoch();
                 }
             })

@@ -1218,7 +1218,7 @@ pub(crate) fn batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) {
     // `lhs`, V as `rhs`, the kernels' streamed Vᵀ as `rhs_t`) are
     // packed into one reusable 64-byte-aligned thread-local scratch
     // and handed to the packed kernel entry point. Repeated evaluation
-    // (convergence tracking, the perf suite) touches the allocator for
+    // (convergence tracking, the repo benchmark) touches the allocator for
     // nothing but the first call's `out` buffer.
     dmf_linalg::simd::with_aligned_scratch(3 * n * r, |scratch| {
         let (ud, rest) = scratch.split_at_mut(n * r);

@@ -23,9 +23,9 @@
 //!   stragglers and churn composed over a timeline, with time-varying
 //!   ground truth derived from the same topology model.
 //!
-//! The substitution rationale is documented in `DESIGN.md` §4. Loaders
-//! for on-disk matrices/traces ([`io`]) accept the same representation,
-//! so the real datasets can be dropped in when available.
+//! Loaders for on-disk matrices/traces ([`io`]) accept the same
+//! representation, so the real datasets can be dropped in when
+//! available.
 //!
 //! # Position in the workspace
 //!

@@ -192,7 +192,7 @@ impl Matrix {
 
     /// [`matmul_nt`](Self::matmul_nt) writing into an existing matrix,
     /// reusing its allocation. Evaluation loops that materialize the
-    /// score matrix repeatedly (convergence tracking, the perf suite)
+    /// score matrix repeatedly (convergence tracking, the repo benchmark)
     /// avoid a large alloc/fault/free cycle per call this way.
     ///
     /// # Panics

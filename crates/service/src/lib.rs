@@ -51,9 +51,9 @@
 //!
 //! Depends on `dmf-core` (sessions, views, typed errors), `dmf-proto`
 //! (checksum, decode-error vocabulary) and `dmf-ops` (metric
-//! registry, health semantics). Downstream, `dmf-bench` load-tests it
-//! (`service_runs` in BENCH.json) and the facade re-exports it as
-//! `dmfsgd::service`.
+//! registry, health semantics). Downstream, the repo benchmark
+//! (`benchmark/`, workloads `serve-read` and `serve-write`) load-tests
+//! it and the facade re-exports it as `dmfsgd::service`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

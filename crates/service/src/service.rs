@@ -228,7 +228,7 @@ impl PredictionService {
     /// backpressure signal connections map to the wire protocol's
     /// `Overloaded` code.
     pub fn is_overload(e: &DmfsgdError) -> bool {
-        matches!(e, DmfsgdError::Transport(m) if m.contains("update queue full"))
+        matches!(e, DmfsgdError::Overloaded { .. })
     }
 
     /// Raw predictor output `u_i · v_j` plus the prediction mode, read
@@ -387,11 +387,9 @@ impl PredictionService {
                 x,
                 ticket: Arc::clone(ticket),
             })
-            .map_err(|_| {
-                DmfsgdError::Transport(format!(
-                    "shard {s} update queue full ({} updates queued)",
-                    shard.queue.capacity()
-                ))
+            .map_err(|_| DmfsgdError::Overloaded {
+                shard: s,
+                capacity: shard.queue.capacity(),
             })?;
         shard.stats.record_depth(depth);
         if let Some(m) = self.metrics.get() {
@@ -847,7 +845,17 @@ mod tests {
         }
         let err = svc.update_rtt(2, 3, 1.0).unwrap_err();
         assert!(PredictionService::is_overload(&err), "{err}");
-        assert!(matches!(err, DmfsgdError::Transport(_)));
+        assert_eq!(
+            err,
+            DmfsgdError::Overloaded {
+                shard: 0,
+                capacity: 1
+            }
+        );
+        // The variant is the contract, not the wording.
+        assert!(!PredictionService::is_overload(&DmfsgdError::Transport(
+            err.to_string()
+        )));
         drop(guard);
         let score = blocked.join().unwrap().unwrap();
         assert!(score.is_finite());

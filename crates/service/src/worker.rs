@@ -18,7 +18,7 @@
 //!   complete reads its own write.
 //! * `WorkerStats` — relaxed-atomic distributions of batch sizes
 //!   and queue depths, cheap enough to stay on in production and
-//!   exported through the bench (`BENCH.json` schema v5) and
+//!   exported through the repo benchmark (`service.*` probes) and
 //!   `ServiceMetrics`.
 
 use dmf_core::{DmfsgdError, NodeId};
@@ -185,8 +185,8 @@ impl WorkerStats {
 }
 
 /// A point-in-time copy of one shard's `WorkerStats` — the
-/// batch-size and queue-depth distributions `BENCH.json` (schema v5)
-/// tracks per service run.
+/// batch-size and queue-depth distributions the repo benchmark
+/// reports per serving run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
     /// Batches drained, each by the submitter holding the shard
@@ -195,7 +195,7 @@ pub struct WorkerStatsSnapshot {
     /// Updates applied across all batches.
     pub updates: u64,
     /// Always 0: no dedicated worker thread exists. Kept because the
-    /// `BENCH.json` schema v5 and the repo benchmark read the field.
+    /// repo benchmark reads the field.
     pub worker_batches: u64,
     /// Largest single batch.
     pub max_batch: u64,

@@ -1,7 +1,8 @@
 //! A *real* decentralized deployment: N agents, each with its own UDP
 //! socket and OS thread, speaking the dmf-proto wire format on
 //! localhost. No simulator in the loop — datagrams, nonces, losses and
-//! all. (Measured values come from the shared oracle; see DESIGN.md §4.)
+//! all. (Measured values come from the shared oracle; see the `dmf-agent`
+//! crate docs.)
 //!
 //! ```sh
 //! cargo run --release --example live_udp_cluster
