@@ -276,6 +276,19 @@ impl ConfigError {
             Err(ConfigError::Tau { tau })
         }
     }
+
+    /// Validates a simulated-time deadline for the simnet drivers'
+    /// `run_until`: the probe chains re-arm forever, so a NaN or
+    /// infinite deadline would never be reached.
+    pub(crate) fn check_deadline(deadline_s: f64) -> Result<(), ConfigError> {
+        if deadline_s.is_finite() {
+            Ok(())
+        } else {
+            Err(ConfigError::Duration {
+                seconds: deadline_s,
+            })
+        }
+    }
 }
 
 impl std::error::Error for ConfigError {}

@@ -618,12 +618,14 @@ impl SimnetDriver {
     ///
     /// Events scheduled past `deadline_s` stay queued: the simulated
     /// clock never overshoots the deadline, and a later call with a
-    /// larger deadline picks up exactly where this one stopped.
+    /// larger deadline picks up exactly where this one stopped. A
+    /// non-finite deadline is rejected as [`ConfigError::Duration`].
     pub fn run_until(
         &mut self,
         session: &mut Session,
         deadline_s: f64,
     ) -> Result<usize, DmfsgdError> {
+        ConfigError::check_deadline(deadline_s)?;
         if session.len() != self.net.len() {
             return Err(MembershipError::ProviderMismatch {
                 provider: self.net.len(),
@@ -1544,6 +1546,28 @@ mod tests {
         assert!(applied > 0, "rounds must complete measurements");
         assert_eq!(applied, driver.stats().measurements_completed);
         assert_eq!(applied, session.measurements_used());
+    }
+
+    #[test]
+    fn non_finite_deadline_is_rejected_not_spun_on() {
+        let d = meridian_like(25, 9);
+        let mut session = Session::builder()
+            .nodes(25)
+            .k(8)
+            .seed(9)
+            .tau(d.median())
+            .build()
+            .expect("valid");
+        let mut driver = SimnetDriver::new(&session, d, NetConfig::default()).expect("valid");
+        for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                driver.run_until(&mut session, deadline).unwrap_err(),
+                DmfsgdError::Config(ConfigError::Duration { .. })
+            ));
+        }
+        // The rejected calls seeded no timers; a finite one still runs.
+        assert_eq!(driver.stats().probes_sent, 0);
+        assert!(driver.run_until(&mut session, 3.0).expect("finite") > 0);
     }
 
     #[test]

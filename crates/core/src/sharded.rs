@@ -17,8 +17,8 @@
 //! * **No impairment hooks.** Scale workloads are partition-free;
 //!   [`ShardedSimNet`] does not expose partitions or stragglers.
 //!
-//! Determinism carries over unchanged: the sharded merge is
-//! event-order-identical to a single queue (pinned by
+//! Determinism carries over unchanged: the sharded net delivers from
+//! one event queue in the order a single net would (pinned by
 //! `dmf-simnet/tests/shard_merge.rs`), the protocol draws from the
 //! session RNG in delivery order, and the SGD arithmetic is
 //! bitwise-pinned across SIMD dispatch paths.
@@ -122,12 +122,14 @@ impl ShardedSimnetDriver {
     /// all probe timers at jittered offsets on the first call. Returns
     /// the measurements completed during this call. Events scheduled
     /// past `deadline_s` stay queued, exactly as in
-    /// [`SimnetDriver::run_until`](crate::runner::SimnetDriver::run_until).
+    /// [`SimnetDriver::run_until`](crate::runner::SimnetDriver::run_until),
+    /// and a non-finite deadline is the same [`ConfigError::Duration`].
     pub fn run_until(
         &mut self,
         session: &mut Session,
         deadline_s: f64,
     ) -> Result<usize, DmfsgdError> {
+        ConfigError::check_deadline(deadline_s)?;
         if session.len() != self.net.len() {
             return Err(MembershipError::ProviderMismatch {
                 provider: self.net.len(),
@@ -253,7 +255,7 @@ mod tests {
     /// A 1-island sharded transport replays the single-net driver
     /// bit-for-bit (same delays, no jitter/loss → no RNG divergence;
     /// session RNG draws happen in identical delivery order). This is
-    /// the end-to-end leg of the merge-equivalence story: not just the
+    /// the end-to-end leg of the order-equivalence story: not just the
     /// event order, but the learned coordinates match.
     #[test]
     fn one_island_matches_single_net_driver_bitwise() {
@@ -314,6 +316,22 @@ mod tests {
             err,
             DmfsgdError::Membership(MembershipError::ProviderMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_deadline_is_rejected_not_spun_on() {
+        let mut s = session(16, 2);
+        let net = ShardedSimNet::uniform(16, 4, 0.02, quiet(0));
+        let mut driver = ShardedSimnetDriver::new(&s, net).unwrap();
+        for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                driver.run_until(&mut s, deadline).unwrap_err(),
+                DmfsgdError::Config(ConfigError::Duration { .. })
+            ));
+        }
+        // Nothing was seeded or delivered by the rejected calls.
+        assert_eq!(driver.net().pending(), 0);
+        assert!(driver.run_until(&mut s, 3.0).unwrap() > 0);
     }
 
     #[test]

@@ -8,33 +8,42 @@
 //!
 //! # Layout (why this is fast)
 //!
-//! The queue is the single hottest structure of a simulated run
-//! (~3 heap operations per probe cycle), so the representation is
-//! chosen for cache behaviour rather than simplicity:
+//! The queue is the single hottest structure of a simulated run: every
+//! delivery is one push and one pop, and the 100 k-node fused run keeps
+//! ~100 k events pending in it. The representation is chosen for cache
+//! behaviour rather than simplicity:
 //!
-//! * **Slab payloads** — heap nodes are 20-byte `(time, seq, slot)`
-//!   keys; the event payloads (protocol messages can be ~300 bytes
-//!   with inline coordinates) are written once into a reusable slot
-//!   slab and never moved during sifts. Freed slots are recycled, so
-//!   a steady-state simulation performs no allocation per event.
+//! * **Slab payloads** — the ordering structures hold 24-byte
+//!   `(time, seq, slot)` keys; the event payloads (protocol messages
+//!   can be ~300 bytes with inline coordinates) are written once into
+//!   a reusable slot slab and never moved during sifts or sorts. Freed
+//!   slots are recycled, so a steady-state simulation performs no
+//!   allocation per event.
 //! * **Integer keys** — times are non-negative finite `f64`s, whose
 //!   IEEE-754 bit patterns order identically to the values; storing
-//!   the bits as `u64` makes every sift comparison a branch-free
-//!   integer compare instead of a NaN-aware float compare.
+//!   the bits as `u64` makes every comparison a branch-free integer
+//!   compare instead of a NaN-aware float compare.
 //! * **Two lanes** — callers hint whether an event is *near* (message
 //!   deliveries, ~milliseconds out) or *far* ([`Lane::Far`]: probe
-//!   timers, ~seconds out). The near lane is a 4-ary heap sized by the
-//!   genuinely imminent events; the far lane is a timing wheel.
-//!   Since the far population (one timer per node) vastly outnumbers
-//!   the in-flight messages, this keeps per-delivery work away from
-//!   the whole timer population. The lane is purely a performance
-//!   hint: ordering is global across both lanes via the shared
-//!   `(time, seq)` key, and a far event beyond the wheel horizon
-//!   falls back to an overflow heap, so any schedule is correct.
-//! * **Timing wheel** — far events hash into a ring of ~1 ms buckets
-//!   covering a 2 s horizon, with a bitmap of occupied buckets; push
-//!   and pop are O(1) scans instead of O(log n) sifts through the
-//!   timer population.
+//!   timers and fused round trips, up to seconds out). The near lane
+//!   is a 4-ary heap sized by the genuinely imminent events; the far
+//!   lane is a timing wheel. Since the far population (one event per
+//!   node) vastly outnumbers the in-flight messages, this keeps
+//!   per-delivery work away from the whole timer population. The lane
+//!   is purely a performance hint: ordering is global across both
+//!   lanes via the shared `(time, seq)` key, and a far event beyond
+//!   the wheel horizon falls back to an overflow heap, so any schedule
+//!   is correct.
+//! * **Timing wheel, sorted on reach** — far events hash into a ring
+//!   of ~1 ms buckets covering a 2 s horizon, with a bitmap of
+//!   occupied buckets. A bucket holds anything from a key or none
+//!   (500 nodes) to ~100 keys (100 k nodes probing once a second), so
+//!   inserting is a plain append whatever the population: a bucket is
+//!   put in order only once, when the clock reaches it and it becomes
+//!   the wheel's head. Only a key that lands in that already-sorted
+//!   head bucket pays a positioned insert. Push is O(1) and pop is
+//!   O(1) plus each key's share of one small sort, instead of O(log n)
+//!   sifts through the whole timer population.
 
 /// Simulated time in seconds since simulation start.
 pub type SimTime = f64;
@@ -158,15 +167,26 @@ const BUCKETS_PER_SECOND: f64 = 1024.0;
 /// forward bitmap scan from `now`'s bucket finds the earliest event.
 #[derive(Default)]
 struct Wheel {
-    /// Lazily grown to `WHEEL_SLOTS` buckets; each bucket is sorted
-    /// *descending* by `(time, seq)` so the minimum pops from the end.
+    /// Lazily grown to `WHEEL_SLOTS` buckets. Bucket `sorted` is
+    /// ordered *descending* by `(time, seq)` so its minimum pops from
+    /// the end; every other bucket is in arrival order.
     buckets: Vec<Vec<Key>>,
     /// One bit per bucket: does it hold any key?
     occupied: Vec<u64>,
+    /// Ring index of the one bucket kept sorted: the last bucket
+    /// [`head`](Self::head) reached.
+    sorted: Option<usize>,
     /// Keys currently in buckets (not counting `overflow`).
     wheeled: usize,
     /// Far events beyond the wheel horizon at insert time.
     overflow: Heap4,
+}
+
+/// Where the wheel's earliest key sits.
+#[derive(Clone, Copy)]
+enum FarHead {
+    Bucket(usize),
+    Overflow,
 }
 
 impl Wheel {
@@ -180,9 +200,10 @@ impl Wheel {
 
     fn ensure_ring(&mut self) {
         if self.buckets.is_empty() {
-            // Pre-size buckets so steady-state churn never grows them:
-            // with timers hashed over 2048 buckets, more than four
-            // collisions in one ~1 ms bucket is vanishingly rare.
+            // Room for a few keys each, so a small population (a timer
+            // or none per bucket) never grows one; a large population
+            // grows each bucket to its steady size during the wheel's
+            // first revolution and not again.
             self.buckets = (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(4)).collect();
             self.occupied = vec![0u64; WHEEL_SLOTS / 64];
         }
@@ -202,13 +223,13 @@ impl Wheel {
         self.ensure_ring();
         let idx = (abs as usize) & (WHEEL_SLOTS - 1);
         let bucket = &mut self.buckets[idx];
-        // Sorted descending; new keys are usually the bucket's latest
-        // (seq grows), so scanning from the front stops immediately.
-        let pos = bucket
-            .iter()
-            .position(|k| k.is_before(&key))
-            .unwrap_or(bucket.len());
-        bucket.insert(pos, key);
+        if self.sorted == Some(idx) {
+            // The head bucket is already in order: keep it so.
+            let pos = bucket.partition_point(|k| key.is_before(k));
+            bucket.insert(pos, key);
+        } else {
+            bucket.push(key);
+        }
         self.occupied[idx / 64] |= 1 << (idx % 64);
         self.wheeled += 1;
     }
@@ -237,37 +258,54 @@ impl Wheel {
         None
     }
 
-    fn peek(&self, now: SimTime) -> Option<&Key> {
-        let wheel_min = self
-            .first_occupied(now)
-            .and_then(|idx| self.buckets[idx].last());
-        match (wheel_min, self.overflow.peek()) {
-            (None, o) => o,
-            (w, None) => w,
-            (Some(w), Some(o)) => Some(if w.is_before(o) { w } else { o }),
+    /// The earliest key and where it sits. A bucket that was not
+    /// already the head is sorted on being reached — the one place
+    /// bucket order is established.
+    fn head(&mut self, now: SimTime) -> Option<(Key, FarHead)> {
+        let wheel_min = self.first_occupied(now).map(|idx| {
+            let bucket = &mut self.buckets[idx];
+            if self.sorted != Some(idx) {
+                bucket.sort_unstable_by_key(|k| std::cmp::Reverse((k.time_bits, k.seq)));
+                self.sorted = Some(idx);
+            }
+            let key = *bucket.last().expect("occupied bucket cannot be empty");
+            (key, FarHead::Bucket(idx))
+        });
+        let overflow_min = self.overflow.peek().map(|&o| (o, FarHead::Overflow));
+        match (wheel_min, overflow_min) {
+            (Some(w), Some(o)) => Some(if o.0.is_before(&w.0) { o } else { w }),
+            (w, o) => w.or(o),
         }
     }
 
-    fn pop(&mut self, now: SimTime) -> Option<Key> {
-        let wheel_idx = self.first_occupied(now);
-        let wheel_min = wheel_idx.and_then(|idx| self.buckets[idx].last());
-        let take_overflow = match (wheel_min, self.overflow.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(w), Some(o)) => o.is_before(w),
-        };
-        if take_overflow {
-            return self.overflow.pop();
+    /// Removes the key [`head`](Self::head) just reported at `at`.
+    fn remove(&mut self, at: FarHead) {
+        match at {
+            FarHead::Overflow => {
+                self.overflow.pop();
+            }
+            FarHead::Bucket(idx) => {
+                let bucket = &mut self.buckets[idx];
+                bucket.pop();
+                if bucket.is_empty() {
+                    self.occupied[idx / 64] &= !(1 << (idx % 64));
+                }
+                self.wheeled -= 1;
+            }
         }
-        let idx = wheel_idx.expect("wheel min implies occupied bucket");
-        let bucket = &mut self.buckets[idx];
-        let key = bucket.pop().expect("occupied bucket cannot be empty");
-        if bucket.is_empty() {
-            self.occupied[idx / 64] &= !(1 << (idx % 64));
+    }
+
+    /// Time bits of the earliest key, without putting anything in
+    /// order (`&self`): scans the first occupied bucket.
+    fn min_time_bits(&self, now: SimTime) -> Option<u64> {
+        let wheel_min = self
+            .first_occupied(now)
+            .and_then(|idx| self.buckets[idx].iter().map(|k| k.time_bits).min());
+        let overflow_min = self.overflow.peek().map(|k| k.time_bits);
+        match (wheel_min, overflow_min) {
+            (Some(w), Some(o)) => Some(w.min(o)),
+            (w, o) => w.or(o),
         }
-        self.wheeled -= 1;
-        Some(key)
     }
 }
 
@@ -372,40 +410,9 @@ impl<E> EventQueue<E> {
         self.schedule_after_on(Lane::Near, delay, event);
     }
 
-    /// Which lane holds the earliest event (`None` when empty).
-    fn head_lane(&self) -> Option<Lane> {
-        match (self.near.peek(), self.far.peek(self.now)) {
-            (None, None) => None,
-            (Some(_), None) => Some(Lane::Near),
-            (None, Some(_)) => Some(Lane::Far),
-            (Some(n), Some(f)) => Some(if n.is_before(f) {
-                Lane::Near
-            } else {
-                Lane::Far
-            }),
-        }
-    }
-
-    /// Pops from the given (non-empty) lane and reclaims the slot.
-    fn pop_from(&mut self, lane: Lane) -> (SimTime, E) {
-        let key = match lane {
-            Lane::Near => self.near.pop(),
-            Lane::Far => self.far.pop(self.now),
-        }
-        .expect("head lane cannot be empty");
-        let time = SimTime::from_bits(key.time_bits);
-        self.now = time;
-        let event = self.slots[key.slot as usize]
-            .take()
-            .expect("slab slot vacated twice");
-        self.free.push(key.slot);
-        (time, event)
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let lane = self.head_lane()?;
-        Some(self.pop_from(lane))
+        self.pop_before(SimTime::INFINITY)
     }
 
     /// Pops the earliest event only if it is due at or before
@@ -414,57 +421,38 @@ impl<E> EventQueue<E> {
     /// this is the run-loop primitive that lets drivers stop exactly
     /// at a simulated-time budget without overshooting it.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let lane = self.head_lane()?;
-        let head = match lane {
-            Lane::Near => self.near.peek(),
-            Lane::Far => self.far.peek(self.now),
-        }
-        .expect("head lane cannot be empty");
-        if SimTime::from_bits(head.time_bits) > deadline {
+        let far = self.far.head(self.now);
+        let (key, far_at) = match (self.near.peek(), far) {
+            (None, None) => return None,
+            (Some(&n), None) => (n, None),
+            (Some(&n), Some((f, _))) if n.is_before(&f) => (n, None),
+            (_, Some((f, at))) => (f, Some(at)),
+        };
+        let time = SimTime::from_bits(key.time_bits);
+        if time > deadline {
             return None;
         }
-        Some(self.pop_from(lane))
-    }
-
-    /// Full ordering key `(time bits, insertion seq)` of the next
-    /// event, without popping it. `pub(crate)`: the sharded merge in
-    /// [`crate::shard`] orders shard heads by exactly the key the
-    /// queue itself pops by, so the merged stream is the same total
-    /// order a single queue would produce.
-    pub(crate) fn peek_key(&self) -> Option<(u64, u64)> {
-        let key = match (self.near.peek(), self.far.peek(self.now)) {
-            (None, None) => return None,
-            (Some(n), None) => n,
-            (None, Some(f)) => f,
-            (Some(n), Some(f)) => {
-                if n.is_before(f) {
-                    n
-                } else {
-                    f
-                }
+        match far_at {
+            Some(at) => self.far.remove(at),
+            None => {
+                self.near.pop();
             }
-        };
-        Some((key.time_bits, key.seq))
-    }
-
-    /// Overrides the next insertion sequence number. `pub(crate)`: the
-    /// sharded net threads one global counter through all shard queues
-    /// so same-time events across shards keep a total FIFO order.
-    ///
-    /// # Panics
-    /// Panics if `seq` would reuse an already-issued number.
-    pub(crate) fn set_next_seq(&mut self, seq: u64) {
-        assert!(seq >= self.next_seq, "seq counter cannot run backwards");
-        self.next_seq = seq;
+        }
+        self.now = time;
+        let event = self.slots[key.slot as usize]
+            .take()
+            .expect("slab slot vacated twice");
+        self.free.push(key.slot);
+        Some((time, event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let bits = match (self.near.peek(), self.far.peek(self.now)) {
-            (None, None) => return None,
-            (Some(n), None) => n.time_bits,
-            (None, Some(f)) => f.time_bits,
-            (Some(n), Some(f)) => n.time_bits.min(f.time_bits),
+        let near = self.near.peek().map(|k| k.time_bits);
+        let far = self.far.min_time_bits(self.now);
+        let bits = match (near, far) {
+            (Some(n), Some(f)) => n.min(f),
+            (n, f) => n.or(f)?,
         };
         Some(SimTime::from_bits(bits))
     }

@@ -17,9 +17,9 @@
 //!   congestion or not), and a pathchirp-style coarse quantity prober
 //!   with underestimation bias (paper §3.1–3.2).
 //! * [`shard`] — [`shard::ShardedSimNet`], the same message model
-//!   split into per-island networks behind a deterministic
-//!   event-order merge, for 10k–100k-node populations where one
-//!   dense delay table stops fitting.
+//!   with per-island delay tables and RNG streams over one event
+//!   queue, for 10k–100k-node populations where one dense delay
+//!   table stops fitting.
 //! * [`errors`] — the four erroneous-label models of §6.3 plus the
 //!   δ/p calibration that reproduces Table 3.
 //! * [`neighbors`] — random `k`-neighbor sets (the Vivaldi-style

@@ -73,21 +73,26 @@ pub struct NetStats {
 /// on every message. Banking the companion halves the transcendental
 /// cost of the single hottest sampler in a simulated run while
 /// drawing from exactly the same distribution.
-struct JitterSampler {
+pub(crate) struct JitterSampler {
     sigma: f64,
     banked: Option<f64>,
 }
 
 impl JitterSampler {
-    fn new(sigma: f64) -> Self {
+    pub(crate) fn new(sigma: f64) -> Self {
         Self {
             sigma,
             banked: None,
         }
     }
 
+    /// The log-normal sigma this sampler was built with.
+    pub(crate) fn sigma(&self) -> f64 {
+        self.sigma
+    }
+
     #[inline]
-    fn sample(&mut self, rng: &mut ChaCha8Rng) -> f64 {
+    pub(crate) fn sample(&mut self, rng: &mut ChaCha8Rng) -> f64 {
         let z = match self.banked.take() {
             Some(z) => z,
             None => {
@@ -511,47 +516,6 @@ impl<M> SimNet<M> {
     /// the scale workloads).
     pub fn table_bytes(&self) -> usize {
         self.one_way_delay.len() * std::mem::size_of::<f32>()
-    }
-
-    // ---- shard plumbing (crate-internal) ----------------------------
-    //
-    // `ShardedSimNet` composes per-island `SimNet`s but owns the
-    // message model itself: deliveries carry *global* ids and must land
-    // in the destination's shard queue, so the shard layer needs raw
-    // access to each island's queue, delay table and RNG draws rather
-    // than the public `send`/`roundtrip` (which validate local ids and
-    // keep their own stats).
-
-    /// The island's event queue.
-    pub(crate) fn queue(&self) -> &EventQueue<Delivery<M>> {
-        &self.queue
-    }
-
-    /// The island's event queue, mutably.
-    pub(crate) fn queue_mut(&mut self) -> &mut EventQueue<Delivery<M>> {
-        &mut self.queue
-    }
-
-    /// Raw table delay for a *local* pair, in seconds (no straggler
-    /// factor, no jitter).
-    pub(crate) fn delay_s(&self, from: usize, to: usize) -> f64 {
-        f64::from(self.one_way_delay[from * self.n + to])
-    }
-
-    /// Draws one per-leg loss decision (no draw at all when the
-    /// network is loss-free, matching [`send`](Self::send)).
-    pub(crate) fn draw_loss(&mut self) -> bool {
-        self.config.loss_probability > 0.0 && self.rng.gen::<f64>() < self.config.loss_probability
-    }
-
-    /// Draws one multiplicative jitter factor (exactly `1.0`, with no
-    /// RNG draw, when jitter is disabled).
-    pub(crate) fn draw_jitter(&mut self) -> f64 {
-        if self.config.delay_jitter_sigma > 0.0 {
-            self.jitter.sample(&mut self.rng)
-        } else {
-            1.0
-        }
     }
 }
 

@@ -1,40 +1,28 @@
 //! Sharded network simulation for population scales where one dense
 //! delay table stops fitting.
 //!
-//! A single [`SimNet`] stores an `n × n` one-way delay table: 4 bytes
-//! per pair, which is 400 MB at `n = 10 000` and 40 GB at
-//! `n = 100 000`. [`ShardedSimNet`] breaks that quadratic wall by
-//! splitting the population into `k` contiguous *islands*, each backed
-//! by its own [`SimNet`] (own delay table, own RNG stream, own event
-//! queue); traffic between islands uses the configured default one-way
-//! delay, so no cross-island table exists at all. Memory becomes
-//! `k · (n/k)²` table entries — linear in `n` for a fixed island size.
+//! A single [`SimNet`](crate::SimNet) stores an `n × n` one-way delay
+//! table: 4 bytes per pair, which is 400 MB at `n = 10 000` and 40 GB
+//! at `n = 100 000`. [`ShardedSimNet`] breaks that quadratic wall by
+//! splitting the population into `k` contiguous *islands*, each with
+//! its own delay table and its own jitter/loss RNG stream; traffic
+//! between islands uses the configured default one-way delay, so no
+//! cross-island table exists at all. Memory becomes `k · (n/k)²` table
+//! entries — linear in `n` for a fixed island size.
 //!
-//! # Deterministic event-order merge
+//! # One queue, many tables
 //!
-//! The point of sharding is that the *single-queue story breaks*: with
-//! `k` independent queues there is no longer one heap whose pop order
-//! defines simulated time. The shard layer restores exactly the
-//! single-queue semantics:
-//!
-//! * **One global sequence counter.** Every scheduled event, whichever
-//!   island queue it lands in, takes its insertion number from one
-//!   shared counter (threaded into each queue via
-//!   `EventQueue::set_next_seq` just before scheduling). Same-time
-//!   events across shards therefore keep the total FIFO order a single
-//!   queue would have given them.
-//! * **Exact-mirror merge heap.** Each schedule also pushes the
-//!   event's full ordering key `(time bits, seq, shard)` into one
-//!   binary min-heap. Because non-negative `f64` times order the same
-//!   as their bit patterns, the heap root is always the globally
-//!   earliest pending event, and popping it pops the *head* of its
-//!   shard's queue (the root is ≤ every key in that shard). The merged
-//!   delivery stream is provably the stream one big queue would
-//!   produce — `tests/shard_merge.rs` pins this property against a
-//!   real single-queue [`SimNet`] run.
-//! * **One global clock.** `now` is the timestamp of the last merged
-//!   pop; per-shard clocks only ever trail it, so scheduling at
-//!   `at ≥ now` can never violate a shard queue's past-check.
+//! The quadratic object is the delay table, never the event list: the
+//! pending events number about one per node whatever the layout. So
+//! only the tables (and the RNG streams that go with them) are split.
+//! Every delivery, whichever islands it touches, is scheduled into and
+//! popped from **one** [`EventQueue`], whose `(time, insertion order)`
+//! key is by construction the total order a single-queue
+//! [`SimNet`](crate::SimNet) delivers in, with one clock. Nothing is
+//! merged and nothing can drift: `tests/shard_merge.rs` pins the
+//! delivery stream against a real [`SimNet`](crate::SimNet) run for
+//! every island count, and `dmf-core`'s `sharded_golden` test pins a
+//! jittered multi-island run's bytes.
 //!
 //! # Model carve-outs
 //!
@@ -42,29 +30,61 @@
 //! island jitter/loss stream; intra-island messages see the island's
 //! own table and stream. The mid-run impairment hooks (partitions,
 //! stragglers, re-embedding) are intentionally not exposed here — the
-//! scale workloads are partition-free; use [`SimNet`] when a scenario
-//! needs them.
+//! scale workloads are partition-free; use [`SimNet`](crate::SimNet)
+//! when a scenario needs them.
 
-use crate::event::{Lane, SimTime};
-use crate::net::{Delivery, NetConfig, NetStats, SimNet};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::event::{EventQueue, Lane, SimTime};
+use crate::net::{Delivery, JitterSampler, NetConfig, NetStats};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-/// A population split into per-island [`SimNet`]s behind a
-/// deterministic event-order merge. Node ids are global (`0..n`);
-/// island membership is by contiguous range.
+/// What sharding splits: one island's `m × m` one-way delay table
+/// (seconds, row-major over *local* ids, `f32` like
+/// [`SimNet`](crate::SimNet)'s) and the RNG stream its senders draw
+/// jitter and loss from. An island owns no events.
+struct Island {
+    one_way_delay: Vec<f32>,
+    m: usize,
+    rng: ChaCha8Rng,
+    jitter: JitterSampler,
+}
+
+impl Island {
+    /// Table delay for a *local* pair, in seconds.
+    #[inline]
+    fn delay_s(&self, from: usize, to: usize) -> f64 {
+        f64::from(self.one_way_delay[from * self.m + to])
+    }
+
+    /// One per-leg loss decision (no draw at all on a loss-free
+    /// network, matching [`SimNet::send`](crate::SimNet::send)).
+    #[inline]
+    fn draw_loss(&mut self, loss_probability: f64) -> bool {
+        loss_probability > 0.0 && self.rng.gen::<f64>() < loss_probability
+    }
+
+    /// One multiplicative jitter factor (exactly `1.0`, with no RNG
+    /// draw, when jitter is disabled).
+    #[inline]
+    fn draw_jitter(&mut self) -> f64 {
+        if self.jitter.sigma() > 0.0 {
+            self.jitter.sample(&mut self.rng)
+        } else {
+            1.0
+        }
+    }
+}
+
+/// A population split into per-island delay tables and RNG streams
+/// over one shared event queue. Node ids are global (`0..n`); island
+/// membership is by contiguous range.
 pub struct ShardedSimNet<M> {
-    shards: Vec<SimNet<M>>,
+    islands: Vec<Island>,
     island_size: usize,
     n: usize,
     cross_delay_s: f64,
-    /// Global insertion counter: the single-queue FIFO tie-break.
-    seq: u64,
-    /// Global clock: timestamp of the last merged pop.
-    now: SimTime,
-    /// Exact mirror of every pending event, keyed as the queues key
-    /// them; `Reverse` turns `BinaryHeap` into a min-heap.
-    heads: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    loss_probability: f64,
+    queue: EventQueue<Delivery<M>>,
     stats: NetStats,
     in_flight_non_timer: usize,
 }
@@ -80,9 +100,10 @@ impl<M> ShardedSimNet<M> {
     }
 
     /// Builds a sharded network whose *intra-island* one-way delays
-    /// come from `delay_s(i, j)` over **global** ids; cross-island
-    /// pairs use `config.default_one_way_delay_s` and are never asked
-    /// of `delay_s`. Island `k` covers global ids
+    /// come from `delay_s(i, j)` over **global** ids (evaluated island
+    /// by island, row-major within each); cross-island pairs use
+    /// `config.default_one_way_delay_s` and are never asked of
+    /// `delay_s`. Island `k` covers global ids
     /// `[k·s, min((k+1)·s, n))` with `s = ⌈n / islands⌉`; the realized
     /// island count is `⌈n / s⌉`, which can be smaller than requested
     /// (no empty islands are created).
@@ -90,7 +111,7 @@ impl<M> ShardedSimNet<M> {
     /// Each island draws jitter/loss from its own RNG stream,
     /// decorrelated from `config.seed` by island index (island 0 keeps
     /// the seed unchanged, so a 1-island sharded net replays a plain
-    /// [`SimNet`] bit-for-bit).
+    /// [`SimNet`](crate::SimNet) bit-for-bit).
     ///
     /// # Panics
     /// Panics when `n == 0` or `islands == 0` or `islands > n`.
@@ -106,31 +127,40 @@ impl<M> ShardedSimNet<M> {
             "island count {islands} out of range 1..={n}"
         );
         let island_size = n.div_ceil(islands);
-        let islands = n.div_ceil(island_size);
-        let shards = (0..islands)
+        let islands = (0..n.div_ceil(island_size))
             .map(|k| {
                 let start = k * island_size;
                 let m = island_size.min(n - start);
-                let cfg = NetConfig {
-                    seed: config
-                        .seed
-                        .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ..config.clone()
-                };
-                SimNet::from_delay_fn(m, cfg, |i, j| delay_s(start + i, start + j))
+                let mut one_way_delay = Vec::with_capacity(m * m);
+                for i in start..start + m {
+                    for j in start..start + m {
+                        one_way_delay.push(delay_s(i, j) as f32);
+                    }
+                }
+                let seed = config
+                    .seed
+                    .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Island {
+                    one_way_delay,
+                    m,
+                    rng: ChaCha8Rng::seed_from_u64(seed),
+                    jitter: JitterSampler::new(config.delay_jitter_sigma),
+                }
             })
             .collect();
         Self {
-            shards,
+            islands,
             island_size,
             n,
             // Rounded through f32 like every table entry, so a
             // cross-island leg costs bit-exactly what the same pair
             // would cost in a single net's table.
             cross_delay_s: f64::from(config.default_one_way_delay_s as f32),
-            seq: 0,
-            now: 0.0,
-            heads: BinaryHeap::with_capacity(4 * n + 16),
+            loss_probability: config.loss_probability,
+            // The fused protocol keeps one event per node pending (its
+            // timer or its exchange in flight); `send` traffic beyond
+            // that grows the queue on demand.
+            queue: EventQueue::with_capacity(n + 16),
             stats: NetStats::default(),
             in_flight_non_timer: 0,
         }
@@ -148,7 +178,7 @@ impl<M> ShardedSimNet<M> {
 
     /// Number of islands.
     pub fn islands(&self) -> usize {
-        self.shards.len()
+        self.islands.len()
     }
 
     /// The island a global node id belongs to.
@@ -160,9 +190,9 @@ impl<M> ShardedSimNet<M> {
         node / self.island_size
     }
 
-    /// Current simulated time in seconds (the global merged clock).
+    /// Current simulated time in seconds.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.now()
     }
 
     /// Aggregate network statistics so far.
@@ -174,23 +204,10 @@ impl<M> ShardedSimNet<M> {
     /// the sharding exists to shrink (`k · ⌈n/k⌉²` entries instead of
     /// `n²`).
     pub fn table_bytes(&self) -> usize {
-        self.shards.iter().map(SimNet::table_bytes).sum()
-    }
-
-    /// Schedules into `shard`'s queue under the global seq counter and
-    /// mirrors the key into the merge heap.
-    fn schedule(&mut self, shard: usize, lane: Lane, at: SimTime, delivery: Delivery<M>) {
-        assert!(
-            at >= self.now,
-            "cannot schedule in the past: at={at}, now={}",
-            self.now
-        );
-        let seq = self.seq;
-        let queue = self.shards[shard].queue_mut();
-        queue.set_next_seq(seq);
-        queue.schedule_at_on(lane, at, delivery);
-        self.heads.push(Reverse((at.to_bits(), seq, shard)));
-        self.seq = seq + 1;
+        self.islands
+            .iter()
+            .map(|island| island.one_way_delay.len() * std::mem::size_of::<f32>())
+            .sum()
     }
 
     /// Sends `msg` from `from` to `to` (global ids), subject to loss
@@ -202,26 +219,27 @@ impl<M> ShardedSimNet<M> {
     pub fn send(&mut self, from: usize, to: usize, msg: M) {
         let (sf, st) = (self.island_of(from), self.island_of(to));
         self.stats.sent += 1;
-        if self.shards[sf].draw_loss() {
+        let island = &mut self.islands[sf];
+        if island.draw_loss(self.loss_probability) {
             self.stats.dropped += 1;
             return;
         }
         let base = if sf == st {
             let start = sf * self.island_size;
-            self.shards[sf].delay_s(from - start, to - start)
+            island.delay_s(from - start, to - start)
         } else {
             self.cross_delay_s
         };
-        let jitter = self.shards[sf].draw_jitter();
-        let at = self.now + base * jitter;
+        let jitter = island.draw_jitter();
         self.in_flight_non_timer += 1;
-        self.schedule(st, Lane::Near, at, Delivery { from, to, msg });
+        self.queue
+            .schedule_after(base * jitter, Delivery { from, to, msg });
     }
 
     /// Schedules a lossless timer for `node` after `delay` seconds.
     pub fn set_timer(&mut self, node: usize, delay: SimTime, msg: M) {
         assert!(delay >= 0.0, "negative timer delay {delay}");
-        self.set_timer_at(node, self.now + delay, msg);
+        self.set_timer_at(node, self.now() + delay, msg);
     }
 
     /// Schedules a lossless timer for `node` at absolute time `at`.
@@ -229,9 +247,8 @@ impl<M> ShardedSimNet<M> {
     /// # Panics
     /// Panics on an out-of-range id or a time in the simulated past.
     pub fn set_timer_at(&mut self, node: usize, at: SimTime, msg: M) {
-        let shard = self.island_of(node);
-        self.schedule(
-            shard,
+        assert!(node < self.n, "node id out of range");
+        self.queue.schedule_at_on(
             Lane::Far,
             at,
             Delivery {
@@ -243,11 +260,11 @@ impl<M> ShardedSimNet<M> {
     }
 
     /// Schedules a full probe→reply round trip as one delivery, like
-    /// [`SimNet::roundtrip`]: `msg` arrives back at `from` after both
-    /// legs' delay, with loss applied per leg. Returns whether the
-    /// exchange survived.
+    /// [`SimNet::roundtrip`](crate::SimNet::roundtrip): `msg` arrives
+    /// back at `from` after both legs' delay, with loss applied per
+    /// leg. Returns whether the exchange survived.
     pub fn roundtrip(&mut self, from: usize, to: usize, msg: M) -> bool {
-        self.roundtrip_at(from, to, self.now, msg)
+        self.roundtrip_at(from, to, self.now(), msg)
     }
 
     /// [`roundtrip`](Self::roundtrip) departing at absolute time `at`;
@@ -257,10 +274,11 @@ impl<M> ShardedSimNet<M> {
     /// Panics on an out-of-range id or a departure in the past.
     pub fn roundtrip_at(&mut self, from: usize, to: usize, at: SimTime, msg: M) -> bool {
         let (sf, st) = (self.island_of(from), self.island_of(to));
-        assert!(at >= self.now, "roundtrip departing in the past");
+        assert!(at >= self.now(), "roundtrip departing in the past");
         self.stats.sent += 2;
-        let lost_fwd = self.shards[sf].draw_loss();
-        let lost_back = self.shards[sf].draw_loss();
+        let island = &mut self.islands[sf];
+        let lost_fwd = island.draw_loss(self.loss_probability);
+        let lost_back = island.draw_loss(self.loss_probability);
         if lost_fwd || lost_back {
             self.stats.dropped += usize::from(lost_fwd) + usize::from(lost_back);
             return false;
@@ -268,18 +286,17 @@ impl<M> ShardedSimNet<M> {
         let (fwd, back) = if sf == st {
             let start = sf * self.island_size;
             (
-                self.shards[sf].delay_s(from - start, to - start),
-                self.shards[sf].delay_s(to - start, from - start),
+                island.delay_s(from - start, to - start),
+                island.delay_s(to - start, from - start),
             )
         } else {
             (self.cross_delay_s, self.cross_delay_s)
         };
-        let j1 = self.shards[sf].draw_jitter();
-        let j2 = self.shards[sf].draw_jitter();
+        let j1 = island.draw_jitter();
+        let j2 = island.draw_jitter();
         let rtt = fwd * j1 + back * j2;
         self.in_flight_non_timer += 1;
-        self.schedule(
-            sf,
+        self.queue.schedule_at_on(
             Lane::Far,
             at + rtt,
             Delivery {
@@ -292,20 +309,15 @@ impl<M> ShardedSimNet<M> {
     }
 
     /// Delivers the next message across all islands, advancing the
-    /// global clock.
+    /// clock.
     pub fn next_delivery(&mut self) -> Option<(SimTime, Delivery<M>)> {
-        let Reverse((bits, seq, shard)) = self.heads.pop()?;
-        debug_assert_eq!(
-            self.shards[shard].queue().peek_key(),
-            Some((bits, seq)),
-            "merge-heap root must be its shard's queue head"
-        );
-        let (t, d) = self.shards[shard]
-            .queue_mut()
-            .pop()
-            .expect("mirrored head vanished from shard queue");
-        debug_assert_eq!(t.to_bits(), bits);
-        self.now = t;
+        self.next_delivery_before(SimTime::INFINITY)
+    }
+
+    /// Delivers the next message only if it is due at or before
+    /// `deadline`; later messages stay queued and the clock stays put.
+    pub fn next_delivery_before(&mut self, deadline: SimTime) -> Option<(SimTime, Delivery<M>)> {
+        let (t, d) = self.queue.pop_before(deadline)?;
         if d.from == d.to {
             self.stats.timers += 1;
         } else {
@@ -315,26 +327,14 @@ impl<M> ShardedSimNet<M> {
         Some((t, d))
     }
 
-    /// Delivers the next message only if it is due at or before
-    /// `deadline`; later messages stay queued and the clock stays put.
-    pub fn next_delivery_before(&mut self, deadline: SimTime) -> Option<(SimTime, Delivery<M>)> {
-        let &Reverse((bits, _, _)) = self.heads.peek()?;
-        if SimTime::from_bits(bits) > deadline {
-            return None;
-        }
-        self.next_delivery()
-    }
-
     /// Timestamp of the next delivery without consuming it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heads
-            .peek()
-            .map(|&Reverse((bits, _, _))| SimTime::from_bits(bits))
+        self.queue.peek_time()
     }
 
     /// Number of queued deliveries (timers included).
     pub fn pending(&self) -> usize {
-        self.heads.len()
+        self.queue.len()
     }
 
     /// Number of queued *network* messages (timers excluded).
@@ -346,6 +346,7 @@ impl<M> ShardedSimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimNet;
 
     fn quiet(seed: u64) -> NetConfig {
         NetConfig {
