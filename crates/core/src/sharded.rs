@@ -22,10 +22,43 @@
 //! `dmf-simnet/tests/shard_merge.rs`), the protocol draws from the
 //! session RNG in delivery order, and the SGD arithmetic is
 //! bitwise-pinned across SIMD dispatch paths.
+//!
+//! # The lookahead pipeline
+//!
+//! At 100 k nodes the per-node state (≈ 30 MB of coordinates, as much
+//! again of event payloads) lives in DRAM, and a delivery touches about
+//! a dozen cache lines of it that nothing before it touched: handled
+//! one at a time, the loop spends four fifths of its wall waiting on
+//! those misses. But the queue's head bucket is sorted, so the next
+//! ~100 deliveries are known ([`ShardedSimNet::upcoming`]), and with
+//! them exactly which lines they will need. After each pop the loop
+//! therefore advances three later deliveries one stage each:
+//!
+//! 1. `SLOT_AHEAD` (12) deliveries ahead, prefetch the event's payload
+//!    slot — until it is resident, who the delivery is for is unknown;
+//! 2. `NODES_AHEAD` (6) ahead the payload has arrived: read its
+//!    `to`/`from` and prefetch the prober's node, the target's
+//!    coordinates, both liveness entries and the bounds of the
+//!    prober's neighbor row;
+//! 3. `ROW_AHEAD` (3) ahead the bounds have arrived: prefetch the
+//!    neighbor row the next probe will be drawn from.
+//!
+//! These are prefetch hints and nothing else: no arithmetic, RNG draw
+//! or event moves, so every result is bit-identical with and without
+//! them. The distances are constants, not options, because there is
+//! nothing to tune: a miss costs about as long as one or two
+//! deliveries take to handle, and the rate measured flat from 8/4/2
+//! to 32/16/4 when the change was sized (each stage removed in turn
+//! cost about a quarter of the gain; looking past the head bucket
+//! into the next one when it runs short made no difference and is not
+//! done).
+//! [`SimnetDriver`](crate::runner::SimnetDriver) has no such stage: its
+//! populations fit in the L2 cache.
 
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
 use crate::runner::{fused_fire_probe, fused_on_exchange, fused_rearm_timer, Msg, RunnerStats};
 use crate::session::{Driver, Session};
+use dmf_linalg::simd::prefetch;
 use dmf_simnet::ShardedSimNet;
 use rand::Rng;
 
@@ -147,6 +180,7 @@ impl ShardedSimnetDriver {
             }
         }
         while let Some((now, delivery)) = self.net.next_delivery_before(deadline_s) {
+            prefetch_upcoming(&self.net, session);
             match delivery.msg {
                 Msg::ProbeTick => {
                     let i = delivery.to;
@@ -182,6 +216,37 @@ impl ShardedSimnetDriver {
             }
         }
         Ok(self.stats.measurements_completed - before)
+    }
+}
+
+/// How many deliveries ahead of the one being handled each stage of
+/// the lookahead works (see the module docs). Sweep on `sim-fused`
+/// (100 k nodes, events/s, 2-vCPU host, 1.1–1.7 M without any): the
+/// sizing prototype read 2.6–3.0 M anywhere from 8/4/2 to 32/16/4;
+/// this code, three alternated runs each, 2.69–2.85 M at 12/6/3 and
+/// 2.67–3.00 M at 24/12/4.
+const SLOT_AHEAD: usize = 12;
+const NODES_AHEAD: usize = 6;
+const ROW_AHEAD: usize = 3;
+
+/// One step of the software pipeline: called once per delivery, it
+/// moves three later deliveries each one stage closer to being
+/// cache-resident when their turn comes. Hints only — nothing here
+/// reads protocol state or draws from an RNG.
+#[inline]
+fn prefetch_upcoming(net: &ShardedSimNet<Msg>, session: &Session) {
+    if let Some(far) = net.upcoming(SLOT_AHEAD) {
+        prefetch(far);
+    }
+    if let Some(mid) = net.upcoming(NODES_AHEAD) {
+        prefetch(&session.nodes[mid.to]);
+        prefetch(&session.nodes[mid.from].coords);
+        prefetch(&session.slot_pos[mid.to]);
+        prefetch(&session.slot_pos[mid.from]);
+        session.neighbors.prefetch_bounds(mid.to);
+    }
+    if let Some(near) = net.upcoming(ROW_AHEAD) {
+        session.neighbors.prefetch_row(near.to);
     }
 }
 
@@ -252,18 +317,16 @@ mod tests {
         assert_eq!(s.measurements_used(), applied);
     }
 
-    /// A 1-island sharded transport replays the single-net driver
-    /// bit-for-bit (same delays, no jitter/loss → no RNG divergence;
-    /// session RNG draws happen in identical delivery order). This is
-    /// the end-to-end leg of the order-equivalence story: not just the
-    /// event order, but the learned coordinates match.
-    #[test]
-    fn one_island_matches_single_net_driver_bitwise() {
+    /// The same 24-node network twice: behind the single-net driver
+    /// and behind a 1-island sharded one (same delays, no jitter/loss
+    /// → no RNG divergence), each with its own identically seeded
+    /// session.
+    fn one_island_pair() -> ((Session, SimnetDriver), (Session, ShardedSimnetDriver)) {
         let d = meridian_like(24, 5);
-        let mut s_single = session(24, 4);
-        let mut s_sharded = session(24, 4);
+        let s_single = session(24, 4);
+        let s_sharded = session(24, 4);
 
-        let mut single = SimnetDriver::new(&s_single, d.clone(), quiet(2)).unwrap();
+        let single = SimnetDriver::new(&s_single, d.clone(), quiet(2)).unwrap();
         // Mirror `SimNet::from_rtt_dataset` exactly: known pairs take
         // RTT/2, unknown pairs (incl. the diagonal) the default delay.
         let default = quiet(2).default_one_way_delay_s;
@@ -275,11 +338,11 @@ mod tests {
             }
         };
         let net = ShardedSimNet::from_delay_fn(24, 1, quiet(2), delay);
-        let mut sharded = ShardedSimnetDriver::new(&s_sharded, net).unwrap();
+        let sharded = ShardedSimnetDriver::new(&s_sharded, net).unwrap();
+        ((s_single, single), (s_sharded, sharded))
+    }
 
-        single.run_until(&mut s_single, 20.0).unwrap();
-        sharded.run_until(&mut s_sharded, 20.0).unwrap();
-
+    fn assert_bitwise_equal(s_single: &Session, s_sharded: &Session) {
         assert_eq!(
             s_single.measurements_used(),
             s_sharded.measurements_used(),
@@ -290,6 +353,56 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "coordinates diverged");
         }
+    }
+
+    /// A 1-island sharded transport replays the single-net driver
+    /// bit-for-bit (session RNG draws happen in identical delivery
+    /// order). This is the end-to-end leg of the order-equivalence
+    /// story: not just the event order, but the learned coordinates
+    /// match.
+    #[test]
+    fn one_island_matches_single_net_driver_bitwise() {
+        let ((mut s_single, mut single), (mut s_sharded, mut sharded)) = one_island_pair();
+        single.run_until(&mut s_single, 20.0).unwrap();
+        sharded.run_until(&mut s_sharded, 20.0).unwrap();
+        assert_bitwise_equal(&s_single, &s_sharded);
+    }
+
+    /// The same replay across membership churn, which is what reaches
+    /// the loop's dead-node branches: a departed prober's exchange
+    /// comes home and its timer idles, and exchanges already in flight
+    /// towards a departed target complete untrained. The lookahead
+    /// reads those slots early, so this also pins that it does not
+    /// care who is alive.
+    #[test]
+    fn one_island_matches_single_net_driver_bitwise_across_churn() {
+        let ((mut s_single, mut single), (mut s_sharded, mut sharded)) = one_island_pair();
+        single.run_until(&mut s_single, 8.0).unwrap();
+        sharded.run_until(&mut s_sharded, 8.0).unwrap();
+        for s in [&mut s_single, &mut s_sharded] {
+            s.leave(3).unwrap();
+            s.leave(17).unwrap();
+        }
+        let before = (sharded.net().stats(), sharded.stats());
+        single.run_until(&mut s_single, 14.0).unwrap();
+        sharded.run_until(&mut s_sharded, 14.0).unwrap();
+        let net = sharded.net().stats();
+        let exchanges = net.delivered - before.0.delivered;
+        let trained = sharded.stats().measurements_completed - before.1.measurements_completed;
+        assert!(net.timers - before.0.timers >= 10, "departed probers idle");
+        assert!(
+            exchanges - trained > 2,
+            "beyond the two departed probers' own exchanges, some completed \
+             against a departed target: {exchanges} delivered, {trained} trained"
+        );
+        for s in [&mut s_single, &mut s_sharded] {
+            s.join().unwrap();
+            s.join().unwrap();
+        }
+        single.run_until(&mut s_single, 20.0).unwrap();
+        sharded.run_until(&mut s_sharded, 20.0).unwrap();
+        assert_eq!(s_sharded.num_alive(), 24);
+        assert_bitwise_equal(&s_single, &s_sharded);
     }
 
     #[test]

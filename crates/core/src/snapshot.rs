@@ -308,6 +308,26 @@ mod tests {
         assert!(Session::restore(&bad).is_err(), "impossible RNG index");
     }
 
+    /// A hand-edited snapshot whose neighbor row 0 names node 0 is
+    /// outside input: it must come back as a typed parse error, not
+    /// trip the structural assert behind `NeighborSets::from_sets`.
+    #[test]
+    fn self_referencing_neighbor_row_is_a_parse_error_not_a_panic() {
+        let json = trained_session().snapshot().to_json();
+        let (head, rows) = json
+            .split_once("\"sets\":[[")
+            .expect("neighbor table present");
+        let (_, rest) = rows.split_once(',').expect("k = 6 entries in row 0");
+        let edited = format!("{head}\"sets\":[[0,{rest}");
+        assert_ne!(edited, json, "row 0 cannot have started with 0");
+        match Snapshot::from_json(&edited) {
+            Err(SnapshotError::Parse(msg)) => {
+                assert!(msg.contains("node 0"), "names the row: {msg}")
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rng_state_split_counter_is_exact() {
         let state = RngState {

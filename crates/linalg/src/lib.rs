@@ -45,7 +45,8 @@
 
 // `deny` rather than `forbid`: the `simd` module carries the crate's
 // only `#[allow(unsafe_code)]`, scoped to the `std::arch` intrinsic
-// implementations behind runtime feature detection.
+// implementations behind runtime feature detection and to the
+// `prefetch` hint (an instruction that cannot fault).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

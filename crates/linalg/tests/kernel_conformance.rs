@@ -263,6 +263,37 @@ proptest! {
     }
 }
 
+/// `simd::prefetch` takes any reference and is a hint on every
+/// dispatch path (this suite also runs under `DMF_FORCE_SCALAR=1`):
+/// the degenerate shapes do nothing, a value that ends on the last
+/// byte of its allocation is not read past, and nothing it is handed
+/// changes.
+#[test]
+fn prefetch_accepts_every_shape_and_touches_nothing() {
+    #[repr(align(64))]
+    #[derive(Clone, PartialEq, Debug)]
+    struct NodeSized([u8; 300]);
+
+    simd::prefetch::<[f64]>(&[]);
+    simd::prefetch(&());
+    simd::prefetch(&[(); 1000]);
+    let one = [1.5f64];
+    simd::prefetch(&one);
+    simd::prefetch(&one[..]);
+    // Exactly one line, exactly filled: the slice's last byte is the
+    // allocation's last byte.
+    let exact: Box<[u8]> = vec![7u8; 64].into_boxed_slice();
+    simd::prefetch(&exact[..]);
+    simd::prefetch(&exact[63..]);
+    let node = NodeSized([9; 300]);
+    simd::prefetch(&node);
+    simd::prefetch(std::slice::from_ref(&node));
+
+    assert_eq!(one, [1.5]);
+    assert!(exact.iter().all(|&b| b == 7));
+    assert_eq!(node, NodeSized([9; 300]));
+}
+
 #[test]
 fn all_ranks_1_to_32_covered_exhaustively() {
     // The proptests sample ranks; this pins every rank deterministically

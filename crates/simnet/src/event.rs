@@ -44,6 +44,16 @@
 //!   head bucket pays a positioned insert. Push is O(1) and pop is
 //!   O(1) plus each key's share of one small sort, instead of O(log n)
 //!   sifts through the whole timer population.
+//! * **A readable future** — because the head bucket is sorted, the
+//!   next far-lane deliveries are known before they are popped, and
+//!   [`EventQueue::upcoming`] shows their payloads through `&self`. It
+//!   exists so a run loop can prefetch the state those deliveries will
+//!   touch (`dmf-core`'s sharded driver does). It may be used for
+//!   nothing else: it looks no further than the head bucket, says
+//!   nothing about the near lane, and a later `schedule_*` may put a
+//!   key in front of the one it showed — so what it returns is a hint
+//!   about the order, never the order. It mutates nothing, sorts
+//!   nothing and so cannot change what `pop` delivers.
 
 /// Simulated time in seconds since simulation start.
 pub type SimTime = f64;
@@ -455,6 +465,21 @@ impl<E> EventQueue<E> {
             (n, f) => n.or(f)?,
         };
         Some(SimTime::from_bits(bits))
+    }
+
+    /// Payload of the far-lane key that pops `k` far-lane pops after
+    /// the next one (`upcoming(0)` is the next far-lane pop), read off
+    /// the sorted head bucket; `None` when that bucket holds no such
+    /// key — before any bucket has been reached, past its end — or an
+    /// overflow key is due first. Exact as long as nothing is
+    /// scheduled after the last pop; see *Layout* for what it is for.
+    pub fn upcoming(&self, k: usize) -> Option<&E> {
+        let bucket = &self.far.buckets[self.far.sorted?];
+        let key = bucket.get(bucket.len().checked_sub(k + 1)?)?;
+        if self.far.overflow.peek().is_some_and(|o| o.is_before(key)) {
+            return None;
+        }
+        self.slots[key.slot as usize].as_ref()
     }
 
     /// Number of pending events.

@@ -8,6 +8,7 @@
 //! neighbor set, so prediction quality is evaluated on pairs the node
 //! never trained on.
 
+use dmf_linalg::simd::prefetch;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -45,16 +46,27 @@ impl NeighborSets {
     }
 
     /// Builds sets from explicit lists (used by tests and loaders).
+    ///
+    /// # Panics
+    /// Panics when a node is listed as its own neighbor.
     pub fn from_sets(sets: Vec<Vec<usize>>) -> Self {
+        Self::try_from_sets(sets).unwrap_or_else(|i| panic!("node {i} cannot be its own neighbor"))
+    }
+
+    /// [`from_sets`](Self::from_sets) for lists from outside the
+    /// program: `Err(i)` names a node listed as its own neighbor.
+    fn try_from_sets(sets: Vec<Vec<usize>>) -> Result<Self, usize> {
         let mut flat = Vec::new();
         let mut offsets = Vec::with_capacity(sets.len() + 1);
         offsets.push(0);
         for (i, set) in sets.iter().enumerate() {
-            assert!(!set.contains(&i), "node {i} cannot be its own neighbor");
+            if set.contains(&i) {
+                return Err(i);
+            }
             flat.extend_from_slice(set);
             offsets.push(u32::try_from(flat.len()).expect("neighbor table overflow"));
         }
-        Self { flat, offsets }
+        Ok(Self { flat, offsets })
     }
 
     /// Number of nodes.
@@ -87,6 +99,22 @@ impl NeighborSets {
     pub fn slot(&self, i: usize, j: usize) -> Option<usize> {
         let at = self.neighbors(i).iter().position(|&x| x == j)?;
         Some(self.offsets[i] as usize + at)
+    }
+
+    /// Cache hint for a caller that will sample node `i`'s neighbors
+    /// shortly: prefetches the row's bounds, which
+    /// [`prefetch_row`](Self::prefetch_row) has to read.
+    #[inline]
+    pub fn prefetch_bounds(&self, i: usize) {
+        prefetch(&self.offsets[i..=i + 1]);
+    }
+
+    /// Cache hint: prefetches node `i`'s neighbor list. Reads the
+    /// row's bounds, so it is cheap only once
+    /// [`prefetch_bounds`](Self::prefetch_bounds) has landed.
+    #[inline]
+    pub fn prefetch_row(&self, i: usize) {
+        prefetch(self.neighbors(i));
     }
 
     /// Uniformly samples one neighbor of node `i`.
@@ -204,9 +232,8 @@ impl Deserialize for NeighborSets {
         let sets = v
             .get("sets")
             .ok_or_else(|| DeError::missing_field("sets", "NeighborSets"))?;
-        Ok(NeighborSets::from_sets(Vec::<Vec<usize>>::from_value(
-            sets,
-        )?))
+        NeighborSets::try_from_sets(Vec::<Vec<usize>>::from_value(sets)?)
+            .map_err(|i| DeError::custom(format!("node {i} is listed as its own neighbor")))
     }
 }
 

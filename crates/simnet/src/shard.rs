@@ -24,6 +24,15 @@
 //! every island count, and `dmf-core`'s `sharded_golden` test pins a
 //! jittered multi-island run's bytes.
 //!
+//! One queue also means one *sorted* head bucket, so the deliveries
+//! about to happen can be read before they do:
+//! [`ShardedSimNet::upcoming`] hands a run loop the next far-lane
+//! deliveries so it can prefetch the node state they will touch — at
+//! 100 k nodes that state lives in DRAM, and waiting for it one event
+//! at a time is most of a run's wall (`dmf-core`'s sharded driver has
+//! the pipeline). It is a view for hints only; delivery order is what
+//! [`next_delivery`](ShardedSimNet::next_delivery) says.
+//!
 //! # Model carve-outs
 //!
 //! Cross-island messages see the default delay with the *sender's*
@@ -330,6 +339,14 @@ impl<M> ShardedSimNet<M> {
     /// Timestamp of the next delivery without consuming it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
+    }
+
+    /// The delivery `k` far-lane pops after the next one, if the
+    /// queue's sorted head bucket reaches that far
+    /// ([`EventQueue::upcoming`]): a hint for prefetching the state it
+    /// will touch, never a promise about delivery order.
+    pub fn upcoming(&self, k: usize) -> Option<&Delivery<M>> {
+        self.queue.upcoming(k)
     }
 
     /// Number of queued deliveries (timers included).

@@ -14,7 +14,11 @@
 //! * keys landing in the bucket being drained (a target the clock has
 //!   passed is clamped to *now*: a tie with the event just popped);
 //! * buckets at the edge of the 2 s horizon and beyond it (overflow
-//!   heap), and a clock origin that puts the ring mid-revolution.
+//!   heap), and a clock origin that puts the ring mid-revolution;
+//! * `upcoming(k)` lookups thrown in anywhere: they must leave the
+//!   stream alone, show only pending far-lane payloads, and — asked
+//!   when nothing was scheduled since the last pop — name exactly the
+//!   payload that comes out `k` far-lane pops after the next one.
 
 use dmf_simnet::{EventQueue, Lane, SimTime};
 use proptest::prelude::*;
@@ -35,10 +39,11 @@ enum Op {
     Schedule { far: bool, slot: usize, step: u32 },
     Pop(u8),
     PopBefore { slot: usize, step: u32 },
+    Upcoming(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..10, 0u8..4, 0..OFFSETS.len(), 0..STEPS, 1u8..6).prop_map(
+    (0u8..12, 0u8..4, 0..OFFSETS.len(), 0..STEPS, 1u8..6).prop_map(
         |(kind, lane, slot, step, count)| match kind {
             0..=6 => Op::Schedule {
                 far: lane != 0,
@@ -48,10 +53,12 @@ fn op() -> impl Strategy<Value = Op> {
             7..=8 => Op::Pop(count),
             // Deadlines among the early buckets: once the clock has
             // passed them this pops nothing, which is also a case.
-            _ => Op::PopBefore {
+            9 => Op::PopBefore {
                 slot: slot % 6,
                 step,
             },
+            // 0..=159 against buckets of 64 and up: inside and past.
+            _ => Op::Upcoming(step as usize + 24 * (count as usize - 1)),
         },
     )
 }
@@ -68,6 +75,14 @@ struct Harness {
     queue: EventQueue<usize>,
     scheduled: Vec<(u64, usize)>,
     popped: Vec<(u64, usize)>,
+    /// Per id: scheduled on the far lane / already popped.
+    far: Vec<bool>,
+    done: Vec<bool>,
+    /// Nothing was scheduled since the last pop attempt, which is when
+    /// `upcoming` is exact rather than a hint.
+    settled: bool,
+    /// `upcoming` answers checked while settled.
+    exact_answers: usize,
 }
 
 impl Harness {
@@ -77,17 +92,22 @@ impl Harness {
         let lane = if far { Lane::Far } else { Lane::Near };
         self.queue.schedule_at_on(lane, at, id);
         self.scheduled.push((at.to_bits(), id));
+        self.far.push(far);
+        self.done.push(false);
+        self.settled = false;
     }
 
     /// One pop no later than `deadline`; checks the `&self` peek (which
     /// scans an unsorted bucket) against what the pop then returns.
     fn pop_before(&mut self, deadline: SimTime) -> Result<bool, TestCaseError> {
         let peeked = self.queue.peek_time();
+        self.settled = true;
         match self.queue.pop_before(deadline) {
             Some((t, id)) => {
                 prop_assert_eq!(peeked, Some(t));
                 prop_assert!(t <= deadline);
                 self.popped.push((t.to_bits(), id));
+                self.done[id] = true;
                 Ok(true)
             }
             None => {
@@ -95,6 +115,28 @@ impl Harness {
                 Ok(false)
             }
         }
+    }
+
+    /// One `upcoming(k)` lookup. The pop stream is checked against the
+    /// reference sort at the end, so "the `k`-th following far-lane
+    /// pop yields it" is: it is the `k`-th pending far key of that
+    /// sort.
+    fn upcoming(&mut self, k: usize) -> Result<(), TestCaseError> {
+        let mut pending_far = self.scheduled.clone();
+        pending_far.retain(|&(_, id)| self.far[id] && !self.done[id]);
+        pending_far.sort_unstable();
+        match self.queue.upcoming(k) {
+            Some(&id) if self.settled => {
+                prop_assert_eq!(Some(id), pending_far.get(k).map(|&(_, id)| id));
+                self.exact_answers += 1;
+            }
+            // Stale or not, never a popped (vacated) or near-lane slot.
+            Some(&id) => prop_assert!(self.far[id] && !self.done[id]),
+            // Past the end stays past the end.
+            None => prop_assert!(self.queue.upcoming(k + 1).is_none()),
+        }
+        prop_assert!(self.queue.upcoming(pending_far.len()).is_none());
+        Ok(())
     }
 }
 
@@ -122,6 +164,8 @@ proptest! {
                 h.schedule(false, at);
             }
         }
+        // No bucket has been reached yet, however full they are.
+        prop_assert!(h.queue.upcoming(0).is_none());
 
         for step in &churn {
             match *step {
@@ -137,11 +181,20 @@ proptest! {
                     let deadline = time_of(origin, slot, step);
                     while h.pop_before(deadline)? {}
                 }
+                Op::Upcoming(k) => h.upcoming(k)?,
             }
         }
         prop_assert_eq!(h.queue.len(), h.scheduled.len() - h.popped.len());
-        while h.pop_before(SimTime::INFINITY)? {}
+        // The drain is what reaches the horizon's edge, where wheel and
+        // overflow keys share a bucket: keep looking ahead through it.
+        while h.pop_before(SimTime::INFINITY)? {
+            if h.popped.len() % 8 == 0 {
+                h.upcoming(h.popped.len() / 8 % 40)?;
+            }
+        }
         prop_assert!(h.queue.is_empty());
+
+        prop_assert!(h.exact_answers > 0, "no upcoming() answer was ever checked");
 
         // Stable sort by time = global (time, insertion order).
         let mut reference = h.scheduled;
