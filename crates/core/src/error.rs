@@ -47,15 +47,6 @@ pub enum DmfsgdError {
     /// query surface ([`crate::session::Session::try_predicted_scores`])
     /// returns this where the internal hot paths keep their assert.
     Shape(dmf_linalg::ShapeError),
-    /// A bounded update queue is full: backpressure, not a fault in
-    /// the request — back off and resubmit. Raised by the sharded
-    /// prediction service.
-    Overloaded {
-        /// The shard whose queue rejected the update.
-        shard: usize,
-        /// That queue's capacity in updates.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for DmfsgdError {
@@ -68,10 +59,6 @@ impl fmt::Display for DmfsgdError {
             DmfsgdError::Transport(msg) => write!(f, "transport failure: {msg}"),
             DmfsgdError::Import(msg) => write!(f, "node import rejected: {msg}"),
             DmfsgdError::Shape(e) => e.fmt(f),
-            DmfsgdError::Overloaded { shard, capacity } => write!(
-                f,
-                "shard {shard} update queue full ({capacity} updates queued)"
-            ),
         }
     }
 }

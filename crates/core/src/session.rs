@@ -398,8 +398,8 @@ impl Session {
 
     /// Applies a whole batch of remote RTT replies through
     /// [`apply_rtt_remote`](Self::apply_rtt_remote) semantics,
-    /// amortizing the per-update entry overhead — the service shards'
-    /// drain path.
+    /// amortizing the per-update entry overhead. Its last caller is
+    /// the benchmark's `core.apply_batch_ns_b*` probes.
     ///
     /// Validation is all-or-nothing: every update is checked
     /// (membership, rank, finiteness — the same checks in the same

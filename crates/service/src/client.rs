@@ -28,8 +28,12 @@ use std::ops::ControlFlow;
 #[derive(Default)]
 pub struct ServiceClient {
     next_seq: u32,
-    /// Undecoded response-stream bytes.
+    /// Response-stream bytes; `inbuf[consumed..]` is undecoded.
     inbuf: Vec<u8>,
+    /// Bytes of `inbuf` already polled out, dropped at the next
+    /// `ingest` so a burst of responses costs one compaction, not one
+    /// per response.
+    consumed: usize,
     /// Responses submitted minus responses polled.
     outstanding: usize,
 }
@@ -97,6 +101,8 @@ impl ServiceClient {
 
     /// Buffers response-stream bytes received from the server.
     pub fn ingest(&mut self, bytes: &[u8]) {
+        self.inbuf.drain(..self.consumed);
+        self.consumed = 0;
         self.inbuf.extend_from_slice(bytes);
     }
 
@@ -104,11 +110,12 @@ impl ServiceClient {
     /// Framing corruption surfaces as the typed
     /// [`DmfsgdError::Decode`] and is fatal to the connection.
     pub fn poll(&mut self) -> Result<Option<Response>, DmfsgdError> {
-        match Response::check(&self.inbuf)? {
+        let unread = &self.inbuf[self.consumed..];
+        match Response::check(unread)? {
             ControlFlow::Continue(_) => Ok(None),
             ControlFlow::Break(len) => {
-                let resp = Response::consume(&self.inbuf[..len])?;
-                self.inbuf.drain(..len);
+                let resp = Response::consume(&unread[..len])?;
+                self.consumed += len;
                 self.outstanding = self.outstanding.saturating_sub(1);
                 Ok(Some(resp))
             }
@@ -165,6 +172,40 @@ mod tests {
         assert_eq!(c.poll().unwrap(), Some(Response::Updated { seq: 1 }));
         assert!(c.poll().unwrap().is_none());
         assert_eq!(c.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_burst_polls_out_in_order_and_is_released_at_the_next_ingest() {
+        const BURST: u32 = 4096;
+        let mut c = ServiceClient::new();
+        let mut stream = Vec::new();
+        for seq in 0..BURST {
+            Response::Updated { seq }.encode(&mut stream);
+        }
+        let mut tail = Vec::new();
+        Response::Value {
+            seq: BURST,
+            value: 2.5,
+        }
+        .encode(&mut tail);
+        stream.extend_from_slice(&tail[..7]);
+        c.ingest(&stream);
+        for seq in 0..BURST {
+            assert_eq!(c.poll().unwrap(), Some(Response::Updated { seq }));
+        }
+        assert!(c.poll().unwrap().is_none(), "partial trailing frame");
+        // Polling only moves the cursor; the next ingest drops the
+        // polled prefix and keeps the partial frame.
+        assert_eq!(c.inbuf.len(), stream.len());
+        c.ingest(&tail[7..]);
+        assert_eq!((c.consumed, c.inbuf.len()), (0, tail.len()));
+        let last = Response::Value {
+            seq: BURST,
+            value: 2.5,
+        };
+        assert_eq!(c.poll().unwrap(), Some(last));
+        c.ingest(&[]);
+        assert!(c.inbuf.is_empty(), "buffer fully released");
     }
 
     #[test]

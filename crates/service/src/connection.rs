@@ -29,7 +29,6 @@
 use crate::metrics::{RequestKind, ServiceMetrics};
 use crate::protocol::{ErrorCode, ProtocolDecode, ProtocolEncode, Request, Response, MAX_PAYLOAD};
 use crate::service::PredictionService;
-use crate::worker::UpdateTicket;
 use dmf_core::{DmfsgdError, NodeId};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -53,11 +52,6 @@ pub struct ServerConnection {
     /// Reusable rank buffer: neighbor ranking allocates nothing per
     /// query ([`PredictionService::rank_neighbors_into`]).
     rank_buf: Vec<(NodeId, f64)>,
-    /// Reusable update result cell: in-order execution means at
-    /// most one update from this connection is ever in flight, so one
-    /// ticket serves the whole connection without per-update
-    /// allocation.
-    update_ticket: Arc<UpdateTicket>,
     /// Requests rejected with [`ErrorCode::Overloaded`] so far.
     overload_rejections: u64,
     /// Observability sink, shared across the connections of one
@@ -77,7 +71,6 @@ impl ServerConnection {
             inbuf: Vec::new(),
             pending: VecDeque::new(),
             rank_buf: Vec::new(),
-            update_ticket: Arc::default(),
             overload_rejections: 0,
             metrics: None,
         }
@@ -97,7 +90,6 @@ impl ServerConnection {
         max_in_flight: usize,
         metrics: Arc<ServiceMetrics>,
     ) -> Self {
-        service.attach_metrics(&metrics);
         let mut conn = Self::new(service, max_in_flight);
         conn.metrics = Some(metrics);
         conn
@@ -203,8 +195,10 @@ impl ServerConnection {
     }
 
     fn execute(&mut self, req: Request) -> Response {
-        let metrics = self.metrics.clone();
-        let started = metrics.as_ref().map(|_| Instant::now());
+        // A borrow: cloning the `Arc` would bump, per request, a count
+        // on a cache line every connection of the service shares.
+        let metrics = self.metrics.as_deref();
+        let started = metrics.map(|_| Instant::now());
         let kind = request_kind(&req);
         let seq = req.seq();
         let result = match req {
@@ -232,9 +226,9 @@ impl ServerConnection {
                 }),
             Request::Update { i, j, x, .. } => self
                 .service
-                .update_rtt_scored_with(i as usize, j as usize, x, &self.update_ticket)
+                .update_rtt_scored(i as usize, j as usize, x)
                 .map(|score| {
-                    if let Some(m) = &metrics {
+                    if let Some(m) = metrics {
                         // The pre-update score against the measured
                         // class is the live quality pair.
                         let shard = self.service.partition().owner(i as usize);
@@ -246,7 +240,7 @@ impl ServerConnection {
                 .service
                 .snapshot_json(shard as usize)
                 .map(|json| Response::SnapshotData { seq, json }),
-            Request::Metrics { format, .. } => match &metrics {
+            Request::Metrics { format, .. } => match metrics {
                 Some(m) => {
                     let body = m.render(format);
                     if body.len() + 9 > MAX_PAYLOAD {
@@ -259,7 +253,7 @@ impl ServerConnection {
                 }
                 None => Err(metrics_disabled()),
             },
-            Request::Health { .. } => match &metrics {
+            Request::Health { .. } => match metrics {
                 Some(m) => Ok(Response::HealthStatus {
                     seq,
                     health: m.health(),
@@ -268,17 +262,12 @@ impl ServerConnection {
             },
         };
         let ok = result.is_ok();
-        let resp = result.unwrap_or_else(|e| {
-            if let (Some(m), ErrorCode::Overloaded) = (&metrics, error_code(&e)) {
-                m.record_overload();
-            }
-            Response::Error {
-                seq,
-                code: error_code(&e),
-                message: e.to_string(),
-            }
+        let resp = result.unwrap_or_else(|e| Response::Error {
+            seq,
+            code: error_code(&e),
+            message: e.to_string(),
         });
-        if let (Some(m), Some(t0)) = (&metrics, started) {
+        if let (Some(m), Some(t0)) = (metrics, started) {
             m.record_request(kind, ok, t0.elapsed().as_micros() as u64);
         }
         resp
@@ -307,15 +296,10 @@ fn metrics_disabled() -> DmfsgdError {
     )
 }
 
-/// Maps a service error to its wire category. The shard-queue
-/// backpressure rejection keeps its `Overloaded` identity — clients
-/// treat it exactly like an admission-window rejection (back off and
-/// retry), unlike `BadRequest`, which means the request itself is
-/// wrong.
+/// Maps a service error to its wire category. No service call can
+/// fail with [`ErrorCode::Overloaded`]: that code is sent only by
+/// [`ingest`](ServerConnection::ingest), for a full admission window.
 fn error_code(e: &DmfsgdError) -> ErrorCode {
-    if PredictionService::is_overload(e) {
-        return ErrorCode::Overloaded;
-    }
     match e {
         DmfsgdError::Membership(_) => ErrorCode::Membership,
         DmfsgdError::Config(_) | DmfsgdError::Import(_) | DmfsgdError::Transport(_) => {

@@ -13,19 +13,14 @@
 //!   [`Session`](dmf_core::Session) behind a single-writer lock and
 //!   publishes its coordinates into a lock-free seqlocked
 //!   [`EpochView`](dmf_core::EpochView), so predictions and rank
-//!   queries never block on writers. Updates route to the owning
+//!   queries never block on writers. An update routes to the owning
 //!   shard carrying the peer's reply coordinates (the paper's
-//!   Algorithm 1 wire shape), drain in arrival order through a
-//!   bounded per-shard queue — applied by whichever submitting
-//!   connection holds the shard's write lock; the service owns no
-//!   threads — and publish as one epoch swap per batch. Sharded answers are **bit-identical** to
-//!   a single-session oracle fed the same operations in the same
-//!   order — the conformance suite pins this at several shard
-//!   counts.
-//! * [`worker`] — the building blocks of that write path: the
-//!   bounded MPSC update queue, the jobs' result cells, and always-on
-//!   batch-size / queue-depth distribution statistics
-//!   ([`WorkerStatsSnapshot`]).
+//!   Algorithm 1 wire shape); its submitter takes that shard's write
+//!   lock, applies the step and publishes the slot before unlocking —
+//!   the service owns no threads and buffers nothing. Sharded answers
+//!   are **bit-identical** to a single-session oracle fed the same
+//!   operations in the same order — the conformance suite pins this
+//!   at several shard counts.
 //! * [`protocol`] — the framed request/response wire format:
 //!   `check`/`consume` buffered decoding over a byte stream
 //!   ([`ControlFlow`](std::ops::ControlFlow)-based head inspection),
@@ -72,8 +67,6 @@ pub mod partition;
 pub mod protocol;
 #[deny(missing_docs)]
 pub mod service;
-#[deny(missing_docs)]
-pub mod worker;
 
 pub use client::ServiceClient;
 pub use connection::{serve_loopback, ServerConnection, DEFAULT_MAX_IN_FLIGHT};
@@ -84,5 +77,4 @@ pub use protocol::{
     ErrorCode, MetricsFormat, ProtocolDecode, ProtocolEncode, Request, Response, CHECKSUM_LEN,
     HEADER_LEN, MAX_HEALTH_REASONS, MAX_PAYLOAD, MAX_RANKED, SERVICE_MAGIC, SERVICE_VERSION,
 };
-pub use service::{PredictionService, DEFAULT_UPDATE_QUEUE};
-pub use worker::{WorkerStatsSnapshot, DIST_BUCKETS};
+pub use service::{PredictionService, WorkerStatsSnapshot};

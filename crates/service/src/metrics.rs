@@ -102,8 +102,6 @@ pub struct ServiceMetrics {
     in_flight: Gauge,
     latency: Histogram,
     shard_updates: Vec<Counter>,
-    shard_queue_depth: Vec<Gauge>,
-    worker_batch: Histogram,
     rolling_auc: Gauge,
     quality_samples: Gauge,
     staleness: Gauge,
@@ -171,25 +169,6 @@ impl ServiceMetrics {
                 ))
             })
             .collect();
-        let shard_queue_depth = (0..shards)
-            .map(|s| {
-                registry.gauge(MetricDesc::labeled(
-                    "dmf_service_shard_queue_depth",
-                    "Pending updates in the shard's bounded write queue, by owning shard.",
-                    Unit::None,
-                    "shard",
-                    s.to_string(),
-                ))
-            })
-            .collect();
-        let worker_batch = registry.histogram(
-            MetricDesc::plain(
-                "dmf_service_worker_batch_size",
-                "Updates drained per shard write-lock acquisition.",
-                Unit::None,
-            ),
-            &crate::worker::DIST_BUCKETS,
-        );
         let rolling_auc = registry.gauge(MetricDesc::plain(
             "dmf_service_rolling_auc",
             "Rolling AUC over the live quality window (NaN while undefined).",
@@ -226,8 +205,6 @@ impl ServiceMetrics {
             in_flight,
             latency,
             shard_updates,
-            shard_queue_depth,
-            worker_batch,
             rolling_auc,
             quality_samples,
             staleness,
@@ -281,19 +258,6 @@ impl ServiceMetrics {
         self.quality.record(positive, score);
         self.last_update_ms
             .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-    }
-
-    /// Publishes shard `shard`'s current update-queue depth (sampled
-    /// by the write path at every enqueue and drain).
-    pub fn set_shard_queue_depth(&self, shard: usize, depth: usize) {
-        if let Some(g) = self.shard_queue_depth.get(shard) {
-            g.set(depth as f64);
-        }
-    }
-
-    /// Records the size of one drained update batch.
-    pub fn record_worker_batch(&self, size: usize) {
-        self.worker_batch.observe(size as u64);
     }
 
     /// The health signals as observed right now.
@@ -392,29 +356,6 @@ mod tests {
         assert_eq!(s.quality_samples, 3);
         assert_eq!(s.rolling_auc, Some(1.0));
         assert!(s.staleness_s.expect("updated") >= 0.0);
-    }
-
-    #[test]
-    fn write_path_metrics_land_in_the_queue_gauges_and_batch_histogram() {
-        let m = ServiceMetrics::new(2);
-        m.set_shard_queue_depth(0, 3);
-        m.set_shard_queue_depth(1, 7);
-        m.set_shard_queue_depth(9, 1); // out of range: ignored
-        m.record_worker_batch(1);
-        m.record_worker_batch(64);
-        m.record_worker_batch(200);
-        assert_eq!(m.shard_queue_depth[0].get(), 3.0);
-        assert_eq!(m.shard_queue_depth[1].get(), 7.0);
-        assert_eq!(m.worker_batch.count(), 3);
-        let snap = m.snapshot();
-        assert!(snap
-            .metrics
-            .iter()
-            .any(|s| s.name == "dmf_service_shard_queue_depth"));
-        assert!(snap
-            .metrics
-            .iter()
-            .any(|s| s.name == "dmf_service_worker_batch_size"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dmf_service::{
     Request, Response, ServerConnection, ServiceClient,
 };
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 fn paper_config(n: usize, seed: u64) -> DmfsgdConfig {
@@ -231,25 +231,23 @@ fn block_stream(block: u32, width: u32, ops: usize) -> Vec<u8> {
     wire
 }
 
-/// Satellite conformance for the shard-worker write path: the same
-/// per-connection schedules produce bit-identical response streams
-/// whether updates drain one at a time through an uncontended inline
-/// combiner (connections pumped one after another) or in worker/
-/// combiner batches under real thread contention (all connections
-/// pumped concurrently against the same service). Two connections
-/// share each shard, so the concurrent run genuinely contends the
-/// shard write locks and exercises multi-update batches; block
-/// confinement makes each connection's answers interleaving-proof.
+/// Conformance for the locked write path: the same per-connection
+/// schedules produce bit-identical response streams whether the
+/// connections are pumped one after another (every shard lock taken
+/// uncontended) or all at once against the same service (submitters
+/// blocking on each other's shard locks). Two connections share each
+/// shard, so the concurrent run genuinely contends the write locks;
+/// block confinement makes each connection's answers
+/// interleaving-proof.
 #[test]
-fn worker_batched_updates_match_the_inline_path_bit_for_bit() {
+fn contended_updates_match_the_serial_path_bit_for_bit() {
     const CONNS: u32 = 4;
     const WIDTH: u32 = 8;
     const OPS: usize = 600;
     let n = (CONNS * WIDTH) as usize;
     let streams: Vec<Vec<u8>> = (0..CONNS).map(|c| block_stream(c, WIDTH, OPS)).collect();
 
-    // Reference: connections pumped strictly one after another —
-    // every update drains as an uncontended batch of one.
+    // Reference: connections pumped strictly one after another.
     let svc = service(n, 21, 2);
     let reference: Vec<Vec<u8>> = streams
         .iter()
@@ -267,7 +265,7 @@ fn worker_batched_updates_match_the_inline_path_bit_for_bit() {
     assert_eq!(
         serial_stats.iter().map(|s| s.updates).sum::<u64>(),
         (CONNS as u64) * (OPS as u64).div_ceil(3),
-        "every update drained"
+        "every update applied"
     );
 
     // Same schedules, all connections at once, repeated a few rounds
@@ -311,15 +309,20 @@ fn worker_batched_updates_match_the_inline_path_bit_for_bit() {
 
 /// The scored-update surface under the same contention: the pre-update
 /// score sequence each writer observes is bit-identical to the one the
-/// single-session oracle produces for its schedule — the batch
-/// machinery neither reorders a connection's updates nor lets a batch
-/// read half-applied coordinates.
+/// single-session oracle produces for its schedule — the shard lock
+/// neither reorders a writer's updates nor lets one read half-applied
+/// coordinates. Run with 4 writers over 2 shards and with 8 writers
+/// all on 1 shard.
 #[test]
 fn concurrent_scored_updates_match_the_oracle_score_sequences() {
-    const CONNS: usize = 4;
+    scored_updates_match_the_oracle(4, 2);
+    scored_updates_match_the_oracle(8, 1);
+}
+
+fn scored_updates_match_the_oracle(writers: usize, shards: usize) {
     const WIDTH: usize = 8;
     const UPDATES: usize = 300;
-    let n = CONNS * WIDTH;
+    let n = writers * WIDTH;
     let cfg = paper_config(n, 23);
     let schedule = |c: usize, s: usize| {
         let base = c * WIDTH;
@@ -333,7 +336,7 @@ fn concurrent_scored_updates_match_the_oracle_score_sequences() {
         .nodes(n)
         .build()
         .expect("oracle");
-    let mut want: Vec<Vec<f64>> = vec![Vec::new(); CONNS];
+    let mut want: Vec<Vec<f64>> = vec![Vec::new(); writers];
     for (c, lane) in want.iter_mut().enumerate() {
         for s in 0..UPDATES {
             let (i, j, x) = schedule(c, s);
@@ -347,11 +350,13 @@ fn concurrent_scored_updates_match_the_oracle_score_sequences() {
         }
     }
 
-    let svc = service(n, 23, 2);
-    let handles: Vec<_> = (0..CONNS)
+    let svc = service(n, 23, shards);
+    let start = Arc::new(Barrier::new(writers));
+    let handles: Vec<_> = (0..writers)
         .map(|c| {
-            let svc = Arc::clone(&svc);
+            let (svc, start) = (Arc::clone(&svc), Arc::clone(&start));
             thread::spawn(move || {
+                start.wait();
                 (0..UPDATES)
                     .map(|s| {
                         let (i, j, x) = schedule(c, s);
@@ -363,7 +368,10 @@ fn concurrent_scored_updates_match_the_oracle_score_sequences() {
         .collect();
     for (c, handle) in handles.into_iter().enumerate() {
         let got = handle.join().expect("writer");
-        assert_eq!(got, want[c], "connection {c}'s score sequence");
+        assert_eq!(
+            got, want[c],
+            "{writers} writers on {shards} shards: writer {c}'s score sequence"
+        );
     }
     for i in 0..n {
         for j in 0..n {

@@ -36,7 +36,6 @@ GUARDS=(
   "crates/service/src/lib.rs:partition"
   "crates/service/src/lib.rs:protocol"
   "crates/service/src/lib.rs:service"
-  "crates/service/src/lib.rs:worker"
 )
 
 fail=0
