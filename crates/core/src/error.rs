@@ -264,6 +264,16 @@ impl ConfigError {
         }
     }
 
+    /// Validates a message-loss probability for the simnet driver,
+    /// at construction and in its mid-run hook alike.
+    pub(crate) fn check_loss_probability(probability: f64) -> Result<(), ConfigError> {
+        if (0.0..=1.0).contains(&probability) {
+            Ok(())
+        } else {
+            Err(ConfigError::LossProbability { probability })
+        }
+    }
+
     /// Validates a simulated-time deadline for the simnet drivers'
     /// `run_until`: the probe chains re-arm forever, so a NaN or
     /// infinite deadline would never be reached.

@@ -2,9 +2,9 @@
 //!
 //! [`SimnetDriver`] is the simulated-network front-end of the
 //! [`Driver`] trait: it drives the same
-//! [`DmfsgdNode`] state machines held by a [`Session`], but every
-//! protocol step is an actual message with latency (and optionally
-//! loss) through [`dmf_simnet::SimNet`]:
+//! [`DmfsgdNode`](crate::node::DmfsgdNode) state machines held by a
+//! [`Session`], but every protocol step is an actual message with
+//! latency (and optionally loss) through [`dmf_simnet::SimNet`]:
 //!
 //! * **RTT (Algorithm 1)** — node `i` timestamps its probe; the RTT is
 //!   *inferred from the simulated round-trip itself* (reply arrival −
@@ -21,8 +21,26 @@
 //! (see [`Session::leave`]) neither probe nor reply; their timer
 //! chains idle until the slot rejoins.
 //!
-//! [`SimnetRunner`] bundles a private `Session` with a `SimnetDriver`
-//! for the common build-train-evaluate flow; use the driver directly
+//! # Layout: one module per exchange mode
+//!
+//! This module is the driver: construction, the scenario hooks, the
+//! event loop and the per-message handlers (each protocol leg a native
+//! [`Msg`] delivery: ABW always, RTT under
+//! [`ExchangeFidelity::PerMessage`]). Benchmark lane:
+//! `core.runner_permsg_cycles_per_s`.
+//!
+//! `fused` is the default RTT mode, one completion event per probe
+//! cycle: protocol state and steps in one struct that this driver and
+//! [`ShardedSimnetDriver`](crate::sharded::ShardedSimnetDriver) both
+//! embed. Lanes: `core.runner_fused_cycles_per_s`, and `sim-fused` at
+//! 100 k nodes.
+//!
+//! `wire` is [`SimnetDriver::with_wire_version`]: every leg a real
+//! `dmf-proto` datagram. Lanes: `core.runner_wire_v1_cycles_per_s`
+//! (v1) and the `probe-wire` workload (v2).
+//!
+//! `facade` is [`SimnetRunner`], a private `Session` bundled with a
+//! `SimnetDriver` (what those lanes construct); use the driver directly
 //! when the session must outlive the transport (snapshots, mixed
 //! front-ends).
 //!
@@ -39,22 +57,22 @@
 //! the per-pair contexts sit in one table indexed by the prober's
 //! neighbor slot ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
 
-use crate::config::DmfsgdConfig;
+mod facade;
+pub(crate) mod fused;
+mod wire;
+
+pub use facade::{sign_agreement, SimnetRunner};
+pub use wire::WireStats;
+
 use crate::coords::CoordVec;
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
-use crate::node::DmfsgdNode;
-use crate::session::{Driver, Session, SessionBuilder};
+use crate::session::{Driver, Session};
 use dmf_datasets::{Dataset, Metric};
-use dmf_linalg::Matrix;
-use dmf_proto::codec::encode_v2_into;
-use dmf_proto::{
-    decode_any, encode, Block, ContextError, CoordUpdate, DecoderContext, EncoderContext, Message,
-    MessageV2, WireMessage, WireVersion,
-};
-use dmf_simnet::neighbors::NeighborSets;
+use dmf_proto::WireVersion;
 use dmf_simnet::probe::PathloadProber;
 use dmf_simnet::{NetConfig, SimNet};
-use rand::Rng;
+use fused::FusedRtt;
+use wire::Exchange;
 
 /// Protocol messages exchanged by DMFSGD nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,25 +115,6 @@ pub enum Msg {
     ProbeTick,
 }
 
-/// Byte-level statistics of a wire-mode run (see
-/// [`SimnetDriver::with_wire_version`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Datagrams handed to the transport (probes, replies, both
-    /// directions).
-    pub messages_sent: u64,
-    /// Total encoded bytes handed to the transport.
-    pub bytes_sent: u64,
-    /// Datagrams that failed to decode or carried a wrong rank.
-    pub decode_errors: u64,
-    /// v2 deltas dropped because their baseline was no longer held.
-    pub stale_deltas: u64,
-    /// Sequence gaps observed across all per-pair decoder contexts.
-    pub gaps_detected: u64,
-    /// Keyframes sent across all per-pair encoder contexts.
-    pub keyframes_sent: u64,
-}
-
 /// How the driver executes an RTT probe/reply exchange.
 ///
 /// The two modes train on the same measurement stream — an RTT
@@ -152,208 +151,6 @@ pub struct RunnerStats {
     pub measurements_completed: usize,
 }
 
-/// The transport surface the fused RTT protocol needs — satisfied by
-/// both the single-queue [`SimNet`] and the sharded
-/// [`dmf_simnet::ShardedSimNet`], so one implementation of the
-/// protocol (probe firing, exchange completion, timer chaining)
-/// drives both. Deliberately minimal: the fused path never uses
-/// `send`, impairment hooks, or a ground-truth dataset.
-pub(crate) trait RttTransport {
-    /// Schedules a fused round trip departing at `at`; false = lost.
-    fn roundtrip_at(&mut self, from: usize, to: usize, at: f64, msg: Msg) -> bool;
-    /// Schedules a lossless timer after `delay` seconds.
-    fn set_timer(&mut self, node: usize, delay: f64, msg: Msg);
-    /// Schedules a lossless timer at absolute time `at`.
-    fn set_timer_at(&mut self, node: usize, at: f64, msg: Msg);
-}
-
-impl RttTransport for SimNet<Msg> {
-    fn roundtrip_at(&mut self, from: usize, to: usize, at: f64, msg: Msg) -> bool {
-        SimNet::roundtrip_at(self, from, to, at, msg)
-    }
-    fn set_timer(&mut self, node: usize, delay: f64, msg: Msg) {
-        SimNet::set_timer(self, node, delay, msg)
-    }
-    fn set_timer_at(&mut self, node: usize, at: f64, msg: Msg) {
-        SimNet::set_timer_at(self, node, at, msg)
-    }
-}
-
-impl RttTransport for dmf_simnet::ShardedSimNet<Msg> {
-    fn roundtrip_at(&mut self, from: usize, to: usize, at: f64, msg: Msg) -> bool {
-        dmf_simnet::ShardedSimNet::roundtrip_at(self, from, to, at, msg)
-    }
-    fn set_timer(&mut self, node: usize, delay: f64, msg: Msg) {
-        dmf_simnet::ShardedSimNet::set_timer(self, node, delay, msg)
-    }
-    fn set_timer_at(&mut self, node: usize, at: f64, msg: Msg) {
-        dmf_simnet::ShardedSimNet::set_timer_at(self, node, at, msg)
-    }
-}
-
-/// Fused-mode probe departing node `i` at (current or future) time
-/// `tick_at`: draws the neighbor and schedules the round trip. A lost
-/// exchange would break the probe chain, so it falls back to a bare
-/// timer that keeps the probe clock ticking.
-pub(crate) fn fused_fire_probe<N: RttTransport>(
-    net: &mut N,
-    session: &mut Session,
-    stats: &mut RunnerStats,
-    probe_interval_s: f64,
-    i: usize,
-    tick_at: f64,
-) {
-    let j = session.neighbors.sample_neighbor(i, &mut session.rng);
-    stats.probes_sent += 1;
-    if !net.roundtrip_at(i, j, tick_at, Msg::RttExchange { sent_at: tick_at }) {
-        let jitter = 0.9 + 0.2 * session.rng.gen::<f64>();
-        net.set_timer_at(i, tick_at + probe_interval_s * jitter, Msg::ProbeTick);
-    }
-}
-
-/// Re-arms node `i`'s probe timer one jittered interval ahead.
-pub(crate) fn fused_rearm_timer<N: RttTransport>(
-    net: &mut N,
-    session: &mut Session,
-    probe_interval_s: f64,
-    i: usize,
-) {
-    let jitter = 0.9 + 0.2 * session.rng.gen::<f64>();
-    net.set_timer(i, probe_interval_s * jitter, Msg::ProbeTick);
-}
-
-/// Fused steps 2–4 at node `i` (= `to`): the round trip against `j`
-/// (= `from`) just completed at `now`; classify its duration at `tau`,
-/// train against the target's live coordinates, and chain the next
-/// probe.
-#[allow(clippy::too_many_arguments)] // protocol state, not a config bag
-pub(crate) fn fused_on_exchange<N: RttTransport>(
-    net: &mut N,
-    session: &mut Session,
-    stats: &mut RunnerStats,
-    probe_interval_s: f64,
-    tau: f64,
-    now: f64,
-    i: usize,
-    j: usize,
-    sent_at: f64,
-) {
-    if !session.is_alive(i) {
-        // Prober left with the exchange in flight: keep the probe
-        // clock ticking for a future rejoin.
-        fused_rearm_timer(net, session, probe_interval_s, i);
-        return;
-    }
-    if session.is_alive(j) {
-        let rtt_ms = (now - sent_at) * 1000.0;
-        let x = Metric::Rtt.classify(rtt_ms, tau);
-        let params = session.config.sgd;
-        // Disjoint borrows of prober and target (i ≠ j by the
-        // neighbor-set invariant) avoid snapshot copies.
-        let (prober, target) = if i < j {
-            let (lo, hi) = session.nodes.split_at_mut(j);
-            (&mut lo[i], &hi[0])
-        } else {
-            let (lo, hi) = session.nodes.split_at_mut(i);
-            (&mut hi[0], &lo[j])
-        };
-        prober.on_rtt_measurement(x, &target.coords.u, &target.coords.v, &params);
-        session.measurements += 1;
-        stats.measurements_completed += 1;
-    }
-    // Chain node i's next probe directly: one event per probe cycle
-    // instead of a separate timer tick. The next tick nominally fires
-    // at `sent_at + interval`, which lies beyond this completion
-    // whenever the probe interval exceeds one RTT (the Vivaldi-style
-    // regime); if a pathological config makes it land in the past,
-    // fall back to an immediate timer so the schedule only ever
-    // slips, never panics.
-    let jitter = 0.9 + 0.2 * session.rng.gen::<f64>();
-    let t_next = sent_at + probe_interval_s * jitter;
-    if t_next > now {
-        fused_fire_probe(net, session, stats, probe_interval_s, i, t_next);
-    } else {
-        net.set_timer(i, 0.0, Msg::ProbeTick);
-    }
-}
-
-/// One direction of a v2 coordinate stream: the encoder at its sending
-/// end and the decoder at its receiving end.
-#[derive(Debug, Default)]
-struct Stream {
-    enc: EncoderContext,
-    dec: DecoderContext,
-}
-
-/// v2 state of one (prober → target) exchange, both ends of it.
-#[derive(Debug, Default)]
-struct Exchange {
-    /// `(prober, target)` the contexts belong to. Churn can hand a
-    /// neighbor slot to another pair, which then starts afresh.
-    pair: (usize, usize),
-    /// Target → prober: `u ‖ v` in RTT replies, `v` in ABW replies.
-    reply: Stream,
-    /// Prober → target: `u` in ABW probes; RTT probes carry no
-    /// coordinates.
-    probe: Stream,
-}
-
-/// The v2 state of the (prober → target) exchange: `table` has one
-/// entry per neighbor slot. `None` when `target` is not, or no longer,
-/// a neighbor of `prober`.
-fn exchange<'a>(
-    table: &'a mut Vec<Exchange>,
-    neighbors: &NeighborSets,
-    prober: usize,
-    target: usize,
-) -> Option<&'a mut Exchange> {
-    let slot = neighbors.slot(prober, target)?;
-    if table.len() != neighbors.slots() {
-        // First use, or a row changed length and moved every slot.
-        table.clear();
-        table.resize_with(neighbors.slots(), Exchange::default);
-    }
-    let found = &mut table[slot];
-    if found.pair != (prober, target) {
-        *found = Exchange {
-            pair: (prober, target),
-            ..Exchange::default()
-        };
-    }
-    Some(found)
-}
-
-/// Applies a v2 update of `expected` values through `dec`, mapping
-/// refusals onto the wire statistics. A block of another length is
-/// refused before the context sees it: it must not become a baseline,
-/// let alone an acked one. `None` means the update was dropped; after
-/// a stale baseline, recovery rides the next ack's `want_keyframe`.
-fn apply_update(
-    dec: &mut DecoderContext,
-    update: &CoordUpdate,
-    expected: usize,
-    stats: &mut WireStats,
-) -> Option<Block<f64>> {
-    if update.rank() != expected {
-        stats.decode_errors += 1;
-        return None;
-    }
-    let gaps_before = dec.gaps_detected();
-    let applied = dec.apply(update).map(Block::from);
-    stats.gaps_detected += dec.gaps_detected() - gaps_before;
-    match applied {
-        Ok(coords) => Some(coords),
-        Err(ContextError::StaleBaseline { .. }) => {
-            stats.stale_deltas += 1;
-            None
-        }
-        Err(ContextError::RankMismatch { .. }) => {
-            stats.decode_errors += 1;
-            None
-        }
-    }
-}
-
 /// The simulated-network front-end: owns the transport (event queue,
 /// latency/loss model, outstanding-probe bookkeeping) while the
 /// [`Session`] owns the learning state. Advance it with
@@ -361,7 +158,9 @@ fn apply_update(
 pub struct SimnetDriver {
     net: SimNet<Msg>,
     dataset: Dataset,
-    tau: f64,
+    /// Threshold, probe clock and counters, which every mode uses, and
+    /// the fused protocol itself.
+    fused: FusedRtt,
     /// Outstanding RTT probes per probing node: `(target, send time)`,
     /// at most one entry per target — a re-probe overwrites the
     /// timestamp, so a lost reply can never pair a stale entry with a
@@ -370,21 +169,14 @@ pub struct SimnetDriver {
     /// whole run.
     pending_rtt: Vec<Vec<(usize, f64)>>,
     abw_prober: PathloadProber,
-    probe_interval_s: f64,
     fidelity: ExchangeFidelity,
-    /// Whether the per-node probe timers have been seeded (first run
-    /// only — the chains re-arm themselves after that).
-    timers_seeded: bool,
-    /// Simulated seconds one [`Driver::round`] advances.
-    quantum_s: f64,
-    stats: RunnerStats,
     /// When set, every protocol leg travels as encoded `dmf-proto`
     /// bytes ([`Msg::Wire`]) in this version instead of native enum
     /// payloads.
     wire: Option<WireVersion>,
     wire_nonce: u64,
     /// v2 coordinate-stream state, one entry per neighbor slot (see
-    /// [`exchange`]); empty until the first v2 datagram.
+    /// [`wire::exchange`]); empty until the first v2 datagram.
     exchanges: Vec<Exchange>,
     /// Datagram buffers back from delivery, for the next sends.
     free_bufs: Vec<Vec<u8>>,
@@ -416,7 +208,8 @@ impl SimnetDriver {
         tau: f64,
         net_config: NetConfig,
     ) -> Result<Self, DmfsgdError> {
-        ConfigError::check_tau(tau)?;
+        let fused = FusedRtt::new(tau)?;
+        ConfigError::check_loss_probability(net_config.loss_probability)?;
         let n = dataset.len();
         if n != session.len() {
             return Err(MembershipError::ProviderMismatch {
@@ -433,14 +226,10 @@ impl SimnetDriver {
         Ok(Self {
             net,
             dataset,
-            tau,
+            fused,
             pending_rtt: (0..n).map(|_| Vec::with_capacity(4)).collect(),
             abw_prober: PathloadProber::default(),
-            probe_interval_s: 1.0,
             fidelity: ExchangeFidelity::default(),
-            timers_seeded: false,
-            quantum_s: 10.0,
-            stats: RunnerStats::default(),
             wire: None,
             wire_nonce: 0,
             exchanges: Vec::new(),
@@ -451,22 +240,14 @@ impl SimnetDriver {
 
     /// Sets the probe timer period (default 1 s).
     pub fn with_probe_interval(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        let valid = seconds.is_finite() && seconds > 0.0;
-        if !valid {
-            return Err(ConfigError::ProbeInterval { seconds }.into());
-        }
-        self.probe_interval_s = seconds;
+        self.fused.set_probe_interval(seconds)?;
         Ok(self)
     }
 
     /// Sets the simulated seconds one [`Driver::round`] advances
     /// (default 10 s).
     pub fn with_quantum(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        let valid = seconds.is_finite() && seconds > 0.0;
-        if !valid {
-            return Err(ConfigError::Duration { seconds }.into());
-        }
-        self.quantum_s = seconds;
+        self.fused.set_quantum(seconds)?;
         Ok(self)
     }
 
@@ -491,7 +272,7 @@ impl SimnetDriver {
 
     /// Run statistics.
     pub fn stats(&self) -> RunnerStats {
-        self.stats
+        self.fused.stats
     }
 
     /// Byte-level statistics of a wire-mode run (all zeros unless
@@ -515,9 +296,7 @@ impl SimnetDriver {
 
     /// Replaces the message-loss probability (scenario loss epochs).
     pub fn set_loss_probability(&mut self, probability: f64) -> Result<(), DmfsgdError> {
-        if !(0.0..=1.0).contains(&probability) {
-            return Err(ConfigError::LossProbability { probability }.into());
-        }
+        ConfigError::check_loss_probability(probability)?;
         self.net.set_loss_probability(probability);
         Ok(())
     }
@@ -568,13 +347,16 @@ impl SimnetDriver {
     }
 
     /// Multiplies every message leg touching `node` by `factor`
-    /// (straggler injection; `1.0` restores the node).
+    /// (straggler injection; `1.0` restores the node). The factor must
+    /// be finite and positive as the `f32` the network stores: `1e39`
+    /// would round to ∞ and `1e-50` to 0.
     pub fn set_delay_factor(&mut self, node: usize, factor: f64) -> Result<(), DmfsgdError> {
         let n = self.net.len();
         if node >= n {
             return Err(MembershipError::UnknownNode { id: node, slots: n }.into());
         }
-        if !(factor.is_finite() && factor > 0.0) {
+        let stored = factor as f32;
+        if !(stored.is_finite() && stored > 0.0) {
             return Err(ConfigError::DelayFactor { factor }.into());
         }
         self.net.set_delay_factor(node, factor);
@@ -625,79 +407,12 @@ impl SimnetDriver {
         session: &mut Session,
         deadline_s: f64,
     ) -> Result<usize, DmfsgdError> {
-        ConfigError::check_deadline(deadline_s)?;
-        if session.len() != self.net.len() {
-            return Err(MembershipError::ProviderMismatch {
-                provider: self.net.len(),
-                session: session.len(),
-            }
-            .into());
-        }
-        let before = self.stats.measurements_completed;
-        // Seed one probe timer per node on the first call only: every
-        // timer chain re-arms itself, so a resumed run keeps the
-        // configured probe rate instead of stacking a second chain.
-        if !self.timers_seeded {
-            self.timers_seeded = true;
-            let n = self.net.len();
-            for i in 0..n {
-                let offset = session.rng.gen::<f64>() * self.probe_interval_s;
-                self.net.set_timer(i, offset, Msg::ProbeTick);
-            }
-        }
+        self.fused.begin_run(&mut self.net, session, deadline_s)?;
+        let before = self.fused.stats.measurements_completed;
         while let Some((now, delivery)) = self.net.next_delivery_before(deadline_s) {
             self.handle(session, now, delivery.from, delivery.to, delivery.msg);
         }
-        Ok(self.stats.measurements_completed - before)
-    }
-
-    /// Fused-mode probe firing (shared with the sharded driver; see
-    /// [`fused_fire_probe`]).
-    fn fire_fused_probe(&mut self, session: &mut Session, i: usize, tick_at: f64) {
-        fused_fire_probe(
-            &mut self.net,
-            session,
-            &mut self.stats,
-            self.probe_interval_s,
-            i,
-            tick_at,
-        );
-    }
-
-    /// Re-arms node `i`'s probe timer one jittered interval ahead.
-    fn rearm_timer(&mut self, session: &mut Session, i: usize) {
-        fused_rearm_timer(&mut self.net, session, self.probe_interval_s, i);
-    }
-
-    /// Counts and sends one encoded datagram through the simnet.
-    fn send_wire(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
-        self.wire_stats.messages_sent += 1;
-        self.wire_stats.bytes_sent += bytes.len() as u64;
-        self.net.send(from, to, Msg::Wire(bytes));
-    }
-
-    /// A recycled datagram buffer, or a new one roomy enough for any v2
-    /// datagram at an inline rank, so that recycling settles at once.
-    fn take_buf(&mut self) -> Vec<u8> {
-        self.free_bufs
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(96))
-    }
-
-    fn send_v1(&mut self, from: usize, to: usize, msg: &Message) {
-        let mut bytes = self.take_buf();
-        bytes.clear();
-        bytes.extend_from_slice(&encode(msg));
-        self.send_wire(from, to, bytes);
-    }
-
-    fn send_v2(&mut self, from: usize, to: usize, msg: &MessageV2) {
-        if msg.update().is_some_and(|update| update.is_keyframe()) {
-            self.wire_stats.keyframes_sent += 1;
-        }
-        let mut bytes = self.take_buf();
-        encode_v2_into(msg, &mut bytes);
-        self.send_wire(from, to, bytes);
+        Ok(self.fused.stats.measurements_completed - before)
     }
 
     /// Remembers that `i` probed `j` at `now`. One slot per target:
@@ -709,195 +424,6 @@ impl SimnetDriver {
         match pending.iter_mut().find(|(target, _)| *target == j) {
             Some(entry) => entry.1 = now,
             None => pending.push((j, now)),
-        }
-    }
-
-    /// Wire-mode probe firing at node `i`: draw the neighbor, encode
-    /// the probe in the configured version, remember the RTT pending
-    /// entry, and put the bytes on the (lossy, delayed) network.
-    fn fire_wire_probe(&mut self, session: &mut Session, version: WireVersion, i: usize, now: f64) {
-        let j = session.neighbors.sample_neighbor(i, &mut session.rng);
-        self.stats.probes_sent += 1;
-        self.wire_nonce += 1;
-        let nonce = self.wire_nonce;
-        if self.dataset.metric == Metric::Rtt {
-            self.note_rtt_probe(i, j, now);
-        }
-        match (version, self.dataset.metric) {
-            (WireVersion::V1, Metric::Rtt) => self.send_v1(i, j, &Message::RttProbe { nonce }),
-            (WireVersion::V1, Metric::Abw) => {
-                let probe = Message::AbwProbe {
-                    nonce,
-                    rate_mbps: self.tau,
-                    u: session.nodes[i].coords.u.to_vec(),
-                };
-                self.send_v1(i, j, &probe);
-            }
-            (WireVersion::V2, metric) => {
-                let ex = exchange(&mut self.exchanges, &session.neighbors, i, j)
-                    .expect("j was drawn from i's neighbors");
-                let nonce = nonce as u32;
-                let ack = ex.reply.dec.ack();
-                let probe = match metric {
-                    Metric::Rtt => MessageV2::RttProbe { nonce, ack },
-                    Metric::Abw => MessageV2::AbwProbe {
-                        nonce,
-                        rate_mbps: self.tau,
-                        ack,
-                        update: ex.probe.enc.encode(&session.nodes[i].coords.u),
-                    },
-                };
-                self.send_v2(i, j, &probe);
-            }
-        }
-    }
-
-    /// Wire-mode dispatch: decode the datagram and run the same
-    /// Algorithm 1/2 steps as the native handlers, through the codec
-    /// (v1) or the codec plus per-pair contexts (v2). Mirrors the UDP
-    /// agent's dispatch; replies always use the version the probe
-    /// spoke.
-    fn handle_wire(
-        &mut self,
-        session: &mut Session,
-        now: f64,
-        from: usize,
-        to: usize,
-        bytes: &[u8],
-    ) {
-        if !session.is_alive(to) {
-            return;
-        }
-        let msg = match decode_any(bytes) {
-            Ok(msg) => msg,
-            Err(_) => {
-                self.wire_stats.decode_errors += 1;
-                return;
-            }
-        };
-        let rank = session.config.rank;
-        let params = session.config.sgd;
-        match msg {
-            WireMessage::V1(Message::RttProbe { nonce }) => {
-                let (u, v) = session.nodes[to].rtt_reply();
-                let reply = Message::RttReply {
-                    nonce,
-                    u: u.to_vec(),
-                    v: v.to_vec(),
-                };
-                self.send_v1(to, from, &reply);
-            }
-            WireMessage::V1(Message::RttReply { u, v, .. }) => {
-                if u.len() != rank || v.len() != rank {
-                    self.wire_stats.decode_errors += 1;
-                    return;
-                }
-                self.complete_rtt_cycle(session, now, to, from, &u, &v);
-            }
-            WireMessage::V1(Message::AbwProbe { nonce, u, .. }) => {
-                if u.len() != rank {
-                    self.wire_stats.decode_errors += 1;
-                    return;
-                }
-                let Some(x) = self.abw_prober.probe_class(
-                    &self.dataset,
-                    from,
-                    to,
-                    self.tau,
-                    &mut session.rng,
-                ) else {
-                    return;
-                };
-                let v = session.nodes[to].on_abw_probe(x, &u, &params);
-                let reply = Message::AbwReply {
-                    nonce,
-                    x,
-                    v: v.to_vec(),
-                };
-                self.send_v1(to, from, &reply);
-            }
-            WireMessage::V1(Message::AbwReply { x, v, .. }) => {
-                if v.len() != rank {
-                    self.wire_stats.decode_errors += 1;
-                    return;
-                }
-                session.nodes[to].on_abw_reply(x, &v, &params);
-                session.measurements += 1;
-                self.stats.measurements_completed += 1;
-            }
-            WireMessage::V2(MessageV2::RttProbe { nonce, ack }) => {
-                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, from, to) else {
-                    return;
-                };
-                let enc = &mut ex.reply.enc;
-                if let Some(ack) = ack {
-                    enc.on_ack(ack);
-                }
-                // One update block carries u ‖ v under one sequence.
-                let (u, v) = session.nodes[to].rtt_reply();
-                let block: Block<f64> = u.iter().chain(v.iter()).copied().collect();
-                let update = enc.encode(&block);
-                self.send_v2(to, from, &MessageV2::RttReply { nonce, update });
-            }
-            WireMessage::V2(MessageV2::RttReply { update, .. }) => {
-                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, to, from) else {
-                    return;
-                };
-                let dec = &mut ex.reply.dec;
-                let Some(coords) = apply_update(dec, &update, 2 * rank, &mut self.wire_stats)
-                else {
-                    return;
-                };
-                let (u, v) = coords.split_at(rank);
-                self.complete_rtt_cycle(session, now, to, from, u, v);
-            }
-            WireMessage::V2(MessageV2::AbwProbe {
-                nonce, ack, update, ..
-            }) => {
-                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, from, to) else {
-                    return;
-                };
-                if let Some(ack) = ack {
-                    ex.reply.enc.on_ack(ack);
-                }
-                let dec = &mut ex.probe.dec;
-                let Some(u) = apply_update(dec, &update, rank, &mut self.wire_stats) else {
-                    return;
-                };
-                let reply_ack = dec.ack();
-                let Some(x) = self.abw_prober.probe_class(
-                    &self.dataset,
-                    from,
-                    to,
-                    self.tau,
-                    &mut session.rng,
-                ) else {
-                    return;
-                };
-                let v = session.nodes[to].on_abw_probe(x, &u, &params);
-                let reply = MessageV2::AbwReply {
-                    nonce,
-                    x,
-                    ack: reply_ack,
-                    update: ex.reply.enc.encode(&v),
-                };
-                self.send_v2(to, from, &reply);
-            }
-            WireMessage::V2(MessageV2::AbwReply { x, ack, update, .. }) => {
-                let Some(ex) = exchange(&mut self.exchanges, &session.neighbors, to, from) else {
-                    return;
-                };
-                if let Some(ack) = ack {
-                    ex.probe.enc.on_ack(ack);
-                }
-                let dec = &mut ex.reply.dec;
-                let Some(v) = apply_update(dec, &update, rank, &mut self.wire_stats) else {
-                    return;
-                };
-                session.nodes[to].on_abw_reply(x, &v, &params);
-                session.measurements += 1;
-                self.stats.measurements_completed += 1;
-            }
         }
     }
 
@@ -919,50 +445,47 @@ impl SimnetDriver {
         };
         let (_, sent_at) = pending.swap_remove(pos);
         let rtt_ms = (now - sent_at) * 1000.0;
-        let x = Metric::Rtt.classify(rtt_ms, self.tau);
+        let x = Metric::Rtt.classify(rtt_ms, self.fused.tau);
         let params = session.config.sgd;
         session.nodes[i].on_rtt_measurement(x, u, v, &params);
         session.measurements += 1;
-        self.stats.measurements_completed += 1;
+        self.fused.stats.measurements_completed += 1;
     }
 
     fn handle(&mut self, session: &mut Session, now: f64, from: usize, to: usize, msg: Msg) {
         match msg {
             Msg::ProbeTick => {
                 let i = to;
-                // A departed node keeps its timer chain idling (one
-                // cheap self-event per interval) so a rejoined slot
-                // resumes probing without external re-seeding.
-                if !session.is_alive(i) {
-                    self.rearm_timer(session, i);
-                    return;
-                }
-                if let Some(version) = self.wire {
-                    self.fire_wire_probe(session, version, i, now);
-                    self.rearm_timer(session, i);
-                    return;
-                }
-                if self.dataset.metric == Metric::Rtt && self.fidelity == ExchangeFidelity::Fused {
-                    // The whole round trip is one future event (no
-                    // outstanding-probe bookkeeping; the completion
-                    // handler chains the next probe itself).
-                    self.fire_fused_probe(session, i, now);
-                    return;
-                }
-                let j = session.neighbors.sample_neighbor(i, &mut session.rng);
-                self.stats.probes_sent += 1;
-                match self.dataset.metric {
-                    Metric::Rtt => {
-                        self.note_rtt_probe(i, j, now);
-                        self.net.send(i, j, Msg::RttProbe);
-                    }
-                    Metric::Abw => {
-                        let u = session.nodes[i].coords.u.clone();
-                        self.net.send(i, j, Msg::AbwProbe { u });
+                // A departed node only re-arms: its timer chain idles
+                // (one cheap self-event per interval) so a rejoined
+                // slot resumes probing without external re-seeding.
+                if session.is_alive(i) {
+                    if let Some(version) = self.wire {
+                        self.fire_wire_probe(session, version, i, now);
+                    } else if self.dataset.metric == Metric::Rtt
+                        && self.fidelity == ExchangeFidelity::Fused
+                    {
+                        // The whole round trip is one future event,
+                        // whose completion chains the next probe
+                        // itself: no pending entry, no timer.
+                        self.fused.fire(&mut self.net, session, i, now);
+                        return;
+                    } else {
+                        let j = session.neighbors.sample_neighbor(i, &mut session.rng);
+                        self.fused.stats.probes_sent += 1;
+                        match self.dataset.metric {
+                            Metric::Rtt => {
+                                self.note_rtt_probe(i, j, now);
+                                self.net.send(i, j, Msg::RttProbe);
+                            }
+                            Metric::Abw => {
+                                let u = session.nodes[i].coords.u.clone();
+                                self.net.send(i, j, Msg::AbwProbe { u });
+                            }
+                        }
                     }
                 }
-                // Re-arm the timer.
-                self.rearm_timer(session, i);
+                self.fused.rearm(&mut self.net, session, i);
             }
             Msg::Wire(bytes) => {
                 self.handle_wire(session, now, from, to, &bytes);
@@ -979,19 +502,8 @@ impl SimnetDriver {
                 self.net.send(to, from, Msg::RttReply { u, v });
             }
             Msg::RttExchange { sent_at } => {
-                // Fused steps 2–4 at node i (shared with the sharded
-                // driver; see [`fused_on_exchange`]).
-                fused_on_exchange(
-                    &mut self.net,
-                    session,
-                    &mut self.stats,
-                    self.probe_interval_s,
-                    self.tau,
-                    now,
-                    to,
-                    from,
-                    sent_at,
-                );
+                self.fused
+                    .on_exchange(&mut self.net, session, now, to, from, sent_at);
             }
             Msg::RttReply { u, v } => {
                 // Steps 3–4 at node i.
@@ -1006,10 +518,13 @@ impl SimnetDriver {
                 if !session.is_alive(j) {
                     return;
                 }
-                let Some(x) =
-                    self.abw_prober
-                        .probe_class(&self.dataset, i, j, self.tau, &mut session.rng)
-                else {
+                let Some(x) = self.abw_prober.probe_class(
+                    &self.dataset,
+                    i,
+                    j,
+                    self.fused.tau,
+                    &mut session.rng,
+                ) else {
                     return; // pair not in ground truth
                 };
                 let params = session.config.sgd;
@@ -1024,7 +539,7 @@ impl SimnetDriver {
                 let params = session.config.sgd;
                 session.nodes[to].on_abw_reply(x, &v, &params);
                 session.measurements += 1;
-                self.stats.measurements_completed += 1;
+                self.fused.stats.measurements_completed += 1;
             }
         }
     }
@@ -1035,13 +550,10 @@ impl std::fmt::Debug for SimnetDriver {
         f.debug_struct("SimnetDriver")
             .field("nodes", &self.net.len())
             .field("metric", &self.dataset.metric)
-            .field("tau", &self.tau)
-            .field("probe_interval_s", &self.probe_interval_s)
             .field("fidelity", &self.fidelity)
-            .field("quantum_s", &self.quantum_s)
             .field("wire", &self.wire)
             .field("now", &self.net.now())
-            .field("stats", &self.stats)
+            .field("protocol", &self.fused)
             .finish_non_exhaustive()
     }
 }
@@ -1050,265 +562,21 @@ impl Driver for SimnetDriver {
     /// One round = one quantum of simulated time (see
     /// [`with_quantum`](Self::with_quantum)).
     fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError> {
-        let deadline = self.net.now() + self.quantum_s;
+        let deadline = self.net.now() + self.fused.quantum_s;
         self.run_until(session, deadline)
     }
 }
 
-/// A DMFSGD deployment over the simulated network: a [`Session`]
-/// bundled with its [`SimnetDriver`] for the common
-/// build-train-evaluate flow.
-#[derive(Debug)]
-pub struct SimnetRunner {
-    session: Session,
-    driver: SimnetDriver,
-}
-
-impl SimnetRunner {
-    /// Builds a runner over `dataset` (RTT or ABW decides the
-    /// algorithm), classifying at `tau`.
-    ///
-    /// The internal session derives its RNG stream from
-    /// `config.seed ^ 0x5117_babe` — kept from the historical runner
-    /// so simulated runs stay reproducible across releases —
-    /// distinguishing it from an oracle-driven session with the same
-    /// seed.
-    pub fn new(
-        dataset: Dataset,
-        tau: f64,
-        config: DmfsgdConfig,
-        net_config: NetConfig,
-    ) -> Result<Self, DmfsgdError> {
-        let mut session_config = config;
-        session_config.seed ^= 0x5117_babe;
-        let session = SessionBuilder::from_config(session_config)
-            .nodes(dataset.len())
-            .tau(tau)
-            .build()?;
-        let driver = SimnetDriver::new(&session, dataset, net_config)?;
-        Ok(Self { session, driver })
-    }
-
-    /// Sets the probe timer period (default 1 s).
-    pub fn with_probe_interval(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        self.driver = self.driver.with_probe_interval(seconds)?;
-        Ok(self)
-    }
-
-    /// Selects how RTT exchanges execute (default
-    /// [`ExchangeFidelity::Fused`]; ABW always runs per-message).
-    pub fn with_exchange_fidelity(mut self, fidelity: ExchangeFidelity) -> Self {
-        self.driver = self.driver.with_exchange_fidelity(fidelity);
-        self
-    }
-
-    /// Routes every protocol leg through the real `dmf-proto` codec
-    /// (see [`SimnetDriver::with_wire_version`]).
-    pub fn with_wire_version(mut self, version: WireVersion) -> Self {
-        self.driver = self.driver.with_wire_version(version);
-        self
-    }
-
-    /// Byte-level statistics of a wire-mode run (see
-    /// [`SimnetDriver::wire_stats`]).
-    pub fn wire_stats(&self) -> WireStats {
-        self.driver.wire_stats()
-    }
-
-    /// The underlying session (live coordinates, membership, queries).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable access to the underlying session (membership changes
-    /// between runs).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Splits the runner into its session and driver.
-    pub fn into_parts(self) -> (Session, SimnetDriver) {
-        (self.session, self.driver)
-    }
-
-    /// Immutable access to the nodes.
-    pub fn nodes(&self) -> &[DmfsgdNode] {
-        self.session.nodes()
-    }
-
-    /// Run statistics.
-    pub fn stats(&self) -> RunnerStats {
-        self.driver.stats()
-    }
-
-    /// Current simulated time (the timestamp of the last delivered
-    /// event; 0 before the first).
-    pub fn now(&self) -> f64 {
-        self.driver.now()
-    }
-
-    /// Raw predictor score `u_i · v_j`.
-    pub fn raw_score(&self, i: usize, j: usize) -> f64 {
-        self.session.raw_score_unchecked(i, j)
-    }
-
-    /// Materializes all pairwise scores for evaluation as one batched
-    /// `U·Vᵀ` product (bitwise-identical to evaluating
-    /// [`raw_score`](Self::raw_score) per pair, orders of magnitude
-    /// faster at population scale).
-    pub fn predicted_scores(&self) -> Matrix {
-        self.session.predicted_scores()
-    }
-
-    /// [`predicted_scores`](Self::predicted_scores) into an existing
-    /// matrix, reusing its allocation across repeated evaluations.
-    pub fn predicted_scores_into(&self, out: &mut Matrix) {
-        self.session.predicted_scores_into(out);
-    }
-
-    /// Reference implementation of [`predicted_scores`]: one virtual
-    /// per-pair dot at a time. Kept for the equivalence property tests
-    /// and as documentation of the semantics.
-    ///
-    /// [`predicted_scores`]: Self::predicted_scores
-    pub fn predicted_scores_naive(&self) -> Matrix {
-        self.session.predicted_scores_naive()
-    }
-
-    /// Runs the protocol until simulated time `duration_s`, starting
-    /// all probe timers at jittered offsets.
-    ///
-    /// Events scheduled past `duration_s` stay queued: the simulated
-    /// clock never overshoots the deadline, and a later `run_for` with
-    /// a larger deadline picks up exactly where this one stopped.
-    pub fn run_for(&mut self, duration_s: f64) -> Result<usize, DmfsgdError> {
-        let valid = duration_s.is_finite() && duration_s > 0.0;
-        if !valid {
-            return Err(ConfigError::Duration {
-                seconds: duration_s,
-            }
-            .into());
-        }
-        self.driver.run_until(&mut self.session, duration_s)
-    }
-
-    /// Consumes the runner and returns the trained nodes. Evaluation
-    /// works on [`predicted_scores`](Self::predicted_scores) directly.
-    pub fn into_nodes(self) -> Vec<DmfsgdNode> {
-        self.session.into_nodes()
-    }
-}
-
-/// All pairwise scores `u_i · v_j` (diagonal zeroed) as one `U·Vᵀ`
-/// product over coordinate rows packed contiguously.
-pub(crate) fn batched_scores(nodes: &[DmfsgdNode]) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    batched_scores_into(nodes, &mut out);
-    out
-}
-
-/// [`batched_scores`] into an existing matrix, reusing its allocation
-/// (repeated evaluation never re-faults the n² buffer).
-pub(crate) fn batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) {
-    let n = nodes.len();
-    if n == 0 {
-        *out = Matrix::zeros(0, 0);
-        return;
-    }
-    let r = nodes[0].coords.rank();
-    // Fully allocation-free per call: all three operand views (U as
-    // `lhs`, V as `rhs`, the kernels' streamed Vᵀ as `rhs_t`) are
-    // packed into one reusable 64-byte-aligned thread-local scratch
-    // and handed to the packed kernel entry point. Repeated evaluation
-    // (convergence tracking, the repo benchmark) touches the allocator for
-    // nothing but the first call's `out` buffer.
-    dmf_linalg::simd::with_aligned_scratch(3 * n * r, |scratch| {
-        let (ud, rest) = scratch.split_at_mut(n * r);
-        let (vd, vt) = rest.split_at_mut(n * r);
-        for (i, node) in nodes.iter().enumerate() {
-            ud[i * r..(i + 1) * r].copy_from_slice(&node.coords.u);
-            vd[i * r..(i + 1) * r].copy_from_slice(&node.coords.v);
-        }
-        for k in 0..r {
-            for (i, row) in vd.chunks_exact(r).enumerate() {
-                vt[k * n + i] = row[k];
-            }
-        }
-        dmf_linalg::kernels::matmul_nt_packed_into(ud, vd, vt, n, r, n, out);
-    });
-    for i in 0..n {
-        out[(i, i)] = 0.0;
-    }
-}
-
-/// [`batched_scores_into`] through the typed-error matmul surface: a
-/// `u`/`v` rank mismatch comes back as [`DmfsgdError::Shape`], and a
-/// node whose ranks disagree with node 0's as
-/// [`DmfsgdError::Import`] — never a panic. On error `out` is left
-/// untouched. Valid sessions can't fail here, so the infallible
-/// packing above stays the hot path.
-pub(crate) fn try_batched_scores_into(
-    nodes: &[DmfsgdNode],
-    out: &mut Matrix,
-) -> Result<(), DmfsgdError> {
-    let n = nodes.len();
-    if n == 0 {
-        *out = Matrix::zeros(0, 0);
-        return Ok(());
-    }
-    let ru = nodes[0].coords.u.len();
-    let rv = nodes[0].coords.v.len();
-    for (i, node) in nodes.iter().enumerate() {
-        if node.coords.u.len() != ru || node.coords.v.len() != rv {
-            return Err(DmfsgdError::Import(format!(
-                "node {i} coordinate ranks ({}, {}) differ from node 0's ({ru}, {rv})",
-                node.coords.u.len(),
-                node.coords.v.len()
-            )));
-        }
-    }
-    let mut ud = Vec::with_capacity(n * ru);
-    let mut vd = Vec::with_capacity(n * rv);
-    for node in nodes {
-        ud.extend_from_slice(&node.coords.u);
-        vd.extend_from_slice(&node.coords.v);
-    }
-    let u = Matrix::from_vec(n, ru, ud);
-    let v = Matrix::from_vec(n, rv, vd);
-    u.try_matmul_nt_into(&v, out)?;
-    for i in 0..n {
-        out[(i, i)] = 0.0;
-    }
-    Ok(())
-}
-
-/// Fraction of ordered pairs on which an oracle-trained session and a
-/// simnet-trained runner predict the same class — the
-/// cross-front-end agreement metric (pinned by
-/// `tests/decentralization.rs`).
-pub fn sign_agreement(session: &Session, runner: &SimnetRunner) -> f64 {
-    let n = session.len().min(runner.nodes().len());
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            total += 1;
-            if (session.raw_score_unchecked(i, j) >= 0.0) == (runner.raw_score(i, j) >= 0.0) {
-                agree += 1;
-            }
-        }
-    }
-    agree as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
+    use super::wire::exchange;
     use super::*;
+    use crate::config::DmfsgdConfig;
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
+    use dmf_linalg::Matrix;
+    use dmf_proto::codec::encode_v2_into;
+    use dmf_proto::{EncoderContext, MessageV2};
 
     fn sign_accuracy(runner: &SimnetRunner, class: &dmf_datasets::ClassMatrix) -> f64 {
         let mut ok = 0usize;
@@ -1506,6 +774,19 @@ mod tests {
             SimnetRunner::new(d.clone(), tau, small, NetConfig::default()).unwrap_err(),
             DmfsgdError::Config(ConfigError::TooFewNodes { .. })
         ));
+        // A loss level the mid-run hook would refuse is refused at
+        // construction too: 1.5 would drop everything, NaN nothing.
+        for loss_probability in [1.5, f64::NAN] {
+            let lossy = NetConfig {
+                loss_probability,
+                ..NetConfig::default()
+            };
+            assert!(matches!(
+                SimnetRunner::new(d.clone(), tau, DmfsgdConfig::paper_defaults(), lossy)
+                    .unwrap_err(),
+                DmfsgdError::Config(ConfigError::LossProbability { .. })
+            ));
+        }
         let runner = SimnetRunner::new(
             d.clone(),
             tau,
@@ -1692,6 +973,13 @@ mod tests {
             driver.set_delay_factor(0, 0.0).unwrap_err(),
             DmfsgdError::Config(ConfigError::DelayFactor { .. })
         ));
+        // Valid as `f64`, ∞ / 0 as the `f32` the network stores.
+        for factor in [1e39, 1e-50] {
+            assert!(matches!(
+                driver.set_delay_factor(0, factor).unwrap_err(),
+                DmfsgdError::Config(ConfigError::DelayFactor { .. })
+            ));
+        }
         assert!(matches!(
             driver.set_delay_factor(99, 2.0).unwrap_err(),
             DmfsgdError::Membership(MembershipError::UnknownNode { .. })

@@ -292,13 +292,15 @@ impl Session {
     /// their last coordinates. Prefer the incremental queries for
     /// serving; this is for offline ROC/AUC computation.
     pub fn predicted_scores(&self) -> Matrix {
-        crate::runner::batched_scores(&self.nodes)
+        let mut out = Matrix::zeros(0, 0);
+        batched_scores_into(&self.nodes, &mut out);
+        out
     }
 
     /// [`predicted_scores`](Self::predicted_scores) into an existing
     /// matrix, reusing its allocation across repeated evaluations.
     pub fn predicted_scores_into(&self, out: &mut Matrix) {
-        crate::runner::batched_scores_into(&self.nodes, out);
+        batched_scores_into(&self.nodes, out);
     }
 
     /// Fallible [`predicted_scores`](Self::predicted_scores): routes
@@ -318,7 +320,7 @@ impl Session {
     /// existing matrix, reusing its allocation. On error the output is
     /// left untouched.
     pub fn try_predicted_scores_into(&self, out: &mut Matrix) -> Result<(), DmfsgdError> {
-        crate::runner::try_batched_scores_into(&self.nodes, out)
+        try_batched_scores_into(&self.nodes, out)
     }
 
     /// Reference implementation of
@@ -965,6 +967,80 @@ impl<P: MeasurementProvider> Driver for OracleDriver<P> {
     fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError> {
         session.run(self.ticks_per_round, &mut self.provider)
     }
+}
+
+/// All pairwise scores `u_i · v_j` (diagonal zeroed) as one `U·Vᵀ`
+/// product over coordinate rows packed contiguously, into an existing
+/// matrix whose allocation is reused (repeated evaluation never
+/// re-faults the n² buffer).
+fn batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) {
+    let n = nodes.len();
+    if n == 0 {
+        *out = Matrix::zeros(0, 0);
+        return;
+    }
+    let r = nodes[0].coords.rank();
+    // Fully allocation-free per call: all three operand views (U as
+    // `lhs`, V as `rhs`, the kernels' streamed Vᵀ as `rhs_t`) are
+    // packed into one reusable 64-byte-aligned thread-local scratch
+    // and handed to the packed kernel entry point. Repeated evaluation
+    // (convergence tracking, the repo benchmark) touches the allocator for
+    // nothing but the first call's `out` buffer.
+    dmf_linalg::simd::with_aligned_scratch(3 * n * r, |scratch| {
+        let (ud, rest) = scratch.split_at_mut(n * r);
+        let (vd, vt) = rest.split_at_mut(n * r);
+        for (i, node) in nodes.iter().enumerate() {
+            ud[i * r..(i + 1) * r].copy_from_slice(&node.coords.u);
+            vd[i * r..(i + 1) * r].copy_from_slice(&node.coords.v);
+        }
+        for k in 0..r {
+            for (i, row) in vd.chunks_exact(r).enumerate() {
+                vt[k * n + i] = row[k];
+            }
+        }
+        dmf_linalg::kernels::matmul_nt_packed_into(ud, vd, vt, n, r, n, out);
+    });
+    for i in 0..n {
+        out[(i, i)] = 0.0;
+    }
+}
+
+/// [`batched_scores_into`] through the typed-error matmul surface: a
+/// `u`/`v` rank mismatch comes back as [`DmfsgdError::Shape`], and a
+/// node whose ranks disagree with node 0's as
+/// [`DmfsgdError::Import`] — never a panic. On error `out` is left
+/// untouched. Valid sessions can't fail here, so the infallible
+/// packing above stays the hot path.
+fn try_batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) -> Result<(), DmfsgdError> {
+    let n = nodes.len();
+    if n == 0 {
+        *out = Matrix::zeros(0, 0);
+        return Ok(());
+    }
+    let ru = nodes[0].coords.u.len();
+    let rv = nodes[0].coords.v.len();
+    for (i, node) in nodes.iter().enumerate() {
+        if node.coords.u.len() != ru || node.coords.v.len() != rv {
+            return Err(DmfsgdError::Import(format!(
+                "node {i} coordinate ranks ({}, {}) differ from node 0's ({ru}, {rv})",
+                node.coords.u.len(),
+                node.coords.v.len()
+            )));
+        }
+    }
+    let mut ud = Vec::with_capacity(n * ru);
+    let mut vd = Vec::with_capacity(n * rv);
+    for node in nodes {
+        ud.extend_from_slice(&node.coords.u);
+        vd.extend_from_slice(&node.coords.v);
+    }
+    let u = Matrix::from_vec(n, ru, ud);
+    let v = Matrix::from_vec(n, rv, vd);
+    u.try_matmul_nt_into(&v, out)?;
+    for i in 0..n {
+        out[(i, i)] = 0.0;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

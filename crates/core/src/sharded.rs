@@ -3,10 +3,11 @@
 //!
 //! [`ShardedSimnetDriver`] drives the same fused RTT protocol as
 //! [`SimnetDriver`](crate::runner::SimnetDriver) — literally the same
-//! code, via the crate-internal transport trait the fused handlers are
-//! generic over — but through a [`ShardedSimNet`], whose per-island
-//! delay tables keep memory linear in the population instead of
-//! quadratic. Two deliberate scope cuts against the full driver:
+//! code: both embed `runner::fused`'s protocol struct, which takes the
+//! `SimNet` either layout is — but through a [`ShardedSimNet`], whose
+//! per-island delay tables keep memory linear in the population
+//! instead of quadratic. Two deliberate scope cuts against the full
+//! driver:
 //!
 //! * **RTT, fused fidelity only.** The per-message and ABW paths need
 //!   a ground-truth [`Dataset`](dmf_datasets::Dataset) at the target
@@ -14,8 +15,9 @@
 //!   `n × n` object — the very thing sharding removes. The fused RTT
 //!   path measures the *simulated network itself*, so no dataset ever
 //!   materializes.
-//! * **No impairment hooks.** Scale workloads are partition-free;
-//!   [`ShardedSimNet`] does not expose partitions or stragglers.
+//! * **No impairment hooks.** The k-island layout has loss levels,
+//!   partitions and stragglers (not re-embedding), but the scale
+//!   workloads are impairment-free, so this driver forwards none.
 //!
 //! Determinism carries over unchanged: the sharded net delivers from
 //! one event queue in the order a single net would (pinned by
@@ -30,7 +32,8 @@
 //! a dozen cache lines of it that nothing before it touched: handled
 //! one at a time, the loop spends four fifths of its wall waiting on
 //! those misses. But the queue's head bucket is sorted, so the next
-//! ~100 deliveries are known ([`ShardedSimNet::upcoming`]), and with
+//! ~100 deliveries are known
+//! ([`SimNet::upcoming`](dmf_simnet::SimNet::upcoming)), and with
 //! them exactly which lines they will need. After each pop the loop
 //! therefore advances three later deliveries one stage each:
 //!
@@ -56,11 +59,11 @@
 //! populations fit in the L2 cache.
 
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
-use crate::runner::{fused_fire_probe, fused_on_exchange, fused_rearm_timer, Msg, RunnerStats};
+use crate::runner::fused::FusedRtt;
+use crate::runner::{Msg, RunnerStats};
 use crate::session::{Driver, Session};
 use dmf_linalg::simd::prefetch;
 use dmf_simnet::ShardedSimNet;
-use rand::Rng;
 
 /// The sharded-network front-end of the [`Driver`] trait: owns a
 /// [`ShardedSimNet`] transport while the [`Session`] owns the learning
@@ -68,11 +71,7 @@ use rand::Rng;
 /// [`Driver::round`].
 pub struct ShardedSimnetDriver {
     net: ShardedSimNet<Msg>,
-    tau: f64,
-    probe_interval_s: f64,
-    timers_seeded: bool,
-    quantum_s: f64,
-    stats: RunnerStats,
+    fused: FusedRtt,
 }
 
 impl ShardedSimnetDriver {
@@ -95,7 +94,7 @@ impl ShardedSimnetDriver {
         net: ShardedSimNet<Msg>,
         tau: f64,
     ) -> Result<Self, DmfsgdError> {
-        ConfigError::check_tau(tau)?;
+        let fused = FusedRtt::new(tau)?;
         if net.len() != session.len() {
             return Err(MembershipError::ProviderMismatch {
                 provider: net.len(),
@@ -103,40 +102,25 @@ impl ShardedSimnetDriver {
             }
             .into());
         }
-        Ok(Self {
-            net,
-            tau,
-            probe_interval_s: 1.0,
-            timers_seeded: false,
-            quantum_s: 10.0,
-            stats: RunnerStats::default(),
-        })
+        Ok(Self { net, fused })
     }
 
     /// Sets the probe timer period (default 1 s).
     pub fn with_probe_interval(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        let valid = seconds.is_finite() && seconds > 0.0;
-        if !valid {
-            return Err(ConfigError::ProbeInterval { seconds }.into());
-        }
-        self.probe_interval_s = seconds;
+        self.fused.set_probe_interval(seconds)?;
         Ok(self)
     }
 
     /// Sets the simulated seconds one [`Driver::round`] advances
     /// (default 10 s).
     pub fn with_quantum(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        let valid = seconds.is_finite() && seconds > 0.0;
-        if !valid {
-            return Err(ConfigError::Duration { seconds }.into());
-        }
-        self.quantum_s = seconds;
+        self.fused.set_quantum(seconds)?;
         Ok(self)
     }
 
     /// Run statistics.
     pub fn stats(&self) -> RunnerStats {
-        self.stats
+        self.fused.stats
     }
 
     /// Current simulated time (the timestamp of the last delivered
@@ -162,60 +146,28 @@ impl ShardedSimnetDriver {
         session: &mut Session,
         deadline_s: f64,
     ) -> Result<usize, DmfsgdError> {
-        ConfigError::check_deadline(deadline_s)?;
-        if session.len() != self.net.len() {
-            return Err(MembershipError::ProviderMismatch {
-                provider: self.net.len(),
-                session: session.len(),
-            }
-            .into());
-        }
-        let before = self.stats.measurements_completed;
-        if !self.timers_seeded {
-            self.timers_seeded = true;
-            let n = self.net.len();
-            for i in 0..n {
-                let offset = session.rng.gen::<f64>() * self.probe_interval_s;
-                self.net.set_timer(i, offset, Msg::ProbeTick);
-            }
-        }
+        self.fused.begin_run(&mut self.net, session, deadline_s)?;
+        let before = self.fused.stats.measurements_completed;
         while let Some((now, delivery)) = self.net.next_delivery_before(deadline_s) {
             prefetch_upcoming(&self.net, session);
             match delivery.msg {
+                Msg::ProbeTick if !session.is_alive(delivery.to) => {
+                    self.fused.rearm(&mut self.net, session, delivery.to);
+                }
                 Msg::ProbeTick => {
-                    let i = delivery.to;
-                    if !session.is_alive(i) {
-                        fused_rearm_timer(&mut self.net, session, self.probe_interval_s, i);
-                        continue;
-                    }
-                    fused_fire_probe(
-                        &mut self.net,
-                        session,
-                        &mut self.stats,
-                        self.probe_interval_s,
-                        i,
-                        now,
-                    );
+                    self.fused.fire(&mut self.net, session, delivery.to, now);
                 }
                 Msg::RttExchange { sent_at } => {
-                    fused_on_exchange(
-                        &mut self.net,
-                        session,
-                        &mut self.stats,
-                        self.probe_interval_s,
-                        self.tau,
-                        now,
-                        delivery.to,
-                        delivery.from,
-                        sent_at,
-                    );
+                    let (i, j) = (delivery.to, delivery.from);
+                    self.fused
+                        .on_exchange(&mut self.net, session, now, i, j, sent_at);
                 }
                 // This driver only ever schedules ticks and fused
                 // exchanges; nothing else can come back out.
                 other => unreachable!("sharded driver delivered {other:?}"),
             }
         }
-        Ok(self.stats.measurements_completed - before)
+        Ok(self.fused.stats.measurements_completed - before)
     }
 }
 
@@ -255,11 +207,8 @@ impl std::fmt::Debug for ShardedSimnetDriver {
         f.debug_struct("ShardedSimnetDriver")
             .field("nodes", &self.net.len())
             .field("islands", &self.net.islands())
-            .field("tau", &self.tau)
-            .field("probe_interval_s", &self.probe_interval_s)
-            .field("quantum_s", &self.quantum_s)
             .field("now", &self.net.now())
-            .field("stats", &self.stats)
+            .field("protocol", &self.fused)
             .finish_non_exhaustive()
     }
 }
@@ -268,7 +217,7 @@ impl Driver for ShardedSimnetDriver {
     /// One round = one quantum of simulated time (see
     /// [`with_quantum`](Self::with_quantum)).
     fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError> {
-        let deadline = self.net.now() + self.quantum_s;
+        let deadline = self.net.now() + self.fused.quantum_s;
         self.run_until(session, deadline)
     }
 }

@@ -9,17 +9,19 @@
 //!
 //! * [`event`] — a deterministic future-event list (time-ordered,
 //!   FIFO-stable for ties).
-//! * [`net`] — [`net::SimNet`], a message-passing network whose one-way
-//!   delays derive from an RTT ground truth, with optional packet loss
-//!   (fault injection in the spirit of the smoltcp examples).
+//! * [`net`] — [`net::SimNet`], the one link model: a message-passing
+//!   network whose one-way delays derive from an RTT ground truth,
+//!   with jitter, optional packet loss (fault injection in the spirit
+//!   of the smoltcp examples), partitions and stragglers, over islands
+//!   of delay table + RNG stream sharing one event queue. Its own
+//!   constructors build the dense layout (one island).
 //! * [`probe`] — measurement tools: a ping-style RTT prober, a
 //!   pathload-style binary ABW class prober (UDP train at rate `τ`:
 //!   congestion or not), and a pathchirp-style coarse quantity prober
 //!   with underestimation bias (paper §3.1–3.2).
-//! * [`shard`] — [`shard::ShardedSimNet`], the same message model
-//!   with per-island delay tables and RNG streams over one event
-//!   queue, for 10k–100k-node populations where one dense delay
-//!   table stops fitting.
+//! * [`shard`] — [`shard::ShardedSimNet`], the k-island layout of the
+//!   same struct (two constructors and a `Deref`), for 10k–100k-node
+//!   populations where one dense delay table stops fitting.
 //! * [`errors`] — the four erroneous-label models of §6.3 plus the
 //!   δ/p calibration that reproduces Table 3.
 //! * [`neighbors`] — random `k`-neighbor sets (the Vivaldi-style

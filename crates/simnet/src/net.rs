@@ -1,4 +1,4 @@
-//! Message-passing network simulation.
+//! Message-passing network simulation: one link model, two layouts.
 //!
 //! [`SimNet`] delivers opaque messages between nodes with one-way
 //! delays derived from the RTT ground truth (half the pair RTT, plus
@@ -7,6 +7,16 @@
 //! deployment behaves — a probe is a message exchange taking real time,
 //! a reply can be lost — so the DMFSGD node logic that runs on top of
 //! it transfers unchanged to the UDP agents in `dmf-agent`.
+//!
+//! Everything a message meets on its way — table lookup, partition
+//! cut, per-leg loss draw, straggler factor, jitter draw, the
+//! in-flight accounting — is written here once, over a population
+//! stored as contiguous *islands* (a delay table plus an RNG stream
+//! each) sharing one event queue. The constructors on [`SimNet`] build
+//! the **dense** layout, one island holding the full `n × n` table;
+//! [`ShardedSimNet`](crate::ShardedSimNet)'s build the **k-island**
+//! layout of the same struct, whose cross-island pairs travel at the
+//! default delay (see [`crate::shard`] for why and what it costs).
 
 use crate::event::{EventQueue, Lane, SimTime};
 use dmf_datasets::Dataset;
@@ -73,26 +83,21 @@ pub struct NetStats {
 /// on every message. Banking the companion halves the transcendental
 /// cost of the single hottest sampler in a simulated run while
 /// drawing from exactly the same distribution.
-pub(crate) struct JitterSampler {
+struct JitterSampler {
     sigma: f64,
     banked: Option<f64>,
 }
 
 impl JitterSampler {
-    pub(crate) fn new(sigma: f64) -> Self {
+    fn new(sigma: f64) -> Self {
         Self {
             sigma,
             banked: None,
         }
     }
 
-    /// The log-normal sigma this sampler was built with.
-    pub(crate) fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     #[inline]
-    pub(crate) fn sample(&mut self, rng: &mut ChaCha8Rng) -> f64 {
+    fn sample(&mut self, rng: &mut ChaCha8Rng) -> f64 {
         let z = match self.banked.take() {
             Some(z) => z,
             None => {
@@ -109,22 +114,56 @@ impl JitterSampler {
     }
 }
 
-/// The simulated network: an event queue plus a latency/loss model,
-/// with mid-run impairment hooks (loss level, partitions, stragglers,
-/// delay re-embedding) for non-stationary scenarios.
-pub struct SimNet<M> {
-    queue: EventQueue<Delivery<M>>,
-    /// One-way delays in seconds, `n × n`, derived from the dataset.
-    /// Stored as `f32`: delays are physical quantities good to well
-    /// under a relative 1e-7, and halving the table keeps the whole
-    /// simulation working set L2-resident at population scale — the
-    /// two random-indexed delay lookups per probe cycle are the
-    /// hottest memory accesses in a run.
+/// What a layout splits: one island's `m × m` one-way delay table
+/// (seconds, row-major over *local* ids) and the RNG stream its
+/// senders draw loss and jitter from. An island owns no events.
+///
+/// Delays are stored as `f32`: they are physical quantities good to
+/// well under a relative 1e-7, and halving the table keeps the whole
+/// simulation working set L2-resident at population scale — the two
+/// random-indexed delay lookups per probe cycle are the hottest memory
+/// accesses in a run.
+struct Island {
     one_way_delay: Vec<f32>,
-    n: usize,
-    config: NetConfig,
+    m: usize,
     rng: ChaCha8Rng,
     jitter: JitterSampler,
+}
+
+impl Island {
+    /// One per-leg loss decision (no draw at all on a loss-free
+    /// network).
+    #[inline]
+    fn draw_loss(&mut self, loss_probability: f64) -> bool {
+        loss_probability > 0.0 && self.rng.gen::<f64>() < loss_probability
+    }
+
+    /// One multiplicative jitter factor (exactly `1.0`, with no RNG
+    /// draw, when jitter is disabled).
+    #[inline]
+    fn draw_jitter(&mut self) -> f64 {
+        if self.jitter.sigma > 0.0 {
+            self.jitter.sample(&mut self.rng)
+        } else {
+            1.0
+        }
+    }
+}
+
+/// The simulated network: an event queue plus a latency/loss model,
+/// with mid-run impairment hooks (loss level, partitions, stragglers,
+/// delay re-embedding) for non-stationary scenarios. Node ids are
+/// global (`0..n`); island membership is by contiguous range.
+pub struct SimNet<M> {
+    queue: EventQueue<Delivery<M>>,
+    islands: Vec<Island>,
+    island_size: usize,
+    n: usize,
+    /// One-way delay between islands: the configured default, rounded
+    /// through `f32` like every table entry, so a cross-island leg
+    /// costs bit-exactly what the same pair would in a dense table.
+    cross_delay_s: f64,
+    loss_probability: f64,
     stats: NetStats,
     in_flight_non_timer: usize,
     /// Partition classes: a message passes only between nodes of
@@ -141,9 +180,8 @@ impl<M> SimNet<M> {
     /// seconds). Pairs the dataset does not cover use the configured
     /// default delay.
     pub fn from_rtt_dataset(dataset: &Dataset, config: NetConfig) -> Self {
-        let n = dataset.len();
-        let table = vec![config.default_one_way_delay_s as f32; n * n];
-        let mut net = Self::with_delays(n, table, config);
+        let default = config.default_one_way_delay_s;
+        let mut net = Self::uniform(dataset.len(), default, config);
         // One conversion path: construction IS a delay re-embedding
         // onto a default-filled table, so the two can never drift.
         net.set_one_way_delays_from_rtt(dataset);
@@ -153,41 +191,67 @@ impl<M> SimNet<M> {
     /// Builds a network with a uniform one-way delay (useful for unit
     /// tests of protocol logic).
     pub fn uniform(n: usize, one_way_delay_s: f64, config: NetConfig) -> Self {
-        Self::with_delays(n, vec![one_way_delay_s as f32; n * n], config)
+        Self::from_delay_fn(n, config, |_, _| one_way_delay_s)
     }
 
     /// Builds a network whose one-way delays come from `delay_s(i, j)`
     /// (seconds), evaluated in row-major order. This is the
-    /// dataset-free constructor: synthetic topologies (the 10k/100k
-    /// scale workloads) embed a delay model directly instead of
-    /// materializing an `n × n` ground-truth matrix first.
+    /// dataset-free constructor: synthetic topologies embed a delay
+    /// model directly instead of materializing an `n × n` ground-truth
+    /// matrix first.
     pub fn from_delay_fn(
         n: usize,
         config: NetConfig,
-        mut delay_s: impl FnMut(usize, usize) -> f64,
+        delay_s: impl FnMut(usize, usize) -> f64,
     ) -> Self {
-        let mut table = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                table.push(delay_s(i, j) as f32);
-            }
-        }
-        Self::with_delays(n, table, config)
+        // Steady state holds ~1 timer per node plus the in-flight
+        // messages; reserving up front keeps the hot loop
+        // allocation-free from the first delivery.
+        Self::with_layout(n, 1, 4 * n + 16, config, delay_s)
     }
 
-    fn with_delays(n: usize, one_way_delay: Vec<f32>, config: NetConfig) -> Self {
-        assert_eq!(one_way_delay.len(), n * n, "delay table shape mismatch");
-        let rng = ChaCha8Rng::seed_from_u64(config.seed);
+    /// The one constructor: `n` nodes in `⌈n / s⌉` islands of
+    /// `s = ⌈n / islands⌉` consecutive ids (the last may be shorter;
+    /// none is empty), each table filled from `delay_s` over **global**
+    /// ids, island by island and row-major within each. Island `k`
+    /// seeds its stream from `config.seed` offset by `k`, so island 0 —
+    /// the dense layout's only one — draws from `config.seed` itself.
+    pub(crate) fn with_layout(
+        n: usize,
+        islands: usize,
+        queue_capacity: usize,
+        config: NetConfig,
+        mut delay_s: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
+        let island_size = n.div_ceil(islands).max(1);
+        let islands = (0..n.div_ceil(island_size))
+            .map(|k| {
+                let start = k * island_size;
+                let m = island_size.min(n - start);
+                let mut one_way_delay = Vec::with_capacity(m * m);
+                for i in start..start + m {
+                    for j in start..start + m {
+                        one_way_delay.push(delay_s(i, j) as f32);
+                    }
+                }
+                let seed = config
+                    .seed
+                    .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Island {
+                    one_way_delay,
+                    m,
+                    rng: ChaCha8Rng::seed_from_u64(seed),
+                    jitter: JitterSampler::new(config.delay_jitter_sigma),
+                }
+            })
+            .collect();
         Self {
-            // Steady state holds ~1 timer per node plus the in-flight
-            // messages; reserving up front keeps the hot loop
-            // allocation-free from the first delivery.
-            queue: EventQueue::with_capacity(4 * n + 16),
-            one_way_delay,
+            queue: EventQueue::with_capacity(queue_capacity),
+            islands,
+            island_size,
             n,
-            jitter: JitterSampler::new(config.delay_jitter_sigma),
-            config,
-            rng,
+            cross_delay_s: f64::from(config.default_one_way_delay_s as f32),
+            loss_probability: config.loss_probability,
             stats: NetStats::default(),
             in_flight_non_timer: 0,
             partition_class: Vec::new(),
@@ -195,7 +259,7 @@ impl<M> SimNet<M> {
         }
     }
 
-    /// Number of nodes.
+    /// Number of nodes (across all islands).
     pub fn len(&self) -> usize {
         self.n
     }
@@ -203,6 +267,20 @@ impl<M> SimNet<M> {
     /// True when the network has no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Number of islands (1 for the dense layout).
+    pub fn islands(&self) -> usize {
+        self.islands.len()
+    }
+
+    /// The island a global node id belongs to.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range id.
+    pub fn island_of(&self, node: usize) -> usize {
+        assert!(node < self.n, "node id out of range");
+        node / self.island_size
     }
 
     /// Current simulated time in seconds.
@@ -227,12 +305,12 @@ impl<M> SimNet<M> {
             (0.0..=1.0).contains(&p),
             "loss probability {p} out of [0, 1]"
         );
-        self.config.loss_probability = p;
+        self.loss_probability = p;
     }
 
     /// The message-loss probability currently in force.
     pub fn loss_probability(&self) -> f64 {
-        self.config.loss_probability
+        self.loss_probability
     }
 
     /// Partitions the network into one island: `island` nodes can no
@@ -304,20 +382,23 @@ impl<M> SimNet<M> {
     /// multiplicatively; `1.0` restores the node.
     ///
     /// # Panics
-    /// Panics on an out-of-range id or a non-positive factor.
+    /// Panics on an out-of-range id, or a factor that is not finite
+    /// and positive *as stored* (`f32`: `1e39` would round to ∞ and
+    /// `1e-50` to 0, and a leg of either never arrives).
     pub fn set_delay_factor(&mut self, node: usize, factor: f64) {
         assert!(node < self.n, "node id out of range");
+        let stored = factor as f32;
         assert!(
-            factor.is_finite() && factor > 0.0,
+            stored.is_finite() && stored > 0.0,
             "delay factor must be positive (got {factor})"
         );
         if self.delay_factor.is_empty() {
-            if factor == 1.0 {
+            if stored == 1.0 {
                 return;
             }
             self.delay_factor = vec![1.0; self.n];
         }
-        self.delay_factor[node] = factor as f32;
+        self.delay_factor[node] = stored;
     }
 
     /// Rebuilds the one-way delay table from a new RTT ground truth in
@@ -331,48 +412,56 @@ impl<M> SimNet<M> {
     /// drift and congestion scenarios use.
     ///
     /// # Panics
-    /// Panics when the dataset covers a different node count.
+    /// Panics when the dataset covers a different node count, or on a
+    /// k-island layout: a dense truth names cross-island pairs, which
+    /// that layout has no table for.
     pub fn set_one_way_delays_from_rtt(&mut self, dataset: &Dataset) {
         assert_eq!(dataset.len(), self.n, "delay table shape mismatch");
-        self.one_way_delay
-            .fill(self.config.default_one_way_delay_s as f32);
-        for (i, j) in dataset.mask.iter_known() {
-            self.one_way_delay[i * self.n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
-        }
-    }
-
-    /// The combined straggler factor on the leg `from → to`.
-    #[inline]
-    fn leg_factor(&self, from: usize, to: usize) -> f64 {
-        if self.delay_factor.is_empty() {
-            1.0
-        } else {
-            f64::from(self.delay_factor[from]) * f64::from(self.delay_factor[to])
-        }
-    }
-
-    /// Sends `msg` from `from` to `to`. The message is subject to
-    /// loss, partitions and delay jitter.
-    pub fn send(&mut self, from: usize, to: usize, msg: M) {
-        assert!(from < self.n && to < self.n, "node id out of range");
-        self.stats.sent += 1;
-        if self.is_cut(from, to) {
-            self.stats.dropped += 1;
+        assert!(
+            self.islands.len() <= 1,
+            "re-embedding a dense RTT truth needs the dense layout"
+        );
+        let Some(island) = self.islands.first_mut() else {
             return;
-        }
-        // Loss-free networks skip the loss draw entirely.
-        if self.config.loss_probability > 0.0
-            && self.rng.gen::<f64>() < self.config.loss_probability
-        {
-            self.stats.dropped += 1;
-            return;
-        }
-        let base = f64::from(self.one_way_delay[from * self.n + to]) * self.leg_factor(from, to);
-        let jitter = if self.config.delay_jitter_sigma > 0.0 {
-            self.jitter.sample(&mut self.rng)
-        } else {
-            1.0
         };
+        island.one_way_delay.fill(self.cross_delay_s as f32);
+        for (i, j) in dataset.mask.iter_known() {
+            island.one_way_delay[i * self.n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
+        }
+    }
+
+    /// One-way delay of the leg `from → to` (`sf`, `st` their
+    /// islands), in seconds: the island's table entry or the
+    /// cross-island default, times both endpoints' straggler factors.
+    #[inline]
+    fn leg_delay_s(&self, sf: usize, st: usize, from: usize, to: usize) -> f64 {
+        let base = if sf == st {
+            let (island, start) = (&self.islands[sf], sf * self.island_size);
+            f64::from(island.one_way_delay[(from - start) * island.m + (to - start)])
+        } else {
+            self.cross_delay_s
+        };
+        if self.delay_factor.is_empty() {
+            base
+        } else {
+            base * (f64::from(self.delay_factor[from]) * f64::from(self.delay_factor[to]))
+        }
+    }
+
+    /// Sends `msg` from `from` to `to`, subject to partitions, then
+    /// loss and jitter drawn from the *sender's* island stream.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range node id.
+    pub fn send(&mut self, from: usize, to: usize, msg: M) {
+        let (sf, st) = (self.island_of(from), self.island_of(to));
+        self.stats.sent += 1;
+        if self.is_cut(from, to) || self.islands[sf].draw_loss(self.loss_probability) {
+            self.stats.dropped += 1;
+            return;
+        }
+        let base = self.leg_delay_s(sf, st, from, to);
+        let jitter = self.islands[sf].draw_jitter();
         self.in_flight_non_timer += 1;
         self.queue
             .schedule_after(base * jitter, Delivery { from, to, msg });
@@ -392,7 +481,7 @@ impl<M> SimNet<M> {
     /// Schedules a lossless timer for `node` at absolute time `at`.
     ///
     /// # Panics
-    /// Panics when `at` lies in the simulated past.
+    /// Panics on an out-of-range id or a time in the simulated past.
     pub fn set_timer_at(&mut self, node: usize, at: SimTime, msg: M) {
         assert!(node < self.n, "node id out of range");
         self.queue.schedule_at_on(
@@ -425,12 +514,13 @@ impl<M> SimNet<M> {
     /// [`roundtrip`](Self::roundtrip) departing at the (current or
     /// future) absolute time `at`: the completion delivers at
     /// `at + rtt`. Lets a driver chain periodic exchanges without a
-    /// separate timer event per period.
+    /// separate timer event per period. Both legs draw from the
+    /// prober's island stream.
     ///
     /// # Panics
-    /// Panics when `at` lies in the simulated past.
+    /// Panics on an out-of-range id or a departure in the past.
     pub fn roundtrip_at(&mut self, from: usize, to: usize, at: SimTime, msg: M) -> bool {
-        assert!(from < self.n && to < self.n, "node id out of range");
+        let (sf, st) = (self.island_of(from), self.island_of(to));
         assert!(at >= self.now(), "roundtrip departing in the past");
         self.stats.sent += 2;
         if self.is_cut(from, to) {
@@ -438,24 +528,16 @@ impl<M> SimNet<M> {
             self.stats.dropped += 1;
             return false;
         }
-        if self.config.loss_probability > 0.0 {
-            let lost_fwd = self.rng.gen::<f64>() < self.config.loss_probability;
-            let lost_back = self.rng.gen::<f64>() < self.config.loss_probability;
-            if lost_fwd || lost_back {
-                self.stats.dropped += usize::from(lost_fwd) + usize::from(lost_back);
-                return false;
-            }
+        let lost_fwd = self.islands[sf].draw_loss(self.loss_probability);
+        let lost_back = self.islands[sf].draw_loss(self.loss_probability);
+        if lost_fwd || lost_back {
+            self.stats.dropped += usize::from(lost_fwd) + usize::from(lost_back);
+            return false;
         }
-        let factor = self.leg_factor(from, to);
-        let fwd = f64::from(self.one_way_delay[from * self.n + to]) * factor;
-        let back = f64::from(self.one_way_delay[to * self.n + from]) * factor;
-        let rtt = if self.config.delay_jitter_sigma > 0.0 {
-            let j1 = self.jitter.sample(&mut self.rng);
-            let j2 = self.jitter.sample(&mut self.rng);
-            fwd * j1 + back * j2
-        } else {
-            fwd + back
-        };
+        let fwd = self.leg_delay_s(sf, st, from, to);
+        let back = self.leg_delay_s(st, sf, to, from);
+        let island = &mut self.islands[sf];
+        let rtt = fwd * island.draw_jitter() + back * island.draw_jitter();
         self.in_flight_non_timer += 1;
         self.queue.schedule_at_on(
             Lane::Far,
@@ -471,27 +553,20 @@ impl<M> SimNet<M> {
 
     /// Delivers the next message (advancing simulated time).
     pub fn next_delivery(&mut self) -> Option<(SimTime, Delivery<M>)> {
-        let (t, d) = self.queue.pop()?;
-        self.account_delivery(&d);
-        Some((t, d))
+        self.next_delivery_before(SimTime::INFINITY)
     }
 
     /// Delivers the next message only if it is due at or before
     /// `deadline`; later messages stay queued and the clock stays put.
     pub fn next_delivery_before(&mut self, deadline: SimTime) -> Option<(SimTime, Delivery<M>)> {
         let (t, d) = self.queue.pop_before(deadline)?;
-        self.account_delivery(&d);
-        Some((t, d))
-    }
-
-    #[inline]
-    fn account_delivery(&mut self, d: &Delivery<M>) {
         if d.from == d.to {
             self.stats.timers += 1;
         } else {
             self.stats.delivered += 1;
             self.in_flight_non_timer -= 1;
         }
+        Some((t, d))
     }
 
     /// Timestamp of the next delivery without consuming it (`None`
@@ -499,6 +574,14 @@ impl<M> SimNet<M> {
     /// past their deadline instead of delivering it first.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
+    }
+
+    /// The delivery `k` far-lane pops after the next one, if the
+    /// queue's sorted head bucket reaches that far
+    /// ([`EventQueue::upcoming`]): a hint for prefetching the state it
+    /// will touch, never a promise about delivery order.
+    pub fn upcoming(&self, k: usize) -> Option<&Delivery<M>> {
+        self.queue.upcoming(k)
     }
 
     /// Number of queued deliveries (timers included).
@@ -511,11 +594,14 @@ impl<M> SimNet<M> {
         self.in_flight_non_timer
     }
 
-    /// Bytes held by the one-way delay table (the dominant fixed cost
-    /// of a simulated network; used for memory-per-node accounting in
-    /// the scale workloads).
+    /// Bytes held by the one-way delay tables — the dominant fixed
+    /// cost of a simulated network and the number the k-island layout
+    /// exists to shrink (`k · ⌈n/k⌉²` entries instead of `n²`).
     pub fn table_bytes(&self) -> usize {
-        self.one_way_delay.len() * std::mem::size_of::<f32>()
+        self.islands
+            .iter()
+            .map(|island| island.one_way_delay.len() * std::mem::size_of::<f32>())
+            .sum()
     }
 }
 
@@ -740,6 +826,15 @@ mod tests {
         net.send(0, 1, 4);
         let (t4, _) = net.next_delivery().unwrap();
         assert!((t4 - t3 - 0.01).abs() < 1e-7);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay factor must be positive")]
+    fn delay_factor_validated_as_stored() {
+        // Finite and positive as `f64`, but ∞ once rounded to the
+        // `f32` the table of factors holds.
+        let mut net: SimNet<()> = SimNet::uniform(2, 0.01, NetConfig::default());
+        net.set_delay_factor(0, 1e39);
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! Sharded network simulation for population scales where one dense
-//! delay table stops fitting.
+//! The k-island layout of [`SimNet`], for population scales where one
+//! dense delay table stops fitting.
 //!
-//! A single [`SimNet`](crate::SimNet) stores an `n × n` one-way delay
-//! table: 4 bytes per pair, which is 400 MB at `n = 10 000` and 40 GB
-//! at `n = 100 000`. [`ShardedSimNet`] breaks that quadratic wall by
-//! splitting the population into `k` contiguous *islands*, each with
-//! its own delay table and its own jitter/loss RNG stream; traffic
-//! between islands uses the configured default one-way delay, so no
-//! cross-island table exists at all. Memory becomes `k · (n/k)²` table
-//! entries — linear in `n` for a fixed island size.
+//! The dense layout stores an `n × n` one-way delay table: 4 bytes per
+//! pair, which is 400 MB at `n = 10 000` and 40 GB at `n = 100 000`.
+//! [`ShardedSimNet`] breaks that quadratic wall by splitting the
+//! population into `k` contiguous *islands*, each with its own delay
+//! table and its own jitter/loss RNG stream; traffic between islands
+//! uses the configured default one-way delay, so no cross-island table
+//! exists at all. Memory becomes `k · (n/k)²` table entries — linear in
+//! `n` for a fixed island size.
+//!
+//! It is a layout, not a second model: [`ShardedSimNet`] is its two
+//! constructors and derefs to the [`SimNet`] they fill, so `send`,
+//! `roundtrip_at`, the delivery accounting and every hook are the code
+//! in [`crate::net`], and a one-island sharded net *is* the dense
+//! layout.
 //!
 //! # One queue, many tables
 //!
@@ -16,87 +22,45 @@
 //! pending events number about one per node whatever the layout. So
 //! only the tables (and the RNG streams that go with them) are split.
 //! Every delivery, whichever islands it touches, is scheduled into and
-//! popped from **one** [`EventQueue`], whose `(time, insertion order)`
-//! key is by construction the total order a single-queue
-//! [`SimNet`](crate::SimNet) delivers in, with one clock. Nothing is
-//! merged and nothing can drift: `tests/shard_merge.rs` pins the
-//! delivery stream against a real [`SimNet`](crate::SimNet) run for
-//! every island count, and `dmf-core`'s `sharded_golden` test pins a
-//! jittered multi-island run's bytes.
+//! popped from **one** [`EventQueue`](crate::EventQueue), whose
+//! `(time, insertion order)` key is the total order of the dense
+//! layout, with one clock. Nothing is merged and nothing can drift:
+//! `tests/shard_merge.rs` pins the k-island delivery stream against the
+//! dense one for every island count, impairment hooks included, and
+//! `dmf-core`'s `sharded_golden` test pins a jittered multi-island
+//! run's bytes.
 //!
 //! One queue also means one *sorted* head bucket, so the deliveries
-//! about to happen can be read before they do:
-//! [`ShardedSimNet::upcoming`] hands a run loop the next far-lane
-//! deliveries so it can prefetch the node state they will touch — at
-//! 100 k nodes that state lives in DRAM, and waiting for it one event
-//! at a time is most of a run's wall (`dmf-core`'s sharded driver has
-//! the pipeline). It is a view for hints only; delivery order is what
-//! [`next_delivery`](ShardedSimNet::next_delivery) says.
+//! about to happen can be read before they do: [`SimNet::upcoming`]
+//! hands a run loop the next far-lane deliveries so it can prefetch
+//! the node state they will touch — at 100 k nodes that state lives in
+//! DRAM, and waiting for it one event at a time is most of a run's
+//! wall (`dmf-core`'s sharded driver has the pipeline). It is a view
+//! for hints only; delivery order is what
+//! [`next_delivery`](SimNet::next_delivery) says.
 //!
 //! # Model carve-outs
 //!
 //! Cross-island messages see the default delay with the *sender's*
 //! island jitter/loss stream; intra-island messages see the island's
-//! own table and stream. The mid-run impairment hooks (partitions,
-//! stragglers, re-embedding) are intentionally not exposed here — the
-//! scale workloads are partition-free; use [`SimNet`](crate::SimNet)
-//! when a scenario needs them.
+//! own table and stream. The per-node impairment hooks — loss level,
+//! partitions, stragglers — are per-node state beside the tables and
+//! work on either layout. Re-embedding
+//! ([`SimNet::set_one_way_delays_from_rtt`]) does not: it takes a dense
+//! ground truth, whose cross-island pairs this layout has no table
+//! for, and panics when asked. The constructors reserve one queue slot
+//! per node (the fused protocol keeps one event per node pending, its
+//! timer or its exchange in flight) where the dense ones reserve four:
+//! at 100 k nodes and ≈ 300-byte payloads the difference is ≈ 90 MB;
+//! `send` traffic beyond it grows the queue on demand.
 
-use crate::event::{EventQueue, Lane, SimTime};
-use crate::net::{Delivery, JitterSampler, NetConfig, NetStats};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use crate::net::{NetConfig, SimNet};
+use std::ops::{Deref, DerefMut};
 
-/// What sharding splits: one island's `m × m` one-way delay table
-/// (seconds, row-major over *local* ids, `f32` like
-/// [`SimNet`](crate::SimNet)'s) and the RNG stream its senders draw
-/// jitter and loss from. An island owns no events.
-struct Island {
-    one_way_delay: Vec<f32>,
-    m: usize,
-    rng: ChaCha8Rng,
-    jitter: JitterSampler,
-}
-
-impl Island {
-    /// Table delay for a *local* pair, in seconds.
-    #[inline]
-    fn delay_s(&self, from: usize, to: usize) -> f64 {
-        f64::from(self.one_way_delay[from * self.m + to])
-    }
-
-    /// One per-leg loss decision (no draw at all on a loss-free
-    /// network, matching [`SimNet::send`](crate::SimNet::send)).
-    #[inline]
-    fn draw_loss(&mut self, loss_probability: f64) -> bool {
-        loss_probability > 0.0 && self.rng.gen::<f64>() < loss_probability
-    }
-
-    /// One multiplicative jitter factor (exactly `1.0`, with no RNG
-    /// draw, when jitter is disabled).
-    #[inline]
-    fn draw_jitter(&mut self) -> f64 {
-        if self.jitter.sigma() > 0.0 {
-            self.jitter.sample(&mut self.rng)
-        } else {
-            1.0
-        }
-    }
-}
-
-/// A population split into per-island delay tables and RNG streams
-/// over one shared event queue. Node ids are global (`0..n`); island
-/// membership is by contiguous range.
-pub struct ShardedSimNet<M> {
-    islands: Vec<Island>,
-    island_size: usize,
-    n: usize,
-    cross_delay_s: f64,
-    loss_probability: f64,
-    queue: EventQueue<Delivery<M>>,
-    stats: NetStats,
-    in_flight_non_timer: usize,
-}
+/// A [`SimNet`] in the k-island layout: per-island delay tables and
+/// RNG streams over one shared event queue. Everything but
+/// construction is [`SimNet`]'s, reached through `Deref`.
+pub struct ShardedSimNet<M>(SimNet<M>);
 
 impl<M> ShardedSimNet<M> {
     /// Builds a sharded network with a uniform one-way delay, split
@@ -119,8 +83,8 @@ impl<M> ShardedSimNet<M> {
     ///
     /// Each island draws jitter/loss from its own RNG stream,
     /// decorrelated from `config.seed` by island index (island 0 keeps
-    /// the seed unchanged, so a 1-island sharded net replays a plain
-    /// [`SimNet`](crate::SimNet) bit-for-bit).
+    /// the seed unchanged, so a 1-island sharded net replays the dense
+    /// layout bit-for-bit).
     ///
     /// # Panics
     /// Panics when `n == 0` or `islands == 0` or `islands > n`.
@@ -128,242 +92,34 @@ impl<M> ShardedSimNet<M> {
         n: usize,
         islands: usize,
         config: NetConfig,
-        mut delay_s: impl FnMut(usize, usize) -> f64,
+        delay_s: impl FnMut(usize, usize) -> f64,
     ) -> Self {
         assert!(n > 0, "sharded network needs at least one node");
         assert!(
             islands > 0 && islands <= n,
             "island count {islands} out of range 1..={n}"
         );
-        let island_size = n.div_ceil(islands);
-        let islands = (0..n.div_ceil(island_size))
-            .map(|k| {
-                let start = k * island_size;
-                let m = island_size.min(n - start);
-                let mut one_way_delay = Vec::with_capacity(m * m);
-                for i in start..start + m {
-                    for j in start..start + m {
-                        one_way_delay.push(delay_s(i, j) as f32);
-                    }
-                }
-                let seed = config
-                    .seed
-                    .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Island {
-                    one_way_delay,
-                    m,
-                    rng: ChaCha8Rng::seed_from_u64(seed),
-                    jitter: JitterSampler::new(config.delay_jitter_sigma),
-                }
-            })
-            .collect();
-        Self {
-            islands,
-            island_size,
-            n,
-            // Rounded through f32 like every table entry, so a
-            // cross-island leg costs bit-exactly what the same pair
-            // would cost in a single net's table.
-            cross_delay_s: f64::from(config.default_one_way_delay_s as f32),
-            loss_probability: config.loss_probability,
-            // The fused protocol keeps one event per node pending (its
-            // timer or its exchange in flight); `send` traffic beyond
-            // that grows the queue on demand.
-            queue: EventQueue::with_capacity(n + 16),
-            stats: NetStats::default(),
-            in_flight_non_timer: 0,
-        }
+        Self(SimNet::with_layout(n, islands, n + 16, config, delay_s))
     }
+}
 
-    /// Number of nodes (across all islands).
-    pub fn len(&self) -> usize {
-        self.n
+impl<M> Deref for ShardedSimNet<M> {
+    type Target = SimNet<M>;
+
+    fn deref(&self) -> &SimNet<M> {
+        &self.0
     }
+}
 
-    /// True when the network has no nodes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of islands.
-    pub fn islands(&self) -> usize {
-        self.islands.len()
-    }
-
-    /// The island a global node id belongs to.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range id.
-    pub fn island_of(&self, node: usize) -> usize {
-        assert!(node < self.n, "node id out of range");
-        node / self.island_size
-    }
-
-    /// Current simulated time in seconds.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Aggregate network statistics so far.
-    pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// Total bytes held by the per-island delay tables — the number
-    /// the sharding exists to shrink (`k · ⌈n/k⌉²` entries instead of
-    /// `n²`).
-    pub fn table_bytes(&self) -> usize {
-        self.islands
-            .iter()
-            .map(|island| island.one_way_delay.len() * std::mem::size_of::<f32>())
-            .sum()
-    }
-
-    /// Sends `msg` from `from` to `to` (global ids), subject to loss
-    /// and jitter drawn from the sender's island stream. Cross-island
-    /// pairs travel at the default one-way delay.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range node id.
-    pub fn send(&mut self, from: usize, to: usize, msg: M) {
-        let (sf, st) = (self.island_of(from), self.island_of(to));
-        self.stats.sent += 1;
-        let island = &mut self.islands[sf];
-        if island.draw_loss(self.loss_probability) {
-            self.stats.dropped += 1;
-            return;
-        }
-        let base = if sf == st {
-            let start = sf * self.island_size;
-            island.delay_s(from - start, to - start)
-        } else {
-            self.cross_delay_s
-        };
-        let jitter = island.draw_jitter();
-        self.in_flight_non_timer += 1;
-        self.queue
-            .schedule_after(base * jitter, Delivery { from, to, msg });
-    }
-
-    /// Schedules a lossless timer for `node` after `delay` seconds.
-    pub fn set_timer(&mut self, node: usize, delay: SimTime, msg: M) {
-        assert!(delay >= 0.0, "negative timer delay {delay}");
-        self.set_timer_at(node, self.now() + delay, msg);
-    }
-
-    /// Schedules a lossless timer for `node` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range id or a time in the simulated past.
-    pub fn set_timer_at(&mut self, node: usize, at: SimTime, msg: M) {
-        assert!(node < self.n, "node id out of range");
-        self.queue.schedule_at_on(
-            Lane::Far,
-            at,
-            Delivery {
-                from: node,
-                to: node,
-                msg,
-            },
-        );
-    }
-
-    /// Schedules a full probe→reply round trip as one delivery, like
-    /// [`SimNet::roundtrip`](crate::SimNet::roundtrip): `msg` arrives
-    /// back at `from` after both legs' delay, with loss applied per
-    /// leg. Returns whether the exchange survived.
-    pub fn roundtrip(&mut self, from: usize, to: usize, msg: M) -> bool {
-        self.roundtrip_at(from, to, self.now(), msg)
-    }
-
-    /// [`roundtrip`](Self::roundtrip) departing at absolute time `at`;
-    /// the completion delivers at `at + rtt`.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range id or a departure in the past.
-    pub fn roundtrip_at(&mut self, from: usize, to: usize, at: SimTime, msg: M) -> bool {
-        let (sf, st) = (self.island_of(from), self.island_of(to));
-        assert!(at >= self.now(), "roundtrip departing in the past");
-        self.stats.sent += 2;
-        let island = &mut self.islands[sf];
-        let lost_fwd = island.draw_loss(self.loss_probability);
-        let lost_back = island.draw_loss(self.loss_probability);
-        if lost_fwd || lost_back {
-            self.stats.dropped += usize::from(lost_fwd) + usize::from(lost_back);
-            return false;
-        }
-        let (fwd, back) = if sf == st {
-            let start = sf * self.island_size;
-            (
-                island.delay_s(from - start, to - start),
-                island.delay_s(to - start, from - start),
-            )
-        } else {
-            (self.cross_delay_s, self.cross_delay_s)
-        };
-        let j1 = island.draw_jitter();
-        let j2 = island.draw_jitter();
-        let rtt = fwd * j1 + back * j2;
-        self.in_flight_non_timer += 1;
-        self.queue.schedule_at_on(
-            Lane::Far,
-            at + rtt,
-            Delivery {
-                from: to,
-                to: from,
-                msg,
-            },
-        );
-        true
-    }
-
-    /// Delivers the next message across all islands, advancing the
-    /// clock.
-    pub fn next_delivery(&mut self) -> Option<(SimTime, Delivery<M>)> {
-        self.next_delivery_before(SimTime::INFINITY)
-    }
-
-    /// Delivers the next message only if it is due at or before
-    /// `deadline`; later messages stay queued and the clock stays put.
-    pub fn next_delivery_before(&mut self, deadline: SimTime) -> Option<(SimTime, Delivery<M>)> {
-        let (t, d) = self.queue.pop_before(deadline)?;
-        if d.from == d.to {
-            self.stats.timers += 1;
-        } else {
-            self.stats.delivered += 1;
-            self.in_flight_non_timer -= 1;
-        }
-        Some((t, d))
-    }
-
-    /// Timestamp of the next delivery without consuming it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// The delivery `k` far-lane pops after the next one, if the
-    /// queue's sorted head bucket reaches that far
-    /// ([`EventQueue::upcoming`]): a hint for prefetching the state it
-    /// will touch, never a promise about delivery order.
-    pub fn upcoming(&self, k: usize) -> Option<&Delivery<M>> {
-        self.queue.upcoming(k)
-    }
-
-    /// Number of queued deliveries (timers included).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of queued *network* messages (timers excluded).
-    pub fn pending_messages(&self) -> usize {
-        self.in_flight_non_timer
+impl<M> DerefMut for ShardedSimNet<M> {
+    fn deref_mut(&mut self) -> &mut SimNet<M> {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimNet;
 
     fn quiet(seed: u64) -> NetConfig {
         NetConfig {

@@ -1,40 +1,69 @@
-//! Merge-order conformance: a `k`-island [`ShardedSimNet`] must
-//! produce **exactly** the delivery stream a single-queue [`SimNet`]
-//! produces for the same operation script.
+//! Layout conformance: a `k`-island [`ShardedSimNet`] must produce
+//! **exactly** the delivery stream (and counters) the dense [`SimNet`]
+//! produces for the same operation script, impairment hooks included.
 //!
-//! The comparison is only meaningful on a partition-free topology
-//! with jitter and loss disabled and a uniform delay: then neither
-//! net draws from an RNG, sharded intra-island delays equal the
-//! single net's table, and the cross-island default-delay carve-out
-//! coincides with the uniform delay — so any divergence is a bug in
-//! the deterministic merge itself (seq threading, heap mirroring,
-//! clock handling), which is precisely what this suite pins.
+//! The comparison is only meaningful with jitter and loss disabled
+//! and a uniform delay: then neither layout draws from an RNG,
+//! intra-island delays equal the dense table, and the cross-island
+//! default-delay carve-out coincides with the uniform delay — so any
+//! divergence is a bug in what the layouts share (island lookup, seq
+//! threading through the one queue, clock handling, where partitions
+//! and straggler factors apply), which is precisely what this suite
+//! pins. Draw *order* under jitter is `dmf-core`'s `sharded_golden`.
 
-use dmf_simnet::{NetConfig, ShardedSimNet, SimNet, SimTime};
+use dmf_simnet::net::NetStats;
+use dmf_simnet::{NetConfig, ShardedSimNet, SimNet};
 use proptest::prelude::*;
 
 const DELAY_S: f64 = 0.05;
+/// Node ids and class vectors are generated for this population and
+/// wrapped / truncated to the case's `n`.
+const MAX_N: usize = 13;
 
 /// One step of an operation script. `Pop(c)` drains up to `c`
-/// deliveries before the next schedule, so scripts exercise the merge
+/// deliveries before the next schedule, so scripts exercise the queue
 /// mid-run (schedules relative to an advanced clock), not just a
 /// schedule-everything-then-drain pattern.
 #[derive(Clone, Debug)]
 enum Op {
-    Send { from: usize, to: usize },
-    Timer { node: usize, delay_ms: u16 },
-    TimerAt { node: usize, at_ms: u16 },
-    Roundtrip { from: usize, to: usize },
+    Send {
+        from: usize,
+        to: usize,
+    },
+    Timer {
+        node: usize,
+        delay_ms: u16,
+    },
+    TimerAt {
+        node: usize,
+        at_ms: u16,
+    },
+    Roundtrip {
+        from: usize,
+        to: usize,
+    },
     Pop(u8),
+    /// `set_partition_classes` with the first `n` of these classes.
+    Partition(Vec<u32>),
+    /// `set_delay_factor(node, quarters / 4)`: exact in `f32`.
+    Straggler {
+        node: usize,
+        quarters: u8,
+    },
+    Heal,
 }
 
-fn op(n: usize) -> impl Strategy<Value = Op> {
+fn op() -> impl Strategy<Value = Op> {
+    let n = MAX_N;
     prop_oneof![
         (0..n, 0..n).prop_map(|(from, to)| Op::Send { from, to }),
         (0..n, 1u16..2000).prop_map(|(node, delay_ms)| Op::Timer { node, delay_ms }),
         (0..n, 1u16..5000).prop_map(|(node, at_ms)| Op::TimerAt { node, at_ms }),
         (0..n, 0..n).prop_map(|(from, to)| Op::Roundtrip { from, to }),
         (1u8..6).prop_map(Op::Pop),
+        proptest::collection::vec(0u32..3, n).prop_map(Op::Partition),
+        (0..n, 1u8..13).prop_map(|(node, quarters)| Op::Straggler { node, quarters }),
+        Just(Op::Heal),
     ]
 }
 
@@ -42,46 +71,53 @@ fn op(n: usize) -> impl Strategy<Value = Op> {
 /// endpoints and payload.
 type Event = (u64, usize, usize, u32);
 
-/// Runs `script` against any net exposing the shared surface, logging
-/// every delivery. `TimerAt` times in the past of the advancing clock
-/// are clamped to `now` (both nets clamp identically, keeping the
-/// script valid without constraining generation).
-fn run_script(
-    script: &[Op],
-    now: impl Fn() -> SimTime,
-    mut send: impl FnMut(usize, usize, u32),
-    mut set_timer: impl FnMut(usize, SimTime, u32),
-    mut set_timer_at: impl FnMut(usize, SimTime, u32),
-    mut roundtrip: impl FnMut(usize, usize, u32) -> bool,
-    mut pop: impl FnMut() -> Option<(SimTime, (usize, usize, u32))>,
-) -> Vec<Event> {
+/// Runs `script` against a net of either layout (a [`ShardedSimNet`]
+/// derefs to the [`SimNet`] it lays out), logging every delivery.
+/// Node ids wrap into range, and `TimerAt` times in the past of the
+/// advancing clock are clamped to `now`, so one generator serves every
+/// population size.
+fn run_script(net: &mut SimNet<u32>, script: &[Op]) -> (Vec<Event>, NetStats) {
+    let n = net.len();
     let mut log = Vec::new();
+    let pop = |net: &mut SimNet<u32>, log: &mut Vec<Event>| {
+        let popped = net.next_delivery();
+        log.extend(
+            popped
+                .iter()
+                .map(|(t, d)| (t.to_bits(), d.from, d.to, d.msg)),
+        );
+        popped.is_some()
+    };
     for (i, step) in script.iter().enumerate() {
         let msg = i as u32;
         match *step {
-            Op::Send { from, to } => send(from, to, msg),
-            Op::Timer { node, delay_ms } => set_timer(node, f64::from(delay_ms) / 1000.0, msg),
+            Op::Send { from, to } => net.send(from % n, to % n, msg),
+            Op::Timer { node, delay_ms } => {
+                net.set_timer(node % n, f64::from(delay_ms) / 1000.0, msg)
+            }
             Op::TimerAt { node, at_ms } => {
-                let at = (f64::from(at_ms) / 1000.0).max(now());
-                set_timer_at(node, at, msg);
+                let at = (f64::from(at_ms) / 1000.0).max(net.now());
+                net.set_timer_at(node % n, at, msg);
             }
             Op::Roundtrip { from, to } => {
-                roundtrip(from, to, msg);
+                net.roundtrip(from % n, to % n, msg);
             }
             Op::Pop(count) => {
                 for _ in 0..count {
-                    match pop() {
-                        Some((t, (from, to, m))) => log.push((t.to_bits(), from, to, m)),
-                        None => break,
+                    if !pop(net, &mut log) {
+                        break;
                     }
                 }
             }
+            Op::Partition(ref classes) => net.set_partition_classes(&classes[..n]),
+            Op::Straggler { node, quarters } => {
+                net.set_delay_factor(node % n, f64::from(quarters) / 4.0)
+            }
+            Op::Heal => net.clear_partition(),
         }
     }
-    while let Some((t, (from, to, m))) = pop() {
-        log.push((t.to_bits(), from, to, m));
-    }
-    log
+    while pop(net, &mut log) {}
+    (log, net.stats())
 }
 
 fn quiet() -> NetConfig {
@@ -93,39 +129,14 @@ fn quiet() -> NetConfig {
     }
 }
 
-fn run_single(n: usize, script: &[Op]) -> Vec<Event> {
-    let mut net: SimNet<u32> = SimNet::uniform(n, DELAY_S, quiet());
-    let net = std::cell::RefCell::new(&mut net);
-    run_script(
-        script,
-        || net.borrow().now(),
-        |from, to, m| net.borrow_mut().send(from, to, m),
-        |node, d, m| net.borrow_mut().set_timer(node, d, m),
-        |node, at, m| net.borrow_mut().set_timer_at(node, at, m),
-        |from, to, m| net.borrow_mut().roundtrip(from, to, m),
-        || {
-            net.borrow_mut()
-                .next_delivery()
-                .map(|(t, d)| (t, (d.from, d.to, d.msg)))
-        },
-    )
+fn run_single(n: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
+    run_script(&mut SimNet::uniform(n, DELAY_S, quiet()), script)
 }
 
-fn run_sharded(n: usize, islands: usize, script: &[Op]) -> Vec<Event> {
-    let mut net: ShardedSimNet<u32> = ShardedSimNet::uniform(n, islands, DELAY_S, quiet());
-    let net = std::cell::RefCell::new(&mut net);
+fn run_sharded(n: usize, islands: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
     run_script(
+        &mut ShardedSimNet::uniform(n, islands, DELAY_S, quiet()),
         script,
-        || net.borrow().now(),
-        |from, to, m| net.borrow_mut().send(from, to, m),
-        |node, d, m| net.borrow_mut().set_timer(node, d, m),
-        |node, at, m| net.borrow_mut().set_timer_at(node, at, m),
-        |from, to, m| net.borrow_mut().roundtrip(from, to, m),
-        || {
-            net.borrow_mut()
-                .next_delivery()
-                .map(|(t, d)| (t, (d.from, d.to, d.msg)))
-        },
     )
 }
 
@@ -134,24 +145,12 @@ proptest! {
 
     /// The tentpole property: for every script, every island count
     /// divides into the same bit-exact delivery stream — times, FIFO
-    /// tie order, endpoints and payloads.
+    /// tie order, endpoints and payloads — and the same counters.
     #[test]
     fn merged_event_order_equals_single_queue_order(
-        n in 2usize..13,
-        script in proptest::collection::vec(op(13), 1..120),
+        n in 2usize..MAX_N,
+        script in proptest::collection::vec(op(), 1..120),
     ) {
-        // Node draws above `n` wrap into range so one generator serves
-        // every population size.
-        let script: Vec<Op> = script
-            .into_iter()
-            .map(|s| match s {
-                Op::Send { from, to } => Op::Send { from: from % n, to: to % n },
-                Op::Timer { node, delay_ms } => Op::Timer { node: node % n, delay_ms },
-                Op::TimerAt { node, at_ms } => Op::TimerAt { node: node % n, at_ms },
-                Op::Roundtrip { from, to } => Op::Roundtrip { from: from % n, to: to % n },
-                pop => pop,
-            })
-            .collect();
         let want = run_single(n, &script);
         for islands in [1, 2, n.div_ceil(2), n] {
             let got = run_sharded(n, islands, &script);
@@ -166,8 +165,9 @@ proptest! {
     }
 }
 
-/// Deterministic smoke for the same property at a fixed, larger scale
-/// (plus a stats cross-check the proptest skips).
+/// Deterministic smoke for the same property at a fixed, larger scale:
+/// an n-way time tie, then traffic under a three-way partition with
+/// two stragglers, healed half way.
 #[test]
 fn sharded_equals_single_on_dense_tie_heavy_script() {
     let n = 24;
@@ -178,7 +178,19 @@ fn sharded_equals_single_on_dense_tie_heavy_script() {
             at_ms: 1000,
         }); // n-way time tie across every island
     }
+    script.push(Op::Partition((0..n as u32).map(|i| i % 3).collect()));
+    script.push(Op::Straggler {
+        node: 5,
+        quarters: 10,
+    });
+    script.push(Op::Straggler {
+        node: 16,
+        quarters: 1,
+    });
     for i in 0..n {
+        if i == n / 2 {
+            script.push(Op::Heal);
+        }
         script.push(Op::Send {
             from: i,
             to: (i * 7 + 1) % n,
@@ -195,5 +207,16 @@ fn sharded_equals_single_on_dense_tie_heavy_script() {
     for islands in [2, 3, 8, 24] {
         assert_eq!(run_sharded(n, islands, &script), want, "{islands} islands");
     }
-    assert!(want.len() >= 2 * n, "script actually delivered traffic");
+    let (log, stats) = want;
+    assert!(log.len() >= 2 * n, "script actually delivered traffic");
+    assert!(stats.dropped > 0, "the partition actually cut traffic");
+}
+
+/// The one hook the k-island layout cannot take: a dense RTT truth
+/// names cross-island pairs it keeps no table for.
+#[test]
+#[should_panic(expected = "needs the dense layout")]
+fn k_island_layout_rejects_dense_re_embedding() {
+    let mut net: ShardedSimNet<u32> = ShardedSimNet::uniform(8, 2, DELAY_S, quiet());
+    net.set_one_way_delays_from_rtt(&dmf_datasets::rtt::meridian_like(8, 1));
 }
