@@ -14,6 +14,7 @@
 
 use crate::loss::Loss;
 use dmf_datasets::Metric;
+use dmf_simnet::NetConfig;
 use std::fmt;
 
 /// A node identifier handed out by [`crate::session::Session::join`]
@@ -158,6 +159,16 @@ pub enum ConfigError {
         /// The rejected probability.
         probability: f64,
     },
+    /// Negative or non-finite delay-jitter sigma of a simulated network.
+    JitterSigma {
+        /// The rejected log-normal sigma.
+        sigma: f64,
+    },
+    /// Simulated network's default delay negative, or not finite as `f32`.
+    DefaultDelay {
+        /// The rejected delay in seconds.
+        seconds: f64,
+    },
     /// Non-positive straggler delay factor (scenario impairment
     /// hooks).
     DelayFactor {
@@ -228,6 +239,10 @@ impl fmt::Display for ConfigError {
             ConfigError::LossProbability { probability } => {
                 write!(f, "loss probability {probability} out of [0, 1]")
             }
+            ConfigError::JitterSigma { sigma } => write!(f, "jitter sigma {sigma} out of [0, ∞)"),
+            ConfigError::DefaultDelay { seconds } => {
+                write!(f, "default one-way delay {seconds} s out of [0, ∞)")
+            }
             ConfigError::DelayFactor { factor } => {
                 write!(f, "delay factor must be positive (got {factor})")
             }
@@ -272,6 +287,20 @@ impl ConfigError {
         } else {
             Err(ConfigError::LossProbability { probability })
         }
+    }
+
+    /// Validates a simnet driver's network model, which unchecked draws no
+    /// jitter (NaN sigma) or panics in the queue mid-run (unusable delay).
+    pub(crate) fn check_net_config(config: &NetConfig) -> Result<(), ConfigError> {
+        Self::check_loss_probability(config.loss_probability)?;
+        let (sigma, seconds) = (config.delay_jitter_sigma, config.default_one_way_delay_s);
+        if !(sigma.is_finite() && sigma >= 0.0) {
+            return Err(ConfigError::JitterSigma { sigma });
+        }
+        if !((seconds as f32).is_finite() && seconds >= 0.0) {
+            return Err(ConfigError::DefaultDelay { seconds });
+        }
+        Ok(())
     }
 
     /// Validates a simulated-time deadline for the simnet drivers'

@@ -47,14 +47,14 @@
 //! # Hot-path layout
 //!
 //! A probe/reply cycle is allocation-free after warmup: coordinate
-//! snapshots ride the [`Msg`] enum as inline [`CoordVec`]s (rank ≤ 16
-//! never touches the heap), outstanding RTT probes live in small
-//! per-node scratch lists whose capacity is reused, and the event
-//! queue recycles its payload slots. Outstanding-probe bookkeeping is
-//! O(probes actually in flight) per node, not O(n²) in the population.
-//! The same holds in wire mode over protocol v2: datagram buffers come
-//! back from delivery to a free list, update blocks are inline, and
-//! the per-pair contexts sit in one table indexed by the prober's
+//! snapshots ride the [`Msg`] enum in boxed [`CoordVec`]s (inline up to
+//! rank 16) that delivery returns to a free list, outstanding RTT
+//! probes live in small per-node scratch lists whose capacity is
+//! reused, and the event queue recycles its payload slots.
+//! Outstanding-probe bookkeeping is O(probes in flight) per node, not
+//! O(n²) in the population. The same holds in wire mode over protocol
+//! v2: datagram buffers have a free list too, update blocks are inline,
+//! and the per-pair contexts sit in one table indexed by the prober's
 //! neighbor slot ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
 
 mod facade;
@@ -70,11 +70,14 @@ use crate::session::{Driver, Session};
 use dmf_datasets::{Dataset, Metric};
 use dmf_proto::WireVersion;
 use dmf_simnet::probe::PathloadProber;
-use dmf_simnet::{NetConfig, SimNet};
+use dmf_simnet::{Delivery, NetConfig, SimNet};
 use fused::FusedRtt;
 use wire::Exchange;
 
 /// Protocol messages exchanged by DMFSGD nodes.
+///
+/// Coordinate snapshots travel in boxes, recycled like [`Msg::Wire`]'s
+/// buffers: a queued [`Delivery<Msg>`] is one cache line, not five.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// RTT probe (Algorithm 1, step 1).
@@ -82,15 +85,15 @@ pub enum Msg {
     /// RTT reply carrying the target's coordinates (step 2).
     RttReply {
         /// `u_j` of the replying node.
-        u: CoordVec,
+        u: Box<CoordVec>,
         /// `v_j` of the replying node.
-        v: CoordVec,
+        v: Box<CoordVec>,
     },
     /// ABW probe carrying the prober's `u_i` and the probe rate
     /// (Algorithm 2, step 1).
     AbwProbe {
         /// `u_i` of the probing node.
-        u: CoordVec,
+        u: Box<CoordVec>,
     },
     /// ABW reply carrying the measured class and the target's
     /// pre-update `v_j` (step 3).
@@ -98,7 +101,7 @@ pub enum Msg {
         /// The class label inferred at the target.
         x: f64,
         /// `v_j` snapshot.
-        v: CoordVec,
+        v: Box<CoordVec>,
     },
     /// Event-collapsed RTT round trip ([`ExchangeFidelity::Fused`]):
     /// delivered back at the prober when the reply would have arrived,
@@ -114,6 +117,10 @@ pub enum Msg {
     /// Per-node probe timer.
     ProbeTick,
 }
+
+// An inline `CoordVec` (136 bytes) in any variant grows these back to 288 / 272.
+const _: () =
+    assert!(std::mem::size_of::<Delivery<Msg>>() <= 40 && std::mem::size_of::<Msg>() <= 24);
 
 /// How the driver executes an RTT probe/reply exchange.
 ///
@@ -137,7 +144,7 @@ pub enum ExchangeFidelity {
     /// than in per-message mode, ~tens of simulated milliseconds;
     /// statistically indistinguishable, see the fidelity tests).
     /// Roughly 2× faster: two events per cycle instead of three and
-    /// no coordinate payloads through the queue.
+    /// no coordinate snapshots (which [`Msg`] boxes, in every mode).
     #[default]
     Fused,
 }
@@ -180,6 +187,9 @@ pub struct SimnetDriver {
     exchanges: Vec<Exchange>,
     /// Datagram buffers back from delivery, for the next sends.
     free_bufs: Vec<Vec<u8>>,
+    /// Coordinate boxes back from delivery, likewise: a pool of allocations.
+    #[allow(clippy::vec_box)]
+    free_coords: Vec<Box<CoordVec>>,
     wire_stats: WireStats,
 }
 
@@ -209,7 +219,7 @@ impl SimnetDriver {
         net_config: NetConfig,
     ) -> Result<Self, DmfsgdError> {
         let fused = FusedRtt::new(tau)?;
-        ConfigError::check_loss_probability(net_config.loss_probability)?;
+        ConfigError::check_net_config(&net_config)?;
         let n = dataset.len();
         if n != session.len() {
             return Err(MembershipError::ProviderMismatch {
@@ -234,6 +244,7 @@ impl SimnetDriver {
             wire_nonce: 0,
             exchanges: Vec::new(),
             free_bufs: Vec::new(),
+            free_coords: Vec::new(),
             wire_stats: WireStats::default(),
         })
     }
@@ -415,6 +426,16 @@ impl SimnetDriver {
         Ok(self.fused.stats.measurements_completed - before)
     }
 
+    /// `coords` in a recycled box, or a new one while the list fills or
+    /// makes up for the boxes lost messages took with them.
+    fn boxed(&mut self, coords: CoordVec) -> Box<CoordVec> {
+        let Some(mut slot) = self.free_coords.pop() else {
+            return Box::new(coords);
+        };
+        *slot = coords;
+        slot
+    }
+
     /// Remembers that `i` probed `j` at `now`. One slot per target:
     /// re-probing a neighbor whose reply is still pending (or was
     /// lost) restarts its timestamp, so a stale entry can never pair
@@ -479,7 +500,7 @@ impl SimnetDriver {
                                 self.net.send(i, j, Msg::RttProbe);
                             }
                             Metric::Abw => {
-                                let u = session.nodes[i].coords.u.clone();
+                                let u = self.boxed(session.nodes[i].coords.u.clone());
                                 self.net.send(i, j, Msg::AbwProbe { u });
                             }
                         }
@@ -499,6 +520,7 @@ impl SimnetDriver {
                     return;
                 }
                 let (u, v) = session.nodes[to].rtt_reply();
+                let (u, v) = (self.boxed(u), self.boxed(v));
                 self.net.send(to, from, Msg::RttReply { u, v });
             }
             Msg::RttExchange { sent_at } => {
@@ -510,36 +532,36 @@ impl SimnetDriver {
                 if session.is_alive(to) {
                     self.complete_rtt_cycle(session, now, to, from, &u, &v);
                 }
+                self.free_coords.extend([u, v]);
             }
             Msg::AbwProbe { u } => {
                 // Steps 2–4 at target j: measure, snapshot v_j, update.
-                let j = to;
-                let i = from;
-                if !session.is_alive(j) {
-                    return;
+                let (i, j) = (from, to);
+                if session.is_alive(j) {
+                    if let Some(x) = self.abw_prober.probe_class(
+                        &self.dataset,
+                        i,
+                        j,
+                        self.fused.tau,
+                        &mut session.rng,
+                    ) {
+                        let params = session.config.sgd;
+                        let v = session.nodes[j].on_abw_probe(x, &u, &params);
+                        let v = self.boxed(v);
+                        self.net.send(j, i, Msg::AbwReply { x, v });
+                    }
                 }
-                let Some(x) = self.abw_prober.probe_class(
-                    &self.dataset,
-                    i,
-                    j,
-                    self.fused.tau,
-                    &mut session.rng,
-                ) else {
-                    return; // pair not in ground truth
-                };
-                let params = session.config.sgd;
-                let v = session.nodes[j].on_abw_probe(x, &u, &params);
-                self.net.send(j, i, Msg::AbwReply { x, v });
+                self.free_coords.push(u);
             }
             Msg::AbwReply { x, v } => {
                 // Step 5 at node i.
-                if !session.is_alive(to) {
-                    return;
+                if session.is_alive(to) {
+                    let params = session.config.sgd;
+                    session.nodes[to].on_abw_reply(x, &v, &params);
+                    session.measurements += 1;
+                    self.fused.stats.measurements_completed += 1;
                 }
-                let params = session.config.sgd;
-                session.nodes[to].on_abw_reply(x, &v, &params);
-                session.measurements += 1;
-                self.fused.stats.measurements_completed += 1;
+                self.free_coords.push(v);
             }
         }
     }
@@ -785,6 +807,31 @@ mod tests {
                 SimnetRunner::new(d.clone(), tau, DmfsgdConfig::paper_defaults(), lossy)
                     .unwrap_err(),
                 DmfsgdError::Config(ConfigError::LossProbability { .. })
+            ));
+        }
+        // The other two floats: a NaN sigma would silently mean "no
+        // jitter", and a default delay that is ∞ as the `f32` the
+        // network stores would panic in the queue mid-run.
+        for delay_jitter_sigma in [-0.05, f64::NAN] {
+            let jittery = NetConfig {
+                delay_jitter_sigma,
+                ..NetConfig::default()
+            };
+            assert!(matches!(
+                SimnetRunner::new(d.clone(), tau, DmfsgdConfig::paper_defaults(), jittery)
+                    .unwrap_err(),
+                DmfsgdError::Config(ConfigError::JitterSigma { .. })
+            ));
+        }
+        for default_one_way_delay_s in [-0.05, f64::NAN, 1e39] {
+            let unreachable = NetConfig {
+                default_one_way_delay_s,
+                ..NetConfig::default()
+            };
+            assert!(matches!(
+                SimnetRunner::new(d.clone(), tau, DmfsgdConfig::paper_defaults(), unreachable)
+                    .unwrap_err(),
+                DmfsgdError::Config(ConfigError::DefaultDelay { .. })
             ));
         }
         let runner = SimnetRunner::new(
@@ -1106,6 +1153,40 @@ mod tests {
             healed > during,
             "healing must raise the measurement rate ({during} during vs {healed} after)"
         );
+    }
+
+    #[test]
+    fn coordinate_pool_refills_after_loss_without_growing() {
+        // A lost reply drops its two boxes, so under loss the pool must
+        // allocate replacements — and once loss stops, hold no more
+        // boxes than were ever in flight at once.
+        let d = meridian_like(40, 26);
+        let tau = d.median();
+        let (mut session, mut driver) =
+            SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
+                .expect("valid")
+                .with_exchange_fidelity(ExchangeFidelity::PerMessage)
+                .into_parts();
+        driver
+            .run_until(&mut session, 0.0)
+            .expect("seeds the timers");
+        let mut peak_in_flight = 0;
+        for (loss, until) in [(0.0, 20.0), (0.2, 60.0), (0.0, 100.0)] {
+            driver.set_loss_probability(loss).expect("a probability");
+            // One delivery at a time, so that no peak goes unseen.
+            while let Some(t) = driver.net.peek_time().filter(|&t| t <= until) {
+                driver.run_until(&mut session, t).expect("finite");
+                // Probes carry no box, each reply two.
+                peak_in_flight = peak_in_flight.max(2 * driver.net.pending_messages());
+                assert!(
+                    driver.free_coords.len() <= peak_in_flight,
+                    "{} boxes pooled at t={t}, {peak_in_flight} ever in flight",
+                    driver.free_coords.len()
+                );
+            }
+        }
+        assert!(driver.net.stats().dropped > 100, "the lossy phase lost");
+        assert!(!driver.free_coords.is_empty(), "replies came home");
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //!
 //! # The lookahead pipeline
 //!
-//! At 100 k nodes the per-node state (≈ 30 MB of coordinates, as much
-//! again of event payloads) lives in DRAM, and a delivery touches about
-//! a dozen cache lines of it that nothing before it touched: handled
-//! one at a time, the loop spends four fifths of its wall waiting on
-//! those misses. But the queue's head bucket is sorted, so the next
+//! At 100 k nodes the per-node state (≈ 30 MB of coordinates, 4 MB of
+//! one-line event payloads) lives in DRAM, and a delivery touches about
+//! eight cache lines of it that nothing before it touched: handled
+//! one at a time, the loop spends half its wall waiting on those
+//! misses. But the queue's head bucket is sorted, so the next
 //! ~100 deliveries are known
 //! ([`SimNet::upcoming`](dmf_simnet::SimNet::upcoming)), and with
 //! them exactly which lines they will need. After each pop the loop
@@ -51,10 +51,10 @@
 //! them. The distances are constants, not options, because there is
 //! nothing to tune: a miss costs about as long as one or two
 //! deliveries take to handle, and the rate measured flat from 8/4/2
-//! to 32/16/4 when the change was sized (each stage removed in turn
-//! cost about a quarter of the gain; looking past the head bucket
-//! into the next one when it runs short made no difference and is not
-//! done).
+//! to 32/16/4, with five-line payload slots and again with one-line
+//! ones (each stage removed in turn cost about a quarter of the gain;
+//! looking past the head bucket into the next one when it runs short
+//! made no difference and is not done).
 //! [`SimnetDriver`](crate::runner::SimnetDriver) has no such stage: its
 //! populations fit in the L2 cache.
 
@@ -173,10 +173,10 @@ impl ShardedSimnetDriver {
 
 /// How many deliveries ahead of the one being handled each stage of
 /// the lookahead works (see the module docs). Sweep on `sim-fused`
-/// (100 k nodes, events/s, 2-vCPU host, 1.1–1.7 M without any): the
-/// sizing prototype read 2.6–3.0 M anywhere from 8/4/2 to 32/16/4;
-/// this code, three alternated runs each, 2.69–2.85 M at 12/6/3 and
-/// 2.67–3.00 M at 24/12/4.
+/// (100 k nodes, M events/s, 2-vCPU host, alternated 8 s runs) with
+/// the 40-byte slots: 1.34–1.50 without any lookahead; 2.71–3.13 at
+/// 8/4/2 and 2.81–3.09 at 12/6/3 (seven runs each, medians 3.04 and
+/// 2.87), 2.68–2.78 at 24/12/4, 2.71–2.93 at 32/16/4 (three each).
 const SLOT_AHEAD: usize = 12;
 const NODES_AHEAD: usize = 6;
 const ROW_AHEAD: usize = 3;

@@ -8,6 +8,7 @@
 
 use dmf_core::runner::{ExchangeFidelity, SimnetRunner};
 use dmf_core::{DmfsgdConfig, Session};
+use dmf_datasets::abw::hps3_like;
 use dmf_datasets::rtt::meridian_like;
 use dmf_proto::WireVersion;
 use dmf_simnet::NetConfig;
@@ -70,15 +71,35 @@ fn training_hot_paths_allocate_nothing_after_warmup() {
         SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
             .expect("valid config")
             .with_exchange_fidelity(ExchangeFidelity::PerMessage);
-    runner.run_for(30.0).expect("positive duration");
+    // The free list of coordinate boxes is as deep as the most replies
+    // ever in flight at once: 600 s of a handful of concurrent cycles
+    // reach a peak the next 60 s do not top.
+    runner.run_for(600.0).expect("positive duration");
     let before = allocations();
-    runner.run_for(60.0).expect("positive duration");
+    runner.run_for(660.0).expect("positive duration");
     let during = allocations() - before;
     assert_eq!(
         during, 0,
         "per-message probe/reply cycles allocated {during} times after warmup \
-         (coordinate snapshots must ride inline CoordVecs)"
+         (coordinate snapshots must ride recycled boxes)"
     );
+
+    // --- ABW (always per-message): probe and reply both carry a box --
+    let d = hps3_like(40, 5);
+    let tau = d.median();
+    let mut runner =
+        SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
+            .expect("valid config");
+    runner.run_for(600.0).expect("positive duration");
+    let before = allocations();
+    runner.run_for(660.0).expect("positive duration");
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "ABW probe/reply cycles allocated {during} times after warmup \
+         (both snapshots must ride recycled boxes)"
+    );
+    assert!(runner.stats().measurements_completed > 1000);
 
     // --- wire mode, protocol v2: real datagrams, per-pair contexts ---
     let d = meridian_like(40, 4);

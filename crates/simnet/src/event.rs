@@ -14,11 +14,12 @@
 //! behaviour rather than simplicity:
 //!
 //! * **Slab payloads** — the ordering structures hold 24-byte
-//!   `(time, seq, slot)` keys; the event payloads (protocol messages
-//!   can be ~300 bytes with inline coordinates) are written once into
-//!   a reusable slot slab and never moved during sifts or sorts. Freed
-//!   slots are recycled, so a steady-state simulation performs no
-//!   allocation per event.
+//!   `(time, seq, slot)` keys; the event payloads (whatever the caller
+//!   makes them: `dmf-core` boxes coordinates to keep a delivery at
+//!   40 bytes, under one cache line) are written once into a reusable
+//!   slot slab and never moved during sifts or sorts. Freed slots are
+//!   recycled, so a steady-state simulation performs no allocation per
+//!   event.
 //! * **Integer keys** — times are non-negative finite `f64`s, whose
 //!   IEEE-754 bit patterns order identically to the values; storing
 //!   the bits as `u64` makes every comparison a branch-free integer

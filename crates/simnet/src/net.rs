@@ -30,10 +30,10 @@ pub struct NetConfig {
     /// Probability that any network message is silently dropped.
     /// Timers never drop.
     pub loss_probability: f64,
-    /// Log-normal sigma of per-message delay jitter.
+    /// Log-normal sigma of per-message delay jitter (finite, ≥ 0).
     pub delay_jitter_sigma: f64,
     /// Fallback one-way delay (seconds) for pairs without ground-truth
-    /// RTT (e.g. unmeasured pairs in sparse datasets).
+    /// RTT (unmeasured pairs in sparse datasets); finite, ≥ 0 as `f32`.
     pub default_one_way_delay_s: f64,
     /// RNG seed for delays and losses.
     pub seed: u64,
@@ -223,6 +223,14 @@ impl<M> SimNet<M> {
         config: NetConfig,
         mut delay_s: impl FnMut(usize, usize) -> f64,
     ) -> Self {
+        // NaN would pass for "no jitter" (`sigma > 0.0` is false); the
+        // queue takes no NaN or ∞, which `1e39` is as stored.
+        let sigma = config.delay_jitter_sigma;
+        let cross_delay = config.default_one_way_delay_s as f32;
+        assert!(
+            sigma >= 0.0 && sigma.is_finite() && cross_delay >= 0.0 && cross_delay.is_finite(),
+            "jitter sigma {sigma} or default delay {cross_delay} s out of [0, ∞)"
+        );
         let island_size = n.div_ceil(islands).max(1);
         let islands = (0..n.div_ceil(island_size))
             .map(|k| {
@@ -241,7 +249,7 @@ impl<M> SimNet<M> {
                     one_way_delay,
                     m,
                     rng: ChaCha8Rng::seed_from_u64(seed),
-                    jitter: JitterSampler::new(config.delay_jitter_sigma),
+                    jitter: JitterSampler::new(sigma),
                 }
             })
             .collect();
@@ -250,7 +258,7 @@ impl<M> SimNet<M> {
             islands,
             island_size,
             n,
-            cross_delay_s: f64::from(config.default_one_way_delay_s as f32),
+            cross_delay_s: f64::from(cross_delay),
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
             in_flight_non_timer: 0,
@@ -899,6 +907,27 @@ mod tests {
     fn loss_probability_validated() {
         let mut net: SimNet<()> = SimNet::uniform(2, 0.01, NetConfig::default());
         net.set_loss_probability(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter sigma NaN or")]
+    fn jitter_sigma_validated_at_construction() {
+        let config = NetConfig {
+            delay_jitter_sigma: f64::NAN,
+            ..NetConfig::default()
+        };
+        let _: SimNet<()> = SimNet::uniform(2, 0.01, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "default delay inf s out of")]
+    fn default_delay_validated_as_stored() {
+        // Finite as `f64`, ∞ as the `f32` cross-island delay.
+        let config = NetConfig {
+            default_one_way_delay_s: 1e39,
+            ..NetConfig::default()
+        };
+        let _: SimNet<()> = SimNet::uniform(2, 0.01, config);
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! for, and panics when asked. The constructors reserve one queue slot
 //! per node (the fused protocol keeps one event per node pending, its
 //! timer or its exchange in flight) where the dense ones reserve four:
-//! at 100 k nodes and ≈ 300-byte payloads the difference is ≈ 90 MB;
-//! `send` traffic beyond it grows the queue on demand.
+//! at 100 k nodes and `dmf-core`'s 40-byte deliveries the difference is
+//! ≈ 12 MB; `send` traffic beyond it grows the queue on demand.
 
 use crate::net::{NetConfig, SimNet};
 use std::ops::{Deref, DerefMut};
