@@ -56,6 +56,8 @@
 //! v2: datagram buffers have a free list too, update blocks are inline,
 //! and the per-pair contexts sit in one table indexed by the prober's
 //! neighbor slot ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
+//! At k = 32 that table outgrows the cache, so a v2 probe send
+//! prefetches the slot its two deliveries will touch (see `wire`).
 
 mod facade;
 pub(crate) mod fused;
@@ -172,8 +174,9 @@ pub struct SimnetDriver {
     /// at most one entry per target — a re-probe overwrites the
     /// timestamp, so a lost reply can never pair a stale entry with a
     /// fresh exchange. Sized by what is actually in flight (typically
-    /// 0–2 entries, ≤ k under heavy loss), capacity reused for the
-    /// whole run.
+    /// 0–2 entries), capacity reused for the whole run. Never more than
+    /// k, loss and churn included: a new entry first evicts those whose
+    /// target has since left the prober's neighbor row.
     pending_rtt: Vec<Vec<(usize, f64)>>,
     abw_prober: PathloadProber,
     fidelity: ExchangeFidelity,
@@ -439,12 +442,16 @@ impl SimnetDriver {
     /// Remembers that `i` probed `j` at `now`. One slot per target:
     /// re-probing a neighbor whose reply is still pending (or was
     /// lost) restarts its timestamp, so a stale entry can never pair
-    /// with a fresh reply.
-    fn note_rtt_probe(&mut self, i: usize, j: usize, now: f64) {
+    /// with a fresh reply. A target that churn took out of `i`'s row is
+    /// never re-probed, so a new entry first drops those left behind.
+    fn note_rtt_probe(&mut self, session: &Session, i: usize, j: usize, now: f64) {
         let pending = &mut self.pending_rtt[i];
         match pending.iter_mut().find(|(target, _)| *target == j) {
             Some(entry) => entry.1 = now,
-            None => pending.push((j, now)),
+            None => {
+                pending.retain(|&(target, _)| session.neighbors.contains(i, target));
+                pending.push((j, now));
+            }
         }
     }
 
@@ -496,7 +503,7 @@ impl SimnetDriver {
                         self.fused.stats.probes_sent += 1;
                         match self.dataset.metric {
                             Metric::Rtt => {
-                                self.note_rtt_probe(i, j, now);
+                                self.note_rtt_probe(session, i, j, now);
                                 self.net.send(i, j, Msg::RttProbe);
                             }
                             Metric::Abw => {
@@ -937,6 +944,52 @@ mod tests {
         }
         let acc = ok as f64 / total as f64;
         assert!(acc > 0.65, "post-churn simnet accuracy {acc}");
+    }
+
+    #[test]
+    fn churn_leaves_no_stale_outstanding_probes() {
+        // Regression: an entry whose target left the prober's row (it
+        // departed before replying, or the prober's slot was handed to
+        // a newcomer with a fresh row) was never overwritten nor
+        // removed: these 200 rounds left 88 entries, the longest list
+        // 7, where 38 are in flight, at most 3 from one node.
+        let d = meridian_like(30, 27);
+        let tau = d.median();
+        let mut session = Session::builder()
+            .nodes(30)
+            .k(8)
+            .seed(27)
+            .tau(tau)
+            .build()
+            .expect("valid");
+        let mut driver = SimnetDriver::new(&session, d, NetConfig::default())
+            .expect("valid")
+            .with_probe_interval(0.05)
+            .expect("positive interval")
+            .with_exchange_fidelity(ExchangeFidelity::PerMessage);
+        let mut now = 5.0;
+        driver.run_until(&mut session, now).expect("warmup");
+        for round in 0..200 {
+            let leaver = session.alive()[round * 7 % session.num_alive()];
+            session.leave(leaver).expect("29 alive > k + 1");
+            now += 0.05;
+            driver.run_until(&mut session, now).expect("one down");
+            session.join().expect("the freed slot");
+            now += 0.05;
+            driver.run_until(&mut session, now).expect("rejoined");
+        }
+        // Every node probes a hundred times more; lossless, so what
+        // stays outstanding is in flight to a current neighbor.
+        driver.run_until(&mut session, now + 5.0).expect("settle");
+        for (i, pending) in driver.pending_rtt.iter().enumerate() {
+            assert!(pending.len() <= 8, "node {i} holds {pending:?}");
+            for &(target, _) in pending {
+                assert!(
+                    session.neighbors.contains(i, target),
+                    "node {i} still waits for {target}, no longer its neighbor"
+                );
+            }
+        }
     }
 
     #[test]

@@ -85,12 +85,16 @@ struct States {
 /// in the buffer does not count.
 impl PartialEq for States {
     fn eq(&self, other: &Self) -> bool {
-        self.stride == other.stride
-            && self.data[..self.len * self.stride] == other.data[..other.len * other.stride]
+        self.stride == other.stride && self.held() == other.held()
     }
 }
 
 impl States {
+    /// Every held entry, oldest first: `len × stride` values.
+    fn held(&self) -> &[f64] {
+        &self.data[..self.len * self.stride]
+    }
+
     fn get(&self, idx: usize) -> &[f64] {
         &self.data[idx * self.stride..(idx + 1) * self.stride]
     }
@@ -306,6 +310,13 @@ impl EncoderContext {
         self.deltas_sent
     }
 
+    /// The reconstructions held now, packed oldest first (none when
+    /// fresh): the memory the next `encode` and `on_ack` read, for a
+    /// caller that sizes or prefetches it.
+    pub fn held_states(&self) -> &[f64] {
+        self.sent.held()
+    }
+
     /// Before a push: a ring full of unacked updates loses the oldest
     /// of them; the baseline in front of it stays.
     fn make_room(&mut self) {
@@ -465,6 +476,13 @@ impl DecoderContext {
     pub fn deltas_applied(&self) -> u64 {
         self.deltas_applied
     }
+
+    /// The reconstructions held now, packed oldest first (none when
+    /// fresh): the memory the next `apply` reads, for a caller that
+    /// sizes or prefetches it.
+    pub fn held_states(&self) -> &[f64] {
+        self.states.held()
+    }
 }
 
 #[cfg(test)]
@@ -616,6 +634,45 @@ mod tests {
         dec.apply(&a).unwrap();
         assert_eq!(dec.ack().unwrap().seq, b.seq);
         assert_eq!(dec.gaps_detected(), 0);
+    }
+
+    /// `held_states` is exactly the live entries: nothing when fresh,
+    /// `len × stride` values after, and never what `drop_oldest` or a
+    /// rank reset left behind in the buffer.
+    #[test]
+    fn held_states_are_exactly_the_live_entries() {
+        let mut enc = EncoderContext::with_keyframe_interval(u16::MAX);
+        let mut dec = DecoderContext::new();
+        assert!(enc.held_states().is_empty() && dec.held_states().is_empty());
+
+        // Three unacked updates of four values: all three are held.
+        let coords = [0.5, -0.5, 0.25, -0.25];
+        let sent: Vec<CoordUpdate> = (0..3).map(|_| enc.encode(&coords)).collect();
+        assert_eq!(enc.held_states().len(), 3 * 4);
+        for update in &sent {
+            dec.apply(update).expect("keyframes decode");
+        }
+        assert_eq!(dec.held_states().len(), 3 * 4);
+        assert_eq!(enc.held_states(), dec.held_states());
+
+        // The ack of the newest drops the two older ones from the
+        // encoder; the delta on that baseline drops them from the
+        // decoder. Both buffers keep their three entries' capacity.
+        enc.on_ack(dec.ack().expect("decoded"));
+        assert_eq!(enc.held_states(), &dec.held_states()[2 * 4..]);
+        let delta = enc.encode(&drift(&coords, 0.01));
+        assert!(!delta.is_keyframe());
+        let decoded = dec.apply(&delta).expect("baseline held").to_vec();
+        assert_eq!(enc.held_states().len(), 2 * 4, "baseline and delta");
+        assert_eq!(enc.held_states(), dec.held_states());
+        assert_eq!(&dec.held_states()[4..], decoded);
+
+        // A rank change restarts both rings at the new stride.
+        let wider = enc.encode(&[1.0; 6]);
+        assert!(wider.is_keyframe());
+        dec.apply(&wider).expect("keyframe");
+        assert_eq!(enc.held_states(), [1.0; 6]);
+        assert_eq!(dec.held_states(), [1.0; 6]);
     }
 
     #[test]
