@@ -130,15 +130,8 @@ impl FusedRtt {
             let rtt_ms = (now - sent_at) * 1000.0;
             let x = Metric::Rtt.classify(rtt_ms, self.tau);
             let params = session.config.sgd;
-            // Disjoint borrows of prober and target (i ≠ j by the
-            // neighbor-set invariant) avoid snapshot copies.
-            let (prober, target) = if i < j {
-                let (lo, hi) = session.nodes.split_at_mut(j);
-                (&mut lo[i], &hi[0])
-            } else {
-                let (lo, hi) = session.nodes.split_at_mut(i);
-                (&mut hi[0], &lo[j])
-            };
+            // i ≠ j by the neighbor-set invariant.
+            let (prober, target) = session.pair_mut(i, j);
             prober.on_rtt_measurement(x, &target.coords.u, &target.coords.v, &params);
             session.measurements += 1;
             self.stats.measurements_completed += 1;

@@ -339,22 +339,38 @@ impl Session {
 
     // ---- training ---------------------------------------------------
 
+    /// Mutable borrows of two distinct node slots at once: the prober
+    /// and the target of one exchange, so neither side's coordinates
+    /// need copying out before the other is updated.
+    ///
+    /// # Panics
+    /// Panics when `i == j` or either id is out of range. Every caller
+    /// draws `j` from `i`'s neighbor row or has been through
+    /// `check_pair`, both of which exclude the self-pair.
+    #[inline]
+    pub(crate) fn pair_mut(&mut self, i: usize, j: usize) -> (&mut DmfsgdNode, &mut DmfsgdNode) {
+        let [prober, target] = self
+            .nodes
+            .get_disjoint_mut([i, j])
+            .expect("an exchange needs two distinct node slots");
+        (prober, target)
+    }
+
     /// Applies a measurement without membership checks (ids must be in
-    /// range and distinct). Hot-path entry for the drivers, which
-    /// guarantee validity structurally.
+    /// range and distinct — see [`pair_mut`](Self::pair_mut)). Hot-path
+    /// entry for the drivers, which guarantee validity structurally.
     #[inline]
     pub(crate) fn apply_unchecked(&mut self, i: usize, j: usize, x: f64, metric: Metric) {
         let params = self.config.sgd;
+        let (prober, target) = self.pair_mut(i, j);
         if metric.is_symmetric() {
             // Algorithm 1: the reply carries (u_j, v_j); node i updates.
-            let (u_j, v_j) = self.nodes[j].rtt_reply();
-            self.nodes[i].on_rtt_measurement(x, &u_j, &v_j, &params);
+            prober.on_rtt_measurement(x, &target.coords.u, &target.coords.v, &params);
         } else {
             // Algorithm 2: node j infers x and updates v_j, node i
             // updates u_i with the pre-update v_j snapshot.
-            let u_i = self.nodes[i].coords.u.clone();
-            let v_snapshot = self.nodes[j].on_abw_probe(x, &u_i, &params);
-            self.nodes[i].on_abw_reply(x, &v_snapshot, &params);
+            let v_snapshot = target.on_abw_probe(x, &prober.coords.u, &params);
+            prober.on_abw_reply(x, &v_snapshot, &params);
         }
         self.measurements += 1;
     }

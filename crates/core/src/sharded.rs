@@ -38,7 +38,11 @@
 //! therefore advances three later deliveries one stage each:
 //!
 //! 1. `SLOT_AHEAD` (12) deliveries ahead, prefetch the event's payload
-//!    slot — until it is resident, who the delivery is for is unknown;
+//!    slot — until it is resident, who the delivery is for is unknown.
+//!    The slot is named by address only
+//!    ([`SimNet::prefetch_upcoming`](dmf_simnet::SimNet::prefetch_upcoming)):
+//!    `upcoming` would read the cold slot to hand out its payload and
+//!    take the very miss this stage exists to hide;
 //! 2. `NODES_AHEAD` (6) ahead the payload has arrived: read its
 //!    `to`/`from` and prefetch the prober's node, the target's
 //!    coordinates, both liveness entries and the bounds of the
@@ -187,9 +191,7 @@ const ROW_AHEAD: usize = 3;
 /// reads protocol state or draws from an RNG.
 #[inline]
 fn prefetch_upcoming(net: &ShardedSimNet<Msg>, session: &Session) {
-    if let Some(far) = net.upcoming(SLOT_AHEAD) {
-        prefetch(far);
-    }
+    net.prefetch_upcoming(SLOT_AHEAD);
     if let Some(mid) = net.upcoming(NODES_AHEAD) {
         prefetch(&session.nodes[mid.to]);
         prefetch(&session.nodes[mid.from].coords);

@@ -74,10 +74,31 @@ pub fn auc_from_curve(curve: &[RocPoint]) -> f64 {
     auc
 }
 
+/// Maps a score to a `u64` that orders as the score does: the IEEE-754
+/// bit pattern with the sign bit flipped for non-negatives and every
+/// bit flipped for negatives. `score + 0.0` folds −0.0 into +0.0 first,
+/// so scores that compare equal get equal keys and nothing else does.
+///
+/// # Panics
+/// Panics on NaN, which has no place in the order.
+#[inline]
+fn order_key(score: f64) -> u64 {
+    assert!(!score.is_nan(), "NaN score");
+    let bits = (score + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 /// AUC via the Mann–Whitney U statistic: the probability that a random
 /// positive outscores a random negative (ties count ½). Equal to the
 /// trapezoid AUC on the same data; both are exposed so tests can
 /// cross-validate the implementations.
+///
+/// # Panics
+/// Panics when either class is absent or a score is NaN.
 pub fn auc_mann_whitney(samples: &[ScoredLabel]) -> f64 {
     let positives = samples.iter().filter(|s| s.positive).count();
     let negatives = samples.len() - positives;
@@ -86,24 +107,32 @@ pub fn auc_mann_whitney(samples: &[ScoredLabel]) -> f64 {
         "AUC undefined for one class"
     );
 
-    // Rank-based computation: O(n log n).
-    let mut sorted: Vec<&ScoredLabel> = samples.iter().collect();
-    sorted.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("NaN score"));
+    // Rank-based computation: O(n log n). Sorting integer keys in
+    // place of `&ScoredLabel`s compared through `partial_cmp` keeps the
+    // sort on 16-byte values it never has to dereference. The order
+    // inside a tied block is free: every member gets the block's mean
+    // rank, and the rank sum is a sum of half-integers below 2⁵²,
+    // exact in any order.
+    let mut sorted: Vec<(u64, bool)> = samples
+        .iter()
+        .map(|s| (order_key(s.score), s.positive))
+        .collect();
+    sorted.sort_unstable_by_key(|&(key, _)| key);
 
     // Assign average ranks to ties.
     let n = sorted.len();
     let mut rank_sum_pos = 0.0;
     let mut idx = 0;
     while idx < n {
-        let score = sorted[idx].score;
+        let key = sorted[idx].0;
         let start = idx;
-        while idx < n && sorted[idx].score == score {
+        while idx < n && sorted[idx].0 == key {
             idx += 1;
         }
         // Ranks are 1-based; tied block [start, idx) shares the mean rank.
         let avg_rank = (start + 1 + idx) as f64 / 2.0;
-        for s in &sorted[start..idx] {
-            if s.positive {
+        for &(_, positive) in &sorted[start..idx] {
+            if positive {
                 rank_sum_pos += avg_rank;
             }
         }
@@ -195,5 +224,38 @@ mod tests {
     #[should_panic(expected = "positive samples")]
     fn single_class_rejected() {
         roc_curve(&[s(false, 1.0), s(false, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "AUC undefined for one class")]
+    fn mann_whitney_rejects_a_single_class() {
+        auc_mann_whitney(&[s(true, 1.0), s(true, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN score")]
+    fn mann_whitney_rejects_nan() {
+        auc_mann_whitney(&[s(true, 1.0), s(false, f64::NAN)]);
+    }
+
+    #[test]
+    fn order_keys_order_as_scores_do() {
+        let ascending = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for w in ascending.windows(2) {
+            assert!(order_key(w[0]) < order_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
     }
 }

@@ -28,8 +28,120 @@ fn mixed_samples() -> impl Strategy<Value = Vec<ScoredLabel>> {
         })
 }
 
+/// `auc_mann_whitney` as it stood before it sorted integer keys: a
+/// stable sort of `&ScoredLabel` through `partial_cmp`, ties found by
+/// float equality. Kept as the reference the key sort must match to
+/// the bit.
+fn auc_pointer_sort(samples: &[ScoredLabel]) -> f64 {
+    let positives = samples.iter().filter(|s| s.positive).count();
+    let negatives = samples.len() - positives;
+    assert!(
+        positives > 0 && negatives > 0,
+        "AUC undefined for one class"
+    );
+    let mut sorted: Vec<&ScoredLabel> = samples.iter().collect();
+    sorted.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("NaN score"));
+    let n = sorted.len();
+    let mut rank_sum_pos = 0.0;
+    let mut idx = 0;
+    while idx < n {
+        let score = sorted[idx].score;
+        let start = idx;
+        while idx < n && sorted[idx].score == score {
+            idx += 1;
+        }
+        let avg_rank = (start + 1 + idx) as f64 / 2.0;
+        for s in &sorted[start..idx] {
+            if s.positive {
+                rank_sum_pos += avg_rank;
+            }
+        }
+    }
+    let p = positives as f64;
+    let m = negatives as f64;
+    (rank_sum_pos - p * (p + 1.0) / 2.0) / (p * m)
+}
+
+/// Scores where an order-preserving integer key could go wrong: both
+/// zeros (equal, different bits), both infinities, subnormals on both
+/// sides of zero, the extremes, and neighbours one ulp apart.
+const EDGE_SCORES: [f64; 14] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 2.0,
+    -f64::MIN_POSITIVE / 2.0,
+    f64::MAX,
+    f64::MIN,
+    1.0,
+    1.0 + f64::EPSILON,
+    -1.0,
+    0.25,
+];
+
+/// Both classes present, up to 2 000 samples, most scores drawn from
+/// [`EDGE_SCORES`] so that nearly every sample sits in a tied block.
+fn edge_heavy_samples() -> impl Strategy<Value = Vec<ScoredLabel>> {
+    proptest::collection::vec((0usize..18, -3.0f64..3.0, any::<bool>()), 0..1999).prop_map(
+        |draws| {
+            let mut v = vec![
+                ScoredLabel {
+                    positive: true,
+                    score: 0.0,
+                },
+                ScoredLabel {
+                    positive: false,
+                    score: -0.0,
+                },
+            ];
+            v.extend(draws.into_iter().map(|(pick, free, positive)| ScoredLabel {
+                positive,
+                score: EDGE_SCORES.get(pick).copied().unwrap_or(free),
+            }));
+            v
+        },
+    )
+}
+
+/// One evaluation-sized input: 10⁶ samples, half of them quantised to
+/// a thousandth so tied blocks run long.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sorts 10⁶ samples twice: release only")]
+fn key_sort_auc_matches_pointer_sort_on_a_million_samples() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(24);
+    let samples: Vec<ScoredLabel> = (0..1_000_000)
+        .map(|_| {
+            let raw = rng.gen::<f64>() * 4.0 - 2.0;
+            ScoredLabel {
+                positive: rng.gen::<f64>() < 0.5 + raw / 8.0,
+                score: if rng.gen::<bool>() {
+                    (raw * 1000.0).round() / 1000.0
+                } else {
+                    raw
+                },
+            }
+        })
+        .collect();
+    assert_eq!(
+        auc_mann_whitney(&samples).to_bits(),
+        auc_pointer_sort(&samples).to_bits()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn key_sort_auc_is_bit_identical_to_pointer_sort(samples in edge_heavy_samples()) {
+        prop_assert_eq!(
+            auc_mann_whitney(&samples).to_bits(),
+            auc_pointer_sort(&samples).to_bits()
+        );
+    }
 
     #[test]
     fn auc_in_unit_interval(samples in mixed_samples()) {

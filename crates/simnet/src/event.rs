@@ -49,7 +49,10 @@
 //!   next far-lane deliveries are known before they are popped, and
 //!   [`EventQueue::upcoming`] shows their payloads through `&self`. It
 //!   exists so a run loop can prefetch the state those deliveries will
-//!   touch (`dmf-core`'s sharded driver does). It may be used for
+//!   touch (`dmf-core`'s sharded driver does); the payload slot itself
+//!   is usually cold that far ahead, and reading it to prefetch it
+//!   would be the stall, so [`EventQueue::prefetch_upcoming`] names a
+//!   slot's address without looking inside. `upcoming` may be used for
 //!   nothing else: it looks no further than the head bucket, says
 //!   nothing about the near lane, and a later `schedule_*` may put a
 //!   key in front of the one it showed — so what it returns is a hint
@@ -468,6 +471,18 @@ impl<E> EventQueue<E> {
         Some(SimTime::from_bits(bits))
     }
 
+    /// The key whose payload [`upcoming(k)`](Self::upcoming) shows,
+    /// `None` exactly where that is.
+    #[inline]
+    fn upcoming_key(&self, k: usize) -> Option<&Key> {
+        let bucket = &self.far.buckets[self.far.sorted?];
+        let key = bucket.get(bucket.len().checked_sub(k + 1)?)?;
+        if self.far.overflow.peek().is_some_and(|o| o.is_before(key)) {
+            return None;
+        }
+        Some(key)
+    }
+
     /// Payload of the far-lane key that pops `k` far-lane pops after
     /// the next one (`upcoming(0)` is the next far-lane pop), read off
     /// the sorted head bucket; `None` when that bucket holds no such
@@ -475,12 +490,20 @@ impl<E> EventQueue<E> {
     /// overflow key is due first. Exact as long as nothing is
     /// scheduled after the last pop; see *Layout* for what it is for.
     pub fn upcoming(&self, k: usize) -> Option<&E> {
-        let bucket = &self.far.buckets[self.far.sorted?];
-        let key = bucket.get(bucket.len().checked_sub(k + 1)?)?;
-        if self.far.overflow.peek().is_some_and(|o| o.is_before(key)) {
-            return None;
+        self.slots[self.upcoming_key(k)?.slot as usize].as_ref()
+    }
+
+    /// Prefetches the payload slot [`upcoming(k)`](Self::upcoming)
+    /// would read, without reading it: `upcoming` has to look at the
+    /// slot to hand out its payload, so on a cold slot it *is* the
+    /// miss a prefetch was meant to hide. This names the slot's
+    /// address and nothing more; does nothing where `upcoming(k)`
+    /// would return `None`.
+    #[inline]
+    pub fn prefetch_upcoming(&self, k: usize) {
+        if let Some(key) = self.upcoming_key(k) {
+            dmf_linalg::simd::prefetch(&self.slots[key.slot as usize]);
         }
-        self.slots[key.slot as usize].as_ref()
     }
 
     /// Number of pending events.

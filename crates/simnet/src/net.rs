@@ -592,6 +592,15 @@ impl<M> SimNet<M> {
         self.queue.upcoming(k)
     }
 
+    /// Prefetches the queue slot holding the delivery
+    /// [`upcoming(k)`](Self::upcoming) would show, without reading it
+    /// ([`EventQueue::prefetch_upcoming`]): the first stage of a
+    /// lookahead, before the delivery's addressees can be known.
+    #[inline]
+    pub fn prefetch_upcoming(&self, k: usize) {
+        self.queue.prefetch_upcoming(k);
+    }
+
     /// Number of queued deliveries (timers included).
     pub fn pending(&self) -> usize {
         self.queue.len()

@@ -18,7 +18,9 @@
 //! * `upcoming(k)` lookups thrown in anywhere: they must leave the
 //!   stream alone, show only pending far-lane payloads, and — asked
 //!   when nothing was scheduled since the last pop — name exactly the
-//!   payload that comes out `k` far-lane pops after the next one.
+//!   payload that comes out `k` far-lane pops after the next one
+//!   (`prefetch_upcoming(k)` rides along: it may not disturb anything
+//!   either).
 
 use dmf_simnet::{EventQueue, Lane, SimTime};
 use proptest::prelude::*;
@@ -136,6 +138,10 @@ impl Harness {
             None => prop_assert!(self.queue.upcoming(k + 1).is_none()),
         }
         prop_assert!(self.queue.upcoming(pending_far.len()).is_none());
+        // The address-only hint takes the same way to the slot: any
+        // `k`, in or past the bucket, and the stream stays as checked.
+        self.queue.prefetch_upcoming(k);
+        self.queue.prefetch_upcoming(pending_far.len());
         Ok(())
     }
 }
