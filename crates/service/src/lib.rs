@@ -34,7 +34,9 @@
 //!   fold from remote errors into [`DmfsgdError`](dmf_core::DmfsgdError)
 //!   (overload → `Transport`).
 //! * [`loopback`] — an in-memory duplex byte pipe so benches and
-//!   examples run the full wire path without sockets.
+//!   examples run the full wire path without sockets: a reader polls
+//!   briefly before it parks, a send wakes only parked readers, and
+//!   bytes cross in one bulk copy.
 //! * [`metrics`] — the service's observability surface
 //!   ([`ServiceMetrics`]): request/error/overload counters, latency
 //!   histogram, per-shard update counters, a live rolling-AUC quality
