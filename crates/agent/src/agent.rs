@@ -4,41 +4,36 @@
 //! loop alternates between:
 //!
 //! 1. receiving datagrams (with a short read timeout so the loop stays
-//!    responsive) and dispatching them through the Algorithm 1/2
-//!    handlers;
+//!    responsive) and handing them to the node's [`Endpoint`];
 //! 2. firing a probe at a random neighbor whenever the probe interval
 //!    has elapsed;
 //! 3. retransmitting outstanding probes whose per-probe timeout
 //!    expired, with jittered exponential backoff and a bounded retry
 //!    budget.
 //!
+//! The protocol — decoding, rank checks, the v2 contexts, the SGD
+//! steps, encoding, replies in the version of the probe — is
+//! [`dmf_core::endpoint`], the code the simulator's wire mode runs too.
+//! The agent supplies its transport: datagrams go out through
+//! [`Transport::send_to`], a sender is resolved through the address
+//! book (a stranger's datagram is dropped unread), a reply is matched
+//! to its probe by nonce *and* sender, the measurement comes from the
+//! [`MeasurementOracle`], and the v2 contexts live per peer, one stream
+//! per direction and role: as prober, the agent's `u` (ABW) and the
+//! peer's replies; as target, the peer's `u` and the agent's replies.
+//!
 //! Datagrams that fail to decode are counted and dropped — a hostile
 //! or corrupted packet cannot crash an agent (see the codec's
-//! fault-model tests). Replies are matched to probes by nonce;
-//! unsolicited or stale replies are ignored, so duplicated or
-//! reordered UDP delivery is harmless.
-//!
-//! # Wire versions
-//!
-//! An agent *probes* in its configured [`WireVersion`] but *replies*
-//! in whatever version the incoming probe spoke — that single rule is
-//! the whole of version negotiation, and it lets v1 and v2 agents
-//! coexist in one cluster. On v2, coordinates travel as quantized
-//! delta/keyframe updates through per-peer
-//! [`EncoderContext`]/[`DecoderContext`] pairs: lost datagrams show up
-//! as sequence gaps, stale deltas are dropped (never half-applied),
-//! and the decoder's piggybacked ack asks for a keyframe to resync.
+//! fault-model tests). Unsolicited or stale replies are counted and
+//! ignored, so duplicated or reordered UDP delivery is harmless.
 
 use crate::metrics::AgentMetricsSlot;
 use crate::oracle::MeasurementOracle;
 use crate::transport::Transport;
 use dmf_core::coords::dot;
+use dmf_core::endpoint::{Endpoint, Link, ProberEnd, TargetEnd, WireStats};
 use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError};
-use dmf_datasets::Metric;
-use dmf_proto::{
-    decode_any, encode, encode_v2, Block, ContextError, CoordUpdate, DecoderContext,
-    EncoderContext, Message, MessageV2, WireMessage, WireVersion,
-};
+use dmf_proto::WireVersion;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -95,6 +90,20 @@ impl AgentStats {
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
     }
+
+    /// The loop's transport counters completed with the endpoint's
+    /// codec counters. The loop counts only retransmitted bytes itself:
+    /// every datagram the endpoint encodes is in `wire.bytes_sent`.
+    fn with_wire(self, wire: WireStats) -> Self {
+        Self {
+            decode_errors: wire.decode_errors as usize,
+            gaps_detected: wire.gaps_detected,
+            keyframes_sent: wire.keyframes_sent,
+            stale_deltas: wire.stale_deltas as usize,
+            bytes_sent: self.bytes_sent + wire.bytes_sent,
+            ..self
+        }
+    }
 }
 
 /// Everything an agent thread needs to run.
@@ -135,6 +144,7 @@ pub struct AgentHandle<T: Transport = std::net::UdpSocket> {
 
 /// One in-flight probe awaiting its reply.
 struct Outstanding {
+    /// The nonce as the reply carries it.
     nonce: u64,
     target: usize,
     /// The encoded datagram, kept so a retry resends identical bytes
@@ -144,6 +154,61 @@ struct Outstanding {
     first_sent: Instant,
     deadline: Instant,
     attempts: u32,
+}
+
+/// The agent's [`Link`]: per-peer contexts, probes matched by nonce and
+/// sender, measurements from the oracle.
+struct AgentLink<'a> {
+    id: usize,
+    oracle: &'a MeasurementOracle,
+    metrics: Option<&'a AgentMetricsSlot>,
+    /// The agent's ends of the exchanges it runs with each target.
+    probing: HashMap<usize, ProberEnd>,
+    /// Its ends of the exchanges each prober runs with it.
+    serving: HashMap<usize, TargetEnd>,
+    /// In-flight probes, bounded by oldest-first eviction.
+    outstanding: Vec<Outstanding>,
+    /// Transport counters (see [`AgentStats::with_wire`]).
+    stats: AgentStats,
+}
+
+impl Link for AgentLink<'_> {
+    fn prober_end(&mut self, target: usize) -> Option<&mut ProberEnd> {
+        Some(self.probing.entry(target).or_default())
+    }
+
+    fn target_end(&mut self, prober: usize) -> Option<&mut TargetEnd> {
+        Some(self.serving.entry(prober).or_default())
+    }
+
+    fn abw_class(&mut self, prober: usize) -> Option<f64> {
+        self.oracle.abw_class(prober, self.id)
+    }
+
+    fn complete(
+        &mut self,
+        node: &DmfsgdNode,
+        target: usize,
+        nonce: u64,
+        carried: Option<f64>,
+        v: &[f64],
+    ) -> Option<f64> {
+        let Some(idx) = self
+            .outstanding
+            .iter()
+            .position(|o| o.nonce == nonce && o.target == target)
+        else {
+            self.stats.unmatched_replies += 1;
+            return None;
+        };
+        self.outstanding.swap_remove(idx);
+        let x = carried.or_else(|| self.oracle.rtt_class(self.id, target))?;
+        if let Some(slot) = self.metrics {
+            slot.record_quality(x > 0.0, dot(&node.coords.u, v));
+        }
+        self.stats.updates_applied += 1;
+        Some(x)
+    }
 }
 
 /// Runs the agent loop until the stop flag rises; returns the trained
@@ -159,42 +224,32 @@ pub fn run_agent<T: Transport>(
     handle: AgentHandle<T>,
     rng_seed: u64,
 ) -> Result<(DmfsgdNode, AgentStats), DmfsgdError> {
-    let AgentHandle {
-        mut node,
-        socket,
-        peers,
-        neighbors,
-        oracle,
-        config,
-        stop,
-        probe_interval,
-        wire,
-        probe_timeout,
-        max_retries,
-        metrics,
-    } = handle;
+    let (mut node, neighbors, peers) = (handle.node, &handle.neighbors, &handle.peers);
+    let (socket, config, oracle) = (&handle.socket, &handle.config, &handle.oracle);
+    let (probe_interval, probe_timeout) = (handle.probe_interval, handle.probe_timeout);
     let id = node.id;
     if neighbors.is_empty() {
         return Err(MembershipError::NoNeighbors { id }.into());
     }
     let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-    let params = config.sgd;
-    let metric = oracle.metric();
-    let mut stats = AgentStats::default();
+    let mut endpoint = Endpoint::new(handle.wire, oracle.metric(), oracle.tau());
+    let mut link = AgentLink {
+        id,
+        oracle,
+        metrics: handle.metrics.as_deref(),
+        probing: HashMap::new(),
+        serving: HashMap::new(),
+        outstanding: Vec::new(),
+        stats: AgentStats::default(),
+    };
 
-    // In-flight probes, bounded by oldest-first eviction.
-    let mut outstanding: Vec<Outstanding> = Vec::new();
     let outstanding_cap = 4 * neighbors.len() + 16;
     let mut next_nonce: u64 = (id as u64) << 32;
     let mut last_probe = Instant::now() - probe_interval; // probe immediately
     let mut buf = [0u8; 4096];
+    let mut reply = Vec::new();
 
-    // Per-peer v2 contexts: encoders for coordinate streams this
-    // agent sends, decoders for streams it receives.
-    let mut enc_ctxs: HashMap<usize, EncoderContext> = HashMap::new();
-    let mut dec_ctxs: HashMap<usize, DecoderContext> = HashMap::new();
-
-    while !stop.load(Ordering::Relaxed) {
+    while !handle.stop.load(Ordering::Relaxed) {
         let now = Instant::now();
 
         // -- fire a probe when due ------------------------------------
@@ -202,60 +257,21 @@ pub fn run_agent<T: Transport>(
             last_probe = now;
             let target = neighbors[rng.gen_range(0..neighbors.len())];
             next_nonce += 1;
-            let nonce = next_nonce;
-            // v2 nonces are u32 on the wire; the outstanding key must
-            // match what the reply will carry back.
-            let match_key = match wire {
-                WireVersion::V1 => nonce,
-                WireVersion::V2 => u64::from(nonce as u32),
-            };
-            let datagram: Vec<u8> = match (wire, metric) {
-                (WireVersion::V1, Metric::Rtt) => encode(&Message::RttProbe { nonce }).to_vec(),
-                (WireVersion::V1, Metric::Abw) => encode(&Message::AbwProbe {
-                    nonce,
-                    rate_mbps: oracle.tau(),
-                    u: node.coords.u.to_vec(),
-                })
-                .to_vec(),
-                (WireVersion::V2, Metric::Rtt) => {
-                    let ack = dec_ctxs.get(&target).and_then(|d| d.ack());
-                    encode_v2(&MessageV2::RttProbe {
-                        nonce: nonce as u32,
-                        ack,
-                    })
-                    .to_vec()
-                }
-                (WireVersion::V2, Metric::Abw) => {
-                    let ack = dec_ctxs.get(&target).and_then(|d| d.ack());
-                    let update = enc_ctxs.entry(target).or_default().encode(&node.coords.u);
-                    encode_v2(&MessageV2::AbwProbe {
-                        nonce: nonce as u32,
-                        rate_mbps: oracle.tau(),
-                        ack,
-                        update,
-                    })
-                    .to_vec()
-                }
-            };
+            let mut datagram = Vec::new();
+            let nonce = endpoint.probe(&mut link, &node, target, next_nonce, &mut datagram);
             // Keep the table bounded even under heavy reply loss:
             // evict the probe that has been in flight longest.
+            let outstanding = &mut link.outstanding;
             if outstanding.len() >= outstanding_cap {
-                if let Some(oldest) = outstanding
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, o)| o.first_sent)
-                    .map(|(idx, _)| idx)
-                {
-                    outstanding.swap_remove(oldest);
-                    stats.evictions += 1;
-                }
+                let oldest = (0..outstanding.len()).min_by_key(|&i| outstanding[i].first_sent);
+                outstanding.swap_remove(oldest.expect("a full table holds probes"));
+                link.stats.evictions += 1;
             }
             if socket.send_to(&datagram, peers[target]).is_ok() {
-                stats.probes_sent += 1;
-                stats.bytes_sent += datagram.len() as u64;
+                link.stats.probes_sent += 1;
             }
             outstanding.push(Outstanding {
-                nonce: match_key,
+                nonce,
                 target,
                 wire: datagram,
                 first_sent: now,
@@ -264,29 +280,22 @@ pub fn run_agent<T: Transport>(
             });
             // Once per probe period is frequent enough for a live
             // view and cheap enough (a dozen relaxed stores) not to
-            // matter; the context counters are folded in so the live
-            // mirror sees them without waiting for loop exit.
-            if let Some(slot) = &metrics {
-                let mut flushed = stats;
-                flushed.gaps_detected = dec_ctxs.values().map(|d| d.gaps_detected()).sum();
-                flushed.keyframes_sent = enc_ctxs.values().map(|e| e.keyframes_sent()).sum();
-                slot.flush(&flushed);
+            // matter.
+            if let Some(slot) = link.metrics {
+                slot.flush(&link.stats.with_wire(endpoint.stats()));
             }
         }
 
         // -- retransmit expired probes (jittered backoff) -------------
-        let mut idx = 0;
-        while idx < outstanding.len() {
-            if outstanding[idx].deadline > now {
-                idx += 1;
-                continue;
+        let stats = &mut link.stats;
+        link.outstanding.retain_mut(|entry| {
+            if entry.deadline > now {
+                return true;
             }
-            if outstanding[idx].attempts > max_retries {
-                outstanding.swap_remove(idx);
+            if entry.attempts > handle.max_retries {
                 stats.probes_abandoned += 1;
-                continue;
+                return false;
             }
-            let entry = &mut outstanding[idx];
             entry.attempts += 1;
             // Exponential backoff with ±25% jitter so a cluster-wide
             // loss burst does not resynchronize every agent's retries.
@@ -298,332 +307,217 @@ pub fn run_agent<T: Transport>(
                 stats.retries += 1;
                 stats.bytes_sent += entry.wire.len() as u64;
             }
-            idx += 1;
-        }
+            true
+        });
 
         // -- receive and dispatch -------------------------------------
-        let (len, src) = match socket.recv_from(&mut buf) {
-            Ok(ok) => ok,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => continue,
+        // A timeout (or any receive error) just loops.
+        let Ok((len, src)) = socket.recv_from(&mut buf) else {
+            continue;
         };
-        stats.bytes_received += len as u64;
-        let msg = match decode_any(&buf[..len]) {
-            Ok(m) => m,
-            Err(_) => {
-                stats.decode_errors += 1;
-                continue;
-            }
+        link.stats.bytes_received += len as u64;
+        let Some(from) = peers.iter().position(|&p| p == src) else {
+            continue;
         };
-
-        match msg {
-            WireMessage::V1(msg) => handle_v1(
-                msg,
-                &mut node,
-                &socket,
-                src,
-                &peers,
-                &oracle,
-                &config,
-                &params,
-                &mut outstanding,
-                &mut stats,
-                metrics.as_deref(),
-            ),
-            WireMessage::V2(msg) => handle_v2(
-                msg,
-                &mut node,
-                &socket,
-                src,
-                &peers,
-                &oracle,
-                &config,
-                &params,
-                &mut outstanding,
-                &mut enc_ctxs,
-                &mut dec_ctxs,
-                &mut stats,
-                metrics.as_deref(),
-            ),
+        if endpoint.receive(&mut link, &mut node, config, from, &buf[..len], &mut reply) {
+            // Best-effort like every UDP send; the bytes are counted.
+            let _ = socket.send_to(&reply, src);
         }
     }
 
-    // Fold per-peer context counters into the agent totals.
-    stats.gaps_detected = dec_ctxs.values().map(|d| d.gaps_detected()).sum();
-    stats.keyframes_sent = enc_ctxs.values().map(|e| e.keyframes_sent()).sum();
-    if let Some(slot) = &metrics {
+    let stats = link.stats.with_wire(endpoint.stats());
+    if let Some(slot) = link.metrics {
         slot.flush(&stats);
     }
-
     Ok((node, stats))
-}
-
-fn take_outstanding(outstanding: &mut Vec<Outstanding>, nonce: u64) -> Option<usize> {
-    let idx = outstanding.iter().position(|o| o.nonce == nonce)?;
-    Some(outstanding.swap_remove(idx).target)
-}
-
-/// Algorithm 1/2 dispatch for a v1 datagram. Replies are v1: a peer
-/// that probes in v1 is answered in v1.
-#[allow(clippy::too_many_arguments)]
-fn handle_v1<T: Transport>(
-    msg: Message,
-    node: &mut DmfsgdNode,
-    socket: &T,
-    src: SocketAddr,
-    peers: &[SocketAddr],
-    oracle: &MeasurementOracle,
-    config: &DmfsgdConfig,
-    params: &dmf_core::SgdParams,
-    outstanding: &mut Vec<Outstanding>,
-    stats: &mut AgentStats,
-    metrics: Option<&AgentMetricsSlot>,
-) {
-    let id = node.id;
-    match msg {
-        Message::RttProbe { nonce } => {
-            // Algorithm 1 step 2: reply with coordinates.
-            let (u, v) = node.rtt_reply();
-            let reply = encode(&Message::RttReply {
-                nonce,
-                u: u.to_vec(),
-                v: v.to_vec(),
-            });
-            if socket.send_to(&reply, src).is_ok() {
-                stats.bytes_sent += reply.len() as u64;
-            }
-        }
-        Message::RttReply { nonce, u, v } => {
-            // Steps 3–4: measure (via oracle) and update.
-            let Some(target) = take_outstanding(outstanding, nonce) else {
-                stats.unmatched_replies += 1;
-                return;
-            };
-            if u.len() != config.rank || v.len() != config.rank {
-                stats.decode_errors += 1;
-                return;
-            }
-            if let Some(x) = oracle.rtt_class(id, target) {
-                if let Some(slot) = metrics {
-                    slot.record_quality(x > 0.0, dot(&node.coords.u, &v));
-                }
-                node.on_rtt_measurement(x, &u, &v, params);
-                stats.updates_applied += 1;
-            }
-        }
-        Message::AbwProbe {
-            nonce,
-            rate_mbps: _,
-            u,
-        } => {
-            // Algorithm 2 steps 2–4 at the target. The prober's id
-            // is recovered from its source address.
-            let Some(prober) = peers.iter().position(|&p| p == src) else {
-                return; // unknown sender
-            };
-            if u.len() != config.rank {
-                stats.decode_errors += 1;
-                return;
-            }
-            let Some(x) = oracle.abw_class(prober, id) else {
-                return;
-            };
-            let v = node.on_abw_probe(x, &u, params);
-            let reply = encode(&Message::AbwReply {
-                nonce,
-                x,
-                v: v.to_vec(),
-            });
-            if socket.send_to(&reply, src).is_ok() {
-                stats.bytes_sent += reply.len() as u64;
-            }
-        }
-        Message::AbwReply { nonce, x, v } => {
-            // Step 5 at the prober.
-            if take_outstanding(outstanding, nonce).is_none() {
-                stats.unmatched_replies += 1;
-                return;
-            }
-            if v.len() != config.rank {
-                stats.decode_errors += 1;
-                return;
-            }
-            if let Some(slot) = metrics {
-                slot.record_quality(x > 0.0, dot(&node.coords.u, &v));
-            }
-            node.on_abw_reply(x, &v, params);
-            stats.updates_applied += 1;
-        }
-    }
-}
-
-/// Applies a v2 update of `expected` values through `dec`, counting a
-/// refusal in `stats`. A block of another length is refused before the
-/// context sees it: it must not become a baseline, let alone an acked
-/// one. After a stale delta the next probe's ack carries
-/// `want_keyframe`.
-fn apply_update(
-    dec: &mut DecoderContext,
-    update: &CoordUpdate,
-    expected: usize,
-    stats: &mut AgentStats,
-) -> Option<Block<f64>> {
-    if update.rank() != expected {
-        stats.decode_errors += 1;
-        return None;
-    }
-    match dec.apply(update) {
-        Ok(coords) => Some(coords.into()),
-        Err(ContextError::StaleBaseline { .. }) => {
-            stats.stale_deltas += 1;
-            None
-        }
-        Err(ContextError::RankMismatch { .. }) => {
-            stats.decode_errors += 1;
-            None
-        }
-    }
-}
-
-/// Algorithm 1/2 dispatch for a v2 datagram: quantized updates
-/// through the per-peer contexts, acks fed back to the encoders.
-#[allow(clippy::too_many_arguments)]
-fn handle_v2<T: Transport>(
-    msg: MessageV2,
-    node: &mut DmfsgdNode,
-    socket: &T,
-    src: SocketAddr,
-    peers: &[SocketAddr],
-    oracle: &MeasurementOracle,
-    config: &DmfsgdConfig,
-    params: &dmf_core::SgdParams,
-    outstanding: &mut Vec<Outstanding>,
-    enc_ctxs: &mut HashMap<usize, EncoderContext>,
-    dec_ctxs: &mut HashMap<usize, DecoderContext>,
-    stats: &mut AgentStats,
-    metrics: Option<&AgentMetricsSlot>,
-) {
-    let id = node.id;
-    match msg {
-        MessageV2::RttProbe { nonce, ack } => {
-            let Some(prober) = peers.iter().position(|&p| p == src) else {
-                return; // unknown sender
-            };
-            let enc = enc_ctxs.entry(prober).or_default();
-            if let Some(ack) = ack {
-                enc.on_ack(ack);
-            }
-            // One update block carries u ‖ v under one sequence number.
-            let (u, v) = node.rtt_reply();
-            let coords: Block<f64> = u.iter().chain(v.iter()).copied().collect();
-            let update = enc.encode(&coords);
-            let reply = encode_v2(&MessageV2::RttReply { nonce, update });
-            if socket.send_to(&reply, src).is_ok() {
-                stats.bytes_sent += reply.len() as u64;
-            }
-        }
-        MessageV2::RttReply { nonce, update } => {
-            let Some(target) = take_outstanding(outstanding, u64::from(nonce)) else {
-                stats.unmatched_replies += 1;
-                return;
-            };
-            let dec = dec_ctxs.entry(target).or_default();
-            let Some(coords) = apply_update(dec, &update, 2 * config.rank, stats) else {
-                return;
-            };
-            let (u, v) = coords.split_at(config.rank);
-            if let Some(x) = oracle.rtt_class(id, target) {
-                if let Some(slot) = metrics {
-                    slot.record_quality(x > 0.0, dot(&node.coords.u, v));
-                }
-                node.on_rtt_measurement(x, u, v, params);
-                stats.updates_applied += 1;
-            }
-        }
-        MessageV2::AbwProbe {
-            nonce,
-            rate_mbps: _,
-            ack,
-            update,
-        } => {
-            let Some(prober) = peers.iter().position(|&p| p == src) else {
-                return; // unknown sender
-            };
-            // The probe's ack confirms our v-stream toward the prober.
-            if let Some(ack) = ack {
-                enc_ctxs.entry(prober).or_default().on_ack(ack);
-            }
-            let dec = dec_ctxs.entry(prober).or_default();
-            let Some(u) = apply_update(dec, &update, config.rank, stats) else {
-                return;
-            };
-            let reply_ack = dec.ack();
-            let Some(x) = oracle.abw_class(prober, id) else {
-                return;
-            };
-            let v = node.on_abw_probe(x, &u, params);
-            let update = enc_ctxs.entry(prober).or_default().encode(&v);
-            let reply = encode_v2(&MessageV2::AbwReply {
-                nonce,
-                x,
-                ack: reply_ack,
-                update,
-            });
-            if socket.send_to(&reply, src).is_ok() {
-                stats.bytes_sent += reply.len() as u64;
-            }
-        }
-        MessageV2::AbwReply {
-            nonce,
-            x,
-            ack,
-            update,
-        } => {
-            let Some(target) = take_outstanding(outstanding, u64::from(nonce)) else {
-                stats.unmatched_replies += 1;
-                return;
-            };
-            // The reply's ack confirms our u-stream toward the target.
-            if let Some(ack) = ack {
-                enc_ctxs.entry(target).or_default().on_ack(ack);
-            }
-            let dec = dec_ctxs.entry(target).or_default();
-            let Some(v) = apply_update(dec, &update, config.rank, stats) else {
-                return;
-            };
-            if let Some(slot) = metrics {
-                slot.record_quality(x > 0.0, dot(&node.coords.u, &v));
-            }
-            node.on_abw_reply(x, &v, params);
-            stats.updates_applied += 1;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_datasets::abw::hps3_like;
+    use dmf_datasets::rtt::meridian_like;
+    use dmf_datasets::Metric;
+    use dmf_proto::{decode_v2, DecoderContext};
+
+    /// One agent's node, endpoint and link per node of `oracle`, without
+    /// sockets: datagrams are handed across by the test.
+    fn agents(
+        oracle: &MeasurementOracle,
+        version: WireVersion,
+    ) -> (Vec<DmfsgdNode>, Vec<Endpoint>, Vec<AgentLink<'_>>) {
+        let n = oracle.len();
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let rank = DmfsgdConfig::paper_defaults().rank;
+        let nodes = (0..n).map(|i| DmfsgdNode::new(i, rank, &mut rng)).collect();
+        let endpoint = Endpoint::new(version, oracle.metric(), oracle.tau());
+        let link = |id| AgentLink {
+            id,
+            oracle,
+            metrics: None,
+            probing: HashMap::new(),
+            serving: HashMap::new(),
+            outstanding: Vec::new(),
+            stats: AgentStats::default(),
+        };
+        let links = (0..n).map(link).collect();
+        (nodes, vec![endpoint; n], links)
+    }
+
+    /// What the loop does when it fires: encode, remember, "send".
+    fn probe(
+        endpoint: &mut Endpoint,
+        link: &mut AgentLink<'_>,
+        node: &DmfsgdNode,
+        target: usize,
+        nonce: u64,
+    ) -> Vec<u8> {
+        let mut datagram = Vec::new();
+        let nonce = endpoint.probe(link, node, target, nonce, &mut datagram);
+        let now = Instant::now();
+        link.outstanding.push(Outstanding {
+            nonce,
+            target,
+            wire: datagram.clone(),
+            first_sent: now,
+            deadline: now + Duration::from_secs(1),
+            attempts: 1,
+        });
+        datagram
+    }
 
     #[test]
-    fn wrong_rank_update_never_reaches_the_decoder() {
-        let mut dec = DecoderContext::new();
-        let mut stats = AgentStats::default();
-        let first = EncoderContext::new().encode(&[0.5; 20]);
-        assert!(apply_update(&mut dec, &first, 20, &mut stats).is_some());
-        let before = dec.clone();
+    fn a_live_nonce_from_another_peer_is_unmatched_and_the_probe_still_waits() {
+        let dataset = meridian_like(3, 5);
+        let oracle = MeasurementOracle::new(dataset.clone(), dataset.median(), 5);
+        let config = DmfsgdConfig::paper_defaults();
+        let mut out = Vec::new();
+        for version in [WireVersion::V1, WireVersion::V2] {
+            let (mut nodes, mut endpoints, mut links) = agents(&oracle, version);
+            let datagram = probe(&mut endpoints[0], &mut links[0], &nodes[0], 1, 7);
 
-        // A keyframe two values short, numbered so that the decoder
-        // would take it as its newest.
-        let mut short = EncoderContext::new().encode(&[0.25; 18]);
-        short.seq = first.seq.wrapping_add(5);
-        assert!(apply_update(&mut dec, &short, 20, &mut stats).is_none());
-        assert_eq!(stats.decode_errors, 1);
-        assert_eq!(dec.ack(), before.ack(), "the refused block was acked");
-        assert_eq!(dec, before, "the refused block changed the decoder");
+            // Node 2 answers node 0's probe to node 1: its reply
+            // carries the live nonce, but from the wrong address.
+            let mut stray = Vec::new();
+            assert!(endpoints[2].receive(
+                &mut links[2],
+                &mut nodes[2],
+                &config,
+                0,
+                &datagram,
+                &mut stray
+            ));
+            let before = nodes[0].clone();
+            assert!(!endpoints[0].receive(
+                &mut links[0],
+                &mut nodes[0],
+                &config,
+                2,
+                &stray,
+                &mut out
+            ));
+            assert_eq!(links[0].stats.unmatched_replies, 1, "{version}");
+            assert_eq!(
+                links[0].outstanding.len(),
+                1,
+                "{version}: the probe was taken"
+            );
+            assert_eq!(nodes[0], before, "{version}: trained on a stranger's reply");
+            let untouched = |end: &ProberEnd| end.reply_dec == DecoderContext::new();
+            assert!(
+                links[0].probing.get(&1).is_none_or(untouched),
+                "{version}: the stray reply touched node 1's stream"
+            );
+
+            // Node 1's own reply still completes the probe.
+            let mut answer = Vec::new();
+            assert!(endpoints[1].receive(
+                &mut links[1],
+                &mut nodes[1],
+                &config,
+                0,
+                &datagram,
+                &mut answer
+            ));
+            assert!(!endpoints[0].receive(
+                &mut links[0],
+                &mut nodes[0],
+                &config,
+                1,
+                &answer,
+                &mut out
+            ));
+            assert!(links[0].outstanding.is_empty(), "{version}");
+            assert_eq!(links[0].stats.updates_applied, 1, "{version}");
+        }
+    }
+
+    #[test]
+    fn mutual_neighbors_keep_probe_and_reply_streams_apart() {
+        let dataset = hps3_like(12, 6);
+        assert_eq!(dataset.metric, Metric::Abw);
+        let (a, b) = dataset
+            .mask
+            .iter_known()
+            .find(|&(i, j)| dataset.value(j, i).is_some())
+            .expect("a pair measured both ways");
+        let oracle = MeasurementOracle::new(dataset.clone(), dataset.median(), 6);
+        let config = DmfsgdConfig::paper_defaults();
+        let (mut nodes, mut endpoints, mut links) = agents(&oracle, WireVersion::V2);
+        let seq = |datagram: &[u8]| {
+            let msg = decode_v2(datagram).expect("well-formed");
+            msg.update().expect("ABW datagrams carry coordinates").seq
+        };
+
+        // a's datagrams to b, by stream, over a random interleaving.
+        let (mut probes, mut replies) = (Vec::new(), Vec::new());
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let rounds = 64;
+        for nonce in 0..rounds {
+            let (prober, target) = if rng.gen::<bool>() { (a, b) } else { (b, a) };
+            let datagram = probe(
+                &mut endpoints[prober],
+                &mut links[prober],
+                &nodes[prober],
+                target,
+                nonce,
+            );
+            let mut reply = Vec::new();
+            assert!(endpoints[target].receive(
+                &mut links[target],
+                &mut nodes[target],
+                &config,
+                prober,
+                &datagram,
+                &mut reply
+            ));
+            let mut none = Vec::new();
+            assert!(!endpoints[prober].receive(
+                &mut links[prober],
+                &mut nodes[prober],
+                &config,
+                target,
+                &reply,
+                &mut none
+            ));
+            if prober == a {
+                probes.push(seq(&datagram));
+            } else {
+                replies.push(seq(&reply));
+            }
+        }
+        let consecutive = |seqs: &[u16]| seqs.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
+        assert!(probes.len() > 10 && replies.len() > 10, "both roles ran");
+        assert!(consecutive(&probes), "a's probes to b: {probes:?}");
+        assert!(consecutive(&replies), "a's replies to b: {replies:?}");
+        let applied = links[a].stats.updates_applied + links[b].stats.updates_applied;
+        assert_eq!(applied, rounds as usize, "every reply matched and trained");
+        for endpoint in [&endpoints[a], &endpoints[b]] {
+            let stats = endpoint.stats();
+            assert_eq!(
+                stats.decode_errors + stats.stale_deltas + stats.gaps_detected,
+                0
+            );
+        }
     }
 }

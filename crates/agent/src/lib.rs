@@ -14,8 +14,11 @@
 //! rationale).
 //!
 //! * [`oracle`] — the ground-truth measurement oracle.
-//! * [`agent`] — the per-node event loop (Algorithms 1 and 2 over
-//!   datagrams), speaking wire v1 or the loss-hardened delta v2.
+//! * [`agent`] — the per-node event loop: a UDP transport under
+//!   [`dmf_core::endpoint`], the one Algorithm 1/2 datagram handler the
+//!   simulator's wire mode runs too. The agent supplies sockets, peer
+//!   addresses, nonce-and-sender matching with retries and eviction,
+//!   the oracle's measurements and per-peer v2 contexts.
 //! * [`transport`] — the [`Transport`] abstraction and
 //!   [`FaultySocket`], a UDP socket wrapped in `dmf_proto`'s seeded
 //!   fault injector (drop / duplicate / reorder / truncate /
@@ -37,12 +40,12 @@
 //!
 //! # Position in the workspace
 //!
-//! The deployment tip of the DAG: node state machines come from
-//! [`dmf_core::node`], the wire format from [`dmf_proto`], probe
-//! instruments from [`dmf_simnet::probe`], ground truth from
-//! [`dmf_datasets`], outcome scoring from [`dmf_eval`], and the
-//! metric/health vocabulary from [`dmf_ops`]. Nothing depends on this
-//! crate — it exists to prove the algorithm runs (and can be
+//! The deployment tip of the DAG: node state machines and their
+//! datagram protocol come from [`dmf_core`], the wire format from
+//! [`dmf_proto`], probe instruments from [`dmf_simnet::probe`], ground
+//! truth from [`dmf_datasets`], outcome scoring from [`dmf_eval`], and
+//! the metric/health vocabulary from [`dmf_ops`]. Nothing depends on
+//! this crate — it exists to prove the algorithm runs (and can be
 //! operated) on real sockets.
 
 #![forbid(unsafe_code)]

@@ -9,7 +9,9 @@
 
 use dmf_agent::{run_agent, AgentHandle, ClusterConfig, MeasurementOracle, UdpCluster};
 use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError};
+use dmf_datasets::abw::hps3_like;
 use dmf_datasets::rtt::meridian_like;
+use dmf_datasets::Dataset;
 use dmf_eval::{collect_scores, roc::auc};
 use dmf_proto::{FaultSpec, WireVersion};
 use rand::SeedableRng;
@@ -56,10 +58,17 @@ fn lossy_cluster_still_learns() {
 }
 
 /// Mixed-version cluster: a v1 prober and a v2 prober answering each
-/// other. Replies follow the probe's version, so both sides learn.
+/// other, on Algorithm 1 (RTT) and on Algorithm 2 (ABW). Replies follow
+/// the probe's version, so both sides learn.
 #[test]
 fn v1_and_v2_agents_interoperate() {
-    let d = meridian_like(2, 7);
+    for d in [meridian_like(2, 7), hps3_like(2, 7)] {
+        mixed_pair_learns(d);
+    }
+}
+
+fn mixed_pair_learns(d: Dataset) {
+    let metric = d.metric;
     let tau = d.median();
     let oracle = Arc::new(MeasurementOracle::new(d, tau, 99));
     let config = DmfsgdConfig {
@@ -110,12 +119,18 @@ fn v1_and_v2_agents_interoperate() {
             .join()
             .expect("agent thread")
             .expect("agent loop result");
-        assert!(stats.probes_sent > 0, "both versions must probe");
+        assert!(
+            stats.probes_sent > 0,
+            "{metric:?}: both versions must probe"
+        );
         assert!(
             stats.updates_applied > 0,
-            "both versions must apply updates: {stats:?}"
+            "{metric:?}: both versions must apply updates: {stats:?}"
         );
-        assert_eq!(stats.decode_errors, 0, "clean link, no decode errors");
+        assert_eq!(
+            stats.decode_errors, 0,
+            "{metric:?}: clean link, no decode errors"
+        );
     }
 }
 

@@ -50,6 +50,9 @@
 //!   ([`runner::SimnetDriver`]): the same node logic driven through
 //!   `dmf-simnet` message passing with latency and loss,
 //!   demonstrating the fully decentralized operation.
+//! * [`endpoint`] — Algorithms 1 and 2 as datagrams: the one
+//!   [`Endpoint`] both the simulator's wire mode and the UDP agents of
+//!   `dmf-agent` run, each supplying only its transport.
 //! * [`multiclass`] — the paper's §7 future work implemented: ordinal
 //!   prediction of more than two performance classes via
 //!   immediate-threshold losses, degenerating exactly to the binary
@@ -79,6 +82,8 @@
 pub mod config;
 pub mod coords;
 #[deny(missing_docs)]
+pub mod endpoint;
+#[deny(missing_docs)]
 pub mod epoch;
 #[deny(missing_docs)]
 pub mod error;
@@ -96,11 +101,12 @@ pub mod update;
 
 pub use config::{DmfsgdConfig, PredictionMode, SgdParams};
 pub use coords::{CoordVec, Coordinates};
+pub use endpoint::{Endpoint, WireStats};
 pub use epoch::EpochView;
 pub use error::{ConfigError, DmfsgdError, MembershipError, NodeId, SnapshotError};
 pub use loss::Loss;
 pub use node::DmfsgdNode;
-pub use runner::{ExchangeFidelity, SimnetDriver, SimnetRunner, WireStats};
+pub use runner::{ExchangeFidelity, SimnetDriver, SimnetRunner};
 pub use session::{Driver, OracleDriver, Session, SessionBuilder};
 pub use sharded::ShardedSimnetDriver;
 pub use snapshot::Snapshot;

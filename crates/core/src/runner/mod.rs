@@ -36,8 +36,9 @@
 //! 100 k nodes.
 //!
 //! `wire` is [`SimnetDriver::with_wire_version`]: every leg a real
-//! `dmf-proto` datagram. Lanes: `core.runner_wire_v1_cycles_per_s`
-//! (v1) and the `probe-wire` workload (v2).
+//! `dmf-proto` datagram, handled by the [`Endpoint`] the UDP agents run
+//! too; `wire` is only the simulator's transport under it. Lanes:
+//! `core.runner_wire_v1_cycles_per_s` (v1) and `probe-wire` (v2).
 //!
 //! `facade` is [`SimnetRunner`], a private `Session` bundled with a
 //! `SimnetDriver` (what those lanes construct); use the driver directly
@@ -64,9 +65,9 @@ pub(crate) mod fused;
 mod wire;
 
 pub use facade::{sign_agreement, SimnetRunner};
-pub use wire::WireStats;
 
 use crate::coords::CoordVec;
+use crate::endpoint::{Endpoint, WireStats};
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
 use crate::session::{Driver, Session};
 use dmf_datasets::{Dataset, Metric};
@@ -181,9 +182,9 @@ pub struct SimnetDriver {
     abw_prober: PathloadProber,
     fidelity: ExchangeFidelity,
     /// When set, every protocol leg travels as encoded `dmf-proto`
-    /// bytes ([`Msg::Wire`]) in this version instead of native enum
-    /// payloads.
-    wire: Option<WireVersion>,
+    /// bytes ([`Msg::Wire`]), encoded and run by this endpoint, instead
+    /// of native enum payloads.
+    wire: Option<Endpoint>,
     wire_nonce: u64,
     /// v2 coordinate-stream state, one entry per neighbor slot (see
     /// [`wire::exchange`]); empty until the first v2 datagram.
@@ -193,7 +194,6 @@ pub struct SimnetDriver {
     /// Coordinate boxes back from delivery, likewise: a pool of allocations.
     #[allow(clippy::vec_box)]
     free_coords: Vec<Box<CoordVec>>,
-    wire_stats: WireStats,
 }
 
 impl SimnetDriver {
@@ -248,7 +248,6 @@ impl SimnetDriver {
             exchanges: Vec::new(),
             free_bufs: Vec::new(),
             free_coords: Vec::new(),
-            wire_stats: WireStats::default(),
         })
     }
 
@@ -274,13 +273,13 @@ impl SimnetDriver {
 
     /// Routes every protocol leg through the real `dmf-proto` codec:
     /// probes and replies travel as encoded datagrams ([`Msg::Wire`])
-    /// in `version`, decoded at delivery, with v2 runs maintaining
-    /// per-pair encoder/decoder contexts exactly like the UDP agents.
+    /// in `version`, run at delivery by the same
+    /// [`Endpoint`] the UDP agents run.
     /// Implies per-message event flow — the fused RTT shortcut never
     /// applies, since every leg must be a datagram to be counted in
     /// [`wire_stats`](Self::wire_stats).
     pub fn with_wire_version(mut self, version: WireVersion) -> Self {
-        self.wire = Some(version);
+        self.wire = Some(Endpoint::new(version, self.dataset.metric, self.fused.tau));
         self
     }
 
@@ -292,7 +291,7 @@ impl SimnetDriver {
     /// Byte-level statistics of a wire-mode run (all zeros unless
     /// [`with_wire_version`](Self::with_wire_version) was set).
     pub fn wire_stats(&self) -> WireStats {
-        self.wire_stats
+        self.wire.as_ref().map(Endpoint::stats).unwrap_or_default()
     }
 
     /// Current simulated time (the timestamp of the last delivered
@@ -455,31 +454,6 @@ impl SimnetDriver {
         }
     }
 
-    /// RTT steps 3–4 at the prober `i`: pair the reply with its
-    /// pending probe, infer the RTT from the measured round-trip time
-    /// of this very exchange, classify at τ, and train.
-    fn complete_rtt_cycle(
-        &mut self,
-        session: &mut Session,
-        now: f64,
-        i: usize,
-        j: usize,
-        u: &[f64],
-        v: &[f64],
-    ) {
-        let pending = &mut self.pending_rtt[i];
-        let Some(pos) = pending.iter().position(|&(target, _)| target == j) else {
-            return; // duplicate or stale reply
-        };
-        let (_, sent_at) = pending.swap_remove(pos);
-        let rtt_ms = (now - sent_at) * 1000.0;
-        let x = Metric::Rtt.classify(rtt_ms, self.fused.tau);
-        let params = session.config.sgd;
-        session.nodes[i].on_rtt_measurement(x, u, v, &params);
-        session.measurements += 1;
-        self.fused.stats.measurements_completed += 1;
-    }
-
     fn handle(&mut self, session: &mut Session, now: f64, from: usize, to: usize, msg: Msg) {
         match msg {
             Msg::ProbeTick => {
@@ -488,8 +462,8 @@ impl SimnetDriver {
                 // (one cheap self-event per interval) so a rejoined
                 // slot resumes probing without external re-seeding.
                 if session.is_alive(i) {
-                    if let Some(version) = self.wire {
-                        self.fire_wire_probe(session, version, i, now);
+                    if self.wire.is_some() {
+                        self.fire_wire_probe(session, i, now);
                     } else if self.dataset.metric == Metric::Rtt
                         && self.fidelity == ExchangeFidelity::Fused
                     {
@@ -535,9 +509,16 @@ impl SimnetDriver {
                     .on_exchange(&mut self.net, session, now, to, from, sent_at);
             }
             Msg::RttReply { u, v } => {
-                // Steps 3–4 at node i.
+                // Steps 3–4 at node i, unless the reply is a duplicate
+                // or stale.
                 if session.is_alive(to) {
-                    self.complete_rtt_cycle(session, now, to, from, &u, &v);
+                    let pending = &mut self.pending_rtt[to];
+                    if let Some(x) = rtt_class(pending, from, now, self.fused.tau) {
+                        let params = session.config.sgd;
+                        session.nodes[to].on_rtt_measurement(x, &u, &v, &params);
+                        session.measurements += 1;
+                        self.fused.stats.measurements_completed += 1;
+                    }
                 }
                 self.free_coords.extend([u, v]);
             }
@@ -585,6 +566,15 @@ impl std::fmt::Debug for SimnetDriver {
             .field("protocol", &self.fused)
             .finish_non_exhaustive()
     }
+}
+
+/// RTT steps 3–4 at a prober: pairs a reply from `j` with its entry in
+/// the prober's `pending` list and classifies at `tau` the round trip
+/// this very exchange measured. `None` for a duplicate or stale reply.
+fn rtt_class(pending: &mut Vec<(usize, f64)>, j: usize, now: f64, tau: f64) -> Option<f64> {
+    let pos = pending.iter().position(|&(target, _)| target == j)?;
+    let (_, sent_at) = pending.swap_remove(pos);
+    Some(Metric::Rtt.classify((now - sent_at) * 1000.0, tau))
 }
 
 impl Driver for SimnetDriver {
@@ -1289,12 +1279,12 @@ mod tests {
         let (prober, target) = driver
             .exchanges
             .iter()
-            .find(|ex| ex.reply.dec.ack().is_some())
+            .find(|ex| ex.prober.reply_dec.ack().is_some())
             .expect("60 s complete many cycles")
             .pair;
         let decoder = |driver: &mut SimnetDriver, session: &Session| {
             let ex = exchange(&mut driver.exchanges, &session.neighbors, prober, target);
-            ex.expect("still neighbors").reply.dec.clone()
+            ex.expect("still neighbors").prober.reply_dec.clone()
         };
         let before = decoder(&mut driver, &session);
         let newest = before.ack().expect("checked above").seq;

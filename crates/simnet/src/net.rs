@@ -5,8 +5,9 @@
 //! log-normal jitter) and optional random loss. Timers are modeled as
 //! lossless self-deliveries. The structure mirrors how a real
 //! deployment behaves — a probe is a message exchange taking real time,
-//! a reply can be lost — so the DMFSGD node logic that runs on top of
-//! it transfers unchanged to the UDP agents in `dmf-agent`.
+//! a reply can be lost — and in wire mode the node logic on top of it is
+//! the very datagram handler the UDP agents in `dmf-agent` run
+//! (`dmf_core::endpoint`); only the transport under it differs.
 //!
 //! Everything a message meets on its way — table lookup, partition
 //! cut, per-leg loss draw, straggler factor, jitter draw, the

@@ -15,6 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GUARDS=(
+  "crates/core/src/lib.rs:endpoint"
   "crates/core/src/lib.rs:epoch"
   "crates/core/src/lib.rs:session"
   "crates/core/src/lib.rs:snapshot"
