@@ -14,8 +14,7 @@
 //! produce identical files, so diffs in a committed `QUALITY.json`
 //! are real quality changes.
 
-use dmf_bench::experiments::scenario;
-use dmf_bench::report;
+use dmf_bench::experiments::{scenario, Artifact};
 use dmf_bench::{flag_value, Scale};
 
 fn main() {
@@ -27,40 +26,7 @@ fn main() {
     let suite = scenario::run(&scale, &label);
 
     println!("scenario_suite — scale {} (label: {label})", suite.scale);
-    let widths = [20, 8, 9, 9, 9, 7, 6];
-    println!(
-        "{}",
-        report::row(
-            &[
-                "scenario".into(),
-                "windows".into(),
-                "min AUC".into(),
-                "final".into(),
-                "floor".into(),
-                "conv@".into(),
-                "gate".into(),
-            ],
-            &widths,
-        )
-    );
-    for s in &suite.scenarios {
-        println!(
-            "{}",
-            report::row(
-                &[
-                    s.name.clone(),
-                    s.windows.len().to_string(),
-                    format!("{:.3}", s.min_auc),
-                    format!("{:.3}", s.final_auc),
-                    format!("{:.2}", s.auc_floor),
-                    s.windows_to_floor
-                        .map_or_else(|| "-".into(), |w| format!("w{w}")),
-                    if s.pass { "pass" } else { "FAIL" }.into(),
-                ],
-                &widths,
-            )
-        );
-    }
+    suite.print_table();
 
     let json = serde_json::to_string_pretty(&suite).expect("serialize quality report");
     std::fs::write(&out, json).expect("write QUALITY json");

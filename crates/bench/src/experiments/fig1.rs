@@ -9,6 +9,8 @@
 
 use crate::experiments::scale::Scale;
 use crate::experiments::trio::Trio;
+use crate::experiments::Artifact;
+use crate::report;
 use dmf_linalg::decomp::normalized_spectrum;
 use dmf_linalg::svd::randomized_top_k;
 use dmf_linalg::Matrix;
@@ -71,10 +73,25 @@ pub fn run(scale: &Scale, seed: u64) -> Fig1 {
     }
 }
 
-impl Fig1 {
-    /// The paper's qualitative claim: fast decay. We check that by
-    /// the 10th singular value every curve has fallen below 35 % of σ₁.
-    pub fn decays_fast(&self) -> bool {
+impl Artifact for Fig1 {
+    fn print_table(&self) {
+        println!("Figure 1 — normalized singular values (top 20)");
+        let widths = [3, 10, 10, 10, 10];
+        let header: Vec<String> = std::iter::once("#".to_string())
+            .chain(self.spectra.iter().map(|s| s.label.clone()))
+            .collect();
+        println!("{}", report::row(&header, &widths));
+        for i in 0..20 {
+            let cells: Vec<String> = std::iter::once(format!("{}", i + 1))
+                .chain(self.spectra.iter().map(|s| format!("{:.4}", s.values[i])))
+                .collect();
+            println!("{}", report::row(&cells, &widths));
+        }
+    }
+
+    /// Fast decay: by the 10th singular value every curve has fallen
+    /// below 35 % of σ₁.
+    fn claim(&self) -> bool {
         self.spectra
             .iter()
             .all(|s| s.values.get(9).map(|&v| v < 0.35).unwrap_or(false))
@@ -104,6 +121,6 @@ mod tests {
                 );
             }
         }
-        assert!(fig.decays_fast(), "all four spectra must decay fast");
+        assert!(fig.claim(), "all four spectra must decay fast");
     }
 }

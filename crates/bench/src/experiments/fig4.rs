@@ -14,6 +14,7 @@
 use crate::experiments::scale::Scale;
 use crate::experiments::training::{auc_of, default_config, BundleTrainer};
 use crate::experiments::trio::{DatasetBundle, Trio};
+use crate::experiments::Artifact;
 use serde::{Deserialize, Serialize};
 
 /// The rank sweep of Figure 4a.
@@ -50,8 +51,8 @@ pub fn k_grid(bundle: &DatasetBundle) -> Vec<usize> {
     }
 }
 
-/// Runs one or more sweeps; `which` ⊆ {"r", "k", "tau"}.
-pub fn run(scale: &Scale, seed: u64, which: &[&str]) -> Fig4 {
+/// Runs the three sweeps.
+pub fn run(scale: &Scale, seed: u64) -> Fig4 {
     let trio = Trio::build(scale, seed);
     let trainer = BundleTrainer { trio: &trio, scale };
     let mut cells = Vec::new();
@@ -60,49 +61,43 @@ pub fn run(scale: &Scale, seed: u64, which: &[&str]) -> Fig4 {
         let tau_med = bundle.dataset.median();
         let class_med = bundle.dataset.classify(tau_med);
 
-        if which.contains(&"r") {
-            for &r in &RANKS {
-                let mut cfg = default_config(bundle.k, seed ^ 0x000f_194a);
-                cfg.rank = r;
-                let system = trainer.train(bundle, &class_med, cfg, &[], 0);
-                cells.push(Fig4Cell {
-                    dataset: bundle.name.into(),
-                    sweep: "r".into(),
-                    value: r as f64,
-                    auc: auc_of(&system, &class_med),
-                });
-            }
+        for &r in &RANKS {
+            let mut cfg = default_config(bundle.k, seed ^ 0x000f_194a);
+            cfg.rank = r;
+            let system = trainer.train(bundle, &class_med, cfg, &[], 0);
+            cells.push(Fig4Cell {
+                dataset: bundle.name.into(),
+                sweep: "r".into(),
+                value: r as f64,
+                auc: auc_of(&system, &class_med),
+            });
         }
 
-        if which.contains(&"k") {
-            for k in k_grid(bundle) {
-                if k >= n {
-                    continue; // quick-scale instances may be too small
-                }
-                let cfg = default_config(k, seed ^ 0x000f_194b);
-                let system = trainer.train(bundle, &class_med, cfg, &[], 0);
-                cells.push(Fig4Cell {
-                    dataset: bundle.name.into(),
-                    sweep: "k".into(),
-                    value: k as f64,
-                    auc: auc_of(&system, &class_med),
-                });
+        for k in k_grid(bundle) {
+            if k >= n {
+                continue; // quick-scale instances may be too small
             }
+            let cfg = default_config(k, seed ^ 0x000f_194b);
+            let system = trainer.train(bundle, &class_med, cfg, &[], 0);
+            cells.push(Fig4Cell {
+                dataset: bundle.name.into(),
+                sweep: "k".into(),
+                value: k as f64,
+                auc: auc_of(&system, &class_med),
+            });
         }
 
-        if which.contains(&"tau") {
-            for &portion in &PORTIONS {
-                let tau = bundle.dataset.tau_for_good_portion(portion);
-                let class = bundle.dataset.classify(tau);
-                let cfg = default_config(bundle.k, seed ^ 0x000f_194c);
-                let system = trainer.train(bundle, &class, cfg, &[], 0);
-                cells.push(Fig4Cell {
-                    dataset: bundle.name.into(),
-                    sweep: "tau".into(),
-                    value: portion,
-                    auc: auc_of(&system, &class),
-                });
-            }
+        for &portion in &PORTIONS {
+            let tau = bundle.dataset.tau_for_good_portion(portion);
+            let class = bundle.dataset.classify(tau);
+            let cfg = default_config(bundle.k, seed ^ 0x000f_194c);
+            let system = trainer.train(bundle, &class, cfg, &[], 0);
+            cells.push(Fig4Cell {
+                dataset: bundle.name.into(),
+                sweep: "tau".into(),
+                value: portion,
+                auc: auc_of(&system, &class),
+            });
         }
     }
     Fig4 { cells }
@@ -120,16 +115,34 @@ impl Fig4 {
         v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN"));
         v
     }
+}
 
-    /// Figure 4a claim: r = 10 is within a small margin of the best
-    /// rank — bigger ranks are "either costly or worthless".
-    pub fn small_rank_suffices(&self, dataset: &str) -> bool {
-        let series = self.series(dataset, "r");
-        let Some(&(_, auc_r10)) = series.iter().find(|&&(r, _)| r == 10.0) else {
-            return false;
-        };
-        let best = series.iter().map(|&(_, a)| a).fold(0.0f64, f64::max);
-        auc_r10 > best - 0.05
+impl Artifact for Fig4 {
+    fn print_table(&self) {
+        for sweep in ["r", "k", "tau"] {
+            println!("Figure 4 — AUC vs {sweep}");
+            for dataset in ["Harvard", "Meridian", "HP-S3"] {
+                let cells: Vec<String> = std::iter::once(format!("{dataset:>9}"))
+                    .chain(
+                        self.series(dataset, sweep)
+                            .iter()
+                            .map(|(v, a)| format!("{v}:{a:.3}")),
+                    )
+                    .collect();
+                println!("  {}", cells.join("  "));
+            }
+            println!();
+        }
+    }
+
+    /// Figure 4a: on every dataset r = 10 is within 0.05 of the best
+    /// rank's AUC — bigger ranks are "either costly or worthless".
+    fn claim(&self) -> bool {
+        ["Harvard", "Meridian", "HP-S3"].iter().all(|d| {
+            let series = self.series(d, "r");
+            let best = series.iter().map(|&(_, a)| a).fold(0.0f64, f64::max);
+            series.iter().any(|&(r, a)| r == 10.0 && a > best - 0.05)
+        })
     }
 }
 
@@ -139,20 +152,16 @@ mod tests {
 
     #[test]
     fn rank_sweep_shape() {
-        let fig = run(&Scale::quick(), 11, &["r"]);
+        let fig = run(&Scale::quick(), 11);
         for d in ["Harvard", "Meridian", "HP-S3"] {
-            let series = fig.series(d, "r");
-            assert_eq!(series.len(), 4, "{d} rank series");
-            assert!(
-                fig.small_rank_suffices(d),
-                "{d}: r=10 should be near-optimal"
-            );
+            assert_eq!(fig.series(d, "r").len(), 4, "{d} rank series");
         }
+        assert!(fig.claim(), "r=10 should be near-optimal everywhere");
     }
 
     #[test]
     fn tau_sweep_covers_portions() {
-        let fig = run(&Scale::quick(), 12, &["tau"]);
+        let fig = run(&Scale::quick(), 12);
         for d in ["Harvard", "Meridian", "HP-S3"] {
             let series = fig.series(d, "tau");
             assert_eq!(series.len(), 5);

@@ -10,6 +10,7 @@
 use crate::experiments::scale::Scale;
 use crate::experiments::training::{auc_of, default_config};
 use crate::experiments::trio::Trio;
+use crate::experiments::Artifact;
 use dmf_core::provider::ClassLabelProvider;
 use dmf_core::{Session, SessionBuilder};
 use dmf_eval::collect_scores;
@@ -158,54 +159,43 @@ pub fn run(scale: &Scale, seed: u64) -> Fig5 {
     Fig5 { datasets }
 }
 
-impl Fig5 {
-    /// The paper's convergence claim: every dataset converges within
-    /// 20×k measurements per node (we allow the full budget as upper
-    /// bound and check the 92 %-of-final point).
-    pub fn converges_within(&self, times_k: f64) -> bool {
-        self.datasets.iter().all(|d| {
-            d.converged_at_times_k
-                .map(|t| t <= times_k)
-                .unwrap_or(false)
-        })
-    }
-
-    /// Per-dataset convergence bound the release binaries assert: the
-    /// paper's 20×k for the static datasets; the sub-scale Harvard
-    /// replay's 92 %-of-final knee is noisy (the Zipf-skewed trace
-    /// keeps creeping), so it alone gets head-room. The unit test pins
-    /// the strict 20×k for all three at its own seed.
-    pub fn convergence_bound(dataset: &str) -> f64 {
-        if dataset == "Harvard" {
-            30.0
-        } else {
-            20.0
-        }
-    }
-
-    /// True when every dataset meets its [`convergence_bound`].
-    ///
-    /// [`convergence_bound`]: Self::convergence_bound
-    pub fn meets_convergence_bounds(&self) -> bool {
-        self.datasets.iter().all(|d| {
-            d.converged_at_times_k
-                .map(|t| t <= Self::convergence_bound(&d.dataset))
-                .unwrap_or(false)
-        })
-    }
-
-    /// Panics (with the offending dataset) when a convergence bound is
-    /// violated — the shared gate of `fig5_accuracy` and `run_all`.
-    pub fn assert_convergence_bounds(&self) {
+impl Artifact for Fig5 {
+    fn print_table(&self) {
         for d in &self.datasets {
-            let bound = Self::convergence_bound(&d.dataset);
-            let at = d.converged_at_times_k.expect("convergence point recorded");
-            assert!(
-                at <= bound,
-                "{}: Figure 5c convergence claim violated ({at} > {bound} ×k)",
-                d.dataset
-            );
+            println!("=== {} ===", d.dataset);
+            println!("final AUC: {:.3}", d.final_auc);
+            match d.converged_at_times_k {
+                Some(t) => println!("converged (92% of final) at {t:.1} × k measurements/node"),
+                None => println!("did not reach 92% of final within the budget"),
+            }
+            let sample = |curve: &Curve| -> Vec<String> {
+                curve
+                    .iter()
+                    .step_by((curve.len() / 8).max(1))
+                    .map(|(x, y)| format!("({x:.2},{y:.2})"))
+                    .collect()
+            };
+            println!("ROC (fpr,tpr): {}", sample(&d.roc).join(" "));
+            println!("PR (recall,precision): {}", sample(&d.pr).join(" "));
+            let conv_s: Vec<String> = d
+                .convergence
+                .iter()
+                .map(|(x, a)| format!("({x:.0}k,{a:.2})"))
+                .collect();
+            println!("AUC vs measurements (×k): {}", conv_s.join(" "));
+            println!();
         }
+    }
+
+    /// Every dataset ends accurate (final AUC > 0.85) and converges:
+    /// its 92 %-of-final knee lands within the paper's 20×k
+    /// measurements per node, or 30×k for the sub-scale Harvard replay,
+    /// whose Zipf-skewed trace keeps creeping and makes the knee noisy.
+    fn claim(&self) -> bool {
+        self.datasets.iter().all(|d| {
+            let bound = if d.dataset == "Harvard" { 30.0 } else { 20.0 };
+            d.final_auc > 0.85 && d.converged_at_times_k.is_some_and(|t| t <= bound)
+        })
     }
 }
 
@@ -218,18 +208,20 @@ mod tests {
         let fig = run(&Scale::quick(), 21);
         assert_eq!(fig.datasets.len(), 3);
         for d in &fig.datasets {
-            assert!(
-                d.final_auc > 0.8,
-                "{}: final AUC {}",
-                d.dataset,
-                d.final_auc
-            );
             assert!(!d.roc.is_empty() && !d.pr.is_empty());
             assert!(!d.convergence.is_empty());
+            // At this seed even Harvard meets the paper's 20×k.
+            assert!(
+                d.converged_at_times_k.is_some_and(|t| t <= 20.0),
+                "{}: converged at {:?} ×k",
+                d.dataset,
+                d.converged_at_times_k
+            );
         }
+        let finals: Vec<f64> = fig.datasets.iter().map(|d| d.final_auc).collect();
         assert!(
-            fig.converges_within(20.0),
-            "convergence must land within 20×k measurements per node"
+            fig.claim(),
+            "figure 5 claim violated; final AUCs {finals:?}"
         );
     }
 }

@@ -16,6 +16,7 @@ use crate::experiments::training::{
     default_config, predicted_quantities, train_quantity, train_quantity_trace, BundleTrainer,
 };
 use crate::experiments::trio::Trio;
+use crate::experiments::Artifact;
 use dmf_eval::peersel::{evaluate_peer_selection, SelectionStrategy};
 use dmf_simnet::errors::{
     calibrate_delta, calibrate_good_to_bad_fraction, inject, BandErrorKind, ErrorModel,
@@ -27,6 +28,14 @@ use serde::{Deserialize, Serialize};
 
 /// Peer-set sizes swept (paper: 10..60).
 pub const PEER_COUNTS: [usize; 6] = [10, 20, 30, 40, 50, 60];
+
+/// The four selection methods, in legend order.
+pub const METHODS: [&str; 4] = [
+    "Random",
+    "Classification",
+    "Regression",
+    "Classification with noise",
+];
 
 /// One (dataset, method, peer-count) outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -122,22 +131,13 @@ pub fn run(scale: &Scale, seed: u64) -> Fig7 {
                 continue; // quick-scale instances can't fit this peer count
             }
             let peer_sets = neighbors.disjoint_peer_sets(m, &mut rng);
-            let methods: [(&str, SelectionStrategy); 4] = [
-                ("Random", SelectionStrategy::Random),
-                (
-                    "Classification",
-                    SelectionStrategy::HighestScore(&class_scores),
-                ),
-                (
-                    "Regression",
-                    SelectionStrategy::BestPredictedQuantity(&quantities, bundle.dataset.metric),
-                ),
-                (
-                    "Classification with noise",
-                    SelectionStrategy::HighestScore(&noisy_scores),
-                ),
+            let strategies = [
+                SelectionStrategy::Random,
+                SelectionStrategy::HighestScore(&class_scores),
+                SelectionStrategy::BestPredictedQuantity(&quantities, bundle.dataset.metric),
+                SelectionStrategy::HighestScore(&noisy_scores),
             ];
-            for (method, strategy) in methods {
+            for (method, strategy) in METHODS.into_iter().zip(strategies) {
                 let out =
                     evaluate_peer_selection(&bundle.dataset, tau, &peer_sets, strategy, &mut rng);
                 cells.push(Fig7Cell {
@@ -164,9 +164,34 @@ impl Fig7 {
             .collect();
         dmf_linalg::stats::mean(&vals)
     }
+}
 
-    /// The paper's qualitative ordering.
-    pub fn shape_holds(&self) -> bool {
+impl Artifact for Fig7 {
+    fn print_table(&self) {
+        for (title, stretch) in [("stretch", true), ("unsatisfied-node fraction", false)] {
+            println!("Figure 7 — {title} vs peer-set size");
+            for dataset in ["Harvard", "Meridian", "HP-S3"] {
+                println!("  {dataset}:");
+                for method in METHODS {
+                    let mut series: Vec<(usize, f64)> = self
+                        .cells
+                        .iter()
+                        .filter(|c| c.dataset == dataset && c.method == method)
+                        .map(|c| (c.peers, if stretch { c.stretch } else { c.unsatisfied }))
+                        .collect();
+                    series.sort_by_key(|&(p, _)| p);
+                    let cells: Vec<String> =
+                        series.iter().map(|(p, v)| format!("{p}:{v:.3}")).collect();
+                    println!("    {:<26} {}", method, cells.join("  "));
+                }
+            }
+            println!();
+        }
+    }
+
+    /// Both predictors beat Random on stretch and satisfaction, and
+    /// classification stays satisfactory with noisy labels.
+    fn claim(&self) -> bool {
         ["Harvard", "Meridian", "HP-S3"].iter().all(|d| {
             let stretch_gap = |m: &str, better_than: &str| {
                 let a = self.mean_over_peers(d, m, |c| c.stretch);
@@ -194,7 +219,7 @@ mod tests {
     fn fig7_quick_scale() {
         let fig = run(&Scale::quick(), 61);
         assert!(!fig.cells.is_empty());
-        assert!(fig.shape_holds(), "figure 7 ordering violated");
+        assert!(fig.claim(), "figure 7 ordering violated");
         // Stretch orientation: ≥1 for RTT datasets, ≤1 for ABW.
         for c in &fig.cells {
             if c.dataset == "HP-S3" {

@@ -4,9 +4,8 @@
 //! measurements) are reachable with [`Scale::paper`], but parameter
 //! sweeps at that size take hours. [`Scale::standard`] keeps the exact
 //! Harvard/HP-S3 node counts and scales Meridian and the trace volume
-//! down — enough for every qualitative claim to hold — and is what the
-//! experiment binaries use by default (`--paper` switches up,
-//! `--quick` down).
+//! down — enough for every qualitative claim to hold — and is what
+//! `run_all` uses by default (`--paper` switches up, `--quick` down).
 
 use serde::{Deserialize, Serialize};
 

@@ -21,6 +21,8 @@
 
 use crate::experiments::scale::Scale;
 use crate::experiments::training::default_config;
+use crate::experiments::Artifact;
+use crate::report;
 use dmf_core::runner::SimnetDriver;
 use dmf_core::{Session, SessionBuilder};
 use dmf_datasets::rtt::RttDatasetConfig;
@@ -112,6 +114,34 @@ impl QualityReport {
     /// Looks up a scenario by name.
     pub fn scenario(&self, name: &str) -> Option<&ScenarioQuality> {
         self.scenarios.iter().find(|s| s.name == name)
+    }
+}
+
+impl Artifact for QualityReport {
+    fn print_table(&self) {
+        let widths = [20, 8, 9, 9, 9, 7, 6];
+        let header = [
+            "scenario", "windows", "min AUC", "final", "floor", "conv@", "gate",
+        ];
+        println!("{}", report::row(&header.map(String::from), &widths));
+        for s in &self.scenarios {
+            let cells = [
+                s.name.clone(),
+                s.windows.len().to_string(),
+                format!("{:.3}", s.min_auc),
+                format!("{:.3}", s.final_auc),
+                format!("{:.2}", s.auc_floor),
+                s.windows_to_floor
+                    .map_or_else(|| "-".into(), |w| format!("w{w}")),
+                if s.pass { "pass" } else { "FAIL" }.into(),
+            ];
+            println!("{}", report::row(&cells, &widths));
+        }
+    }
+
+    /// Every scenario's final-window AUC clears its pinned floor.
+    fn claim(&self) -> bool {
+        self.all_pass
     }
 }
 

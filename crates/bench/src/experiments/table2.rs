@@ -9,6 +9,8 @@
 use crate::experiments::scale::Scale;
 use crate::experiments::training::{default_config, BundleTrainer};
 use crate::experiments::trio::Trio;
+use crate::experiments::Artifact;
+use crate::report;
 use dmf_eval::{collect_scores, ConfusionMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -59,9 +61,30 @@ pub fn run(scale: &Scale, seed: u64) -> Table2 {
     Table2 { rows }
 }
 
-impl Table2 {
-    /// The paper's qualitative claims.
-    pub fn shape_holds(&self) -> bool {
+impl Artifact for Table2 {
+    fn print_table(&self) {
+        println!("Table 2 — confusion matrices (sign of x̂)");
+        let widths = [12, 10, 10];
+        for r in &self.rows {
+            println!("\n{}  (accuracy = {:.1}%)", r.dataset, r.accuracy * 100.0);
+            let header = ["", "pred Good", "pred Bad"].map(String::from);
+            println!("{}", report::row(&header, &widths));
+            for (actual, p) in ["actual Good", "actual Bad"]
+                .iter()
+                .zip(r.confusion_percent)
+            {
+                let cells = [
+                    actual.to_string(),
+                    format!("{:.1}%", p[0]),
+                    format!("{:.1}%", p[1]),
+                ];
+                println!("{}", report::row(&cells, &widths));
+            }
+        }
+    }
+
+    /// Accuracy above 80 % with a dominant diagonal on every dataset.
+    fn claim(&self) -> bool {
         self.rows.iter().all(|r| {
             let diag_dominant = r.confusion_percent[0][0] > r.confusion_percent[0][1]
                 && r.confusion_percent[1][1] > r.confusion_percent[1][0];
@@ -78,6 +101,6 @@ mod tests {
     fn table2_quick_scale() {
         let t = run(&Scale::quick(), 31);
         assert_eq!(t.rows.len(), 3);
-        assert!(t.shape_holds(), "table 2 shape violated: {:?}", t.rows);
+        assert!(t.claim(), "table 2 shape violated: {:?}", t.rows);
     }
 }

@@ -6,6 +6,8 @@
 
 use crate::experiments::scale::Scale;
 use crate::experiments::trio::Trio;
+use crate::experiments::Artifact;
+use crate::report;
 use dmf_simnet::errors::{calibrate_delta, BandErrorKind};
 use serde::{Deserialize, Serialize};
 
@@ -82,9 +84,28 @@ pub fn run(scale: &Scale, seed: u64) -> Table3 {
     Table3 { columns }
 }
 
-impl Table3 {
-    /// δ must grow strictly with the error level in every column.
-    pub fn monotone(&self) -> bool {
+impl Artifact for Table3 {
+    fn print_table(&self) {
+        println!("Table 3 — δ values for target error levels");
+        let widths = [7, 20, 20, 18, 18];
+        let header: Vec<String> = std::iter::once("error%".to_string())
+            .chain(
+                self.columns
+                    .iter()
+                    .map(|c| format!("{} {} ({})", c.dataset, c.error_type, c.unit)),
+            )
+            .collect();
+        println!("{}", report::row(&header, &widths));
+        for (idx, &level) in LEVELS.iter().enumerate() {
+            let cells: Vec<String> = std::iter::once(format!("{:.0}%", level * 100.0))
+                .chain(self.columns.iter().map(|c| format!("{:.1}", c.rows[idx].1)))
+                .collect();
+            println!("{}", report::row(&cells, &widths));
+        }
+    }
+
+    /// δ grows strictly with the error level in every column.
+    fn claim(&self) -> bool {
         self.columns
             .iter()
             .all(|c| c.rows.windows(2).all(|w| w[0].1 < w[1].1))
@@ -99,7 +120,7 @@ mod tests {
     fn table3_quick_scale() {
         let t = run(&Scale::quick(), 51);
         assert_eq!(t.columns.len(), 4);
-        assert!(t.monotone(), "δ must grow with the error level");
+        assert!(t.claim(), "δ must grow with the error level");
         for c in &t.columns {
             for &(_, delta) in &c.rows {
                 assert!(

@@ -10,11 +10,10 @@ use crate::experiments::scale::Scale;
 use crate::experiments::trio::{DatasetBundle, Trio};
 use dmf_core::provider::ClassLabelProvider;
 use dmf_core::{DmfsgdConfig, Loss, PredictionMode, Session, SessionBuilder};
-use dmf_datasets::{ClassMatrix, Dataset, DynamicTrace, Metric};
+use dmf_datasets::{ClassMatrix, Dataset, DynamicTrace};
 use dmf_eval::collect_scores;
 use dmf_eval::roc::auc;
 use dmf_simnet::errors::ErrorModel;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -40,58 +39,11 @@ pub fn train_class(class: &ClassMatrix, config: DmfsgdConfig, ticks: usize) -> S
     session
 }
 
-/// Applies an error model to one on-the-fly measurement: returns the
-/// (possibly flipped) label. Mirrors `dmf_simnet::errors::inject`, but
-/// at measurement time — which is where the paper's errors physically
-/// originate (flaky tools, malicious targets, bursts).
-fn corrupt_label(
-    x: f64,
-    value: f64,
-    tau: f64,
-    metric: Metric,
-    model: &ErrorModel,
-    rng: &mut impl Rng,
-) -> f64 {
-    match *model {
-        ErrorModel::FlipNearTau { delta } => {
-            if (value - tau).abs() <= delta && rng.gen::<f64>() < 0.5 {
-                -x
-            } else {
-                x
-            }
-        }
-        ErrorModel::UnderestimationBias { delta } => {
-            let gap = if metric.lower_is_better() {
-                tau - value
-            } else {
-                value - tau
-            };
-            if gap > 0.0 && gap <= delta && x > 0.0 {
-                -1.0
-            } else {
-                x
-            }
-        }
-        ErrorModel::FlipRandom { fraction } => {
-            if rng.gen::<f64>() < fraction {
-                -x
-            } else {
-                x
-            }
-        }
-        ErrorModel::GoodToBad { fraction_of_good } => {
-            if x > 0.0 && rng.gen::<f64>() < fraction_of_good {
-                -1.0
-            } else {
-                x
-            }
-        }
-    }
-}
-
 /// Replays a dynamic trace in time order, classifying each measurement
-/// at `tau` and passing it through the given error models in sequence.
-/// Returns the trained system and the fraction of labels corrupted.
+/// at `tau` and passing it through the given error models in sequence
+/// — at measurement time, which is where the paper's errors physically
+/// originate (flaky tools, malicious targets, bursts). Returns the
+/// trained system and the fraction of labels corrupted.
 pub fn train_trace_class(
     trace: &DynamicTrace,
     tau: f64,
@@ -107,10 +59,9 @@ pub fn train_trace_class(
     let mut corrupted = 0usize;
     for m in &trace.measurements {
         let clean = trace.metric.classify(m.value, tau);
-        let mut x = clean;
-        for model in errors {
-            x = corrupt_label(x, m.value, tau, trace.metric, model, &mut rng);
-        }
+        let x = errors.iter().fold(clean, |x, model| {
+            model.corrupt(x, m.value, tau, trace.metric, &mut rng)
+        });
         if x != clean {
             corrupted += 1;
         }

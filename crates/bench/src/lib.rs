@@ -5,16 +5,17 @@
 //! (`scenario_suite` → `QUALITY.json`). How fast the system runs is
 //! not measured here: that is the separate `benchmark/` package.
 //!
-//! One binary per artifact (see `src/bin/`): each prints the same
-//! rows/series the paper reports and writes a JSON record under
-//! `results/`. Absolute numbers differ (the substrate is a
-//! calibrated synthetic dataset, not the authors' testbed); the
-//! qualitative shape — who wins, where the plateaus and crossovers
-//! sit — is asserted by the binaries themselves where the paper makes
-//! a claim.
+//! One registry of artifacts ([`experiments::REGISTRY`]), run by name
+//! by one binary, `run_all`: each artifact prints the same rows/series
+//! the paper reports, writes a JSON record under `results/`, and has
+//! the paper's claim for it checked ([`experiments::Artifact::claim`]).
+//! Absolute numbers differ (the substrate is a calibrated synthetic
+//! dataset, not the authors' testbed); the qualitative shape — who
+//! wins, where the plateaus and crossovers sit — is what the claims
+//! assert.
 //!
-//! The experiment index is the README's "Paper artifact → binary
-//! map".
+//! The experiment index is the README's "Paper artifact → `run_all`
+//! name" table.
 //!
 //! # Position in the workspace
 //!
@@ -22,7 +23,7 @@
 //! [`dmf_core::Session`] populations on [`dmf_datasets`] bundles,
 //! injects label errors from [`dmf_simnet::errors`], compares against
 //! [`dmf_baselines`], and reports every number through [`dmf_eval`];
-//! [`report`] persists the JSON records the binaries write. Nothing
+//! [`report`] persists the JSON records `run_all` writes. Nothing
 //! depends on this crate.
 
 #![forbid(unsafe_code)]

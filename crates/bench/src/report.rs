@@ -1,4 +1,4 @@
-//! Result persistence: every experiment binary writes its rows as JSON
+//! Result persistence: `run_all` writes each artifact's record as JSON
 //! under `results/` so write-ups can cite reproducible numbers.
 
 use serde::Serialize;
@@ -15,7 +15,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Serializes `value` to `results/<name>.json` and returns the path.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
+pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> PathBuf {
     let path = results_dir().join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialize result");
     fs::write(&path, json).expect("write result");

@@ -152,24 +152,30 @@ impl MulticlassLabels {
             })
             .collect();
         let n = dataset.len();
-        let mut labels = vec![0u8; n * n];
-        for (i, j) in dataset.mask.iter_known() {
-            let v = dataset.values[(i, j)];
-            let class = 1 + boundaries
-                .iter()
-                .filter(|&&b| match dataset.metric {
-                    Metric::Rtt => v <= b, // faster than boundary ⇒ better
-                    Metric::Abw => v >= b, // more bandwidth ⇒ better
-                })
-                .count();
-            labels[i * n + j] = class as u8;
-        }
-        Self {
+        let mut out = Self {
             boundaries,
             metric: dataset.metric,
-            labels,
+            labels: vec![0u8; n * n],
             n,
+        };
+        for (i, j) in dataset.mask.iter_known() {
+            out.labels[i * n + j] = out.class_of(dataset.values[(i, j)]) as u8;
         }
+        out
+    }
+
+    /// The class (1-based, quality-ascending) of a measured quantity:
+    /// the rule the observed labels were built with, for labeling a
+    /// fresh measurement such as one from a trace replay.
+    pub fn class_of(&self, value: f64) -> usize {
+        1 + self
+            .boundaries
+            .iter()
+            .filter(|&&b| match self.metric {
+                Metric::Rtt => value <= b, // faster than boundary ⇒ better
+                Metric::Abw => value >= b, // more bandwidth ⇒ better
+            })
+            .count()
     }
 
     /// The class of a pair, if observed (1-based; 0 = unobserved).
@@ -512,6 +518,22 @@ mod tests {
             best_mean < worst_mean,
             "class 3 (best) mean RTT {best_mean} must beat class 1 {worst_mean}"
         );
+    }
+
+    #[test]
+    fn class_of_labels_fresh_values_like_the_observed_ones() {
+        for d in [meridian_like(40, 6), hps3_like(40, 6)] {
+            let labels = MulticlassLabels::quantiles(&d, 4);
+            for (i, j, c) in labels.iter() {
+                assert_eq!(labels.class_of(d.values[(i, j)]), c);
+            }
+            // Quality-ascending at both extremes, whatever the metric.
+            let (best, worst) = match d.metric {
+                Metric::Rtt => (0.0, f64::MAX),
+                Metric::Abw => (f64::MAX, 0.0),
+            };
+            assert_eq!((labels.class_of(best), labels.class_of(worst)), (4, 1));
+        }
     }
 
     #[test]

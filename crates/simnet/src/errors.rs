@@ -21,7 +21,7 @@
 //! [`calibrate_good_to_bad_fraction`] maps an overall error level to
 //! the fraction of good paths that must flip.
 
-use dmf_datasets::{ClassMatrix, Dataset};
+use dmf_datasets::{ClassMatrix, Dataset, Metric};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -51,10 +51,48 @@ pub enum ErrorModel {
     },
 }
 
-/// Distance of each observed quantity from τ on the "good" side,
-/// used by Type 2: for RTT good means below τ, for ABW above.
-fn good_side_gap(dataset: &Dataset, tau: f64, value: f64) -> f64 {
-    if dataset.metric.lower_is_better() {
+impl ErrorModel {
+    /// Applies the model to one label `x` (±1) of a path whose measured
+    /// quantity is `value`, classified at `tau` under `metric`, and
+    /// returns the label as recorded. Matrix injection ([`inject`]) and
+    /// measurement-time corruption in a trace replay both come here.
+    /// `rng` is drawn from only for an eligible path of a random model
+    /// (Type 1 inside the band, Type 3 always, Type 4 on a good label).
+    pub fn corrupt(&self, x: f64, value: f64, tau: f64, metric: Metric, rng: &mut impl Rng) -> f64 {
+        let flip = match *self {
+            ErrorModel::FlipNearTau { delta } => {
+                assert!(delta >= 0.0, "delta must be non-negative");
+                (value - tau).abs() <= delta && rng.gen::<f64>() < 0.5
+            }
+            ErrorModel::UnderestimationBias { delta } => {
+                assert!(delta >= 0.0, "delta must be non-negative");
+                let gap = good_side_gap(metric, tau, value);
+                x > 0.0 && gap > 0.0 && gap <= delta
+            }
+            ErrorModel::FlipRandom { fraction } => {
+                assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
+                rng.gen::<f64>() < fraction
+            }
+            ErrorModel::GoodToBad { fraction_of_good } => {
+                assert!(
+                    (0.0..=1.0).contains(&fraction_of_good),
+                    "fraction out of range"
+                );
+                x > 0.0 && rng.gen::<f64>() < fraction_of_good
+            }
+        };
+        if flip {
+            -x
+        } else {
+            x
+        }
+    }
+}
+
+/// Distance of a quantity from τ on the "good" side, used by Type 2:
+/// for RTT good means below τ, for ABW above.
+fn good_side_gap(metric: Metric, tau: f64, value: f64) -> f64 {
+    if metric.lower_is_better() {
         tau - value
     } else {
         value - tau
@@ -62,7 +100,8 @@ fn good_side_gap(dataset: &Dataset, tau: f64, value: f64) -> f64 {
 }
 
 /// Applies an error model to a class matrix derived from `dataset` at
-/// threshold `class.tau`. Returns the number of labels actually
+/// threshold `class.tau`: one [`ErrorModel::corrupt`] per observed
+/// label, in row-major order. Returns the number of labels actually
 /// changed.
 pub fn inject(
     class: &mut ClassMatrix,
@@ -71,57 +110,17 @@ pub fn inject(
     rng: &mut impl Rng,
 ) -> usize {
     assert_eq!(class.len(), dataset.len(), "class/dataset size mismatch");
-    let tau = class.tau;
     let mut changed = 0;
     let known: Vec<(usize, usize)> = class.mask.iter_known().collect();
-    match model {
-        ErrorModel::FlipNearTau { delta } => {
-            assert!(delta >= 0.0, "delta must be non-negative");
-            for (i, j) in known {
-                let Some(v) = dataset.value(i, j) else {
-                    continue;
-                };
-                if (v - tau).abs() <= delta && rng.gen::<f64>() < 0.5 {
-                    let old = class.labels[(i, j)];
-                    class.set_label(i, j, -old);
-                    changed += 1;
-                }
-            }
-        }
-        ErrorModel::UnderestimationBias { delta } => {
-            assert!(delta >= 0.0, "delta must be non-negative");
-            for (i, j) in known {
-                let Some(v) = dataset.value(i, j) else {
-                    continue;
-                };
-                let gap = good_side_gap(dataset, tau, v);
-                if gap > 0.0 && gap <= delta && class.labels[(i, j)] > 0.0 {
-                    class.set_label(i, j, -1.0);
-                    changed += 1;
-                }
-            }
-        }
-        ErrorModel::FlipRandom { fraction } => {
-            assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-            for (i, j) in known {
-                if rng.gen::<f64>() < fraction {
-                    let old = class.labels[(i, j)];
-                    class.set_label(i, j, -old);
-                    changed += 1;
-                }
-            }
-        }
-        ErrorModel::GoodToBad { fraction_of_good } => {
-            assert!(
-                (0.0..=1.0).contains(&fraction_of_good),
-                "fraction out of range"
-            );
-            for (i, j) in known {
-                if class.labels[(i, j)] > 0.0 && rng.gen::<f64>() < fraction_of_good {
-                    class.set_label(i, j, -1.0);
-                    changed += 1;
-                }
-            }
+    for (i, j) in known {
+        let Some(v) = dataset.value(i, j) else {
+            continue;
+        };
+        let old = class.labels[(i, j)];
+        let new = model.corrupt(old, v, class.tau, dataset.metric, rng);
+        if new != old {
+            class.set_label(i, j, new);
+            changed += 1;
         }
     }
     changed
@@ -165,7 +164,7 @@ pub fn calibrate_delta(dataset: &Dataset, tau: f64, target_error: f64, kind: Ban
         BandErrorKind::UnderestimationBias => {
             let mut gaps: Vec<f64> = observed
                 .iter()
-                .map(|&v| good_side_gap(dataset, tau, v))
+                .map(|&v| good_side_gap(dataset.metric, tau, v))
                 .filter(|&g| g > 0.0)
                 .collect();
             gaps.sort_by(|a, b| a.partial_cmp(b).expect("NaN value"));
