@@ -33,9 +33,9 @@
 use crate::config::DmfsgdConfig;
 use crate::node::DmfsgdNode;
 use dmf_datasets::Metric;
-use dmf_proto::codec::encode_v2_into;
+use dmf_proto::codec::{encode_into, encode_v2_into};
 use dmf_proto::{
-    decode_any, encode, Block, ContextError, CoordUpdate, DecoderContext, EncoderContext, Message,
+    decode_any, Block, ContextError, CoordUpdate, DecoderContext, EncoderContext, Message,
     MessageV2, WireMessage, WireVersion,
 };
 
@@ -318,8 +318,7 @@ impl Endpoint {
     }
 
     fn put_v1(&mut self, msg: &Message, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(&encode(msg));
+        encode_into(msg, out);
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += out.len() as u64;
     }

@@ -1,5 +1,9 @@
 //! Encoding and decoding of protocol messages (v1 and v2).
 //!
+//! Both versions are [`crate::frame`] formats ([`PROBE_V1`],
+//! [`PROBE_V2`]): the header, length field and checksum are written
+//! and verified there, so this module only lays out payloads.
+//!
 //! Every decode path is total: malformed, truncated, corrupted or
 //! hostile datagrams produce a [`DecodeError`], never a panic or an
 //! unbounded allocation. These paths are exercised end-to-end by the
@@ -16,24 +20,25 @@ use crate::context::Ack;
 use crate::delta::{
     f16_from_f64, f16_is_finite, f16_to_f64, Block, CoordUpdate, UpdatePayload, MAX_BLOCK,
 };
+use crate::frame::{Reader, PROBE_V1, PROBE_V2};
 use crate::message::Message;
 use crate::message_v2::MessageV2;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
+
+pub use crate::frame::{fnv1a, CHECKSUM_LEN};
 
 /// Protocol magic (little-endian on the wire).
-pub const MAGIC: u16 = 0xD3F5;
+pub const MAGIC: u16 = PROBE_V1.magic();
 /// Protocol version 1 (full f64 coordinates).
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = PROBE_V1.version();
 /// Protocol version 2 (quantized delta/keyframe coordinates).
-pub const VERSION_V2: u8 = 2;
+pub const VERSION_V2: u8 = PROBE_V2.version();
 /// Upper bound on coordinate rank accepted from the network.
 pub const MAX_RANK: usize = 256;
 /// v1 header length in bytes (magic + version + type + payload_len u32).
-pub const HEADER_LEN: usize = 8;
+pub const HEADER_LEN: usize = PROBE_V1.header_len();
 /// v2 header length in bytes (magic + version + type + payload_len u16).
-pub const HEADER_LEN_V2: usize = 6;
-/// Trailing checksum length.
-pub const CHECKSUM_LEN: usize = 4;
+pub const HEADER_LEN_V2: usize = PROBE_V2.header_len();
 
 /// Which protocol version a sender speaks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -117,22 +122,12 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// FNV-1a 32-bit over a byte slice — the frame checksum of every
-/// DMFSGD wire format (probe protocol v1/v2 here, and the
-/// `dmf-service` query protocol, which reuses this exact function so
-/// one hostile-input analysis covers both). Single-bit flips are
-/// always detected: each byte's state transition (xor, then multiply
-/// by an odd constant) is a bijection of the running hash.
-pub fn fnv1a(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in data {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-fn put_coords(buf: &mut BytesMut, coords: &[f64]) {
+fn put_coords(buf: &mut Vec<u8>, coords: &[f64]) {
+    assert!(
+        (1..=MAX_RANK).contains(&coords.len()),
+        "coordinate rank {} outside 1..={MAX_RANK}",
+        coords.len()
+    );
     buf.put_u16_le(coords.len() as u16);
     for &c in coords {
         buf.put_f64_le(c);
@@ -142,145 +137,92 @@ fn put_coords(buf: &mut BytesMut, coords: &[f64]) {
 /// Encodes a message into a standalone datagram.
 ///
 /// # Panics
+/// As [`encode_into`].
+pub fn encode(msg: &Message) -> Bytes {
+    let mut out = Vec::with_capacity(64);
+    encode_into(msg, &mut out);
+    Bytes::from(out)
+}
+
+/// [`encode`] into a caller-owned buffer: `out` is cleared and left
+/// holding exactly the datagram, so a reused buffer makes encoding
+/// allocation-free.
+///
+/// # Panics
 /// Panics if a coordinate vector exceeds [`MAX_RANK`] (an internal
 /// programming error, not a network condition).
-pub fn encode(msg: &Message) -> Bytes {
-    let check_rank = |coords: &[f64]| {
-        assert!(
-            (1..=MAX_RANK).contains(&coords.len()),
-            "coordinate rank {} outside 1..={MAX_RANK}",
-            coords.len()
-        );
-    };
-
-    let mut payload = BytesMut::with_capacity(64);
+pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    out.clear();
+    let start = PROBE_V1.begin(out, msg.type_tag());
     match msg {
-        Message::RttProbe { nonce } => {
-            payload.put_u64_le(*nonce);
-        }
+        Message::RttProbe { nonce } => out.put_u64_le(*nonce),
         Message::RttReply { nonce, u, v } => {
-            check_rank(u);
-            check_rank(v);
-            payload.put_u64_le(*nonce);
-            put_coords(&mut payload, u);
-            put_coords(&mut payload, v);
+            out.put_u64_le(*nonce);
+            put_coords(out, u);
+            put_coords(out, v);
         }
         Message::AbwProbe {
             nonce,
             rate_mbps,
             u,
         } => {
-            check_rank(u);
-            payload.put_u64_le(*nonce);
-            payload.put_f64_le(*rate_mbps);
-            put_coords(&mut payload, u);
+            out.put_u64_le(*nonce);
+            out.put_f64_le(*rate_mbps);
+            put_coords(out, u);
         }
         Message::AbwReply { nonce, x, v } => {
-            check_rank(v);
-            payload.put_u64_le(*nonce);
-            payload.put_f64_le(*x);
-            put_coords(&mut payload, v);
+            out.put_u64_le(*nonce);
+            out.put_f64_le(*x);
+            put_coords(out, v);
         }
     }
-
-    let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.put_u16_le(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(msg.type_tag());
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a(&out);
-    out.put_u32_le(checksum);
-    out.freeze()
+    PROBE_V1.seal(out, start);
 }
 
-fn get_coords(buf: &mut &[u8]) -> Result<Vec<f64>, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::TruncatedPayload);
+/// Reads a finite `f64`.
+fn get_finite(r: &mut Reader) -> Result<f64, DecodeError> {
+    let value = r.f64()?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(DecodeError::BadValue)
     }
-    let rank = buf.get_u16_le() as usize;
+}
+
+fn get_coords(r: &mut Reader) -> Result<Vec<f64>, DecodeError> {
+    let rank = r.u16()? as usize;
     if rank == 0 || rank > MAX_RANK {
         return Err(DecodeError::BadRank);
     }
-    if buf.remaining() < rank * 8 {
-        return Err(DecodeError::TruncatedPayload);
-    }
+    let mut values = Reader::new(r.take(rank * 8)?);
     let mut coords = Vec::with_capacity(rank);
     for _ in 0..rank {
-        let value = buf.get_f64_le();
-        if !value.is_finite() {
-            return Err(DecodeError::BadValue);
-        }
-        coords.push(value);
+        coords.push(get_finite(&mut values)?);
     }
     Ok(coords)
 }
 
 /// Decodes a datagram.
 pub fn decode(datagram: &[u8]) -> Result<Message, DecodeError> {
-    if datagram.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(DecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = datagram.split_at(datagram.len() - CHECKSUM_LEN);
-    let mut check = checksum_bytes;
-    let expected = check.get_u32_le();
-    if fnv1a(body) != expected {
-        return Err(DecodeError::BadChecksum);
-    }
-
-    let mut header = body;
-    let magic = header.get_u16_le();
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = header.get_u8();
-    if version != VERSION {
-        return Err(DecodeError::BadVersion);
-    }
-    let type_tag = header.get_u8();
-    let payload_len = header.get_u32_le() as usize;
-    if payload_len != header.len() {
-        return Err(DecodeError::LengthMismatch);
-    }
-    let mut payload = header;
-
-    let need_u64 = |payload: &mut &[u8]| -> Result<u64, DecodeError> {
-        if payload.remaining() < 8 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        Ok(payload.get_u64_le())
-    };
-    let need_f64 = |payload: &mut &[u8]| -> Result<f64, DecodeError> {
-        if payload.remaining() < 8 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let v = payload.get_f64_le();
-        if !v.is_finite() {
-            return Err(DecodeError::BadValue);
-        }
-        Ok(v)
-    };
-
+    let (type_tag, mut r) = PROBE_V1.open(datagram)?;
     let msg = match type_tag {
-        1 => Message::RttProbe {
-            nonce: need_u64(&mut payload)?,
-        },
+        1 => Message::RttProbe { nonce: r.u64()? },
         2 => {
-            let nonce = need_u64(&mut payload)?;
-            let u = get_coords(&mut payload)?;
-            let v = get_coords(&mut payload)?;
+            let nonce = r.u64()?;
+            let u = get_coords(&mut r)?;
+            let v = get_coords(&mut r)?;
             if u.len() != v.len() {
                 return Err(DecodeError::BadRank);
             }
             Message::RttReply { nonce, u, v }
         }
         3 => {
-            let nonce = need_u64(&mut payload)?;
-            let rate_mbps = need_f64(&mut payload)?;
+            let nonce = r.u64()?;
+            let rate_mbps = get_finite(&mut r)?;
             if rate_mbps <= 0.0 {
                 return Err(DecodeError::BadValue);
             }
-            let u = get_coords(&mut payload)?;
+            let u = get_coords(&mut r)?;
             Message::AbwProbe {
                 nonce,
                 rate_mbps,
@@ -288,20 +230,17 @@ pub fn decode(datagram: &[u8]) -> Result<Message, DecodeError> {
             }
         }
         4 => {
-            let nonce = need_u64(&mut payload)?;
-            let x = need_f64(&mut payload)?;
+            let nonce = r.u64()?;
+            let x = get_finite(&mut r)?;
             if x != 1.0 && x != -1.0 {
                 return Err(DecodeError::BadValue);
             }
-            let v = get_coords(&mut payload)?;
+            let v = get_coords(&mut r)?;
             Message::AbwReply { nonce, x, v }
         }
         _ => return Err(DecodeError::BadType),
     };
-
-    if payload.has_remaining() {
-        return Err(DecodeError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(msg)
 }
 
@@ -380,10 +319,7 @@ pub fn encode_v2(msg: &MessageV2) -> Bytes {
 /// errors, not network conditions.
 pub fn encode_v2_into(msg: &MessageV2, out: &mut Vec<u8>) {
     out.clear();
-    out.put_u16_le(MAGIC);
-    out.put_u8(VERSION_V2);
-    out.put_u8(msg.type_tag());
-    out.put_u16_le(0); // payload length, known once the payload is written
+    let start = PROBE_V2.begin(out, msg.type_tag());
     match msg {
         MessageV2::RttProbe { nonce, ack } => {
             out.put_u32_le(*nonce);
@@ -421,19 +357,11 @@ pub fn encode_v2_into(msg: &MessageV2, out: &mut Vec<u8>) {
             put_update(out, update);
         }
     }
-
-    let payload_len = out.len() - HEADER_LEN_V2;
-    debug_assert!(payload_len <= u16::MAX as usize);
-    out[HEADER_LEN_V2 - 2..HEADER_LEN_V2].copy_from_slice(&(payload_len as u16).to_le_bytes());
-    let checksum = fnv1a(out);
-    out.put_u32_le(checksum);
+    PROBE_V2.seal(out, start);
 }
 
-fn get_ack_flags(payload: &mut &[u8]) -> Result<Option<Ack>, DecodeError> {
-    if payload.remaining() < 1 {
-        return Err(DecodeError::TruncatedPayload);
-    }
-    let flags = payload.get_u8();
+fn get_ack_flags(r: &mut Reader) -> Result<Option<Ack>, DecodeError> {
+    let flags = r.u8()?;
     if flags & !(FLAG_HAS_ACK | FLAG_WANT_KEYFRAME) != 0 {
         return Err(DecodeError::BadValue);
     }
@@ -444,43 +372,32 @@ fn get_ack_flags(payload: &mut &[u8]) -> Result<Option<Ack>, DecodeError> {
         }
         return Ok(None);
     }
-    if payload.remaining() < 2 {
-        return Err(DecodeError::TruncatedPayload);
-    }
     Ok(Some(Ack {
-        seq: payload.get_u16_le(),
+        seq: r.u16()?,
         want_keyframe: flags & FLAG_WANT_KEYFRAME != 0,
     }))
 }
 
-fn get_update(payload: &mut &[u8]) -> Result<CoordUpdate, DecodeError> {
-    if payload.remaining() < 3 {
-        return Err(DecodeError::TruncatedPayload);
+fn get_rank(r: &mut Reader) -> Result<usize, DecodeError> {
+    let rank = r.u16()? as usize;
+    if rank == 0 || rank > MAX_BLOCK {
+        return Err(DecodeError::BadRank);
     }
-    let flags = payload.get_u8();
+    Ok(rank)
+}
+
+fn get_update(r: &mut Reader) -> Result<CoordUpdate, DecodeError> {
+    // Both fields are read before the flags are judged: a block cut
+    // short inside them is truncated, whatever its flags say.
+    let flags = r.u8()?;
+    let seq = r.u16()?;
     if flags & !FLAG_KEYFRAME != 0 {
         return Err(DecodeError::BadValue);
     }
-    let seq = payload.get_u16_le();
-
-    let get_rank = |payload: &mut &[u8]| -> Result<usize, DecodeError> {
-        if payload.remaining() < 2 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let rank = payload.get_u16_le() as usize;
-        if rank == 0 || rank > MAX_BLOCK {
-            return Err(DecodeError::BadRank);
-        }
-        Ok(rank)
-    };
 
     if flags & FLAG_KEYFRAME != 0 {
-        let rank = get_rank(payload)?;
-        if payload.remaining() < rank * 2 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let (values, rest) = payload.split_at(rank * 2);
-        *payload = rest;
+        let rank = get_rank(r)?;
+        let values = r.take(rank * 2)?;
         let mut coords = Block::zeros(rank);
         for (coord, bytes) in coords.iter_mut().zip(values.chunks_exact(2)) {
             let bits = u16::from_le_bytes([bytes[0], bytes[1]]);
@@ -494,23 +411,16 @@ fn get_update(payload: &mut &[u8]) -> Result<CoordUpdate, DecodeError> {
             payload: UpdatePayload::Keyframe { coords },
         })
     } else {
-        if payload.remaining() < 4 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let base_seq = payload.get_u16_le();
-        let scale_bits = payload.get_u16_le();
+        let base_seq = r.u16()?;
+        let scale_bits = r.u16()?;
         // The scale is a magnitude: reject inf/NaN and negative zero
         // patterns alike (the encoder never emits a sign bit here).
         if !f16_is_finite(scale_bits) || scale_bits & 0x8000 != 0 {
             return Err(DecodeError::BadValue);
         }
         let scale = f16_to_f64(scale_bits);
-        let rank = get_rank(payload)?;
-        if payload.remaining() < rank {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let (values, rest) = payload.split_at(rank);
-        *payload = rest;
+        let rank = get_rank(r)?;
+        let values = r.take(rank)?;
         let mut quants = Block::zeros(rank);
         for (quant, &byte) in quants.iter_mut().zip(values) {
             *quant = byte as i8;
@@ -528,62 +438,29 @@ fn get_update(payload: &mut &[u8]) -> Result<CoordUpdate, DecodeError> {
 
 /// Decodes a v2 datagram.
 pub fn decode_v2(datagram: &[u8]) -> Result<MessageV2, DecodeError> {
-    if datagram.len() < HEADER_LEN_V2 + CHECKSUM_LEN {
-        return Err(DecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = datagram.split_at(datagram.len() - CHECKSUM_LEN);
-    let mut check = checksum_bytes;
-    let expected = check.get_u32_le();
-    if fnv1a(body) != expected {
-        return Err(DecodeError::BadChecksum);
-    }
-
-    let mut header = body;
-    if header.get_u16_le() != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if header.get_u8() != VERSION_V2 {
-        return Err(DecodeError::BadVersion);
-    }
-    let type_tag = header.get_u8();
-    let payload_len = header.get_u16_le() as usize;
-    if payload_len != header.len() {
-        return Err(DecodeError::LengthMismatch);
-    }
-    let mut payload = header;
-
-    let need_u32 = |payload: &mut &[u8]| -> Result<u32, DecodeError> {
-        if payload.remaining() < 4 {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        Ok(payload.get_u32_le())
-    };
-
+    let (type_tag, mut r) = PROBE_V2.open(datagram)?;
     let msg = match type_tag {
         1 => {
-            let nonce = need_u32(&mut payload)?;
-            let ack = get_ack_flags(&mut payload)?;
+            let nonce = r.u32()?;
+            let ack = get_ack_flags(&mut r)?;
             MessageV2::RttProbe { nonce, ack }
         }
         2 => {
-            let nonce = need_u32(&mut payload)?;
-            let update = get_update(&mut payload)?;
+            let nonce = r.u32()?;
+            let update = get_update(&mut r)?;
             if update.rank() % 2 != 0 {
                 return Err(DecodeError::BadRank);
             }
             MessageV2::RttReply { nonce, update }
         }
         3 => {
-            let nonce = need_u32(&mut payload)?;
-            let ack = get_ack_flags(&mut payload)?;
-            if payload.remaining() < 4 {
-                return Err(DecodeError::TruncatedPayload);
-            }
-            let rate = payload.get_f32_le();
+            let nonce = r.u32()?;
+            let ack = get_ack_flags(&mut r)?;
+            let rate = r.f32()?;
             if !rate.is_finite() || rate <= 0.0 {
                 return Err(DecodeError::BadValue);
             }
-            let update = get_update(&mut payload)?;
+            let update = get_update(&mut r)?;
             MessageV2::AbwProbe {
                 nonce,
                 rate_mbps: f64::from(rate),
@@ -592,17 +469,14 @@ pub fn decode_v2(datagram: &[u8]) -> Result<MessageV2, DecodeError> {
             }
         }
         4 => {
-            let nonce = need_u32(&mut payload)?;
-            let ack = get_ack_flags(&mut payload)?;
-            if payload.remaining() < 1 {
-                return Err(DecodeError::TruncatedPayload);
-            }
-            let x = match payload.get_i8() {
+            let nonce = r.u32()?;
+            let ack = get_ack_flags(&mut r)?;
+            let x = match r.i8()? {
                 1 => 1.0,
                 -1 => -1.0,
                 _ => return Err(DecodeError::BadValue),
             };
-            let update = get_update(&mut payload)?;
+            let update = get_update(&mut r)?;
             MessageV2::AbwReply {
                 nonce,
                 x,
@@ -612,42 +486,28 @@ pub fn decode_v2(datagram: &[u8]) -> Result<MessageV2, DecodeError> {
         }
         _ => return Err(DecodeError::BadType),
     };
-
-    if payload.has_remaining() {
-        return Err(DecodeError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(msg)
 }
 
 /// Decodes a datagram of either protocol version, dispatching on the
 /// version byte at offset 2 — this is the whole of version
 /// negotiation: a node answers in whatever version the probe spoke.
+///
+/// Everything that is not v1 goes to the v2 parser, whose frame check
+/// still tells corruption ([`DecodeError::BadChecksum`]) and a foreign
+/// magic from a genuinely newer protocol ([`DecodeError::BadVersion`]).
 pub fn decode_any(datagram: &[u8]) -> Result<WireMessage, DecodeError> {
-    if datagram.len() < HEADER_LEN_V2 + CHECKSUM_LEN {
-        return Err(DecodeError::TooShort);
-    }
-    match datagram[2] {
-        VERSION => decode(datagram).map(WireMessage::V1),
-        VERSION_V2 => decode_v2(datagram).map(WireMessage::V2),
-        _ => {
-            // Unknown version: still distinguish corruption from a
-            // genuinely newer protocol by checking checksum and magic.
-            let (body, mut check) = datagram.split_at(datagram.len() - CHECKSUM_LEN);
-            if fnv1a(body) != check.get_u32_le() {
-                return Err(DecodeError::BadChecksum);
-            }
-            let mut header = body;
-            if header.get_u16_le() != MAGIC {
-                return Err(DecodeError::BadMagic);
-            }
-            Err(DecodeError::BadVersion)
-        }
+    match datagram.get(2) {
+        Some(&VERSION) => decode(datagram).map(WireMessage::V1),
+        _ => decode_v2(datagram).map(WireMessage::V2),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn sample_messages() -> Vec<Message> {
         vec![

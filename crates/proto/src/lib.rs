@@ -8,22 +8,11 @@
 //! versioned, checksummed, bounds-checked codec instead of ad-hoc
 //! serialization.
 //!
-//! Two wire versions share one frame shape (all integers
-//! little-endian; negotiation is the version byte, dispatched by
-//! [`decode_any`]):
-//!
-//! ```text
-//! v1: +-------+----+------+-------------+~~~~~~~~~+----------+
-//!     | magic | =1 | type | payload_len | payload | checksum |
-//!     |  u16  | u8 |  u8  |     u32     |  bytes  |   u32    |
-//!     +-------+----+------+-------------+~~~~~~~~~+----------+
-//! v2: +-------+----+------+-------------+~~~~~~~~~+----------+
-//!     | magic | =2 | type | payload_len | payload | checksum |
-//!     |  u16  | u8 |  u8  |     u16     |  bytes  |   u32    |
-//!     +-------+----+------+-------------+~~~~~~~~~+----------+
-//! ```
-//!
-//! The checksum is FNV-1a over everything before it. **v1** carries
+//! Two wire versions share one frame, `magic | version | type |
+//! payload_len | payload | FNV-1a checksum`; negotiation is the
+//! version byte, dispatched by [`decode_any`]. The [`frame`] module
+//! writes and verifies that frame for both, and for the `dmf-service`
+//! query protocol: its table lays out all three. **v1** carries
 //! coordinates as a `u16` rank followed by `rank` f64 values. **v2**
 //! ([`MessageV2`]) replaces raw vectors with quantized
 //! [`delta::CoordUpdate`] blocks — binary16 keyframes or `i8` deltas
@@ -56,6 +45,7 @@ pub mod codec;
 pub mod context;
 pub mod delta;
 pub mod fault;
+pub mod frame;
 pub mod message;
 pub mod message_v2;
 

@@ -27,7 +27,7 @@
 //! benches and examples.
 
 use crate::metrics::{RequestKind, ServiceMetrics};
-use crate::protocol::{ErrorCode, ProtocolDecode, ProtocolEncode, Request, Response, MAX_PAYLOAD};
+use crate::protocol::{ErrorCode, ProtocolDecode, ProtocolEncode, Request, Response};
 use crate::service::PredictionService;
 use dmf_core::{DmfsgdError, NodeId};
 use std::collections::VecDeque;
@@ -241,16 +241,11 @@ impl ServerConnection {
                 .snapshot_json(shard as usize)
                 .map(|json| Response::SnapshotData { seq, json }),
             Request::Metrics { format, .. } => match metrics {
-                Some(m) => {
-                    let body = m.render(format);
-                    if body.len() + 9 > MAX_PAYLOAD {
-                        Err(DmfsgdError::Transport(
-                            "metrics snapshot exceeds the frame payload bound".to_string(),
-                        ))
-                    } else {
-                        Ok(Response::MetricsData { seq, format, body })
-                    }
-                }
+                Some(m) => Ok(Response::MetricsData {
+                    seq,
+                    format,
+                    body: m.render(format),
+                }),
                 None => Err(metrics_disabled()),
             },
             Request::Health { .. } => match metrics {
@@ -261,6 +256,15 @@ impl ServerConnection {
                 None => Err(metrics_disabled()),
             },
         };
+        // A snapshot of a few thousand nodes, a long ranking or a large
+        // metrics body can outgrow one frame: answered like any other
+        // bad request.
+        let result = result.and_then(|resp| match resp.fits_frame() {
+            true => Ok(resp),
+            false => Err(DmfsgdError::Transport(
+                "response exceeds the frame payload bound".to_string(),
+            )),
+        });
         let ok = result.is_ok();
         let resp = result.unwrap_or_else(|e| Response::Error {
             seq,
@@ -473,6 +477,28 @@ mod tests {
             }
         ));
         assert!(matches!(&resps[2], Response::Value { seq: 3, .. }));
+    }
+
+    #[test]
+    fn an_oversized_snapshot_is_a_typed_error_and_the_connection_survives() {
+        // ≈ 483 B of snapshot JSON per node: 4 000 nodes outgrow a frame.
+        let mut conn = ServerConnection::new(service(4000, 1), 8);
+        let mut wire = encode_req(&Request::Snapshot { seq: 1, shard: 0 });
+        Request::Predict { seq: 2, i: 0, j: 1 }.encode(&mut wire);
+        let mut out = Vec::new();
+        conn.ingest(&wire, &mut out).unwrap();
+        conn.drain(&mut out);
+        let resps = decode_all(&out);
+        assert_eq!(resps.len(), 2);
+        assert!(matches!(
+            &resps[0],
+            Response::Error {
+                seq: 1,
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ));
+        assert!(matches!(&resps[1], Response::Value { seq: 2, .. }));
     }
 
     #[test]

@@ -11,51 +11,44 @@
 //! length of the complete frame, after which
 //! [`ProtocolDecode::consume`] parses exactly those bytes.
 //!
-//! The frame shape deliberately mirrors `dmf-proto` v1 so one hostile
-//! -input analysis covers both wire formats (all integers
-//! little-endian):
-//!
-//! ```text
-//! +-------+----+------+-------------+~~~~~~~~~+----------+
-//! | magic | =1 | type | payload_len | payload | checksum |
-//! |  u16  | u8 |  u8  |     u32     |  bytes  |   u32    |
-//! +-------+----+------+-------------+~~~~~~~~~+----------+
-//! ```
-//!
-//! The magic is [`SERVICE_MAGIC`] (`0xD3F6`, distinct from the probe
-//! protocol's `0xD3F5` so a misrouted datagram fails fast) and the
-//! checksum is the same FNV-1a ([`dmf_proto::fnv1a`]) over everything
-//! before it. Every request and response payload begins with a `u32`
-//! sequence number: responses are tagged with the sequence of the
-//! request they answer, which is what makes pipelining safe — a
-//! client with 64 requests in flight matches answers by sequence, not
-//! by arrival order (though the server does answer in order).
+//! Both probe protocol versions and this one are
+//! [`dmf_proto::frame`] formats with one parser, so one hostile-input
+//! analysis covers all three. This one is [`frame::SERVICE`]: magic
+//! [`SERVICE_MAGIC`] (`0xD3F6`, distinct from the probe protocol's
+//! `0xD3F5` so a misrouted datagram fails fast), a `u32` payload
+//! length and the frame's FNV-1a trailer. Every request and response
+//! payload begins with a `u32` sequence number: responses are tagged
+//! with the sequence of the request they answer, which is what makes
+//! pipelining safe — a client with 64 requests in flight matches
+//! answers by sequence, not by arrival order (though the server does
+//! answer in order).
 //!
 //! Malformed input of any kind produces a typed
 //! [`DecodeError`] — never a panic, and never
 //! an allocation larger than [`MAX_PAYLOAD`].
 
 use dmf_ops::{DegradedReason, Health};
-use dmf_proto::{fnv1a, DecodeError};
+use dmf_proto::frame::{self, SERVICE};
+use dmf_proto::DecodeError;
 use std::ops::ControlFlow;
 
 /// Frame magic for the service protocol (`0xD3F6`; the probe protocol
 /// uses `0xD3F5`).
-pub const SERVICE_MAGIC: u16 = 0xD3F6;
+pub const SERVICE_MAGIC: u16 = SERVICE.magic();
 
 /// Service protocol version byte.
-pub const SERVICE_VERSION: u8 = 1;
+pub const SERVICE_VERSION: u8 = SERVICE.version();
 
 /// Fixed frame header length: magic + version + type + payload_len.
-pub const HEADER_LEN: usize = 8;
+pub const HEADER_LEN: usize = SERVICE.header_len();
 
 /// Trailing checksum length.
-pub const CHECKSUM_LEN: usize = 4;
+pub const CHECKSUM_LEN: usize = frame::CHECKSUM_LEN;
 
-/// Upper bound on a frame's payload. A hostile length field cannot
-/// make a peer buffer more than this per frame (snapshots are the
-/// largest legitimate payload; see [`Response::SnapshotData`]).
-pub const MAX_PAYLOAD: usize = 1 << 20;
+/// Upper bound on a frame's payload (1 MiB). A hostile length field
+/// cannot make a peer buffer more than this per frame (snapshots are
+/// the largest legitimate payload; see [`Response::SnapshotData`]).
+pub const MAX_PAYLOAD: usize = SERVICE.max_payload();
 
 /// Upper bound on the entry count of a [`Response::Ranked`] frame —
 /// decoding rejects larger counts before allocating.
@@ -324,168 +317,129 @@ impl Response {
 
 // ---- encoding -------------------------------------------------------
 
-/// Writes the frame header, returns the offset where the frame began.
-fn begin_frame(buf: &mut Vec<u8>, ty: u8, payload_len: usize) -> usize {
-    debug_assert!(payload_len <= MAX_PAYLOAD);
-    let start = buf.len();
-    buf.extend_from_slice(&SERVICE_MAGIC.to_le_bytes());
-    buf.push(SERVICE_VERSION);
-    buf.push(ty);
-    buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    start
-}
-
-/// Appends the FNV-1a checksum over the frame written since `start`.
-fn end_frame(buf: &mut Vec<u8>, start: usize) {
-    let sum = fnv1a(&buf[start..]);
-    buf.extend_from_slice(&sum.to_le_bytes());
-}
-
-impl ProtocolEncode for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
-            Request::Predict { seq, i, j } | Request::PredictClass { seq, i, j } => {
-                let ty = if matches!(self, Request::Predict { .. }) {
-                    T_PREDICT
-                } else {
-                    T_PREDICT_CLASS
-                };
-                let start = begin_frame(buf, ty, 12);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&i.to_le_bytes());
-                buf.extend_from_slice(&j.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Request::RankNeighbors { seq, i, top_k } => {
-                let start = begin_frame(buf, T_RANK, 10);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&i.to_le_bytes());
-                buf.extend_from_slice(&top_k.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Request::Update { seq, i, j, x } => {
-                let start = begin_frame(buf, T_UPDATE, 20);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&i.to_le_bytes());
-                buf.extend_from_slice(&j.to_le_bytes());
-                buf.extend_from_slice(&x.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Request::Snapshot { seq, shard } => {
-                let start = begin_frame(buf, T_SNAPSHOT, 6);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&shard.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Request::Metrics { seq, format } => {
-                let start = begin_frame(buf, T_METRICS, 5);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.push(format as u8);
-                end_frame(buf, start);
-            }
-            Request::Health { seq } => {
-                let start = begin_frame(buf, T_HEALTH, 4);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                end_frame(buf, start);
-            }
+impl Request {
+    fn type_tag(&self) -> u8 {
+        match self {
+            Request::Predict { .. } => T_PREDICT,
+            Request::PredictClass { .. } => T_PREDICT_CLASS,
+            Request::RankNeighbors { .. } => T_RANK,
+            Request::Update { .. } => T_UPDATE,
+            Request::Snapshot { .. } => T_SNAPSHOT,
+            Request::Metrics { .. } => T_METRICS,
+            Request::Health { .. } => T_HEALTH,
         }
     }
 }
 
-/// Wire kind tag of a degraded reason (the two `f64`s that follow are
-/// always `(observed, limit)`).
-fn reason_kind(r: &DegradedReason) -> u8 {
-    match r {
-        DegradedReason::QualityBelowFloor { .. } => 1,
-        DegradedReason::StaleCoordinates { .. } => 2,
-        DegradedReason::HighRejectionRate { .. } => 3,
+impl ProtocolEncode for Request {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let start = SERVICE.begin(buf, self.type_tag());
+        buf.extend_from_slice(&self.seq().to_le_bytes());
+        match *self {
+            Request::Predict { i, j, .. } | Request::PredictClass { i, j, .. } => {
+                buf.extend_from_slice(&i.to_le_bytes());
+                buf.extend_from_slice(&j.to_le_bytes());
+            }
+            Request::RankNeighbors { i, top_k, .. } => {
+                buf.extend_from_slice(&i.to_le_bytes());
+                buf.extend_from_slice(&top_k.to_le_bytes());
+            }
+            Request::Update { i, j, x, .. } => {
+                buf.extend_from_slice(&i.to_le_bytes());
+                buf.extend_from_slice(&j.to_le_bytes());
+                buf.extend_from_slice(&x.to_le_bytes());
+            }
+            Request::Snapshot { shard, .. } => buf.extend_from_slice(&shard.to_le_bytes()),
+            Request::Metrics { format, .. } => buf.push(format as u8),
+            Request::Health { .. } => {}
+        }
+        SERVICE.seal(buf, start);
     }
 }
 
-fn reason_values(r: &DegradedReason) -> (f64, f64) {
+/// A degraded reason's wire form: kind tag, observed value, limit.
+fn reason_fields(r: &DegradedReason) -> (u8, f64, f64) {
     match *r {
-        DegradedReason::QualityBelowFloor { auc, floor } => (auc, floor),
+        DegradedReason::QualityBelowFloor { auc, floor } => (1, auc, floor),
         DegradedReason::StaleCoordinates {
             staleness_s,
             limit_s,
-        } => (staleness_s, limit_s),
-        DegradedReason::HighRejectionRate { rate, limit } => (rate, limit),
+        } => (2, staleness_s, limit_s),
+        DegradedReason::HighRejectionRate { rate, limit } => (3, rate, limit),
+    }
+}
+
+impl Response {
+    fn type_tag(&self) -> u8 {
+        match self {
+            Response::Value { .. } => T_VALUE,
+            Response::Class { .. } => T_CLASS,
+            Response::Ranked { .. } => T_RANKED,
+            Response::Updated { .. } => T_UPDATED,
+            Response::SnapshotData { .. } => T_SNAPSHOT_DATA,
+            Response::MetricsData { .. } => T_METRICS_DATA,
+            Response::HealthStatus { .. } => T_HEALTH_STATUS,
+            Response::Error { .. } => T_ERROR,
+        }
+    }
+
+    /// Whether this response fits one frame: its payload within
+    /// [`MAX_PAYLOAD`] and every count and length within its field and
+    /// the bound the decoder enforces. The serving connection answers
+    /// a response that does not with [`ErrorCode::BadRequest`] instead
+    /// of encoding it; [`encode`](ProtocolEncode::encode) panics on one.
+    pub(crate) fn fits_frame(&self) -> bool {
+        match self {
+            Response::Ranked { entries, .. } => entries.len() <= MAX_RANKED,
+            // The blob follows `seq`, its `u32` length and (metrics)
+            // the format byte.
+            Response::SnapshotData { json, .. } => json.len() <= MAX_PAYLOAD - 8,
+            Response::MetricsData { body, .. } => body.len() <= MAX_PAYLOAD - 9,
+            Response::HealthStatus { health, .. } => match health {
+                Health::Healthy => true,
+                Health::Degraded { reasons } => reasons.len() <= MAX_HEALTH_REASONS,
+                Health::Unready { reason } => reason.len() <= u16::MAX as usize,
+            },
+            Response::Error { message, .. } => message.len() <= u16::MAX as usize,
+            Response::Value { .. } | Response::Class { .. } | Response::Updated { .. } => true,
+        }
     }
 }
 
 impl ProtocolEncode for Response {
     fn encode(&self, buf: &mut Vec<u8>) {
+        assert!(self.fits_frame(), "response does not fit one frame");
+        let start = SERVICE.begin(buf, self.type_tag());
+        buf.extend_from_slice(&self.seq().to_le_bytes());
         match self {
-            Response::Value { seq, value } => {
-                let start = begin_frame(buf, T_VALUE, 12);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&value.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Response::Class { seq, class } => {
-                let start = begin_frame(buf, T_CLASS, 5);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.push(*class as u8);
-                end_frame(buf, start);
-            }
-            Response::Ranked { seq, entries } => {
-                assert!(entries.len() <= MAX_RANKED, "ranked reply too large");
-                let start = begin_frame(buf, T_RANKED, 6 + 12 * entries.len());
-                buf.extend_from_slice(&seq.to_le_bytes());
+            Response::Value { value, .. } => buf.extend_from_slice(&value.to_le_bytes()),
+            Response::Class { class, .. } => buf.push(*class as u8),
+            Response::Ranked { entries, .. } => {
                 buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
                 for (id, score) in entries {
                     buf.extend_from_slice(&id.to_le_bytes());
                     buf.extend_from_slice(&score.to_le_bytes());
                 }
-                end_frame(buf, start);
             }
-            Response::Updated { seq } => {
-                let start = begin_frame(buf, T_UPDATED, 4);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                end_frame(buf, start);
-            }
-            Response::SnapshotData { seq, json } => {
-                assert!(json.len() + 8 <= MAX_PAYLOAD, "snapshot too large");
-                let start = begin_frame(buf, T_SNAPSHOT_DATA, 8 + json.len());
-                buf.extend_from_slice(&seq.to_le_bytes());
+            Response::Updated { .. } => {}
+            Response::SnapshotData { json, .. } => {
                 buf.extend_from_slice(&(json.len() as u32).to_le_bytes());
                 buf.extend_from_slice(json);
-                end_frame(buf, start);
             }
-            Response::MetricsData { seq, format, body } => {
-                assert!(body.len() + 9 <= MAX_PAYLOAD, "metrics body too large");
-                let start = begin_frame(buf, T_METRICS_DATA, 9 + body.len());
-                buf.extend_from_slice(&seq.to_le_bytes());
+            Response::MetricsData { format, body, .. } => {
                 buf.push(*format as u8);
                 buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
                 buf.extend_from_slice(body);
-                end_frame(buf, start);
             }
-            Response::HealthStatus { seq, health } => {
-                let payload_len = 5 + match health {
-                    Health::Healthy => 0,
-                    Health::Degraded { reasons } => {
-                        assert!(
-                            reasons.len() <= MAX_HEALTH_REASONS,
-                            "too many degraded reasons"
-                        );
-                        1 + 17 * reasons.len()
-                    }
-                    Health::Unready { reason } => {
-                        assert!(reason.len() <= u16::MAX as usize, "unready reason too long");
-                        2 + reason.len()
-                    }
-                };
-                let start = begin_frame(buf, T_HEALTH_STATUS, payload_len);
-                buf.extend_from_slice(&seq.to_le_bytes());
+            Response::HealthStatus { health, .. } => {
                 buf.push(health.code());
                 match health {
                     Health::Healthy => {}
                     Health::Degraded { reasons } => {
                         buf.push(reasons.len() as u8);
                         for r in reasons {
-                            buf.push(reason_kind(r));
-                            let (observed, limit) = reason_values(r);
+                            let (kind, observed, limit) = reason_fields(r);
+                            buf.push(kind);
                             buf.extend_from_slice(&observed.to_le_bytes());
                             buf.extend_from_slice(&limit.to_le_bytes());
                         }
@@ -495,124 +449,18 @@ impl ProtocolEncode for Response {
                         buf.extend_from_slice(reason.as_bytes());
                     }
                 }
-                end_frame(buf, start);
             }
-            Response::Error { seq, code, message } => {
-                let msg = message.as_bytes();
-                assert!(msg.len() <= u16::MAX as usize, "error message too long");
-                let start = begin_frame(buf, T_ERROR, 7 + msg.len());
-                buf.extend_from_slice(&seq.to_le_bytes());
+            Response::Error { code, message, .. } => {
                 buf.push(*code as u8);
-                buf.extend_from_slice(&(msg.len() as u16).to_le_bytes());
-                buf.extend_from_slice(msg);
-                end_frame(buf, start);
+                buf.extend_from_slice(&(message.len() as u16).to_le_bytes());
+                buf.extend_from_slice(message.as_bytes());
             }
         }
+        SERVICE.seal(buf, start);
     }
 }
 
 // ---- decoding -------------------------------------------------------
-
-/// Stream-head inspection shared by both directions: validates what
-/// the header alone can validate and reports how many bytes the frame
-/// occupies.
-fn check_frame(
-    buf: &[u8],
-    known_type: fn(u8) -> bool,
-) -> Result<ControlFlow<usize, usize>, DecodeError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(ControlFlow::Continue(HEADER_LEN));
-    }
-    if u16::from_le_bytes([buf[0], buf[1]]) != SERVICE_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if buf[2] != SERVICE_VERSION {
-        return Err(DecodeError::BadVersion);
-    }
-    if !known_type(buf[3]) {
-        return Err(DecodeError::BadType);
-    }
-    let payload_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    if payload_len > MAX_PAYLOAD {
-        return Err(DecodeError::LengthMismatch);
-    }
-    let total = HEADER_LEN + payload_len + CHECKSUM_LEN;
-    if buf.len() < total {
-        Ok(ControlFlow::Continue(total))
-    } else {
-        Ok(ControlFlow::Break(total))
-    }
-}
-
-/// Full-frame verification: `buf` must be exactly one frame. Returns
-/// the type tag and payload slice after checksum verification.
-fn split_frame(buf: &[u8], known_type: fn(u8) -> bool) -> Result<(u8, &[u8]), DecodeError> {
-    match check_frame(buf, known_type)? {
-        ControlFlow::Continue(_) => Err(DecodeError::TooShort),
-        ControlFlow::Break(total) => {
-            if buf.len() != total {
-                return Err(DecodeError::LengthMismatch);
-            }
-            let body = &buf[..total - CHECKSUM_LEN];
-            let declared =
-                u32::from_le_bytes(buf[total - CHECKSUM_LEN..].try_into().expect("4 bytes"));
-            if fnv1a(body) != declared {
-                return Err(DecodeError::BadChecksum);
-            }
-            Ok((buf[3], &body[HEADER_LEN..]))
-        }
-    }
-}
-
-/// Little-endian payload cursor; all reads bounds-checked into typed
-/// errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(DecodeError::TruncatedPayload)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::TrailingBytes)
-        }
-    }
-}
 
 fn is_request_type(ty: u8) -> bool {
     matches!(
@@ -637,12 +485,11 @@ fn is_response_type(ty: u8) -> bool {
 
 impl ProtocolDecode for Request {
     fn check(buf: &[u8]) -> Result<ControlFlow<usize, usize>, DecodeError> {
-        check_frame(buf, is_request_type)
+        SERVICE.check(buf, is_request_type)
     }
 
     fn consume(buf: &[u8]) -> Result<Self, DecodeError> {
-        let (ty, payload) = split_frame(buf, is_request_type)?;
-        let mut r = Reader::new(payload);
+        let (ty, mut r) = SERVICE.consume(buf, is_request_type)?;
         let seq = r.u32()?;
         let req = match ty {
             T_PREDICT | T_PREDICT_CLASS => {
@@ -677,7 +524,7 @@ impl ProtocolDecode for Request {
                 format: MetricsFormat::from_u8(r.u8()?)?,
             },
             T_HEALTH => Request::Health { seq },
-            _ => unreachable!("split_frame validated the type"),
+            _ => unreachable!("the frame check validated the type"),
         };
         r.finish()?;
         Ok(req)
@@ -686,12 +533,11 @@ impl ProtocolDecode for Request {
 
 impl ProtocolDecode for Response {
     fn check(buf: &[u8]) -> Result<ControlFlow<usize, usize>, DecodeError> {
-        check_frame(buf, is_response_type)
+        SERVICE.check(buf, is_response_type)
     }
 
     fn consume(buf: &[u8]) -> Result<Self, DecodeError> {
-        let (ty, payload) = split_frame(buf, is_response_type)?;
-        let mut r = Reader::new(payload);
+        let (ty, mut r) = SERVICE.consume(buf, is_response_type)?;
         let seq = r.u32()?;
         let resp = match ty {
             T_VALUE => Response::Value {
@@ -699,7 +545,7 @@ impl ProtocolDecode for Response {
                 value: r.f64()?,
             },
             T_CLASS => {
-                let class = r.u8()? as i8;
+                let class = r.i8()?;
                 if class != 1 && class != -1 {
                     return Err(DecodeError::BadValue);
                 }
@@ -771,10 +617,9 @@ impl ProtocolDecode for Response {
                     }
                     2 => {
                         let len = r.u16()? as usize;
-                        let reason = std::str::from_utf8(r.take(len)?)
-                            .map_err(|_| DecodeError::BadValue)?
-                            .to_string();
-                        Health::Unready { reason }
+                        Health::Unready {
+                            reason: r.str(len)?.to_string(),
+                        }
                     }
                     _ => return Err(DecodeError::BadValue),
                 };
@@ -783,12 +628,13 @@ impl ProtocolDecode for Response {
             T_ERROR => {
                 let code = ErrorCode::from_u8(r.u8()?)?;
                 let len = r.u16()? as usize;
-                let message = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| DecodeError::BadValue)?
-                    .to_string();
-                Response::Error { seq, code, message }
+                Response::Error {
+                    seq,
+                    code,
+                    message: r.str(len)?.to_string(),
+                }
             }
-            _ => unreachable!("split_frame validated the type"),
+            _ => unreachable!("the frame check validated the type"),
         };
         r.finish()?;
         Ok(resp)
@@ -980,49 +826,49 @@ mod tests {
     fn hostile_health_payloads_are_typed_errors() {
         // Unknown state byte.
         let mut buf = Vec::new();
-        let start = begin_frame(&mut buf, T_HEALTH_STATUS, 5);
+        let start = SERVICE.begin(&mut buf, T_HEALTH_STATUS);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(9);
-        end_frame(&mut buf, start);
+        SERVICE.seal(&mut buf, start);
         assert_eq!(Response::consume(&buf).unwrap_err(), DecodeError::BadValue);
 
         // Degraded with zero reasons (the encoder never emits it).
         let mut buf = Vec::new();
-        let start = begin_frame(&mut buf, T_HEALTH_STATUS, 6);
+        let start = SERVICE.begin(&mut buf, T_HEALTH_STATUS);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(1);
         buf.push(0);
-        end_frame(&mut buf, start);
+        SERVICE.seal(&mut buf, start);
         assert_eq!(Response::consume(&buf).unwrap_err(), DecodeError::BadValue);
 
         // Degraded reason carrying a NaN.
         let mut buf = Vec::new();
-        let start = begin_frame(&mut buf, T_HEALTH_STATUS, 23);
+        let start = SERVICE.begin(&mut buf, T_HEALTH_STATUS);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(1);
         buf.push(1);
         buf.push(1);
         buf.extend_from_slice(&f64::NAN.to_le_bytes());
         buf.extend_from_slice(&0.75f64.to_le_bytes());
-        end_frame(&mut buf, start);
+        SERVICE.seal(&mut buf, start);
         assert_eq!(Response::consume(&buf).unwrap_err(), DecodeError::BadValue);
 
         // Metrics request with an unknown format byte.
         let mut buf = Vec::new();
-        let start = begin_frame(&mut buf, T_METRICS, 5);
+        let start = SERVICE.begin(&mut buf, T_METRICS);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(7);
-        end_frame(&mut buf, start);
+        SERVICE.seal(&mut buf, start);
         assert_eq!(Request::consume(&buf).unwrap_err(), DecodeError::BadValue);
     }
 
     #[test]
     fn oversized_ranked_counts_are_rejected_before_allocation() {
         let mut buf = Vec::new();
-        let start = begin_frame(&mut buf, T_RANKED, 6);
+        let start = SERVICE.begin(&mut buf, T_RANKED);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&(MAX_RANKED as u16 + 1).to_le_bytes());
-        end_frame(&mut buf, start);
+        SERVICE.seal(&mut buf, start);
         assert_eq!(Response::consume(&buf).unwrap_err(), DecodeError::BadValue);
     }
 }
