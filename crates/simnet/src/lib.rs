@@ -10,18 +10,21 @@
 //! * [`event`] — a deterministic future-event list (time-ordered,
 //!   FIFO-stable for ties).
 //! * [`net`] — [`net::SimNet`], the one link model: a message-passing
-//!   network whose one-way delays derive from an RTT ground truth,
-//!   with jitter, optional packet loss (fault injection in the spirit
-//!   of the smoltcp examples), partitions and stragglers, over islands
-//!   of delay table + RNG stream sharing one event queue. Its own
-//!   constructors build the dense layout (one island).
+//!   network whose one-way delays derive from an RTT ground truth or
+//!   a delay function, with jitter, optional packet loss (fault
+//!   injection in the spirit of the smoltcp examples), partitions and
+//!   stragglers, over islands of one RNG stream each sharing one event
+//!   queue. Its own constructors build the dense layout (one island);
+//!   only a measured RTT truth is stored as an `n × n` table — a
+//!   function-backed net stores no per-pair state.
 //! * [`probe`] — measurement tools: a ping-style RTT prober, a
 //!   pathload-style binary ABW class prober (UDP train at rate `τ`:
 //!   congestion or not), and a pathchirp-style coarse quantity prober
 //!   with underestimation bias (paper §3.1–3.2).
 //! * [`shard`] — [`shard::ShardedSimNet`], the k-island layout of the
 //!   same struct (two constructors and a `Deref`), for 10k–100k-node
-//!   populations where one dense delay table stops fitting.
+//!   populations where one dense delay table would not fit: it
+//!   evaluates the caller's delay function per intra-island leg.
 //! * [`errors`] — the four erroneous-label models of §6.3 plus the
 //!   δ/p calibration that reproduces Table 3.
 //! * [`neighbors`] — random `k`-neighbor sets (the Vivaldi-style

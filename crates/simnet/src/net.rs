@@ -9,12 +9,14 @@
 //! the very datagram handler the UDP agents in `dmf-agent` run
 //! (`dmf_core::endpoint`); only the transport under it differs.
 //!
-//! Everything a message meets on its way — table lookup, partition
-//! cut, per-leg loss draw, straggler factor, jitter draw, the
-//! in-flight accounting — is written here once, over a population
-//! stored as contiguous *islands* (a delay table plus an RNG stream
-//! each) sharing one event queue. The constructors on [`SimNet`] build
-//! the **dense** layout, one island holding the full `n × n` table;
+//! Everything a message meets on its way — leg delay, partition cut,
+//! per-leg loss draw, straggler factor, jitter draw, the in-flight
+//! accounting — is written here once, over a population stored as
+//! contiguous *islands* (an RNG stream each) sharing one event queue
+//! and one delay source. The source is either the caller's delay
+//! function, evaluated when an intra-island leg is sent, or — for a
+//! measured RTT truth — a dense `n × n` table. The constructors on
+//! [`SimNet`] build the **dense** layout, one island;
 //! [`ShardedSimNet`](crate::ShardedSimNet)'s build the **k-island**
 //! layout of the same struct, whose cross-island pairs travel at the
 //! default delay (see [`crate::shard`] for why and what it costs).
@@ -115,18 +117,10 @@ impl JitterSampler {
     }
 }
 
-/// What a layout splits: one island's `m × m` one-way delay table
-/// (seconds, row-major over *local* ids) and the RNG stream its
-/// senders draw loss and jitter from. An island owns no events.
-///
-/// Delays are stored as `f32`: they are physical quantities good to
-/// well under a relative 1e-7, and halving the table keeps the whole
-/// simulation working set L2-resident at population scale — the two
-/// random-indexed delay lookups per probe cycle are the hottest memory
-/// accesses in a run.
+/// What a layout splits: the RNG stream an island's senders draw loss
+/// and jitter from. An island owns no events and no per-pair state —
+/// its intra-island delays come from the net's one [`Delays`] source.
 struct Island {
-    one_way_delay: Vec<f32>,
-    m: usize,
     rng: ChaCha8Rng,
     jitter: JitterSampler,
 }
@@ -151,6 +145,24 @@ impl Island {
     }
 }
 
+/// Where an intra-island leg's one-way delay (seconds) comes from.
+///
+/// Either way a delay is rounded through `f32`, as a stored table
+/// entry always was: delays are physical quantities good to well under
+/// a relative 1e-7, so the rounding costs nothing and keeps a
+/// function-backed leg bit-identical to the same pair read from a
+/// table.
+enum Delays {
+    /// The caller's pure function of global ids, evaluated once per
+    /// intra-island leg at send time and never at construction: a
+    /// synthetic topology costs no memory per pair, whatever the
+    /// island size.
+    Function(Box<dyn Fn(usize, usize) -> f64 + Send + Sync>),
+    /// A measured truth, which is data: the dense layout's `n × n`
+    /// table, row-major over global ids.
+    Table(Vec<f32>),
+}
+
 /// The simulated network: an event queue plus a latency/loss model,
 /// with mid-run impairment hooks (loss level, partitions, stragglers,
 /// delay re-embedding) for non-stationary scenarios. Node ids are
@@ -160,9 +172,10 @@ pub struct SimNet<M> {
     islands: Vec<Island>,
     island_size: usize,
     n: usize,
+    delays: Delays,
     /// One-way delay between islands: the configured default, rounded
-    /// through `f32` like every table entry, so a cross-island leg
-    /// costs bit-exactly what the same pair would in a dense table.
+    /// through `f32` like every intra-island delay, so a cross-island
+    /// leg costs bit-exactly what the same pair would in a dense table.
     cross_delay_s: f64,
     loss_probability: f64,
     stats: NetStats,
@@ -184,7 +197,7 @@ impl<M> SimNet<M> {
         let default = config.default_one_way_delay_s;
         let mut net = Self::uniform(dataset.len(), default, config);
         // One conversion path: construction IS a delay re-embedding
-        // onto a default-filled table, so the two can never drift.
+        // of a default-delay net, so the two can never drift.
         net.set_one_way_delays_from_rtt(dataset);
         net
     }
@@ -192,18 +205,22 @@ impl<M> SimNet<M> {
     /// Builds a network with a uniform one-way delay (useful for unit
     /// tests of protocol logic).
     pub fn uniform(n: usize, one_way_delay_s: f64, config: NetConfig) -> Self {
-        Self::from_delay_fn(n, config, |_, _| one_way_delay_s)
+        Self::from_delay_fn(n, config, move |_, _| one_way_delay_s)
     }
 
-    /// Builds a network whose one-way delays come from `delay_s(i, j)`
-    /// (seconds), evaluated in row-major order. This is the
-    /// dataset-free constructor: synthetic topologies embed a delay
-    /// model directly instead of materializing an `n × n` ground-truth
-    /// matrix first.
+    /// Builds a network whose one-way delay for the leg `i → j` is
+    /// `delay_s(i, j)` (seconds). This is the dataset-free
+    /// constructor: synthetic topologies embed a delay model directly
+    /// instead of materializing an `n × n` ground-truth matrix first.
+    ///
+    /// The net keeps `delay_s` and stores no per-pair state: it is
+    /// evaluated once per leg, when the leg is sent, in no fixed order
+    /// and never at construction, so it must be pure. Its value is
+    /// rounded through `f32`, as a table entry would be.
     pub fn from_delay_fn(
         n: usize,
         config: NetConfig,
-        delay_s: impl FnMut(usize, usize) -> f64,
+        delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static,
     ) -> Self {
         // Steady state holds ~1 timer per node plus the in-flight
         // messages; reserving up front keeps the hot loop
@@ -213,16 +230,16 @@ impl<M> SimNet<M> {
 
     /// The one constructor: `n` nodes in `⌈n / s⌉` islands of
     /// `s = ⌈n / islands⌉` consecutive ids (the last may be shorter;
-    /// none is empty), each table filled from `delay_s` over **global**
-    /// ids, island by island and row-major within each. Island `k`
-    /// seeds its stream from `config.seed` offset by `k`, so island 0 —
-    /// the dense layout's only one — draws from `config.seed` itself.
+    /// none is empty), whose intra-island legs take `delay_s` over
+    /// **global** ids. Island `k` seeds its stream from `config.seed`
+    /// offset by `k`, so island 0 — the dense layout's only one — draws
+    /// from `config.seed` itself.
     pub(crate) fn with_layout(
         n: usize,
         islands: usize,
         queue_capacity: usize,
         config: NetConfig,
-        mut delay_s: impl FnMut(usize, usize) -> f64,
+        delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static,
     ) -> Self {
         // NaN would pass for "no jitter" (`sigma > 0.0` is false); the
         // queue takes no NaN or ∞, which `1e39` is as stored.
@@ -235,20 +252,10 @@ impl<M> SimNet<M> {
         let island_size = n.div_ceil(islands).max(1);
         let islands = (0..n.div_ceil(island_size))
             .map(|k| {
-                let start = k * island_size;
-                let m = island_size.min(n - start);
-                let mut one_way_delay = Vec::with_capacity(m * m);
-                for i in start..start + m {
-                    for j in start..start + m {
-                        one_way_delay.push(delay_s(i, j) as f32);
-                    }
-                }
                 let seed = config
                     .seed
                     .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 Island {
-                    one_way_delay,
-                    m,
                     rng: ChaCha8Rng::seed_from_u64(seed),
                     jitter: JitterSampler::new(sigma),
                 }
@@ -259,6 +266,7 @@ impl<M> SimNet<M> {
             islands,
             island_size,
             n,
+            delays: Delays::Function(Box::new(delay_s)),
             cross_delay_s: f64::from(cross_delay),
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
@@ -410,8 +418,10 @@ impl<M> SimNet<M> {
         self.delay_factor[node] = stored;
     }
 
-    /// Rebuilds the one-way delay table from a new RTT ground truth in
-    /// **milliseconds** (delay = RTT/2). This is the single conversion
+    /// Replaces the one-way delays with a new RTT ground truth in
+    /// **milliseconds** (delay = RTT/2), held as a dense `n × n` table
+    /// (a function-backed net's delay function is dropped). This is the
+    /// single conversion
     /// path — [`from_rtt_dataset`](Self::from_rtt_dataset) constructs
     /// through it — so re-embedding behaves exactly like construction:
     /// pairs the dataset's mask does not cover reset to the configured
@@ -423,30 +433,31 @@ impl<M> SimNet<M> {
     /// # Panics
     /// Panics when the dataset covers a different node count, or on a
     /// k-island layout: a dense truth names cross-island pairs, which
-    /// that layout has no table for.
+    /// that layout gives the default delay.
     pub fn set_one_way_delays_from_rtt(&mut self, dataset: &Dataset) {
         assert_eq!(dataset.len(), self.n, "delay table shape mismatch");
         assert!(
             self.islands.len() <= 1,
             "re-embedding a dense RTT truth needs the dense layout"
         );
-        let Some(island) = self.islands.first_mut() else {
-            return;
-        };
-        island.one_way_delay.fill(self.cross_delay_s as f32);
+        let mut table = vec![self.cross_delay_s as f32; self.n * self.n];
         for (i, j) in dataset.mask.iter_known() {
-            island.one_way_delay[i * self.n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
+            table[i * self.n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
         }
+        self.delays = Delays::Table(table);
     }
 
     /// One-way delay of the leg `from → to` (`sf`, `st` their
-    /// islands), in seconds: the island's table entry or the
+    /// islands), in seconds: the delay source's value or the
     /// cross-island default, times both endpoints' straggler factors.
     #[inline]
     fn leg_delay_s(&self, sf: usize, st: usize, from: usize, to: usize) -> f64 {
         let base = if sf == st {
-            let (island, start) = (&self.islands[sf], sf * self.island_size);
-            f64::from(island.one_way_delay[(from - start) * island.m + (to - start)])
+            match &self.delays {
+                // Only the dense layout holds a table: ids are its indices.
+                Delays::Table(table) => f64::from(table[from * self.n + to]),
+                Delays::Function(delay_s) => f64::from(delay_s(from, to) as f32),
+            }
         } else {
             self.cross_delay_s
         };
@@ -612,14 +623,16 @@ impl<M> SimNet<M> {
         self.in_flight_non_timer
     }
 
-    /// Bytes held by the one-way delay tables — the dominant fixed
-    /// cost of a simulated network and the number the k-island layout
-    /// exists to shrink (`k · ⌈n/k⌉²` entries instead of `n²`).
+    /// Bytes of per-pair delay state the net holds: `n² · 4` for a net
+    /// carrying a measured RTT truth
+    /// ([`from_rtt_dataset`](Self::from_rtt_dataset) or a
+    /// re-embedding), and 0 for a function-backed one, which stores no
+    /// per-pair state at any population or island count.
     pub fn table_bytes(&self) -> usize {
-        self.islands
-            .iter()
-            .map(|island| island.one_way_delay.len() * std::mem::size_of::<f32>())
-            .sum()
+        match &self.delays {
+            Delays::Table(table) => std::mem::size_of_val(table.as_slice()),
+            Delays::Function(_) => 0,
+        }
     }
 }
 

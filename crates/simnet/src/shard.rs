@@ -1,14 +1,15 @@
 //! The k-island layout of [`SimNet`], for population scales where one
 //! dense delay table stops fitting.
 //!
-//! The dense layout stores an `n × n` one-way delay table: 4 bytes per
-//! pair, which is 400 MB at `n = 10 000` and 40 GB at `n = 100 000`.
-//! [`ShardedSimNet`] breaks that quadratic wall by splitting the
-//! population into `k` contiguous *islands*, each with its own delay
-//! table and its own jitter/loss RNG stream; traffic between islands
-//! uses the configured default one-way delay, so no cross-island table
-//! exists at all. Memory becomes `k · (n/k)²` table entries — linear in
-//! `n` for a fixed island size.
+//! A dense `n × n` one-way delay table costs 4 bytes per pair: 400 MB
+//! at `n = 10 000` and 40 GB at `n = 100 000`. [`ShardedSimNet`] never
+//! builds one. It splits the population into `k` contiguous *islands*,
+//! each with its own jitter/loss RNG stream, and keeps the caller's
+//! delay function instead of its values: an intra-island leg evaluates
+//! it when the leg is sent, and traffic between islands uses the
+//! configured default one-way delay. A function-backed net therefore
+//! holds no per-pair state at all — memory is the per-node state,
+//! linear in `n` whatever the island size.
 //!
 //! It is a layout, not a second model: [`ShardedSimNet`] is its two
 //! constructors and derefs to the [`SimNet`] they fill, so `send`,
@@ -16,11 +17,12 @@
 //! in [`crate::net`], and a one-island sharded net *is* the dense
 //! layout.
 //!
-//! # One queue, many tables
+//! # One queue, many RNG streams
 //!
-//! The quadratic object is the delay table, never the event list: the
-//! pending events number about one per node whatever the layout. So
-//! only the tables (and the RNG streams that go with them) are split.
+//! No object here grows with the square of anything, and the event
+//! list never did: the pending events number about one per node
+//! whatever the layout. So only the RNG streams are split, which keeps
+//! an island's loss and jitter draws independent of traffic elsewhere.
 //! Every delivery, whichever islands it touches, is scheduled into and
 //! popped from **one** [`EventQueue`](crate::EventQueue), whose
 //! `(time, insertion order)` key is the total order of the dense
@@ -42,23 +44,24 @@
 //! # Model carve-outs
 //!
 //! Cross-island messages see the default delay with the *sender's*
-//! island jitter/loss stream; intra-island messages see the island's
-//! own table and stream. The per-node impairment hooks — loss level,
-//! partitions, stragglers — are per-node state beside the tables and
-//! work on either layout. Re-embedding
+//! island jitter/loss stream; intra-island messages see the delay
+//! function and the island's own stream. The per-node impairment
+//! hooks — loss level, partitions, stragglers — are per-node state
+//! and work on either layout. Re-embedding
 //! ([`SimNet::set_one_way_delays_from_rtt`]) does not: it takes a dense
-//! ground truth, whose cross-island pairs this layout has no table
-//! for, and panics when asked. The constructors reserve one queue slot
-//! per node (the fused protocol keeps one event per node pending, its
-//! timer or its exchange in flight) where the dense ones reserve four:
-//! at 100 k nodes and `dmf-core`'s 40-byte deliveries the difference is
-//! ≈ 12 MB; `send` traffic beyond it grows the queue on demand.
+//! ground truth, whose cross-island pairs this layout gives the
+//! default delay, and panics when asked. The constructors reserve one
+//! queue slot per node (the fused protocol keeps one event per node
+//! pending, its timer or its exchange in flight) where the dense ones
+//! reserve four: at 100 k nodes and `dmf-core`'s 40-byte deliveries
+//! the difference is ≈ 12 MB; `send` traffic beyond it grows the queue
+//! on demand.
 
 use crate::net::{NetConfig, SimNet};
 use std::ops::{Deref, DerefMut};
 
-/// A [`SimNet`] in the k-island layout: per-island delay tables and
-/// RNG streams over one shared event queue. Everything but
+/// A [`SimNet`] in the k-island layout: per-island RNG streams and
+/// one delay function over one shared event queue. Everything but
 /// construction is [`SimNet`]'s, reached through `Deref`.
 pub struct ShardedSimNet<M>(SimNet<M>);
 
@@ -69,17 +72,21 @@ impl<M> ShardedSimNet<M> {
     /// # Panics
     /// Panics when `n == 0` or `islands == 0` or `islands > n`.
     pub fn uniform(n: usize, islands: usize, one_way_delay_s: f64, config: NetConfig) -> Self {
-        Self::from_delay_fn(n, islands, config, |_, _| one_way_delay_s)
+        Self::from_delay_fn(n, islands, config, move |_, _| one_way_delay_s)
     }
 
     /// Builds a sharded network whose *intra-island* one-way delays
-    /// come from `delay_s(i, j)` over **global** ids (evaluated island
-    /// by island, row-major within each); cross-island pairs use
-    /// `config.default_one_way_delay_s` and are never asked of
-    /// `delay_s`. Island `k` covers global ids
-    /// `[k·s, min((k+1)·s, n))` with `s = ⌈n / islands⌉`; the realized
-    /// island count is `⌈n / s⌉`, which can be smaller than requested
-    /// (no empty islands are created).
+    /// come from `delay_s(i, j)` over **global** ids; cross-island
+    /// pairs use `config.default_one_way_delay_s` and are never asked
+    /// of `delay_s`. The net keeps `delay_s` and stores no per-pair
+    /// state: it is evaluated once per intra-island leg, when the leg
+    /// is sent, in no fixed order and never at construction, so it
+    /// must be pure. Its value is rounded through `f32`.
+    ///
+    /// Island `k` covers global ids `[k·s, min((k+1)·s, n))` with
+    /// `s = ⌈n / islands⌉`; the realized island count is `⌈n / s⌉`,
+    /// which can be smaller than requested (no empty islands are
+    /// created).
     ///
     /// Each island draws jitter/loss from its own RNG stream,
     /// decorrelated from `config.seed` by island index (island 0 keeps
@@ -92,7 +99,7 @@ impl<M> ShardedSimNet<M> {
         n: usize,
         islands: usize,
         config: NetConfig,
-        delay_s: impl FnMut(usize, usize) -> f64,
+        delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static,
     ) -> Self {
         assert!(n > 0, "sharded network needs at least one node");
         assert!(
@@ -120,6 +127,9 @@ impl<M> DerefMut for ShardedSimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_datasets::rtt::meridian_like;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn quiet(seed: u64) -> NetConfig {
         NetConfig {
@@ -154,7 +164,7 @@ mod tests {
         let default = config.default_one_way_delay_s;
         let mut net: ShardedSimNet<u8> =
             ShardedSimNet::from_delay_fn(8, 2, config, |i, j| 0.001 * (1 + i + j) as f64);
-        net.send(0, 1, 1); // intra-island 0: table delay 0.002
+        net.send(0, 1, 1); // intra-island 0: delay 0.002
         net.send(1, 5, 2); // cross-island: default delay
         let (t1, d1) = net.next_delivery().unwrap();
         assert_eq!((d1.from, d1.to, d1.msg), (0, 1, 1));
@@ -178,8 +188,8 @@ mod tests {
         assert!(net.roundtrip(0, 7, 8));
         let (t2, d2) = net.next_delivery().unwrap();
         assert_eq!((d2.from, d2.to), (7, 0));
-        // Cross-island delay is the f32-rounded default (matching
-        // intra-island table bits), so mirror the rounding here.
+        // Cross-island delay is the f32-rounded default (rounded like
+        // every intra-island delay), so mirror the rounding here.
         let rtt = 2.0 * f64::from(NetConfig::default().default_one_way_delay_s as f32);
         assert!((t2 - t - rtt).abs() < 1e-12, "t2-t={}", t2 - t);
     }
@@ -223,11 +233,93 @@ mod tests {
 
     #[test]
     fn sharding_breaks_the_quadratic_table() {
-        let single: SimNet<()> = SimNet::uniform(1024, 0.01, quiet(0));
-        let sharded: ShardedSimNet<()> = ShardedSimNet::uniform(1024, 16, 0.01, quiet(0));
-        assert_eq!(single.table_bytes(), 1024 * 1024 * 4);
-        // 16 islands of 64: 16 · 64² entries = n²/16.
-        assert_eq!(sharded.table_bytes(), single.table_bytes() / 16);
+        // A function-backed net holds no per-pair state, whatever its
+        // population and island count…
+        for (n, islands) in [(1024, 1), (1024, 16), (4000, 7), (17, 17)] {
+            let net: ShardedSimNet<()> = ShardedSimNet::uniform(n, islands, 0.01, quiet(0));
+            assert_eq!(net.table_bytes(), 0, "n={n}, islands={islands}");
+        }
+        let dense: SimNet<()> = SimNet::uniform(1024, 0.01, quiet(0));
+        assert_eq!(dense.table_bytes(), 0);
+        // …while a measured truth is data: n² · 4 bytes, which a
+        // re-embedding keeps, and which re-embedding a function-backed
+        // dense net puts in place of its function.
+        let truth = meridian_like(64, 3);
+        let mut measured: SimNet<()> = SimNet::from_rtt_dataset(&truth, quiet(0));
+        assert_eq!(measured.table_bytes(), 64 * 64 * 4);
+        measured.set_one_way_delays_from_rtt(&truth);
+        assert_eq!(measured.table_bytes(), 64 * 64 * 4);
+        let mut re_embedded: SimNet<()> = SimNet::uniform(64, 0.01, quiet(0));
+        re_embedded.set_one_way_delays_from_rtt(&truth);
+        assert_eq!(re_embedded.table_bytes(), 64 * 64 * 4);
+    }
+
+    /// The delay model of the laziness test, also its eager reference.
+    fn counted_delay_s(i: usize, j: usize) -> f64 {
+        0.002 + 0.000_1 * ((i * 13 + j * 7) % 97) as f64
+    }
+
+    #[test]
+    fn delay_fn_is_evaluated_per_intra_island_leg_never_at_construction() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let mut net: ShardedSimNet<usize> =
+            ShardedSimNet::from_delay_fn(512, 8, quiet(5), move |i, j| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                counted_delay_s(i, j)
+            });
+        assert_eq!(net.islands(), 8);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "construction calls nothing"
+        );
+
+        // What a table entry held: the function's value through `f32`.
+        let cross = f64::from(quiet(5).default_one_way_delay_s as f32);
+        let leg = |net: &ShardedSimNet<usize>, i: usize, j: usize| {
+            if net.island_of(i) == net.island_of(j) {
+                (f64::from(counted_delay_s(i, j) as f32), 1)
+            } else {
+                (cross, 0)
+            }
+        };
+        // (from, to, round trip?): intra and cross sends and exchanges,
+        // islands of 64 ids.
+        let mix = [
+            (3, 60, false),
+            (3, 200, false),
+            (70, 127, true),
+            (130, 500, true),
+            (511, 448, false),
+            (64, 65, true),
+            (447, 448, false),
+            (255, 192, true),
+        ];
+        let mut expected_calls = 0;
+        for (k, &(from, to, roundtrip)) in mix.iter().enumerate() {
+            let (fwd, fwd_calls) = leg(&net, from, to);
+            let expected_t = if roundtrip {
+                let (back, back_calls) = leg(&net, to, from);
+                let at = net.now() + 0.25;
+                assert!(net.roundtrip_at(from, to, at, k));
+                expected_calls += fwd_calls + back_calls;
+                at + (fwd + back)
+            } else {
+                let sent_at = net.now();
+                net.send(from, to, k);
+                expected_calls += fwd_calls;
+                sent_at + fwd
+            };
+            let (t, d) = net.next_delivery().unwrap();
+            assert_eq!((t, d.msg), (expected_t, k), "op {k}: {from} → {to}");
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                expected_calls,
+                "one call per intra-island leg, none per cross-island one (op {k})"
+            );
+        }
+        assert_eq!(expected_calls, 1 + 2 + 1 + 2 + 2, "the mix has intra legs");
     }
 
     #[test]
