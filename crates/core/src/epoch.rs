@@ -18,18 +18,16 @@
 //! `i` bumps the slot's sequence word to an odd value, stores the new
 //! coordinates, then bumps it back to even; readers retry the
 //! handful of loads whenever the sequence was odd or changed under
-//! them. On top of the per-slot words sits a global *epoch* counter,
-//! bumped once per publication batch, so consumers can cheaply detect
-//! "anything changed since I last looked".
+//! them.
 //!
 //! # Consistency model
 //!
 //! Every individual slot read is atomic: a reader sees some complete
 //! previously-published `(u, v, alive)` triple, never a mix of two
 //! publications. Reads of *different* slots (a prediction touches
-//! two, a rank query touches a row's worth) may span publication
-//! epochs — slot `i` from before a concurrent batch and slot `j`
-//! from after it. That relaxation is what buys lock-freedom; with no
+//! two, a rank query touches a row's worth) may span publications —
+//! slot `i` from before a concurrent update and slot `j` from after
+//! it. That relaxation is what buys lock-freedom; with no
 //! concurrent writer (e.g. the single-threaded conformance suites)
 //! queries are bit-identical to the equivalent [`Session`] queries
 //! as of the last publication.
@@ -37,16 +35,15 @@
 //! # Writer contract
 //!
 //! The publication methods ([`publish_slot`](EpochView::publish_slot),
-//! [`publish_from`](EpochView::publish_from),
-//! [`publish_all`](EpochView::publish_all),
-//! [`bump_epoch`](EpochView::bump_epoch)) take `&self` — they are
+//! [`publish_all`](EpochView::publish_all)) take `&self` — they are
 //! built from atomics and are memory-safe under any interleaving —
-//! but they assume **externally serialized writers** (one writer at a
-//! time per view). Two unserialized writers racing on one slot could
+//! but they assume **externally serialized writers: one writer at a
+//! time per slot**. Two unserialized writers racing on one slot could
 //! interleave their sequence bumps so that a reader validates a mix
-//! of their payloads. The sharded service publishes under each
-//! shard's write lock; single-writer embedders get the guarantee for
-//! free.
+//! of their payloads; writers of *different* slots never touch a
+//! shared word. The sharded service publishes each slot under the
+//! lock stripe that owns it (a restore holds every stripe);
+//! single-writer embedders get the guarantee for free.
 
 use crate::config::PredictionMode;
 use crate::coords::Coordinates;
@@ -73,7 +70,6 @@ pub struct EpochView {
     /// between publications, odd while one is in flight.
     words: Vec<AtomicU64>,
     len: usize,
-    epoch: AtomicU64,
 }
 
 impl EpochView {
@@ -97,7 +93,6 @@ impl EpochView {
             neighbors: session.neighbors().clone(),
             words,
             len,
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -124,18 +119,6 @@ impl EpochView {
     /// The neighbor rows as of capture time.
     pub fn neighbors(&self) -> &NeighborSets {
         &self.neighbors
-    }
-
-    /// The publication epoch: bumped by
-    /// [`bump_epoch`](Self::bump_epoch) once per publication batch.
-    /// Monotone; equal epochs mean no batch completed in between.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Marks a publication batch complete and returns the new epoch.
-    pub fn bump_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     fn stride(&self) -> usize {
@@ -286,24 +269,9 @@ impl EpochView {
         Ok(())
     }
 
-    /// Publishes node `id`'s current slot straight from `session` —
-    /// [`publish_slot`](Self::publish_slot) with the copy done here.
-    /// An id outside the session is the session's own
-    /// [`MembershipError::UnknownNode`].
-    pub fn publish_from(&self, session: &Session, id: NodeId) -> Result<(), DmfsgdError> {
-        let Some(node) = session.node(id) else {
-            return Err(MembershipError::UnknownNode {
-                id,
-                slots: session.len(),
-            }
-            .into());
-        };
-        self.publish_slot(id, &node.coords, session.is_alive(id))
-    }
-
     /// Republishes every slot from `session` (a restore/rollback is
-    /// the expected caller) and bumps the epoch. The population size
-    /// and rank must match the captured layout.
+    /// the expected caller). The population size and rank must match
+    /// the captured layout.
     pub fn publish_all(&self, session: &Session) -> Result<(), DmfsgdError> {
         if session.len() != self.len || session.config().rank != self.rank {
             return Err(DmfsgdError::Import(format!(
@@ -315,10 +283,9 @@ impl EpochView {
                 self.rank
             )));
         }
-        for id in 0..self.len {
-            self.publish_from(session, id)?;
+        for (id, node) in session.nodes().iter().enumerate() {
+            self.publish_slot(id, &node.coords, session.is_alive(id))?;
         }
-        self.bump_epoch();
         Ok(())
     }
 
@@ -427,7 +394,6 @@ impl std::fmt::Debug for EpochView {
             .field("len", &self.len)
             .field("rank", &self.rank)
             .field("mode", &self.mode)
-            .field("epoch", &self.epoch())
             .finish_non_exhaustive()
     }
 }
@@ -508,10 +474,9 @@ mod tests {
             .unwrap();
         // Not yet published: still the captured coordinates.
         assert_eq!(epoch.raw_score(0, 1).unwrap(), before);
-        let e0 = epoch.epoch();
-        epoch.publish_from(&s, 0).unwrap();
-        epoch.bump_epoch();
-        assert_eq!(epoch.epoch(), e0 + 1);
+        epoch
+            .publish_slot(0, &s.node(0).unwrap().coords, true)
+            .unwrap();
         assert_eq!(epoch.raw_score(0, 1).unwrap(), s.raw_score(0, 1).unwrap());
         // Out-of-range and wrong-rank publications are rejected.
         assert!(matches!(
@@ -575,7 +540,6 @@ mod tests {
             std::thread::spawn(move || {
                 for round in 1..=2_000u64 {
                     epoch.publish_slot(0, &pattern(round as f64), true).unwrap();
-                    epoch.bump_epoch();
                 }
             })
         };
@@ -608,6 +572,5 @@ mod tests {
         let mut v = vec![0.0; rank];
         epoch.read_into(0, &mut u, &mut v).unwrap();
         assert_eq!(u[0], 2_000.0);
-        assert_eq!(epoch.epoch(), 2_000);
     }
 }

@@ -44,8 +44,8 @@
 //!   [`EpochView`] lays the published coordinates out as per-slot
 //!   seqlocks, answering [`Session`]'s queries bit-identically while
 //!   reader threads never take a lock (and never see a torn slot)
-//!   and a single writer republishes batches behind a monotone epoch
-//!   counter.
+//!   while writers — one at a time per slot — republish the slots
+//!   they own.
 //! * [`runner`] — the simulated-network front-end
 //!   ([`runner::SimnetDriver`]): the same node logic driven through
 //!   `dmf-simnet` message passing with latency and loss,

@@ -380,13 +380,11 @@ impl Session {
     /// coordinates supplied by the caller instead of read from this
     /// session.
     ///
-    /// This is the sharded-serving entry point: when node `j` lives on
-    /// another shard, the router fetches `j`'s published reply
-    /// coordinates there and hands them to the shard owning `i`, which
-    /// applies the update locally — exactly the paper's protocol shape
-    /// (the probe reply carries `(u_j, v_j)` across the network). The
-    /// reply is validated (rank, finiteness) so a buggy or hostile
-    /// peer cannot corrupt the session.
+    /// This is the paper's protocol shape: the probe reply carries
+    /// `(u_j, v_j)` across the network and node `i` applies it
+    /// locally. The reply is validated by [`check_remote_reply`]
+    /// (rank, finiteness) so a buggy or hostile peer cannot corrupt
+    /// the session.
     pub fn apply_rtt_remote(
         &mut self,
         i: NodeId,
@@ -395,19 +393,7 @@ impl Session {
         v_j: &[f64],
     ) -> Result<(), DmfsgdError> {
         self.check_alive(i)?;
-        let rank = self.config.rank;
-        if u_j.len() != rank || v_j.len() != rank {
-            return Err(DmfsgdError::Import(format!(
-                "remote reply has rank {}/{}, session expects {rank}",
-                u_j.len(),
-                v_j.len()
-            )));
-        }
-        if !x.is_finite() || !u_j.iter().chain(v_j.iter()).all(|c| c.is_finite()) {
-            return Err(DmfsgdError::Import(
-                "remote reply carries non-finite values".to_string(),
-            ));
-        }
+        check_remote_reply(self.config.rank, x, u_j, v_j)?;
         let params = self.config.sgd;
         self.nodes[i].on_rtt_measurement(x, u_j, v_j, &params);
         self.measurements += 1;
@@ -433,21 +419,9 @@ impl Session {
         updates: &[RemoteRtt<'_>],
         pre_scores: &mut Vec<f64>,
     ) -> Result<(), DmfsgdError> {
-        let rank = self.config.rank;
         for up in updates {
             self.check_alive(up.i)?;
-            if up.u_j.len() != rank || up.v_j.len() != rank {
-                return Err(DmfsgdError::Import(format!(
-                    "remote reply has rank {}/{}, session expects {rank}",
-                    up.u_j.len(),
-                    up.v_j.len()
-                )));
-            }
-            if !up.x.is_finite() || !up.u_j.iter().chain(up.v_j.iter()).all(|c| c.is_finite()) {
-                return Err(DmfsgdError::Import(
-                    "remote reply carries non-finite values".to_string(),
-                ));
-            }
+            check_remote_reply(self.config.rank, up.x, up.u_j, up.v_j)?;
         }
         pre_scores.clear();
         let params = self.config.sgd;
@@ -740,17 +714,43 @@ impl Session {
 
 /// Sorts `(id, score)` pairs best-first — score descending, id
 /// ascending on ties — and truncates to `top_k`. The single ordering
-/// shared by [`Session::rank_neighbors_into`],
-/// [`EpochView::rank_neighbors_into`](crate::EpochView::rank_neighbors_into)
-/// and the cross-shard rank merge in `dmf-service`, so every surface
-/// breaks ties identically.
-pub fn rank_scored(scored: &mut Vec<(NodeId, f64)>, top_k: usize) {
+/// shared by [`Session::rank_neighbors_into`] and
+/// [`EpochView::rank_neighbors_into`](crate::EpochView::rank_neighbors_into),
+/// so both surfaces break ties identically.
+pub(crate) fn rank_scored(scored: &mut Vec<(NodeId, f64)>, top_k: usize) {
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
     });
     scored.truncate(top_k);
+}
+
+/// Validates a remote RTT reply before it may touch a node: the reply
+/// coordinates `(u_j, v_j)` must have rank `rank`, and they and the
+/// measured class `x` must be finite — in that order, so a buggy or
+/// hostile peer cannot corrupt the node it updates. Shared by
+/// [`Session::apply_rtt_remote`] and the lock-striped write path of
+/// `dmf-service`, so both reject the same replies with the same error.
+pub fn check_remote_reply(
+    rank: usize,
+    x: f64,
+    u_j: &[f64],
+    v_j: &[f64],
+) -> Result<(), DmfsgdError> {
+    if u_j.len() != rank || v_j.len() != rank {
+        return Err(DmfsgdError::Import(format!(
+            "remote reply has rank {}/{}, session expects {rank}",
+            u_j.len(),
+            v_j.len()
+        )));
+    }
+    if !x.is_finite() || !u_j.iter().chain(v_j.iter()).all(|c| c.is_finite()) {
+        return Err(DmfsgdError::Import(
+            "remote reply carries non-finite values".to_string(),
+        ));
+    }
+    Ok(())
 }
 
 /// Validates a node array against the expected shape: dense id order

@@ -81,7 +81,8 @@ impl ServiceClient {
         self.submit(Request::Update { seq, i, j, x }, wire)
     }
 
-    /// Encodes a snapshot request for `shard`.
+    /// Encodes a snapshot request; any `shard` below the service's
+    /// shard count answers with the whole service's snapshot.
     pub fn submit_snapshot(&mut self, shard: u16, wire: &mut Vec<u8>) -> u32 {
         let seq = self.next_seq;
         self.submit(Request::Snapshot { seq, shard }, wire)

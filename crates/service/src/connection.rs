@@ -236,10 +236,20 @@ impl ServerConnection {
                     }
                     Response::Updated { seq }
                 }),
-            Request::Snapshot { shard, .. } => self
-                .service
-                .snapshot_json(shard as usize)
-                .map(|json| Response::SnapshotData { seq, json }),
+            // Any in-range shard index answers with the whole service.
+            Request::Snapshot { shard, .. } => match usize::from(shard) < self.service.shards() {
+                true => self
+                    .service
+                    .snapshot()
+                    .map(|snapshot| Response::SnapshotData {
+                        seq,
+                        json: snapshot.to_json().into_bytes(),
+                    }),
+                false => Err(DmfsgdError::Transport(format!(
+                    "snapshot of shard {shard}, but the service has {} shards",
+                    self.service.shards()
+                ))),
+            },
             Request::Metrics { format, .. } => match metrics {
                 Some(m) => Ok(Response::MetricsData {
                     seq,

@@ -3,22 +3,21 @@
 //! DMFSGD (CoNEXT 2011) trains coordinates decentrally, but something
 //! still has to *answer queries*: an overlay scheduler asking "which
 //! class is the path from `i` to `j`?", a peer selector asking for
-//! `i`'s best neighbors. This crate is that serving layer — many
-//! DMFSGD sessions behind one query surface:
+//! `i`'s best neighbors. This crate is that serving layer — one
+//! DMFSGD population behind one query surface:
 //!
-//! * [`partition`] — landmark-style partitioning of the node id space
-//!   into contiguous per-shard ranges with `O(1)` ownership lookup.
-//! * [`service`] — the shard pool and router
-//!   ([`PredictionService`]): each shard owns a
-//!   [`Session`](dmf_core::Session) behind a single-writer lock and
-//!   publishes its coordinates into a lock-free seqlocked
+//! * [`partition`] — partitioning of the node id space into
+//!   contiguous per-shard ranges with `O(1)` ownership lookup.
+//! * [`service`] — the lock-striped service ([`PredictionService`]):
+//!   each shard is a lock stripe over its range's nodes, and every
+//!   node's coordinates are published into one lock-free seqlocked
 //!   [`EpochView`](dmf_core::EpochView), so predictions and rank
-//!   queries never block on writers. An update routes to the owning
-//!   shard carrying the peer's reply coordinates (the paper's
-//!   Algorithm 1 wire shape); its submitter takes that shard's write
-//!   lock, applies the step and publishes the slot before unlocking —
-//!   the service owns no threads and buffers nothing. Sharded answers
-//!   are **bit-identical** to a single-session oracle fed the same
+//!   queries never block on writers. An update reads the peer's reply
+//!   coordinates from the view (the paper's Algorithm 1 wire shape);
+//!   its submitter takes the owning stripe's lock, applies the step
+//!   and publishes the slot before unlocking — the service owns no
+//!   threads and buffers nothing. Answers and snapshots are
+//!   **bit-identical** to a single-session oracle fed the same
 //!   operations in the same order — the conformance suite pins this
 //!   at several shard counts.
 //! * [`protocol`] — the framed request/response wire format:

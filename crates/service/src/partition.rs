@@ -1,12 +1,11 @@
-//! Landmark-style partitioning of the node id space across shards.
+//! Partitioning of the node id space across shards.
 //!
 //! The service splits the population into contiguous id ranges, one
-//! per shard — the serving-side analogue of the landmark clusters in
-//! classical network coordinate systems, except that here a shard owns
-//! the *authoritative coordinates* of its range rather than a set of
-//! fixed measurement targets. Contiguity keeps ownership lookup
-//! arithmetic (no routing table) and makes range scans trivially
-//! shard-local.
+//! per shard, and each range is a lock stripe: an update to node `i`
+//! takes the lock of the range that owns `i`, and nothing else.
+//! Contiguity keeps ownership lookup arithmetic (no routing table)
+//! and makes a snapshot's ascending walk over the stripes the
+//! population in id order.
 
 use dmf_core::{ConfigError, DmfsgdError, NodeId};
 use std::ops::Range;
@@ -62,8 +61,8 @@ impl Partition {
     }
 
     /// The shard owning node `id` (ids at or beyond `len` clamp to the
-    /// last shard; membership is checked by the session layer, not the
-    /// router).
+    /// last shard; membership is checked against the published view,
+    /// not here).
     pub fn owner(&self, id: NodeId) -> usize {
         let wide = self.extra * (self.base + 1);
         let shard = if id < wide {

@@ -167,11 +167,15 @@ pub enum Request {
         /// Measured class value.
         x: f64,
     },
-    /// Fetch shard `shard`'s session snapshot (JSON).
+    /// Fetch the whole service's snapshot (JSON): one
+    /// [`Snapshot`](dmf_core::Snapshot) of every node, whichever shard
+    /// is named. An index past the service's shard count is answered
+    /// with [`ErrorCode::BadRequest`].
     Snapshot {
         /// Pipelining sequence number.
         seq: u32,
-        /// Shard index.
+        /// Shard index; any in-range index answers with the whole
+        /// service.
         shard: u16,
     },
     /// Fetch the service's metrics snapshot in the requested
@@ -253,7 +257,7 @@ pub enum Response {
     SnapshotData {
         /// Sequence of the request answered.
         seq: u32,
-        /// The shard session's snapshot, JSON-encoded.
+        /// The service's snapshot, JSON-encoded.
         json: Vec<u8>,
     },
     /// Answer to [`Request::Metrics`].

@@ -1,135 +1,143 @@
-//! The shard pool and query router: [`PredictionService`].
+//! The lock-striped prediction service: [`PredictionService`].
 //!
-//! A service hosts `shards` replicas of one DMFSGD population, each a
-//! full [`Session`] plus a lock-free published [`EpochView`], with
-//! authority over the coordinates partitioned by [`Partition`]:
-//! shard `s` is the *owner* of the node ids in `partition.range(s)` —
-//! updates for node `i` are applied only at `owner(i)`, so each
-//! replica's coordinates are authoritative exactly on its own range.
+//! A service serves one DMFSGD population. [`Partition`] splits its
+//! node ids into `shards` contiguous ranges, and each range is a *lock
+//! stripe*: stripe `s` holds the live [`DmfsgdNode`]s of
+//! `partition.range(s)` behind its own mutex. Everything the queries
+//! read — coordinates, alive flags, neighbor rows — is published into
+//! one lock-free [`EpochView`] of all n slots. Everything else
+//! (configuration, τ, neighbor rows, membership, RNG position, the
+//! measurement count at build or restore) is the *frame*, a session
+//! that only [`snapshot`](PredictionService::snapshot) and
+//! [`restore_from_snapshot`](PredictionService::restore_from_snapshot)
+//! touch.
 //!
-//! Queries route by ownership. A prediction for `(i, j)` reads `u_i`
-//! from `owner(i)`'s published view and `v_j` from `owner(j)`'s; a
-//! rank query fans out across every shard owning one of `i`'s
-//! neighbors and merges with the same tie-break
-//! ([`dmf_core::session::rank_scored`]) the single-session queries
-//! use. Because an RTT update modifies only node `i`'s coordinates —
-//! reading the peer's reply `(u_j, v_j)`, exactly the paper's
-//! Algorithm 1 wire shape — the sharded service is *bit-identical* to
-//! one big session fed the same operations in the same order: the
-//! router ships `j`'s published reply coordinates to `owner(i)`,
-//! which applies them through [`Session::apply_rtt_remote`].
+//! An RTT update (the paper's Algorithm 1) at node `i` reads only
+//! `i`'s own coordinates and the peer's reply `(u_j, v_j)`: the writer
+//! reads the reply from the view, steps `i` under `owner(i)`'s stripe
+//! lock and republishes `i`'s slot. The service is therefore
+//! *bit-identical* to one session fed the same operations in the same
+//! order, and its snapshot is that session's snapshot.
 //!
 //! # Threading model
 //!
 //! *Reads never take a lock.* `predict` / `predict_class` /
-//! `rank_neighbors` run entirely against the per-shard [`EpochView`]
-//! seqlocks: each slot read is atomic (never torn), retried only for
-//! the nanoseconds a publication of that very slot is in flight.
+//! `rank_neighbors` are [`EpochView`] calls: each slot read is atomic
+//! (never torn), retried only for the nanoseconds a publication of
+//! that very slot is in flight.
 //!
-//! *A write holds exactly one shard lock from reply-read to publish,
+//! *A write holds exactly one stripe lock from reply-read to publish,
 //! and there are no service threads.* After admission against the
 //! published membership, the submitter takes `owner(i)`'s (blocking)
-//! write lock, reads `j`'s reply lock-free from `owner(j)`'s store,
-//! applies the step and publishes `i`'s slot *under the same lock* —
-//! so a caller that saw its update return reads its own write, and
-//! updates to one shard are totally ordered. Nothing is buffered: how
-//! many submitters can wait on a shard lock is bounded by the
+//! stripe lock, reads `j`'s reply lock-free from the view, applies the
+//! step and publishes `i`'s slot *under the same lock* — so a caller
+//! that saw its update return reads its own write, each slot has one
+//! writer at a time (the view's writer contract), and updates to one
+//! stripe are totally ordered. Nothing is buffered: how many
+//! submitters can wait on a stripe lock is bounded by the
 //! connections' in-flight windows (each connection executes one
 //! request at a time), the only source of `Overloaded` rejections.
 //!
 //! # Lock order
 //!
-//! A submitter holds at most one shard's write lock; cross-shard
-//! acquisition (restore only) is ascending by shard index.
+//! A writer holds one stripe lock. Snapshot and restore take every
+//! stripe in ascending order, then the frame.
 //!
 //! The service population is *static*: membership changes
 //! (join/leave) are a session-level concern not exposed through the
-//! query surface, which keeps every replica's membership flags
-//! trivially consistent.
+//! query surface; only a restore can change the published flags.
 
 use crate::partition::Partition;
+use dmf_core::session::check_remote_reply;
 use dmf_core::{
-    CoordVec, DmfsgdConfig, DmfsgdError, EpochView, MembershipError, NodeId, PredictionMode,
-    Session, Snapshot,
+    CoordVec, DmfsgdConfig, DmfsgdError, DmfsgdNode, EpochView, MembershipError, NodeId, Session,
+    SgdParams, Snapshot,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// One shard: the authoritative session behind its single-writer
-/// lock and the lock-free read store published from it.
-struct Shard {
-    write: Mutex<Session>,
-    store: EpochView,
-    /// Updates applied here — a relaxed statistic, read only by the
-    /// [`worker_stats`](PredictionService::worker_stats) shim.
+/// The live coordinates of one partition range: `nodes[k]` is node
+/// `range.start + k`.
+struct Stripe {
+    nodes: Vec<DmfsgdNode>,
+    params: SgdParams,
+    /// Updates applied since build or the last restore.
+    applied: usize,
+}
+
+/// A stripe behind its lock, plus a relaxed count of the updates it
+/// ever applied. The count sits outside the lock so
+/// [`worker_stats`](PredictionService::worker_stats) answers while a
+/// writer holds the stripe. The alignment gives each stripe's lock and
+/// count cache lines of their own, so a writer's lock traffic does not
+/// invalidate a line another thread is using.
+#[repr(align(64))]
+struct StripeLock {
+    stripe: Mutex<Stripe>,
     updates: AtomicU64,
 }
 
-/// A sharded, concurrently-queryable prediction service over one
-/// DMFSGD population (see the [module docs](self) for the ownership,
+/// A lock-striped, concurrently-queryable prediction service over one
+/// DMFSGD population (see the [module docs](self) for the
 /// consistency and threading model).
 ///
 /// All methods take `&self`; the service is `Sync` and meant to be
 /// shared across connection threads behind an `Arc`.
 pub struct PredictionService {
     partition: Partition,
-    shards: Vec<Shard>,
+    view: EpochView,
+    stripes: Vec<StripeLock>,
+    /// The population as of build or the last restore. Its nodes are
+    /// stale once updates land (the stripes hold the live ones) and
+    /// are replaced by the stripes' nodes in every snapshot.
+    frame: Mutex<Session>,
 }
 
 impl PredictionService {
-    /// Builds a fresh service: `shards` identical session replicas of
-    /// an `n`-node population from `config` (coordinates are seeded by
-    /// `config.seed`, so every replica — and any single-session oracle
-    /// built from the same config — starts bit-identical).
+    /// Builds a fresh service over an `n`-node population from
+    /// `config`, split into `shards` lock stripes (coordinates are
+    /// seeded by `config.seed`, so any single-session oracle built
+    /// from the same config starts bit-identical).
     pub fn build(config: DmfsgdConfig, n: usize, shards: usize) -> Result<Self, DmfsgdError> {
         let partition = Partition::new(n, shards)?;
-        let sessions = (0..shards)
-            .map(|_| {
-                Session::builder()
-                    .config(config)
-                    .nodes(n)
-                    .build()
-                    .map_err(DmfsgdError::from)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_sessions(partition, sessions))
+        let session = Session::builder().config(config).nodes(n).build()?;
+        Ok(Self::from_session(partition, session))
     }
 
-    /// Serves an already-trained population: every shard restores the
-    /// same `snapshot`, then owns its partition range from there. This
-    /// is the deploy path — train one session offline, snapshot it,
-    /// and stand up a sharded service in front of it.
+    /// Serves an already-trained population: restores `snapshot` and
+    /// splits it into `shards` lock stripes. This is the deploy path —
+    /// train one session offline, snapshot it, and stand up a service
+    /// in front of it.
     pub fn from_snapshot(snapshot: &Snapshot, shards: usize) -> Result<Self, DmfsgdError> {
-        let reference = Session::restore(snapshot)?;
-        let partition = Partition::new(reference.len(), shards)?;
-        let mut sessions = Vec::with_capacity(shards);
-        for _ in 1..shards {
-            sessions.push(Session::restore(snapshot)?);
-        }
-        sessions.push(reference);
-        Ok(Self::from_sessions(partition, sessions))
+        let session = Session::restore(snapshot)?;
+        let partition = Partition::new(session.len(), shards)?;
+        Ok(Self::from_session(partition, session))
     }
 
-    fn from_sessions(partition: Partition, sessions: Vec<Session>) -> Self {
-        let shards = sessions
+    fn from_session(partition: Partition, session: Session) -> Self {
+        let stripes = stripes_of(&partition, &session)
             .into_iter()
-            .map(|session| Shard {
-                store: EpochView::capture(&session),
-                write: Mutex::new(session),
+            .map(|stripe| StripeLock {
+                stripe: Mutex::new(stripe),
                 updates: AtomicU64::new(0),
             })
             .collect();
-        Self { partition, shards }
+        Self {
+            partition,
+            view: EpochView::capture(&session),
+            stripes,
+            frame: Mutex::new(session),
+        }
     }
 
-    /// The id partition routing queries to shards.
+    /// The id partition mapping nodes to lock stripes.
     pub fn partition(&self) -> &Partition {
         &self.partition
     }
 
-    /// Number of shards.
+    /// Number of lock stripes (shards).
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.stripes.len()
     }
 
     /// Number of node slots served.
@@ -143,10 +151,10 @@ impl PredictionService {
     }
 
     /// Harness-only shim, kept because `benchmark/src/serve.rs` reads
-    /// it (ROADMAP item 4(d) removes both): per-shard counts of
+    /// it (ROADMAP item 4(d) removes both): per-stripe counts of
     /// applied updates in the shape the deleted update queue reported.
     pub fn worker_stats(&self) -> Vec<WorkerStatsSnapshot> {
-        self.shards
+        self.stripes
             .iter()
             .map(|s| {
                 let updates = s.updates.load(Ordering::Relaxed);
@@ -159,88 +167,31 @@ impl PredictionService {
             .collect()
     }
 
-    /// Raw predictor output `u_i · v_j` plus the prediction mode, read
-    /// lock-free from the owning shards' published stores.
-    fn scored(&self, i: NodeId, j: NodeId) -> Result<(f64, PredictionMode), DmfsgdError> {
-        let n = self.partition.len();
-        let store_i = &self.shards[self.partition.owner(i)].store;
-        let store_j = &self.shards[self.partition.owner(j)].store;
-        let rank = store_i.rank();
-        let mut u_i = CoordVec::zeros(rank);
-        let mut v_j = CoordVec::zeros(rank);
-        // Membership checks in the session's order (i, then j, then
-        // the self-pair), each fused with its slot read.
-        match store_i.read_u_into(i, &mut u_i) {
-            None => return Err(MembershipError::UnknownNode { id: i, slots: n }.into()),
-            Some(false) => return Err(MembershipError::Departed { id: i }.into()),
-            Some(true) => {}
-        }
-        match store_j.read_v_into(j, &mut v_j) {
-            None => return Err(MembershipError::UnknownNode { id: j, slots: n }.into()),
-            Some(false) => return Err(MembershipError::Departed { id: j }.into()),
-            Some(true) => {}
-        }
-        if i == j {
-            return Err(MembershipError::SelfPair { id: i }.into());
-        }
-        Ok((dmf_core::coords::dot(&u_i, &v_j), store_i.mode()))
-    }
-
     /// Predicted measure for the path `i → j` in natural units —
-    /// [`Session::predict`] semantics over the sharded stores.
+    /// [`Session::predict`] semantics, read lock-free from the view.
     pub fn predict(&self, i: NodeId, j: NodeId) -> Result<f64, DmfsgdError> {
-        let (raw, mode) = self.scored(i, j)?;
-        Ok(match mode {
-            PredictionMode::Class => raw,
-            PredictionMode::Quantity { value_scale } => raw * value_scale,
-        })
+        self.view.predict(i, j)
     }
 
     /// Predicted class (`+1.0` / `-1.0`) for the path `i → j` —
-    /// [`Session::predict_class`] semantics over the sharded stores.
+    /// [`Session::predict_class`] semantics, read lock-free from the
+    /// view.
     pub fn predict_class(&self, i: NodeId, j: NodeId) -> Result<f64, DmfsgdError> {
-        Ok(if self.scored(i, j)?.0 >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        })
+        self.view.predict_class(i, j)
     }
 
     /// Node `i`'s neighbors ranked by predicted score into a
     /// caller-owned buffer — [`Session::rank_neighbors_into`]
-    /// semantics, cross-shard and lock-free. With one shard this is a
-    /// direct [`EpochView::rank_neighbors_into`] call; with more, the
-    /// router fans out over every owning shard's store and merges
-    /// with the shared tie-break, bit-identically to the
-    /// single-session query. Each slot read is atomic; a query
-    /// concurrent with updates may span publication epochs across
-    /// *different* slots, never within one.
+    /// semantics, read lock-free from the view. Each slot read is
+    /// atomic; a query concurrent with updates may span publications
+    /// across *different* slots, never within one.
     pub fn rank_neighbors_into(
         &self,
         i: NodeId,
         top_k: usize,
         out: &mut Vec<(NodeId, f64)>,
     ) -> Result<(), DmfsgdError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].store.rank_neighbors_into(i, top_k, out);
-        }
-        out.clear();
-        let store_i = &self.shards[self.partition.owner(i)].store;
-        store_i.check_alive(i)?;
-        let rank = store_i.rank();
-        let mut u_i = CoordVec::zeros(rank);
-        let mut v_j = CoordVec::zeros(rank);
-        store_i.read_u_into(i, &mut u_i);
-        // Neighbor rows are replicated (same seed), so any store
-        // serves them; coordinates come from each neighbor's owner.
-        for &j in store_i.neighbors().neighbors(i) {
-            self.shards[self.partition.owner(j)]
-                .store
-                .read_v_into(j, &mut v_j);
-            out.push((j, dmf_core::coords::dot(&u_i, &v_j)));
-        }
-        dmf_core::session::rank_scored(out, top_k);
-        Ok(())
+        self.view.rank_neighbors_into(i, top_k, out)
     }
 
     /// Allocating convenience form of
@@ -256,10 +207,9 @@ impl PredictionService {
     }
 
     /// Applies an RTT-class measurement `x` for the pair `(i, j)`:
-    /// reads `j`'s published reply coordinates at `owner(j)`, applies
-    /// the Algorithm 1 step at `owner(i)` under that shard's write
-    /// lock, and publishes `i`'s slot. Sequentially this is
-    /// bit-identical to
+    /// reads `j`'s published reply coordinates, applies the
+    /// Algorithm 1 step to `i` under `owner(i)`'s stripe lock, and
+    /// publishes `i`'s slot. Sequentially this is bit-identical to
     /// `Session::apply_measurement(i, j, x, Metric::Rtt)` on a single
     /// session.
     pub fn update_rtt(&self, i: NodeId, j: NodeId, x: f64) -> Result<(), DmfsgdError> {
@@ -270,8 +220,8 @@ impl PredictionService {
     /// *pre-update* raw score `u_i · v_j` — the prediction the service
     /// would have given for the path just measured. Pairing it with
     /// the measured class `x` is how the observability layer feeds its
-    /// live quality window: the score is computed under the shard's
-    /// write lock, so it is exactly the prediction in force when the
+    /// live quality window: the score is computed under the stripe
+    /// lock, so it is exactly the prediction in force when the
     /// measurement's turn came.
     ///
     /// Blocks until the update is applied *and published* (or
@@ -279,54 +229,86 @@ impl PredictionService {
     /// write.
     pub fn update_rtt_scored(&self, i: NodeId, j: NodeId, x: f64) -> Result<f64, DmfsgdError> {
         // Admission against the published membership, in the session's
-        // error order (flags are replicated, so owner(j)'s store can
-        // run the full pair check); the x finiteness check mirrors
-        // `apply_rtt_remote`'s. Invalid requests never take the lock.
-        let owner_j = &self.shards[self.partition.owner(j)].store;
-        owner_j.check_pair(i, j)?;
+        // error order; the x finiteness check is `check_remote_reply`'s.
+        // Invalid requests never take a lock.
+        self.view.check_pair(i, j)?;
         if !x.is_finite() {
             return Err(DmfsgdError::Import(
                 "remote reply carries non-finite values".to_string(),
             ));
         }
-        let shard = &self.shards[self.partition.owner(i)];
-        let rank = shard.store.rank();
+        let rank = self.view.rank();
         let mut u_j = CoordVec::zeros(rank);
         let mut v_j = CoordVec::zeros(rank);
-        let mut session = shard.write.lock().expect("shard write lock");
+        let owner = self.partition.owner(i);
+        let lock = &self.stripes[owner];
+        let mut guard = lock.stripe.lock().expect("stripe lock");
         // Re-checked under the lock: a restore since admission may have
-        // flipped membership (`apply_rtt_remote` re-checks `i`).
-        if owner_j.read_into(j, &mut u_j, &mut v_j) != Some(true) {
+        // flipped membership.
+        if self.view.read_into(j, &mut u_j, &mut v_j) != Some(true) {
             return Err(MembershipError::Departed { id: j }.into());
         }
-        let score = dmf_core::coords::dot(&session.nodes()[i].coords.u, &v_j);
-        session.apply_rtt_remote(i, x, &u_j, &v_j)?;
+        self.view.check_alive(i)?;
+        check_remote_reply(rank, x, &u_j, &v_j)?;
+        let stripe = &mut *guard;
+        let node = &mut stripe.nodes[i - self.partition.range(owner).start];
+        let score = dmf_core::coords::dot(&node.coords.u, &v_j);
+        node.on_rtt_measurement(x, &u_j, &v_j, &stripe.params);
         // Published before the lock is released, so a caller that sees
         // its update return reads its own write.
-        shard.store.publish_from(&session, i)?;
-        shard.store.bump_epoch();
-        shard.updates.fetch_add(1, Ordering::Relaxed);
+        self.view.publish_slot(i, &node.coords, true)?;
+        stripe.applied += 1;
+        lock.updates.fetch_add(1, Ordering::Relaxed);
         Ok(score)
     }
 
-    /// Restores every shard of a *live* service from `snapshot` — the
-    /// in-place counterpart of [`from_snapshot`](Self::from_snapshot),
-    /// for rolling a running deployment back to a known-good
-    /// checkpoint without tearing down its connections.
+    /// Every stripe lock in ascending order, then the frame — the one
+    /// order anything that takes more than one lock uses.
+    fn lock_all(&self) -> (Vec<MutexGuard<'_, Stripe>>, MutexGuard<'_, Session>) {
+        let stripes = self
+            .stripes
+            .iter()
+            .map(|s| s.stripe.lock().expect("stripe lock"))
+            .collect();
+        (stripes, self.frame.lock().expect("frame lock"))
+    }
+
+    /// The whole service as one [`Snapshot`]: the frame with every
+    /// stripe's nodes joined in and every applied update counted.
+    /// Restoring it gives a session bit-identical to one session fed
+    /// the same updates. Holds every lock while it copies, so updates
+    /// wait and reads do not.
+    pub fn snapshot(&self) -> Result<Snapshot, DmfsgdError> {
+        let (nodes, applied, mut session) = {
+            let (stripes, frame) = self.lock_all();
+            let nodes: Vec<_> = stripes
+                .iter()
+                .flat_map(|s| s.nodes.iter().cloned())
+                .collect();
+            let applied = stripes.iter().map(|s| s.applied).sum();
+            (nodes, applied, frame.clone())
+        };
+        session.import_nodes(nodes, applied)?;
+        Ok(session.snapshot())
+    }
+
+    /// Restores a *live* service from `snapshot` — the in-place
+    /// counterpart of [`from_snapshot`](Self::from_snapshot), for
+    /// rolling a running deployment back to a known-good checkpoint
+    /// without tearing down its connections.
     ///
-    /// The swap is atomic with respect to updates: restored sessions
-    /// are built and validated *before* any lock is taken, then all
-    /// shard write locks are acquired in ascending order (the
-    /// crate-wide rule) and each session is swapped and its store
-    /// republished wholesale under them. Updates blocked on a shard
-    /// lock when the restore lands apply *after* it, reading and
-    /// writing the restored coordinates.
+    /// The swap is atomic with respect to updates: the restored
+    /// session and its stripes are built and validated *before* any
+    /// lock is taken, then every stripe lock is taken in ascending
+    /// order and the frame after them, the stripes and frame are
+    /// swapped and the view is republished wholesale. Updates blocked
+    /// on a stripe lock when the restore lands apply *after* it,
+    /// reading and writing the restored coordinates.
     ///
     /// The snapshot must describe the same population the service was
     /// built for: size, rank, prediction mode and neighbor rows (the
-    /// published stores' immutable layout). Stand up a fresh service
-    /// via [`from_snapshot`](Self::from_snapshot) for structural
-    /// changes.
+    /// view's immutable layout). Stand up a fresh service via
+    /// [`from_snapshot`](Self::from_snapshot) for structural changes.
     pub fn restore_from_snapshot(&self, snapshot: &Snapshot) -> Result<(), DmfsgdError> {
         if snapshot.len() != self.len() {
             return Err(DmfsgdError::Import(format!(
@@ -335,17 +317,10 @@ impl PredictionService {
                 self.len()
             )));
         }
-        // Build (and thereby validate) every replacement session while
-        // the service keeps serving; only then stop the world.
-        let mut restored = Vec::with_capacity(self.shards.len());
-        for _ in 0..self.shards.len() {
-            restored.push(Session::restore(snapshot)?);
-        }
-        let store0 = &self.shards[0].store;
-        let fresh = restored.first().expect("at least one shard");
-        if fresh.config().rank != store0.rank()
-            || fresh.config().mode != store0.mode()
-            || !same_neighbors(fresh, store0)
+        let fresh = Session::restore(snapshot)?;
+        if fresh.config().rank != self.view.rank()
+            || fresh.config().mode != self.view.mode()
+            || !same_neighbors(&fresh, &self.view)
         {
             return Err(DmfsgdError::Import(
                 "snapshot changes the served structure (rank, mode or neighbor rows); \
@@ -353,53 +328,41 @@ impl PredictionService {
                     .to_string(),
             ));
         }
-        let mut guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|sh| sh.write.lock().expect("shard write lock"))
-            .collect();
-        for ((shard, session), fresh) in self.shards.iter().zip(guards.iter_mut()).zip(restored) {
-            **session = fresh;
-            shard
-                .store
-                .publish_all(session)
-                .expect("structure validated above");
+        let restored = stripes_of(&self.partition, &fresh);
+        let (mut stripes, mut frame) = self.lock_all();
+        for (guard, stripe) in stripes.iter_mut().zip(restored) {
+            **guard = stripe;
         }
+        self.view
+            .publish_all(&fresh)
+            .expect("structure validated above");
+        *frame = fresh;
         Ok(())
     }
 
-    /// JSON snapshot of shard `shard`'s session (authoritative for its
-    /// own partition range; replica state elsewhere).
-    pub fn snapshot_json(&self, shard: usize) -> Result<Vec<u8>, DmfsgdError> {
-        let Some(s) = self.shards.get(shard) else {
-            return Err(DmfsgdError::Transport(format!(
-                "snapshot of shard {shard}, but the service has {} shards",
-                self.shards.len()
-            )));
-        };
-        let session = s.write.lock().expect("shard write lock");
-        Ok(session.snapshot().to_json().into_bytes())
-    }
-
-    /// Total measurements applied across all shards (each update lands
-    /// on exactly one shard, so this is the service-wide count).
+    /// Total measurements the population has seen: the count at build
+    /// or restore plus every update applied since.
     pub fn measurements_used(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.write
-                    .lock()
-                    .expect("shard write lock")
-                    .measurements_used()
-            })
-            .sum()
+        let (stripes, frame) = self.lock_all();
+        frame.measurements_used() + stripes.iter().map(|s| s.applied).sum::<usize>()
     }
 }
 
-/// Harness-only: the per-shard counters
+/// `session`'s nodes split by `partition` into fresh stripes.
+fn stripes_of(partition: &Partition, session: &Session) -> Vec<Stripe> {
+    (0..partition.shards())
+        .map(|s| Stripe {
+            nodes: session.nodes()[partition.range(s)].to_vec(),
+            params: session.config().sgd,
+            applied: 0,
+        })
+        .collect()
+}
+
+/// Harness-only: the per-stripe counters
 /// [`PredictionService::worker_stats`] reports, in the shape
 /// `benchmark/src/serve.rs` reads. An update is applied by its own
-/// submitter under the shard lock, so `batches == updates` and the
+/// submitter under the stripe lock, so `batches == updates` and the
 /// queue-era fields are constant 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
@@ -415,7 +378,7 @@ pub struct WorkerStatsSnapshot {
 
 impl WorkerStatsSnapshot {
     /// Accumulates `other` (sums; `max_depth` takes the max) —
-    /// aggregates per-shard snapshots into one service-wide figure.
+    /// aggregates per-stripe snapshots into one service-wide figure.
     pub fn merge(&mut self, other: &WorkerStatsSnapshot) {
         self.batches += other.batches;
         self.updates += other.updates;
@@ -424,11 +387,11 @@ impl WorkerStatsSnapshot {
     }
 }
 
-/// True when the restored session's neighbor rows equal the store's
-/// (the rank queries' immutable fan-out layout).
-fn same_neighbors(session: &Session, store: &EpochView) -> bool {
-    let (a, b) = (session.neighbors(), store.neighbors());
-    session.len() == store.len() && (0..session.len()).all(|i| a.neighbors(i) == b.neighbors(i))
+/// True when the restored session's neighbor rows equal the view's
+/// (the rank queries' immutable layout).
+fn same_neighbors(session: &Session, view: &EpochView) -> bool {
+    let (a, b) = (session.neighbors(), view.neighbors());
+    session.len() == view.len() && (0..session.len()).all(|i| a.neighbors(i) == b.neighbors(i))
 }
 
 #[cfg(test)]
@@ -447,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn replicas_start_identical_to_the_oracle() {
+    fn stripes_start_identical_to_the_oracle() {
         let cfg = config(30, 7);
         let oracle = Session::builder().config(cfg).nodes(30).build().unwrap();
         let svc = PredictionService::build(cfg, 30, 3).unwrap();
@@ -496,6 +459,11 @@ mod tests {
                 oracle.rank_neighbors(i, 8).unwrap()
             );
         }
+        // The snapshot is the oracle's, byte for byte.
+        assert_eq!(
+            svc.snapshot().unwrap().to_json(),
+            oracle.snapshot().to_json()
+        );
         // The harness shim counts each update at its owner, and merges.
         let stats = svc.worker_stats();
         for (s, stat) in stats.iter().enumerate() {
@@ -553,14 +521,11 @@ mod tests {
         let cfg = config(12, 10);
         let svc = PredictionService::build(cfg, 12, 2).unwrap();
         svc.update_rtt(0, 1, 1.0).unwrap();
-        let json = svc.snapshot_json(0).unwrap();
-        let snap = Snapshot::from_json(std::str::from_utf8(&json).unwrap()).unwrap();
-        let restored = Session::restore(&snap).unwrap();
+        let json = svc.snapshot().unwrap().to_json();
+        let restored = Session::restore(&Snapshot::from_json(&json).unwrap()).unwrap();
         assert_eq!(restored.len(), 12);
-        assert!(matches!(
-            svc.snapshot_json(5).unwrap_err(),
-            DmfsgdError::Transport(_)
-        ));
+        assert_eq!(restored.measurements_used(), 1);
+        assert_eq!(restored.predict(0, 1).unwrap(), svc.predict(0, 1).unwrap());
     }
 
     #[test]
@@ -583,9 +548,7 @@ mod tests {
         let cfg = config(18, 13);
         let svc = PredictionService::build(cfg, 18, 3).unwrap();
         // Checkpoint the fresh state, then train past it.
-        let checkpoint_json = svc.snapshot_json(0).unwrap();
-        let checkpoint =
-            Snapshot::from_json(std::str::from_utf8(&checkpoint_json).unwrap()).unwrap();
+        let checkpoint = svc.snapshot().unwrap();
         let fresh: Vec<f64> = (0..18)
             .map(|j| {
                 if j == 5 {
@@ -667,10 +630,10 @@ mod tests {
         }
     }
 
-    /// What replaced the update queue: with shard 0's write lock
-    /// pinned, 8 submitters block on it — nothing is buffered and
-    /// nothing is rejected — while reads of the same shard keep
-    /// answering; released, every submitter lands.
+    /// What replaced the update queue: with stripe 0's lock pinned,
+    /// 8 submitters block on it — nothing is buffered and nothing is
+    /// rejected — while reads of the same stripe keep answering;
+    /// released, every submitter lands.
     #[test]
     fn blocked_writers_all_land_and_reads_never_wait() {
         const WRITERS: usize = 8;
@@ -681,7 +644,7 @@ mod tests {
         let first = own.start;
         let arrived = std::sync::Barrier::new(WRITERS + 1);
         std::thread::scope(|scope| {
-            let guard = svc.shards[0].write.lock().unwrap();
+            let guard = svc.stripes[0].stripe.lock().unwrap();
             let writers: Vec<_> = (0..WRITERS)
                 .map(|w| {
                     let (svc, arrived) = (&svc, &arrived);
@@ -693,7 +656,7 @@ mod tests {
                 .collect();
             arrived.wait();
             // The lock is held by this thread, so no writer can have
-            // applied; reads of shard 0's nodes answer regardless
+            // applied; reads of stripe 0's nodes answer regardless
             // (they would hang here if they took the lock).
             assert!(svc.predict(first, first + 1).unwrap().is_finite());
             assert_eq!(svc.rank_neighbors(first, 4).unwrap().len(), 4);

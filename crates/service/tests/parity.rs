@@ -1,11 +1,12 @@
 //! Accuracy parity: the sharded service, driven through the *full*
 //! wire path (client → framed protocol → pipelined connection →
-//! router → shards), answers bit-identically to a single
-//! [`Session`] oracle fed the same operations in the same order.
+//! lock stripes), answers bit-identically to a single [`Session`]
+//! oracle fed the same operations in the same order, and its snapshot
+//! is the oracle's snapshot byte for byte.
 //!
 //! This is the conformance anchor of the serving layer: it runs at
 //! several shard counts and under `DMF_FORCE_SCALAR=1` in CI (the
-//! service-conformance leg), so neither the sharding router, the wire
+//! service-conformance leg), so neither the lock striping, the wire
 //! codec, nor the SIMD dispatch may perturb a single bit of the
 //! predictions — and the derived AUC over a real workload is equal,
 //! not merely close.
@@ -51,8 +52,8 @@ fn decode_stream(mut bytes: &[u8]) -> Vec<Response> {
 }
 
 /// Drives the schedule through the wire path against a service with
-/// `shards` shards and interleaves predict/rank queries; returns the
-/// decoded response stream.
+/// `shards` shards, interleaves predict/rank queries and ends with a
+/// snapshot request; returns the decoded response stream.
 fn run_wire(n: usize, seed: u64, shards: usize, ops: &[(usize, usize, f64)]) -> Vec<Response> {
     let svc = Arc::new(
         PredictionService::build(paper_config(n, seed), n, shards).expect("service builds"),
@@ -85,6 +86,8 @@ fn run_wire(n: usize, seed: u64, shards: usize, ops: &[(usize, usize, f64)]) -> 
             conn.drain(&mut resp_bytes);
         }
     }
+    // Any in-range shard index answers with the whole service.
+    client.submit_snapshot((shards - 1) as u16, &mut wire);
     for chunk in wire.chunks(13) {
         conn.ingest(chunk, &mut resp_bytes).expect("clean stream");
     }
@@ -93,8 +96,9 @@ fn run_wire(n: usize, seed: u64, shards: usize, ops: &[(usize, usize, f64)]) -> 
 }
 
 /// Replays the same logical operations directly against a single
-/// session, producing the expected responses.
-fn run_oracle(n: usize, seed: u64, ops: &[(usize, usize, f64)]) -> Vec<(String, f64)> {
+/// session, producing the expected responses and the final snapshot
+/// JSON.
+fn run_oracle(n: usize, seed: u64, ops: &[(usize, usize, f64)]) -> (Vec<(String, f64)>, String) {
     let mut oracle = Session::builder()
         .config(paper_config(n, seed))
         .nodes(n)
@@ -127,7 +131,7 @@ fn run_oracle(n: usize, seed: u64, ops: &[(usize, usize, f64)]) -> Vec<(String, 
             }
         }
     }
-    expected
+    (expected, oracle.snapshot().to_json())
 }
 
 fn flatten(responses: &[Response]) -> Vec<(String, f64)> {
@@ -153,9 +157,17 @@ fn flatten(responses: &[Response]) -> Vec<(String, f64)> {
 fn sharded_wire_path_is_bit_identical_to_the_oracle() {
     let (n, seed) = (48, 20260807);
     let ops = schedule(n, 600);
-    let expected = run_oracle(n, seed, &ops);
+    let (expected, snapshot) = run_oracle(n, seed, &ops);
     for shards in [1usize, 2, 4] {
-        let got = flatten(&run_wire(n, seed, shards, &ops));
+        let mut responses = run_wire(n, seed, shards, &ops);
+        match responses.pop() {
+            Some(Response::SnapshotData { json, .. }) => assert!(
+                json == snapshot.as_bytes(),
+                "{shards} shards: the service snapshot differs from the oracle's"
+            ),
+            other => panic!("{shards} shards: expected the snapshot, got {other:?}"),
+        }
+        let got = flatten(&responses);
         assert_eq!(got.len(), expected.len(), "{shards} shards: response count");
         for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(g.0, e.0, "{shards} shards, response {k}: kind");

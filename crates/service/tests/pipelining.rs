@@ -24,10 +24,8 @@ fn service(n: usize, seed: u64, shards: usize) -> Arc<PredictionService> {
     Arc::new(PredictionService::build(paper_config(n, seed), n, shards).expect("service"))
 }
 
-/// A deterministic pipelined request stream mixing every message
-/// kind (no snapshots: their JSON embeds no per-shard variance for
-/// shards=1 vs 4 only at byte level — snapshot determinism across
-/// shard counts is a non-goal, the shard *count* is in the payload).
+/// A deterministic pipelined request stream mixing the service's
+/// message kinds, with a whole-service snapshot every 100 requests.
 fn request_stream(n: u32, ops: usize) -> Vec<u8> {
     let mut client = ServiceClient::new();
     let mut wire = Vec::new();
@@ -40,6 +38,9 @@ fn request_stream(n: u32, ops: usize) -> Vec<u8> {
             2 => client.submit_rank(i, 6, &mut wire),
             _ => client.submit_predict_class(j, i, &mut wire),
         };
+        if s % 100 == 99 {
+            client.submit_snapshot(0, &mut wire);
+        }
     }
     wire
 }

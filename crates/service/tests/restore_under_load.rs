@@ -1,26 +1,24 @@
 //! `restore_from_snapshot` against a service under write load.
 //!
-//! A restore stops the world: it takes every shard's write lock in
-//! ascending order, swaps the sessions and republishes the stores.
-//! Submitters meanwhile block on those same locks and apply once the
-//! restore lets go. This suite runs the two against each other — two
-//! writers per shard (so every shard has a submitter blocked behind
-//! another) and a thread restoring in a loop — and pins what a lost
-//! publication or a lock-order inversion would break:
+//! A restore stops the world: it takes every stripe lock in ascending
+//! order and then the frame, swaps the stripes and republishes the
+//! view. Submitters meanwhile block on those same locks and apply once
+//! the restore lets go. This suite runs the two against each other —
+//! two writers per stripe (so every stripe has a submitter blocked
+//! behind another) and a thread restoring in a loop — and pins what a
+//! lost publication or a lock-order inversion would break:
 //!
 //! * the run finishes (a watchdog fails the test instead of hanging);
 //! * every update returns `Ok` — the population is static and nothing
 //!   on the write path can reject a valid pair;
-//! * once quiet, every published slot equals its owner's
-//!   authoritative session, snapshotted through the public surface:
-//!   the service's predictions and rankings are bit-equal to the same
-//!   queries composed from the owners' restored sessions.
+//! * once quiet, every published slot equals its stripe's live node,
+//!   snapshotted through the public surface: the service's predictions
+//!   and rankings are bit-equal to the same queries on the session
+//!   restored from the service's snapshot.
 //!
 //! CI runs this suite both natively and under `DMF_FORCE_SCALAR=1`.
 
-use dmf_core::coords::dot;
-use dmf_core::session::rank_scored;
-use dmf_core::{DmfsgdConfig, Session, SessionBuilder, Snapshot};
+use dmf_core::{DmfsgdConfig, Session, SessionBuilder};
 use dmf_service::PredictionService;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -47,17 +45,11 @@ fn config(n: usize, seed: u64) -> DmfsgdConfig {
     *s.config()
 }
 
-fn shard_session(svc: &PredictionService, shard: usize) -> Session {
-    let json = svc.snapshot_json(shard).expect("shard snapshot");
-    let text = std::str::from_utf8(&json).expect("snapshot JSON is UTF-8");
-    Session::restore(&Snapshot::from_json(text).expect("snapshot parses")).expect("restores")
-}
-
 /// Runs writers and the restorer to completion and checks the
 /// quiescent state; panics (failing the test) on any violation.
 fn scenario() {
     let svc = Arc::new(PredictionService::build(config(NODES, 47), NODES, SHARDS).expect("build"));
-    let checkpoint = shard_session(&svc, 0).snapshot();
+    let checkpoint = svc.snapshot().expect("service snapshot");
     let start = Arc::new(Barrier::new(SHARDS * WRITERS_PER_SHARD + 1));
     let restores = Arc::new(AtomicUsize::new(0));
 
@@ -93,30 +85,20 @@ fn scenario() {
         w.join().expect("writer panicked");
     }
 
-    let sessions: Vec<Session> = (0..SHARDS).map(|s| shard_session(&svc, s)).collect();
-    let coords = |id: usize| {
-        let owner = &sessions[svc.partition().owner(id)];
-        &owner.node(id).expect("id < n").coords
-    };
-    // The default configuration is class mode, where `predict` is the
-    // raw score `u_i · v_j`.
+    let session = Session::restore(&svc.snapshot().expect("service snapshot")).expect("restores");
     for i in 0..NODES {
         for j in (0..NODES).filter(|&j| j != i) {
-            let want = dot(&coords(i).u, &coords(j).v);
+            let want = session.predict(i, j).expect("live pair");
             let got = svc.predict(i, j).expect("live pair");
             assert!(
                 got == want,
-                "predict({i},{j}): published {got}, owner {want}"
+                "predict({i},{j}): published {got}, snapshot {want}"
             );
         }
-        let mut want: Vec<_> = sessions[0]
-            .neighbors()
-            .neighbors(i)
-            .iter()
-            .map(|&j| (j, dot(&coords(i).u, &coords(j).v)))
-            .collect();
-        rank_scored(&mut want, TOP_K);
-        assert_eq!(svc.rank_neighbors(i, TOP_K).expect("live id"), want);
+        assert_eq!(
+            svc.rank_neighbors(i, TOP_K).expect("live id"),
+            session.rank_neighbors(i, TOP_K).expect("live id")
+        );
     }
 }
 

@@ -33,7 +33,7 @@ fn main() -> Result<(), DmfsgdError> {
     let classes = dataset.classify(tau);
 
     // A service is built like a session: same config, same seed —
-    // each shard hosts a replica, authoritative on its id range.
+    // each shard is a lock stripe over its id range's nodes.
     let config = *Session::builder().nodes(n).seed(17).build()?.config();
     let service = Arc::new(PredictionService::build(config, n, SHARDS)?);
     println!(
