@@ -138,8 +138,7 @@ pub enum ConfigError {
         /// The rejected threshold.
         tau: f64,
     },
-    /// A driver needs τ but neither the session nor the driver
-    /// configuration carries one.
+    /// A driver needs τ but the session carries none.
     MissingTau,
     /// Non-positive probe interval.
     ProbeInterval {
@@ -199,6 +198,13 @@ pub enum ConfigError {
         /// RTT-backed, otherwise the offered dataset's).
         got: Metric,
     },
+    /// Re-embedding a dense RTT truth needs the dense layout: on a
+    /// k-island net the truth's cross-island pairs have no table to
+    /// land in (they travel at the default delay).
+    DenseLayout {
+        /// Islands of the net asked to re-embed.
+        islands: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -225,10 +231,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "need more nodes than neighbors (n={n}, k={k})")
             }
             ConfigError::Tau { tau } => write!(f, "tau must be positive (got {tau})"),
-            ConfigError::MissingTau => write!(
-                f,
-                "no classification threshold: set SessionBuilder::tau or pass one to the driver"
-            ),
+            ConfigError::MissingTau => {
+                write!(f, "no classification threshold: set SessionBuilder::tau")
+            }
             ConfigError::ProbeInterval { seconds } => {
                 write!(f, "probe interval must be positive (got {seconds})")
             }
@@ -260,6 +265,13 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "ground-truth update requires metric {expected:?}, got {got:?}"
+                )
+            }
+            ConfigError::DenseLayout { islands } => {
+                write!(
+                    f,
+                    "re-embedding a dense RTT truth needs the one-island layout, \
+                     not {islands} islands"
                 )
             }
         }

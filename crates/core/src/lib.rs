@@ -49,7 +49,9 @@
 //! * [`runner`] — the simulated-network front-end
 //!   ([`runner::SimnetDriver`]): the same node logic driven through
 //!   `dmf-simnet` message passing with latency and loss,
-//!   demonstrating the fully decentralized operation.
+//!   demonstrating the fully decentralized operation — one driver
+//!   for both of `SimNet`'s layouts, the dense one and the k-island
+//!   one that takes RTT to 100 k nodes.
 //! * [`endpoint`] — Algorithms 1 and 2 as datagrams: the one
 //!   [`Endpoint`] both the simulator's wire mode and the UDP agents of
 //!   `dmf-agent` run, each supplying only its transport.
@@ -94,6 +96,7 @@ pub mod provider;
 pub mod runner;
 #[deny(missing_docs)]
 pub mod session;
+#[doc(hidden)]
 pub mod sharded;
 #[deny(missing_docs)]
 pub mod snapshot;
@@ -108,5 +111,6 @@ pub use loss::Loss;
 pub use node::DmfsgdNode;
 pub use runner::{ExchangeFidelity, SimnetDriver, SimnetRunner};
 pub use session::{Driver, OracleDriver, Session, SessionBuilder};
+#[doc(hidden)]
 pub use sharded::ShardedSimnetDriver;
 pub use snapshot::Snapshot;

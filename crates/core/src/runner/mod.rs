@@ -21,19 +21,31 @@
 //! (see [`Session::leave`]) neither probe nor reply; their timer
 //! chains idle until the slot rejoins.
 //!
+//! # Either layout, one loop
+//!
+//! [`SimnetDriver::new`] builds the dense layout from a ground-truth
+//! [`Dataset`]; [`SimnetDriver::from_net`] runs RTT over a pre-built
+//! net of either layout — typically a
+//! [`ShardedSimNet`](dmf_simnet::ShardedSimNet) over a delay function,
+//! the 10 k–100 k-node path, whose memory is linear in the population.
+//! Every RTT mode measures the simulated round trip itself, so an RTT
+//! driver holds no dataset: the net is the truth. Only ABW still needs
+//! a dense one, because its target's prober measures against it, and
+//! that `n × n` object is what the k-island layout exists to avoid.
+//! Whatever the layout and mode, one [`run_until`](SimnetDriver::run_until)
+//! pops the deliveries and one handler runs them.
+//!
 //! # Layout: one module per exchange mode
 //!
 //! This module is the driver: construction, the scenario hooks, the
-//! event loop and the per-message handlers (each protocol leg a native
-//! [`Msg`] delivery: ABW always, RTT under
+//! event loop with its lookahead and the per-message handlers (each
+//! protocol leg a native [`Msg`] delivery: ABW always, RTT under
 //! [`ExchangeFidelity::PerMessage`]). Benchmark lane:
 //! `core.runner_permsg_cycles_per_s`.
 //!
 //! `fused` is the default RTT mode, one completion event per probe
-//! cycle: protocol state and steps in one struct that this driver and
-//! [`ShardedSimnetDriver`](crate::sharded::ShardedSimnetDriver) both
-//! embed. Lanes: `core.runner_fused_cycles_per_s`, and `sim-fused` at
-//! 100 k nodes.
+//! cycle: protocol state and steps in one struct. Lanes:
+//! `core.runner_fused_cycles_per_s`, and `sim-fused` at 100 k nodes.
 //!
 //! `wire` is [`SimnetDriver::with_wire_version`]: every leg a real
 //! `dmf-proto` datagram, handled by the [`Endpoint`] the UDP agents run
@@ -53,12 +65,50 @@
 //! probes live in small per-node scratch lists whose capacity is
 //! reused, and the event queue recycles its payload slots.
 //! Outstanding-probe bookkeeping is O(probes in flight) per node, not
-//! O(n²) in the population. The same holds in wire mode over protocol
-//! v2: datagram buffers have a free list too, update blocks are inline,
-//! and the per-pair contexts sit in one table indexed by the prober's
-//! neighbor slot ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
+//! O(n²) in the population, and fused RTT allocates none of it. The
+//! same holds in wire mode over protocol v2: datagram buffers have a
+//! free list too, update blocks are inline, and the per-pair contexts
+//! sit in one table indexed by the prober's neighbor slot
+//! ([`NeighborSets::slot`](dmf_simnet::neighbors::NeighborSets::slot)).
 //! At k = 32 that table outgrows the cache, so a v2 probe send
 //! prefetches the slot its two deliveries will touch (see `wire`).
+//!
+//! # The lookahead pipeline
+//!
+//! At 100 k nodes the per-node state (≈ 30 MB of coordinates, 4 MB of
+//! one-line event payloads) lives in DRAM, and a delivery touches about
+//! eight cache lines of it that nothing before it touched: handled
+//! one at a time, the loop spends half its wall waiting on those
+//! misses. But the queue's head bucket is sorted, so the next
+//! ~100 deliveries are known
+//! ([`SimNet::upcoming`](dmf_simnet::SimNet::upcoming)), and with
+//! them exactly which lines they will need. After each pop the loop
+//! therefore advances three later deliveries one stage each:
+//!
+//! 1. `SLOT_AHEAD` (12) deliveries ahead, prefetch the event's payload
+//!    slot — until it is resident, who the delivery is for is unknown.
+//!    The slot is named by address only
+//!    ([`SimNet::prefetch_upcoming`](dmf_simnet::SimNet::prefetch_upcoming)):
+//!    `upcoming` would read the cold slot to hand out its payload and
+//!    take the very miss this stage exists to hide;
+//! 2. `NODES_AHEAD` (6) ahead the payload has arrived: read its
+//!    `to`/`from` and prefetch the prober's node, the target's
+//!    coordinates, both liveness entries and the bounds of the
+//!    prober's neighbor row;
+//! 3. `ROW_AHEAD` (3) ahead the bounds have arrived: prefetch the
+//!    neighbor row the next probe will be drawn from.
+//!
+//! These are prefetch hints and nothing else: no arithmetic, RNG draw
+//! or event moves, so every result is bit-identical with and without
+//! them, and the pipeline runs on every layout and mode. On a
+//! population that fits in the cache the hinted lines are already
+//! resident. The distances are constants, not options, because there
+//! is nothing to tune: a miss costs about as long as one or two
+//! deliveries take to handle, and the rate measured flat from 8/4/2
+//! to 32/16/4, with five-line payload slots and again with one-line
+//! ones (each stage removed in turn cost about a quarter of the gain;
+//! looking past the head bucket into the next one when it runs short
+//! made no difference and is not done).
 
 mod facade;
 pub(crate) mod fused;
@@ -71,6 +121,7 @@ use crate::endpoint::{Endpoint, WireStats};
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
 use crate::session::{Driver, Session};
 use dmf_datasets::{Dataset, Metric};
+use dmf_linalg::simd::prefetch;
 use dmf_proto::WireVersion;
 use dmf_simnet::probe::PathloadProber;
 use dmf_simnet::{Delivery, NetConfig, SimNet};
@@ -167,7 +218,9 @@ pub struct RunnerStats {
 /// [`run_until`](Self::run_until) or through the [`Driver`] trait.
 pub struct SimnetDriver {
     net: SimNet<Msg>,
-    dataset: Dataset,
+    /// The ABW ground truth the target's prober measures against;
+    /// `None` for RTT, whose truth is the net's own delays.
+    abw_truth: Option<Dataset>,
     /// Threshold, probe clock and counters, which every mode uses, and
     /// the fused protocol itself.
     fused: FusedRtt,
@@ -177,7 +230,9 @@ pub struct SimnetDriver {
     /// fresh exchange. Sized by what is actually in flight (typically
     /// 0–2 entries), capacity reused for the whole run. Never more than
     /// k, loss and churn included: a new entry first evicts those whose
-    /// target has since left the prober's neighbor row.
+    /// target has since left the prober's neighbor row. Empty until
+    /// the first per-message or wire RTT probe: fused RTT never needs
+    /// it, and at 100 k nodes the lists would cost ≈ 10 MB.
     pending_rtt: Vec<Vec<(usize, f64)>>,
     abw_prober: PathloadProber,
     fidelity: ExchangeFidelity,
@@ -202,45 +257,47 @@ impl SimnetDriver {
     /// from the session (set it via
     /// [`SessionBuilder::tau`](crate::session::SessionBuilder::tau)).
     ///
-    /// Message delays always need an RTT-like latency model; ABW
-    /// datasets use a uniform control-plane delay instead.
+    /// An RTT dataset becomes the dense layout's delay table
+    /// ([`SimNet::from_rtt_dataset`]) and is not kept; an ABW dataset
+    /// is the truth the targets measure, and its messages travel at a
+    /// uniform control-plane delay.
     pub fn new(
         session: &Session,
         dataset: Dataset,
         net_config: NetConfig,
     ) -> Result<Self, DmfsgdError> {
-        let tau = session.tau().ok_or(ConfigError::MissingTau)?;
-        Self::with_tau(session, dataset, tau, net_config)
+        ConfigError::check_net_config(&net_config)?;
+        if dataset.metric == Metric::Rtt {
+            return Self::from_net(session, SimNet::from_rtt_dataset(&dataset, net_config));
+        }
+        let net = SimNet::uniform(dataset.len(), 0.04, net_config);
+        let mut driver = Self::from_net(session, net)?;
+        driver.abw_truth = Some(dataset);
+        Ok(driver)
     }
 
-    /// [`new`](Self::new) with an explicit threshold, overriding the
-    /// session's τ.
-    pub fn with_tau(
-        session: &Session,
-        dataset: Dataset,
-        tau: f64,
-        net_config: NetConfig,
-    ) -> Result<Self, DmfsgdError> {
-        let fused = FusedRtt::new(tau)?;
-        ConfigError::check_net_config(&net_config)?;
-        let n = dataset.len();
-        if n != session.len() {
+    /// Runs RTT (Algorithm 1) for `session` over a pre-built `net` of
+    /// either layout: a [`SimNet`], or a
+    /// [`ShardedSimNet`](dmf_simnet::ShardedSimNet) from
+    /// [`from_delay_fn`](dmf_simnet::ShardedSimNet::from_delay_fn) —
+    /// at 100 k nodes no dense ground truth exists, and none is needed:
+    /// every RTT mode measures the net's own round trips. The
+    /// classification threshold comes from the session.
+    pub fn from_net(session: &Session, net: impl Into<SimNet<Msg>>) -> Result<Self, DmfsgdError> {
+        let net = net.into();
+        let fused = FusedRtt::new(session.tau().ok_or(ConfigError::MissingTau)?)?;
+        if net.len() != session.len() {
             return Err(MembershipError::ProviderMismatch {
-                provider: n,
+                provider: net.len(),
                 session: session.len(),
             }
             .into());
         }
-        let net = if dataset.metric == Metric::Rtt {
-            SimNet::from_rtt_dataset(&dataset, net_config)
-        } else {
-            SimNet::uniform(n, 0.04, net_config)
-        };
         Ok(Self {
             net,
-            dataset,
+            abw_truth: None,
             fused,
-            pending_rtt: (0..n).map(|_| Vec::with_capacity(4)).collect(),
+            pending_rtt: Vec::new(),
             abw_prober: PathloadProber::default(),
             fidelity: ExchangeFidelity::default(),
             wire: None,
@@ -279,7 +336,7 @@ impl SimnetDriver {
     /// applies, since every leg must be a datagram to be counted in
     /// [`wire_stats`](Self::wire_stats).
     pub fn with_wire_version(mut self, version: WireVersion) -> Self {
-        self.wire = Some(Endpoint::new(version, self.dataset.metric, self.fused.tau));
+        self.wire = Some(Endpoint::new(version, self.metric(), self.fused.tau));
         self
     }
 
@@ -298,6 +355,20 @@ impl SimnetDriver {
     /// event; 0 before the first).
     pub fn now(&self) -> f64 {
         self.net.now()
+    }
+
+    /// The underlying transport (island layout, network stats, delay
+    /// table memory accounting).
+    pub fn net(&self) -> &SimNet<Msg> {
+        &self.net
+    }
+
+    /// ABW when the driver holds a ground truth to measure, else RTT.
+    fn metric(&self) -> Metric {
+        match self.abw_truth {
+            Some(_) => Metric::Abw,
+            None => Metric::Rtt,
+        }
     }
 
     // ---- scenario impairment hooks ----------------------------------
@@ -377,15 +448,17 @@ impl SimnetDriver {
     }
 
     /// Re-embeds the network on a new RTT ground truth (drift or
-    /// congestion stepped the real delays): the delay table and the
-    /// driver's dataset are replaced, so every message sent from now
-    /// on — and therefore every measured RTT — reflects the new truth.
-    /// Messages already in flight keep the delay they departed with.
+    /// congestion stepped the real delays): the net's delays are
+    /// replaced by a dense table of the new truth, so every message
+    /// sent from now on — and therefore every measured RTT — reflects
+    /// it. Messages already in flight keep the delay they departed
+    /// with. Needs the dense layout ([`ConfigError::DenseLayout`]).
     pub fn update_rtt_ground_truth(&mut self, dataset: Dataset) -> Result<(), DmfsgdError> {
-        // Re-embedding needs an RTT-derived delay table on both sides:
-        // an ABW driver has none, and a non-RTT truth defines none.
-        // The error names whichever side is not RTT (the driver first).
-        let offender = [self.dataset.metric, dataset.metric]
+        // Re-embedding needs an RTT driver and an RTT truth: an ABW
+        // driver's delays are a control plane, and a non-RTT truth
+        // defines none. The error names whichever side is not RTT
+        // (the driver first).
+        let offender = [self.metric(), dataset.metric]
             .into_iter()
             .find(|&m| m != Metric::Rtt);
         if let Some(got) = offender {
@@ -402,8 +475,11 @@ impl SimnetDriver {
             }
             .into());
         }
+        let islands = self.net.islands();
+        if islands > 1 {
+            return Err(ConfigError::DenseLayout { islands }.into());
+        }
         self.net.set_one_way_delays_from_rtt(&dataset);
-        self.dataset = dataset;
         Ok(())
     }
 
@@ -423,6 +499,7 @@ impl SimnetDriver {
         self.fused.begin_run(&mut self.net, session, deadline_s)?;
         let before = self.fused.stats.measurements_completed;
         while let Some((now, delivery)) = self.net.next_delivery_before(deadline_s) {
+            prefetch_upcoming(&self.net, session);
             self.handle(session, now, delivery.from, delivery.to, delivery.msg);
         }
         Ok(self.fused.stats.measurements_completed - before)
@@ -444,6 +521,10 @@ impl SimnetDriver {
     /// with a fresh reply. A target that churn took out of `i`'s row is
     /// never re-probed, so a new entry first drops those left behind.
     fn note_rtt_probe(&mut self, session: &Session, i: usize, j: usize, now: f64) {
+        if self.pending_rtt.is_empty() {
+            self.pending_rtt
+                .resize_with(self.net.len(), || Vec::with_capacity(4));
+        }
         let pending = &mut self.pending_rtt[i];
         match pending.iter_mut().find(|(target, _)| *target == j) {
             Some(entry) => entry.1 = now,
@@ -464,7 +545,7 @@ impl SimnetDriver {
                 if session.is_alive(i) {
                     if self.wire.is_some() {
                         self.fire_wire_probe(session, i, now);
-                    } else if self.dataset.metric == Metric::Rtt
+                    } else if self.metric() == Metric::Rtt
                         && self.fidelity == ExchangeFidelity::Fused
                     {
                         // The whole round trip is one future event,
@@ -475,7 +556,7 @@ impl SimnetDriver {
                     } else {
                         let j = session.neighbors.sample_neighbor(i, &mut session.rng);
                         self.fused.stats.probes_sent += 1;
-                        match self.dataset.metric {
+                        match self.metric() {
                             Metric::Rtt => {
                                 self.note_rtt_probe(session, i, j, now);
                                 self.net.send(i, j, Msg::RttProbe);
@@ -512,8 +593,8 @@ impl SimnetDriver {
                 // Steps 3–4 at node i, unless the reply is a duplicate
                 // or stale.
                 if session.is_alive(to) {
-                    let pending = &mut self.pending_rtt[to];
-                    if let Some(x) = rtt_class(pending, from, now, self.fused.tau) {
+                    let tau = self.fused.tau;
+                    if let Some(x) = rtt_class(&mut self.pending_rtt, to, from, now, tau) {
                         let params = session.config.sgd;
                         session.nodes[to].on_rtt_measurement(x, &u, &v, &params);
                         session.measurements += 1;
@@ -526,13 +607,12 @@ impl SimnetDriver {
                 // Steps 2–4 at target j: measure, snapshot v_j, update.
                 let (i, j) = (from, to);
                 if session.is_alive(j) {
-                    if let Some(x) = self.abw_prober.probe_class(
-                        &self.dataset,
-                        i,
-                        j,
-                        self.fused.tau,
-                        &mut session.rng,
-                    ) {
+                    let truth = self.abw_truth.as_ref().expect("ABW probes need ABW truth");
+                    let tau = self.fused.tau;
+                    if let Some(x) = self
+                        .abw_prober
+                        .probe_class(truth, i, j, tau, &mut session.rng)
+                    {
                         let params = session.config.sgd;
                         let v = session.nodes[j].on_abw_probe(x, &u, &params);
                         let v = self.boxed(v);
@@ -559,7 +639,8 @@ impl std::fmt::Debug for SimnetDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimnetDriver")
             .field("nodes", &self.net.len())
-            .field("metric", &self.dataset.metric)
+            .field("islands", &self.net.islands())
+            .field("metric", &self.metric())
             .field("fidelity", &self.fidelity)
             .field("wire", &self.wire)
             .field("now", &self.net.now())
@@ -568,13 +649,51 @@ impl std::fmt::Debug for SimnetDriver {
     }
 }
 
-/// RTT steps 3–4 at a prober: pairs a reply from `j` with its entry in
-/// the prober's `pending` list and classifies at `tau` the round trip
-/// this very exchange measured. `None` for a duplicate or stale reply.
-fn rtt_class(pending: &mut Vec<(usize, f64)>, j: usize, now: f64, tau: f64) -> Option<f64> {
+/// RTT steps 3–4 at prober `i`: pairs a reply from `j` with its entry
+/// in `i`'s list of `pending` probes and classifies at `tau` the round
+/// trip this very exchange measured. `None` for a duplicate or stale
+/// reply.
+fn rtt_class(
+    pending: &mut [Vec<(usize, f64)>],
+    i: usize,
+    j: usize,
+    now: f64,
+    tau: f64,
+) -> Option<f64> {
+    // No lists before the first probe: nothing can be pending.
+    let pending = pending.get_mut(i)?;
     let pos = pending.iter().position(|&(target, _)| target == j)?;
     let (_, sent_at) = pending.swap_remove(pos);
     Some(Metric::Rtt.classify((now - sent_at) * 1000.0, tau))
+}
+
+/// How many deliveries ahead of the one being handled each stage of
+/// the lookahead works (see the module docs). Sweep on `sim-fused`
+/// (100 k nodes, M events/s, 2-vCPU host, alternated 8 s runs) with
+/// the 40-byte slots: 1.34–1.50 without any lookahead; 2.71–3.13 at
+/// 8/4/2 and 2.81–3.09 at 12/6/3 (seven runs each, medians 3.04 and
+/// 2.87), 2.68–2.78 at 24/12/4, 2.71–2.93 at 32/16/4 (three each).
+const SLOT_AHEAD: usize = 12;
+const NODES_AHEAD: usize = 6;
+const ROW_AHEAD: usize = 3;
+
+/// One step of the software pipeline: called once per delivery, it
+/// moves three later deliveries each one stage closer to being
+/// cache-resident when their turn comes. Hints only — nothing here
+/// reads protocol state or draws from an RNG.
+#[inline]
+fn prefetch_upcoming(net: &SimNet<Msg>, session: &Session) {
+    net.prefetch_upcoming(SLOT_AHEAD);
+    if let Some(mid) = net.upcoming(NODES_AHEAD) {
+        prefetch(&session.nodes[mid.to]);
+        prefetch(&session.nodes[mid.from].coords);
+        prefetch(&session.slot_pos[mid.to]);
+        prefetch(&session.slot_pos[mid.from]);
+        session.neighbors.prefetch_bounds(mid.to);
+    }
+    if let Some(near) = net.upcoming(ROW_AHEAD) {
+        session.neighbors.prefetch_row(near.to);
+    }
 }
 
 impl Driver for SimnetDriver {
@@ -591,11 +710,13 @@ mod tests {
     use super::wire::exchange;
     use super::*;
     use crate::config::DmfsgdConfig;
+    use crate::session::SessionBuilder;
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
     use dmf_linalg::Matrix;
     use dmf_proto::codec::encode_v2_into;
     use dmf_proto::{EncoderContext, MessageV2};
+    use dmf_simnet::ShardedSimNet;
 
     fn sign_accuracy(runner: &SimnetRunner, class: &dmf_datasets::ClassMatrix) -> f64 {
         let mut ok = 0usize;
@@ -883,16 +1004,20 @@ mod tests {
             .tau(d.median())
             .build()
             .expect("valid");
-        let mut driver = SimnetDriver::new(&session, d, NetConfig::default()).expect("valid");
-        for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(matches!(
-                driver.run_until(&mut session, deadline).unwrap_err(),
-                DmfsgdError::Config(ConfigError::Duration { .. })
-            ));
+        let dense = SimnetDriver::new(&session, d, NetConfig::default()).expect("valid");
+        let net = ShardedSimNet::uniform(25, 4, 0.02, quiet(0));
+        let islands = SimnetDriver::from_net(&session, net).expect("valid");
+        for mut driver in [dense, islands] {
+            for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(matches!(
+                    driver.run_until(&mut session, deadline).unwrap_err(),
+                    DmfsgdError::Config(ConfigError::Duration { .. })
+                ));
+            }
+            // The rejected calls seeded no timers; a finite one still runs.
+            assert_eq!((driver.net().pending(), driver.stats().probes_sent), (0, 0));
+            assert!(driver.run_until(&mut session, 3.0).expect("finite") > 0);
         }
-        // The rejected calls seeded no timers; a finite one still runs.
-        assert_eq!(driver.stats().probes_sent, 0);
-        assert!(driver.run_until(&mut session, 3.0).expect("finite") > 0);
     }
 
     #[test]
@@ -1448,5 +1573,217 @@ mod tests {
             .try_predicted_scores_into(&mut out)
             .expect_err("per-node rank mismatch");
         assert!(matches!(err, DmfsgdError::Import(_)), "got {err:?}");
+    }
+
+    fn session(n: usize, seed: u64) -> Session {
+        let config = DmfsgdConfig {
+            seed,
+            ..DmfsgdConfig::paper_defaults()
+        };
+        SessionBuilder::from_config(config)
+            .nodes(n)
+            .tau(60.0)
+            .build()
+            .unwrap()
+    }
+
+    fn quiet(seed: u64) -> NetConfig {
+        NetConfig {
+            delay_jitter_sigma: 0.0,
+            seed,
+            ..NetConfig::default()
+        }
+    }
+
+    /// A function-backed 32-node net in 4 islands: intra-island RTTs
+    /// of 40–118 ms, so both classes of τ = 60 ms occur.
+    fn four_islands(config: NetConfig) -> ShardedSimNet<Msg> {
+        ShardedSimNet::from_delay_fn(32, 4, config, |i, j| {
+            0.02 + 0.001 * ((i * 7 + j * 3) % 40) as f64
+        })
+    }
+
+    #[test]
+    fn k_island_net_trains_and_reports_stats() {
+        let mut s = session(32, 9);
+        let mut driver = SimnetDriver::from_net(&s, four_islands(quiet(1))).unwrap();
+        let applied = driver.run_until(&mut s, 30.0).unwrap();
+        assert!(applied > 200, "fused probes every second: {applied}");
+        assert_eq!(driver.stats().measurements_completed, applied);
+        assert!(driver.stats().probes_sent >= applied);
+        assert!(driver.now() <= 30.0);
+        assert_eq!(s.measurements_used(), applied);
+    }
+
+    /// Per-message and wire-v2 RTT over 4 islands, with jitter and
+    /// loss drawn from four island streams: both train, and a
+    /// same-seed rerun replays each bit for bit.
+    #[test]
+    fn k_island_per_message_and_wire_v2_rtt_replay_bitwise() {
+        let run = |wire: bool| {
+            let mut s = session(32, 11);
+            let net = four_islands(NetConfig {
+                loss_probability: 0.05,
+                seed: 11,
+                ..NetConfig::default()
+            });
+            let driver = SimnetDriver::from_net(&s, net).unwrap();
+            let mut driver = if wire {
+                driver.with_wire_version(WireVersion::V2)
+            } else {
+                driver.with_exchange_fidelity(ExchangeFidelity::PerMessage)
+            };
+            let applied = driver.run_until(&mut s, 30.0).unwrap();
+            let stats = (driver.net().stats(), driver.wire_stats());
+            (applied, stats, s.snapshot().to_json())
+        };
+        for wire in [false, true] {
+            let first = run(wire);
+            assert!(first.0 > 200, "wire={wire}: {} applied", first.0);
+            assert!(first.1 .0.dropped > 0, "wire={wire}: the islands lose");
+            assert_eq!(first.1 .1.messages_sent > 0, wire);
+            assert!(first == run(wire), "wire={wire}: same seed, another run");
+        }
+    }
+
+    /// The same 24-node network twice, each behind its own identically
+    /// seeded session: the dense layout built from the dataset, and a
+    /// 1-island function-backed net with the same delays (no jitter or
+    /// loss → no RNG divergence).
+    fn one_island_pair(fidelity: ExchangeFidelity) -> [(Session, SimnetDriver); 2] {
+        let d = meridian_like(24, 5);
+        let dense_session = session(24, 4);
+        let island_session = session(24, 4);
+        let dense = SimnetDriver::new(&dense_session, d.clone(), quiet(2)).unwrap();
+        // Mirror `SimNet::from_rtt_dataset` exactly: known pairs take
+        // RTT/2, unknown pairs (incl. the diagonal) the default delay.
+        let default = quiet(2).default_one_way_delay_s;
+        let delay = move |i: usize, j: usize| {
+            if d.mask.is_known(i, j) {
+                d.values[(i, j)] / 2.0 / 1000.0
+            } else {
+                default
+            }
+        };
+        let net = ShardedSimNet::from_delay_fn(24, 1, quiet(2), delay);
+        let island = SimnetDriver::from_net(&island_session, net).unwrap();
+        [
+            (dense_session, dense.with_exchange_fidelity(fidelity)),
+            (island_session, island.with_exchange_fidelity(fidelity)),
+        ]
+    }
+
+    fn assert_bitwise_equal([(dense, _), (island, _)]: &[(Session, SimnetDriver); 2]) {
+        assert_eq!(
+            dense.measurements_used(),
+            island.measurements_used(),
+            "same measurement count"
+        );
+        let a = dense.predicted_scores();
+        let b = island.predicted_scores();
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "coordinates diverged");
+        }
+    }
+
+    /// A 1-island function-backed net replays the dense layout
+    /// bit-for-bit, in either RTT fidelity (session RNG draws happen
+    /// in identical delivery order). This is the end-to-end leg of the
+    /// order-equivalence story: not just the event order, but the
+    /// learned coordinates match.
+    #[test]
+    fn one_island_matches_single_net_driver_bitwise() {
+        for fidelity in [ExchangeFidelity::Fused, ExchangeFidelity::PerMessage] {
+            let mut pair = one_island_pair(fidelity);
+            for (s, driver) in &mut pair {
+                driver.run_until(s, 20.0).unwrap();
+            }
+            assert_bitwise_equal(&pair);
+        }
+    }
+
+    /// The same replay across membership churn, which is what reaches
+    /// the loop's dead-node branches: a departed prober's exchange
+    /// comes home and its timer idles, and exchanges already in flight
+    /// towards a departed target complete untrained. The lookahead
+    /// reads those slots early, so this also pins that it does not
+    /// care who is alive.
+    #[test]
+    fn one_island_matches_single_net_driver_bitwise_across_churn() {
+        for fidelity in [ExchangeFidelity::Fused, ExchangeFidelity::PerMessage] {
+            let mut pair = one_island_pair(fidelity);
+            for (s, driver) in &mut pair {
+                driver.run_until(s, 8.0).unwrap();
+                s.leave(3).unwrap();
+                s.leave(17).unwrap();
+            }
+            let (s, island) = &mut pair[1];
+            let before = (island.net().stats(), island.stats());
+            island.run_until(s, 14.0).unwrap();
+            let net = island.net().stats();
+            let exchanges = net.delivered - before.0.delivered;
+            let trained = island.stats().measurements_completed - before.1.measurements_completed;
+            assert!(net.timers - before.0.timers >= 10, "departed probers idle");
+            assert!(
+                exchanges - trained > 2,
+                "beyond the two departed probers' own exchanges, some completed \
+                 against a departed target: {exchanges} delivered, {trained} trained"
+            );
+            let (s, dense) = &mut pair[0];
+            dense.run_until(s, 14.0).unwrap();
+            for (s, driver) in &mut pair {
+                s.join().unwrap();
+                s.join().unwrap();
+                driver.run_until(s, 20.0).unwrap();
+                assert_eq!(s.num_alive(), 24);
+            }
+            assert_bitwise_equal(&pair);
+        }
+    }
+
+    #[test]
+    fn driver_round_advances_one_quantum() {
+        let mut s = session(16, 1);
+        let net = ShardedSimNet::uniform(16, 4, 0.02, quiet(0));
+        let mut driver = SimnetDriver::from_net(&s, net)
+            .unwrap()
+            .with_quantum(5.0)
+            .unwrap();
+        let first = driver.round(&mut s).unwrap();
+        assert!(first > 0);
+        assert!(driver.now() <= 5.0);
+        driver.round(&mut s).unwrap();
+        assert!(driver.now() > 5.0 && driver.now() <= 10.0);
+    }
+
+    #[test]
+    fn population_mismatch_is_typed() {
+        let s = session(16, 0);
+        let net = ShardedSimNet::uniform(17, 3, 0.02, quiet(0));
+        let err = SimnetDriver::from_net(&s, net).unwrap_err();
+        assert!(matches!(
+            err,
+            DmfsgdError::Membership(MembershipError::ProviderMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn re_embedding_a_k_island_net_is_a_typed_error() {
+        let mut s = session(24, 3);
+        let truth = meridian_like(24, 3);
+        let net = ShardedSimNet::uniform(24, 4, 0.02, quiet(0));
+        let mut driver = SimnetDriver::from_net(&s, net).unwrap();
+        assert!(matches!(
+            driver.update_rtt_ground_truth(truth.clone()).unwrap_err(),
+            DmfsgdError::Config(ConfigError::DenseLayout { islands: 4 })
+        ));
+        assert_eq!(driver.net().table_bytes(), 0, "the net is untouched");
+        assert!(driver.run_until(&mut s, 5.0).unwrap() > 0);
+        // One island is the dense layout: the truth's table takes the
+        // delay function's place.
+        let net = ShardedSimNet::uniform(24, 1, 0.02, quiet(0));
+        let mut dense = SimnetDriver::from_net(&s, net).unwrap();
+        dense.update_rtt_ground_truth(truth).expect("one island");
+        assert_eq!(dense.net().table_bytes(), 24 * 24 * 4);
     }
 }

@@ -7,8 +7,8 @@
 //! part of its four context buffers: at k = 32 that state is 1.3 KB per
 //! slot, 20 MB at 500 nodes, and the probe's delivery at the target and
 //! the reply's back at the prober — one and two one-way delays, tens of
-//! events, later — met it cold. At the send and not by queue lookahead,
-//! as `sharded` does: the slot is in hand for free, where a lookahead
+//! events, later — met it cold. At the send and not by the driver's
+//! queue lookahead: the slot is in hand for free, where a lookahead
 //! would have to decode the datagram to learn who the prober is. A hint
 //! only, no datagram byte depends on it (`tests/wire_v2_golden.rs`).
 //! The first touch at fire time stays cold: nothing can name the slot
@@ -84,10 +84,10 @@ struct SimLink<'a> {
     sending: bool,
     exchanges: &'a mut Vec<Exchange>,
     neighbors: &'a NeighborSets,
-    pending_rtt: &'a mut Vec<(usize, f64)>,
+    pending_rtt: &'a mut [Vec<(usize, f64)>],
     fused: &'a mut FusedRtt,
     abw_prober: &'a PathloadProber,
-    dataset: &'a Dataset,
+    abw_truth: Option<&'a Dataset>,
     rng: &'a mut ChaCha8Rng,
     measurements: &'a mut usize,
 }
@@ -109,7 +109,7 @@ impl Link for SimLink<'_> {
     fn abw_class(&mut self, prober: usize) -> Option<f64> {
         let tau = self.fused.tau;
         self.abw_prober
-            .probe_class(self.dataset, prober, self.me, tau, self.rng)
+            .probe_class(self.abw_truth?, prober, self.me, tau, self.rng)
     }
 
     fn complete(
@@ -122,7 +122,7 @@ impl Link for SimLink<'_> {
     ) -> Option<f64> {
         let x = match carried {
             Some(x) => x,
-            None => rtt_class(self.pending_rtt, target, self.now, self.fused.tau)?,
+            None => rtt_class(self.pending_rtt, self.me, target, self.now, self.fused.tau)?,
         };
         *self.measurements += 1;
         self.fused.stats.measurements_completed += 1;
@@ -146,10 +146,10 @@ impl SimnetDriver {
             sending,
             exchanges: &mut self.exchanges,
             neighbors: &session.neighbors,
-            pending_rtt: &mut self.pending_rtt[me],
+            pending_rtt: &mut self.pending_rtt,
             fused: &mut self.fused,
             abw_prober: &self.abw_prober,
-            dataset: &self.dataset,
+            abw_truth: self.abw_truth.as_ref(),
             rng: &mut session.rng,
             measurements: &mut session.measurements,
         };
@@ -173,7 +173,7 @@ impl SimnetDriver {
         self.fused.stats.probes_sent += 1;
         self.wire_nonce += 1;
         let nonce = self.wire_nonce;
-        if self.dataset.metric == Metric::Rtt {
+        if self.metric() == Metric::Rtt {
             self.note_rtt_probe(session, i, j, now);
         }
         let mut bytes = self.take_buf();

@@ -11,7 +11,7 @@
 //! compare a scalar leg against the native leg and demand equality.
 
 use dmf_core::runner::SimnetRunner;
-use dmf_core::{DmfsgdConfig, Session, SessionBuilder, ShardedSimnetDriver};
+use dmf_core::{DmfsgdConfig, Session, SessionBuilder, SimnetDriver};
 use dmf_datasets::rtt::meridian_like;
 use dmf_linalg::simd::{self, Dispatch};
 use dmf_simnet::{NetConfig, ShardedSimNet};
@@ -57,7 +57,7 @@ fn run_simnet(seed: u64) -> (Vec<u8>, Vec<u64>) {
     collect(&session)
 }
 
-/// Same-seed scale run through the sharded driver (the 10k/100k code
+/// Same-seed scale run over the k-island layout (the 10k/100k code
 /// path, exercised here at a size CI can afford).
 fn run_sharded(seed: u64) -> (Vec<u8>, Vec<u64>) {
     let config = DmfsgdConfig {
@@ -76,7 +76,7 @@ fn run_sharded(seed: u64) -> (Vec<u8>, Vec<u64>) {
     let net = ShardedSimNet::from_delay_fn(48, 6, net_cfg, |i, j| {
         0.015 + 0.0005 * ((i * 13 + j * 7) % 64) as f64
     });
-    let mut driver = ShardedSimnetDriver::new(&session, net).unwrap();
+    let mut driver = SimnetDriver::from_net(&session, net).unwrap();
     driver.run_until(&mut session, 30.0).unwrap();
     collect(&session)
 }

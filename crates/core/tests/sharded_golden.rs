@@ -18,7 +18,7 @@
 //! (`cargo test -p dmf-core --test sharded_golden -- --nocapture`) and
 //! compare against that instead.
 
-use dmf_core::{DmfsgdConfig, SessionBuilder, ShardedSimnetDriver};
+use dmf_core::{DmfsgdConfig, SessionBuilder, SimnetDriver};
 use dmf_simnet::net::NetStats;
 use dmf_simnet::{NetConfig, ShardedSimNet};
 
@@ -56,7 +56,7 @@ fn fingerprint(loss_probability: f64) -> Fingerprint {
     let net = ShardedSimNet::from_delay_fn(NODES, ISLANDS, net_cfg, |i, j| {
         0.004 + 0.0004 * ((i * 13 + j * 7) % 128) as f64
     });
-    let mut driver = ShardedSimnetDriver::new(&session, net).unwrap();
+    let mut driver = SimnetDriver::from_net(&session, net).unwrap();
     let applied = driver.run_until(&mut session, SIM_SECONDS).unwrap();
     let hash = fnv1a(session.snapshot().to_json().as_bytes());
     let print = (hash, applied, driver.net().stats());

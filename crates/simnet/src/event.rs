@@ -49,7 +49,7 @@
 //!   next far-lane deliveries are known before they are popped, and
 //!   [`EventQueue::upcoming`] shows their payloads through `&self`. It
 //!   exists so a run loop can prefetch the state those deliveries will
-//!   touch (`dmf-core`'s sharded driver does); the payload slot itself
+//!   touch (`dmf-core`'s `SimnetDriver` does); the payload slot itself
 //!   is usually cold that far ahead, and reading it to prefetch it
 //!   would be the stall, so [`EventQueue::prefetch_upcoming`] names a
 //!   slot's address without looking inside. `upcoming` may be used for

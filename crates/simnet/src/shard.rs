@@ -12,10 +12,10 @@
 //! linear in `n` whatever the island size.
 //!
 //! It is a layout, not a second model: [`ShardedSimNet`] is its two
-//! constructors and derefs to the [`SimNet`] they fill, so `send`,
-//! `roundtrip_at`, the delivery accounting and every hook are the code
-//! in [`crate::net`], and a one-island sharded net *is* the dense
-//! layout.
+//! constructors and derefs to (or converts into) the [`SimNet`] they
+//! fill, so `send`, `roundtrip_at`, the delivery accounting and every
+//! hook are the code in [`crate::net`], and a one-island sharded net
+//! *is* the dense layout.
 //!
 //! # One queue, many RNG streams
 //!
@@ -37,8 +37,8 @@
 //! hands a run loop the next far-lane deliveries so it can prefetch
 //! the node state they will touch — at 100 k nodes that state lives in
 //! DRAM, and waiting for it one event at a time is most of a run's
-//! wall (`dmf-core`'s sharded driver has the pipeline). It is a view
-//! for hints only; delivery order is what
+//! wall (`dmf-core`'s `SimnetDriver` runs that pipeline on every
+//! layout). It is a view for hints only; delivery order is what
 //! [`next_delivery`](SimNet::next_delivery) says.
 //!
 //! # Model carve-outs
@@ -107,6 +107,12 @@ impl<M> ShardedSimNet<M> {
             "island count {islands} out of range 1..={n}"
         );
         Self(SimNet::with_layout(n, islands, n + 16, config, delay_s))
+    }
+}
+
+impl<M> From<ShardedSimNet<M>> for SimNet<M> {
+    fn from(net: ShardedSimNet<M>) -> Self {
+        net.0
     }
 }
 
@@ -234,8 +240,9 @@ mod tests {
     #[test]
     fn sharding_breaks_the_quadratic_table() {
         // A function-backed net holds no per-pair state, whatever its
-        // population and island count…
-        for (n, islands) in [(1024, 1), (1024, 16), (4000, 7), (17, 17)] {
+        // population and island count (`sim-fused`'s 100 k nodes in 391
+        // islands included)…
+        for (n, islands) in [(1024, 1), (1024, 16), (4000, 7), (17, 17), (100_000, 391)] {
             let net: ShardedSimNet<()> = ShardedSimNet::uniform(n, islands, 0.01, quiet(0));
             assert_eq!(net.table_bytes(), 0, "n={n}, islands={islands}");
         }
