@@ -12,13 +12,12 @@
 use crate::experiments::scale::Scale;
 use crate::experiments::trio::Trio;
 use crate::experiments::Artifact;
-use dmf_core::config::SgdParams;
-use dmf_core::multiclass::{MulticlassLabels, MulticlassSystem, OrdinalClassifier};
-use dmf_core::Loss;
+use dmf_core::provider::MulticlassLabels;
+use dmf_core::{Loss, Session};
 use serde::{Serialize, Value};
 
 /// Class counts swept.
-pub const CLASS_COUNTS: [usize; 3] = [2, 3, 5];
+pub const CLASS_COUNTS: [u8; 3] = [2, 3, 5];
 
 /// One (dataset, class count) outcome.
 #[derive(Clone, Debug, Serialize)]
@@ -51,31 +50,34 @@ impl Serialize for Multiclass {
 /// Runs the experiment.
 pub fn run(scale: &Scale, seed: u64) -> Multiclass {
     let trio = Trio::build(scale, seed);
-    let params = SgdParams {
-        eta: 0.1,
-        lambda: 0.1,
-        loss: Loss::Logistic,
-    };
     let mut rows = Vec::new();
     for bundle in trio.bundles() {
         let n = bundle.dataset.len();
         for classes in CLASS_COUNTS {
-            let labels = MulticlassLabels::quantiles(&bundle.dataset, classes);
-            let clf = OrdinalClassifier::equally_spaced(classes, Loss::Logistic);
-            let metric = bundle.dataset.metric;
-            let mut system =
-                MulticlassSystem::new(n, 10, bundle.k, clf, params, metric, classes as u64);
+            let mut labels = MulticlassLabels::quantiles(&bundle.dataset, classes);
+            let mut session = Session::builder()
+                .nodes(n)
+                .k(bundle.k)
+                .loss(Loss::Ordinal { classes })
+                .seed(u64::from(classes))
+                .build()
+                .expect("valid ordinal configuration");
             if bundle.name == "Harvard" {
                 for m in &trio.harvard_trace.measurements {
-                    system.apply_measurement(m.from, m.to, labels.class_of(m.value));
+                    let class = f64::from(labels.class_of(m.value));
+                    session
+                        .apply_measurement(m.from, m.to, class, bundle.dataset.metric)
+                        .expect("trace pair and class in range");
                 }
             } else {
-                system.run(n * bundle.k * 40, &labels);
+                session
+                    .run(n * bundle.k * 40, &mut labels)
+                    .expect("labels cover the session");
             }
-            let (exact, within_one, mae) = system.evaluate(&labels);
+            let (exact, within_one, mae) = labels.evaluate(&session);
             rows.push(MulticlassRow {
                 dataset: bundle.name.to_string(),
-                classes,
+                classes: classes.into(),
                 exact_accuracy: exact,
                 within_one_accuracy: within_one,
                 mean_abs_class_error: mae,

@@ -13,8 +13,10 @@ use serde::{Deserialize, Serialize};
 /// What kind of values the system trains on and predicts.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum PredictionMode {
-    /// Class-based prediction: measurements are ±1 labels, prediction
-    /// is `sign(u·v)` (the paper's contribution).
+    /// Class-based prediction (the paper's contribution): measurements
+    /// are class labels — ±1 under the binary losses, `1..=C` under
+    /// [`Loss::Ordinal`] — and the predicted class is the loss's class
+    /// of the score `u·v` ([`Loss::class_of_score`]).
     Class,
     /// Quantity-based prediction (regression with the L2 loss): the
     /// §6.4 comparator. `value_scale` divides raw measurements so SGD
@@ -48,6 +50,11 @@ impl SgdParams {
             return Err(ConfigError::Lambda {
                 lambda: self.lambda,
             });
+        }
+        if let Loss::Ordinal { classes } = self.loss {
+            if classes < 2 {
+                return Err(ConfigError::Classes { classes });
+            }
         }
         Ok(())
     }

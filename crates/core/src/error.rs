@@ -48,6 +48,14 @@ pub enum DmfsgdError {
     /// query surface ([`crate::session::Session::try_predicted_scores`])
     /// returns this where the internal hot paths keep their assert.
     Shape(dmf_linalg::ShapeError),
+    /// A measurement carried a label the session's loss does not train
+    /// on: under [`Loss::Ordinal`] anything but the integers `1..=C`.
+    Label {
+        /// The rejected label.
+        x: f64,
+        /// The session's loss.
+        loss: Loss,
+    },
 }
 
 impl fmt::Display for DmfsgdError {
@@ -60,6 +68,7 @@ impl fmt::Display for DmfsgdError {
             DmfsgdError::Transport(msg) => write!(f, "transport failure: {msg}"),
             DmfsgdError::Import(msg) => write!(f, "node import rejected: {msg}"),
             DmfsgdError::Shape(e) => e.fmt(f),
+            DmfsgdError::Label { x, loss } => write!(f, "label {x} is not a class of {loss:?}"),
         }
     }
 }
@@ -125,6 +134,11 @@ pub enum ConfigError {
     QuantityLoss {
         /// The rejected loss.
         loss: Loss,
+    },
+    /// An ordinal loss with fewer than two classes.
+    Classes {
+        /// The rejected class count.
+        classes: u8,
     },
     /// Population no larger than the neighbor count.
     TooFewNodes {
@@ -225,6 +239,12 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "quantity mode requires the L2 loss (paper §6.4), got {loss:?}"
+                )
+            }
+            ConfigError::Classes { classes } => {
+                write!(
+                    f,
+                    "an ordinal loss needs at least two classes (got {classes})"
                 )
             }
             ConfigError::TooFewNodes { n, k } => {

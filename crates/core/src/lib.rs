@@ -21,7 +21,10 @@
 //! Crate layout:
 //!
 //! * [`loss`] — the L2 / hinge / logistic loss functions and their
-//!   (sub)gradients (paper eqs. 14–19).
+//!   (sub)gradients (paper eqs. 14–19), plus the ordinal loss over `C`
+//!   ordered classes: the paper's §7 future work, trained by the same
+//!   session and the same SGD step, and the binary logistic loss at
+//!   `C = 2`.
 //! * [`coords`] — node coordinates and the `u · v` predictor.
 //! * [`update`] — the SGD update rule shared by eqs. 9, 10, 12, 13.
 //! * [`node`] — per-node protocol state machines: Algorithm 1 (RTT,
@@ -32,8 +35,9 @@
 //! * [`error`] — the [`DmfsgdError`] hierarchy: no public constructor
 //!   or method of the session layer panics on user input.
 //! * [`provider`] — measurement sources: ground-truth class labels
-//!   (optionally error-injected), raw quantities, and simulated
-//!   pathload/pathchirp probes.
+//!   (optionally error-injected), raw quantities, simulated
+//!   pathload/pathchirp probes, and quantile classes `1..=C` for the
+//!   ordinal loss.
 //! * [`session`] — the service API: [`Session`], [`SessionBuilder`],
 //!   dynamic membership (join/leave/churn), incremental queries, and
 //!   the [`Driver`] trait all front-ends implement.
@@ -55,10 +59,6 @@
 //! * [`endpoint`] — Algorithms 1 and 2 as datagrams: the one
 //!   [`Endpoint`] both the simulator's wire mode and the UDP agents of
 //!   `dmf-agent` run, each supplying only its transport.
-//! * [`multiclass`] — the paper's §7 future work implemented: ordinal
-//!   prediction of more than two performance classes via
-//!   immediate-threshold losses, degenerating exactly to the binary
-//!   formulation at `C = 2`.
 //!
 //! The front-ends are complementary: [`session::OracleDriver`]
 //! replays the paper's evaluation schedule with zero transport cost,
@@ -90,7 +90,6 @@ pub mod epoch;
 #[deny(missing_docs)]
 pub mod error;
 pub mod loss;
-pub mod multiclass;
 pub mod node;
 pub mod provider;
 pub mod runner;
@@ -114,3 +113,6 @@ pub use session::{Driver, OracleDriver, Session, SessionBuilder};
 #[doc(hidden)]
 pub use sharded::ShardedSimnetDriver;
 pub use snapshot::Snapshot;
+
+#[cfg(test)]
+mod multiclass;

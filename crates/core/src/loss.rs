@@ -15,7 +15,15 @@
 //! * hinge (eqs. 14–15, subgradient): `g = −x` if `1 − x·x̂ > 0`,
 //!   else `0`
 //! * logistic (eqs. 16–17): `g = −x / (1 + e^{x·x̂})`
+//! * ordinal over `C` ordered classes (the paper's §7 future work, by
+//!   the immediate-threshold construction of MMMF): the label `x` is
+//!   the class `1..=C`, and `g = Σ_k g_logistic(s_k, x̂ − θ_k)` over
+//!   the thresholds `θ_k = k − C/2`, `k < C`, with `s_k = +1` if
+//!   `x > k` else `−1`. The predicted class `c` has
+//!   `θ_{c−1} < x̂ ≤ θ_c`. At `C = 2` this is the logistic loss with
+//!   the labels 1/2 for −1/+1. No other module knows the thresholds.
 
+use crate::error::DmfsgdError;
 use serde::{Deserialize, Serialize};
 
 /// A loss function `l(x, x̂)`.
@@ -28,6 +36,14 @@ pub enum Loss {
     /// Logistic loss `ln(1 + e^{−x·x̂})` — classification (the paper's
     /// default, outperforming hinge in most cases).
     Logistic,
+    /// Ordinal classification over `classes` ordered classes: the
+    /// label is the class `1..=classes` (quality-ascending) and the
+    /// loss sums one logistic term per threshold (see the
+    /// [module docs](self)). At least two classes.
+    Ordinal {
+        /// Class count `C`.
+        classes: u8,
+    },
 }
 
 impl Loss {
@@ -47,6 +63,9 @@ impl Loss {
                     (1.0 + (-m).exp()).ln()
                 }
             }
+            Loss::Ordinal { classes } => ordinal_terms(classes, x, xhat)
+                .map(|(s, m)| Loss::Logistic.value(s, m))
+                .sum(),
         }
     }
 
@@ -70,13 +89,66 @@ impl Loss {
                     -x / (1.0 + m.exp())
                 }
             }
+            Loss::Ordinal { classes } => ordinal_gradient_factor(classes, x, xhat),
         }
     }
 
-    /// True for the classification losses (hinge, logistic).
+    /// True for the classification losses (hinge, logistic, ordinal).
     pub fn is_classification(self) -> bool {
         !matches!(self, Loss::L2)
     }
+
+    /// The class a score predicts: under [`Loss::Ordinal`] the class
+    /// `1..=C` whose threshold bin holds `xhat`, otherwise the binary
+    /// sign rule (`+1` for a non-negative score, `−1` below zero).
+    pub fn class_of_score(self, xhat: f64) -> f64 {
+        match self {
+            Loss::Ordinal { classes } => {
+                1.0 + thresholds(classes)
+                    .filter(|&(_, theta)| xhat > theta)
+                    .count() as f64
+            }
+            _ if xhat >= 0.0 => 1.0,
+            _ => -1.0,
+        }
+    }
+
+    /// Refuses a label this loss does not train on: under
+    /// [`Loss::Ordinal`] anything but the integers `1..=C`. The binary
+    /// and quantity losses accept any value, as they always have.
+    pub fn check_label(self, x: f64) -> Result<(), DmfsgdError> {
+        match self {
+            Loss::Ordinal { classes } if !(1..=classes).any(|c| f64::from(c) == x) => {
+                Err(DmfsgdError::Label { x, loss: self })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The ordinal thresholds `(k, θ_k = k − C/2)` for `k = 1..C`.
+fn thresholds(classes: u8) -> impl Iterator<Item = (u8, f64)> {
+    let c = f64::from(classes);
+    (1..classes).map(move |k| (k, f64::from(k) - c / 2.0))
+}
+
+/// One binary logistic term `(s_k, x̂ − θ_k)` per threshold of a
+/// class-`x` label: `s_k = +1` when the class lies above `θ_k`.
+fn ordinal_terms(classes: u8, x: f64, xhat: f64) -> impl Iterator<Item = (f64, f64)> {
+    thresholds(classes).map(move |(k, theta)| {
+        let s = if x > f64::from(k) { 1.0 } else { -1.0 };
+        (s, xhat - theta)
+    })
+}
+
+/// The ordinal gradient factor, out of line so the binary arms of
+/// [`Loss::gradient_factor`] — the per-update hot path — stay as small
+/// as they were.
+#[inline(never)]
+fn ordinal_gradient_factor(classes: u8, x: f64, xhat: f64) -> f64 {
+    ordinal_terms(classes, x, xhat)
+        .map(|(s, m)| Loss::Logistic.gradient_factor(s, m))
+        .sum()
 }
 
 #[cfg(test)]
@@ -136,7 +208,15 @@ mod tests {
             (Loss::Logistic, -1.0, 1.3),
             (Loss::Logistic, 1.0, -2.0),
         ];
-        for (loss, x, xhat) in cases {
+        // Every class of each ordinal loss, on both sides of every
+        // threshold.
+        let ordinal = [2u8, 3, 5].into_iter().flat_map(|classes| {
+            (1..=classes).flat_map(move |c| {
+                [-2.5, -0.7, 0.0, 1.3, 2.9]
+                    .map(move |xhat| (Loss::Ordinal { classes }, f64::from(c), xhat))
+            })
+        });
+        for (loss, x, xhat) in cases.into_iter().chain(ordinal) {
             let analytic = loss.gradient_factor(x, xhat);
             let mut numeric = finite_diff(loss, x, xhat);
             // The paper drops the factor 2 from the L2 derivative; the
@@ -174,5 +254,6 @@ mod tests {
         assert!(!Loss::L2.is_classification());
         assert!(Loss::Hinge.is_classification());
         assert!(Loss::Logistic.is_classification());
+        assert!(Loss::Ordinal { classes: 3 }.is_classification());
     }
 }

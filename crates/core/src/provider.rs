@@ -14,7 +14,12 @@
 //!   simulated tools of `dmf-simnet` (ping+threshold for RTT,
 //!   pathload-style train for ABW), exercising the cheap direct class
 //!   measurement the paper advocates in §3.2.
+//!
+//! [`MulticlassLabels`] adds the paper's §7 future work: ordered
+//! classes `1..=C` cut from a dataset by quantiles, for a session
+//! trained with [`Loss::Ordinal`](crate::Loss::Ordinal).
 
+use crate::session::Session;
 use dmf_datasets::{ClassMatrix, Dataset, Metric};
 use dmf_simnet::probe::{PathloadProber, RttProber};
 use rand::RngCore;
@@ -189,6 +194,108 @@ impl MeasurementProvider for ProbedClassProvider {
 
     fn len(&self) -> usize {
         self.dataset.len()
+    }
+}
+
+/// Ordered classes `1..=C` derived from a quantity dataset by
+/// quantile boundaries (class 1 = worst performance, `C` = best): the
+/// labels a [`Loss::Ordinal`](crate::Loss::Ordinal) session trains on.
+#[derive(Clone, Debug)]
+pub struct MulticlassLabels {
+    /// Quantity boundaries between classes (ascending in *quality*).
+    pub boundaries: Vec<f64>,
+    /// Metric orientation.
+    pub metric: Metric,
+    labels: Vec<u8>,
+    n: usize,
+}
+
+impl MulticlassLabels {
+    /// Splits the observed value distribution into `classes`
+    /// (`2..=250`) equal-mass classes.
+    pub fn quantiles(dataset: &Dataset, classes: u8) -> Self {
+        assert!((2..=250).contains(&classes), "class count out of range");
+        let observed = dataset.observed_values();
+        // Quality-ascending boundaries: for RTT high values are *worse*,
+        // so boundaries run from high to low quantiles.
+        let boundaries: Vec<f64> = (1..classes)
+            .map(|k| {
+                let portion = f64::from(k) / f64::from(classes);
+                // Portion of paths at least this good.
+                let p = dataset.metric.percentile_for_good_portion(1.0 - portion);
+                dmf_linalg::stats::percentile(&observed, p)
+            })
+            .collect();
+        let n = dataset.len();
+        let mut out = Self {
+            boundaries,
+            metric: dataset.metric,
+            labels: vec![0u8; n * n],
+            n,
+        };
+        for (i, j) in dataset.mask.iter_known() {
+            out.labels[i * n + j] = out.class_of(dataset.values[(i, j)]);
+        }
+        out
+    }
+
+    /// The class (1-based, quality-ascending) of a measured quantity:
+    /// the rule the observed labels were built with, for labeling a
+    /// fresh measurement such as one from a trace replay.
+    pub fn class_of(&self, value: f64) -> u8 {
+        1 + self
+            .boundaries
+            .iter()
+            .filter(|&&b| match self.metric {
+                Metric::Rtt => value <= b, // faster than boundary ⇒ better
+                Metric::Abw => value >= b, // more bandwidth ⇒ better
+            })
+            .count() as u8
+    }
+
+    /// The class of a pair, if observed.
+    pub fn label(&self, i: usize, j: usize) -> Option<u8> {
+        Some(self.labels[i * self.n + j]).filter(|&c| c != 0)
+    }
+
+    /// Iterates observed `(i, j, class)` triples.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
+        (0..self.n)
+            .flat_map(move |i| (0..self.n).filter_map(move |j| self.label(i, j).map(|c| (i, j, c))))
+    }
+
+    /// Scores `session`'s predicted classes against the observed ones:
+    /// (exact accuracy, within-one-class accuracy, mean absolute class
+    /// error). Pairs with a departed end are skipped.
+    pub fn evaluate(&self, session: &Session) -> (f64, f64, f64) {
+        let errors: Vec<u8> = self
+            .iter()
+            .filter_map(|(i, j, truth)| {
+                let predicted = session.predict_class(i, j).ok()?;
+                Some(truth.abs_diff(predicted as u8))
+            })
+            .collect();
+        assert!(!errors.is_empty(), "no observed labels to evaluate");
+        let share = |count: usize| count as f64 / errors.len() as f64;
+        (
+            share(errors.iter().filter(|&&e| e == 0).count()),
+            share(errors.iter().filter(|&&e| e <= 1).count()),
+            share(errors.iter().map(|&e| usize::from(e)).sum()),
+        )
+    }
+}
+
+impl MeasurementProvider for MulticlassLabels {
+    fn measure(&mut self, i: usize, j: usize, _rng: &mut dyn RngCore) -> Option<f64> {
+        self.label(i, j).map(f64::from)
+    }
+
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    fn len(&self) -> usize {
+        self.n
     }
 }
 

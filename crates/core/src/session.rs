@@ -241,11 +241,12 @@ impl Session {
         })
     }
 
-    /// Predicted class of the path `i → j`: `+1.0` ("good") when the
-    /// raw score is non-negative, `-1.0` ("bad") otherwise.
+    /// Predicted class of the path `i → j` by [`Loss::class_of_score`]:
+    /// `+1.0` ("good") or `-1.0` ("bad") under the binary losses, the
+    /// class `1..=C` under [`Loss::Ordinal`].
     pub fn predict_class(&self, i: NodeId, j: NodeId) -> Result<f64, DmfsgdError> {
         let raw = self.raw_score(i, j)?;
-        Ok(if raw >= 0.0 { 1.0 } else { -1.0 })
+        Ok(self.config.sgd.loss.class_of_score(raw))
     }
 
     /// Node `i`'s neighbors ranked by predicted score, best first
@@ -382,9 +383,11 @@ impl Session {
     ///
     /// This is the paper's protocol shape: the probe reply carries
     /// `(u_j, v_j)` across the network and node `i` applies it
-    /// locally. The reply is validated by [`check_remote_reply`]
-    /// (rank, finiteness) so a buggy or hostile peer cannot corrupt
-    /// the session.
+    /// locally. [`check_remote_reply`] refuses a wrong rank or a
+    /// non-finite value, but bounds no magnitude: a peer lying with
+    /// large finite coordinates is applied like any other (one ±10³
+    /// liar among 300 Meridian-like nodes cut the honest-pair AUC from
+    /// 0.968 to 0.845).
     pub fn apply_rtt_remote(
         &mut self,
         i: NodeId,
@@ -436,6 +439,10 @@ impl Session {
     /// Applies an already-obtained measurement value for the ordered
     /// pair `(i, j)` through the proper algorithm (used by trace
     /// replay and by external transports that measure on their own).
+    ///
+    /// Under [`Loss::Ordinal`] a label outside the integers `1..=C` is
+    /// refused with [`DmfsgdError::Label`]; the drivers' unchecked path
+    /// trusts its provider, as it does for ±1 labels.
     pub fn apply_measurement(
         &mut self,
         i: NodeId,
@@ -444,6 +451,7 @@ impl Session {
         metric: Metric,
     ) -> Result<(), DmfsgdError> {
         self.check_pair(i, j)?;
+        self.config.sgd.loss.check_label(x)?;
         self.apply_unchecked(i, j, x, metric);
         Ok(())
     }
@@ -548,7 +556,8 @@ impl Session {
     /// UDP agents train thread-local copies and write them back here),
     /// crediting `applied` measurements to the session counter. The
     /// import is validated — id order, coordinate rank and finiteness
-    /// — so a buggy or hostile transport cannot corrupt the session.
+    /// — so a buggy transport cannot plant a shape error or a NaN;
+    /// coordinate magnitude is not checked.
     pub fn import_nodes(
         &mut self,
         nodes: Vec<DmfsgdNode>,
@@ -728,8 +737,8 @@ pub(crate) fn rank_scored(scored: &mut Vec<(NodeId, f64)>, top_k: usize) {
 
 /// Validates a remote RTT reply before it may touch a node: the reply
 /// coordinates `(u_j, v_j)` must have rank `rank`, and they and the
-/// measured class `x` must be finite — in that order, so a buggy or
-/// hostile peer cannot corrupt the node it updates. Shared by
+/// measured class `x` must be finite — in that order. No magnitude is
+/// bounded (see [`Session::apply_rtt_remote`]). Shared by
 /// [`Session::apply_rtt_remote`] and the lock-striped write path of
 /// `dmf-service`, so both reject the same replies with the same error.
 pub fn check_remote_reply(
@@ -1210,6 +1219,36 @@ mod tests {
             b().tau(-1.0).build().unwrap_err(),
             ConfigError::Tau { tau: -1.0 }
         );
+        for classes in [0, 1] {
+            assert_eq!(
+                b().loss(Loss::Ordinal { classes }).build().unwrap_err(),
+                ConfigError::Classes { classes }
+            );
+        }
+    }
+
+    #[test]
+    fn apply_measurement_refuses_a_label_outside_the_ordinal_classes() {
+        let loss = Loss::Ordinal { classes: 3 };
+        let mut session = Session::builder().nodes(20).loss(loss).build().unwrap();
+        let before = session.clone();
+        for x in [0.0, -1.0, 1.5, 4.0, f64::NAN, f64::INFINITY] {
+            let err = session.apply_measurement(0, 1, x, Metric::Rtt).unwrap_err();
+            assert!(
+                matches!(err, DmfsgdError::Label { loss: l, .. } if l == loss),
+                "{x}: {err:?}"
+            );
+        }
+        assert_eq!(
+            session.nodes(),
+            before.nodes(),
+            "a refused label trains nothing"
+        );
+        assert_eq!(session.measurements_used(), 0);
+        for x in [1.0, 2.0, 3.0] {
+            session.apply_measurement(0, 1, x, Metric::Abw).unwrap();
+        }
+        assert_eq!(session.measurements_used(), 3);
     }
 
     #[test]
@@ -1478,21 +1517,36 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
+        use crate::provider::MulticlassLabels;
         let d = meridian_like(40, 9);
         let cm = d.classify(d.median());
-        let mut provider = ClassLabelProvider::new(cm.clone());
-        let mut session = small_session(40, 10, 9);
-        session.run(40 * 80, &mut provider).expect("warmup");
-        session.leave(5).expect("leave");
+        let provider = |loss| -> Box<dyn MeasurementProvider> {
+            match loss {
+                Loss::Ordinal { classes } => Box::new(MulticlassLabels::quantiles(&d, classes)),
+                _ => Box::new(ClassLabelProvider::new(cm.clone())),
+            }
+        };
+        for loss in [Loss::Logistic, Loss::Ordinal { classes: 3 }] {
+            let mut p1 = provider(loss);
+            let mut session = Session::builder()
+                .nodes(40)
+                .loss(loss)
+                .seed(9)
+                .build()
+                .unwrap();
+            session.run(40 * 80, &mut *p1).expect("warmup");
+            session.leave(5).expect("leave");
 
-        let snap = session.snapshot();
-        let mut restored = Session::restore(&snap).expect("restore");
+            let snap = session.snapshot();
+            let mut restored = Session::restore(&snap).expect("restore");
+            assert_eq!(Snapshot::from_json(&snap.to_json()).as_ref(), Ok(&snap));
 
-        let mut p2 = ClassLabelProvider::new(cm);
-        session.run(40 * 40, &mut provider).expect("original");
-        restored.run(40 * 40, &mut p2).expect("restored");
-        assert_eq!(session.predicted_scores(), restored.predicted_scores());
-        assert_eq!(session.measurements_used(), restored.measurements_used());
+            let mut p2 = provider(loss);
+            session.run(40 * 40, &mut *p1).expect("original");
+            restored.run(40 * 40, &mut *p2).expect("restored");
+            assert_eq!(session.predicted_scores(), restored.predicted_scores());
+            assert_eq!(session.measurements_used(), restored.measurements_used());
+        }
     }
 
     #[test]

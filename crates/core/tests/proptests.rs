@@ -2,7 +2,6 @@
 
 use dmf_core::config::SgdParams;
 use dmf_core::coords::dot;
-use dmf_core::multiclass::OrdinalClassifier;
 use dmf_core::provider::ClassLabelProvider;
 use dmf_core::update::{local_objective, sgd_step};
 use dmf_core::{DmfsgdConfig, Loss, SessionBuilder};
@@ -10,6 +9,24 @@ use proptest::prelude::*;
 
 fn coords(rank: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-2.0f64..2.0, rank..=rank)
+}
+
+/// The ordinal losses the loss lists below add to the binary ones.
+const ORDINAL: [Loss; 3] = [
+    Loss::Ordinal { classes: 2 },
+    Loss::Ordinal { classes: 3 },
+    Loss::Ordinal { classes: 5 },
+];
+
+/// The label `loss` trains on for the sign `x`: `x` itself, or under
+/// an ordinal loss the extreme class on that side (`C` for +1, 1 for
+/// −1).
+fn label(loss: Loss, x: f64) -> f64 {
+    match loss {
+        Loss::Ordinal { classes } if x > 0.0 => f64::from(classes),
+        Loss::Ordinal { .. } => 1.0,
+        _ => x,
+    }
 }
 
 proptest! {
@@ -20,7 +37,8 @@ proptest! {
         x in prop_oneof![Just(1.0f64), Just(-1.0f64)],
         xhat in -50.0f64..50.0,
     ) {
-        for loss in [Loss::L2, Loss::Hinge, Loss::Logistic] {
+        for loss in [Loss::L2, Loss::Hinge, Loss::Logistic].into_iter().chain(ORDINAL) {
+            let x = label(loss, x);
             prop_assert!(loss.value(x, xhat) >= 0.0);
             prop_assert!(loss.value(x, xhat).is_finite());
             prop_assert!(loss.gradient_factor(x, xhat).is_finite());
@@ -34,8 +52,8 @@ proptest! {
     ) {
         // For classification losses, g·x ≤ 0: the step −η·g·v moves x̂
         // toward the sign of x (or not at all when the margin is met).
-        for loss in [Loss::Hinge, Loss::Logistic] {
-            let g = loss.gradient_factor(x, xhat);
+        for loss in [Loss::Hinge, Loss::Logistic].into_iter().chain(ORDINAL) {
+            let g = loss.gradient_factor(label(loss, x), xhat);
             prop_assert!(g * x <= 1e-12, "{loss:?}: g={g} x={x}");
         }
     }
@@ -46,7 +64,8 @@ proptest! {
         fixed in coords(6),
         x in prop_oneof![Just(1.0f64), Just(-1.0f64)],
     ) {
-        for loss in [Loss::L2, Loss::Logistic] {
+        for loss in [Loss::L2, Loss::Logistic].into_iter().chain(ORDINAL) {
+            let x = label(loss, x);
             let p = SgdParams { eta: 0.005, lambda: 0.1, loss };
             let mut u = updated.clone();
             let before = local_objective(&u, &fixed, x, &p);
@@ -95,18 +114,18 @@ proptest! {
 
     #[test]
     fn ordinal_classifier_consistent(
-        classes in 2usize..8,
+        classes in 2u8..8,
         score in -10.0f64..10.0,
     ) {
-        let clf = OrdinalClassifier::equally_spaced(classes, Loss::Logistic);
-        let predicted = clf.predict_class(score);
-        prop_assert!((1..=classes).contains(&predicted));
+        let loss = Loss::Ordinal { classes };
+        let predicted = loss.class_of_score(score);
+        prop_assert!((1.0..=f64::from(classes)).contains(&predicted));
         // The predicted class is (weakly) the cheapest under the loss
         // among all classes — up to boundary ties.
-        let own_loss = clf.loss_value(predicted, score);
-        for c in 1..=classes {
+        let own_loss = loss.value(predicted, score);
+        for c in (1..=classes).map(f64::from) {
             prop_assert!(
-                own_loss <= clf.loss_value(c, score) + 1e-9,
+                own_loss <= loss.value(c, score) + 1e-9,
                 "class {c} cheaper than predicted {predicted} at score {score}"
             );
         }
@@ -114,13 +133,13 @@ proptest! {
 
     #[test]
     fn ordinal_prediction_monotone_in_score(
-        classes in 2usize..8,
+        classes in 2u8..8,
         s1 in -10.0f64..10.0,
         s2 in -10.0f64..10.0,
     ) {
-        let clf = OrdinalClassifier::equally_spaced(classes, Loss::Logistic);
+        let loss = Loss::Ordinal { classes };
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        prop_assert!(clf.predict_class(lo) <= clf.predict_class(hi));
+        prop_assert!(loss.class_of_score(lo) <= loss.class_of_score(hi));
     }
 
     #[test]

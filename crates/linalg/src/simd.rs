@@ -8,7 +8,7 @@
 //! serial — each fma waits on the previous one — so it cannot be
 //! vectorized without changing the rounding order, and at rank 10 it
 //! left the SGD and score-evaluation hot paths latency-bound. This PR
-//! re-pins the contract *once, deliberately* (as ROADMAP item 3
+//! re-pins the contract *once, deliberately* (as the ROADMAP's SIMD item
 //! anticipated) to the **lane-split-4** order, which every dispatch
 //! path below reproduces bit for bit:
 //!

@@ -2,8 +2,8 @@
 //!
 //! Fleet observability for DMFSGD deployments: the layer that turns
 //! "simulation passes CI" into "service you could page someone for".
-//! ROADMAP item 5; the operator-facing contract lives in
-//! `docs/operations.md`.
+//! The ROADMAP's observability goal; the operator-facing contract
+//! lives in `docs/operations.md`.
 //!
 //! * [`registry`] — typed metric handles ([`Counter`], [`Gauge`],
 //!   [`Histogram`]) behind a [`Registry`]. Updates are single relaxed

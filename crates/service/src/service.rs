@@ -151,7 +151,8 @@ impl PredictionService {
     }
 
     /// Harness-only shim, kept because `benchmark/src/serve.rs` reads
-    /// it (ROADMAP item 4(d) removes both): per-stripe counts of
+    /// it (the ROADMAP's "staleness and harness-only code" item removes
+    /// both): per-stripe counts of
     /// applied updates in the shape the deleted update queue reported.
     pub fn worker_stats(&self) -> Vec<WorkerStatsSnapshot> {
         self.stripes
