@@ -170,8 +170,7 @@ impl Vivaldi {
             })
             .collect();
         assert!(!errs.is_empty(), "empty dataset");
-        errs.sort_by(|a, b| a.partial_cmp(b).expect("NaN error"));
-        dmf_linalg::stats::percentile_of_sorted(&errs, 50.0)
+        dmf_linalg::stats::percentile_in_place(&mut errs, 50.0)
     }
 }
 

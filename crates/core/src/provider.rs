@@ -215,7 +215,7 @@ impl MulticlassLabels {
     /// (`2..=250`) equal-mass classes.
     pub fn quantiles(dataset: &Dataset, classes: u8) -> Self {
         assert!((2..=250).contains(&classes), "class count out of range");
-        let observed = dataset.observed_values();
+        let mut observed = dataset.observed_values();
         // Quality-ascending boundaries: for RTT high values are *worse*,
         // so boundaries run from high to low quantiles.
         let boundaries: Vec<f64> = (1..classes)
@@ -223,7 +223,7 @@ impl MulticlassLabels {
                 let portion = f64::from(k) / f64::from(classes);
                 // Portion of paths at least this good.
                 let p = dataset.metric.percentile_for_good_portion(1.0 - portion);
-                dmf_linalg::stats::percentile(&observed, p)
+                dmf_linalg::stats::percentile_in_place(&mut observed, p)
             })
             .collect();
         let n = dataset.len();

@@ -3,7 +3,7 @@
 
 use crate::class::ClassMatrix;
 use crate::Metric;
-use dmf_linalg::stats::{percentile, Summary};
+use dmf_linalg::stats::{percentile_in_place, Summary};
 use dmf_linalg::{Mask, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -74,14 +74,14 @@ impl Dataset {
 
     /// Median of the observed values — the paper's default `τ`.
     pub fn median(&self) -> f64 {
-        dmf_linalg::stats::median(&self.observed_values())
+        percentile_in_place(&mut self.observed_values(), 50.0)
     }
 
     /// `τ` that makes the requested fraction of observed paths "good"
     /// (Table 1's percentile sweep).
     pub fn tau_for_good_portion(&self, portion: f64) -> f64 {
         let p = self.metric.percentile_for_good_portion(portion);
-        percentile(&self.observed_values(), p)
+        percentile_in_place(&mut self.observed_values(), p)
     }
 
     /// Summary statistics of observed values (used for calibration

@@ -73,8 +73,7 @@ impl DynamicTrace {
             for j in 0..n {
                 let s = &mut streams[i * n + j];
                 if i != j && !s.is_empty() {
-                    s.sort_by(|a, b| a.partial_cmp(b).expect("NaN measurement"));
-                    values[(i, j)] = dmf_linalg::stats::percentile_of_sorted(s, 50.0);
+                    values[(i, j)] = dmf_linalg::stats::percentile_in_place(s, 50.0);
                     mask.set(i, j, true);
                 }
             }

@@ -389,7 +389,7 @@ impl Scenario {
                 stationary.push(topology.base_rtt(i, j) * noise[(i, j)]);
             }
         }
-        let median = dmf_linalg::stats::median(&stationary);
+        let median = dmf_linalg::stats::percentile_in_place(&mut stationary, 50.0);
         assert!(median > 0.0, "degenerate topology: zero median RTT");
         let calibration = spec.rtt.target_median_ms / median;
 

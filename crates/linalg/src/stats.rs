@@ -2,7 +2,11 @@
 //!
 //! Percentiles drive the paper's classification thresholds (`τ` is set
 //! to the median of each dataset by default; Table 1 sweeps the 10th to
-//! 90th percentiles). `rand` 0.8 ships no normal distribution, so the
+//! 90th percentiles). A percentile selects its two order statistics
+//! (`select_nth_unstable`, then the minimum of the part above) instead
+//! of sorting, so it costs O(n): [`percentile_in_place`] reorders a
+//! buffer the caller owns, and [`percentile`] / [`median`] copy their
+//! input first. `rand` 0.8 ships no normal distribution, so the
 //! Box–Muller transform lives here and is reused by the dataset
 //! generators for log-normal RTT jitter.
 
@@ -30,33 +34,49 @@ pub fn std_dev(values: &[f64]) -> f64 {
     variance(values).sqrt()
 }
 
-/// Percentile with linear interpolation between order statistics
-/// (the "exclusive" convention used by most numeric packages).
+/// Percentile with linear interpolation between order statistics:
+/// the inclusive convention, rank `p/100 · (n − 1)` (R's type 7,
+/// numpy's default), so `p = 0` is the minimum and `p = 100` the
+/// maximum.
 ///
-/// `p` is in `[0, 100]`.
+/// `p` is in `[0, 100]`. Copies `values`; see [`percentile_in_place`].
 ///
 /// # Panics
-/// Panics on an empty slice or `p` outside `[0, 100]`.
+/// Panics on an empty slice, on `p` outside `[0, 100]` and on a NaN in
+/// `values`.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    percentile_of_sorted(&sorted, p)
+    percentile_in_place(&mut values.to_vec(), p)
 }
 
-/// Percentile of an already-sorted slice (ascending).
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
+/// [`percentile`] without the copy: reorders `values` (it is left
+/// partitioned around the lower order statistic) and returns the same
+/// bits a sort would give. Selection finds `s[lo]`, the minimum of the
+/// part above it is `s[hi]`, and `s[lo] + (s[hi] − s[lo])·frac` gives
+/// +0.0 for tied zeros of either sign, as it does after a sort.
+///
+/// # Panics
+/// As [`percentile`].
+pub fn percentile_in_place(values: &mut [f64], p: f64) -> f64 {
+    assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    if sorted.len() == 1 {
-        return sorted[0];
+    assert!(
+        !values.iter().any(|v| v.is_nan()),
+        "NaN in percentile input"
+    );
+    if values.len() == 1 {
+        return values[0];
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (values.len() - 1) as f64;
     let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    let (_, &mut s_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    // `frac > 0` means `hi = lo + 1`, which `above` then holds.
+    let s_hi = if frac > 0.0 {
+        above.iter().copied().fold(f64::INFINITY, f64::min)
+    } else {
+        s_lo
+    };
+    s_lo + (s_hi - s_lo) * frac
 }
 
 /// Median (50th percentile).
@@ -172,6 +192,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn percentile_range_checked() {
         percentile(&[1.0], 101.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_refuses_a_lone_nan() {
+        percentile(&[f64::NAN], 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_refuses_nan_among_values() {
+        percentile(&[3.0, 1.0, f64::NAN, 2.0, 5.0], 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use dmf_linalg::decomp::{effective_rank, normalized_spectrum, qr};
-use dmf_linalg::stats::{percentile, percentile_of_sorted};
+use dmf_linalg::stats::{median, percentile, percentile_in_place};
 use dmf_linalg::svd::jacobi_svd;
 use dmf_linalg::Matrix;
 use proptest::prelude::*;
@@ -13,8 +13,76 @@ fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// The sort-based percentile the library's selection replaced, kept as
+/// the reference: stable sort, then interpolate between `s[lo]` and
+/// `s[hi]`.
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
+
+fn sorted_reference(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    percentile_of_sorted(&sorted, p)
+}
+
+/// Heavily tied values: a handful of levels (both signed zeros and
+/// extreme magnitudes among them) plus a continuous range.
+fn tied_values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+    let level = prop_oneof![
+        Just(0.0f64),
+        Just(-0.0f64),
+        Just(1.0f64),
+        Just(-1.0f64),
+        Just(2.5f64),
+        Just(1e300f64),
+        Just(-1e-300f64),
+        -10.0f64..10.0,
+    ];
+    proptest::collection::vec(level, 1..=max_len)
+}
+
+/// Percentiles at both ends, at the quartiles and anywhere between.
+fn any_p() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0f64),
+        Just(100.0f64),
+        Just(50.0f64),
+        Just(25.0f64),
+        0.0f64..=100.0,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn percentile_selection_matches_sort_bitwise(
+        values in prop_oneof![tied_values(2), tied_values(300)],
+        p in any_p(),
+    ) {
+        let want = sorted_reference(&values, p).to_bits();
+        prop_assert_eq!(percentile(&values, p).to_bits(), want);
+        let mut buf = values.clone();
+        prop_assert_eq!(percentile_in_place(&mut buf, p).to_bits(), want);
+        // Reordered, not changed: a second selection on the same buffer
+        // agrees too, and the buffer holds the same values bit for bit.
+        prop_assert_eq!(percentile_in_place(&mut buf, p).to_bits(), want);
+        let bits = |v: &[f64]| {
+            let mut b: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+            b.sort_unstable();
+            b
+        };
+        prop_assert_eq!(bits(&buf), bits(&values));
+        prop_assert_eq!(median(&values).to_bits(), sorted_reference(&values, 50.0).to_bits());
+    }
 
     #[test]
     fn transpose_is_involution(m in small_matrix(8)) {

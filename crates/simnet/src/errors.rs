@@ -154,12 +154,11 @@ pub fn calibrate_delta(dataset: &Dataset, tau: f64, target_error: f64, kind: Ban
     match kind {
         BandErrorKind::FlipNearTau => {
             let mut gaps: Vec<f64> = observed.iter().map(|&v| (v - tau).abs()).collect();
-            gaps.sort_by(|a, b| a.partial_cmp(b).expect("NaN value"));
             let want = ((2.0 * target_error) * n).round() as usize;
             if want == 0 {
                 return 0.0;
             }
-            gaps[want.min(gaps.len()) - 1]
+            nth_smallest(&mut gaps, want.min(observed.len()) - 1)
         }
         BandErrorKind::UnderestimationBias => {
             let mut gaps: Vec<f64> = observed
@@ -167,7 +166,6 @@ pub fn calibrate_delta(dataset: &Dataset, tau: f64, target_error: f64, kind: Ban
                 .map(|&v| good_side_gap(dataset.metric, tau, v))
                 .filter(|&g| g > 0.0)
                 .collect();
-            gaps.sort_by(|a, b| a.partial_cmp(b).expect("NaN value"));
             let want = (target_error * n).round() as usize;
             if want == 0 {
                 return 0.0;
@@ -178,9 +176,17 @@ pub fn calibrate_delta(dataset: &Dataset, tau: f64, target_error: f64, kind: Ban
                 gaps.len(),
                 n
             );
-            gaps[want - 1]
+            nth_smallest(&mut gaps, want - 1)
         }
     }
+}
+
+/// The value a full ascending sort would put at index `k`, by
+/// selection.
+fn nth_smallest(values: &mut [f64], k: usize) -> f64 {
+    *values
+        .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("NaN value"))
+        .1
 }
 
 /// Maps an overall target error level to the `fraction_of_good`

@@ -241,12 +241,15 @@ impl Deserialize for NeighborSets {
 /// (partial Fisher–Yates over the allowed pool).
 ///
 /// The pool is *virtual*: position `p` holds the `p`-th element of
-/// `(0..n) \\ excluded` until a swap displaces it, and only displaced
-/// positions are stored (in a small sorted map). This keeps the draw
-/// sequence — and therefore every sampled set — bit-identical to a
-/// materialized partial Fisher–Yates while costing O(k²) instead of
-/// O(n) per call, which is what makes building 100k-node neighbor
-/// tables (n calls of this) linear in n rather than quadratic.
+/// `(0..n) \\ excluded` until a swap displaces it. Draw `i` swaps
+/// position `i` with a random `j ≥ i`, so positions `0..k` are all
+/// visited and are held outright (they end up as the sample); the at
+/// most `k` displaced positions `≥ k` sit in a short list searched
+/// linearly. This keeps the draw sequence — and therefore every
+/// sampled set — bit-identical to a materialized partial Fisher–Yates
+/// while costing O(k²) instead of O(n) per call, which is what makes
+/// building 100k-node neighbor tables (n calls of this) linear in n
+/// rather than quadratic.
 fn sample_distinct(n: usize, k: usize, excluded: &[usize], rng: &mut impl Rng) -> Vec<usize> {
     let mut ex: Vec<usize> = excluded.iter().copied().filter(|&x| x < n).collect();
     ex.sort_unstable();
@@ -265,29 +268,29 @@ fn sample_distinct(n: usize, k: usize, excluded: &[usize], rng: &mut impl Rng) -
         }
         v
     };
-    // Displaced positions, sorted by position (≤ 2k entries, so a
-    // flat Vec beats a hash map and stays deterministic).
+    // At most `k` entries. The capacity of `2k` is that of the sorted
+    // map this list replaced, so the sampler's allocations keep their
+    // sizes and order: with `k`, glibc placed later allocations so that
+    // the serving benchmarks kept ≈ 15 MB more resident after set-up.
     let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(2 * k);
-    let read = |displaced: &Vec<(usize, usize)>, p: usize| match displaced
-        .binary_search_by_key(&p, |&(pos, _)| pos)
-    {
-        Ok(idx) => displaced[idx].1,
-        Err(_) => nth(p),
-    };
-    let mut out = Vec::with_capacity(k);
+    let mut head: Vec<usize> = (0..k).map(nth).collect();
     for i in 0..k {
         let j = rng.gen_range(i..pool_len);
-        let vi = read(&displaced, i);
-        let vj = read(&displaced, j);
-        for (p, v) in [(i, vj), (j, vi)] {
-            match displaced.binary_search_by_key(&p, |&(pos, _)| pos) {
-                Ok(idx) => displaced[idx].1 = v,
-                Err(idx) => displaced.insert(idx, (p, v)),
+        let vi = head[i];
+        if j < k {
+            head[i] = head[j];
+            head[j] = vi;
+        } else {
+            match displaced.iter_mut().find(|(pos, _)| *pos == j) {
+                Some((_, vj)) => head[i] = std::mem::replace(vj, vi),
+                None => {
+                    head[i] = nth(j);
+                    displaced.push((j, vi));
+                }
             }
         }
-        out.push(vj);
     }
-    out
+    head
 }
 
 #[cfg(test)]
@@ -335,6 +338,13 @@ mod tests {
                 (13, 12, vec![]),
                 (50, 10, vec![3, 17, 40, 49]),
                 (257, 32, vec![0, 256]),
+                // n close to k: most draws swap two held positions.
+                (9, 8, vec![]),
+                (24, 20, vec![5, 5, 23]),
+                // Many exclusions, unsorted and out of range too, as
+                // `disjoint_peer_sets` passes a neighbor row plus self.
+                (100, 25, (20..98).rev().step_by(2).chain([7, 300]).collect()),
+                (40, 12, vec![39, 3, 11, 28, 0, 17, 25, 6, 33, 14, 21, 9]),
             ] {
                 let mut a = ChaCha8Rng::seed_from_u64(seed);
                 let mut b = ChaCha8Rng::seed_from_u64(seed);
