@@ -8,9 +8,9 @@
 //! congestion, routing changes, partition + loss, churn under drift —
 //! is executed end-to-end on the simulated network: the harness cuts
 //! the timeline at every condition transition and window boundary,
-//! re-embeds the delay table, injects impairments, drives membership
-//! through `Session::join`/`leave`, and scores the session per window
-//! with [`dmf_eval::window`]. The result is a schema-stable
+//! swaps the network's delay function, injects impairments, drives
+//! membership through `Session::join`/`leave`, and scores the session
+//! per window with [`dmf_eval::window`]. The result is a schema-stable
 //! [`QualityReport`] (`QUALITY.json`) with per-scenario, per-window
 //! AUC/accuracy and a pinned AUC floor per scenario — the quality
 //! counterpart of the speed numbers `benchmark/` produces.
@@ -32,8 +32,9 @@ use dmf_eval::window::window_stats;
 use dmf_eval::ScoredLabel;
 use dmf_linalg::Matrix;
 use dmf_proto::WireVersion;
-use dmf_simnet::NetConfig;
+use dmf_simnet::{NetConfig, SimNet};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Bump when the `QUALITY.json` layout changes incompatibly (the CI
 /// gate and comparison scripts key on this).
@@ -298,7 +299,7 @@ fn alive_scores(session: &Session, classes: &ClassMatrix, scores: &Matrix) -> Ve
 
 /// Runs one scenario end-to-end and scores it per window.
 pub fn run_case(case: &ScenarioCase) -> ScenarioQuality {
-    let scenario = Scenario::realize(case.spec.clone());
+    let scenario = Arc::new(Scenario::realize(case.spec.clone()));
     let n = scenario.nodes();
     let gt0 = scenario.ground_truth_at(0.0);
     // τ is pinned to the *stationary* median: conditions later move
@@ -310,17 +311,21 @@ pub fn run_case(case: &ScenarioCase) -> ScenarioQuality {
         .tau(tau)
         .build()
         .expect("scenario population is valid");
-    let mut driver = SimnetDriver::new(
-        &session,
-        gt0.clone(),
+    // The net asks the scenario for each leg's delay: it holds no
+    // per-pair state, and the truth as a matrix is for scoring only.
+    let net = SimNet::from_delay_fn(
+        n,
         NetConfig {
             seed: case.spec.seed,
             ..NetConfig::default()
         },
-    )
-    .expect("scenario substrate matches the session")
-    .with_probe_interval(PROBE_INTERVAL_S)
-    .expect("positive probe interval");
+        scenario.one_way_delay_fn(0.0),
+    );
+    let mut driver = SimnetDriver::from_net(&session, net)
+        .expect("scenario substrate matches the session")
+        .with_probe_interval(PROBE_INTERVAL_S)
+        .expect("positive probe interval");
+    assert_eq!(driver.net().table_bytes(), 0, "no per-pair delay state");
     if let Some(version) = case.wire {
         driver = driver.with_wire_version(version);
     }
@@ -333,8 +338,8 @@ pub fn run_case(case: &ScenarioCase) -> ScenarioQuality {
     }
 
     // Cut the timeline at every window end and condition transition,
-    // so piecewise-constant approximations (delay tables, loss levels)
-    // never straddle a change.
+    // so piecewise-constant approximations (delay functions, loss
+    // levels) never straddle a change.
     let mut cuts: Vec<f64> = (0..scenario.window_count())
         .map(|w| scenario.window_bounds(w).1)
         .collect();
@@ -381,10 +386,9 @@ pub fn run_case(case: &ScenarioCase) -> ScenarioQuality {
         // The driver was constructed on the t = 0 truth; re-embed only
         // across segments where some condition actually moved it.
         if t0 > 0.0 && scenario.truth_changes_between(last_refresh_t, t0) {
+            driver.set_delay_fn(scenario.one_way_delay_fn(t0));
+            assert_eq!(driver.net().table_bytes(), 0, "no per-pair delay state");
             current_gt = scenario.ground_truth_at(t0);
-            driver
-                .update_rtt_ground_truth(current_gt.clone())
-                .expect("scenario truth matches the population");
             last_refresh_t = t0;
         }
 
@@ -477,6 +481,34 @@ mod tests {
                 "loss-wire-v2",
             ]
         );
+    }
+
+    /// What the net measures is what windows are scored against: for
+    /// every tracked spec, at t = 0 and at every transition, the delay
+    /// function gives each ordered pair the `f32` one-way delay a table
+    /// read from the ground truth would hold, to the bit.
+    #[test]
+    fn delay_fn_equals_ground_truth_table_bit_for_bit() {
+        for case in registry(&Scale::quick()) {
+            let scenario = Arc::new(Scenario::realize(case.spec.clone()));
+            let n = scenario.nodes();
+            let instants = std::iter::once(0.0).chain(scenario.transition_times());
+            for t in instants {
+                let delay_s = scenario.one_way_delay_fn(t);
+                let truth = scenario.ground_truth_at(t);
+                for i in 0..n {
+                    for j in (0..n).filter(|&j| j != i) {
+                        let table = (truth.values[(i, j)] / 2.0 / 1000.0) as f32;
+                        assert_eq!(
+                            (delay_s(i, j) as f32).to_bits(),
+                            table.to_bits(),
+                            "{} at t = {t}: pair ({i}, {j})",
+                            case.spec.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! anyone matching on it.
 
 use crate::loss::Loss;
-use dmf_datasets::Metric;
 use dmf_simnet::NetConfig;
 use std::fmt;
 
@@ -202,23 +201,6 @@ pub enum ConfigError {
         /// Requested shard count.
         shards: usize,
     },
-    /// A ground-truth update requires a specific metric on both the
-    /// driver and the offered dataset (delay re-embedding is
-    /// RTT-only); `got` is whichever side violated it.
-    MetricMismatch {
-        /// The metric the operation requires.
-        expected: Metric,
-        /// The offending metric (the driver's when it is not
-        /// RTT-backed, otherwise the offered dataset's).
-        got: Metric,
-    },
-    /// Re-embedding a dense RTT truth needs the dense layout: on a
-    /// k-island net the truth's cross-island pairs have no table to
-    /// land in (they travel at the default delay).
-    DenseLayout {
-        /// Islands of the net asked to re-embed.
-        islands: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -280,19 +262,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::Shards { n, shards } => {
                 write!(f, "cannot partition {n} nodes into {shards} shards")
-            }
-            ConfigError::MetricMismatch { expected, got } => {
-                write!(
-                    f,
-                    "ground-truth update requires metric {expected:?}, got {got:?}"
-                )
-            }
-            ConfigError::DenseLayout { islands } => {
-                write!(
-                    f,
-                    "re-embedding a dense RTT truth needs the one-island layout, \
-                     not {islands} islands"
-                )
             }
         }
     }

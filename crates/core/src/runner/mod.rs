@@ -257,10 +257,13 @@ impl SimnetDriver {
     /// from the session (set it via
     /// [`SessionBuilder::tau`](crate::session::SessionBuilder::tau)).
     ///
-    /// An RTT dataset becomes the dense layout's delay table
-    /// ([`SimNet::from_rtt_dataset`]) and is not kept; an ABW dataset
-    /// is the truth the targets measure, and its messages travel at a
-    /// uniform control-plane delay.
+    /// An RTT dataset becomes the dense layout's delay function, over
+    /// an `f32` table the net owns ([`SimNet::from_rtt_dataset`]); the
+    /// dataset is not kept. An ABW dataset is the truth the targets
+    /// measure, and its messages travel at a uniform control-plane
+    /// delay. A scenario that re-embeds its truth builds the net itself
+    /// over a delay function ([`from_net`](Self::from_net)) and swaps
+    /// it ([`set_delay_fn`](Self::set_delay_fn)).
     pub fn new(
         session: &Session,
         dataset: Dataset,
@@ -357,8 +360,8 @@ impl SimnetDriver {
         self.net.now()
     }
 
-    /// The underlying transport (island layout, network stats, delay
-    /// table memory accounting).
+    /// The underlying transport (island layout, network stats, the
+    /// bytes of per-pair delay state it holds).
     pub fn net(&self) -> &SimNet<Msg> {
         &self.net
     }
@@ -375,8 +378,10 @@ impl SimnetDriver {
     //
     // Non-stationary scenarios mutate the transport mid-run: loss
     // epochs, partitions, stragglers, and ground-truth re-embeddings
-    // (drift, congestion). Each hook validates here and forwards to
-    // the simnet layer, so the scenario harness never trips a panic.
+    // (drift, congestion). Each hook validates its arguments here and
+    // forwards to the simnet layer, so the scenario harness never
+    // trips a simnet assertion; a delay function is the one argument
+    // that cannot be checked. Every hook works on either layout.
 
     /// Replaces the message-loss probability (scenario loss epochs).
     pub fn set_loss_probability(&mut self, probability: f64) -> Result<(), DmfsgdError> {
@@ -447,40 +452,16 @@ impl SimnetDriver {
         Ok(())
     }
 
-    /// Re-embeds the network on a new RTT ground truth (drift or
-    /// congestion stepped the real delays): the net's delays are
-    /// replaced by a dense table of the new truth, so every message
-    /// sent from now on — and therefore every measured RTT — reflects
-    /// it. Messages already in flight keep the delay they departed
-    /// with. Needs the dense layout ([`ConfigError::DenseLayout`]).
-    pub fn update_rtt_ground_truth(&mut self, dataset: Dataset) -> Result<(), DmfsgdError> {
-        // Re-embedding needs an RTT driver and an RTT truth: an ABW
-        // driver's delays are a control plane, and a non-RTT truth
-        // defines none. The error names whichever side is not RTT
-        // (the driver first).
-        let offender = [self.metric(), dataset.metric]
-            .into_iter()
-            .find(|&m| m != Metric::Rtt);
-        if let Some(got) = offender {
-            return Err(ConfigError::MetricMismatch {
-                expected: Metric::Rtt,
-                got,
-            }
-            .into());
-        }
-        if dataset.len() != self.net.len() {
-            return Err(MembershipError::ProviderMismatch {
-                provider: dataset.len(),
-                session: self.net.len(),
-            }
-            .into());
-        }
-        let islands = self.net.islands();
-        if islands > 1 {
-            return Err(ConfigError::DenseLayout { islands }.into());
-        }
-        self.net.set_one_way_delays_from_rtt(&dataset);
-        Ok(())
+    /// Re-embeds the network (drift or congestion moved the real
+    /// delays): every leg sent from now on — and therefore every
+    /// measured RTT — takes its one-way delay from `delay_s`, with
+    /// [`SimNet::from_delay_fn`]'s contract (seconds, pure, rounded
+    /// through `f32`). Legs already in flight keep the delay they
+    /// departed with, and cross-island legs of a k-island net keep the
+    /// default delay. Nothing can be checked up front: the function
+    /// must return finite, non-negative seconds for every pair.
+    pub fn set_delay_fn(&mut self, delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static) {
+        self.net.set_delay_fn(delay_s);
     }
 
     /// Runs the protocol until simulated time `deadline_s`, starting
@@ -717,6 +698,8 @@ mod tests {
     use dmf_proto::codec::encode_v2_into;
     use dmf_proto::{EncoderContext, MessageV2};
     use dmf_simnet::ShardedSimNet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn sign_accuracy(runner: &SimnetRunner, class: &dmf_datasets::ClassMatrix) -> f64 {
         let mut ok = 0usize;
@@ -1199,21 +1182,6 @@ mod tests {
             driver.set_delay_factor(99, 2.0).unwrap_err(),
             DmfsgdError::Membership(MembershipError::UnknownNode { .. })
         ));
-        assert!(matches!(
-            driver
-                .update_rtt_ground_truth(meridian_like(10, 1))
-                .unwrap_err(),
-            DmfsgdError::Membership(MembershipError::ProviderMismatch {
-                provider: 10,
-                session: 20
-            })
-        ));
-        assert!(matches!(
-            driver
-                .update_rtt_ground_truth(hps3_like(20, 1))
-                .unwrap_err(),
-            DmfsgdError::Config(ConfigError::MetricMismatch { .. })
-        ));
         let mut abw_session = Session::builder()
             .nodes(20)
             .k(6)
@@ -1223,18 +1191,14 @@ mod tests {
             .expect("valid");
         let mut abw_driver =
             SimnetDriver::new(&abw_session, hps3_like(20, 2), NetConfig::default()).expect("valid");
-        assert!(matches!(
-            abw_driver
-                .update_rtt_ground_truth(meridian_like(20, 1))
-                .unwrap_err(),
-            DmfsgdError::Config(ConfigError::MetricMismatch { .. })
-        ));
-        // The happy paths still drive the protocol.
+        // The happy paths still drive the protocol; a delay function
+        // has nothing to validate, and either metric takes one.
         driver.set_loss_probability(0.1).expect("valid p");
         driver.set_partition(&[0, 1]).expect("valid island");
         driver.clear_partition();
         driver.set_delay_factor(0, 2.0).expect("valid factor");
-        driver.update_rtt_ground_truth(d).expect("same truth");
+        driver.set_delay_fn(move |i, j| d.values[(i, j)] / 2.0 / 1000.0);
+        abw_driver.set_delay_fn(|_, _| 0.02);
         driver.run_until(&mut session, 10.0).expect("runs");
         abw_driver.run_until(&mut abw_session, 10.0).expect("runs");
     }
@@ -1262,9 +1226,7 @@ mod tests {
         let mut congested = d;
         congested.scale_values(2.5); // most paths now classify "bad" at τ
         let new_classes = congested.classify(tau);
-        driver
-            .update_rtt_ground_truth(congested)
-            .expect("same shape");
+        driver.set_delay_fn(move |i, j| congested.values[(i, j)] / 2.0 / 1000.0);
         let accuracy = |session: &Session, cm: &dmf_datasets::ClassMatrix| {
             let mut ok = 0usize;
             let mut total = 0usize;
@@ -1768,22 +1730,22 @@ mod tests {
     }
 
     #[test]
-    fn re_embedding_a_k_island_net_is_a_typed_error() {
+    fn re_embedding_a_k_island_net_runs() {
         let mut s = session(24, 3);
-        let truth = meridian_like(24, 3);
         let net = ShardedSimNet::uniform(24, 4, 0.02, quiet(0));
         let mut driver = SimnetDriver::from_net(&s, net).unwrap();
-        assert!(matches!(
-            driver.update_rtt_ground_truth(truth.clone()).unwrap_err(),
-            DmfsgdError::Config(ConfigError::DenseLayout { islands: 4 })
-        ));
-        assert_eq!(driver.net().table_bytes(), 0, "the net is untouched");
         assert!(driver.run_until(&mut s, 5.0).unwrap() > 0);
-        // One island is the dense layout: the truth's table takes the
-        // delay function's place.
-        let net = ShardedSimNet::uniform(24, 1, 0.02, quiet(0));
-        let mut dense = SimnetDriver::from_net(&s, net).unwrap();
-        dense.update_rtt_ground_truth(truth).expect("one island");
-        assert_eq!(dense.net().table_bytes(), 24 * 24 * 4);
+        // The swap takes: the new function is asked for intra-island
+        // legs (islands of 6 ids) and never for cross-island ones.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        driver.set_delay_fn(move |i, j| {
+            assert_eq!(i / 6, j / 6, "asked for a cross-island leg");
+            counter.fetch_add(1, Ordering::Relaxed);
+            0.03
+        });
+        assert_eq!(driver.net().table_bytes(), 0);
+        assert!(driver.run_until(&mut s, 10.0).unwrap() > 0);
+        assert!(calls.load(Ordering::Relaxed) > 0, "the new function runs");
     }
 }

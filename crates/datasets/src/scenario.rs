@@ -18,7 +18,7 @@
 //!
 //! The split keeps layers honest: this module owns *what the network
 //! is doing* (pure data, seedable, serde-serializable), the simnet
-//! layer owns *how messages experience it* (delay tables, drop
+//! layer owns *how messages experience it* (delay functions, drop
 //! filters), and the harness in `dmf-bench` stitches the two together
 //! window by window to measure prediction quality under each regime.
 //!
@@ -38,6 +38,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One network condition composed onto the scenario timeline.
 ///
@@ -758,8 +759,7 @@ impl Scenario {
     /// median `spec.rtt.target_median_ms`.
     pub fn ground_truth_at(&self, t: f64) -> Dataset {
         let n = self.nodes();
-        // One drifted position per node, not one per pair.
-        let pos: Vec<(f64, f64)> = (0..n).map(|i| self.node_pos_at(i, t)).collect();
+        let pos = self.positions_at(t);
         let mut values = Matrix::zeros(n, n);
         for i in 0..n {
             for j in (i + 1)..n {
@@ -774,6 +774,31 @@ impl Scenario {
             values,
             Mask::full_off_diagonal(n),
         )
+    }
+
+    /// The one-way delay (seconds) of every ordered pair at time `t`,
+    /// as a function a simulated network evaluates per leg
+    /// (`dmf_simnet::SimNet::from_delay_fn` and `set_delay_fn`): half
+    /// the pair's RTT, by the same expression and pair order as
+    /// [`ground_truth_at`](Self::ground_truth_at)`(t)`'s entry, so
+    /// `f(i, j)` is that entry `/ 2 / 1000` to the bit. It captures the
+    /// `n` positions at `t` and the scenario, and no per-pair state.
+    pub fn one_way_delay_fn(
+        self: &Arc<Self>,
+        t: f64,
+    ) -> impl Fn(usize, usize) -> f64 + Send + Sync + 'static {
+        let pos = self.positions_at(t);
+        let scenario = Arc::clone(self);
+        move |i, j| {
+            let (a, b) = (i.min(j), i.max(j));
+            scenario.rtt_from_positions(a, b, pos[a], pos[b], t) / 2.0 / 1000.0
+        }
+    }
+
+    /// Every node's position at `t`: one drifted position per node,
+    /// not one per pair.
+    fn positions_at(&self, t: f64) -> Vec<(f64, f64)> {
+        (0..self.nodes()).map(|i| self.node_pos_at(i, t)).collect()
     }
 
     // ---- impairments and membership ---------------------------------

@@ -14,9 +14,10 @@
 //!   a delay function, with jitter, optional packet loss (fault
 //!   injection in the spirit of the smoltcp examples), partitions and
 //!   stragglers, over islands of one RNG stream each sharing one event
-//!   queue. Its own constructors build the dense layout (one island);
-//!   only a measured RTT truth is stored as an `n × n` table — a
-//!   function-backed net stores no per-pair state.
+//!   queue, and one delay function that a scenario swaps mid-run. Its
+//!   own constructors build the dense layout (one island); only a
+//!   measured RTT truth is an `n × n` table, which its function owns —
+//!   any other net stores no per-pair state.
 //! * [`probe`] — measurement tools: a ping-style RTT prober, a
 //!   pathload-style binary ABW class prober (UDP train at rate `τ`:
 //!   congestion or not), and a pathchirp-style coarse quantity prober

@@ -13,9 +13,11 @@
 //! per-leg loss draw, straggler factor, jitter draw, the in-flight
 //! accounting — is written here once, over a population stored as
 //! contiguous *islands* (an RNG stream each) sharing one event queue
-//! and one delay source. The source is either the caller's delay
-//! function, evaluated when an intra-island leg is sent, or — for a
-//! measured RTT truth — a dense `n × n` table. The constructors on
+//! and one delay source: a function of global ids, evaluated when an
+//! intra-island leg is sent, which a scenario swaps mid-run
+//! ([`SimNet::set_delay_fn`]) when the network under the nodes moves.
+//! A measured RTT truth is such a function too, over the `n × n` table
+//! it owns ([`SimNet::from_rtt_dataset`]). The constructors on
 //! [`SimNet`] build the **dense** layout, one island;
 //! [`ShardedSimNet`](crate::ShardedSimNet)'s build the **k-island**
 //! layout of the same struct, whose cross-island pairs travel at the
@@ -36,7 +38,8 @@ pub struct NetConfig {
     /// Log-normal sigma of per-message delay jitter (finite, ≥ 0).
     pub delay_jitter_sigma: f64,
     /// Fallback one-way delay (seconds) for pairs without ground-truth
-    /// RTT (unmeasured pairs in sparse datasets); finite, ≥ 0 as `f32`.
+    /// RTT (unmeasured pairs in sparse datasets), and the delay of every
+    /// cross-island leg on the k-island layout; finite, ≥ 0 as `f32`.
     pub default_one_way_delay_s: f64,
     /// RNG seed for delays and losses.
     pub seed: u64,
@@ -119,7 +122,7 @@ impl JitterSampler {
 
 /// What a layout splits: the RNG stream an island's senders draw loss
 /// and jitter from. An island owns no events and no per-pair state —
-/// its intra-island delays come from the net's one [`Delays`] source.
+/// its intra-island delays come from the net's one delay function.
 struct Island {
     rng: ChaCha8Rng,
     jitter: JitterSampler,
@@ -145,34 +148,27 @@ impl Island {
     }
 }
 
-/// Where an intra-island leg's one-way delay (seconds) comes from.
-///
-/// Either way a delay is rounded through `f32`, as a stored table
-/// entry always was: delays are physical quantities good to well under
-/// a relative 1e-7, so the rounding costs nothing and keeps a
-/// function-backed leg bit-identical to the same pair read from a
-/// table.
-enum Delays {
-    /// The caller's pure function of global ids, evaluated once per
-    /// intra-island leg at send time and never at construction: a
-    /// synthetic topology costs no memory per pair, whatever the
-    /// island size.
-    Function(Box<dyn Fn(usize, usize) -> f64 + Send + Sync>),
-    /// A measured truth, which is data: the dense layout's `n × n`
-    /// table, row-major over global ids.
-    Table(Vec<f32>),
-}
-
 /// The simulated network: an event queue plus a latency/loss model,
 /// with mid-run impairment hooks (loss level, partitions, stragglers,
-/// delay re-embedding) for non-stationary scenarios. Node ids are
-/// global (`0..n`); island membership is by contiguous range.
+/// a swapped delay function) for non-stationary scenarios. Node ids
+/// are global (`0..n`); island membership is by contiguous range.
 pub struct SimNet<M> {
     queue: EventQueue<Delivery<M>>,
     islands: Vec<Island>,
     island_size: usize,
     n: usize,
-    delays: Delays,
+    /// The one delay source: a pure function of global ids, evaluated
+    /// once per intra-island leg at send time and never at
+    /// construction. Its value is rounded through `f32`: delays are
+    /// physical quantities good to well under a relative 1e-7, and a
+    /// table of measured delays stores `f32`, so a function and a table
+    /// of the same delays give bit-identical legs.
+    delay_s: Box<dyn Fn(usize, usize) -> f64 + Send + Sync>,
+    /// Bytes of per-pair state `delay_s` owns: the measured truth's
+    /// table under [`from_rtt_dataset`](Self::from_rtt_dataset), 0
+    /// after [`set_delay_fn`](Self::set_delay_fn) and for every other
+    /// constructor.
+    table_bytes: usize,
     /// One-way delay between islands: the configured default, rounded
     /// through `f32` like every intra-island delay, so a cross-island
     /// leg costs bit-exactly what the same pair would in a dense table.
@@ -192,13 +188,17 @@ impl<M> SimNet<M> {
     /// Builds a network over `n` nodes whose one-way delays come from
     /// an RTT dataset in **milliseconds** (delay = RTT/2, converted to
     /// seconds). Pairs the dataset does not cover use the configured
-    /// default delay.
+    /// default delay. The delays are read into an `n × n` `f32` table
+    /// that the net's delay function owns: a measured truth is data.
     pub fn from_rtt_dataset(dataset: &Dataset, config: NetConfig) -> Self {
-        let default = config.default_one_way_delay_s;
-        let mut net = Self::uniform(dataset.len(), default, config);
-        // One conversion path: construction IS a delay re-embedding
-        // of a default-delay net, so the two can never drift.
-        net.set_one_way_delays_from_rtt(dataset);
+        let n = dataset.len();
+        let mut table = vec![config.default_one_way_delay_s as f32; n * n];
+        for (i, j) in dataset.mask.iter_known() {
+            table[i * n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
+        }
+        let table_bytes = std::mem::size_of_val(table.as_slice());
+        let mut net = Self::from_delay_fn(n, config, move |i, j| f64::from(table[i * n + j]));
+        net.table_bytes = table_bytes;
         net
     }
 
@@ -241,8 +241,10 @@ impl<M> SimNet<M> {
         config: NetConfig,
         delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static,
     ) -> Self {
-        // NaN would pass for "no jitter" (`sigma > 0.0` is false); the
-        // queue takes no NaN or ∞, which `1e39` is as stored.
+        // NaN would pass for "no jitter" (`sigma > 0.0` is false) and
+        // for "no loss"; the queue takes no NaN or ∞, which `1e39` is
+        // as stored.
+        check_loss_probability(config.loss_probability);
         let sigma = config.delay_jitter_sigma;
         let cross_delay = config.default_one_way_delay_s as f32;
         assert!(
@@ -266,7 +268,8 @@ impl<M> SimNet<M> {
             islands,
             island_size,
             n,
-            delays: Delays::Function(Box::new(delay_s)),
+            delay_s: Box::new(delay_s),
+            table_bytes: 0,
             cross_delay_s: f64::from(cross_delay),
             loss_probability: config.loss_probability,
             stats: NetStats::default(),
@@ -318,10 +321,7 @@ impl<M> SimNet<M> {
     /// # Panics
     /// Panics when `p` is not a probability.
     pub fn set_loss_probability(&mut self, p: f64) {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} out of [0, 1]"
-        );
+        check_loss_probability(p);
         self.loss_probability = p;
     }
 
@@ -418,46 +418,24 @@ impl<M> SimNet<M> {
         self.delay_factor[node] = stored;
     }
 
-    /// Replaces the one-way delays with a new RTT ground truth in
-    /// **milliseconds** (delay = RTT/2), held as a dense `n × n` table
-    /// (a function-backed net's delay function is dropped). This is the
-    /// single conversion
-    /// path — [`from_rtt_dataset`](Self::from_rtt_dataset) constructs
-    /// through it — so re-embedding behaves exactly like construction:
-    /// pairs the dataset's mask does not cover reset to the configured
-    /// default delay, never to the previous truth's stale value. Messages
-    /// already in flight keep their old delay; everything sent
-    /// afterwards sees the new network. This is the re-embedding hook
-    /// drift and congestion scenarios use.
-    ///
-    /// # Panics
-    /// Panics when the dataset covers a different node count, or on a
-    /// k-island layout: a dense truth names cross-island pairs, which
-    /// that layout gives the default delay.
-    pub fn set_one_way_delays_from_rtt(&mut self, dataset: &Dataset) {
-        assert_eq!(dataset.len(), self.n, "delay table shape mismatch");
-        assert!(
-            self.islands.len() <= 1,
-            "re-embedding a dense RTT truth needs the dense layout"
-        );
-        let mut table = vec![self.cross_delay_s as f32; self.n * self.n];
-        for (i, j) in dataset.mask.iter_known() {
-            table[i * self.n + j] = (dataset.values[(i, j)] / 2.0 / 1000.0) as f32;
-        }
-        self.delays = Delays::Table(table);
+    /// Replaces the delay function mid-run (re-embedding: drift or
+    /// congestion moved the network). Legs already in flight keep the
+    /// delay they departed with; every leg sent afterwards asks
+    /// `delay_s`, under [`from_delay_fn`](Self::from_delay_fn)'s
+    /// contract. On the k-island layout cross-island legs keep the
+    /// default delay. A table the old function owned is freed with it.
+    pub fn set_delay_fn(&mut self, delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static) {
+        self.delay_s = Box::new(delay_s);
+        self.table_bytes = 0;
     }
 
     /// One-way delay of the leg `from → to` (`sf`, `st` their
-    /// islands), in seconds: the delay source's value or the
+    /// islands), in seconds: the delay function's value or the
     /// cross-island default, times both endpoints' straggler factors.
     #[inline]
     fn leg_delay_s(&self, sf: usize, st: usize, from: usize, to: usize) -> f64 {
         let base = if sf == st {
-            match &self.delays {
-                // Only the dense layout holds a table: ids are its indices.
-                Delays::Table(table) => f64::from(table[from * self.n + to]),
-                Delays::Function(delay_s) => f64::from(delay_s(from, to) as f32),
-            }
+            f64::from((self.delay_s)(from, to) as f32)
         } else {
             self.cross_delay_s
         };
@@ -624,16 +602,23 @@ impl<M> SimNet<M> {
     }
 
     /// Bytes of per-pair delay state the net holds: `n² · 4` for a net
-    /// carrying a measured RTT truth
-    /// ([`from_rtt_dataset`](Self::from_rtt_dataset) or a
-    /// re-embedding), and 0 for a function-backed one, which stores no
+    /// built on a measured RTT truth
+    /// ([`from_rtt_dataset`](Self::from_rtt_dataset)) until its delay
+    /// function is swapped, and 0 otherwise: the net stores no other
     /// per-pair state at any population or island count.
     pub fn table_bytes(&self) -> usize {
-        match &self.delays {
-            Delays::Table(table) => std::mem::size_of_val(table.as_slice()),
-            Delays::Function(_) => 0,
-        }
+        self.table_bytes
     }
+}
+
+/// The one range check on a loss probability, at construction and in
+/// [`SimNet::set_loss_probability`] alike: NaN would never drop a
+/// message, and a value above 1 would drop every one.
+fn check_loss_probability(p: f64) {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "loss probability {p} out of [0, 1]"
+    );
 }
 
 #[cfg(test)]
@@ -667,6 +652,18 @@ mod tests {
             (t - expected).abs() < expected * 1e-6,
             "t={t}, expected {expected}"
         );
+
+        // A pair the dataset does not cover travels at the default.
+        let mut sparse = d;
+        sparse.mask.set(0, 1, false);
+        let config = NetConfig {
+            delay_jitter_sigma: 0.0,
+            ..NetConfig::default()
+        };
+        let default = f64::from(config.default_one_way_delay_s as f32);
+        let mut net: SimNet<&str> = SimNet::from_rtt_dataset(&sparse, config);
+        net.send(0, 1, "probe");
+        assert_eq!(net.next_delivery().unwrap().0, default);
     }
 
     #[test]
@@ -899,7 +896,7 @@ mod tests {
         let mut congested = d.clone();
         congested.scale_values(3.0);
         net.send(0, 1, 1); // in flight under the old delays
-        net.set_one_way_delays_from_rtt(&congested);
+        net.set_delay_fn(move |i, j| congested.values[(i, j)] / 2.0 / 1000.0);
         net.send(0, 1, 2);
         let (t1, _) = net.next_delivery().unwrap();
         let (t2, _) = net.next_delivery().unwrap();
@@ -909,20 +906,6 @@ mod tests {
             (t2 - 3.0 * old).abs() < 3.0 * old * 1e-6,
             "post-update sends see the congested network"
         );
-
-        // A sparser truth resets uncovered pairs to the default delay
-        // (no stale leftovers from the previous embedding).
-        let mut sparse = congested;
-        sparse.mask.set(0, 1, false);
-        net.set_one_way_delays_from_rtt(&sparse);
-        net.send(0, 1, 3);
-        let (t3, _) = net.next_delivery().unwrap();
-        let default = NetConfig::default().default_one_way_delay_s;
-        assert!(
-            (t3 - t2 - default).abs() < default * 1e-6,
-            "uncovered pair must fall back to the default delay, got {}",
-            t3 - t2
-        );
     }
 
     #[test]
@@ -930,6 +913,27 @@ mod tests {
     fn loss_probability_validated() {
         let mut net: SimNet<()> = SimNet::uniform(2, 0.01, NetConfig::default());
         net.set_loss_probability(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probability NaN out of [0, 1]")]
+    fn nan_loss_probability_rejected_at_construction() {
+        // NaN fails every `<`, so an unchecked net would never drop.
+        let config = NetConfig {
+            loss_probability: f64::NAN,
+            ..NetConfig::default()
+        };
+        let _: SimNet<()> = SimNet::uniform(2, 0.01, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probability 1.5 out of [0, 1]")]
+    fn loss_probability_above_one_rejected_at_construction() {
+        let config = NetConfig {
+            loss_probability: 1.5,
+            ..NetConfig::default()
+        };
+        let _: SimNet<()> = SimNet::uniform(2, 0.01, config);
     }
 
     #[test]

@@ -45,12 +45,11 @@
 //!
 //! Cross-island messages see the default delay with the *sender's*
 //! island jitter/loss stream; intra-island messages see the delay
-//! function and the island's own stream. The per-node impairment
-//! hooks — loss level, partitions, stragglers — are per-node state
-//! and work on either layout. Re-embedding
-//! ([`SimNet::set_one_way_delays_from_rtt`]) does not: it takes a dense
-//! ground truth, whose cross-island pairs this layout gives the
-//! default delay, and panics when asked. The constructors reserve one
+//! function and the island's own stream. Every impairment hook works
+//! on either layout: loss level, partitions and stragglers are
+//! per-node state, and re-embedding swaps the delay function
+//! ([`SimNet::set_delay_fn`]), which cross-island legs never ask —
+//! they keep the default delay. The constructors reserve one
 //! queue slot per node (the fused protocol keeps one event per node
 //! pending, its timer or its exchange in flight) where the dense ones
 //! reserve four: at 100 k nodes and `dmf-core`'s 40-byte deliveries
@@ -248,17 +247,13 @@ mod tests {
         }
         let dense: SimNet<()> = SimNet::uniform(1024, 0.01, quiet(0));
         assert_eq!(dense.table_bytes(), 0);
-        // …while a measured truth is data: n² · 4 bytes, which a
-        // re-embedding keeps, and which re-embedding a function-backed
-        // dense net puts in place of its function.
+        // …while a measured truth is data: n² · 4 bytes, held until a
+        // re-embedding swaps in a function that owns none.
         let truth = meridian_like(64, 3);
         let mut measured: SimNet<()> = SimNet::from_rtt_dataset(&truth, quiet(0));
         assert_eq!(measured.table_bytes(), 64 * 64 * 4);
-        measured.set_one_way_delays_from_rtt(&truth);
-        assert_eq!(measured.table_bytes(), 64 * 64 * 4);
-        let mut re_embedded: SimNet<()> = SimNet::uniform(64, 0.01, quiet(0));
-        re_embedded.set_one_way_delays_from_rtt(&truth);
-        assert_eq!(re_embedded.table_bytes(), 64 * 64 * 4);
+        measured.set_delay_fn(|i, j| 0.001 * (1 + i + j) as f64);
+        assert_eq!(measured.table_bytes(), 0);
     }
 
     /// The delay model of the laziness test, also its eager reference.

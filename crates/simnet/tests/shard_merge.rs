@@ -3,13 +3,16 @@
 //! produces for the same operation script, impairment hooks included.
 //!
 //! The comparison is only meaningful with jitter and loss disabled
-//! and a uniform delay: then neither layout draws from an RNG,
-//! intra-island delays equal the dense table, and the cross-island
-//! default-delay carve-out coincides with the uniform delay — so any
+//! and the default delay between islands: then neither layout draws
+//! from an RNG, and the cross-island default-delay carve-out coincides
+//! with the delay the dense net's function gives the same pair. A
+//! re-embedding swaps in a function that keeps that so: it changes
+//! intra-island delays only, island by the compared layout's. Any
 //! divergence is a bug in what the layouts share (island lookup, seq
-//! threading through the one queue, clock handling, where partitions
-//! and straggler factors apply), which is precisely what this suite
-//! pins. Draw *order* under jitter is `dmf-core`'s `sharded_golden`.
+//! threading through the one queue, clock handling, where partitions,
+//! straggler factors and swapped delay functions apply), which is
+//! precisely what this suite pins. Draw *order* under jitter is
+//! `dmf-core`'s `sharded_golden`.
 
 use dmf_simnet::net::NetStats;
 use dmf_simnet::{NetConfig, ShardedSimNet, SimNet};
@@ -51,6 +54,11 @@ enum Op {
         quarters: u8,
     },
     Heal,
+    /// `set_delay_fn`: `quarters / 4 · DELAY_S` within a block of ids,
+    /// `DELAY_S` across blocks. The dense reference's blocks are the
+    /// compared layout's islands; the k-island net's function sees one
+    /// block, so a cross-island leg that asked it would diverge.
+    Reembed(u8),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -64,6 +72,7 @@ fn op() -> impl Strategy<Value = Op> {
         proptest::collection::vec(0u32..3, n).prop_map(Op::Partition),
         (0..n, 1u8..13).prop_map(|(node, quarters)| Op::Straggler { node, quarters }),
         Just(Op::Heal),
+        (1u8..13).prop_map(Op::Reembed),
     ]
 }
 
@@ -72,11 +81,12 @@ fn op() -> impl Strategy<Value = Op> {
 type Event = (u64, usize, usize, u32);
 
 /// Runs `script` against a net of either layout (a [`ShardedSimNet`]
-/// derefs to the [`SimNet`] it lays out), logging every delivery.
+/// derefs to the [`SimNet`] it lays out), logging every delivery;
+/// `block` is the id block size of `Reembed`'s delay function.
 /// Node ids wrap into range, and `TimerAt` times in the past of the
 /// advancing clock are clamped to `now`, so one generator serves every
 /// population size.
-fn run_script(net: &mut SimNet<u32>, script: &[Op]) -> (Vec<Event>, NetStats) {
+fn run_script(net: &mut SimNet<u32>, block: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
     let n = net.len();
     let mut log = Vec::new();
     let pop = |net: &mut SimNet<u32>, log: &mut Vec<Event>| {
@@ -114,6 +124,16 @@ fn run_script(net: &mut SimNet<u32>, script: &[Op]) -> (Vec<Event>, NetStats) {
                 net.set_delay_factor(node % n, f64::from(quarters) / 4.0)
             }
             Op::Heal => net.clear_partition(),
+            Op::Reembed(quarters) => {
+                let intra = DELAY_S * f64::from(quarters) / 4.0;
+                net.set_delay_fn(move |i, j| {
+                    if i / block == j / block {
+                        intra
+                    } else {
+                        DELAY_S
+                    }
+                });
+            }
         }
     }
     while pop(net, &mut log) {}
@@ -129,13 +149,16 @@ fn quiet() -> NetConfig {
     }
 }
 
-fn run_single(n: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
-    run_script(&mut SimNet::uniform(n, DELAY_S, quiet()), script)
+/// The dense reference for a comparison with `islands` islands.
+fn run_single(n: usize, islands: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
+    let island = n.div_ceil(islands);
+    run_script(&mut SimNet::uniform(n, DELAY_S, quiet()), island, script)
 }
 
 fn run_sharded(n: usize, islands: usize, script: &[Op]) -> (Vec<Event>, NetStats) {
     run_script(
         &mut ShardedSimNet::uniform(n, islands, DELAY_S, quiet()),
+        n,
         script,
     )
 }
@@ -151,8 +174,8 @@ proptest! {
         n in 2usize..MAX_N,
         script in proptest::collection::vec(op(), 1..120),
     ) {
-        let want = run_single(n, &script);
         for islands in [1, 2, n.div_ceil(2), n] {
+            let want = run_single(n, islands, &script);
             let got = run_sharded(n, islands, &script);
             prop_assert_eq!(
                 &got,
@@ -167,7 +190,7 @@ proptest! {
 
 /// Deterministic smoke for the same property at a fixed, larger scale:
 /// an n-way time tie, then traffic under a three-way partition with
-/// two stragglers, healed half way.
+/// two stragglers, healed half way, where the delays are re-embedded.
 #[test]
 fn sharded_equals_single_on_dense_tie_heavy_script() {
     let n = 24;
@@ -190,6 +213,7 @@ fn sharded_equals_single_on_dense_tie_heavy_script() {
     for i in 0..n {
         if i == n / 2 {
             script.push(Op::Heal);
+            script.push(Op::Reembed(6));
         }
         script.push(Op::Send {
             from: i,
@@ -203,20 +227,11 @@ fn sharded_equals_single_on_dense_tie_heavy_script() {
             to: (i * 11 + 3) % n,
         });
     }
-    let want = run_single(n, &script);
     for islands in [2, 3, 8, 24] {
+        let want = run_single(n, islands, &script);
         assert_eq!(run_sharded(n, islands, &script), want, "{islands} islands");
+        let (log, stats) = want;
+        assert!(log.len() >= 2 * n, "script actually delivered traffic");
+        assert!(stats.dropped > 0, "the partition actually cut traffic");
     }
-    let (log, stats) = want;
-    assert!(log.len() >= 2 * n, "script actually delivered traffic");
-    assert!(stats.dropped > 0, "the partition actually cut traffic");
-}
-
-/// The one hook the k-island layout cannot take: a dense RTT truth
-/// names cross-island pairs it keeps no table for.
-#[test]
-#[should_panic(expected = "needs the dense layout")]
-fn k_island_layout_rejects_dense_re_embedding() {
-    let mut net: ShardedSimNet<u32> = ShardedSimNet::uniform(8, 2, DELAY_S, quiet());
-    net.set_one_way_delays_from_rtt(&dmf_datasets::rtt::meridian_like(8, 1));
 }

@@ -4,9 +4,9 @@
 //! a single end-of-run number would hide.
 //!
 //! The scenario engine (`dmfsgd::datasets::scenario`) declares the
-//! storm; the simnet driver's impairment hooks re-embed the delay
-//! table window by window, so the nodes *measure* the congested
-//! network rather than being told about it.
+//! storm; the simnet driver's impairment hooks swap the network's
+//! delay function window by window, so the nodes *measure* the
+//! congested network rather than being told about it.
 //!
 //! ```sh
 //! cargo run --release --example flash_congestion
@@ -17,8 +17,9 @@ use dmfsgd::datasets::rtt::RttDatasetConfig;
 use dmfsgd::datasets::scenario::{Condition, Scenario, ScenarioSpec};
 use dmfsgd::eval::window::window_stats;
 use dmfsgd::eval::{collect_scores, ScoredLabel};
-use dmfsgd::simnet::NetConfig;
+use dmfsgd::simnet::{NetConfig, SimNet};
 use dmfsgd::{DmfsgdError, Session};
+use std::sync::Arc;
 
 fn main() -> Result<(), DmfsgdError> {
     let (storm_start, storm_end) = (180.0, 300.0);
@@ -35,7 +36,7 @@ fn main() -> Result<(), DmfsgdError> {
         cluster_pairs: 12,
         factor: 4.0,
     });
-    let scenario = Scenario::realize(spec);
+    let scenario = Arc::new(Scenario::realize(spec));
 
     // τ is pinned to the calm median — the storm pushes paths across
     // this fixed operating point, which is what the predictor must
@@ -48,8 +49,12 @@ fn main() -> Result<(), DmfsgdError> {
         .seed(23)
         .tau(tau)
         .build()?;
-    let mut driver =
-        SimnetDriver::new(&session, calm, NetConfig::default())?.with_probe_interval(0.5)?;
+    let net = SimNet::from_delay_fn(
+        scenario.nodes(),
+        NetConfig::default(),
+        scenario.one_way_delay_fn(0.0),
+    );
+    let mut driver = SimnetDriver::from_net(&session, net)?.with_probe_interval(0.5)?;
 
     println!(
         "flash congestion: {} nodes, RTT ×4 between 12 cluster pairs for t ∈ [{storm_start}, {storm_end})\n",
@@ -65,14 +70,14 @@ fn main() -> Result<(), DmfsgdError> {
     let mut last_meas = 0usize;
     for w in 0..scenario.window_count() {
         let (start, end) = scenario.window_bounds(w);
-        // Re-embed the network on the truth in force for this window
+        // Re-embed the network on the delays in force for this window
         // (piecewise-constant, exactly like the scenario_suite
-        // harness), then let the protocol run the window out.
-        let truth = scenario.ground_truth_at(start);
-        driver.update_rtt_ground_truth(truth.clone())?;
+        // harness), then let the protocol run the window out and score
+        // it against the same instant's truth.
+        driver.set_delay_fn(scenario.one_way_delay_fn(start));
         driver.run_until(&mut session, end)?;
 
-        let classes = truth.classify(tau);
+        let classes = scenario.ground_truth_at(start).classify(tau);
         let samples: Vec<ScoredLabel> = collect_scores(&classes, &session.predicted_scores());
         let stats = window_stats(&samples).expect("median split keeps both classes");
         let completed = driver.stats().measurements_completed;
