@@ -25,7 +25,7 @@ use crate::message::Message;
 use crate::message_v2::MessageV2;
 use bytes::{BufMut, Bytes};
 
-pub use crate::frame::{fnv1a, CHECKSUM_LEN};
+pub use crate::frame::{checksum, CHECKSUM_LEN};
 
 /// Protocol magic (little-endian on the wire).
 pub const MAGIC: u16 = PROBE_V1.magic();
@@ -90,7 +90,8 @@ pub enum DecodeError {
     BadType,
     /// Header length field disagrees with the datagram size.
     LengthMismatch,
-    /// FNV-1a checksum mismatch (corruption).
+    /// CRC32C trailer mismatch: corruption, or a frame sealed with the
+    /// FNV-1a trailer older builds wrote.
     BadChecksum,
     /// Payload shorter than its own fields claim.
     TruncatedPayload,
@@ -591,7 +592,7 @@ mod tests {
         let wire = encode(&Message::RttProbe { nonce: 1 }).to_vec();
         let refresh = |mut w: Vec<u8>| {
             let n = w.len() - CHECKSUM_LEN;
-            let c = fnv1a(&w[..n]);
+            let c = checksum(&w[..n]);
             let idx = n;
             w[idx..].copy_from_slice(&c.to_le_bytes());
             w
@@ -620,7 +621,7 @@ mod tests {
         let x_off = HEADER_LEN + 8;
         patched[x_off..x_off + 8].copy_from_slice(&0.5f64.to_le_bytes());
         let n = patched.len() - CHECKSUM_LEN;
-        let c = fnv1a(&patched[..n]);
+        let c = checksum(&patched[..n]);
         patched[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode(&patched), Err(DecodeError::BadValue));
     }
@@ -638,7 +639,7 @@ mod tests {
         let off = HEADER_LEN + 10;
         patched[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         let n = patched.len() - CHECKSUM_LEN;
-        let c = fnv1a(&patched[..n]);
+        let c = checksum(&patched[..n]);
         patched[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode(&patched), Err(DecodeError::BadValue));
     }
@@ -656,7 +657,7 @@ mod tests {
         let off = HEADER_LEN + 16;
         patched[off..off + 2].copy_from_slice(&(MAX_RANK as u16 + 1).to_le_bytes());
         let n = patched.len() - CHECKSUM_LEN;
-        let c = fnv1a(&patched[..n]);
+        let c = checksum(&patched[..n]);
         patched[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode(&patched), Err(DecodeError::BadRank));
     }
@@ -671,7 +672,7 @@ mod tests {
         let payload_len = (extended.len() - HEADER_LEN - CHECKSUM_LEN) as u32;
         extended[4..8].copy_from_slice(&payload_len.to_le_bytes());
         let n = extended.len() - CHECKSUM_LEN;
-        let c = fnv1a(&extended[..n]);
+        let c = checksum(&extended[..n]);
         extended[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode(&extended), Err(DecodeError::TrailingBytes));
     }
@@ -702,7 +703,7 @@ mod tests {
         out.put_u8(2);
         out.put_u32_le(payload.len() as u32);
         out.extend_from_slice(&payload);
-        let c = fnv1a(&out);
+        let c = checksum(&out);
         out.put_u32_le(c);
         assert_eq!(decode(&out), Err(DecodeError::BadRank));
     }
@@ -865,7 +866,7 @@ mod tests {
         .to_vec();
         wire[2] = 7;
         let n = wire.len() - CHECKSUM_LEN;
-        let c = fnv1a(&wire[..n]);
+        let c = checksum(&wire[..n]);
         wire[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode_any(&wire), Err(DecodeError::BadVersion));
         // Corrupted frames report the checksum, not the version.
@@ -905,7 +906,7 @@ mod tests {
     fn v2_rejects_undefined_flag_bits() {
         let refresh = |mut w: Vec<u8>| {
             let n = w.len() - CHECKSUM_LEN;
-            let c = fnv1a(&w[..n]);
+            let c = checksum(&w[..n]);
             w[n..].copy_from_slice(&c.to_le_bytes());
             w
         };
@@ -950,7 +951,7 @@ mod tests {
         let new_len = (patched.len() - HEADER_LEN_V2 - CHECKSUM_LEN) as u16;
         patched[4..6].copy_from_slice(&new_len.to_le_bytes());
         let n = patched.len() - CHECKSUM_LEN;
-        let c = fnv1a(&patched[..n]);
+        let c = checksum(&patched[..n]);
         patched[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode_v2(&patched), Err(DecodeError::BadRank));
     }
@@ -967,7 +968,7 @@ mod tests {
         let off = HEADER_LEN_V2 + 9;
         patched[off..off + 2].copy_from_slice(&0x7C00u16.to_le_bytes()); // +inf
         let n = patched.len() - CHECKSUM_LEN;
-        let c = fnv1a(&patched[..n]);
+        let c = checksum(&patched[..n]);
         patched[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode_v2(&patched), Err(DecodeError::BadValue));
     }
@@ -986,7 +987,7 @@ mod tests {
             let off = HEADER_LEN_V2 + 9;
             patched[off..off + 2].copy_from_slice(&bad_bits.to_le_bytes());
             let n = patched.len() - CHECKSUM_LEN;
-            let c = fnv1a(&patched[..n]);
+            let c = checksum(&patched[..n]);
             patched[n..].copy_from_slice(&c.to_le_bytes());
             assert_eq!(decode_v2(&patched), Err(DecodeError::BadValue));
         }
@@ -1004,7 +1005,7 @@ mod tests {
         let payload_len = (extended.len() - HEADER_LEN_V2 - CHECKSUM_LEN) as u16;
         extended[4..6].copy_from_slice(&payload_len.to_le_bytes());
         let n = extended.len() - CHECKSUM_LEN;
-        let c = fnv1a(&extended[..n]);
+        let c = checksum(&extended[..n]);
         extended[n..].copy_from_slice(&c.to_le_bytes());
         assert_eq!(decode_v2(&extended), Err(DecodeError::TrailingBytes));
     }

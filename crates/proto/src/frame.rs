@@ -1,4 +1,4 @@
-//! The frame every DMFSGD wire format shares: header, payload, FNV-1a
+//! The frame every DMFSGD wire format shares: header, payload, CRC32C
 //! trailer, and the bounds-checked reader that parses payloads.
 //!
 //! Three formats use it — probe v1 and v2 ([`crate::codec`]) and the
@@ -8,12 +8,19 @@
 //!
 //! | format | magic | version | type | `payload_len` | header | payload bound | checksum |
 //! |---|---|---|---|---|---|---|---|
-//! | [`PROBE_V1`] | `0xD3F5` u16 | `1` u8 | u8 | u32 | 8 B | `u32::MAX` | u32 |
-//! | [`PROBE_V2`] | `0xD3F5` u16 | `2` u8 | u8 | u16 | 6 B | `u16::MAX` | u32 |
-//! | [`SERVICE`] | `0xD3F6` u16 | `1` u8 | u8 | u32 | 8 B | 1 MiB | u32 |
+//! | [`PROBE_V1`] | `0xD3F5` u16 | `1` u8 | u8 | u32 | 8 B | `u32::MAX` | CRC32C u32 |
+//! | [`PROBE_V2`] | `0xD3F5` u16 | `2` u8 | u8 | u16 | 6 B | `u16::MAX` | CRC32C u32 |
+//! | [`SERVICE`] | `0xD3F6` u16 | `1` u8 | u8 | u32 | 8 B | 1 MiB | CRC32C u32 |
 //!
-//! The checksum is [`fnv1a`] over everything before it. Encoders
-//! [`begin`](Format::begin) a frame, append the payload and
+//! The checksum is [`checksum`] (CRC32C) over everything before it.
+//! It detects every error burst of at most 32 bits, and every error of
+//! one to three bits in a frame of up to 659 bytes (5,243 bits before
+//! the trailer). Frames sealed with the FNV-1a trailer of older builds
+//! are refused as [`DecodeError::BadChecksum`]: the version bytes did
+//! not change, because agents and the service are built from one tree
+//! and no frame is stored.
+//!
+//! Encoders [`begin`](Format::begin) a frame, append the payload and
 //! [`seal`](Format::seal) it, which patches in the length, so no
 //! encoder computes one. A datagram is verified whole by
 //! [`open`](Format::open); a stream head is inspected by
@@ -66,17 +73,101 @@ pub const SERVICE: Format = Format {
     max_payload: 1 << 20,
 };
 
-/// FNV-1a 32-bit over a byte slice — the trailer of every frame, and
-/// called from nowhere else. Single-bit flips are always detected:
-/// each byte's state transition (xor, then multiply by an odd
-/// constant) is a bijection of the running hash.
-pub fn fnv1a(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in data {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
+/// CRC32C (Castagnoli: reflected polynomial `0x82F6_3B78`, initial
+/// value and final xor `0xFFFF_FFFF`, the iSCSI and ext4 CRC) over a
+/// byte slice — the trailer of every frame, and called from nowhere
+/// else. On x86_64 CPUs with SSE4.2 it runs the `crc32` instruction
+/// eight bytes at a time; elsewhere, slicing-by-8 over 8 KiB of
+/// compile-time tables. Both tiers return the same value for every
+/// input.
+#[inline]
+pub fn checksum(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `checksum_sse42` is compiled with `sse4.2`, and
+        // `is_x86_feature_detected!("sse4.2")` just found it on this
+        // CPU (under `target-cpu=native` the check folds to `true`).
+        #[allow(unsafe_code)]
+        return unsafe { checksum_sse42(data) };
     }
-    hash
+    checksum_portable(data)
+}
+
+/// The hardware tier of [`checksum`]: the SSE4.2 `crc32` instruction,
+/// which computes exactly CRC32C, over 8-byte little-endian words and
+/// then the tail byte by byte.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn checksum_sse42(data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let (words, tail) = data.as_chunks::<8>();
+    let mut crc = u64::from(u32::MAX);
+    for word in words {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(*word));
+    }
+    // `_mm_crc32_u64` leaves the high half zero.
+    let mut crc = crc as u32;
+    for &b in tail {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// CRC32C's reflected generator polynomial.
+const POLY: u32 = 0x82F6_3B78;
+
+/// Slicing-by-8 tables: `TABLES[k][b]` is the CRC register after byte
+/// `b` followed by `k` zero bytes, starting from 0. Built at compile
+/// time (8 KiB of `static` data, no initialization at run time).
+static TABLES: [[u32; 256]; 8] = tables();
+
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The portable tier of [`checksum`]: eight table lookups per 8-byte
+/// word instead of eight dependent shifts per byte.
+fn checksum_portable(data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let (words, tail) = data.as_chunks::<8>();
+    let mut crc = u32::MAX;
+    for w in words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
 }
 
 impl Format {
@@ -130,8 +221,8 @@ impl Format {
         );
         buf[start + 4..start + self.header_len()]
             .copy_from_slice(&(payload_len as u32).to_le_bytes()[..self.len_bytes]);
-        let checksum = fnv1a(&buf[start..]);
-        buf.extend_from_slice(&checksum.to_le_bytes());
+        let trailer = checksum(&buf[start..]);
+        buf.extend_from_slice(&trailer.to_le_bytes());
     }
 
     /// The `payload_len` field of a header (`header` holds at least
@@ -227,7 +318,7 @@ impl Format {
 /// [`CHECKSUM_LEN`] bytes) and returns the rest.
 fn verify(frame: &[u8]) -> Result<&[u8], DecodeError> {
     let (body, trailer) = frame.split_at(frame.len() - CHECKSUM_LEN);
-    if trailer == fnv1a(body).to_le_bytes() {
+    if trailer == checksum(body).to_le_bytes() {
         Ok(body)
     } else {
         Err(DecodeError::BadChecksum)
@@ -300,11 +391,77 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// CRC32C from its definition, one bit at a time: the reference
+    /// both tiers are checked against.
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
     #[test]
-    fn fnv1a_known_answers() {
-        assert_eq!(fnv1a(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a(b"foobar"), 0xbf9c_f968);
+    fn checksum_known_answers() {
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        // The CRC catalogue's check value, then RFC 3720 §B.4.
+        let cases: [(&[u8], u32); 6] = [
+            (b"123456789", 0xE306_9283),
+            (b"", 0),
+            (&[0; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ];
+        for (data, want) in cases {
+            assert_eq!(checksum(data), want, "{data:02x?}");
+            assert_eq!(checksum_portable(data), want, "{data:02x?}");
+            assert_eq!(bitwise(data), want, "{data:02x?}");
+        }
+    }
+
+    /// `checksum` runs the hardware tier where SSE4.2 is present, so
+    /// there this compares the two tiers; elsewhere it compares the
+    /// portable tier with the bitwise reference.
+    fn assert_tiers_agree(data: &[u8]) {
+        let portable = checksum_portable(data);
+        assert_eq!(checksum(data), portable, "{} bytes", data.len());
+        assert_eq!(portable, bitwise(data), "{} bytes", data.len());
+    }
+
+    #[test]
+    fn checksum_tiers_agree_at_every_length_and_offset() {
+        let mut x = 0x9E37_79B9_u32;
+        let buf: Vec<u8> = (0..308)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=300 {
+                assert_tiers_agree(&buf[offset..offset + len]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn checksum_tiers_agree_on_random_buffers(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048)
+        ) {
+            assert_tiers_agree(&data);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! serialization.
 //!
 //! Two wire versions share one frame, `magic | version | type |
-//! payload_len | payload | FNV-1a checksum`; negotiation is the
+//! payload_len | payload | CRC32C checksum`; negotiation is the
 //! version byte, dispatched by [`decode_any`]. The [`frame`] module
 //! writes and verifies that frame for both, and for the `dmf-service`
 //! query protocol: its table lays out all three. **v1** carries
@@ -37,8 +37,18 @@
 //! `dmf-core`'s simnet driver can route coordinate exchanges through
 //! it for deterministic byte accounting, and `dmf-bench`
 //! micro-benchmarks [`encode`]/[`decode`] throughput.
+//!
+//! The crate's one `unsafe` operation is the call from
+//! [`frame::checksum`] into its SSE4.2 tier on x86_64, made only after
+//! `is_x86_feature_detected!("sse4.2")` found the instruction set;
+//! every other target, and every x86_64 CPU without SSE4.2, runs the
+//! portable tier.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `frame::checksum` carries the crate's
+// only `#[allow(unsafe_code)]`, scoped to the call into its `sse4.2`
+// tier behind runtime feature detection (the intrinsics inside that
+// tier are safe to call there).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -50,7 +60,8 @@ pub mod message;
 pub mod message_v2;
 
 pub use codec::{
-    decode, decode_any, decode_v2, encode, encode_v2, fnv1a, DecodeError, WireMessage, WireVersion,
+    checksum, decode, decode_any, decode_v2, encode, encode_v2, DecodeError, WireMessage,
+    WireVersion,
 };
 pub use context::{Ack, ContextError, DecoderContext, EncoderContext};
 pub use delta::{Block, CoordUpdate, UpdatePayload};

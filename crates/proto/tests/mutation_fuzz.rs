@@ -3,11 +3,12 @@
 //! mutant is rejected with a typed `DecodeError` — never a panic,
 //! never a silent mis-decode behind a passing checksum.
 //!
-//! Single-bit flips are *guaranteed* detectable: FNV-1a's state
-//! transition is a bijection in the running hash for each input byte
-//! (xor, then multiply by an odd constant), so changing exactly one
-//! body byte always changes the final hash, and changing a checksum
-//! byte changes the expected value while the body hash stands.
+//! Small errors are *guaranteed* detectable: the trailer is CRC32C,
+//! which detects every error burst of at most 32 bits and, in a frame
+//! of up to 659 bytes (every corpus frame is far shorter), every error
+//! of one to three bits, trailer bits included.
+//! `checksum_refuses_every_one_and_two_bit_flip` checks the one- and
+//! two-bit cases exhaustively on the corpus.
 //! Splices could in principle forge a frame with a colliding
 //! checksum, but at 2⁻³² per attempt the strict assertion below is
 //! sound for any realistic number of fuzz cases.
@@ -103,6 +104,32 @@ fn pick(frames: &[Vec<u8>], seed: usize) -> Vec<u8> {
     frames[seed % frames.len()].clone()
 }
 
+/// Every single-bit flip and every pair of flipped bits, in every
+/// corpus frame, trailer included, is refused.
+#[test]
+fn checksum_refuses_every_one_and_two_bit_flip() {
+    for mut frame in corpus() {
+        let bits = frame.len() * 8;
+        let flip = |frame: &mut [u8], bit: usize| frame[bit / 8] ^= 1 << (bit % 8);
+        for a in 0..bits {
+            flip(&mut frame, a);
+            assert!(
+                decode_any(&frame).is_err(),
+                "flipped bit {a} must be refused"
+            );
+            for b in a + 1..bits {
+                flip(&mut frame, b);
+                assert!(
+                    decode_any(&frame).is_err(),
+                    "flipped bits {a} and {b} must be refused"
+                );
+                flip(&mut frame, b);
+            }
+            flip(&mut frame, a);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -114,7 +141,7 @@ proptest! {
         prop_assert!(decode_any(&frame[..keep]).is_err());
     }
 
-    /// Every single-bit flip is rejected (see module docs for why
+    /// Every single-bit flip is rejected (see the module docs for why
     /// this is strict, not probabilistic).
     #[test]
     fn single_bit_flip_always_rejected(frame_seed in any::<usize>(), bit_seed in any::<usize>()) {

@@ -11,6 +11,23 @@ use dmf_proto::{
 };
 use proptest::prelude::*;
 
+/// CRC32C from its definition, one bit at a time (reflected
+/// polynomial `0x82F63B78`, initial value and final xor all ones).
+fn crc32c_bitwise(data: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0x82F6_3B78
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 fn coords(max_rank: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, 1..=max_rank)
 }
@@ -41,6 +58,16 @@ fn arb_message() -> impl Strategy<Value = Message> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every frame ends in the CRC32C of everything before it, computed
+    /// here from the definition rather than by `dmf_proto::checksum`.
+    #[test]
+    fn checksum_is_every_frames_trailer(msg in arb_message(), msg_v2 in arb_message_v2()) {
+        for wire in [encode(&msg), encode_v2(&msg_v2)] {
+            let (body, trailer) = wire.split_at(wire.len() - 4);
+            prop_assert_eq!(trailer, crc32c_bitwise(body).to_le_bytes());
+        }
+    }
 
     #[test]
     fn roundtrip(msg in arb_message()) {

@@ -23,7 +23,8 @@
 //! * [`protocol`] — the framed request/response wire format:
 //!   `check`/`consume` buffered decoding over a byte stream
 //!   ([`ControlFlow`](std::ops::ControlFlow)-based head inspection),
-//!   reusing `dmf-proto`'s header conventions and FNV-1a checksum.
+//!   reusing `dmf-proto`'s header conventions and CRC32C checksum
+//!   (the SSE4.2 `crc32` instruction on x86_64, a table elsewhere).
 //!   Every response echoes its request's sequence number.
 //! * [`connection`] — request pipelining with bounded backpressure:
 //!   strictly in-order execution (deterministic response streams),

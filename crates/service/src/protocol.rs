@@ -16,12 +16,14 @@
 //! analysis covers all three. This one is [`frame::SERVICE`]: magic
 //! [`SERVICE_MAGIC`] (`0xD3F6`, distinct from the probe protocol's
 //! `0xD3F5` so a misrouted datagram fails fast), a `u32` payload
-//! length and the frame's FNV-1a trailer. Every request and response
-//! payload begins with a `u32` sequence number: responses are tagged
-//! with the sequence of the request they answer, which is what makes
-//! pipelining safe — a client with 64 requests in flight matches
-//! answers by sequence, not by arrival order (though the server does
-//! answer in order).
+//! length and the frame's CRC32C trailer, which detects every error
+//! burst of at most 32 bits (a peer built before the trailer changed
+//! from FNV-1a is refused with [`DecodeError::BadChecksum`]). Every
+//! request and response payload begins with a `u32` sequence number:
+//! responses are tagged with the sequence of the request they answer,
+//! which is what makes pipelining safe — a client with 64 requests in
+//! flight matches answers by sequence, not by arrival order (though
+//! the server does answer in order).
 //!
 //! Malformed input of any kind produces a typed
 //! [`DecodeError`] — never a panic, and never

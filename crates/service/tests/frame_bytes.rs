@@ -252,29 +252,29 @@ fn frames() -> Vec<(&'static str, Frame)> {
 
 /// `(frame, lowercase hex of its bytes)`, in [`frames`] order.
 const GOLDEN: &[(&str, &str)] = &[
-    ("v1 RttProbe", "f5d301010800000008070605040302013b9d1f6f"),
-    ("v1 RttReply", "f5d301023c0000002b0000000000000003009a9999999999b93f9a9999999999c9bf0000000000000c400300000000000000f03f0000000000000040000000000000e0bf11fa8324"),
-    ("v1 AbwProbe", "f5d30103220000002c00000000000000cdcccccccc8c45400200cdccccccccccec3f000000000000f4bfb84f3f6d"),
-    ("v1 AbwReply", "f5d30104220000002d00000000000000000000000000f0bf020000000000000000c00000000000000000f04f1d12"),
-    ("v2 RttProbe", "f5d3020107000403020103efbe152b6f50"),
-    ("v2 RttReply keyframe", "f5d302021500030000000100000600662e66b20043003c004000b8cd8e97ca"),
-    ("v2 AbwProbe delta", "f5d3020318000500000001030000002c420009000700002004000181007ff8f25e88"),
-    ("v2 AbwReply keyframe", "f5d3020411000600000000ff0102000300333b00b800341f0b28a0"),
-    ("req Predict", "f6d301010c00000007000000010000000d0c0b0a524206a2"),
-    ("req PredictClass", "f6d301020c000000080000000300000004000000ce3c1548"),
-    ("req RankNeighbors", "f6d301030a000000090000000500000020002c43ae5a"),
-    ("req Update", "f6d30104140000000a0000000600000007000000000000000000f0bf49ca9164"),
-    ("req Snapshot", "f6d30105060000000b0000000300c6bd35dd"),
-    ("req Metrics", "f6d30106050000000c000000018b1cd614"),
-    ("req Health", "f6d30107040000000d000000d71fc4c8"),
-    ("resp Value", "f6d301810c00000001000000000000000000d03f34407ab2"),
-    ("resp Class", "f6d301820500000002000000ffefe18105"),
-    ("resp Ranked", "f6d301831e00000003000000020004000000000000000000f83f09000000000000000000d0bf6892023e"),
-    ("resp Updated", "f6d3018404000000040000005b9ff99d"),
-    ("resp SnapshotData", "f6d301850f00000005000000070000007b2278223a317dd655177d"),
-    ("resp MetricsData", "f6d301862300000006000000001a0000002320646d667367642d6d65747269637320736368656d6120310a6c8e1442"),
-    ("resp HealthStatus", "f6d301872800000007000000010201000000000000e03f000000000000e83f03333333333333d33f9a9999999999b93fa3b26eb3"),
-    ("resp Error", "f6d301ee1200000008000000020b0077696e646f772066756c6c21ddc29a"),
+    ("v1 RttProbe", "f5d30101080000000807060504030201410a3c94"),
+    ("v1 RttReply", "f5d301023c0000002b0000000000000003009a9999999999b93f9a9999999999c9bf0000000000000c400300000000000000f03f0000000000000040000000000000e0bf1b317787"),
+    ("v1 AbwProbe", "f5d30103220000002c00000000000000cdcccccccc8c45400200cdccccccccccec3f000000000000f4bf975f4746"),
+    ("v1 AbwReply", "f5d30104220000002d00000000000000000000000000f0bf020000000000000000c000000000000000006d8c3f37"),
+    ("v2 RttProbe", "f5d3020107000403020103efbeeb4f29ca"),
+    ("v2 RttReply keyframe", "f5d302021500030000000100000600662e66b20043003c004000b86f465add"),
+    ("v2 AbwProbe delta", "f5d3020318000500000001030000002c420009000700002004000181007feceda14a"),
+    ("v2 AbwReply keyframe", "f5d3020411000600000000ff0102000300333b00b800341e211210"),
+    ("req Predict", "f6d301010c00000007000000010000000d0c0b0a779e167f"),
+    ("req PredictClass", "f6d301020c000000080000000300000004000000a1ebeb5a"),
+    ("req RankNeighbors", "f6d301030a00000009000000050000002000c36e80b0"),
+    ("req Update", "f6d30104140000000a0000000600000007000000000000000000f0bf759e7876"),
+    ("req Snapshot", "f6d30105060000000b00000003000b55d7cc"),
+    ("req Metrics", "f6d30106050000000c0000000158a9dc32"),
+    ("req Health", "f6d30107040000000d000000471cc202"),
+    ("resp Value", "f6d301810c00000001000000000000000000d03f8d845489"),
+    ("resp Class", "f6d301820500000002000000ffd00db861"),
+    ("resp Ranked", "f6d301831e00000003000000020004000000000000000000f83f09000000000000000000d0bf5d068194"),
+    ("resp Updated", "f6d301840400000004000000dbdc0496"),
+    ("resp SnapshotData", "f6d301850f00000005000000070000007b2278223a317d27b32aa8"),
+    ("resp MetricsData", "f6d301862300000006000000001a0000002320646d667367642d6d65747269637320736368656d6120310ad120ec0e"),
+    ("resp HealthStatus", "f6d301872800000007000000010201000000000000e03f000000000000e83f03333333333333d33f9a9999999999b93f010ede94"),
+    ("resp Error", "f6d301ee1200000008000000020b0077696e646f772066756c6c653a5839"),
 ];
 
 fn hex(bytes: &[u8]) -> String {

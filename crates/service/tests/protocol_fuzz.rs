@@ -4,10 +4,12 @@
 //! rejected with a typed `DecodeError` — never a panic, never a
 //! silent mis-decode behind a passing checksum.
 //!
-//! Single-bit flips are *guaranteed* detectable (the FNV-1a argument
-//! from `dmf-proto`'s mutation suite carries over verbatim — the
-//! service protocol reuses that exact checksum); splices rely on the
-//! 2⁻³² collision bound, which is sound for any realistic case count.
+//! Small errors are *guaranteed* detectable: the service protocol
+//! reuses `dmf-proto`'s CRC32C trailer, which detects every error
+//! burst of at most 32 bits and, at these frame lengths, every error
+//! of one to three bits (the argument in `dmf-proto`'s mutation
+//! suite carries over verbatim); splices rely on the 2⁻³² collision
+//! bound, which is sound for any realistic case count.
 
 use dmf_service::{ErrorCode, ProtocolDecode, ProtocolEncode, Request, Response, HEADER_LEN};
 use proptest::prelude::*;
@@ -128,6 +130,32 @@ fn decode_either(frame: &[u8]) -> Result<(), ()> {
     ok_as(req, true).or_else(|_| ok_as(resp, false))
 }
 
+/// Every single-bit flip and every pair of flipped bits, in every
+/// corpus frame, trailer included, is refused.
+#[test]
+fn checksum_refuses_every_one_and_two_bit_flip() {
+    for mut frame in all_frames() {
+        let bits = frame.len() * 8;
+        let flip = |frame: &mut [u8], bit: usize| frame[bit / 8] ^= 1 << (bit % 8);
+        for a in 0..bits {
+            flip(&mut frame, a);
+            assert!(
+                decode_either(&frame).is_err(),
+                "flipped bit {a} must be refused"
+            );
+            for b in a + 1..bits {
+                flip(&mut frame, b);
+                assert!(
+                    decode_either(&frame).is_err(),
+                    "flipped bits {a} and {b} must be refused"
+                );
+                flip(&mut frame, b);
+            }
+            flip(&mut frame, a);
+        }
+    }
+}
+
 #[test]
 fn every_corpus_frame_round_trips() {
     for (req, bytes) in request_corpus() {
@@ -215,7 +243,7 @@ proptest! {
     }
 
     /// Every single-bit flip is rejected — strictly, not
-    /// probabilistically (FNV-1a bijection argument).
+    /// probabilistically (CRC32C detects every burst of ≤ 32 bits).
     #[test]
     fn single_bit_flip_always_rejected(frame_seed in any::<usize>(), bit_seed in any::<usize>()) {
         let mut frame = pick(&all_frames(), frame_seed);

@@ -374,11 +374,16 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `at` on the given lane.
     ///
     /// # Panics
-    /// Panics if `at` is NaN or lies in the past (before [`now`]).
+    /// Panics if `at` is not finite (NaN or ±∞: an event at t = ∞
+    /// would move the clock there when popped) or lies in the past
+    /// (before [`now`]).
     ///
     /// [`now`]: EventQueue::now
     pub fn schedule_at_on(&mut self, lane: Lane, at: SimTime, event: E) {
-        assert!(!at.is_nan(), "cannot schedule at NaN time");
+        assert!(
+            at.is_finite(),
+            "cannot schedule at a non-finite time: at={at}"
+        );
         assert!(
             at >= self.now,
             "cannot schedule in the past: at={at}, now={}",

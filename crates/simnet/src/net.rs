@@ -216,7 +216,10 @@ impl<M> SimNet<M> {
     /// The net keeps `delay_s` and stores no per-pair state: it is
     /// evaluated once per leg, when the leg is sent, in no fixed order
     /// and never at construction, so it must be pure. Its value is
-    /// rounded through `f32`, as a table entry would be.
+    /// rounded through `f32`, as a table entry would be, and must be
+    /// finite and ≥ 0 *as `f32`* (`1e39` rounds to ∞), or
+    /// [`send`](Self::send) panics: such a leg would be scheduled in
+    /// the past or at t = ∞.
     pub fn from_delay_fn(
         n: usize,
         config: NetConfig,
@@ -422,7 +425,8 @@ impl<M> SimNet<M> {
     /// congestion moved the network). Legs already in flight keep the
     /// delay they departed with; every leg sent afterwards asks
     /// `delay_s`, under [`from_delay_fn`](Self::from_delay_fn)'s
-    /// contract. On the k-island layout cross-island legs keep the
+    /// contract: finite and ≥ 0 as `f32`, or [`send`](Self::send)
+    /// panics. On the k-island layout cross-island legs keep the
     /// default delay. A table the old function owned is freed with it.
     pub fn set_delay_fn(&mut self, delay_s: impl Fn(usize, usize) -> f64 + Send + Sync + 'static) {
         self.delay_s = Box::new(delay_s);
@@ -450,7 +454,8 @@ impl<M> SimNet<M> {
     /// loss and jitter drawn from the *sender's* island stream.
     ///
     /// # Panics
-    /// Panics on an out-of-range node id.
+    /// Panics on an out-of-range node id, or on a leg delay that is
+    /// negative or not finite (see [`from_delay_fn`](Self::from_delay_fn)).
     pub fn send(&mut self, from: usize, to: usize, msg: M) {
         let (sf, st) = (self.island_of(from), self.island_of(to));
         self.stats.sent += 1;
@@ -471,6 +476,10 @@ impl<M> SimNet<M> {
     /// ~second horizons while message deliveries land within
     /// milliseconds, and separating the populations keeps delivery
     /// pops out of the (much larger) timer heap.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range id, or a delay that is negative or
+    /// not finite.
     pub fn set_timer(&mut self, node: usize, delay: SimTime, msg: M) {
         assert!(delay >= 0.0, "negative timer delay {delay}");
         self.set_timer_at(node, self.now() + delay, msg);
@@ -479,7 +488,8 @@ impl<M> SimNet<M> {
     /// Schedules a lossless timer for `node` at absolute time `at`.
     ///
     /// # Panics
-    /// Panics on an out-of-range id or a time in the simulated past.
+    /// Panics on an out-of-range id, or a time that is not finite or
+    /// lies in the simulated past.
     pub fn set_timer_at(&mut self, node: usize, at: SimTime, msg: M) {
         assert!(node < self.n, "node id out of range");
         self.queue.schedule_at_on(
@@ -854,6 +864,22 @@ mod tests {
         net.send(0, 1, 4);
         let (t4, _) = net.next_delivery().unwrap();
         assert!((t4 - t3 - 0.01).abs() < 1e-7);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule at a non-finite time")]
+    fn infinite_leg_delay_rejected_at_send() {
+        // Finite as `f64`, ∞ once rounded through `f32`: the leg would
+        // be delivered at t = ∞ and move the clock there.
+        let mut net: SimNet<()> = SimNet::from_delay_fn(2, NetConfig::default(), |_, _| 1e39);
+        net.send(0, 1, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule at a non-finite time")]
+    fn infinite_timer_rejected() {
+        let mut net: SimNet<()> = SimNet::uniform(2, 0.01, NetConfig::default());
+        net.set_timer(0, f64::INFINITY, ());
     }
 
     #[test]
