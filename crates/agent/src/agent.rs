@@ -135,11 +135,10 @@ pub struct AgentHandle<T: Transport = std::net::UdpSocket> {
     pub probe_timeout: Duration,
     /// Retransmissions allowed per probe before it is abandoned.
     pub max_retries: u32,
-    /// Optional live metrics mirror: the loop flushes its counters
-    /// here every probe firing and records each applied update's
-    /// (ground truth, pre-update score) pair into its quality window.
-    /// `None` leaves the hot path untouched.
-    pub metrics: Option<Arc<AgentMetricsSlot>>,
+    /// Live metrics mirror: the loop flushes its counters here every
+    /// probe firing and records each applied update's (ground truth,
+    /// pre-update score) pair into its quality window.
+    pub metrics: Arc<AgentMetricsSlot>,
 }
 
 /// One in-flight probe awaiting its reply.
@@ -161,7 +160,7 @@ struct Outstanding {
 struct AgentLink<'a> {
     id: usize,
     oracle: &'a MeasurementOracle,
-    metrics: Option<&'a AgentMetricsSlot>,
+    metrics: Arc<AgentMetricsSlot>,
     /// The agent's ends of the exchanges it runs with each target.
     probing: HashMap<usize, ProberEnd>,
     /// Its ends of the exchanges each prober runs with it.
@@ -203,9 +202,7 @@ impl Link for AgentLink<'_> {
         };
         self.outstanding.swap_remove(idx);
         let x = carried.or_else(|| self.oracle.rtt_class(self.id, target))?;
-        if let Some(slot) = self.metrics {
-            slot.record_quality(x > 0.0, dot(&node.coords.u, v));
-        }
+        self.metrics.record_quality(x > 0.0, dot(&node.coords.u, v));
         self.stats.updates_applied += 1;
         Some(x)
     }
@@ -236,7 +233,7 @@ pub fn run_agent<T: Transport>(
     let mut link = AgentLink {
         id,
         oracle,
-        metrics: handle.metrics.as_deref(),
+        metrics: handle.metrics,
         probing: HashMap::new(),
         serving: HashMap::new(),
         outstanding: Vec::new(),
@@ -281,9 +278,7 @@ pub fn run_agent<T: Transport>(
             // Once per probe period is frequent enough for a live
             // view and cheap enough (a dozen relaxed stores) not to
             // matter.
-            if let Some(slot) = link.metrics {
-                slot.flush(&link.stats.with_wire(endpoint.stats()));
-            }
+            link.metrics.flush(&link.stats.with_wire(endpoint.stats()));
         }
 
         // -- retransmit expired probes (jittered backoff) -------------
@@ -326,9 +321,7 @@ pub fn run_agent<T: Transport>(
     }
 
     let stats = link.stats.with_wire(endpoint.stats());
-    if let Some(slot) = link.metrics {
-        slot.flush(&stats);
-    }
+    link.metrics.flush(&stats);
     Ok((node, stats))
 }
 
@@ -338,6 +331,7 @@ mod tests {
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
     use dmf_datasets::Metric;
+    use dmf_ops::LiveQuality;
     use dmf_proto::{decode_v2, DecoderContext};
 
     /// One agent's node, endpoint and link per node of `oracle`, without
@@ -354,7 +348,7 @@ mod tests {
         let link = |id| AgentLink {
             id,
             oracle,
-            metrics: None,
+            metrics: Arc::new(AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)))),
             probing: HashMap::new(),
             serving: HashMap::new(),
             outstanding: Vec::new(),

@@ -15,10 +15,10 @@
 //!   starts and the address book never changes. Misuse is typed:
 //!   [`MembershipError::AlreadyRunning`] / [`MembershipError::NotRunning`].
 //! * [`metrics`](Fleet::metrics) / [`health`](Fleet::health) — the
-//!   live observability surface: per-slot
-//!   [`AgentMetricsSlot`] mirrors
-//!   summed into fleet-wide counters, a shared rolling-AUC quality
-//!   window fed on every applied update, and the declared
+//!   live observability surface: each slot's completed runs plus its
+//!   running agent's [`AgentMetricsSlot`] mirror, summed into
+//!   fleet-wide counters; a shared quality window (rolling AUC and
+//!   staleness clock) fed on every applied update; and the declared
 //!   [`HealthPolicy`] evaluated over (window fill, rolling AUC,
 //!   coordinate staleness).
 //! * [`set_faults`](Fleet::set_faults) + [`restart_all`](Fleet::restart_all)
@@ -82,7 +82,8 @@ struct Running {
 }
 
 /// One fleet slot: a fixed port, the parked node state between runs,
-/// accumulated counters, and the live metrics mirror.
+/// the counters of its completed runs, and the running agent's live
+/// metrics mirror.
 struct Slot {
     /// Keeper clone of the bound socket — cloned again on every
     /// rejoin so the slot's address never changes.
@@ -291,7 +292,7 @@ impl Fleet {
                     wire: self.config.wire,
                     probe_timeout: self.config.probe_timeout,
                     max_retries: self.config.max_retries,
-                    metrics: Some(Arc::clone(&slot.metrics)),
+                    metrics: Arc::clone(&slot.metrics),
                 };
                 thread::spawn(move || run_agent(handle, seed))
             }};
@@ -328,7 +329,7 @@ impl Fleet {
         let (node, stats) = running.thread.join().expect("agent thread panicked")?;
         slot.node = Some(node);
         slot.total.merge(&stats);
-        slot.metrics.absorb(&stats);
+        slot.metrics.flush(&AgentStats::default());
         Ok(stats)
     }
 
@@ -416,17 +417,7 @@ impl Fleet {
     /// applied *anywhere* in the fleet (`None` before the first).
     /// Rejection rate does not apply to a fleet (no admission queue).
     pub fn signals(&self) -> HealthSignals {
-        let staleness_s = self
-            .slots
-            .iter()
-            .filter_map(|s| s.metrics.staleness_s())
-            .min_by(|a, b| a.partial_cmp(b).expect("staleness is finite"));
-        HealthSignals {
-            quality_samples: self.quality.len(),
-            rolling_auc: self.quality.auc(),
-            staleness_s,
-            rejection_rate: None,
-        }
+        self.quality.signals(None)
     }
 
     /// Evaluates fleet health under the current policy.
@@ -440,8 +431,9 @@ impl Fleet {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut totals = [0u64; STAT_METRICS.len()];
         for slot in &self.slots {
-            for (t, v) in totals.iter_mut().zip(slot.metrics.counters()) {
-                *t += v;
+            let live = slot.metrics.counters();
+            for ((t, m), v) in totals.iter_mut().zip(&STAT_METRICS).zip(live) {
+                *t += (m.read)(&slot.total) + v;
             }
         }
         let mut samples: Vec<MetricSample> = STAT_METRICS

@@ -13,13 +13,12 @@
 //!   This is how a batch run exports metrics after the fact.
 //! * **Live mirror.** A long-running fleet cannot wait for agents to
 //!   exit: [`run_agent`](crate::agent::run_agent) flushes its counters
-//!   into an optional [`AgentMetricsSlot`] every probe firing, and
-//!   records each applied update's (ground truth, pre-update score)
-//!   pair into a shared [`LiveQuality`] window — the fleet-wide
-//!   rolling AUC. The slot carries a *base* (counters accumulated by
-//!   completed runs of this slot, across leave/rejoin cycles) plus the
-//!   running agent's latest flush, so exported counters stay monotonic
-//!   over restarts.
+//!   into its [`AgentMetricsSlot`] every probe firing, and records
+//!   each applied update's (ground truth, pre-update score) pair into
+//!   a shared [`LiveQuality`] window — the fleet-wide rolling AUC and
+//!   staleness clock. The slot holds only the running agent's latest
+//!   flush; the fleet keeps the counters of completed runs and adds
+//!   the two, so exported counters stay monotonic over restarts.
 //!
 //! Every metric name exported here is part of the operator contract
 //! documented in `docs/operations.md` and cross-checked by CI.
@@ -28,7 +27,6 @@ use crate::agent::AgentStats;
 use dmf_ops::{LiveQuality, MetricKind, MetricSample, MetricsSnapshot, SampleValue, Unit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The exported identity of one [`AgentStats`] counter.
 pub struct StatMetric {
@@ -142,31 +140,21 @@ pub fn stats_snapshot(stats: &AgentStats) -> MetricsSnapshot {
 
 /// The live metrics mirror of one fleet slot (see the [module
 /// docs](self)). Shared by `Arc` between the fleet (reader) and the
-/// agent thread currently occupying the slot (writer); all fields are
-/// atomics or behind the quality window's own lock, so neither side
-/// blocks the other.
+/// agent thread currently occupying the slot (writer); the counters
+/// are atomics and the quality window has its own lock, so neither
+/// side blocks the other.
 pub struct AgentMetricsSlot {
-    /// Counters accumulated by completed runs of this slot.
-    base: [AtomicU64; STAT_METRICS.len()],
-    /// `base` plus the running agent's latest flush — what the fleet
-    /// exports.
+    /// The running agent's latest flush.
     live: [AtomicU64; STAT_METRICS.len()],
-    /// Milliseconds since `epoch` of the last applied update;
-    /// `u64::MAX` = no update applied by this slot yet.
-    last_update_ms: AtomicU64,
-    epoch: Instant,
     quality: Arc<LiveQuality>,
 }
 
 impl AgentMetricsSlot {
-    /// A fresh slot feeding the given (typically fleet-shared)
+    /// A zeroed slot feeding the given (typically fleet-shared)
     /// quality window.
     pub fn new(quality: Arc<LiveQuality>) -> Self {
         Self {
-            base: std::array::from_fn(|_| AtomicU64::new(0)),
             live: std::array::from_fn(|_| AtomicU64::new(0)),
-            last_update_ms: AtomicU64::new(u64::MAX),
-            epoch: Instant::now(),
             quality,
         }
     }
@@ -176,52 +164,25 @@ impl AgentMetricsSlot {
         &self.quality
     }
 
-    /// Publishes a running agent's current counters: `live = base +
-    /// stats`. Called by [`run_agent`](crate::agent::run_agent) every
-    /// probe firing and once at exit.
+    /// Publishes a running agent's current counters. Called by
+    /// [`run_agent`](crate::agent::run_agent) every probe firing and
+    /// once at exit.
     pub fn flush(&self, stats: &AgentStats) {
-        for (i, m) in STAT_METRICS.iter().enumerate() {
-            self.live[i].store(
-                self.base[i].load(Ordering::Relaxed) + (m.read)(stats),
-                Ordering::Relaxed,
-            );
-        }
-    }
-
-    /// Folds a completed run's final counters into the base, so the
-    /// next run of this slot continues from monotonic totals.
-    pub fn absorb(&self, stats: &AgentStats) {
-        for (i, m) in STAT_METRICS.iter().enumerate() {
-            let total = self.base[i].load(Ordering::Relaxed) + (m.read)(stats);
-            self.base[i].store(total, Ordering::Relaxed);
-            self.live[i].store(total, Ordering::Relaxed);
+        for (live, m) in self.live.iter().zip(&STAT_METRICS) {
+            live.store((m.read)(stats), Ordering::Relaxed);
         }
     }
 
     /// Records one applied update's (ground truth, pre-update score)
-    /// pair into the quality window and refreshes the staleness
-    /// origin.
+    /// pair into the quality window, which also stamps its staleness
+    /// clock.
     pub fn record_quality(&self, positive: bool, score: f64) {
         self.quality.record(positive, score);
-        self.last_update_ms
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
-    /// The exported counter values, in [`STAT_METRICS`] order.
+    /// The flushed counter values, in [`STAT_METRICS`] order.
     pub fn counters(&self) -> [u64; STAT_METRICS.len()] {
         std::array::from_fn(|i| self.live[i].load(Ordering::Relaxed))
-    }
-
-    /// Seconds since this slot last applied an update (`None` before
-    /// the first).
-    pub fn staleness_s(&self) -> Option<f64> {
-        match self.last_update_ms.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            then_ms => {
-                let now_ms = self.epoch.elapsed().as_millis() as u64;
-                Some(now_ms.saturating_sub(then_ms) as f64 / 1_000.0)
-            }
-        }
     }
 }
 
@@ -275,29 +236,35 @@ mod tests {
 
     #[test]
     fn flush_and_absorb_keep_counters_monotonic_across_runs() {
+        // What `Fleet::leave` does between runs: fold the finished
+        // run into the slot's total, then zero the mirror.
         let slot = AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)));
+        let mut total = AgentStats::default();
+        let exported =
+            |total: &AgentStats, i: usize| (STAT_METRICS[i].read)(total) + slot.counters()[i];
+        slot.flush(&stats_with(3, 60));
         slot.flush(&stats_with(5, 100));
-        assert_eq!(slot.counters()[0], 5);
-        // Run ends: its totals fold into the base...
-        slot.absorb(&stats_with(5, 100));
-        assert_eq!(slot.counters()[0], 5);
-        // ...so the next run's fresh counters stack on top.
+        assert_eq!(exported(&total, 0), 5, "a flush replaces the last one");
+        total.merge(&stats_with(5, 100));
+        slot.flush(&AgentStats::default());
+        assert_eq!(exported(&total, 0), 5);
         slot.flush(&stats_with(2, 40));
-        assert_eq!(slot.counters()[0], 7);
+        assert_eq!(exported(&total, 0), 7);
         let bytes_idx = STAT_METRICS
             .iter()
             .position(|m| m.name == "dmf_agent_bytes_sent_total")
             .expect("in table");
-        assert_eq!(slot.counters()[bytes_idx], 140);
+        assert_eq!(exported(&total, bytes_idx), 140);
     }
 
     #[test]
     fn quality_records_refresh_staleness() {
         let slot = AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)));
-        assert_eq!(slot.staleness_s(), None);
+        assert_eq!(slot.quality().signals(None).staleness_s, None);
         slot.record_quality(true, 1.0);
         slot.record_quality(false, -1.0);
-        assert!(slot.staleness_s().expect("updated") >= 0.0);
+        let staleness_s = slot.quality().signals(None).staleness_s;
+        assert!(staleness_s.expect("updated") >= 0.0);
         assert_eq!(slot.quality().len(), 2);
         assert_eq!(slot.quality().auc(), Some(1.0));
     }

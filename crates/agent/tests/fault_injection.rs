@@ -7,12 +7,15 @@
 //! keyframe resyncs, corruption to counted decode errors, and never
 //! to wrong coordinates or a panic.
 
-use dmf_agent::{run_agent, AgentHandle, ClusterConfig, MeasurementOracle, UdpCluster};
+use dmf_agent::{
+    run_agent, AgentHandle, AgentMetricsSlot, ClusterConfig, MeasurementOracle, UdpCluster,
+};
 use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode, MembershipError};
 use dmf_datasets::abw::hps3_like;
 use dmf_datasets::rtt::meridian_like;
 use dmf_datasets::Dataset;
 use dmf_eval::{collect_scores, roc::auc};
+use dmf_ops::LiveQuality;
 use dmf_proto::{FaultSpec, WireVersion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -106,7 +109,7 @@ fn mixed_pair_learns(d: Dataset) {
             },
             probe_timeout: Duration::from_millis(40),
             max_retries: 2,
-            metrics: None,
+            metrics: Arc::new(AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)))),
         };
         handles.push(thread::spawn(move || run_agent(handle, 1000 + id as u64)));
     }
@@ -161,7 +164,7 @@ fn no_neighbors_is_a_typed_error() {
         wire: WireVersion::V2,
         probe_timeout: Duration::from_millis(40),
         max_retries: 2,
-        metrics: None,
+        metrics: Arc::new(AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)))),
     };
     match run_agent(handle, 0) {
         Err(DmfsgdError::Membership(MembershipError::NoNeighbors { id })) => assert_eq!(id, 7),

@@ -7,9 +7,8 @@
 //! objective (paper eq. 3) with full access to the observed matrix:
 //!
 //! * [`batch_gd`] — full-gradient descent for any loss (hinge,
-//!   logistic, L2);
-//! * [`als`] — alternating least squares for the L2 loss, solving
-//!   exact `r × r` normal equations per row.
+//!   logistic, L2), and [`batch_gd_class`], its form over a class
+//!   matrix, which the centralized ablation runs.
 //!
 //! The decentralized algorithm should approach their accuracy while
 //! touching only per-node data — that comparison is an ablation the
@@ -17,7 +16,6 @@
 
 use dmf_core::loss::Loss;
 use dmf_datasets::ClassMatrix;
-use dmf_linalg::decomp::solve;
 use dmf_linalg::{Mask, Matrix};
 use rand::Rng;
 use rand::SeedableRng;
@@ -137,88 +135,6 @@ pub fn batch_gd_class(
     )
 }
 
-/// Alternating least squares for the L2 loss.
-///
-/// Fixing `V`, each row `u_i` has a closed-form ridge solution
-/// `(Σ_j v_j v_jᵀ + λI)⁻¹ Σ_j x_ij v_j` over observed `j`; then roles
-/// swap. Monotone decrease of the objective is guaranteed.
-pub fn als(
-    values: &Matrix,
-    mask: &Mask,
-    rank: usize,
-    lambda: f64,
-    iters: usize,
-    seed: u64,
-) -> Factorization {
-    assert!(values.is_square(), "pairwise matrix must be square");
-    assert!(lambda > 0.0, "ALS needs lambda > 0 for well-posed solves");
-    let n = values.rows();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut f = Factorization::random(n, rank, &mut rng);
-
-    for _ in 0..iters {
-        // Solve for each u_i given V.
-        for i in 0..n {
-            if let Some(u_i) = ridge_row(values, mask, &f.v, i, lambda, rank, RowKind::U) {
-                f.u.row_mut(i).copy_from_slice(&u_i);
-            }
-        }
-        // Solve for each v_j given U.
-        for j in 0..n {
-            if let Some(v_j) = ridge_row(values, mask, &f.u, j, lambda, rank, RowKind::V) {
-                f.v.row_mut(j).copy_from_slice(&v_j);
-            }
-        }
-    }
-    f
-}
-
-enum RowKind {
-    /// Solving `u_i` from observed `x_i·` against `V` rows.
-    U,
-    /// Solving `v_j` from observed `x_·j` against `U` rows.
-    V,
-}
-
-fn ridge_row(
-    values: &Matrix,
-    mask: &Mask,
-    other: &Matrix,
-    idx: usize,
-    lambda: f64,
-    rank: usize,
-    kind: RowKind,
-) -> Option<Vec<f64>> {
-    let n = values.rows();
-    let mut gram = Matrix::zeros(rank, rank);
-    let mut rhs = vec![0.0; rank];
-    let mut seen = false;
-    for t in 0..n {
-        let (known, x) = match kind {
-            RowKind::U => (mask.is_known(idx, t), values[(idx, t)]),
-            RowKind::V => (mask.is_known(t, idx), values[(t, idx)]),
-        };
-        if !known {
-            continue;
-        }
-        seen = true;
-        let row = other.row(t);
-        for a in 0..rank {
-            rhs[a] += x * row[a];
-            for b in 0..rank {
-                gram[(a, b)] += row[a] * row[b];
-            }
-        }
-    }
-    if !seen {
-        return None; // no observations touch this row; keep it as-is
-    }
-    for a in 0..rank {
-        gram[(a, a)] += lambda;
-    }
-    solve(&gram, &rhs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,33 +162,6 @@ mod tests {
             obj_late < obj_early,
             "objective should fall: {obj_early} → {obj_late}"
         );
-    }
-
-    #[test]
-    fn als_objective_monotone() {
-        let d = meridian_like(30, 3);
-        // Scale values near 1 for a conditioned L2 problem.
-        let med = d.median();
-        let scaled = d.values.scale(1.0 / med);
-        let one_iter = als(&scaled, &d.mask, 6, 0.1, 1, 5);
-        let five_iter = als(&scaled, &d.mask, 6, 0.1, 5, 5);
-        let o1 = one_iter.objective(&scaled, &d.mask, Loss::L2, 0.1);
-        let o5 = five_iter.objective(&scaled, &d.mask, Loss::L2, 0.1);
-        assert!(o5 <= o1 + 1e-9, "ALS objective must not rise: {o1} → {o5}");
-    }
-
-    #[test]
-    fn als_fits_low_rank_matrix_exactly() {
-        use rand::SeedableRng;
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let truth = dmf_linalg::svd::random_low_rank(25, 25, 4, &mut rng);
-        let mask = Mask::full_off_diagonal(25);
-        let f = als(&truth, &mask, 6, 1e-6, 20, 1);
-        let mut max_err = 0.0f64;
-        for (i, j) in mask.iter_known() {
-            max_err = max_err.max((f.predict(i, j) - truth[(i, j)]).abs());
-        }
-        assert!(max_err < 0.05, "ALS max reconstruction error {max_err}");
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!   sets, probe-one-at-a-time); Vivaldi is the classical
 //!   quantity-based predictor for RTT.
 //! * [`centralized`] — centralized matrix factorization on the full
-//!   observed matrix: batch gradient descent for the classification
-//!   losses and alternating least squares for L2. The decentralized
-//!   SGD should approach these (they optimize the same objective with
-//!   full data access).
+//!   observed matrix by batch gradient descent, for any of the
+//!   losses. The decentralized SGD should approach it (it optimizes
+//!   the same objective with full data access).
 //! * [`selection`] — peer-selection reference strategies: the oracle
 //!   (true-best) selector and score-matrix builders for it.
 //!
@@ -20,7 +19,7 @@
 //!
 //! Consumes the same substrate as the main algorithm so comparisons
 //! are apples-to-apples: datasets from [`dmf_datasets`], losses from
-//! [`dmf_core::loss`], linear solves from [`dmf_linalg`], and the
+//! [`dmf_core::loss`], matrices and masks from [`dmf_linalg`], and the
 //! evaluation criteria of [`dmf_eval`]. `dmf-bench` pits these
 //! baselines against DMFSGD in the ablation binaries.
 

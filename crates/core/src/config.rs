@@ -58,17 +58,6 @@ impl SgdParams {
         }
         Ok(())
     }
-
-    /// Validates parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on the first violated range; prefer
-    /// [`try_validate`](Self::try_validate).
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Full system configuration.
@@ -111,8 +100,14 @@ impl DmfsgdConfig {
 
     /// Defaults switched to quantity (regression) mode with the given
     /// value scale.
+    ///
+    /// # Panics
+    /// Panics unless `value_scale` is finite and strictly positive.
     pub fn quantity(mut self, value_scale: f64) -> Self {
-        assert!(value_scale > 0.0, "value scale must be positive");
+        assert!(
+            value_scale.is_finite() && value_scale > 0.0,
+            "value scale must be finite and positive"
+        );
         self.mode = PredictionMode::Quantity { value_scale };
         self.sgd.loss = Loss::L2;
         self
@@ -128,7 +123,7 @@ impl DmfsgdConfig {
         }
         self.sgd.try_validate()?;
         if let PredictionMode::Quantity { value_scale } = self.mode {
-            if value_scale <= 0.0 {
+            if !(value_scale.is_finite() && value_scale > 0.0) {
                 return Err(ConfigError::ValueScale { value_scale });
             }
             if self.sgd.loss != Loss::L2 {
@@ -138,17 +133,6 @@ impl DmfsgdConfig {
             }
         }
         Ok(())
-    }
-
-    /// Validates the whole configuration.
-    ///
-    /// # Panics
-    /// Panics on the first violated range; prefer
-    /// [`try_validate`](Self::try_validate).
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -164,14 +148,14 @@ mod tests {
         assert_eq!(c.sgd.lambda, 0.1);
         assert_eq!(c.sgd.loss, Loss::Logistic);
         assert_eq!(c.mode, PredictionMode::Class);
-        c.validate();
+        c.try_validate().unwrap();
     }
 
     #[test]
     fn with_k_overrides() {
         let c = DmfsgdConfig::paper_defaults().with_k(32);
         assert_eq!(c.k, 32);
-        c.validate();
+        c.try_validate().unwrap();
     }
 
     #[test]
@@ -182,41 +166,51 @@ mod tests {
             PredictionMode::Quantity { value_scale } => assert_eq!(value_scale, 56.4),
             other => panic!("unexpected mode {other:?}"),
         }
-        c.validate();
+        c.try_validate().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "rank must be at least 1")]
     fn zero_rank_rejected() {
         let mut c = DmfsgdConfig::paper_defaults();
         c.rank = 0;
-        c.validate();
+        let err = c.try_validate().unwrap_err();
+        assert_eq!(err, ConfigError::ZeroRank);
+        assert!(err.to_string().contains("rank must be at least 1"));
     }
 
     #[test]
-    #[should_panic(expected = "eta")]
     fn bad_eta_rejected() {
         let mut c = DmfsgdConfig::paper_defaults();
         c.sgd.eta = 0.0;
-        c.validate();
+        let err = c.try_validate().unwrap_err();
+        assert_eq!(err, ConfigError::Eta { eta: 0.0 });
+        assert!(err.to_string().contains("eta"));
     }
 
     #[test]
-    #[should_panic(expected = "shrinkage")]
     fn shrinkage_must_stay_positive() {
-        SgdParams {
+        let err = SgdParams {
             eta: 1.0,
             lambda: 1.5,
             loss: Loss::Logistic,
         }
-        .validate();
+        .try_validate()
+        .unwrap_err();
+        assert_eq!(err, ConfigError::Lambda { lambda: 1.5 });
+        assert!(err.to_string().contains("shrinkage"));
     }
 
     #[test]
-    #[should_panic(expected = "L2 loss")]
     fn quantity_mode_requires_l2() {
         let mut c = DmfsgdConfig::paper_defaults().quantity(1.0);
         c.sgd.loss = Loss::Logistic;
-        c.validate();
+        let err = c.try_validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::QuantityLoss {
+                loss: Loss::Logistic
+            }
+        );
+        assert!(err.to_string().contains("L2 loss"));
     }
 }

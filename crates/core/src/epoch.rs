@@ -179,24 +179,6 @@ impl EpochView {
         self.read_slot(id, Some(u), Some(v))
     }
 
-    /// Consistent read of slot `id`'s outgoing coordinates `u_i`
-    /// alone; returns the alive flag from the same publication,
-    /// `None` out of range. The buffer must hold at least
-    /// [`rank`](Self::rank) elements.
-    pub fn read_u_into(&self, id: NodeId, u: &mut [f64]) -> Option<bool> {
-        debug_assert!(u.len() >= self.rank);
-        self.read_slot(id, Some(u), None)
-    }
-
-    /// Consistent read of slot `id`'s incoming coordinates `v_i`
-    /// alone; returns the alive flag from the same publication,
-    /// `None` out of range. The buffer must hold at least
-    /// [`rank`](Self::rank) elements.
-    pub fn read_v_into(&self, id: NodeId, v: &mut [f64]) -> Option<bool> {
-        debug_assert!(v.len() >= self.rank);
-        self.read_slot(id, None, Some(v))
-    }
-
     /// The alive flag of slot `id` (`None` out of range), consistent
     /// with some publication.
     pub fn is_alive(&self, id: NodeId) -> Option<bool> {
@@ -299,9 +281,9 @@ impl EpochView {
     }
 
     /// [`raw_score`](Self::raw_score) with caller-owned scratch
-    /// buffers (each at least [`rank`](Self::rank) long) — the
-    /// allocation-free serving form.
-    pub fn raw_score_into(
+    /// buffers (each at least [`rank`](Self::rank) long). Reads only
+    /// `u_i` and `v_j`: each slot read fetches the half it needs.
+    fn raw_score_into(
         &self,
         i: NodeId,
         j: NodeId,

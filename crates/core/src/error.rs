@@ -42,11 +42,6 @@ pub enum DmfsgdError {
     /// was rejected: id order, coordinate rank or finiteness did not
     /// match the session.
     Import(String),
-    /// A batched linear-algebra query was asked of incompatible
-    /// shapes (wrapped from [`dmf_linalg::ShapeError`]); the fallible
-    /// query surface ([`crate::session::Session::try_predicted_scores`])
-    /// returns this where the internal hot paths keep their assert.
-    Shape(dmf_linalg::ShapeError),
     /// A measurement carried a label the session's loss does not train
     /// on: under [`Loss::Ordinal`] anything but the integers `1..=C`.
     Label {
@@ -66,7 +61,6 @@ impl fmt::Display for DmfsgdError {
             DmfsgdError::Decode(e) => write!(f, "datagram decode failed: {e}"),
             DmfsgdError::Transport(msg) => write!(f, "transport failure: {msg}"),
             DmfsgdError::Import(msg) => write!(f, "node import rejected: {msg}"),
-            DmfsgdError::Shape(e) => e.fmt(f),
             DmfsgdError::Label { x, loss } => write!(f, "label {x} is not a class of {loss:?}"),
         }
     }
@@ -98,12 +92,6 @@ impl From<dmf_proto::DecodeError> for DmfsgdError {
     }
 }
 
-impl From<dmf_linalg::ShapeError> for DmfsgdError {
-    fn from(e: dmf_linalg::ShapeError) -> Self {
-        DmfsgdError::Shape(e)
-    }
-}
-
 /// An out-of-range configuration knob (rejected by
 /// [`crate::session::SessionBuilder::build`] and
 /// [`crate::config::DmfsgdConfig::try_validate`]).
@@ -124,7 +112,8 @@ pub enum ConfigError {
         /// The rejected regularization coefficient.
         lambda: f64,
     },
-    /// Quantity mode with a non-positive value scale.
+    /// Quantity mode with a value scale that is not finite and
+    /// strictly positive.
     ValueScale {
         /// The rejected scale divisor.
         value_scale: f64,
@@ -215,7 +204,10 @@ impl fmt::Display for ConfigError {
                  shrinkage (1-ηλ) stays positive"
             ),
             ConfigError::ValueScale { value_scale } => {
-                write!(f, "value scale must be positive (got {value_scale})")
+                write!(
+                    f,
+                    "value scale must be finite and positive (got {value_scale})"
+                )
             }
             ConfigError::QuantityLoss { loss } => {
                 write!(

@@ -166,13 +166,6 @@ impl ProbedClassProvider {
             abw_prober: PathloadProber::default(),
         }
     }
-
-    /// Overrides the tool noise models.
-    pub fn with_probers(mut self, rtt: RttProber, abw: PathloadProber) -> Self {
-        self.rtt_prober = rtt;
-        self.abw_prober = abw;
-        self
-    }
 }
 
 impl MeasurementProvider for ProbedClassProvider {

@@ -76,12 +76,6 @@ impl SimnetRunner {
         &self.session
     }
 
-    /// Mutable access to the underlying session (membership changes
-    /// between runs).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
     /// Splits the runner into its session and driver.
     pub fn into_parts(self) -> (Session, SimnetDriver) {
         (self.session, self.driver)

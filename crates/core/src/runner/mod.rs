@@ -694,7 +694,6 @@ mod tests {
     use crate::session::SessionBuilder;
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
-    use dmf_linalg::Matrix;
     use dmf_proto::codec::encode_v2_into;
     use dmf_proto::{EncoderContext, MessageV2};
     use dmf_simnet::ShardedSimNet;
@@ -1483,58 +1482,6 @@ mod tests {
         let batched = runner.predicted_scores();
         let naive = runner.predicted_scores_naive();
         assert_eq!(batched, naive, "batched U·Vᵀ must equal per-pair dots");
-    }
-
-    #[test]
-    fn try_predicted_scores_matches_infallible_on_valid_sessions() {
-        let d = meridian_like(20, 3);
-        let tau = d.median();
-        let mut runner =
-            SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
-                .expect("valid");
-        runner.run_for(15.0).expect("run");
-        let want = runner.session().predicted_scores();
-        let got = runner
-            .session()
-            .try_predicted_scores()
-            .expect("valid shapes");
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn try_predicted_scores_surfaces_shape_mismatch_as_typed_error() {
-        let mut session = crate::session::SessionBuilder::new()
-            .nodes(12)
-            .tau(60.0)
-            .build()
-            .expect("valid");
-        // Hand-corrupt one node's v rank: unreachable through imports
-        // (rank-validated), but exactly the inconsistency the fallible
-        // surface must catch instead of panicking.
-        let r = session.nodes[0].coords.v.len();
-        for node in &mut session.nodes {
-            node.coords.v = CoordVec::zeros(r + 2);
-        }
-        let mut out = Matrix::zeros(0, 0);
-        let err = session
-            .try_predicted_scores_into(&mut out)
-            .expect_err("u/v rank mismatch");
-        match err {
-            DmfsgdError::Shape(e) => {
-                assert_eq!(e.op, "matmul_nt");
-                assert_eq!(e.lhs.1, r, "lhs inner dim is the u rank");
-                assert_eq!(e.rhs.1, r + 2, "rhs inner dim is the corrupted v rank");
-            }
-            other => panic!("expected Shape error, got {other:?}"),
-        }
-        assert_eq!(out.rows(), 0, "output untouched on error");
-        // A per-node inconsistency (one node disagreeing with node 0)
-        // is an import-shaped inconsistency, also typed.
-        session.nodes[3].coords.v = CoordVec::zeros(r);
-        let err = session
-            .try_predicted_scores_into(&mut out)
-            .expect_err("per-node rank mismatch");
-        assert!(matches!(err, DmfsgdError::Import(_)), "got {err:?}");
     }
 
     fn session(n: usize, seed: u64) -> Session {

@@ -304,26 +304,6 @@ impl Session {
         batched_scores_into(&self.nodes, out);
     }
 
-    /// Fallible [`predicted_scores`](Self::predicted_scores): routes
-    /// the batched `U·Vᵀ` product through the typed-error matmul
-    /// surface, so a coordinate-shape inconsistency (e.g. hand-built
-    /// node state whose `u` and `v` ranks differ) surfaces as
-    /// [`DmfsgdError::Shape`] instead of a panic. The infallible
-    /// queries keep the assert — a valid session cannot hit it
-    /// (imports are rank-validated).
-    pub fn try_predicted_scores(&self) -> Result<Matrix, DmfsgdError> {
-        let mut out = Matrix::zeros(0, 0);
-        self.try_predicted_scores_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`try_predicted_scores`](Self::try_predicted_scores) into an
-    /// existing matrix, reusing its allocation. On error the output is
-    /// left untouched.
-    pub fn try_predicted_scores_into(&self, out: &mut Matrix) -> Result<(), DmfsgdError> {
-        try_batched_scores_into(&self.nodes, out)
-    }
-
     /// Reference implementation of
     /// [`predicted_scores`](Self::predicted_scores): one per-pair dot
     /// at a time. Kept for the equivalence property tests.
@@ -454,24 +434,6 @@ impl Session {
         self.config.sgd.loss.check_label(x)?;
         self.apply_unchecked(i, j, x, metric);
         Ok(())
-    }
-
-    /// Processes one measurement for the ordered pair `(i, j)` from
-    /// `provider`. Returns `Ok(false)` when the pair could not be
-    /// measured (missing ground truth — not an error: a failed probe
-    /// just loses one training opportunity).
-    pub fn process_pair(
-        &mut self,
-        i: NodeId,
-        j: NodeId,
-        provider: &mut dyn MeasurementProvider,
-    ) -> Result<bool, DmfsgdError> {
-        self.check_pair(i, j)?;
-        let Some(x) = provider.measure(i, j, &mut self.rng) else {
-            return Ok(false);
-        };
-        self.apply_unchecked(i, j, x, provider.metric());
-        Ok(true)
     }
 
     /// One protocol tick: a random alive node probes a random
@@ -981,11 +943,6 @@ impl<P: MeasurementProvider> OracleDriver<P> {
     pub fn provider(&self) -> &P {
         &self.provider
     }
-
-    /// Consumes the driver and returns the provider.
-    pub fn into_provider(self) -> P {
-        self.provider
-    }
 }
 
 impl<P: MeasurementProvider> Driver for OracleDriver<P> {
@@ -1028,44 +985,6 @@ fn batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) {
     for i in 0..n {
         out[(i, i)] = 0.0;
     }
-}
-
-/// [`batched_scores_into`] through the typed-error matmul surface: a
-/// `u`/`v` rank mismatch comes back as [`DmfsgdError::Shape`], and a
-/// node whose ranks disagree with node 0's as
-/// [`DmfsgdError::Import`] — never a panic. On error `out` is left
-/// untouched. Valid sessions can't fail here, so the infallible
-/// packing above stays the hot path.
-fn try_batched_scores_into(nodes: &[DmfsgdNode], out: &mut Matrix) -> Result<(), DmfsgdError> {
-    let n = nodes.len();
-    if n == 0 {
-        *out = Matrix::zeros(0, 0);
-        return Ok(());
-    }
-    let ru = nodes[0].coords.u.len();
-    let rv = nodes[0].coords.v.len();
-    for (i, node) in nodes.iter().enumerate() {
-        if node.coords.u.len() != ru || node.coords.v.len() != rv {
-            return Err(DmfsgdError::Import(format!(
-                "node {i} coordinate ranks ({}, {}) differ from node 0's ({ru}, {rv})",
-                node.coords.u.len(),
-                node.coords.v.len()
-            )));
-        }
-    }
-    let mut ud = Vec::with_capacity(n * ru);
-    let mut vd = Vec::with_capacity(n * rv);
-    for node in nodes {
-        ud.extend_from_slice(&node.coords.u);
-        vd.extend_from_slice(&node.coords.v);
-    }
-    let u = Matrix::from_vec(n, ru, ud);
-    let v = Matrix::from_vec(n, rv, vd);
-    u.try_matmul_nt_into(&v, out)?;
-    for i in 0..n {
-        out[(i, i)] = 0.0;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1205,6 +1124,16 @@ mod tests {
             b().quantity(-3.0).build().unwrap_err(),
             ConfigError::ValueScale { value_scale: -3.0 }
         );
+        // NaN ≠ NaN, so the non-finite scales match on the variant.
+        for value_scale in [f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    b().quantity(value_scale).build().unwrap_err(),
+                    ConfigError::ValueScale { .. }
+                ),
+                "{value_scale}"
+            );
+        }
         assert_eq!(
             b().quantity(1.0).loss(Loss::Logistic).build().unwrap_err(),
             ConfigError::QuantityLoss {
@@ -1249,6 +1178,23 @@ mod tests {
             session.apply_measurement(0, 1, x, Metric::Abw).unwrap();
         }
         assert_eq!(session.measurements_used(), 3);
+    }
+
+    #[test]
+    fn import_nodes_refuses_a_node_whose_u_and_v_ranks_differ() {
+        let mut session = small_session(20, 4, 3);
+        let before = session.clone();
+        let r = session.config().rank;
+        let mut nodes = session.nodes().to_vec();
+        nodes[5].coords.v = crate::coords::CoordVec::from_fn(r + 1, |k| 0.1 * k as f64);
+        let err = session.import_nodes(nodes, 7).unwrap_err();
+        assert!(matches!(err, DmfsgdError::Import(_)), "{err:?}");
+        assert_eq!(
+            session.nodes(),
+            before.nodes(),
+            "a refused import lands nothing"
+        );
+        assert_eq!(session.measurements_used(), 0);
     }
 
     #[test]

@@ -285,6 +285,11 @@ mod tests {
         );
 
         let mut bad = snap.clone();
+        let r = bad.config.rank;
+        bad.nodes[3].coords.v = crate::coords::CoordVec::from_fn(r + 1, |k| 0.1 * k as f64);
+        assert!(Session::restore(&bad).is_err(), "u rank r, v rank r + 1");
+
+        let mut bad = snap.clone();
         bad.nodes[0].coords.u[0] = f64::NAN;
         assert!(Session::restore(&bad).is_err(), "non-finite coordinate");
 

@@ -3,8 +3,10 @@
 //! Two formats:
 //!
 //! * **JSON** ([`save_dataset_json`] / [`load_dataset_json`], and the
-//!   trace equivalents) — lossless, self-describing, used by the
-//!   experiment harness to record inputs next to results.
+//!   trace equivalents) — lossless and self-describing. Only this
+//!   module's tests call it: no binary or crate in the workspace
+//!   records its inputs this way, and it is the crate's one non-test
+//!   use of `serde_json` (ROADMAP lists it with the harness-only code).
 //! * **Matrix text** ([`write_matrix_text`] / [`read_matrix_text`]) —
 //!   the whitespace-separated square-matrix layout used by the public
 //!   p2psim/Meridian matrix dumps, with `nan` marking missing entries.

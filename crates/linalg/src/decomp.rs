@@ -8,61 +8,6 @@
 
 use crate::Matrix;
 
-/// Solves the square linear system `A x = b` by Gaussian elimination
-/// with partial pivoting.
-///
-/// Returns `None` when `A` is (numerically) singular. Used by the ALS
-/// baseline, which solves many small `r × r` normal-equation systems.
-pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    assert!(a.is_square(), "solve requires a square matrix");
-    let n = a.rows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    // Augmented working copy.
-    let mut m = a.clone();
-    let mut x = b.to_vec();
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot = col;
-        for row in (col + 1)..n {
-            if m[(row, col)].abs() > m[(pivot, col)].abs() {
-                pivot = row;
-            }
-        }
-        if m[(pivot, col)].abs() < 1e-12 {
-            return None;
-        }
-        if pivot != col {
-            for j in 0..n {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(pivot, j)];
-                m[(pivot, j)] = tmp;
-            }
-            x.swap(col, pivot);
-        }
-        let diag = m[(col, col)];
-        for row in (col + 1)..n {
-            let factor = m[(row, col)] / diag;
-            if factor == 0.0 {
-                continue;
-            }
-            for j in col..n {
-                let v = m[(col, j)];
-                m[(row, j)] -= factor * v;
-            }
-            x[row] -= factor * x[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let mut acc = x[col];
-        for j in (col + 1)..n {
-            acc -= m[(col, j)] * x[j];
-        }
-        x[col] = acc / m[(col, col)];
-    }
-    Some(x)
-}
-
 /// Thin QR factorization via modified Gram–Schmidt.
 ///
 /// Returns `(Q, R)` with `Q` of shape `m × n` having orthonormal columns
@@ -170,46 +115,6 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} !~ {b}");
-    }
-
-    #[test]
-    fn solve_known_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = solve(&a, &[5.0, 10.0]).unwrap();
-        assert_close(x[0], 1.0, 1e-12);
-        assert_close(x[1], 3.0, 1e-12);
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // Zero on the initial diagonal forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = solve(&a, &[2.0, 3.0]).unwrap();
-        assert_close(x[0], 3.0, 1e-12);
-        assert_close(x[1], 2.0, 1e-12);
-    }
-
-    #[test]
-    fn solve_singular_returns_none() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(solve(&a, &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn solve_residual_small_on_random_system() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let a = Matrix::from_fn(8, 8, |_, _| crate::stats::normal_sample(&mut rng, 0.0, 1.0));
-        let b: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let x = solve(&a, &b).expect("random matrix should be invertible");
-        // Residual ‖Ax − b‖ must be tiny.
-        for i in 0..8 {
-            let mut acc = 0.0;
-            for j in 0..8 {
-                acc += a[(i, j)] * x[j];
-            }
-            assert_close(acc, b[i], 1e-8);
-        }
     }
 
     #[test]

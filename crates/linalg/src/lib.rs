@@ -61,4 +61,4 @@ pub mod svd;
 
 pub use kernels::CoordVec;
 pub use mask::Mask;
-pub use matrix::{Matrix, ShapeError};
+pub use matrix::Matrix;

@@ -182,8 +182,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics when the column counts (the shared inner dimension)
-    /// disagree. [`try_matmul_nt`](Self::try_matmul_nt) is the
-    /// non-panicking form for shapes that come from external input.
+    /// disagree.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_nt_into(rhs, &mut out);
@@ -196,36 +195,16 @@ impl Matrix {
     /// avoid a large alloc/fault/free cycle per call this way.
     ///
     /// # Panics
-    /// Panics when the column counts disagree (see
-    /// [`try_matmul_nt_into`](Self::try_matmul_nt_into) for the typed
-    /// error). Internal callers that construct both operands keep this
-    /// asserting form.
+    /// Panics when the column counts disagree.
     pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        if let Err(e) = self.try_matmul_nt_into(rhs, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Non-panicking [`matmul_nt`](Self::matmul_nt): rejects a shape
-    /// mismatch with a typed [`ShapeError`] instead of asserting, for
-    /// callers whose operands come from external input (snapshots,
-    /// wire data, session queries).
-    pub fn try_matmul_nt(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut out = Matrix::zeros(0, 0);
-        self.try_matmul_nt_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Non-panicking [`matmul_nt_into`](Self::matmul_nt_into). On
-    /// error `out` is left untouched.
-    pub fn try_matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        if self.cols != rhs.cols {
-            return Err(ShapeError {
-                op: "matmul_nt",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
+        assert!(
+            self.cols == rhs.cols,
+            "matmul_nt shape mismatch: {}x{} * ({}x{})ᵀ",
+            self.rows,
+            self.cols,
+            rhs.rows,
+            rhs.cols
+        );
         let (rows, cols, inner) = (self.rows, rhs.rows, self.cols);
         let mut data = std::mem::take(&mut out.data);
         data.clear();
@@ -233,7 +212,7 @@ impl Matrix {
         if inner == 0 {
             data.resize(rows * cols, 0.0);
             *out = Matrix::from_vec(rows, cols, data);
-            return Ok(());
+            return;
         }
         // Pack rhsᵀ once (r × n, contiguous rows of length n) so the
         // hot loop is a pure streaming accumulation; the dispatcher
@@ -253,7 +232,6 @@ impl Matrix {
             );
         });
         *out = Matrix::from_vec(rows, cols, data);
-        Ok(())
     }
 
     /// Moves the backing storage out (for in-crate buffer reuse),
@@ -353,35 +331,6 @@ impl Matrix {
         crate::kernels::dot(a, b)
     }
 }
-
-/// A typed shape mismatch from the non-panicking matrix products
-/// ([`Matrix::try_matmul_nt`] and friends).
-///
-/// The [`fmt::Display`] form reproduces the historical assert message
-/// (`"matmul_nt shape mismatch: …"`), which the panicking entry points
-/// format through — so legacy `#[should_panic(expected = …)]` callers
-/// keep working.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShapeError {
-    /// The operation that rejected the shapes (e.g. `"matmul_nt"`).
-    pub op: &'static str,
-    /// `(rows, cols)` of the left-hand operand.
-    pub lhs: (usize, usize),
-    /// `(rows, cols)` of the right-hand operand.
-    pub rhs: (usize, usize),
-}
-
-impl fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.op, self.lhs.0, self.lhs.1, self.rhs.0, self.rhs.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeError {}
 
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
@@ -551,29 +500,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         let _ = a.matmul_nt(&b);
-    }
-
-    #[test]
-    fn try_matmul_nt_returns_typed_shape_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 4);
-        let err = a.try_matmul_nt(&b).unwrap_err();
-        assert_eq!(
-            err,
-            ShapeError {
-                op: "matmul_nt",
-                lhs: (2, 3),
-                rhs: (2, 4),
-            }
-        );
-        assert_eq!(err.to_string(), "matmul_nt shape mismatch: 2x3 * (2x4)ᵀ");
-        // On error the destination is untouched.
-        let mut out = Matrix::filled(1, 1, 42.0);
-        assert!(a.try_matmul_nt_into(&b, &mut out).is_err());
-        assert_eq!(out, Matrix::filled(1, 1, 42.0));
-        // Matching shapes succeed and agree with the panicking form.
-        let c = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64 * 0.25);
-        assert_eq!(a.try_matmul_nt(&c).unwrap(), a.matmul_nt(&c));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The live quality window: a shareable, thread-safe wrapper over
-//! [`dmf_eval::window::RollingAuc`].
+//! [`dmf_eval::window::RollingAuc`], plus the staleness clock.
 //!
 //! Instrumented surfaces record `(measurement class, raw score)`
 //! pairs as they observe them — the agent when a probe reply arrives
@@ -11,19 +11,34 @@
 //! the same pair stream agree bit-for-bit — the property the
 //! live-vs-offline agreement test pins.
 //!
+//! Every applied update records a pair, so the time of the last
+//! record is the time of the last applied update: the window is also
+//! the staleness clock. A window shared by many writers (a fleet's
+//! agents) therefore reports the most recent update anywhere.
+//!
 //! Recording takes a mutex, not an atomic — quality pairs arrive at
 //! measurement cadence (per probe round / per update request), orders
 //! of magnitude below the counter hot paths, and the guarded work is
-//! a ring-slot write.
+//! a ring-slot write and a clock stamp.
 
+use crate::health::HealthSignals;
 use dmf_eval::window::{RollingAuc, WindowStats};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
+
+/// The ring and the time of its last record, under one lock.
+#[derive(Debug)]
+struct Window {
+    ring: RollingAuc,
+    /// When the last pair was recorded; `None` before the first.
+    last_record: Option<Instant>,
+}
 
 /// A shared live quality window. Clone-free by design: share it via
 /// `Arc<LiveQuality>`.
 #[derive(Debug)]
 pub struct LiveQuality {
-    ring: Mutex<RollingAuc>,
+    window: Mutex<Window>,
 }
 
 impl LiveQuality {
@@ -34,55 +49,77 @@ impl LiveQuality {
     /// [`RollingAuc::new`]).
     pub fn new(capacity: usize) -> Self {
         Self {
-            ring: Mutex::new(RollingAuc::new(capacity)),
+            window: Mutex::new(Window {
+                ring: RollingAuc::new(capacity),
+                last_record: None,
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().expect("quality lock")
     }
 
     /// Records one observed pair: was the link actually in the
     /// positive class, and what raw score did the model give it.
+    /// Stamps the staleness clock.
     pub fn record(&self, positive: bool, score: f64) {
-        self.ring
-            .lock()
-            .expect("quality lock")
-            .record(positive, score);
+        let mut w = self.lock();
+        w.ring.record(positive, score);
+        w.last_record = Some(Instant::now());
     }
 
     /// Pairs currently held (`<= capacity`).
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("quality lock").len()
+        self.lock().ring.len()
     }
 
     /// True when no pairs are held.
     pub fn is_empty(&self) -> bool {
-        self.ring.lock().expect("quality lock").is_empty()
+        self.lock().ring.is_empty()
     }
 
     /// Maximum pairs retained.
     pub fn capacity(&self) -> usize {
-        self.ring.lock().expect("quality lock").capacity()
+        self.lock().ring.capacity()
     }
 
     /// Rolling AUC; `None` while the window holds only one class.
     pub fn auc(&self) -> Option<f64> {
-        self.ring.lock().expect("quality lock").auc()
+        self.lock().ring.auc()
     }
 
     /// Sign accuracy; `None` while empty.
     pub fn accuracy(&self) -> Option<f64> {
-        self.ring.lock().expect("quality lock").accuracy()
+        self.lock().ring.accuracy()
     }
 
     /// Full window statistics; `None` while the window holds only one
     /// class.
     pub fn stats(&self) -> Option<WindowStats> {
-        self.ring.lock().expect("quality lock").stats()
+        self.lock().ring.stats()
+    }
+
+    /// The health signals this window observes, read under one lock:
+    /// fill, rolling AUC, and staleness as seconds since the last
+    /// record (`None` before the first). `rejection_rate` comes from
+    /// the caller's admission control, if it has any.
+    pub fn signals(&self, rejection_rate: Option<f64>) -> HealthSignals {
+        let w = self.lock();
+        HealthSignals {
+            quality_samples: w.ring.len(),
+            rolling_auc: w.ring.auc(),
+            staleness_s: w.last_record.map(|t| t.elapsed().as_secs_f64()),
+            rejection_rate,
+        }
     }
 
     /// Drops every pair (e.g. after a restore, so stale pairs cannot
     /// vouch for fresh coordinates). The member goes `Unready` until
-    /// the window warms back up.
+    /// the window warms back up. The staleness clock keeps its last
+    /// stamp.
     pub fn clear(&self) {
-        self.ring.lock().expect("quality lock").clear();
+        self.lock().ring.clear();
     }
 }
 
@@ -145,6 +182,25 @@ mod tests {
         }
         assert_eq!(live.len(), 32);
         assert!(live.auc().is_some());
+    }
+
+    #[test]
+    fn records_stamp_the_staleness_clock() {
+        let live = LiveQuality::new(8);
+        let cold = live.signals(None);
+        assert_eq!(cold, HealthSignals::default());
+        live.record(true, 1.0);
+        live.record(false, -1.0);
+        let s = live.signals(Some(0.25));
+        assert_eq!(s.quality_samples, 2);
+        assert_eq!(s.rolling_auc, Some(1.0));
+        assert!(s.staleness_s.expect("recorded") >= 0.0);
+        assert_eq!(s.rejection_rate, Some(0.25));
+        live.clear();
+        assert!(
+            live.signals(None).staleness_s.is_some(),
+            "clear keeps the clock"
+        );
     }
 
     #[test]

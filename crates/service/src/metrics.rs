@@ -27,9 +27,7 @@ use dmf_ops::{
     Counter, Gauge, Health, HealthPolicy, HealthSignals, Histogram, LiveQuality, MetricDesc,
     MetricsSnapshot, Registry, Unit,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Default capacity of the live quality window (recent update pairs
 /// the rolling AUC is computed over).
@@ -108,11 +106,6 @@ pub struct ServiceMetrics {
     health_state: Gauge,
     quality: LiveQuality,
     policy: Mutex<HealthPolicy>,
-    /// Process-local time origin for staleness.
-    epoch: Instant,
-    /// Milliseconds since `epoch` of the last applied update;
-    /// `u64::MAX` = no update applied yet.
-    last_update_ms: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -211,8 +204,6 @@ impl ServiceMetrics {
             health_state,
             quality: LiveQuality::new(window),
             policy: Mutex::new(HealthPolicy::default()),
-            epoch: Instant::now(),
-            last_update_ms: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -248,16 +239,14 @@ impl ServiceMetrics {
         self.in_flight.set(depth as f64);
     }
 
-    /// Records an applied update: bumps the owning shard's counter,
-    /// feeds the quality window with the (ground truth, pre-update
-    /// score) pair, and refreshes the staleness origin.
+    /// Records an applied update: bumps the owning shard's counter
+    /// and feeds the quality window with the (ground truth, pre-update
+    /// score) pair, which also stamps the staleness clock.
     pub fn record_update(&self, shard: usize, positive: bool, score: f64) {
         if let Some(c) = self.shard_updates.get(shard) {
             c.inc();
         }
         self.quality.record(positive, score);
-        self.last_update_ms
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
     /// The health signals as observed right now.
@@ -269,19 +258,7 @@ impl ServiceMetrics {
         } else {
             None
         };
-        let staleness_s = match self.last_update_ms.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            then_ms => {
-                let now_ms = self.epoch.elapsed().as_millis() as u64;
-                Some(now_ms.saturating_sub(then_ms) as f64 / 1_000.0)
-            }
-        };
-        HealthSignals {
-            quality_samples: self.quality.len(),
-            rolling_auc: self.quality.auc(),
-            staleness_s,
-            rejection_rate,
-        }
+        self.quality.signals(rejection_rate)
     }
 
     /// Evaluates health under the current policy and refreshes the
