@@ -181,7 +181,7 @@ impl Link for AgentLink<'_> {
     }
 
     fn abw_class(&mut self, prober: usize) -> Option<f64> {
-        self.oracle.abw_class(prober, self.id)
+        self.oracle.measure_class(prober, self.id)
     }
 
     fn complete(
@@ -201,7 +201,7 @@ impl Link for AgentLink<'_> {
             return None;
         };
         self.outstanding.swap_remove(idx);
-        let x = carried.or_else(|| self.oracle.rtt_class(self.id, target))?;
+        let x = carried.or_else(|| self.oracle.measure_class(self.id, target))?;
         self.metrics.record_quality(x > 0.0, dot(&node.coords.u, v));
         self.stats.updates_applied += 1;
         Some(x)
@@ -383,7 +383,8 @@ mod tests {
     #[test]
     fn a_live_nonce_from_another_peer_is_unmatched_and_the_probe_still_waits() {
         let dataset = meridian_like(3, 5);
-        let oracle = MeasurementOracle::new(dataset.clone(), dataset.median(), 5);
+        let oracle =
+            MeasurementOracle::new(dataset.clone(), dataset.median(), 5).expect("valid tau");
         let config = DmfsgdConfig::paper_defaults();
         let mut out = Vec::new();
         for version in [WireVersion::V1, WireVersion::V2] {
@@ -455,7 +456,8 @@ mod tests {
             .iter_known()
             .find(|&(i, j)| dataset.value(j, i).is_some())
             .expect("a pair measured both ways");
-        let oracle = MeasurementOracle::new(dataset.clone(), dataset.median(), 6);
+        let oracle =
+            MeasurementOracle::new(dataset.clone(), dataset.median(), 6).expect("valid tau");
         let config = DmfsgdConfig::paper_defaults();
         let (mut nodes, mut endpoints, mut links) = agents(&oracle, WireVersion::V2);
         let seq = |datagram: &[u8]| {

@@ -89,21 +89,6 @@ impl ClusterOutcome {
     pub fn total_bytes_sent(&self) -> u64 {
         self.stats.iter().map(|s| s.bytes_sent).sum()
     }
-
-    /// All per-agent counters folded into one [`AgentStats`].
-    pub fn merged_stats(&self) -> AgentStats {
-        let mut total = AgentStats::default();
-        for s in &self.stats {
-            total.merge(s);
-        }
-        total
-    }
-
-    /// One-shot exposition dump of the whole run's merged counters
-    /// (see [`crate::metrics::stats_snapshot`]).
-    pub fn metrics_snapshot(&self) -> dmf_ops::MetricsSnapshot {
-        crate::metrics::stats_snapshot(&self.merged_stats())
-    }
 }
 
 /// A running (or finished) localhost deployment.
@@ -124,29 +109,17 @@ impl UdpCluster {
         config: ClusterConfig,
     ) -> Result<ClusterOutcome, DmfsgdError> {
         let (nodes, neighbor_sets) = seed_population(dataset.len(), &config.dmfsgd)?;
-        Self::run_with_nodes(dataset, tau, config, nodes, &neighbor_sets)
+        let oracle = seed_oracle(dataset, tau, config.dmfsgd.seed)?;
+        Self::run_with_oracle(oracle, config, nodes, &neighbor_sets)
     }
 
     /// [`run`](Self::run) starting from explicit node states and
-    /// neighbor sets — the warm-start path [`crate::driver::UdpDriver`]
-    /// uses to advance an existing `dmf_core::Session` population over
-    /// real sockets. `nodes[i].id` must equal `i` and the neighbor
-    /// sets must cover exactly the same population.
-    pub fn run_with_nodes(
-        dataset: Dataset,
-        tau: f64,
-        config: ClusterConfig,
-        nodes: Vec<DmfsgdNode>,
-        neighbor_sets: &NeighborSets,
-    ) -> Result<ClusterOutcome, DmfsgdError> {
-        let oracle = seed_oracle(dataset, tau, config.dmfsgd.seed)?;
-        Self::run_with_oracle(oracle, config, nodes, neighbor_sets)
-    }
-
-    /// [`run_with_nodes`](Self::run_with_nodes) with a pre-built
-    /// shared oracle — the repeated-round path
-    /// (`crate::driver::UdpDriver`) builds the oracle once and avoids
-    /// re-copying the O(n²) ground truth every round.
+    /// neighbor sets, with a pre-built shared oracle — the warm-start
+    /// path [`crate::driver::UdpDriver`] uses to advance an existing
+    /// `dmf_core::Session` population over real sockets, building the
+    /// oracle once instead of re-copying the O(n²) ground truth every
+    /// round. `nodes[i].id` must equal `i` and the neighbor sets must
+    /// cover exactly the same population.
     pub fn run_with_oracle(
         oracle: Arc<MeasurementOracle>,
         config: ClusterConfig,

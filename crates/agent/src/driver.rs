@@ -24,8 +24,6 @@ use dmf_core::{DmfsgdError, MembershipError};
 use dmf_datasets::Dataset;
 use std::sync::Arc;
 
-use crate::agent::AgentStats;
-
 /// Drives a [`Session`] over real UDP sockets, one wall-clock burst
 /// per [`Driver::round`].
 pub struct UdpDriver {
@@ -33,8 +31,6 @@ pub struct UdpDriver {
     /// the node states, never the O(n²) ground truth.
     oracle: Arc<MeasurementOracle>,
     cluster: ClusterConfig,
-    /// Per-agent statistics of the most recent round.
-    last_stats: Vec<AgentStats>,
 }
 
 impl std::fmt::Debug for UdpDriver {
@@ -70,17 +66,7 @@ impl UdpDriver {
         }
         cluster.dmfsgd.try_validate()?;
         let oracle = seed_oracle(dataset, tau, cluster.dmfsgd.seed)?;
-        Ok(Self {
-            oracle,
-            cluster,
-            last_stats: Vec::new(),
-        })
-    }
-
-    /// Per-agent statistics of the most recent round (empty before the
-    /// first).
-    pub fn last_stats(&self) -> &[AgentStats] {
-        &self.last_stats
+        Ok(Self { oracle, cluster })
     }
 }
 
@@ -104,7 +90,6 @@ impl Driver for UdpDriver {
         )?;
         let applied = outcome.total_updates();
         session.import_nodes(outcome.nodes, applied)?;
-        self.last_stats = outcome.stats;
         Ok(applied)
     }
 }
@@ -144,7 +129,6 @@ mod tests {
         let applied = session.drive(&mut driver, 2).expect("udp rounds");
         assert!(applied > n * 20, "too few updates over UDP: {applied}");
         assert_eq!(applied, session.measurements_used());
-        assert_eq!(driver.last_stats().len(), n);
         let a = auc(&collect_scores(&cm, &session.predicted_scores()));
         assert!(a > 0.7, "UDP-driven session AUC {a}");
     }

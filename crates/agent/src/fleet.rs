@@ -37,7 +37,7 @@
 
 use crate::agent::{run_agent, AgentHandle, AgentStats};
 use crate::cluster::{ClusterConfig, ClusterOutcome};
-use crate::metrics::{stats_snapshot, AgentMetricsSlot, STAT_METRICS};
+use crate::metrics::{AgentMetricsSlot, STAT_METRICS};
 use crate::oracle::MeasurementOracle;
 use crate::transport::FaultySocket;
 use dmf_core::{
@@ -60,7 +60,7 @@ use std::time::Duration;
 
 /// Capacity of the fleet's shared quality window (recent update pairs
 /// the fleet-wide rolling AUC is computed over).
-pub const FLEET_QUALITY_WINDOW: usize = 512;
+const FLEET_QUALITY_WINDOW: usize = 512;
 
 /// Fleet-level gauge names, in exported order — the fleet's half of
 /// the metric contract (agent counters come from
@@ -124,12 +124,11 @@ pub(crate) fn seed_oracle(
     tau: f64,
     seed: u64,
 ) -> Result<Arc<MeasurementOracle>, DmfsgdError> {
-    ConfigError::check_tau(tau)?;
     Ok(Arc::new(MeasurementOracle::new(
         dataset,
         tau,
         seed ^ 0x0c0a_17e5,
-    )))
+    )?))
 }
 
 /// A long-running localhost fleet with live membership, metrics,
@@ -239,11 +238,6 @@ impl Fleet {
     /// fleet always covers the dataset's population).
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Whether slot `id` currently runs an agent.
-    pub fn is_running(&self, id: usize) -> bool {
-        self.slots.get(id).is_some_and(|s| s.running.is_some())
     }
 
     /// Number of slots currently running an agent.
@@ -496,30 +490,6 @@ impl Fleet {
         MetricsSnapshot::from_samples(samples)
     }
 
-    /// [`metrics`](Self::metrics) rendered in the text exposition
-    /// format.
-    pub fn metrics_text(&self) -> String {
-        self.metrics().render_text()
-    }
-
-    /// [`metrics`](Self::metrics) rendered in the JSON exposition
-    /// format.
-    pub fn metrics_json(&self) -> String {
-        self.metrics().render_json()
-    }
-
-    /// One-shot dump of a single slot's accumulated counters (its
-    /// completed runs only; a running agent's in-progress counters
-    /// appear in [`metrics`](Self::metrics), not here).
-    pub fn slot_stats_snapshot(&self, id: usize) -> Result<MetricsSnapshot, DmfsgdError> {
-        let slots = self.slots.len();
-        let slot = self
-            .slots
-            .get(id)
-            .ok_or(MembershipError::UnknownNode { id, slots })?;
-        Ok(stats_snapshot(&slot.total))
-    }
-
     fn running_ids(&self) -> Vec<usize> {
         self.slots
             .iter()
@@ -578,7 +548,7 @@ mod tests {
         let signals = fleet.signals();
         assert!(signals.quality_samples > 0, "quality window must fill");
         assert!(signals.staleness_s.expect("updates applied") < 30.0);
-        let text = fleet.metrics_text();
+        let text = fleet.metrics().render_text();
         assert!(text.starts_with("# dmfsgd-metrics schema 1\n"));
         assert!(text.contains("dmf_fleet_agents_running 16.0"));
         let outcome = fleet.shutdown().expect("shutdown");
@@ -596,7 +566,6 @@ mod tests {
         let stats = fleet.leave(3).expect("leave");
         assert!(stats.probes_sent > 0, "the run must have probed");
         assert_eq!(fleet.running_count(), 11);
-        assert!(!fleet.is_running(3));
         // Typed misuse errors.
         assert!(matches!(
             fleet.leave(3).unwrap_err(),
@@ -667,7 +636,7 @@ mod tests {
             rejection_rate_limit: None,
         });
         wait_for_updates(&fleet, 50);
-        assert!(fleet.health().is_healthy(), "updates are flowing");
+        assert_eq!(fleet.health(), Health::Healthy, "updates are flowing");
 
         // Storm: drop every datagram and roll the fleet onto the
         // faulty transport. No replies -> no updates -> staleness
@@ -692,7 +661,7 @@ mod tests {
         fleet.restart_all().expect("restart clean");
         let mut healthy = false;
         for _ in 0..200 {
-            if fleet.health().is_healthy() {
+            if fleet.health() == Health::Healthy {
                 healthy = true;
                 break;
             }

@@ -65,7 +65,7 @@ pub mod transport;
 pub use agent::{run_agent, AgentHandle, AgentStats};
 pub use cluster::{ClusterConfig, ClusterOutcome, UdpCluster};
 pub use driver::UdpDriver;
-pub use fleet::{Fleet, FLEET_GAUGE_NAMES, FLEET_QUALITY_WINDOW};
+pub use fleet::{Fleet, FLEET_GAUGE_NAMES};
 pub use metrics::{stats_snapshot, AgentMetricsSlot, StatMetric, STAT_METRICS};
 pub use oracle::MeasurementOracle;
 pub use transport::{FaultySocket, Transport};

@@ -6,10 +6,9 @@
 //! # Two exposure paths
 //!
 //! * **One-shot dump.** [`stats_snapshot`] converts a finished
-//!   agent's [`AgentStats`] (or any sum of them, e.g.
-//!   [`ClusterOutcome::merged_stats`](crate::ClusterOutcome::merged_stats)
-//!   (crate::cluster::ClusterOutcome::merged_stats)) into a
-//!   [`MetricsSnapshot`] renderable in either exposition format.
+//!   agent's [`AgentStats`] (or any sum of them, folded with
+//!   [`AgentStats::merge`]) into a [`MetricsSnapshot`] renderable in
+//!   either exposition format.
 //!   This is how a batch run exports metrics after the fact.
 //! * **Live mirror.** A long-running fleet cannot wait for agents to
 //!   exit: [`run_agent`](crate::agent::run_agent) flushes its counters

@@ -4,12 +4,13 @@
 //! self-induces congestion. On localhost every path looks identical,
 //! so agents consult this oracle instead: it serves the synthetic
 //! ground truth through the same noisy instruments the simulator uses
-//! (`dmf-simnet` probers). The oracle is shared read-only across agent
+//! ([`dmf_simnet::probe::probed_class`]). The oracle is shared read-only across agent
 //! threads; per-probe randomness comes from a lock-protected RNG so
 //! results stay reproducible for a given seed.
 
+use dmf_core::ConfigError;
 use dmf_datasets::{Dataset, Metric};
-use dmf_simnet::probe::{PathloadProber, RttProber};
+use dmf_simnet::probe::probed_class;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
@@ -18,22 +19,21 @@ use std::sync::Mutex;
 pub struct MeasurementOracle {
     dataset: Dataset,
     tau: f64,
-    rtt_prober: RttProber,
-    abw_prober: PathloadProber,
     rng: Mutex<ChaCha8Rng>,
 }
 
 impl MeasurementOracle {
     /// Builds an oracle over `dataset`, classifying at `tau`.
-    pub fn new(dataset: Dataset, tau: f64, seed: u64) -> Self {
-        assert!(tau > 0.0, "tau must be positive");
-        Self {
+    ///
+    /// # Errors
+    /// [`ConfigError::Tau`] unless `tau` is finite and strictly positive.
+    pub fn new(dataset: Dataset, tau: f64, seed: u64) -> Result<Self, ConfigError> {
+        ConfigError::check_tau(tau)?;
+        Ok(Self {
             dataset,
             tau,
-            rtt_prober: RttProber::default(),
-            abw_prober: PathloadProber::default(),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-        }
+        })
     }
 
     /// The metric the oracle serves.
@@ -62,28 +62,12 @@ impl MeasurementOracle {
         &self.dataset
     }
 
-    /// Measures the RTT class for `i → j` (ping + threshold).
-    pub fn rtt_class(&self, i: usize, j: usize) -> Option<f64> {
-        let mut rng = self.rng.lock().expect("oracle rng lock poisoned");
-        let rtt = self.rtt_prober.measure(&self.dataset, i, j, &mut *rng)?;
-        Some(Metric::Rtt.classify(rtt, self.tau))
-    }
-
-    /// Measures the ABW class for `i → j` (pathload train at rate
-    /// `tau`, inferred at the target).
-    pub fn abw_class(&self, i: usize, j: usize) -> Option<f64> {
-        let mut rng = self.rng.lock().expect("oracle rng lock poisoned");
-        self.abw_prober
-            .probe_class(&self.dataset, i, j, self.tau, &mut *rng)
-    }
-
-    /// Measures the class with the instrument appropriate to the
-    /// metric.
+    /// Measures the class of `i → j` with the instrument the metric
+    /// calls for: ping + threshold for RTT, a pathload train at rate
+    /// `tau` for ABW (inferred at the target).
     pub fn measure_class(&self, i: usize, j: usize) -> Option<f64> {
-        match self.dataset.metric {
-            Metric::Rtt => self.rtt_class(i, j),
-            Metric::Abw => self.abw_class(i, j),
-        }
+        let mut rng = self.rng.lock().expect("oracle rng lock poisoned");
+        probed_class(&self.dataset, i, j, self.tau, &mut *rng)
     }
 }
 
@@ -97,7 +81,7 @@ mod tests {
     fn rtt_oracle_classifies() {
         let d = meridian_like(20, 1);
         let tau = d.median();
-        let oracle = MeasurementOracle::new(d, tau, 7);
+        let oracle = MeasurementOracle::new(d, tau, 7).expect("valid tau");
         let x = oracle.measure_class(0, 1).unwrap();
         assert!(x == 1.0 || x == -1.0);
         assert_eq!(oracle.metric(), Metric::Rtt);
@@ -108,7 +92,7 @@ mod tests {
     fn abw_oracle_classifies() {
         let d = hps3_like(20, 2);
         let tau = d.median();
-        let oracle = MeasurementOracle::new(d, tau, 8);
+        let oracle = MeasurementOracle::new(d, tau, 8).expect("valid tau");
         let mut seen_good = false;
         let mut seen_bad = false;
         for i in 0..20 {
@@ -131,7 +115,7 @@ mod tests {
     fn diagonal_unmeasurable() {
         let d = meridian_like(10, 3);
         let tau = d.median();
-        let oracle = MeasurementOracle::new(d, tau, 9);
+        let oracle = MeasurementOracle::new(d, tau, 9).expect("valid tau");
         assert_eq!(oracle.measure_class(4, 4), None);
     }
 
@@ -140,7 +124,7 @@ mod tests {
         let d = meridian_like(30, 4);
         let tau = d.median();
         let truth = d.classify(tau);
-        let oracle = MeasurementOracle::new(d, tau, 10);
+        let oracle = MeasurementOracle::new(d, tau, 10).expect("valid tau");
         let mut agree = 0;
         let mut total = 0;
         for (i, j) in truth.mask.iter_known() {
@@ -152,5 +136,27 @@ mod tests {
             }
         }
         assert!(agree as f64 / total as f64 > 0.9);
+    }
+
+    /// Both probed-class surfaces refuse a τ that `ConfigError::check_tau`
+    /// refuses, with the same typed error.
+    #[test]
+    fn probed_surfaces_refuse_a_bad_tau() {
+        use dmf_core::provider::ProbedClassProvider;
+        let d = meridian_like(5, 5);
+        for tau in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let refused = |r: Result<(), ConfigError>| match r {
+                Err(ConfigError::Tau { tau: got }) => got.to_bits() == tau.to_bits(),
+                _ => false,
+            };
+            assert!(
+                refused(MeasurementOracle::new(d.clone(), tau, 1).map(drop)),
+                "oracle τ {tau}"
+            );
+            assert!(
+                refused(ProbedClassProvider::new(d.clone(), tau).map(drop)),
+                "provider τ {tau}"
+            );
+        }
     }
 }

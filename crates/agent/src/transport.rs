@@ -8,7 +8,7 @@
 //! fault-injection harness behind `crates/agent`'s loss-scenario
 //! cluster test and `examples/lossy_cluster.rs`.
 
-use dmf_proto::{FaultCounts, FaultInjector, FaultSpec};
+use dmf_proto::{FaultInjector, FaultSpec};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Mutex;
@@ -54,11 +54,6 @@ impl FaultySocket {
             injector: Mutex::new(FaultInjector::new(spec, seed)),
         }
     }
-
-    /// Fault counters accumulated so far.
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.injector.lock().expect("injector lock").counts()
-    }
 }
 
 impl Transport for FaultySocket {
@@ -81,7 +76,14 @@ impl Transport for FaultySocket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_proto::FaultCounts;
     use std::time::Duration;
+
+    impl FaultySocket {
+        fn fault_counts(&self) -> FaultCounts {
+            self.injector.lock().expect("injector lock").counts()
+        }
+    }
 
     fn pair() -> (UdpSocket, UdpSocket, SocketAddr) {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();

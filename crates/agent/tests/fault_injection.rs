@@ -73,7 +73,7 @@ fn v1_and_v2_agents_interoperate() {
 fn mixed_pair_learns(d: Dataset) {
     let metric = d.metric;
     let tau = d.median();
-    let oracle = Arc::new(MeasurementOracle::new(d, tau, 99));
+    let oracle = Arc::new(MeasurementOracle::new(d, tau, 99).expect("valid tau"));
     let config = DmfsgdConfig {
         k: 1,
         ..DmfsgdConfig::paper_defaults()
@@ -143,7 +143,7 @@ fn mixed_pair_learns(d: Dataset) {
 fn no_neighbors_is_a_typed_error() {
     let d = meridian_like(2, 8);
     let tau = d.median();
-    let oracle = Arc::new(MeasurementOracle::new(d, tau, 3));
+    let oracle = Arc::new(MeasurementOracle::new(d, tau, 3).expect("valid tau"));
     let config = DmfsgdConfig::paper_defaults();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");

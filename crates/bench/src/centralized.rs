@@ -1,38 +1,33 @@
-//! Centralized matrix factorization baselines.
+//! Centralized matrix factorization, the reference the ablation
+//! (`experiments::ablation`) measures decentralization against.
 //!
 //! The paper's §2 positions DMFSGD against centralized approaches
 //! that "collect and process the measurements at a central node"
 //! (its own Figure 2 architecture before decentralization, MMMF \[20\],
-//! IDES \[13\]). These baselines optimize the *same* regularized
-//! objective (paper eq. 3) with full access to the observed matrix:
-//!
-//! * [`batch_gd`] — full-gradient descent for any loss (hinge,
-//!   logistic, L2), and [`batch_gd_class`], its form over a class
-//!   matrix, which the centralized ablation runs.
-//!
-//! The decentralized algorithm should approach their accuracy while
-//! touching only per-node data — that comparison is an ablation the
-//! benchmark harness reports.
+//! IDES \[13\]). [`batch_gd_class`] optimizes the *same* regularized
+//! objective (paper eq. 3) by full-gradient descent, with access to
+//! the whole observed class matrix. The decentralized algorithm should
+//! approach its accuracy while touching only per-node data.
 
 use dmf_core::loss::Loss;
 use dmf_datasets::ClassMatrix;
-use dmf_linalg::{Mask, Matrix};
+use dmf_linalg::Matrix;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A factorization result `X̂ = U Vᵀ`.
 #[derive(Clone, Debug)]
-pub struct Factorization {
+pub(crate) struct Factorization {
     /// `n × r` row factors.
-    pub u: Matrix,
+    u: Matrix,
     /// `n × r` column factors.
-    pub v: Matrix,
+    v: Matrix,
 }
 
 impl Factorization {
     /// Random uniform `[0, 1)` initialization (matching DMFSGD).
-    pub fn random(n: usize, rank: usize, rng: &mut impl Rng) -> Self {
+    fn random(n: usize, rank: usize, rng: &mut impl Rng) -> Self {
         Self {
             u: Matrix::from_fn(n, rank, |_, _| rng.gen::<f64>()),
             v: Matrix::from_fn(n, rank, |_, _| rng.gen::<f64>()),
@@ -40,42 +35,24 @@ impl Factorization {
     }
 
     /// The predicted score for a pair.
-    pub fn predict(&self, i: usize, j: usize) -> f64 {
+    fn predict(&self, i: usize, j: usize) -> f64 {
         Matrix::dot(self.u.row(i), self.v.row(j))
     }
 
     /// Materializes all pairwise scores (diagonal zeroed).
-    pub fn predicted_scores(&self) -> Matrix {
+    pub(crate) fn predicted_scores(&self) -> Matrix {
         let n = self.u.rows();
         Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { self.predict(i, j) })
     }
-
-    /// The regularized objective (paper eq. 3) over observed entries.
-    pub fn objective(&self, values: &Matrix, mask: &Mask, loss: Loss, lambda: f64) -> f64 {
-        let mut total = 0.0;
-        for (i, j) in mask.iter_known() {
-            total += loss.value(values[(i, j)], self.predict(i, j));
-        }
-        let reg: f64 = self
-            .u
-            .as_slice()
-            .iter()
-            .chain(self.v.as_slice().iter())
-            .map(|x| x * x)
-            .sum();
-        total + lambda * reg
-    }
 }
 
-/// Batch gradient descent on the full observed matrix.
+/// Batch gradient descent on a class matrix's observed entries.
 ///
 /// Runs `iters` full passes; each pass computes the exact gradient of
 /// eq. 3 over all observed entries and steps with learning rate `eta`
 /// (per-entry scaling keeps `eta` comparable to the SGD step).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's hyper-parameter list
-pub fn batch_gd(
-    values: &Matrix,
-    mask: &Mask,
+pub(crate) fn batch_gd_class(
+    class: &ClassMatrix,
     rank: usize,
     loss: Loss,
     eta: f64,
@@ -83,6 +60,7 @@ pub fn batch_gd(
     iters: usize,
     seed: u64,
 ) -> Factorization {
+    let (values, mask) = (&class.labels, &class.mask);
     assert!(values.is_square(), "pairwise matrix must be square");
     let n = values.rows();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -113,33 +91,32 @@ pub fn batch_gd(
     f
 }
 
-/// Convenience: batch GD on a class matrix.
-pub fn batch_gd_class(
-    class: &ClassMatrix,
-    rank: usize,
-    loss: Loss,
-    eta: f64,
-    lambda: f64,
-    iters: usize,
-    seed: u64,
-) -> Factorization {
-    batch_gd(
-        &class.labels,
-        &class.mask,
-        rank,
-        loss,
-        eta,
-        lambda,
-        iters,
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_core::provider::ClassLabelProvider;
+    use dmf_core::{DmfsgdConfig, SessionBuilder};
     use dmf_datasets::rtt::meridian_like;
     use dmf_eval::{collect_scores, roc::auc};
+    use dmf_linalg::Mask;
+
+    impl Factorization {
+        /// The regularized objective (paper eq. 3) over observed entries.
+        fn objective(&self, values: &Matrix, mask: &Mask, loss: Loss, lambda: f64) -> f64 {
+            let mut total = 0.0;
+            for (i, j) in mask.iter_known() {
+                total += loss.value(values[(i, j)], self.predict(i, j));
+            }
+            let reg: f64 = self
+                .u
+                .as_slice()
+                .iter()
+                .chain(self.v.as_slice().iter())
+                .map(|x| x * x)
+                .sum();
+            total + lambda * reg
+        }
+    }
 
     #[test]
     fn batch_gd_reaches_high_training_auc() {
@@ -172,5 +149,32 @@ mod tests {
         let scores = f.predicted_scores();
         assert_eq!(scores[(1, 2)], f.predict(1, 2));
         assert_eq!(scores[(3, 3)], 0.0);
+    }
+
+    #[test]
+    fn decentralized_approaches_centralized_optimum() {
+        let dataset = meridian_like(80, 1);
+        let classes = dataset.classify(dataset.median());
+
+        let central = batch_gd_class(&classes, 10, Loss::Logistic, 0.1, 0.1, 120, 1);
+        let auc_central = auc(&collect_scores(&classes, &central.predicted_scores()));
+
+        let mut provider = ClassLabelProvider::new(classes.clone());
+        let mut cfg = DmfsgdConfig::paper_defaults();
+        cfg.seed = 1;
+        let mut system = SessionBuilder::from_config(cfg)
+            .nodes(80)
+            .build()
+            .expect("valid config");
+        system
+            .run(80 * 10 * 30, &mut provider)
+            .expect("provider covers the session");
+        let auc_dec = auc(&collect_scores(&classes, &system.predicted_scores()));
+
+        assert!(auc_central > 0.9, "centralized AUC {auc_central}");
+        assert!(
+            auc_dec > auc_central - 0.1,
+            "decentralized {auc_dec} must approach centralized {auc_central}"
+        );
     }
 }

@@ -7,21 +7,21 @@
 //! Expected shape: DMFSGD approaches the centralized AUC as its budget
 //! grows, and the gap at the largest budget is small.
 
+use crate::centralized::batch_gd_class;
 use crate::experiments::scale::Scale;
 use crate::experiments::training::{auc_of, default_config, train_class};
 use crate::experiments::Artifact;
-use dmf_baselines::centralized::batch_gd_class;
 use dmf_core::Loss;
 use dmf_datasets::rtt::meridian_like;
 use dmf_eval::{collect_scores, roc::auc};
 use serde::Serialize;
 
 /// DMFSGD budgets swept, in measurements per node ÷ k.
-pub const BUDGETS: [usize; 6] = [2, 5, 10, 20, 30, 50];
+const BUDGETS: [usize; 6] = [2, 5, 10, 20, 30, 50];
 
 /// DMFSGD's AUC at one budget.
 #[derive(Clone, Debug, Serialize)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Measurements per node ÷ k.
     pub budget_times_k: usize,
     /// AUC of the decentralized system.
@@ -30,7 +30,7 @@ pub struct AblationRow {
 
 /// The full ablation.
 #[derive(Clone, Debug, Serialize)]
-pub struct Ablation {
+pub(crate) struct Ablation {
     /// Meridian-like node count (at most 300: the batch solver is
     /// dense).
     pub n: usize,
@@ -41,7 +41,7 @@ pub struct Ablation {
 }
 
 /// Runs the ablation on a Meridian-like dataset with k = 10.
-pub fn run(scale: &Scale, seed: u64) -> Ablation {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Ablation {
     let n = scale.meridian_nodes.min(300);
     let k = 10;
     let dataset = meridian_like(n, seed);

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// One spectrum (normalized, descending).
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Spectrum {
+pub(crate) struct Spectrum {
     /// Curve label as in the paper legend.
     pub label: String,
     /// Matrix side length used.
@@ -29,7 +29,7 @@ pub struct Spectrum {
 
 /// The four curves of Figure 1.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig1 {
+pub(crate) struct Fig1 {
     /// `RTT`, `RTT class`, `ABW`, `ABW class` in paper order.
     pub spectra: Vec<Spectrum>,
 }
@@ -44,7 +44,7 @@ fn top_spectrum(label: &str, m: &Matrix, k: usize, seed: u64) -> Spectrum {
 }
 
 /// Runs the experiment.
-pub fn run(scale: &Scale, seed: u64) -> Fig1 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig1 {
     let trio = Trio::build(scale, seed);
     let top_k = 20;
 

@@ -16,11 +16,11 @@ use dmf_core::Loss;
 use serde::{Deserialize, Serialize};
 
 /// Sweep values used by the paper.
-pub const SWEEP: [f64; 4] = [0.001, 0.01, 0.1, 1.0];
+const SWEEP: [f64; 4] = [0.001, 0.01, 0.1, 1.0];
 
 /// One AUC measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig3Cell {
+pub(crate) struct Fig3Cell {
     /// Dataset name.
     pub dataset: String,
     /// Which parameter was swept ("eta" or "lambda").
@@ -35,7 +35,7 @@ pub struct Fig3Cell {
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig3 {
+pub(crate) struct Fig3 {
     /// All cells (3 datasets × 2 sweeps × 4 values × 2 losses).
     pub cells: Vec<Fig3Cell>,
 }
@@ -44,7 +44,7 @@ pub struct Fig3 {
 /// its own system from its own seed), so they fan out across cores via
 /// [`parallel_map`]; the cell order — and every byte of the result —
 /// matches the serial loop exactly.
-pub fn run(scale: &Scale, seed: u64) -> Fig3 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig3 {
     let trio = Trio::build(scale, seed);
     let trainer = BundleTrainer { trio: &trio, scale };
     // Per-bundle invariants computed once, shared read-only by cells.

@@ -18,13 +18,13 @@ use crate::experiments::Artifact;
 use serde::{Deserialize, Serialize};
 
 /// The rank sweep of Figure 4a.
-pub const RANKS: [usize; 4] = [3, 10, 20, 100];
+const RANKS: [usize; 4] = [3, 10, 20, 100];
 /// The portion sweep of Figure 4c.
 pub const PORTIONS: [f64; 5] = [0.10, 0.25, 0.50, 0.75, 0.90];
 
 /// One measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig4Cell {
+pub(crate) struct Fig4Cell {
     /// Dataset name.
     pub dataset: String,
     /// Which sub-figure: "r", "k" or "tau".
@@ -37,13 +37,13 @@ pub struct Fig4Cell {
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig4 {
+pub(crate) struct Fig4 {
     /// All cells.
     pub cells: Vec<Fig4Cell>,
 }
 
 /// The paper's k grid for a dataset (Meridian gets the larger one).
-pub fn k_grid(bundle: &DatasetBundle) -> Vec<usize> {
+fn k_grid(bundle: &DatasetBundle) -> Vec<usize> {
     if bundle.name == "Meridian" {
         vec![16, 32, 64, 128]
     } else {
@@ -52,7 +52,7 @@ pub fn k_grid(bundle: &DatasetBundle) -> Vec<usize> {
 }
 
 /// Runs the three sweeps.
-pub fn run(scale: &Scale, seed: u64) -> Fig4 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig4 {
     let trio = Trio::build(scale, seed);
     let trainer = BundleTrainer { trio: &trio, scale };
     let mut cells = Vec::new();

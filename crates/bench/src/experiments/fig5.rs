@@ -20,11 +20,11 @@ use dmf_eval::roc::{auc, roc_curve};
 use serde::{Deserialize, Serialize};
 
 /// Down-sampled curve as (x, y) pairs.
-pub type Curve = Vec<(f64, f64)>;
+pub(crate) type Curve = Vec<(f64, f64)>;
 
 /// Per-dataset outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig5Dataset {
+pub(crate) struct Fig5Dataset {
     /// Dataset name.
     pub dataset: String,
     /// ROC curve (FPR, TPR), down-sampled.
@@ -43,7 +43,7 @@ pub struct Fig5Dataset {
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig5 {
+pub(crate) struct Fig5 {
     /// The three datasets.
     pub datasets: Vec<Fig5Dataset>,
 }
@@ -94,7 +94,7 @@ fn evaluate(
 /// Runs the experiment. The three datasets are independent runs, so
 /// they fan out across cores (order-stable; identical to the serial
 /// loop byte for byte).
-pub fn run(scale: &Scale, seed: u64) -> Fig5 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig5 {
     let trio = Trio::build(scale, seed);
     let datasets = crate::parallel::parallel_map(vec![0usize, 1, 2], |which| match which {
         // Harvard: replay the dynamic trace in chunks, tracking AUC.

@@ -23,7 +23,7 @@ pub const LEVELS: [f64; 4] = [0.0, 0.05, 0.10, 0.15];
 
 /// One AUC measurement under injected errors.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig6Cell {
+pub(crate) struct Fig6Cell {
     /// Dataset name.
     pub dataset: String,
     /// Error type (1–4).
@@ -38,7 +38,7 @@ pub struct Fig6Cell {
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig6 {
+pub(crate) struct Fig6 {
     /// All cells.
     pub cells: Vec<Fig6Cell>,
 }
@@ -46,7 +46,7 @@ pub struct Fig6 {
 /// Runs the experiment. Every (dataset, error type, level) cell trains
 /// independently, so the grid fans out across cores via
 /// [`crate::parallel::parallel_map`] with order-stable results.
-pub fn run(scale: &Scale, seed: u64) -> Fig6 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig6 {
     let trio = Trio::build(scale, seed);
     // Per-bundle invariants computed once, shared read-only by cells.
     let prep: Vec<(f64, dmf_datasets::ClassMatrix, usize)> = trio

@@ -27,10 +27,10 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Peer-set sizes swept (paper: 10..60).
-pub const PEER_COUNTS: [usize; 6] = [10, 20, 30, 40, 50, 60];
+const PEER_COUNTS: [usize; 6] = [10, 20, 30, 40, 50, 60];
 
 /// The four selection methods, in legend order.
-pub const METHODS: [&str; 4] = [
+const METHODS: [&str; 4] = [
     "Random",
     "Classification",
     "Regression",
@@ -39,7 +39,7 @@ pub const METHODS: [&str; 4] = [
 
 /// One (dataset, method, peer-count) outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig7Cell {
+pub(crate) struct Fig7Cell {
     /// Dataset name.
     pub dataset: String,
     /// Method: "Random", "Classification", "Regression",
@@ -55,13 +55,13 @@ pub struct Fig7Cell {
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Fig7 {
+pub(crate) struct Fig7 {
     /// All cells.
     pub cells: Vec<Fig7Cell>,
 }
 
 /// Runs the experiment.
-pub fn run(scale: &Scale, seed: u64) -> Fig7 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Fig7 {
     let trio = Trio::build(scale, seed);
     let trainer = BundleTrainer { trio: &trio, scale };
     let mut cells = Vec::new();

@@ -17,11 +17,11 @@ use dmf_core::{Loss, Session};
 use serde::{Serialize, Value};
 
 /// Class counts swept.
-pub const CLASS_COUNTS: [u8; 3] = [2, 3, 5];
+const CLASS_COUNTS: [u8; 3] = [2, 3, 5];
 
 /// One (dataset, class count) outcome.
 #[derive(Clone, Debug, Serialize)]
-pub struct MulticlassRow {
+pub(crate) struct MulticlassRow {
     /// Dataset name.
     pub dataset: String,
     /// Class count `C`.
@@ -36,7 +36,7 @@ pub struct MulticlassRow {
 
 /// The full experiment; its record is the bare row list.
 #[derive(Clone, Debug)]
-pub struct Multiclass {
+pub(crate) struct Multiclass {
     /// Datasets in paper order, each at every [`CLASS_COUNTS`] entry.
     pub rows: Vec<MulticlassRow>,
 }
@@ -48,7 +48,7 @@ impl Serialize for Multiclass {
 }
 
 /// Runs the experiment.
-pub fn run(scale: &Scale, seed: u64) -> Multiclass {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Multiclass {
     let trio = Trio::build(scale, seed);
     let mut rows = Vec::new();
     for bundle in trio.bundles() {

@@ -2,7 +2,7 @@
 //!
 //! The paper's full sizes (2500-node Meridian, 2.5 M Harvard
 //! measurements) are reachable with [`Scale::paper`], but parameter
-//! sweeps at that size take hours. [`Scale::standard`] keeps the exact
+//! sweeps at that size take hours. The standard scale keeps the exact
 //! Harvard/HP-S3 node counts and scales Meridian and the trace volume
 //! down — enough for every qualitative claim to hold — and is what
 //! `run_all` uses by default (`--paper` switches up, `--quick` down).
@@ -48,7 +48,7 @@ impl Scale {
     }
 
     /// Default harness scale (minutes for the full suite).
-    pub fn standard() -> Self {
+    fn standard() -> Self {
         Self {
             harvard_nodes: 226,
             meridian_nodes: 500,
@@ -75,8 +75,8 @@ impl Scale {
         }
     }
 
-    /// Parses `--quick` / `--paper` from argv, defaulting to
-    /// [`Scale::standard`].
+    /// Parses `--quick` / `--paper` from argv, defaulting to the
+    /// standard scale.
     pub fn from_args(args: &[String]) -> Self {
         if args.iter().any(|a| a == "--paper") {
             Self::paper()

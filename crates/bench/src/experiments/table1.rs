@@ -16,7 +16,7 @@ pub const PORTIONS: [f64; 5] = [0.10, 0.25, 0.50, 0.75, 0.90];
 
 /// One dataset column of Table 1.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table1Column {
+pub(crate) struct Table1Column {
     /// Dataset name.
     pub dataset: String,
     /// Unit string (ms / Mbps).
@@ -29,13 +29,13 @@ pub struct Table1Column {
 
 /// The full table.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table1 {
+pub(crate) struct Table1 {
     /// Harvard, Meridian, HP-S3 columns.
     pub columns: Vec<Table1Column>,
 }
 
 /// Runs the experiment.
-pub fn run(scale: &Scale, seed: u64) -> Table1 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Table1 {
     let trio = Trio::build(scale, seed);
     let columns = trio
         .bundles()

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// One dataset's row of Table 2.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Dataset name.
     pub dataset: String,
     /// Overall accuracy.
@@ -27,13 +27,13 @@ pub struct Table2Row {
 
 /// The full table.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table2 {
+pub(crate) struct Table2 {
     /// Harvard, Meridian, HP-S3.
     pub rows: Vec<Table2Row>,
 }
 
 /// Runs the experiment.
-pub fn run(scale: &Scale, seed: u64) -> Table2 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Table2 {
     let trio = Trio::build(scale, seed);
     let trainer = BundleTrainer { trio: &trio, scale };
     let rows = trio

@@ -16,7 +16,7 @@ pub const LEVELS: [f64; 3] = [0.05, 0.10, 0.15];
 
 /// One column: a dataset/error-type pair.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table3Column {
+pub(crate) struct Table3Column {
     /// Dataset name.
     pub dataset: String,
     /// "Type 1" or "Type 2".
@@ -29,13 +29,13 @@ pub struct Table3Column {
 
 /// The full table.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table3 {
+pub(crate) struct Table3 {
     /// Harvard-T1, Meridian-T1, HP-S3-T1, HP-S3-T2.
     pub columns: Vec<Table3Column>,
 }
 
 /// Runs the calibration.
-pub fn run(scale: &Scale, seed: u64) -> Table3 {
+pub(crate) fn run(scale: &Scale, seed: u64) -> Table3 {
     let trio = Trio::build(scale, seed);
     let mut columns = Vec::new();
     for bundle in trio.bundles() {

@@ -9,7 +9,7 @@
 use crate::experiments::scale::Scale;
 use crate::experiments::trio::{DatasetBundle, Trio};
 use dmf_core::provider::ClassLabelProvider;
-use dmf_core::{DmfsgdConfig, Loss, PredictionMode, Session, SessionBuilder};
+use dmf_core::{DmfsgdConfig, Loss, Session, SessionBuilder};
 use dmf_datasets::{ClassMatrix, Dataset, DynamicTrace};
 use dmf_eval::collect_scores;
 use dmf_eval::roc::auc;
@@ -79,7 +79,8 @@ pub fn train_quantity(dataset: &Dataset, k: usize, seed: u64, ticks: usize) -> S
     let scale = dataset.median();
     let mut cfg = default_config(k, seed).quantity(scale);
     cfg.sgd.loss = Loss::L2;
-    let mut provider = dmf_core::provider::QuantityProvider::new(dataset.clone(), scale);
+    let mut provider = dmf_core::provider::QuantityProvider::new(dataset.clone(), scale)
+        .expect("a dataset median is a valid scale");
     let mut session = SessionBuilder::from_config(cfg)
         .nodes(dataset.len())
         .build()
@@ -178,15 +179,16 @@ pub fn predicted_quantities(session: &Session) -> dmf_linalg::Matrix {
     })
 }
 
-/// True when the session is in quantity mode (sanity check helper).
-pub fn is_quantity(session: &Session) -> bool {
-    matches!(session.config().mode, PredictionMode::Quantity { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_core::PredictionMode;
     use dmf_datasets::rtt::meridian_like;
+
+    /// True when the session is in quantity mode (sanity check helper).
+    fn is_quantity(session: &Session) -> bool {
+        matches!(session.config().mode, PredictionMode::Quantity { .. })
+    }
 
     #[test]
     fn train_and_evaluate_quickly() {

@@ -22,17 +22,19 @@
 //! The consumer tip of the DAG: [`experiments`] trains
 //! [`dmf_core::Session`] populations on [`dmf_datasets`] bundles,
 //! injects label errors from [`dmf_simnet::errors`], compares against
-//! [`dmf_baselines`], and reports every number through [`dmf_eval`];
+//! a centralized batch solver of the same objective (the ablation),
+//! and reports every number through [`dmf_eval`];
 //! [`report`] persists the JSON records `run_all` writes. Nothing
 //! depends on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod centralized;
 pub mod experiments;
 pub mod parallel;
 pub mod report;
 
 pub use experiments::scale::{flag_value, Scale};
 pub use experiments::trio::{DatasetBundle, Trio};
-pub use parallel::{parallel_map, parallel_map_with, sweep_threads};
+pub use parallel::{parallel_map, parallel_map_with};

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 /// Worker count for sweep fan-out: `DMF_BENCH_THREADS` if set (≥ 1),
 /// else [`std::thread::available_parallelism`].
-pub fn sweep_threads() -> usize {
+fn sweep_threads() -> usize {
     if let Ok(v) = std::env::var("DMF_BENCH_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
@@ -78,7 +78,8 @@ where
         .collect()
 }
 
-/// [`parallel_map_with`] at the default [`sweep_threads`] width.
+/// [`parallel_map_with`] at the default width: `DMF_BENCH_THREADS` if
+/// set, else the machine's available parallelism.
 pub fn parallel_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,

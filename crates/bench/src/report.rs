@@ -6,7 +6,7 @@ use std::fs;
 use std::path::PathBuf;
 
 /// Directory experiment outputs are written to (created on demand).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = std::env::var("DMF_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("results"));

@@ -2,7 +2,7 @@
 //! byte-identical results to the serial path, for the generic driver
 //! (property-tested) and for a real figure sweep end to end.
 
-use dmf_bench::experiments::fig3;
+use dmf_bench::experiments::REGISTRY;
 use dmf_bench::parallel::parallel_map_with;
 use dmf_bench::Scale;
 use proptest::prelude::*;
@@ -49,10 +49,15 @@ fn fig3_parallel_matches_serial_byte_for_byte() {
         k_meridian: 8,
         k_hps3: 8,
     };
+    let fig3 = REGISTRY
+        .iter()
+        .find(|entry| entry.name == "fig3_eta_lambda")
+        .expect("Figure 3 is registered")
+        .run;
     std::env::set_var("DMF_BENCH_THREADS", "1");
-    let serial = serde_json::to_string(&fig3::run(&scale, 3)).expect("serialize serial");
+    let serial = serde_json::to_string(&*fig3(&scale, 3)).expect("serialize serial");
     std::env::set_var("DMF_BENCH_THREADS", "4");
-    let parallel = serde_json::to_string(&fig3::run(&scale, 3)).expect("serialize parallel");
+    let parallel = serde_json::to_string(&*fig3(&scale, 3)).expect("serialize parallel");
     std::env::remove_var("DMF_BENCH_THREADS");
     assert_eq!(serial, parallel, "parallel fig3 sweep diverged from serial");
 }

@@ -123,9 +123,7 @@ impl DmfsgdConfig {
         }
         self.sgd.try_validate()?;
         if let PredictionMode::Quantity { value_scale } = self.mode {
-            if !(value_scale.is_finite() && value_scale > 0.0) {
-                return Err(ConfigError::ValueScale { value_scale });
-            }
+            ConfigError::check_value_scale(value_scale)?;
             if self.sgd.loss != Loss::L2 {
                 return Err(ConfigError::QuantityLoss {
                     loss: self.sgd.loss,

@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | where bytes go | `SimNet::send` | `Transport::send_to` |
 //! | which probe a reply answers | the prober's pending entry for the sender | nonce and sender, with retries and eviction |
-//! | the measurement | the simulated round trip (RTT), `PathloadProber` (ABW) | `MeasurementOracle` |
+//! | the measurement | the simulated round trip (RTT), `probe::pathload` (ABW) | `MeasurementOracle` |
 //! | where a peer's v2 contexts live | one table indexed by neighbor slot | per peer, one stream per direction and role |
 //!
 //! Both run the steps in one order: decode, apply the coordinates, then

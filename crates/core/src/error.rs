@@ -272,6 +272,16 @@ impl ConfigError {
         }
     }
 
+    /// Validates a quantity-mode value scale: finite and strictly
+    /// positive (an infinite one would turn every measurement into 0).
+    pub(crate) fn check_value_scale(value_scale: f64) -> Result<(), ConfigError> {
+        if value_scale.is_finite() && value_scale > 0.0 {
+            Ok(())
+        } else {
+            Err(ConfigError::ValueScale { value_scale })
+        }
+    }
+
     /// Validates a message-loss probability for the simnet driver,
     /// at construction and in its mid-run hook alike.
     pub(crate) fn check_loss_probability(probability: f64) -> Result<(), ConfigError> {

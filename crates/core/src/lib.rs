@@ -36,7 +36,7 @@
 //!   or method of the session layer panics on user input.
 //! * [`provider`] — measurement sources: ground-truth class labels
 //!   (optionally error-injected), raw quantities, simulated
-//!   pathload/pathchirp probes, and quantile classes `1..=C` for the
+//!   ping/pathload probes, and quantile classes `1..=C` for the
 //!   ordinal loss.
 //! * [`session`] — the service API: [`Session`], [`SessionBuilder`],
 //!   dynamic membership (join/leave/churn), incremental queries, and
@@ -74,9 +74,9 @@
 //! [`dmf_simnet`] (the simulated network under [`runner`], the
 //! probe instruments behind [`provider`]) and [`dmf_proto`] (wire
 //! decode errors wrapped into [`DmfsgdError`]). Downstream,
-//! `dmf-eval` scores its predictions, `dmf-baselines` solves the same
-//! objective centrally, `dmf-agent` deploys the node logic over UDP,
-//! and `dmf-bench` sweeps its hyper-parameters.
+//! `dmf-eval` scores its predictions, `dmf-agent` deploys the node
+//! logic over UDP, and `dmf-bench` sweeps its hyper-parameters and
+//! solves the same objective centrally for the ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

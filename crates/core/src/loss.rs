@@ -93,11 +93,6 @@ impl Loss {
         }
     }
 
-    /// True for the classification losses (hinge, logistic, ordinal).
-    pub fn is_classification(self) -> bool {
-        !matches!(self, Loss::L2)
-    }
-
     /// The class a score predicts: under [`Loss::Ordinal`] the class
     /// `1..=C` whose threshold bin holds `xhat`, otherwise the binary
     /// sign rule (`+1` for a non-negative score, `−1` below zero).
@@ -154,6 +149,13 @@ fn ordinal_gradient_factor(classes: u8, x: f64, xhat: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Loss {
+        /// True for the classification losses (hinge, logistic, ordinal).
+        fn is_classification(self) -> bool {
+            !matches!(self, Loss::L2)
+        }
+    }
 
     /// Finite-difference check of the gradient factor: treat x̂ as the
     /// free variable (chain rule gives the u/v gradients).

@@ -19,9 +19,10 @@
 //! classes `1..=C` cut from a dataset by quantiles, for a session
 //! trained with [`Loss::Ordinal`](crate::Loss::Ordinal).
 
+use crate::error::ConfigError;
 use crate::session::Session;
 use dmf_datasets::{ClassMatrix, Dataset, Metric};
-use dmf_simnet::probe::{PathloadProber, RttProber};
+use dmf_simnet::probe::probed_class;
 use rand::RngCore;
 
 /// A source of training values `x` for node pairs.
@@ -121,9 +122,13 @@ pub struct QuantityProvider {
 impl QuantityProvider {
     /// Wraps a dataset; `scale` should be of the order of the dataset
     /// median so SGD sees values near 1.
-    pub fn new(dataset: Dataset, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        Self { dataset, scale }
+    ///
+    /// # Errors
+    /// [`ConfigError::ValueScale`] unless `scale` is finite and strictly
+    /// positive (the rule a quantity-mode config is held to).
+    pub fn new(dataset: Dataset, scale: f64) -> Result<Self, ConfigError> {
+        ConfigError::check_value_scale(scale)?;
+        Ok(Self { dataset, scale })
     }
 
     /// The scale divisor.
@@ -146,39 +151,27 @@ impl MeasurementProvider for QuantityProvider {
     }
 }
 
-/// Classes measured on the fly by simulated probing tools.
+/// Classes measured on the fly by simulated probing tools
+/// ([`dmf_simnet::probe::probed_class`]).
 pub struct ProbedClassProvider {
     dataset: Dataset,
     tau: f64,
-    rtt_prober: RttProber,
-    abw_prober: PathloadProber,
 }
 
 impl ProbedClassProvider {
-    /// Probes `dataset` at threshold/rate `tau` with default tool
-    /// noise profiles.
-    pub fn new(dataset: Dataset, tau: f64) -> Self {
-        assert!(tau > 0.0, "tau must be positive");
-        Self {
-            dataset,
-            tau,
-            rtt_prober: RttProber::default(),
-            abw_prober: PathloadProber::default(),
-        }
+    /// Probes `dataset` at threshold/rate `tau`.
+    ///
+    /// # Errors
+    /// [`ConfigError::Tau`] unless `tau` is finite and strictly positive.
+    pub fn new(dataset: Dataset, tau: f64) -> Result<Self, ConfigError> {
+        ConfigError::check_tau(tau)?;
+        Ok(Self { dataset, tau })
     }
 }
 
 impl MeasurementProvider for ProbedClassProvider {
     fn measure(&mut self, i: usize, j: usize, rng: &mut dyn RngCore) -> Option<f64> {
-        match self.dataset.metric {
-            Metric::Rtt => {
-                let rtt = self.rtt_prober.measure(&self.dataset, i, j, rng)?;
-                Some(Metric::Rtt.classify(rtt, self.tau))
-            }
-            Metric::Abw => self
-                .abw_prober
-                .probe_class(&self.dataset, i, j, self.tau, rng),
-        }
+        probed_class(&self.dataset, i, j, self.tau, rng)
     }
 
     fn metric(&self) -> Metric {
@@ -373,7 +366,7 @@ mod tests {
         let d = meridian_like(10, 2);
         let median = d.median();
         let v01 = d.values[(0, 1)];
-        let mut p = QuantityProvider::new(d, median);
+        let mut p = QuantityProvider::new(d, median).expect("valid scale");
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let x = p.measure(0, 1, &mut rng).unwrap();
         assert!((x - v01 / median).abs() < 1e-12);
@@ -384,7 +377,7 @@ mod tests {
         let d = meridian_like(40, 3);
         let tau = d.median();
         let truth = d.classify(tau);
-        let mut p = ProbedClassProvider::new(d, tau);
+        let mut p = ProbedClassProvider::new(d, tau).expect("valid tau");
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut agree = 0;
         let mut total = 0;
@@ -406,7 +399,7 @@ mod tests {
         let d = hps3_like(40, 4);
         let tau = d.median();
         let truth = d.classify(tau);
-        let mut p = ProbedClassProvider::new(d, tau);
+        let mut p = ProbedClassProvider::new(d, tau).expect("valid tau");
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut agree = 0;
         let mut total = 0;
@@ -423,8 +416,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scale must be positive")]
     fn quantity_scale_validated() {
-        QuantityProvider::new(meridian_like(5, 5), 0.0);
+        for scale in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            match QuantityProvider::new(meridian_like(5, 5), scale) {
+                Err(ConfigError::ValueScale { value_scale }) => {
+                    assert_eq!(value_scale.to_bits(), scale.to_bits());
+                }
+                Err(other) => panic!("scale {scale}: wrong refusal {other:?}"),
+                Ok(_) => panic!("scale {scale} accepted"),
+            }
+        }
     }
 }

@@ -116,15 +116,6 @@ impl SimnetRunner {
         self.session.predicted_scores_into(out);
     }
 
-    /// Reference implementation of [`predicted_scores`]: one virtual
-    /// per-pair dot at a time. Kept for the equivalence property tests
-    /// and as documentation of the semantics.
-    ///
-    /// [`predicted_scores`]: Self::predicted_scores
-    pub fn predicted_scores_naive(&self) -> Matrix {
-        self.session.predicted_scores_naive()
-    }
-
     /// Runs the protocol until simulated time `duration_s`, starting
     /// all probe timers at jittered offsets.
     ///
@@ -147,26 +138,4 @@ impl SimnetRunner {
     pub fn into_nodes(self) -> Vec<DmfsgdNode> {
         self.session.into_nodes()
     }
-}
-
-/// Fraction of ordered pairs on which an oracle-trained session and a
-/// simnet-trained runner predict the same class — the
-/// cross-front-end agreement metric (pinned by
-/// `tests/decentralization.rs`).
-pub fn sign_agreement(session: &Session, runner: &SimnetRunner) -> f64 {
-    let n = session.len().min(runner.nodes().len());
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            total += 1;
-            if (session.raw_score_unchecked(i, j) >= 0.0) == (runner.raw_score(i, j) >= 0.0) {
-                agree += 1;
-            }
-        }
-    }
-    agree as f64 / total as f64
 }

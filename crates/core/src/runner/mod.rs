@@ -114,7 +114,7 @@ mod facade;
 pub(crate) mod fused;
 mod wire;
 
-pub use facade::{sign_agreement, SimnetRunner};
+pub use facade::SimnetRunner;
 
 use crate::coords::CoordVec;
 use crate::endpoint::{Endpoint, WireStats};
@@ -123,7 +123,7 @@ use crate::session::{Driver, Session};
 use dmf_datasets::{Dataset, Metric};
 use dmf_linalg::simd::prefetch;
 use dmf_proto::WireVersion;
-use dmf_simnet::probe::PathloadProber;
+use dmf_simnet::probe::pathload;
 use dmf_simnet::{Delivery, NetConfig, SimNet};
 use fused::FusedRtt;
 use wire::Exchange;
@@ -234,7 +234,6 @@ pub struct SimnetDriver {
     /// the first per-message or wire RTT probe: fused RTT never needs
     /// it, and at 100 k nodes the lists would cost ≈ 10 MB.
     pending_rtt: Vec<Vec<(usize, f64)>>,
-    abw_prober: PathloadProber,
     fidelity: ExchangeFidelity,
     /// When set, every protocol leg travels as encoded `dmf-proto`
     /// bytes ([`Msg::Wire`]), encoded and run by this endpoint, instead
@@ -301,7 +300,6 @@ impl SimnetDriver {
             abw_truth: None,
             fused,
             pending_rtt: Vec::new(),
-            abw_prober: PathloadProber::default(),
             fidelity: ExchangeFidelity::default(),
             wire: None,
             wire_nonce: 0,
@@ -590,10 +588,7 @@ impl SimnetDriver {
                 if session.is_alive(j) {
                     let truth = self.abw_truth.as_ref().expect("ABW probes need ABW truth");
                     let tau = self.fused.tau;
-                    if let Some(x) = self
-                        .abw_prober
-                        .probe_class(truth, i, j, tau, &mut session.rng)
-                    {
+                    if let Some(x) = pathload(truth, i, j, tau, &mut session.rng) {
                         let params = session.config.sgd;
                         let v = session.nodes[j].on_abw_probe(x, &u, &params);
                         let v = self.boxed(v);
@@ -1480,7 +1475,7 @@ mod tests {
                 .expect("valid");
         runner.run_for(25.0).expect("run");
         let batched = runner.predicted_scores();
-        let naive = runner.predicted_scores_naive();
+        let naive = runner.session().predicted_scores_naive();
         assert_eq!(batched, naive, "batched U·Vᵀ must equal per-pair dots");
     }
 

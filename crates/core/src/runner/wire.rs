@@ -22,7 +22,7 @@ use crate::session::Session;
 use dmf_datasets::{Dataset, Metric};
 use dmf_linalg::simd::prefetch;
 use dmf_simnet::neighbors::NeighborSets;
-use dmf_simnet::probe::PathloadProber;
+use dmf_simnet::probe::pathload;
 use rand_chacha::ChaCha8Rng;
 
 /// v2 state of one (prober → target) exchange, both ends of it.
@@ -86,7 +86,6 @@ struct SimLink<'a> {
     neighbors: &'a NeighborSets,
     pending_rtt: &'a mut [Vec<(usize, f64)>],
     fused: &'a mut FusedRtt,
-    abw_prober: &'a PathloadProber,
     abw_truth: Option<&'a Dataset>,
     rng: &'a mut ChaCha8Rng,
     measurements: &'a mut usize,
@@ -108,8 +107,7 @@ impl Link for SimLink<'_> {
 
     fn abw_class(&mut self, prober: usize) -> Option<f64> {
         let tau = self.fused.tau;
-        self.abw_prober
-            .probe_class(self.abw_truth?, prober, self.me, tau, self.rng)
+        pathload(self.abw_truth?, prober, self.me, tau, self.rng)
     }
 
     fn complete(
@@ -148,7 +146,6 @@ impl SimnetDriver {
             neighbors: &session.neighbors,
             pending_rtt: &mut self.pending_rtt,
             fused: &mut self.fused,
-            abw_prober: &self.abw_prober,
             abw_truth: self.abw_truth.as_ref(),
             rng: &mut session.rng,
             measurements: &mut session.measurements,

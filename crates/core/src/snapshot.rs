@@ -25,7 +25,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Bump when the snapshot layout changes incompatibly.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
 
 /// Exact ChaCha8 generator state. The 64-bit block counter is split
 /// into 32-bit halves so the JSON number representation (f64) stays

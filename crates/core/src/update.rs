@@ -22,8 +22,7 @@ use dmf_linalg::kernels::axpby;
 /// This is the per-measurement hot path — millions of calls per
 /// second — so it computes only what the update needs (`x̂` and the
 /// gradient factor) via the fused [`dmf_linalg::kernels`]: no loss
-/// evaluation, no allocation. Use [`sgd_step_with_loss`] when the
-/// pre-step loss value is wanted for monitoring.
+/// evaluation, no allocation.
 #[inline]
 pub fn sgd_step(updated: &mut [f64], fixed: &[f64], x: f64, params: &SgdParams) {
     assert_eq!(updated.len(), fixed.len(), "coordinate rank mismatch");
@@ -35,28 +34,28 @@ pub fn sgd_step(updated: &mut [f64], fixed: &[f64], x: f64, params: &SgdParams) 
     axpby(updated, shrink, -(params.eta * g), fixed);
 }
 
-/// [`sgd_step`] variant that also returns the loss value *before* the
-/// step (handy for monitoring convergence; costs an extra `exp`/`ln`
-/// per call, which is why the plain step skips it).
-pub fn sgd_step_with_loss(updated: &mut [f64], fixed: &[f64], x: f64, params: &SgdParams) -> f64 {
-    assert_eq!(updated.len(), fixed.len(), "coordinate rank mismatch");
-    let loss_before = params.loss.value(x, dot(updated, fixed));
-    sgd_step(updated, fixed, x, params);
-    loss_before
-}
-
-/// The regularized objective contribution of one measurement at one
-/// node (paper eq. 5): `l(x, x̂) + λ‖w‖²` where `w` is the updated
-/// vector. Used by tests to verify descent.
-pub fn local_objective(updated: &[f64], fixed: &[f64], x: f64, params: &SgdParams) -> f64 {
-    let xhat = dot(updated, fixed);
-    params.loss.value(x, xhat) + params.lambda * dot(updated, updated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loss::Loss;
+
+    /// The regularized objective contribution of one measurement at one
+    /// node (paper eq. 5): `l(x, x̂) + λ‖w‖²` where `w` is the updated
+    /// vector. Used by tests to verify descent.
+    fn local_objective(updated: &[f64], fixed: &[f64], x: f64, params: &SgdParams) -> f64 {
+        let xhat = dot(updated, fixed);
+        params.loss.value(x, xhat) + params.lambda * dot(updated, updated)
+    }
+
+    /// [`sgd_step`] variant that also returns the loss value *before* the
+    /// step (handy for monitoring convergence; costs an extra `exp`/`ln`
+    /// per call, which is why the plain step skips it).
+    fn sgd_step_with_loss(updated: &mut [f64], fixed: &[f64], x: f64, params: &SgdParams) -> f64 {
+        assert_eq!(updated.len(), fixed.len(), "coordinate rank mismatch");
+        let loss_before = params.loss.value(x, dot(updated, fixed));
+        sgd_step(updated, fixed, x, params);
+        loss_before
+    }
 
     fn params(loss: Loss) -> SgdParams {
         SgdParams {

@@ -3,9 +3,16 @@
 use dmf_core::config::SgdParams;
 use dmf_core::coords::dot;
 use dmf_core::provider::ClassLabelProvider;
-use dmf_core::update::{local_objective, sgd_step};
+use dmf_core::update::sgd_step;
 use dmf_core::{DmfsgdConfig, Loss, SessionBuilder};
 use proptest::prelude::*;
+
+/// The regularized objective contribution of one measurement at one
+/// node (paper eq. 5): `l(x, x̂) + λ‖w‖²` where `w` is the updated
+/// vector.
+fn local_objective(updated: &[f64], fixed: &[f64], x: f64, params: &SgdParams) -> f64 {
+    params.loss.value(x, dot(updated, fixed)) + params.lambda * dot(updated, updated)
+}
 
 fn coords(rank: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-2.0f64..2.0, rank..=rank)

@@ -86,20 +86,6 @@ impl ClassMatrix {
         }
     }
 
-    /// Count of observed (good, bad) labels.
-    pub fn class_counts(&self) -> (usize, usize) {
-        let mut good = 0;
-        let mut bad = 0;
-        for (i, j) in self.mask.iter_known() {
-            if self.labels[(i, j)] > 0.0 {
-                good += 1;
-            } else {
-                bad += 1;
-            }
-        }
-        (good, bad)
-    }
-
     /// Number of labels that differ from `other` on commonly-observed
     /// entries (used to verify error-injection levels).
     pub fn disagreement_count(&self, other: &ClassMatrix) -> usize {
@@ -114,38 +100,26 @@ impl ClassMatrix {
     }
 }
 
-/// One row of the paper's Table 1: a good-portion target and the τ that
-/// achieves it on a dataset.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct TauPortionRow {
-    /// Requested fraction of good paths (0.10, 0.25, …).
-    pub portion: f64,
-    /// Threshold achieving it.
-    pub tau: f64,
-    /// Fraction actually achieved (sanity check; equals `portion` up to
-    /// ties in the value distribution).
-    pub achieved: f64,
-}
-
-/// Computes Table 1 for a dataset over the paper's portion grid.
-pub fn tau_portion_table(dataset: &Dataset, portions: &[f64]) -> Vec<TauPortionRow> {
-    portions
-        .iter()
-        .map(|&portion| {
-            let tau = dataset.tau_for_good_portion(portion);
-            TauPortionRow {
-                portion,
-                tau,
-                achieved: dataset.good_fraction(tau),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dmf_linalg::Mask;
+
+    impl ClassMatrix {
+        /// Count of observed (good, bad) labels.
+        fn class_counts(&self) -> (usize, usize) {
+            let mut good = 0;
+            let mut bad = 0;
+            for (i, j) in self.mask.iter_known() {
+                if self.labels[(i, j)] > 0.0 {
+                    good += 1;
+                } else {
+                    bad += 1;
+                }
+            }
+            (good, bad)
+        }
+    }
 
     fn toy_dataset() -> Dataset {
         let values = Matrix::from_rows(&[
@@ -206,21 +180,22 @@ mod tests {
 
     #[test]
     fn tau_portion_table_monotone_for_rtt() {
+        // Table 1's rows: the τ of each good-portion target.
         let d = toy_dataset();
-        let rows = tau_portion_table(&d, &[0.10, 0.25, 0.50, 0.75, 0.90]);
-        for w in rows.windows(2) {
-            assert!(
-                w[0].tau <= w[1].tau,
-                "τ must grow with good-portion for RTT"
-            );
+        let portions = [0.10, 0.25, 0.50, 0.75, 0.90];
+        let taus: Vec<f64> = portions
+            .iter()
+            .map(|&p| d.tau_for_good_portion(p))
+            .collect();
+        for w in taus.windows(2) {
+            assert!(w[0] <= w[1], "τ must grow with good-portion for RTT");
         }
         // Achieved fraction should be near the requested portion.
-        for row in &rows {
+        for (&portion, &tau) in portions.iter().zip(&taus) {
+            let achieved = d.good_fraction(tau);
             assert!(
-                (row.achieved - row.portion).abs() < 0.2,
-                "achieved {} too far from requested {}",
-                row.achieved,
-                row.portion
+                (achieved - portion).abs() < 0.2,
+                "achieved {achieved} too far from requested {portion}"
             );
         }
     }

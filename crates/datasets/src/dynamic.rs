@@ -61,7 +61,7 @@ impl DynamicTrace {
 
     /// Builds the static ground truth the paper uses: per-pair median
     /// of the measurement stream; pairs never measured stay unknown.
-    pub fn ground_truth_median(&self) -> Dataset {
+    fn ground_truth_median(&self) -> Dataset {
         let n = self.nodes;
         let mut streams: Vec<Vec<f64>> = vec![Vec::new(); n * n];
         for m in &self.measurements {

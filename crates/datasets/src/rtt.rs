@@ -3,12 +3,12 @@
 //! * [`meridian_like`] — a static 2500-node matrix mirroring the
 //!   Meridian dataset (median ≈ 56.4 ms, symmetric, fully observed
 //!   off-diagonal).
-//! * [`harvard_like_static`] — the static face of the Harvard dataset
+//! * [`RttDatasetConfig::harvard`] — the Harvard dataset's topology
 //!   (226 nodes, median ≈ 131.6 ms, heavier tail: application-level
-//!   RTTs measured between Azureus clients behind access links). The
-//!   *dynamic* Harvard trace lives in [`crate::dynamic`].
+//!   RTTs measured between Azureus clients behind access links), which
+//!   the *dynamic* Harvard trace of [`crate::dynamic`] is drawn from.
 //!
-//! Both generators produce a two-tier topology (see
+//! Both configurations produce a two-tier topology (see
 //! [`crate::topology`]) and then rescale all values so the observed
 //! median matches the published median exactly — the experiments'
 //! thresholds (`τ`) are percentile-based, so matching location and
@@ -72,7 +72,7 @@ impl RttDatasetConfig {
 }
 
 /// Generates an RTT dataset plus the topology it came from.
-pub fn generate_rtt_dataset(config: &RttDatasetConfig, seed: u64) -> (Topology, Dataset) {
+fn generate_rtt_dataset(config: &RttDatasetConfig, seed: u64) -> (Topology, Dataset) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let topology = Topology::generate(config.topology.clone(), &mut rng);
     let values = topology.rtt_matrix(&mut rng);
@@ -90,16 +90,16 @@ pub fn meridian_like(nodes: usize, seed: u64) -> Dataset {
     generate_rtt_dataset(&RttDatasetConfig::meridian(nodes), seed).1
 }
 
-/// Harvard-like *static* RTT dataset (the per-pair medians; paper size:
-/// 226 nodes, median 131.6 ms). For the timestamped dynamic stream use
-/// [`crate::dynamic::harvard_like`].
-pub fn harvard_like_static(nodes: usize, seed: u64) -> Dataset {
-    generate_rtt_dataset(&RttDatasetConfig::harvard(nodes), seed).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Harvard-like *static* RTT dataset (the per-pair medians; paper size:
+    /// 226 nodes, median 131.6 ms). For the timestamped dynamic stream use
+    /// [`crate::dynamic::harvard_like`].
+    fn harvard_like_static(nodes: usize, seed: u64) -> Dataset {
+        generate_rtt_dataset(&RttDatasetConfig::harvard(nodes), seed).1
+    }
 
     #[test]
     fn meridian_median_calibrated() {

@@ -677,7 +677,7 @@ impl Scenario {
 
     /// Node `i`'s position in the delay plane at time `t` (initial
     /// position, drifting linearly to its target during drift epochs).
-    pub fn node_pos_at(&self, i: usize, t: f64) -> (f64, f64) {
+    fn node_pos_at(&self, i: usize, t: f64) -> (f64, f64) {
         let mut pos = self.topology.node_pos[i];
         // Displacements add: each drift epoch contributes its own
         // progress-scaled shift, so stacked drifts accumulate instead
@@ -727,15 +727,9 @@ impl Scenario {
         factor
     }
 
-    /// The ground-truth RTT of the ordered pair `(i, j)` at time `t`
-    /// (symmetric in `(i, j)`; zero on the diagonal).
-    pub fn rtt_at(&self, i: usize, j: usize, t: f64) -> f64 {
-        self.rtt_from_positions(i, j, self.node_pos_at(i, t), self.node_pos_at(j, t), t)
-    }
-
-    /// [`rtt_at`](Self::rtt_at) with both positions already computed —
-    /// the one formula (`base · noise · calibration · factors`) shared
-    /// with the batched [`ground_truth_at`](Self::ground_truth_at).
+    /// The ground-truth RTT of `(i, j)` at time `t` from both nodes'
+    /// positions — the one formula (`base · noise · calibration ·
+    /// factors`) behind the batched [`ground_truth_at`](Self::ground_truth_at).
     fn rtt_from_positions(
         &self,
         i: usize,
@@ -879,6 +873,14 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scenario {
+        /// The ground-truth RTT of the ordered pair `(i, j)` at time `t`
+        /// (symmetric in `(i, j)`; zero on the diagonal).
+        fn rtt_at(&self, i: usize, j: usize, t: f64) -> f64 {
+            self.rtt_from_positions(i, j, self.node_pos_at(i, t), self.node_pos_at(j, t), t)
+        }
+    }
 
     fn small_rtt(nodes: usize) -> RttDatasetConfig {
         RttDatasetConfig::meridian(nodes)

@@ -150,11 +150,6 @@ impl Topology {
         ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()
     }
 
-    /// Backbone (position) distance between two nodes in ms.
-    pub fn backbone_delay(&self, i: usize, j: usize) -> f64 {
-        Self::backbone_between(self.node_pos[i], self.node_pos[j])
-    }
-
     /// The noise-free RTT between two nodes:
     /// `access_i + access_j + backbone(i, j)`, and 0 on the diagonal.
     pub fn base_rtt(&self, i: usize, j: usize) -> f64 {

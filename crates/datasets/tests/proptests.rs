@@ -1,6 +1,5 @@
 //! Property-based tests for dataset generation and classification.
 
-use dmf_datasets::class::tau_portion_table;
 use dmf_datasets::rtt::meridian_like;
 use dmf_datasets::Metric;
 use proptest::prelude::*;
@@ -32,10 +31,11 @@ proptest! {
     #[test]
     fn tau_portion_table_achieves_requested(seed in 0u64..20) {
         let d = meridian_like(60, seed);
-        for row in tau_portion_table(&d, &[0.1, 0.25, 0.5, 0.75, 0.9]) {
+        for portion in [0.1, 0.25, 0.5, 0.75, 0.9] {
+            let achieved = d.good_fraction(d.tau_for_good_portion(portion));
             prop_assert!(
-                (row.achieved - row.portion).abs() < 0.05,
-                "portion {} achieved {}", row.portion, row.achieved
+                (achieved - portion).abs() < 0.05,
+                "portion {} achieved {}", portion, achieved
             );
         }
     }
@@ -45,7 +45,8 @@ proptest! {
         let d = meridian_like(40, seed);
         let tau = d.median();
         let cm = d.classify(tau);
-        let (good, bad) = cm.class_counts();
+        let good = cm.mask.iter_known().filter(|&(i, j)| cm.labels[(i, j)] > 0.0).count();
+        let bad = cm.mask.iter_known().filter(|&(i, j)| cm.labels[(i, j)] < 0.0).count();
         prop_assert_eq!(good + bad, cm.mask.count_known());
         prop_assert!((cm.good_fraction() - d.good_fraction(tau)).abs() < 1e-12);
     }

@@ -59,7 +59,7 @@ impl ConfusionMatrix {
 
     /// P(predicted good | actual good) — the top-left percentage of the
     /// paper's per-dataset tables.
-    pub fn good_recall(&self) -> f64 {
+    fn good_recall(&self) -> f64 {
         let actual_good = self.true_positive + self.false_negative;
         if actual_good == 0 {
             return 0.0;
@@ -68,21 +68,12 @@ impl ConfusionMatrix {
     }
 
     /// P(predicted bad | actual bad).
-    pub fn bad_recall(&self) -> f64 {
+    fn bad_recall(&self) -> f64 {
         let actual_bad = self.false_positive + self.true_negative;
         if actual_bad == 0 {
             return 0.0;
         }
         self.true_negative as f64 / actual_bad as f64
-    }
-
-    /// Precision of the good class.
-    pub fn good_precision(&self) -> f64 {
-        let predicted_good = self.true_positive + self.false_positive;
-        if predicted_good == 0 {
-            return 0.0;
-        }
-        self.true_positive as f64 / predicted_good as f64
     }
 
     /// Renders the paper's Table-2 row layout:
@@ -101,6 +92,17 @@ impl ConfusionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConfusionMatrix {
+        /// Precision of the good class.
+        fn good_precision(&self) -> f64 {
+            let predicted_good = self.true_positive + self.false_positive;
+            if predicted_good == 0 {
+                return 0.0;
+            }
+            self.true_positive as f64 / predicted_good as f64
+        }
+    }
 
     fn s(positive: bool, score: f64) -> ScoredLabel {
         ScoredLabel { positive, score }

@@ -21,7 +21,7 @@
 //!   (satisfaction).
 //!
 //! All functions take plain score/label pairs, so they evaluate any
-//! predictor — DMFSGD, the baselines, or an oracle.
+//! predictor — DMFSGD, the centralized solver, or an oracle.
 //!
 //! # Position in the workspace
 //!
@@ -29,8 +29,8 @@
 //! [`dmf_datasets`] (class matrices): [`collect_scores`] pairs a
 //! [`dmf_datasets::ClassMatrix`] with a predictor's
 //! [`dmf_linalg::Matrix`] of scores into the [`ScoredLabel`]s every
-//! criterion consumes. `dmf-baselines`, `dmf-agent` and `dmf-bench`
-//! all report through this crate.
+//! criterion consumes. `dmf-agent` and `dmf-bench` both report through
+//! this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -52,27 +52,27 @@ pub fn pr_curve(samples: &[ScoredLabel]) -> Vec<PrPoint> {
     curve
 }
 
-/// Average precision: the PR curve summarized by the precision
-/// achieved at each positive sample (the usual AP metric).
-pub fn average_precision(samples: &[ScoredLabel]) -> f64 {
-    let positives = samples.iter().filter(|s| s.positive).count();
-    assert!(positives > 0, "AP undefined without positive samples");
-    let mut sorted: Vec<&ScoredLabel> = samples.iter().collect();
-    sorted.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("NaN score"));
-    let mut tp = 0usize;
-    let mut ap = 0.0;
-    for (rank0, sample) in sorted.iter().enumerate() {
-        if sample.positive {
-            tp += 1;
-            ap += tp as f64 / (rank0 + 1) as f64;
-        }
-    }
-    ap / positives as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Average precision: the PR curve summarized by the precision
+    /// achieved at each positive sample (the usual AP metric).
+    fn average_precision(samples: &[ScoredLabel]) -> f64 {
+        let positives = samples.iter().filter(|s| s.positive).count();
+        assert!(positives > 0, "AP undefined without positive samples");
+        let mut sorted: Vec<&ScoredLabel> = samples.iter().collect();
+        sorted.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("NaN score"));
+        let mut tp = 0usize;
+        let mut ap = 0.0;
+        for (rank0, sample) in sorted.iter().enumerate() {
+            if sample.positive {
+                tp += 1;
+                ap += tp as f64 / (rank0 + 1) as f64;
+            }
+        }
+        ap / positives as f64
+    }
 
     fn s(positive: bool, score: f64) -> ScoredLabel {
         ScoredLabel { positive, score }

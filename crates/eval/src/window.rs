@@ -40,7 +40,7 @@ pub struct WindowStats {
 
 /// Sign accuracy of a batch: `score >= 0` predicts the positive
 /// class. `None` for an empty batch.
-pub fn sign_accuracy(samples: &[ScoredLabel]) -> Option<f64> {
+fn sign_accuracy(samples: &[ScoredLabel]) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }

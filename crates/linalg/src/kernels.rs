@@ -144,7 +144,7 @@ impl CoordVec {
     }
 
     /// Copies a slice.
-    pub fn from_slice(s: &[f64]) -> Self {
+    fn from_slice(s: &[f64]) -> Self {
         Self::from_fn(s.len(), |i| s[i])
     }
 
@@ -164,11 +164,6 @@ impl CoordVec {
             CoordVec::Inline { len, data } => &mut data[..*len as usize],
             CoordVec::Spilled(v) => v,
         }
-    }
-
-    /// True when the elements are stored inline (no heap).
-    pub fn is_inline(&self) -> bool {
-        matches!(self, CoordVec::Inline { .. })
     }
 
     /// Copies out to a plain `Vec` (wire encoding, interop).
@@ -229,6 +224,13 @@ impl Deserialize for CoordVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CoordVec {
+        /// True when the elements are stored inline (no heap).
+        fn is_inline(&self) -> bool {
+            matches!(self, CoordVec::Inline { .. })
+        }
+    }
 
     #[test]
     fn dot_matches_reference() {

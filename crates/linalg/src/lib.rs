@@ -4,9 +4,10 @@
 //!
 //! The DMFSGD paper (Liao et al., CoNEXT 2011) relies on the empirical
 //! observation that pairwise network-performance matrices have *low
-//! effective rank* (its Figure 1), and its centralized baselines require
-//! factorizing such matrices directly. This crate provides everything
-//! those analyses need, built from scratch on `std`:
+//! effective rank* (its Figure 1), and the centralized solver it is
+//! compared against factorizes such matrices directly. This crate
+//! provides everything those analyses need, built from scratch on
+//! `std`:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the small set of
 //!   operations the project needs (transpose, matmul, norms, maps).

@@ -70,16 +70,6 @@ impl Mask {
         self.known.iter().filter(|&&b| b).count()
     }
 
-    /// Fraction of observed entries among off-diagonal positions.
-    pub fn off_diagonal_density(&self) -> f64 {
-        let off_diag = (self.rows * self.cols).saturating_sub(self.rows.min(self.cols));
-        if off_diag == 0 {
-            return 0.0;
-        }
-        let known = self.iter_known().filter(|&(i, j)| i != j).count();
-        known as f64 / off_diag as f64
-    }
-
     /// Iterates over observed `(i, j)` positions in row-major order.
     pub fn iter_known(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let cols = self.cols;
@@ -106,17 +96,6 @@ impl Mask {
         }
     }
 
-    /// Builds the paper's 0/1 weight matrix `W`.
-    pub fn to_weight_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
-            if self.is_known(i, j) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
-
     /// Applies the mask to a matrix: unknown entries are replaced with
     /// `fill` (typically 0.0). Shapes must match.
     pub fn apply(&self, m: &Matrix, fill: f64) -> Matrix {
@@ -134,6 +113,29 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl Mask {
+        /// Builds the paper's 0/1 weight matrix `W`.
+        fn to_weight_matrix(&self) -> Matrix {
+            Matrix::from_fn(self.rows, self.cols, |i, j| {
+                if self.is_known(i, j) {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+        }
+
+        /// Fraction of observed entries among off-diagonal positions.
+        fn off_diagonal_density(&self) -> f64 {
+            let off_diag = (self.rows * self.cols).saturating_sub(self.rows.min(self.cols));
+            if off_diag == 0 {
+                return 0.0;
+            }
+            let known = self.iter_known().filter(|&(i, j)| i != j).count();
+            known as f64 / off_diag as f64
+        }
+    }
 
     #[test]
     fn none_has_no_known_entries() {

@@ -20,7 +20,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+    fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Self {
             rows,
             cols,
@@ -116,7 +116,7 @@ impl Matrix {
     }
 
     /// Mutably borrow row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }

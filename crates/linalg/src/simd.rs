@@ -469,7 +469,7 @@ fn nt_row_portable_body<const R: usize>(
 /// materialized `inner × cols` transpose. Appends `rows·cols` entries
 /// to `out` (cleared first). `inner` must be ≥ 1 (the caller
 /// short-circuits the empty inner dimension).
-pub fn matmul_nt_portable(
+fn matmul_nt_portable(
     lhs: &[f64],
     rhs: &[f64],
     rhs_t: &[f64],
@@ -490,26 +490,6 @@ pub fn matmul_nt_portable(
             _ => nt_row_portable_body::<0>(a, inner, rhs, rhs_t, cols, out),
         }
     }
-}
-
-/// AVX2+FMA blocked/tiled `matmul_nt` (same storage conventions as
-/// [`matmul_nt_portable`]).
-///
-/// # Panics
-/// Panics when the CPU lacks AVX2/FMA.
-#[allow(unsafe_code)]
-pub fn matmul_nt_avx2(
-    lhs: &[f64],
-    rhs: &[f64],
-    rhs_t: &[f64],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(avx2_available(), "AVX2 matmul_nt on a CPU without AVX2/FMA");
-    // SAFETY: feature check above.
-    unsafe { avx2::matmul_nt(lhs, rhs, rhs_t, rows, inner, cols, out) }
 }
 
 /// Dispatched `matmul_nt` backend (shapes already validated by
@@ -536,29 +516,6 @@ pub(crate) fn matmul_nt_dispatch(
         }
         Dispatch::Portable => matmul_nt_portable(lhs, rhs, rhs_t, rows, inner, cols, out),
     }
-}
-
-/// AVX-512F tiled `matmul_nt` (same storage conventions as
-/// [`matmul_nt_portable`]).
-///
-/// # Panics
-/// Panics when the CPU lacks AVX-512F.
-#[allow(unsafe_code)]
-pub fn matmul_nt_avx512(
-    lhs: &[f64],
-    rhs: &[f64],
-    rhs_t: &[f64],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(
-        avx512_available(),
-        "AVX-512 matmul_nt on a CPU without AVX-512F"
-    );
-    // SAFETY: feature check above.
-    unsafe { avx512::matmul_nt(lhs, rhs, rhs_t, rows, inner, cols, out) }
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,6 +981,49 @@ pub fn prefetch<T: ?Sized>(value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// AVX-512F tiled `matmul_nt` (same storage conventions as
+    /// [`matmul_nt_portable`]).
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks AVX-512F.
+    #[allow(unsafe_code)]
+    fn matmul_nt_avx512(
+        lhs: &[f64],
+        rhs: &[f64],
+        rhs_t: &[f64],
+        rows: usize,
+        inner: usize,
+        cols: usize,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(
+            avx512_available(),
+            "AVX-512 matmul_nt on a CPU without AVX-512F"
+        );
+        // SAFETY: feature check above.
+        unsafe { avx512::matmul_nt(lhs, rhs, rhs_t, rows, inner, cols, out) }
+    }
+
+    /// AVX2+FMA blocked/tiled `matmul_nt` (same storage conventions as
+    /// [`matmul_nt_portable`]).
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks AVX2/FMA.
+    #[allow(unsafe_code)]
+    fn matmul_nt_avx2(
+        lhs: &[f64],
+        rhs: &[f64],
+        rhs_t: &[f64],
+        rows: usize,
+        inner: usize,
+        cols: usize,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(avx2_available(), "AVX2 matmul_nt on a CPU without AVX2/FMA");
+        // SAFETY: feature check above.
+        unsafe { avx2::matmul_nt(lhs, rhs, rhs_t, rows, inner, cols, out) }
+    }
 
     fn data(n: usize, salt: u64) -> Vec<f64> {
         (0..n)

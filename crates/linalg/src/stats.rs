@@ -21,7 +21,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Population variance. Returns 0.0 for slices of length < 2.
-pub fn variance(values: &[f64]) -> f64 {
+fn variance(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }
@@ -30,7 +30,7 @@ pub fn variance(values: &[f64]) -> f64 {
 }
 
 /// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
+fn std_dev(values: &[f64]) -> f64 {
     variance(values).sqrt()
 }
 

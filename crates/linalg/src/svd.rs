@@ -16,7 +16,6 @@
 
 use crate::decomp::qr;
 use crate::Matrix;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -208,19 +207,19 @@ pub fn singular_values(a: &Matrix) -> Vec<f64> {
     jacobi_svd(a).singular_values
 }
 
-/// Generates a random `m × n` matrix of exact rank `r` (used by tests
-/// and benchmarks): product of two Gaussian factors.
-pub fn random_low_rank(m: usize, n: usize, r: usize, rng: &mut impl Rng) -> Matrix {
-    let left = Matrix::from_fn(m, r, |_, _| crate::stats::normal_sample(rng, 0.0, 1.0));
-    let right = Matrix::from_fn(r, n, |_, _| crate::stats::normal_sample(rng, 0.0, 1.0));
-    left.matmul(&right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// A random `m × n` matrix of exact rank `r`: the product of two
+    /// Gaussian factors.
+    fn random_low_rank(m: usize, n: usize, r: usize, rng: &mut impl Rng) -> Matrix {
+        let left = Matrix::from_fn(m, r, |_, _| crate::stats::normal_sample(rng, 0.0, 1.0));
+        let right = Matrix::from_fn(r, n, |_, _| crate::stats::normal_sample(rng, 0.0, 1.0));
+        left.matmul(&right)
+    }
 
     fn assert_orthonormal_cols(m: &Matrix, tol: f64) {
         let g = m.transpose().matmul(m);

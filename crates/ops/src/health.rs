@@ -106,11 +106,6 @@ impl Health {
             Health::Unready { .. } => 2,
         }
     }
-
-    /// True when the verdict is [`Health::Healthy`].
-    pub fn is_healthy(&self) -> bool {
-        matches!(self, Health::Healthy)
-    }
 }
 
 impl fmt::Display for Health {
@@ -179,17 +174,6 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// A policy with every rule disabled (always `Healthy` once
-    /// `min_quality_samples` is met, which defaults to 0 here).
-    pub fn permissive() -> Self {
-        Self {
-            min_quality_samples: 0,
-            auc_floor: None,
-            staleness_limit_s: None,
-            rejection_rate_limit: None,
-        }
-    }
-
     /// Maps observed signals to a verdict. Pure: no clocks, no global
     /// state. See the module docs for the state machine.
     pub fn evaluate(&self, s: &HealthSignals) -> Health {
@@ -231,6 +215,26 @@ impl HealthPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HealthPolicy {
+        /// A policy with every rule disabled (always `Healthy` once
+        /// `min_quality_samples` is met, which defaults to 0 here).
+        fn permissive() -> Self {
+            Self {
+                min_quality_samples: 0,
+                auc_floor: None,
+                staleness_limit_s: None,
+                rejection_rate_limit: None,
+            }
+        }
+    }
+
+    impl Health {
+        /// True when the verdict is [`Health::Healthy`].
+        fn is_healthy(&self) -> bool {
+            matches!(self, Health::Healthy)
+        }
+    }
 
     #[test]
     fn cold_window_is_unready_regardless_of_other_signals() {

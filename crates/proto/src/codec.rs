@@ -27,18 +27,14 @@ use bytes::{BufMut, Bytes};
 
 pub use crate::frame::{checksum, CHECKSUM_LEN};
 
-/// Protocol magic (little-endian on the wire).
-pub const MAGIC: u16 = PROBE_V1.magic();
 /// Protocol version 1 (full f64 coordinates).
-pub const VERSION: u8 = PROBE_V1.version();
+const VERSION: u8 = PROBE_V1.version();
 /// Protocol version 2 (quantized delta/keyframe coordinates).
-pub const VERSION_V2: u8 = PROBE_V2.version();
+const VERSION_V2: u8 = PROBE_V2.version();
 /// Upper bound on coordinate rank accepted from the network.
 pub const MAX_RANK: usize = 256;
 /// v1 header length in bytes (magic + version + type + payload_len u32).
 pub const HEADER_LEN: usize = PROBE_V1.header_len();
-/// v2 header length in bytes (magic + version + type + payload_len u16).
-pub const HEADER_LEN_V2: usize = PROBE_V2.header_len();
 
 /// Which protocol version a sender speaks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -52,7 +48,7 @@ pub enum WireVersion {
 
 impl WireVersion {
     /// The version byte this variant puts on the wire.
-    pub fn header_byte(self) -> u8 {
+    fn header_byte(self) -> u8 {
         match self {
             WireVersion::V1 => VERSION,
             WireVersion::V2 => VERSION_V2,
@@ -509,6 +505,12 @@ pub fn decode_any(datagram: &[u8]) -> Result<WireMessage, DecodeError> {
 mod tests {
     use super::*;
     use bytes::BytesMut;
+
+    /// v2 header length in bytes (magic + version + type + payload_len u16).
+    const HEADER_LEN_V2: usize = PROBE_V2.header_len();
+
+    /// Protocol magic (little-endian on the wire).
+    const MAGIC: u16 = PROBE_V1.magic();
 
     fn sample_messages() -> Vec<Message> {
         vec![

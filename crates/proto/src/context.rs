@@ -56,7 +56,7 @@
 use crate::delta::{apply_delta, quantize_delta, quantize_keyframe, CoordUpdate, UpdatePayload};
 
 /// Default number of deltas between unconditional keyframes.
-pub const DEFAULT_KEYFRAME_INTERVAL: u16 = 16;
+const DEFAULT_KEYFRAME_INTERVAL: u16 = 16;
 
 /// Most sent-but-unacked reconstructions the encoder keeps to resolve
 /// acks against.
@@ -212,7 +212,8 @@ impl Default for EncoderContext {
 }
 
 impl EncoderContext {
-    /// Context with the [`DEFAULT_KEYFRAME_INTERVAL`].
+    /// Context with the default keyframe interval (16 deltas between
+    /// unconditional keyframes).
     pub fn new() -> Self {
         Self::with_keyframe_interval(DEFAULT_KEYFRAME_INTERVAL)
     }
@@ -465,16 +466,6 @@ impl DecoderContext {
     /// Sequence-number gaps observed (lost or reordered updates).
     pub fn gaps_detected(&self) -> u64 {
         self.gaps_detected
-    }
-
-    /// Keyframes successfully applied.
-    pub fn keyframes_accepted(&self) -> u64 {
-        self.keyframes_accepted
-    }
-
-    /// Deltas successfully applied.
-    pub fn deltas_applied(&self) -> u64 {
-        self.deltas_applied
     }
 
     /// The reconstructions held now, packed oldest first (none when

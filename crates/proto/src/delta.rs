@@ -16,7 +16,7 @@
 //! byte-accounting table in `docs/guide.md`.
 
 /// Largest finite binary16 value; encoder input is clamped to ±this.
-pub const F16_MAX: f64 = 65504.0;
+const F16_MAX: f64 = 65504.0;
 
 /// Upper bound on values in one update block (a v2 `RttReply` carries
 /// `u` and `v` concatenated, so this is twice [`crate::codec::MAX_RANK`]).
@@ -24,10 +24,10 @@ pub const MAX_BLOCK: usize = 2 * crate::codec::MAX_RANK;
 
 /// Values a [`Block`] holds without touching the heap: `u ‖ v` at
 /// rank 16, the same rank up to which `dmf_linalg::CoordVec` is inline.
-pub const INLINE_BLOCK: usize = 32;
+const INLINE_BLOCK: usize = 32;
 
 /// The values of one update block — coordinates or delta quanta —
-/// stored in the value itself up to [`INLINE_BLOCK`] of them, so that
+/// stored in the value itself up to 32 (`INLINE_BLOCK`) of them, so that
 /// encoding and decoding at the paper's ranks never allocate. Longer
 /// blocks (up to [`MAX_BLOCK`] from the network) spill to a `Vec`.
 ///
@@ -143,7 +143,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Block<T> {
 
 /// Rounds an `f64` to the nearest binary16 and returns its bit
 /// pattern. Non-finite input is treated as zero; magnitudes beyond
-/// [`F16_MAX`] saturate to the largest finite half. Never produces an
+/// `F16_MAX` (65504) saturate to the largest finite half. Never produces an
 /// infinity or NaN pattern.
 pub fn f16_from_f64(value: f64) -> u16 {
     let value = if value.is_finite() { value } else { 0.0 };

@@ -37,7 +37,7 @@ use std::time::Instant;
 
 /// Default admission window: how many requests may be in flight on
 /// one connection before overload rejection kicks in.
-pub const DEFAULT_MAX_IN_FLIGHT: usize = 128;
+const DEFAULT_MAX_IN_FLIGHT: usize = 128;
 
 /// Server side of one pipelined connection (see the [module
 /// docs](self)).
@@ -76,7 +76,7 @@ impl ServerConnection {
         }
     }
 
-    /// A connection with the [`DEFAULT_MAX_IN_FLIGHT`] window.
+    /// A connection with the default window of 128 in-flight requests.
     pub fn with_default_window(service: Arc<PredictionService>) -> Self {
         Self::new(service, DEFAULT_MAX_IN_FLIGHT)
     }
@@ -98,11 +98,6 @@ impl ServerConnection {
     /// Requests admitted and not yet executed.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The admission window size.
-    pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
     }
 
     /// Requests rejected with [`ErrorCode::Overloaded`] so far.
@@ -351,7 +346,6 @@ pub fn serve_loopback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SERVICE_MAGIC;
     use dmf_core::SessionBuilder;
 
     fn service(n: usize, shards: usize) -> Arc<PredictionService> {
@@ -522,6 +516,6 @@ mod tests {
             DmfsgdError::Decode(dmf_proto::DecodeError::BadMagic)
         ));
         // Sanity: the magic constant this connection expects.
-        assert_eq!(SERVICE_MAGIC, 0xD3F6);
+        assert_eq!(dmf_proto::frame::SERVICE.magic(), 0xD3F6);
     }
 }

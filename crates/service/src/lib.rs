@@ -71,12 +71,12 @@ pub mod protocol;
 pub mod service;
 
 pub use client::ServiceClient;
-pub use connection::{serve_loopback, ServerConnection, DEFAULT_MAX_IN_FLIGHT};
+pub use connection::{serve_loopback, ServerConnection};
 pub use loopback::{loopback_pair, LoopbackEndpoint};
-pub use metrics::{RequestKind, ServiceMetrics, DEFAULT_QUALITY_WINDOW, LATENCY_BUCKETS_US};
+pub use metrics::{RequestKind, ServiceMetrics, DEFAULT_QUALITY_WINDOW};
 pub use partition::Partition;
 pub use protocol::{
     ErrorCode, MetricsFormat, ProtocolDecode, ProtocolEncode, Request, Response, CHECKSUM_LEN,
-    HEADER_LEN, MAX_HEALTH_REASONS, MAX_PAYLOAD, MAX_RANKED, SERVICE_MAGIC, SERVICE_VERSION,
+    HEADER_LEN,
 };
 pub use service::{PredictionService, WorkerStatsSnapshot};

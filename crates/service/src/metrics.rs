@@ -35,7 +35,7 @@ pub const DEFAULT_QUALITY_WINDOW: usize = 512;
 
 /// Latency bucket bounds in microseconds for
 /// `dmf_service_request_latency_us` (an overflow bucket is implicit).
-pub const LATENCY_BUCKETS_US: [u64; 11] = [
+const LATENCY_BUCKETS_US: [u64; 11] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
 ];
 
@@ -61,7 +61,7 @@ pub enum RequestKind {
 
 impl RequestKind {
     /// All kinds, in label order.
-    pub const ALL: [RequestKind; 7] = [
+    const ALL: [RequestKind; 7] = [
         RequestKind::Predict,
         RequestKind::PredictClass,
         RequestKind::Rank,
@@ -117,7 +117,7 @@ impl ServiceMetrics {
 
     /// As [`new`](Self::new) with an explicit quality-window capacity
     /// (must be at least 1).
-    pub fn with_quality_window(shards: usize, window: usize) -> Self {
+    fn with_quality_window(shards: usize, window: usize) -> Self {
         let registry = Registry::new();
         let requests = RequestKind::ALL.map(|k| {
             registry.counter(MetricDesc::labeled(
@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(m.health().code(), 2, "cold window is unready");
         m.record_update(0, true, 1.0);
         m.record_update(0, false, -1.0);
-        assert!(m.health().is_healthy());
+        assert_eq!(m.health(), Health::Healthy);
         // Invert the window: AUC collapses below the floor.
         for _ in 0..4 {
             m.record_update(0, false, 2.0);

@@ -14,7 +14,7 @@
 //! Both probe protocol versions and this one are
 //! [`dmf_proto::frame`] formats with one parser, so one hostile-input
 //! analysis covers all three. This one is [`frame::SERVICE`]: magic
-//! [`SERVICE_MAGIC`] (`0xD3F6`, distinct from the probe protocol's
+//! `0xD3F6` (distinct from the probe protocol's
 //! `0xD3F5` so a misrouted datagram fails fast), a `u32` payload
 //! length and the frame's CRC32C trailer, which detects every error
 //! burst of at most 32 bits (a peer built before the trailer changed
@@ -27,19 +27,12 @@
 //!
 //! Malformed input of any kind produces a typed
 //! [`DecodeError`] — never a panic, and never
-//! an allocation larger than [`MAX_PAYLOAD`].
+//! an allocation larger than 1 MiB (`MAX_PAYLOAD`).
 
 use dmf_ops::{DegradedReason, Health};
 use dmf_proto::frame::{self, SERVICE};
 use dmf_proto::DecodeError;
 use std::ops::ControlFlow;
-
-/// Frame magic for the service protocol (`0xD3F6`; the probe protocol
-/// uses `0xD3F5`).
-pub const SERVICE_MAGIC: u16 = SERVICE.magic();
-
-/// Service protocol version byte.
-pub const SERVICE_VERSION: u8 = SERVICE.version();
 
 /// Fixed frame header length: magic + version + type + payload_len.
 pub const HEADER_LEN: usize = SERVICE.header_len();
@@ -50,16 +43,16 @@ pub const CHECKSUM_LEN: usize = frame::CHECKSUM_LEN;
 /// Upper bound on a frame's payload (1 MiB). A hostile length field
 /// cannot make a peer buffer more than this per frame (snapshots are
 /// the largest legitimate payload; see [`Response::SnapshotData`]).
-pub const MAX_PAYLOAD: usize = SERVICE.max_payload();
+const MAX_PAYLOAD: usize = SERVICE.max_payload();
 
 /// Upper bound on the entry count of a [`Response::Ranked`] frame —
 /// decoding rejects larger counts before allocating.
-pub const MAX_RANKED: usize = 4096;
+const MAX_RANKED: usize = 4096;
 
 /// Upper bound on the reason count of a [`Response::HealthStatus`]
 /// frame (the health rules define three reasons; the bound leaves
 /// room without letting a hostile count allocate).
-pub const MAX_HEALTH_REASONS: usize = 16;
+const MAX_HEALTH_REASONS: usize = 16;
 
 /// Buffered protocol encoding: append one complete frame to `buf`.
 ///

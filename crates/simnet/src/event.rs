@@ -419,7 +419,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` after a relative `delay` on the given lane.
-    pub fn schedule_after_on(&mut self, lane: Lane, delay: SimTime, event: E) {
+    fn schedule_after_on(&mut self, lane: Lane, delay: SimTime, event: E) {
         assert!(delay >= 0.0, "negative delay {delay}");
         self.schedule_at_on(lane, self.now + delay, event);
     }

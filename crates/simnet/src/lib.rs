@@ -18,10 +18,10 @@
 //!   own constructors build the dense layout (one island); only a
 //!   measured RTT truth is an `n × n` table, which its function owns —
 //!   any other net stores no per-pair state.
-//! * [`probe`] — measurement tools: a ping-style RTT prober, a
-//!   pathload-style binary ABW class prober (UDP train at rate `τ`:
-//!   congestion or not), and a pathchirp-style coarse quantity prober
-//!   with underestimation bias (paper §3.1–3.2).
+//! * [`probe`] — measurement tools behind one
+//!   [`probe::probed_class`]: a ping-style RTT probe thresholded at
+//!   `τ`, and a pathload-style binary ABW class probe (UDP train at
+//!   rate `τ`: congestion or not) (paper §3.1–3.2).
 //! * [`shard`] — [`shard::ShardedSimNet`], the k-island layout of the
 //!   same struct (two constructors and a `Deref`), for 10k–100k-node
 //!   populations where one dense delay table would not fit: it

@@ -45,14 +45,6 @@ impl NeighborSets {
         Self { flat, offsets }
     }
 
-    /// Builds sets from explicit lists (used by tests and loaders).
-    ///
-    /// # Panics
-    /// Panics when a node is listed as its own neighbor.
-    pub fn from_sets(sets: Vec<Vec<usize>>) -> Self {
-        Self::try_from_sets(sets).unwrap_or_else(|i| panic!("node {i} cannot be its own neighbor"))
-    }
-
     /// [`from_sets`](Self::from_sets) for lists from outside the
     /// program: `Err(i)` names a node listed as its own neighbor.
     fn try_from_sets(sets: Vec<Vec<usize>>) -> Result<Self, usize> {
@@ -298,6 +290,17 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl NeighborSets {
+        /// Builds sets from explicit lists (used by tests and loaders).
+        ///
+        /// # Panics
+        /// Panics when a node is listed as its own neighbor.
+        fn from_sets(sets: Vec<Vec<usize>>) -> Self {
+            Self::try_from_sets(sets)
+                .unwrap_or_else(|i| panic!("node {i} cannot be its own neighbor"))
+        }
+    }
 
     #[test]
     fn slots_number_the_ordered_pairs_densely() {

@@ -392,7 +392,7 @@ impl<M> SimNet<M> {
 
     /// True when a message between `from` and `to` would cross an
     /// active partition cut.
-    pub fn is_cut(&self, from: usize, to: usize) -> bool {
+    fn is_cut(&self, from: usize, to: usize) -> bool {
         !self.partition_class.is_empty() && self.partition_class[from] != self.partition_class[to]
     }
 

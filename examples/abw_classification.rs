@@ -25,7 +25,7 @@ fn main() -> Result<(), DmfsgdError> {
     );
 
     // --- 1. Oracle-driven training with on-the-fly pathload probes ---
-    let mut provider = ProbedClassProvider::new(dataset.clone(), tau);
+    let mut provider = ProbedClassProvider::new(dataset.clone(), tau)?;
     let mut cfg = DmfsgdConfig::paper_defaults();
     cfg.seed = 4;
     let mut system = Session::builder().config(cfg).nodes(n).tau(tau).build()?;

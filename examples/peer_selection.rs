@@ -37,7 +37,7 @@ fn main() -> Result<(), DmfsgdError> {
     let class_scores = class_system.predicted_scores();
 
     // Quantity-based prediction (expensive probes: full ABW values).
-    let mut quantity_provider = QuantityProvider::new(dataset.clone(), tau);
+    let mut quantity_provider = QuantityProvider::new(dataset.clone(), tau)?;
     let mut quantity_system = Session::builder()
         .nodes(n)
         .k(k)

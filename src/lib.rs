@@ -5,7 +5,7 @@
 //! Classes"* (ACM CoNEXT 2011): the **DMFSGD** algorithms — matrix
 //! completion of binary ("good"/"bad") pairwise performance classes by
 //! fully decentralized stochastic gradient descent — together with the
-//! datasets, simulator, evaluation criteria, baselines and a real UDP
+//! datasets, simulator, evaluation criteria and a real UDP
 //! deployment.
 //!
 //! This facade crate re-exports the public API of every workspace
@@ -23,7 +23,6 @@
 //! | [`core`] | `dmf-core` | the DMFSGD algorithms and drivers |
 //! | [`eval`] | `dmf-eval` | ROC/AUC, PR, confusion, convergence, peer selection |
 //! | [`proto`] | `dmf-proto` | binary wire protocol |
-//! | [`baselines`] | `dmf-baselines` | Vivaldi, centralized MF, oracle selection |
 //! | [`ops`] | `dmf-ops` | metrics registry, exporters, health policy, live quality |
 //! | [`service`] | `dmf-service` | sharded, pipelined prediction service |
 //! | [`agent`] | `dmf-agent` | real UDP deployment and long-running [`agent::Fleet`] |
@@ -104,7 +103,6 @@
 //! `docs/operations.md` is the operator runbook).
 
 pub use dmf_agent as agent;
-pub use dmf_baselines as baselines;
 pub use dmf_core as core;
 pub use dmf_datasets as datasets;
 pub use dmf_eval as eval;

@@ -1,44 +1,13 @@
-//! Integration: decentralized DMFSGD against its centralized
-//! counterpart and the erroneous-measurement scenarios.
+//! Integration: DMFSGD under the erroneous-measurement scenarios and
+//! both classification losses.
 
-use dmfsgd::baselines::centralized::batch_gd_class;
-use dmfsgd::baselines::vivaldi::{Vivaldi, VivaldiConfig};
 use dmfsgd::core::provider::ClassLabelProvider;
 use dmfsgd::core::{DmfsgdConfig, Loss, SessionBuilder};
 use dmfsgd::datasets::rtt::meridian_like;
 use dmfsgd::eval::{collect_scores, roc::auc};
 use dmfsgd::simnet::errors::{calibrate_delta, inject, BandErrorKind, ErrorModel};
-use dmfsgd::simnet::NeighborSets;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-#[test]
-fn decentralized_approaches_centralized_optimum() {
-    let dataset = meridian_like(80, 1);
-    let classes = dataset.classify(dataset.median());
-
-    let central = batch_gd_class(&classes, 10, Loss::Logistic, 0.1, 0.1, 120, 1);
-    let auc_central = auc(&collect_scores(&classes, &central.predicted_scores()));
-
-    let mut provider = ClassLabelProvider::new(classes.clone());
-    let mut cfg = DmfsgdConfig::paper_defaults();
-    cfg.seed = 1;
-    let mut system = SessionBuilder::from_config(cfg)
-        .nodes(80)
-        .build()
-        .expect("valid config");
-    system
-        .run(80 * 10 * 30, &mut provider)
-        .expect("provider covers the session");
-    let auc_dec = auc(&collect_scores(&classes, &system.predicted_scores()));
-
-    assert!(auc_central > 0.9, "centralized AUC {auc_central}");
-    assert!(
-        auc_dec > auc_central - 0.1,
-        "decentralized {auc_dec} must approach centralized {auc_central}"
-    );
-}
 
 #[test]
 fn near_tau_errors_hurt_less_than_random_flips() {
@@ -102,24 +71,10 @@ fn near_tau_errors_hurt_less_than_random_flips() {
 }
 
 #[test]
-fn vivaldi_baseline_learns_but_classification_needs_no_quantities() {
-    // Vivaldi predicts quantities from quantities; DMFSGD class mode
-    // reaches high AUC from one-bit measurements. Both should work on
-    // their own terms.
+fn classification_learns_from_one_bit_labels() {
+    // DMFSGD class mode reaches high AUC from one-bit measurements
+    // alone, with no quantity ever fed to it.
     let dataset = meridian_like(60, 3);
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let mut viv = Vivaldi::new(60, VivaldiConfig::default(), &mut rng);
-    let neighbors = NeighborSets::random(60, 10, &mut rng);
-    for _ in 0..60 * 300 {
-        let i = rng.gen_range(0..60);
-        let j = neighbors.sample_neighbor(i, &mut rng);
-        viv.observe(i, j, dataset.values[(i, j)], &mut rng);
-    }
-    assert!(
-        viv.median_relative_error(&dataset) < 0.4,
-        "vivaldi should embed the RTT space"
-    );
-
     let classes = dataset.classify(dataset.median());
     let mut provider = ClassLabelProvider::new(classes.clone());
     let mut cfg = DmfsgdConfig::paper_defaults();

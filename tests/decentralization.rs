@@ -3,11 +3,32 @@
 //! must all learn the same structure.
 
 use dmfsgd::core::provider::ClassLabelProvider;
-use dmfsgd::core::runner::{sign_agreement, SimnetRunner};
-use dmfsgd::core::{DmfsgdConfig, SessionBuilder};
+use dmfsgd::core::runner::SimnetRunner;
+use dmfsgd::core::{DmfsgdConfig, Session, SessionBuilder};
 use dmfsgd::datasets::rtt::meridian_like;
 use dmfsgd::eval::{collect_scores, roc::auc};
 use dmfsgd::simnet::NetConfig;
+
+/// Fraction of ordered pairs on which an oracle-trained session and a
+/// simnet-trained runner predict the same class.
+fn sign_agreement(session: &Session, runner: &SimnetRunner) -> f64 {
+    let n = session.len().min(runner.nodes().len());
+    let mut agree = 0usize;
+    let mut total = 0usize;
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            total += 1;
+            let oracle = session.raw_score(i, j).expect("live pair");
+            if (oracle >= 0.0) == (runner.raw_score(i, j) >= 0.0) {
+                agree += 1;
+            }
+        }
+    }
+    agree as f64 / total as f64
+}
 
 #[test]
 fn oracle_and_simnet_training_agree() {

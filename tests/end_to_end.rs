@@ -76,7 +76,7 @@ fn probed_measurements_match_label_training_closely() {
         .expect("provider covers the session");
     let auc_exact = auc(&collect_scores(&classes, &exact.predicted_scores()));
 
-    let mut probe_provider = ProbedClassProvider::new(dataset.clone(), tau);
+    let mut probe_provider = ProbedClassProvider::new(dataset.clone(), tau).expect("valid tau");
     let mut cfg2 = DmfsgdConfig::paper_defaults();
     cfg2.seed = 5;
     let mut probed = SessionBuilder::from_config(cfg2)
@@ -120,17 +120,17 @@ fn accuracy_table_shape_on_all_three_datasets() {
             dataset.name,
             cm.accuracy()
         );
+        // Table 2's diagonal: P(G|G) and P(B|B), in percent.
+        let [[good_recall, _], [_, bad_recall]] = cm.as_percentages();
         assert!(
-            cm.good_recall() > 0.7,
-            "{}: G-recall {}",
-            dataset.name,
-            cm.good_recall()
+            good_recall > 70.0,
+            "{}: G-recall {good_recall} %",
+            dataset.name
         );
         assert!(
-            cm.bad_recall() > 0.7,
-            "{}: B-recall {}",
-            dataset.name,
-            cm.bad_recall()
+            bad_recall > 70.0,
+            "{}: B-recall {bad_recall} %",
+            dataset.name
         );
     }
 }

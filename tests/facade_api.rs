@@ -7,8 +7,6 @@
 //! notices.
 
 use dmfsgd::agent::{MeasurementOracle, UdpDriver};
-use dmfsgd::baselines::vivaldi::VivaldiConfig;
-use dmfsgd::baselines::Vivaldi;
 use dmfsgd::core::provider::ClassLabelProvider;
 use dmfsgd::core::runner::SimnetDriver;
 use dmfsgd::core::session::OracleDriver;
@@ -153,13 +151,9 @@ fn every_reexported_crate_is_reachable() {
     let wire = encode(&Message::RttProbe { nonce: 99 });
     assert_eq!(decode(&wire), Ok(Message::RttProbe { nonce: 99 }));
 
-    // baselines
-    let vivaldi = Vivaldi::new(16, VivaldiConfig::default(), &mut rng);
-    assert_eq!(vivaldi.len(), 16);
-
     // agent
     let tau = dataset.median();
-    let oracle = MeasurementOracle::new(dataset, tau, 5);
+    let oracle = MeasurementOracle::new(dataset, tau, 5).expect("valid tau");
     let label = oracle.measure_class(0, 1).expect("off-diagonal measurable");
     assert!(label == 1.0 || label == -1.0);
 
