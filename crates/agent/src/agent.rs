@@ -109,9 +109,8 @@ impl AgentStats {
 /// Everything an agent thread needs to run.
 pub struct AgentHandle<T: Transport = std::net::UdpSocket> {
     /// The node this agent embodies — its starting coordinates. A
-    /// fresh node for a cold start, or a trained one when the agent
-    /// resumes a [`dmf_core::Session`] (see
-    /// [`crate::driver::UdpDriver`]).
+    /// fresh node for a cold start, or the trained one a
+    /// [`Fleet`](crate::fleet::Fleet) slot kept when it rejoins.
     pub node: DmfsgdNode,
     /// Bound transport (already non-blocking via a read timeout on
     /// the underlying socket).

@@ -15,13 +15,10 @@
 
 use crate::agent::AgentStats;
 use crate::fleet::{seed_oracle, seed_population, Fleet};
-use crate::oracle::MeasurementOracle;
 use dmf_core::{DmfsgdConfig, DmfsgdError, DmfsgdNode};
 use dmf_datasets::Dataset;
 use dmf_linalg::Matrix;
 use dmf_proto::{FaultSpec, WireVersion};
-use dmf_simnet::NeighborSets;
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -110,23 +107,7 @@ impl UdpCluster {
     ) -> Result<ClusterOutcome, DmfsgdError> {
         let (nodes, neighbor_sets) = seed_population(dataset.len(), &config.dmfsgd)?;
         let oracle = seed_oracle(dataset, tau, config.dmfsgd.seed)?;
-        Self::run_with_oracle(oracle, config, nodes, &neighbor_sets)
-    }
-
-    /// [`run`](Self::run) starting from explicit node states and
-    /// neighbor sets, with a pre-built shared oracle — the warm-start
-    /// path [`crate::driver::UdpDriver`] uses to advance an existing
-    /// `dmf_core::Session` population over real sockets, building the
-    /// oracle once instead of re-copying the O(n²) ground truth every
-    /// round. `nodes[i].id` must equal `i` and the neighbor sets must
-    /// cover exactly the same population.
-    pub fn run_with_oracle(
-        oracle: Arc<MeasurementOracle>,
-        config: ClusterConfig,
-        nodes: Vec<DmfsgdNode>,
-        neighbor_sets: &NeighborSets,
-    ) -> Result<ClusterOutcome, DmfsgdError> {
-        let fleet = Fleet::from_parts(oracle, config, nodes, neighbor_sets)?;
+        let fleet = Fleet::from_parts(oracle, config, nodes, &neighbor_sets)?;
         thread::sleep(config.duration);
         fleet.shutdown()
     }
@@ -139,6 +120,7 @@ mod tests {
     use dmf_datasets::abw::hps3_like;
     use dmf_datasets::rtt::meridian_like;
     use dmf_eval::{collect_scores, roc::auc};
+    use dmf_simnet::NeighborSets;
 
     #[test]
     fn rtt_cluster_learns_over_real_udp() {
@@ -240,9 +222,12 @@ mod tests {
         };
         let (nodes, neighbor_sets) = seed_population(n, &config.dmfsgd).expect("valid");
 
-        let outcome =
-            UdpCluster::run_with_oracle(oracle_over(n), config, nodes.clone(), &neighbor_sets)
-                .expect("cluster run");
+        let run = |oracle, sets: &NeighborSets| {
+            let fleet = Fleet::from_parts(oracle, config, nodes.clone(), sets)?;
+            thread::sleep(config.duration);
+            fleet.shutdown()
+        };
+        let outcome = run(oracle_over(n), &neighbor_sets).expect("cluster run");
         let ids: Vec<usize> = outcome.nodes.iter().map(|node| node.id).collect();
         assert_eq!(ids, (0..n).collect::<Vec<_>>());
         assert_eq!(outcome.stats.len(), n);
@@ -254,7 +239,7 @@ mod tests {
             (oracle_over(n + 5), &neighbor_sets, n + 5),
             (oracle_over(n), &longer_sets, n + 3),
         ] {
-            match UdpCluster::run_with_oracle(oracle, config, nodes.clone(), sets) {
+            match run(oracle, sets) {
                 Err(DmfsgdError::Membership(MembershipError::ProviderMismatch {
                     provider,
                     session,

@@ -504,6 +504,7 @@ mod tests {
     use super::*;
     use dmf_core::DmfsgdConfig;
     use dmf_datasets::rtt::meridian_like;
+    use dmf_eval::{collect_scores, roc::auc};
 
     fn fast_config(seed: u64) -> ClusterConfig {
         ClusterConfig {
@@ -603,12 +604,20 @@ mod tests {
     fn checkpoint_restores_into_a_session_with_identical_coordinates() {
         let d = meridian_like(12, 23);
         let tau = d.median();
+        let cm = d.classify(tau);
         let mut fleet = Fleet::launch(d, tau, fast_config(23)).expect("launch");
-        wait_for_updates(&fleet, 50);
+        wait_for_updates(&fleet, 12 * 50);
         let snapshot = fleet.checkpoint().expect("checkpoint");
         assert_eq!(fleet.running_count(), 12, "checkpoint resumes everyone");
         let session = Session::restore(&snapshot).expect("restore");
         assert_eq!(session.len(), 12);
+        // The session holds what the sockets trained: every update the
+        // paused agents applied is counted, and the coordinates
+        // classify the ground truth.
+        let applied = session.measurements_used();
+        assert!(applied >= 12 * 50, "only {applied} updates counted");
+        let a = auc(&collect_scores(&cm, &session.predicted_scores()));
+        assert!(a > 0.7, "socket-trained session AUC {a}");
         // The restored coordinates are the fleet's own, bit for bit:
         // a post-checkpoint shutdown can only have moved them forward,
         // but the snapshot itself came from the paused state. Restore
@@ -618,7 +627,8 @@ mod tests {
             assert_eq!(a.coords.u.as_slice(), b.coords.u.as_slice());
             assert_eq!(a.coords.v.as_slice(), b.coords.v.as_slice());
         }
-        fleet.shutdown().expect("shutdown");
+        let outcome = fleet.shutdown().expect("shutdown");
+        assert!(outcome.total_updates() >= applied, "counters only grow");
     }
 
     #[test]

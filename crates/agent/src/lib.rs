@@ -33,10 +33,14 @@
 //!   [`AgentStats`] metric table, a one-shot exposition dump, and the
 //!   live per-slot mirror ([`metrics::AgentMetricsSlot`]) feeding the
 //!   fleet's counters and shared rolling-AUC quality window.
-//! * [`driver`] — [`UdpDriver`], the real-socket implementation of
-//!   [`dmf_core::session::Driver`]: one wall-clock cluster burst per
-//!   round, coordinates seeded from and written back to a
-//!   [`dmf_core::Session`].
+//!
+//! Real sockets have two entry points: [`UdpCluster::run`] (launch,
+//! run for a wall-clock budget, shut down) and a long-lived [`Fleet`].
+//! Where matrix replay advances a [`dmf_core::Session`] through
+//! `Session::run` and the simulated network through
+//! `SimnetDriver::run_until`, a fleet's population comes back into a
+//! session through [`Fleet::checkpoint`]: the [`dmf_core::Snapshot`]
+//! it returns restores anywhere a session does.
 //!
 //! # Position in the workspace
 //!
@@ -54,8 +58,6 @@
 pub mod agent;
 pub mod cluster;
 #[deny(missing_docs)]
-pub mod driver;
-#[deny(missing_docs)]
 pub mod fleet;
 #[deny(missing_docs)]
 pub mod metrics;
@@ -64,7 +66,6 @@ pub mod transport;
 
 pub use agent::{run_agent, AgentHandle, AgentStats};
 pub use cluster::{ClusterConfig, ClusterOutcome, UdpCluster};
-pub use driver::UdpDriver;
 pub use fleet::{Fleet, FLEET_GAUGE_NAMES};
 pub use metrics::{stats_snapshot, AgentMetricsSlot, StatMetric, STAT_METRICS};
 pub use oracle::MeasurementOracle;

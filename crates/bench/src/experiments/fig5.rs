@@ -104,6 +104,7 @@ pub(crate) fn run(scale: &Scale, seed: u64) -> Fig5 {
             let class = bundle.dataset.classify(tau);
             let mut system = SessionBuilder::from_config(default_config(bundle.k, seed))
                 .nodes(bundle.dataset.len())
+                .tau(tau)
                 .build()
                 .expect("experiment config is valid");
             let mut tracker = ConvergenceTracker::new();
@@ -117,9 +118,7 @@ pub(crate) fn run(scale: &Scale, seed: u64) -> Fig5 {
                     nodes: trio.harvard_trace.nodes,
                     measurements: chunk.to_vec(),
                 };
-                system
-                    .run_trace(&sub, tau)
-                    .expect("trace matches the session");
+                system.run_trace(&sub).expect("trace matches the session");
                 replayed += chunk.len();
                 let a = auc_of(&system, &class);
                 tracker.record(replayed as f64 / bundle.dataset.len() as f64, a);

@@ -118,7 +118,7 @@ pub fn train_quantity_trace(
         .build()
         .expect("experiment config is valid");
     session
-        .run_trace(&clipped, value_scale /* unused in quantity mode */)
+        .run_trace(&clipped)
         .expect("trace matches the session");
     session
 }

@@ -140,20 +140,19 @@ pub enum ConfigError {
         /// The rejected threshold.
         tau: f64,
     },
-    /// A driver needs τ but the session carries none.
+    /// Classifying raw measurements needs τ but the session carries
+    /// none.
     MissingTau,
     /// Non-positive probe interval.
     ProbeInterval {
         /// The rejected interval in seconds.
         seconds: f64,
     },
-    /// Non-positive run duration or round quantum.
+    /// Non-positive run duration, or a non-finite deadline.
     Duration {
         /// The rejected duration in seconds.
         seconds: f64,
     },
-    /// Zero ticks per driver round.
-    ZeroTicks,
     /// Message-loss probability outside `[0, 1]` (scenario impairment
     /// hooks).
     LossProbability {
@@ -234,7 +233,6 @@ impl fmt::Display for ConfigError {
             ConfigError::Duration { seconds } => {
                 write!(f, "duration must be positive (got {seconds})")
             }
-            ConfigError::ZeroTicks => write!(f, "ticks per round must be at least 1"),
             ConfigError::LossProbability { probability } => {
                 write!(f, "loss probability {probability} out of [0, 1]")
             }

@@ -14,9 +14,8 @@
 //!
 //! The primary entry point is the [`session`] module: build a
 //! long-lived [`Session`] with [`SessionBuilder`] (panic-free, typed
-//! [`DmfsgdError`]s), feed it measurements through one of the three
-//! [`Driver`] front-ends, query it incrementally, and persist it with
-//! [`Snapshot`]s.
+//! [`DmfsgdError`]s), advance it through its transport's one entry
+//! point, query it incrementally, and persist it with [`Snapshot`]s.
 //!
 //! Crate layout:
 //!
@@ -40,7 +39,7 @@
 //!   ordinal loss.
 //! * [`session`] — the service API: [`Session`], [`SessionBuilder`],
 //!   dynamic membership (join/leave/churn), incremental queries, and
-//!   the [`Driver`] trait all front-ends implement.
+//!   matrix replay ([`Session::run`], [`Session::run_trace`]).
 //! * [`snapshot`] — serializable checkpoints; restore is
 //!   bit-identical to never having stopped.
 //! * [`epoch`] — the read half of the session's read/write split
@@ -60,12 +59,15 @@
 //!   [`Endpoint`] both the simulator's wire mode and the UDP agents of
 //!   `dmf-agent` run, each supplying only its transport.
 //!
-//! The front-ends are complementary: [`session::OracleDriver`]
-//! replays the paper's evaluation schedule with zero transport cost,
-//! [`runner::SimnetDriver`] pushes every protocol step through
-//! [`dmf_simnet::SimNet`] with latency and loss, and
-//! `dmf_agent::UdpDriver` does the same over real sockets — same
-//! session, different substrate.
+//! Each transport advances the session through one entry point:
+//! [`Session::run`] replays the paper's evaluation schedule with zero
+//! transport cost, [`SimnetDriver::run_until`] pushes every protocol
+//! step through [`dmf_simnet::SimNet`] with latency and loss, and
+//! `dmf_agent::UdpCluster::run` (or a long-lived `dmf_agent::Fleet`)
+//! does the same over real sockets. A [`Snapshot`], or
+//! [`Session::import_nodes`] for nodes trained elsewhere, carries a
+//! population from one to the next — same session, different
+//! substrate.
 //!
 //! # Position in the workspace
 //!
@@ -109,7 +111,7 @@ pub use error::{ConfigError, DmfsgdError, MembershipError, NodeId, SnapshotError
 pub use loss::Loss;
 pub use node::DmfsgdNode;
 pub use runner::{ExchangeFidelity, SimnetDriver, SimnetRunner};
-pub use session::{Driver, OracleDriver, Session, SessionBuilder};
+pub use session::{Session, SessionBuilder};
 #[doc(hidden)]
 pub use sharded::ShardedSimnetDriver;
 pub use snapshot::Snapshot;

@@ -76,11 +76,6 @@ impl SimnetRunner {
         &self.session
     }
 
-    /// Splits the runner into its session and driver.
-    pub fn into_parts(self) -> (Session, SimnetDriver) {
-        (self.session, self.driver)
-    }
-
     /// Immutable access to the nodes.
     pub fn nodes(&self) -> &[DmfsgdNode] {
         self.session.nodes()

@@ -14,9 +14,6 @@ use rand::Rng;
 pub(crate) struct FusedRtt {
     pub(crate) tau: f64,
     pub(crate) probe_interval_s: f64,
-    /// Simulated seconds one [`Driver::round`](crate::session::Driver)
-    /// advances.
-    pub(crate) quantum_s: f64,
     /// Whether the per-node probe timers have been seeded (first run
     /// only — the chains re-arm themselves after that).
     timers_seeded: bool,
@@ -24,13 +21,12 @@ pub(crate) struct FusedRtt {
 }
 
 impl FusedRtt {
-    /// A 1 s probe clock and 10 s rounds, classifying at `tau`.
+    /// A 1 s probe clock, classifying at `tau`.
     pub(crate) fn new(tau: f64) -> Result<Self, ConfigError> {
         ConfigError::check_tau(tau)?;
         Ok(Self {
             tau,
             probe_interval_s: 1.0,
-            quantum_s: 10.0,
             timers_seeded: false,
             stats: RunnerStats::default(),
         })
@@ -41,14 +37,6 @@ impl FusedRtt {
             return Err(ConfigError::ProbeInterval { seconds });
         }
         self.probe_interval_s = seconds;
-        Ok(())
-    }
-
-    pub(crate) fn set_quantum(&mut self, seconds: f64) -> Result<(), ConfigError> {
-        if !(seconds.is_finite() && seconds > 0.0) {
-            return Err(ConfigError::Duration { seconds });
-        }
-        self.quantum_s = seconds;
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Fully decentralized execution over the simulated network.
 //!
-//! [`SimnetDriver`] is the simulated-network front-end of the
-//! [`Driver`] trait: it drives the same
+//! [`SimnetDriver`] is the simulated network's entry point:
+//! [`run_until`](SimnetDriver::run_until) drives the same
 //! [`DmfsgdNode`](crate::node::DmfsgdNode) state machines held by a
 //! [`Session`], but every protocol step is an actual message with
 //! latency (and optionally loss) through [`dmf_simnet::SimNet`]:
@@ -119,7 +119,7 @@ pub use facade::SimnetRunner;
 use crate::coords::CoordVec;
 use crate::endpoint::{Endpoint, WireStats};
 use crate::error::{ConfigError, DmfsgdError, MembershipError};
-use crate::session::{Driver, Session};
+use crate::session::Session;
 use dmf_datasets::{Dataset, Metric};
 use dmf_linalg::simd::prefetch;
 use dmf_proto::WireVersion;
@@ -215,7 +215,7 @@ pub struct RunnerStats {
 /// The simulated-network front-end: owns the transport (event queue,
 /// latency/loss model, outstanding-probe bookkeeping) while the
 /// [`Session`] owns the learning state. Advance it with
-/// [`run_until`](Self::run_until) or through the [`Driver`] trait.
+/// [`run_until`](Self::run_until).
 pub struct SimnetDriver {
     net: SimNet<Msg>,
     /// The ABW ground truth the target's prober measures against;
@@ -312,13 +312,6 @@ impl SimnetDriver {
     /// Sets the probe timer period (default 1 s).
     pub fn with_probe_interval(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
         self.fused.set_probe_interval(seconds)?;
-        Ok(self)
-    }
-
-    /// Sets the simulated seconds one [`Driver::round`] advances
-    /// (default 10 s).
-    pub fn with_quantum(mut self, seconds: f64) -> Result<Self, DmfsgdError> {
-        self.fused.set_quantum(seconds)?;
         Ok(self)
     }
 
@@ -672,15 +665,6 @@ fn prefetch_upcoming(net: &SimNet<Msg>, session: &Session) {
     }
 }
 
-impl Driver for SimnetDriver {
-    /// One round = one quantum of simulated time (see
-    /// [`with_quantum`](Self::with_quantum)).
-    fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError> {
-        let deadline = self.net.now() + self.fused.quantum_s;
-        self.run_until(session, deadline)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::wire::exchange;
@@ -950,28 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn driver_rounds_advance_in_quanta() {
-        let d = meridian_like(25, 9);
-        let tau = d.median();
-        let mut session = Session::builder()
-            .nodes(25)
-            .k(8)
-            .seed(9)
-            .tau(tau)
-            .build()
-            .expect("valid");
-        let mut driver = SimnetDriver::new(&session, d, NetConfig::default())
-            .expect("valid")
-            .with_quantum(15.0)
-            .expect("positive quantum");
-        let applied = session.drive(&mut driver, 4).expect("drive");
-        assert!(driver.now() <= 60.0, "clock overshot the rounds");
-        assert!(applied > 0, "rounds must complete measurements");
-        assert_eq!(applied, driver.stats().measurements_completed);
-        assert_eq!(applied, session.measurements_used());
-    }
-
-    #[test]
     fn non_finite_deadline_is_rejected_not_spun_on() {
         let d = meridian_like(25, 9);
         let mut session = Session::builder()
@@ -1114,11 +1076,13 @@ mod tests {
         let mut runner =
             SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
                 .expect("valid");
-        runner.run_for(20.0).expect("run");
-        let mid = runner.stats().measurements_completed;
-        runner.run_for(40.0).expect("run");
-        assert!(runner.now() <= 40.0);
-        let second_half = runner.stats().measurements_completed - mid;
+        let mid = runner.run_for(20.0).expect("run");
+        assert_eq!(mid, runner.stats().measurements_completed);
+        let second_half = runner.run_for(40.0).expect("run");
+        assert!(runner.now() > 20.0 && runner.now() <= 40.0);
+        // Every completed measurement is one update the session applied.
+        assert_eq!(mid + second_half, runner.stats().measurements_completed);
+        assert_eq!(mid + second_half, runner.session().measurements_used());
         // Resuming must keep the configured probe rate, not stack a
         // second timer chain per node (which would double the rate).
         assert!(second_half > mid / 2, "resumed run stalled");
@@ -1286,11 +1250,14 @@ mod tests {
         // boxes than were ever in flight at once.
         let d = meridian_like(40, 26);
         let tau = d.median();
-        let (mut session, mut driver) =
-            SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
-                .expect("valid")
-                .with_exchange_fidelity(ExchangeFidelity::PerMessage)
-                .into_parts();
+        let mut session = Session::builder()
+            .nodes(40)
+            .tau(tau)
+            .build()
+            .expect("valid");
+        let mut driver = SimnetDriver::new(&session, d, NetConfig::default())
+            .expect("valid")
+            .with_exchange_fidelity(ExchangeFidelity::PerMessage);
         driver
             .run_until(&mut session, 0.0)
             .expect("seeds the timers");
@@ -1349,11 +1316,14 @@ mod tests {
     fn wrong_rank_keyframe_never_reaches_the_context() {
         let d = meridian_like(30, 25);
         let tau = d.median();
-        let (mut session, mut driver) =
-            SimnetRunner::new(d, tau, DmfsgdConfig::paper_defaults(), NetConfig::default())
-                .expect("valid")
-                .with_wire_version(WireVersion::V2)
-                .into_parts();
+        let mut session = Session::builder()
+            .nodes(30)
+            .tau(tau)
+            .build()
+            .expect("valid");
+        let mut driver = SimnetDriver::new(&session, d, NetConfig::default())
+            .expect("valid")
+            .with_wire_version(WireVersion::V2);
         driver.run_until(&mut session, 60.0).expect("run");
         // A pair that has exchanged: its decoder holds baselines and
         // has something to ack.
@@ -1517,6 +1487,13 @@ mod tests {
         assert!(driver.stats().probes_sent >= applied);
         assert!(driver.now() <= 30.0);
         assert_eq!(s.measurements_used(), applied);
+        // A resumed run starts past the first deadline, stops at the
+        // second, and keeps the three counts in step.
+        let more = driver.run_until(&mut s, 35.0).unwrap();
+        assert!(more > 0);
+        assert!(driver.now() > 30.0 && driver.now() <= 35.0);
+        assert_eq!(driver.stats().measurements_completed, applied + more);
+        assert_eq!(s.measurements_used(), applied + more);
     }
 
     /// Per-message and wire-v2 RTT over 4 islands, with jitter and
@@ -1643,21 +1620,6 @@ mod tests {
             }
             assert_bitwise_equal(&pair);
         }
-    }
-
-    #[test]
-    fn driver_round_advances_one_quantum() {
-        let mut s = session(16, 1);
-        let net = ShardedSimNet::uniform(16, 4, 0.02, quiet(0));
-        let mut driver = SimnetDriver::from_net(&s, net)
-            .unwrap()
-            .with_quantum(5.0)
-            .unwrap();
-        let first = driver.round(&mut s).unwrap();
-        assert!(first > 0);
-        assert!(driver.now() <= 5.0);
-        driver.round(&mut s).unwrap();
-        assert!(driver.now() > 5.0 && driver.now() <= 10.0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The long-lived service API: [`Session`], [`SessionBuilder`] and the
-//! [`Driver`] trait.
+//! The long-lived service API: [`Session`] and [`SessionBuilder`].
 //!
 //! The paper's DMFSGD is an *online, decentralized service*: nodes
 //! join, probe, learn and answer "is the path i→j good or bad?"
@@ -22,12 +21,14 @@
 //!   live coordinates through the fused dot-product kernels without
 //!   materializing the n² score matrix.
 //!
-//! How measurements reach the session is the business of a [`Driver`]:
-//! the matrix-replay [`OracleDriver`] (this module), the simulated
-//! network ([`crate::runner::SimnetDriver`]) and the real UDP
-//! deployment (`dmf_agent::UdpDriver`) all advance the *same*
-//! `Session`, so a population can be trained by one front-end,
-//! snapshotted, and resumed under another.
+//! Each transport has one entry point that advances a session:
+//! matrix replay is [`Session::run`] (and [`Session::run_trace`] for
+//! a timestamped trace), the simulated network is
+//! [`SimnetDriver::run_until`](crate::runner::SimnetDriver::run_until),
+//! and real sockets are `dmf_agent::UdpCluster::run` or a
+//! `dmf_agent::Fleet`. A [`Snapshot`] (or [`Session::import_nodes`])
+//! carries a population from one to another, so it can be trained
+//! under one transport and resumed under another.
 
 use crate::config::{DmfsgdConfig, PredictionMode};
 use crate::coords::Coordinates;
@@ -63,8 +64,9 @@ pub struct RemoteRtt<'a> {
 /// crate (and of the `dmfsgd` facade).
 ///
 /// Construct one with [`Session::builder`], feed it measurements
-/// through a [`Driver`] (or directly via
-/// [`apply_measurement`](Session::apply_measurement)), query it with
+/// through [`run`](Session::run), a simulated network's
+/// [`SimnetDriver`](crate::runner::SimnetDriver) or
+/// [`apply_measurement`](Session::apply_measurement), query it with
 /// [`predict`](Session::predict) /
 /// [`rank_neighbors`](Session::rank_neighbors), and persist it with
 /// [`snapshot`](Session::snapshot).
@@ -129,7 +131,7 @@ impl Session {
     }
 
     /// The classification threshold τ configured at build time, if
-    /// any (drivers that classify raw measurements need one).
+    /// any (classifying raw measurements needs one).
     pub fn tau(&self) -> Option<f64> {
         self.tau
     }
@@ -474,16 +476,26 @@ impl Session {
 
     /// Replays a dynamic trace in timestamp order (the Harvard
     /// protocol): each measurement `(t, i, j, value)` is classified at
-    /// `tau` (class mode) or scaled (quantity mode) and applied at
-    /// node `i` via Algorithm 1. Returns the number of measurements
-    /// applied.
+    /// the session's τ (class mode) or scaled (quantity mode) and
+    /// applied at node `i` via Algorithm 1. Returns the number of
+    /// measurements applied. In class mode a session built without
+    /// [`SessionBuilder::tau`] is refused with
+    /// [`ConfigError::MissingTau`].
     ///
     /// Measurements touching a *departed* node are skipped, not
     /// errors — consistent with the probe semantics everywhere else
     /// (a measurement against an absent node just loses one training
     /// opportunity), so trace replay composes with churn. The return
     /// value counts only what was applied.
-    pub fn run_trace(&mut self, trace: &DynamicTrace, tau: f64) -> Result<usize, DmfsgdError> {
+    pub fn run_trace(&mut self, trace: &DynamicTrace) -> Result<usize, DmfsgdError> {
+        // Class mode labels at τ; quantity mode divides by its scale
+        // and needs no τ.
+        let (label, param): (fn(Metric, f64, f64) -> f64, f64) = match self.config.mode {
+            PredictionMode::Class => (Metric::classify, self.tau.ok_or(ConfigError::MissingTau)?),
+            PredictionMode::Quantity { value_scale } => {
+                (|_, value, scale| value / scale, value_scale)
+            }
+        };
         if trace.nodes != self.len() {
             return Err(MembershipError::TraceMismatch {
                 trace: trace.nodes,
@@ -504,10 +516,7 @@ impl Session {
                 Err(MembershipError::Departed { .. }) => continue,
                 Err(e) => return Err(e.into()),
             }
-            let x = match self.config.mode {
-                PredictionMode::Class => trace.metric.classify(m.value, tau),
-                PredictionMode::Quantity { value_scale } => m.value / value_scale,
-            };
+            let x = label(trace.metric, m.value, param);
             self.apply_unchecked(m.from, m.to, x, trace.metric);
             applied += 1;
         }
@@ -536,20 +545,6 @@ impl Session {
         self.nodes = nodes;
         self.measurements += applied;
         Ok(())
-    }
-
-    /// Advances the session through `rounds` rounds of `driver`.
-    /// Returns the total measurements applied.
-    pub fn drive<D: Driver + ?Sized>(
-        &mut self,
-        driver: &mut D,
-        rounds: usize,
-    ) -> Result<usize, DmfsgdError> {
-        let mut total = 0;
-        for _ in 0..rounds {
-            total += driver.round(self)?;
-        }
-        Ok(total)
     }
 
     // ---- membership -------------------------------------------------
@@ -854,9 +849,10 @@ impl SessionBuilder {
     }
 
     /// Classification threshold τ, in the metric's natural units.
-    /// Optional for matrix replay (labels arrive pre-classified);
-    /// required by drivers that classify raw measurements, such as the
-    /// simnet and UDP front-ends.
+    /// Optional for [`Session::run`] (labels arrive pre-classified);
+    /// required wherever raw measurements are classified: by
+    /// [`Session::run_trace`] in class mode and by
+    /// [`SimnetDriver`](crate::runner::SimnetDriver).
     pub fn tau(mut self, tau: f64) -> Self {
         self.tau = Some(tau);
         self
@@ -891,63 +887,6 @@ impl SessionBuilder {
             ConfigError::check_tau(tau)?;
         }
         Ok(Session::from_validated(self.config, self.n, self.tau))
-    }
-}
-
-/// One front-end advancing a [`Session`].
-///
-/// A driver owns the *transport* (a replayed matrix, a simulated
-/// network, real UDP sockets) while the session owns the *state*
-/// (coordinates, neighbor sets, RNG, counters). One round is a
-/// driver-defined quantum — a batch of oracle ticks, a slice of
-/// simulated time, a wall-clock burst — after which control returns so
-/// callers can interleave queries, snapshots or membership changes
-/// with training.
-pub trait Driver {
-    /// Advances `session` by one round; returns the number of
-    /// measurements applied.
-    fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError>;
-}
-
-/// The matrix-replay front-end: measurements come from a
-/// [`MeasurementProvider`] (ground-truth labels, raw quantities, or
-/// simulated probe tools), scheduled as random node/neighbor draws —
-/// the paper's evaluation protocol.
-pub struct OracleDriver<P> {
-    provider: P,
-    ticks_per_round: usize,
-}
-
-impl<P> std::fmt::Debug for OracleDriver<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OracleDriver")
-            .field("ticks_per_round", &self.ticks_per_round)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: MeasurementProvider> OracleDriver<P> {
-    /// Wraps a provider; each [`Driver::round`] runs
-    /// `ticks_per_round` protocol ticks.
-    pub fn new(provider: P, ticks_per_round: usize) -> Result<Self, ConfigError> {
-        if ticks_per_round == 0 {
-            return Err(ConfigError::ZeroTicks);
-        }
-        Ok(Self {
-            provider,
-            ticks_per_round,
-        })
-    }
-
-    /// The wrapped provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-}
-
-impl<P: MeasurementProvider> Driver for OracleDriver<P> {
-    fn round(&mut self, session: &mut Session) -> Result<usize, DmfsgdError> {
-        session.run(self.ticks_per_round, &mut self.provider)
     }
 }
 
@@ -1221,26 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_driver_advances_in_rounds() {
-        let d = meridian_like(40, 2);
-        let cm = d.classify(d.median());
-        let mut session = small_session(40, 10, 2);
-        let mut driver =
-            OracleDriver::new(ClassLabelProvider::new(cm), 40 * 50).expect("nonzero ticks");
-        let applied = session.drive(&mut driver, 4).expect("drive");
-        assert_eq!(applied, session.measurements_used());
-        assert!(applied > 0);
-        assert_eq!(
-            OracleDriver::<ClassLabelProvider>::new(
-                ClassLabelProvider::new(meridian_like(4, 0).classify(1.0)),
-                0
-            )
-            .unwrap_err(),
-            ConfigError::ZeroTicks
-        );
-    }
-
-    #[test]
     fn provider_mismatch_is_typed() {
         let d = meridian_like(30, 3);
         let mut provider = ClassLabelProvider::new(d.classify(d.median()));
@@ -1440,7 +1359,21 @@ mod tests {
         use dmf_datasets::dynamic::{harvard_like, HarvardConfig};
         let (trace, gt) = harvard_like(&HarvardConfig::new(30, 20_000), 15);
         let tau = gt.median();
-        let mut session = small_session(30, 8, 15);
+        // Class mode labels at the session's τ: a session without one
+        // is refused before anything is applied.
+        let mut untuned = small_session(30, 8, 15);
+        assert!(matches!(
+            untuned.run_trace(&trace).unwrap_err(),
+            DmfsgdError::Config(ConfigError::MissingTau)
+        ));
+        assert_eq!(untuned.measurements_used(), 0);
+        let mut session = Session::builder()
+            .nodes(30)
+            .k(8)
+            .seed(15)
+            .tau(tau)
+            .build()
+            .expect("valid config");
         session.leave(4).expect("leave");
         let touching: usize = trace
             .measurements
@@ -1448,7 +1381,7 @@ mod tests {
             .filter(|m| m.from == 4 || m.to == 4)
             .count();
         assert!(touching > 0, "trace must exercise the departed node");
-        let applied = session.run_trace(&trace, tau).expect("replay under churn");
+        let applied = session.run_trace(&trace).expect("replay under churn");
         assert_eq!(applied, trace.len() - touching);
         assert_eq!(session.measurements_used(), applied);
         // A trace whose ids exceed the declared population is still a
@@ -1456,7 +1389,7 @@ mod tests {
         let mut bad = trace.clone();
         bad.measurements[0].to = 999;
         assert!(matches!(
-            session.run_trace(&bad, tau).unwrap_err(),
+            session.run_trace(&bad).unwrap_err(),
             DmfsgdError::Membership(MembershipError::UnknownNode { .. })
         ));
     }

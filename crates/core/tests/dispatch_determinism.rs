@@ -51,10 +51,9 @@ fn run_simnet(seed: u64) -> (Vec<u8>, Vec<u64>) {
         seed,
         ..NetConfig::default()
     };
-    let runner = SimnetRunner::new(dataset, 60.0, config, net).unwrap();
-    let (mut session, mut driver) = runner.into_parts();
-    driver.run_until(&mut session, 30.0).unwrap();
-    collect(&session)
+    let mut runner = SimnetRunner::new(dataset, 60.0, config, net).unwrap();
+    runner.run_for(30.0).unwrap();
+    collect(runner.session())
 }
 
 /// Same-seed scale run over the k-island layout (the 10k/100k code

@@ -343,19 +343,15 @@ pub struct DecoderContext {
     newest: Option<u16>,
     want_keyframe: bool,
     gaps_detected: u64,
-    keyframes_accepted: u64,
-    deltas_applied: u64,
 }
 
-/// Equal when the held baselines, flags and counters are.
+/// Equal when the held baselines, flags and gap count are.
 impl PartialEq for DecoderContext {
     fn eq(&self, other: &Self) -> bool {
         self.states == other.states
             && self.seqs[..self.states.len] == other.seqs[..other.states.len]
             && (self.newest, self.want_keyframe) == (other.newest, other.want_keyframe)
             && self.gaps_detected == other.gaps_detected
-            && self.keyframes_accepted == other.keyframes_accepted
-            && self.deltas_applied == other.deltas_applied
     }
 }
 
@@ -384,7 +380,6 @@ impl DecoderContext {
         match &update.payload {
             UpdatePayload::Keyframe { coords } => {
                 self.want_keyframe = false;
-                self.keyframes_accepted += 1;
                 if coords.len() != self.states.stride {
                     self.states.reset(coords.len());
                 }
@@ -409,7 +404,6 @@ impl DecoderContext {
                         got: quants.len(),
                     });
                 }
-                self.deltas_applied += 1;
                 self.drop_older_than(*base_seq);
                 let at = self.position(*base_seq).expect("the baseline is kept");
                 let (held, coords) = self.states.push_slot();

@@ -20,7 +20,7 @@
 //! | [`linalg`] | `dmf-linalg` | matrices, masks, SVD/QR, statistics |
 //! | [`datasets`] | `dmf-datasets` | calibrated synthetic datasets and loaders |
 //! | [`simnet`] | `dmf-simnet` | discrete-event network, probers, label errors |
-//! | [`core`] | `dmf-core` | the DMFSGD algorithms and drivers |
+//! | [`core`] | `dmf-core` | the DMFSGD algorithms, sessions and the simnet driver |
 //! | [`eval`] | `dmf-eval` | ROC/AUC, PR, confusion, convergence, peer selection |
 //! | [`proto`] | `dmf-proto` | binary wire protocol |
 //! | [`ops`] | `dmf-ops` | metrics registry, exporters, health policy, live quality |
@@ -36,8 +36,8 @@
 //!
 //! The primary entry point is the [`Session`] API: a long-lived,
 //! panic-free service population built with [`SessionBuilder`],
-//! advanced by a [`Driver`] front-end, queried incrementally, and
-//! persisted with [`Snapshot`]s. Every failure a caller can cause is
+//! advanced through its transport's entry point, queried
+//! incrementally, and persisted with [`Snapshot`]s. Every failure a caller can cause is
 //! a typed [`DmfsgdError`].
 //!
 //! ```
@@ -85,11 +85,14 @@
 //! ```
 //!
 //! Nodes can [`join`](Session::join) and [`leave`](Session::leave) a
-//! running session (neighbor sets repair themselves), and the same
-//! session can be advanced by matrix replay
-//! ([`core::session::OracleDriver`]), the discrete-event simulator
-//! ([`core::runner::SimnetDriver`]) or real UDP sockets
-//! ([`agent::UdpDriver`]) — all through the one [`Driver`] trait.
+//! running session (neighbor sets repair themselves). Each transport
+//! has one entry point: matrix replay is [`Session::run`] (above), the
+//! discrete-event simulator is
+//! [`SimnetDriver::run_until`](core::runner::SimnetDriver::run_until),
+//! and real UDP sockets are [`agent::UdpCluster::run`] or a
+//! long-lived [`agent::Fleet`]. A [`Snapshot`] carries a population
+//! from one to another: [`Session::restore`] resumes it under the
+//! next, and [`agent::Fleet::checkpoint`] returns one from sockets.
 //! To put a trained population behind a query surface, [`service`]
 //! shards it behind a framed, pipelined wire protocol whose answers
 //! are bit-identical to a single session's
@@ -113,6 +116,6 @@ pub use dmf_service as service;
 pub use dmf_simnet as simnet;
 
 pub use dmf_core::{
-    ConfigError, DmfsgdError, Driver, MembershipError, NodeId, Session, SessionBuilder, Snapshot,
+    ConfigError, DmfsgdError, MembershipError, NodeId, Session, SessionBuilder, Snapshot,
     SnapshotError,
 };

@@ -47,11 +47,10 @@ fn harvard_like_trace_replay_pipeline() {
     cfg.seed = 3;
     let mut system = SessionBuilder::from_config(cfg)
         .nodes(80)
+        .tau(tau)
         .build()
         .expect("valid config");
-    system
-        .run_trace(&trace, tau)
-        .expect("trace matches the session");
+    system.run_trace(&trace).expect("trace matches the session");
     let a = auc(&collect_scores(&classes, &system.predicted_scores()));
     assert!(a > 0.85, "Harvard-like trace AUC {a}");
 }

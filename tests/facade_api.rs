@@ -1,23 +1,22 @@
 //! Pins the `dmfsgd::` facade surface: every re-exported workspace
 //! crate must stay reachable through the facade, the root-level
 //! session API (`Session`, `SessionBuilder`, `Snapshot`,
-//! `DmfsgdError`, `Driver`) must stay exported, and the quick-start
+//! `DmfsgdError`) must stay exported, and the quick-start
 //! training path must keep its accuracy. A rename or dropped
 //! re-export in `src/lib.rs` fails here before any downstream user
 //! notices.
 
-use dmfsgd::agent::{MeasurementOracle, UdpDriver};
+use dmfsgd::agent::{ClusterConfig, ClusterOutcome, MeasurementOracle, UdpCluster};
 use dmfsgd::core::provider::ClassLabelProvider;
 use dmfsgd::core::runner::SimnetDriver;
-use dmfsgd::core::session::OracleDriver;
 use dmfsgd::datasets::rtt::meridian_like;
-use dmfsgd::datasets::Metric;
+use dmfsgd::datasets::{Dataset, Metric};
 use dmfsgd::eval::{collect_scores, roc::auc};
 use dmfsgd::linalg::{Mask, Matrix};
 use dmfsgd::proto::{decode, encode, Message};
 use dmfsgd::simnet::{EventQueue, NeighborSets};
 use dmfsgd::{
-    ConfigError, DmfsgdError, Driver, MembershipError, NodeId, Session, SessionBuilder, Snapshot,
+    ConfigError, DmfsgdError, MembershipError, NodeId, Session, SessionBuilder, Snapshot,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,7 +45,7 @@ fn facade_quick_start_trains_above_auc_080() {
 }
 
 /// The root-level session surface: builder, typed errors, membership,
-/// snapshots, queries and the `Driver` trait, all via facade paths.
+/// snapshots, queries and matrix replay, all via facade paths.
 #[test]
 fn session_surface_is_pinned_at_the_facade_root() {
     // Builder + typed ConfigError.
@@ -87,14 +86,12 @@ fn session_surface_is_pinned_at_the_facade_root() {
         Session::restore(&Snapshot::from_json(&snapshot.to_json()).expect("parse")).expect("valid");
     assert_eq!(restored.predicted_scores(), session.predicted_scores());
 
-    // The Driver trait unifies the three front-ends; drive via the
-    // oracle one through a `dyn` reference to pin object safety.
+    // Matrix replay: every applied measurement is counted.
     let d = meridian_like(24, 1);
-    let mut driver =
-        OracleDriver::new(ClassLabelProvider::new(d.classify(d.median())), 240).expect("ticks");
-    let dyn_driver: &mut dyn Driver = &mut driver;
-    let applied = session.drive(dyn_driver, 2).expect("drive");
+    let mut provider = ClassLabelProvider::new(d.classify(d.median()));
+    let applied = session.run(480, &mut provider).expect("run");
     assert!(applied > 0);
+    assert_eq!(applied, session.measurements_used());
 }
 
 /// Touches one load-bearing item in each re-exported crate so the
@@ -121,7 +118,7 @@ fn every_reexported_crate_is_reachable() {
     queue.schedule_at(1.0, 42);
     assert_eq!(queue.pop(), Some((1.0, 42)));
 
-    // core: the session front-ends stay nameable.
+    // core and agent: each transport's entry point stays nameable.
     let session = Session::builder()
         .nodes(16)
         .k(4)
@@ -135,12 +132,8 @@ fn every_reexported_crate_is_reachable() {
         dmfsgd::simnet::NetConfig::default(),
     )
     .expect("valid driver");
-    let _udp_front_end: UdpDriver = UdpDriver::new(
-        &session,
-        dataset.clone(),
-        dmfsgd::agent::ClusterConfig::default(),
-    )
-    .expect("valid driver");
+    let _udp_entry: fn(Dataset, f64, ClusterConfig) -> Result<ClusterOutcome, DmfsgdError> =
+        UdpCluster::run;
 
     // eval
     let classes = dataset.classify(dataset.median());

@@ -4,7 +4,6 @@
 
 use dmfsgd::core::provider::ClassLabelProvider;
 use dmfsgd::core::runner::SimnetDriver;
-use dmfsgd::core::session::OracleDriver;
 use dmfsgd::datasets::rtt::meridian_like;
 use dmfsgd::eval::{collect_scores, roc::auc};
 use dmfsgd::simnet::NetConfig;
@@ -121,14 +120,10 @@ fn every_failure_mode_is_a_typed_error() {
         ))
     ));
 
-    // Drivers: missing τ, mismatched dataset.
+    // The simulated network classifies raw RTTs: it needs τ.
     assert!(matches!(
         SimnetDriver::new(&session, d.clone(), NetConfig::default()),
         Err(DmfsgdError::Config(ConfigError::MissingTau))
-    ));
-    assert!(matches!(
-        OracleDriver::new(ClassLabelProvider::new(d.classify(d.median())), 0),
-        Err(ConfigError::ZeroTicks)
     ));
 
     // Snapshots: corrupt JSON parses or restores to a typed error.
@@ -146,8 +141,8 @@ fn every_failure_mode_is_a_typed_error() {
 }
 
 /// A session trained by matrix replay, snapshotted, restored, and then
-/// handed to the *simnet* front-end keeps learning — front-ends are
-/// interchangeable behind the `Driver` trait.
+/// advanced over the *simulated network* keeps learning: a snapshot
+/// carries a population from one transport's entry point to another.
 #[test]
 fn snapshot_bridges_front_ends() {
     let n = 40;
@@ -162,10 +157,11 @@ fn snapshot_bridges_front_ends() {
         .build()
         .expect("valid config");
 
-    // Warm up via the oracle front-end.
-    let mut oracle = OracleDriver::new(ClassLabelProvider::new(classes.clone()), n * 10 * 10)
-        .expect("nonzero ticks");
-    session.drive(&mut oracle, 1).expect("oracle warmup");
+    // Warm up by matrix replay.
+    let mut provider = ClassLabelProvider::new(classes.clone());
+    session
+        .run(n * 10 * 10, &mut provider)
+        .expect("oracle warmup");
     let warm = auc_of(&session, &classes);
 
     // Checkpoint through JSON, restore, continue over the simulated

@@ -20,7 +20,6 @@ GUARDS=(
   "crates/core/src/lib.rs:session"
   "crates/core/src/lib.rs:snapshot"
   "crates/core/src/lib.rs:error"
-  "crates/agent/src/lib.rs:driver"
   "crates/agent/src/lib.rs:fleet"
   "crates/agent/src/lib.rs:metrics"
   "crates/datasets/src/lib.rs:scenario"
