@@ -37,7 +37,7 @@
 
 use crate::agent::{run_agent, AgentHandle, AgentStats};
 use crate::cluster::{ClusterConfig, ClusterOutcome};
-use crate::metrics::{AgentMetricsSlot, STAT_METRICS};
+use crate::metrics::{stat_samples, AgentMetricsSlot, STAT_METRICS};
 use crate::oracle::MeasurementOracle;
 use crate::transport::FaultySocket;
 use dmf_core::{
@@ -45,7 +45,7 @@ use dmf_core::{
 };
 use dmf_datasets::Dataset;
 use dmf_ops::{
-    Health, HealthPolicy, HealthSignals, LiveQuality, MetricKind, MetricSample, MetricsSnapshot,
+    health_gauges, Health, HealthPolicy, HealthSignals, LiveQuality, MetricSample, MetricsSnapshot,
     SampleValue, Unit,
 };
 use dmf_proto::FaultSpec;
@@ -62,17 +62,35 @@ use std::time::Duration;
 /// the fleet-wide rolling AUC is computed over).
 const FLEET_QUALITY_WINDOW: usize = 512;
 
-/// Fleet-level gauge names, in exported order — the fleet's half of
-/// the metric contract (agent counters come from
-/// [`STAT_METRICS`]). Cross-checked
-/// against `docs/operations.md` by the ops-conformance tests.
-pub const FLEET_GAUGE_NAMES: [&str; 6] = [
-    "dmf_fleet_agents",
-    "dmf_fleet_agents_running",
-    "dmf_fleet_health_state",
-    "dmf_fleet_quality_samples",
-    "dmf_fleet_rolling_auc",
-    "dmf_fleet_update_staleness_seconds",
+/// (name, help) of the fleet's own gauges — the fleet's half of the
+/// metric contract (agent counters come from [`STAT_METRICS`]): the
+/// slot count and the running count (unit-free), then the four
+/// [`health_gauges`] in their order.
+const FLEET_GAUGES: [(&str, &str); 6] = [
+    (
+        "dmf_fleet_agents",
+        "Slots in the fleet (running or parked).",
+    ),
+    (
+        "dmf_fleet_agents_running",
+        "Slots currently running an agent.",
+    ),
+    (
+        "dmf_fleet_rolling_auc",
+        "Rolling AUC over the shared quality window (NaN while undefined).",
+    ),
+    (
+        "dmf_fleet_quality_samples",
+        "Pairs currently held in the shared quality window.",
+    ),
+    (
+        "dmf_fleet_update_staleness_seconds",
+        "Seconds since the most recent update applied anywhere (NaN before the first).",
+    ),
+    (
+        "dmf_fleet_health_state",
+        "Health verdict: 0 healthy, 1 degraded, 2 unready.",
+    ),
 ];
 
 /// One running agent: its private stop flag and its thread.
@@ -401,11 +419,6 @@ impl Fleet {
         self.policy = policy;
     }
 
-    /// The fleet's shared quality window.
-    pub fn quality(&self) -> &LiveQuality {
-        &self.quality
-    }
-
     /// The health signals as observed right now: the shared quality
     /// window, and staleness as seconds since the most recent update
     /// applied *anywhere* in the fleet (`None` before the first).
@@ -421,7 +434,7 @@ impl Fleet {
 
     /// A deterministic point-in-time snapshot of the fleet: the 12
     /// agent counters summed across all slots (monotonic over
-    /// leave/rejoin cycles) plus the [`FLEET_GAUGE_NAMES`] gauges.
+    /// leave/rejoin cycles) plus the fleet's six gauges.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut totals = [0u64; STAT_METRICS.len()];
         for slot in &self.slots {
@@ -430,63 +443,14 @@ impl Fleet {
                 *t += (m.read)(&slot.total) + v;
             }
         }
-        let mut samples: Vec<MetricSample> = STAT_METRICS
-            .iter()
-            .zip(totals)
-            .map(|(m, v)| MetricSample {
-                name: m.name.to_string(),
-                kind: MetricKind::Counter,
-                unit: m.unit,
-                help: m.help.to_string(),
-                labels: Vec::new(),
-                value: SampleValue::Counter(v),
-            })
-            .collect();
-        let signals = self.signals();
-        let gauge = |name: &str, help: &str, unit: Unit, v: f64| MetricSample {
-            name: name.to_string(),
-            kind: MetricKind::Gauge,
-            unit,
-            help: help.to_string(),
-            labels: Vec::new(),
-            value: SampleValue::Gauge(v),
+        let [agents, running, health @ ..] = FLEET_GAUGES;
+        let gauge = |(name, help), v: f64| {
+            MetricSample::new((name, help, Unit::None), SampleValue::Gauge(v))
         };
-        samples.push(gauge(
-            "dmf_fleet_agents",
-            "Slots in the fleet (running or parked).",
-            Unit::None,
-            self.len() as f64,
-        ));
-        samples.push(gauge(
-            "dmf_fleet_agents_running",
-            "Slots currently running an agent.",
-            Unit::None,
-            self.running_count() as f64,
-        ));
-        samples.push(gauge(
-            "dmf_fleet_health_state",
-            "Health verdict: 0 healthy, 1 degraded, 2 unready.",
-            Unit::None,
-            f64::from(self.policy.evaluate(&signals).code()),
-        ));
-        samples.push(gauge(
-            "dmf_fleet_quality_samples",
-            "Pairs currently held in the shared quality window.",
-            Unit::Samples,
-            signals.quality_samples as f64,
-        ));
-        samples.push(gauge(
-            "dmf_fleet_rolling_auc",
-            "Rolling AUC over the shared quality window (NaN while undefined).",
-            Unit::Ratio,
-            signals.rolling_auc.unwrap_or(f64::NAN),
-        ));
-        samples.push(gauge(
-            "dmf_fleet_update_staleness_seconds",
-            "Seconds since the most recent update applied anywhere (NaN before the first).",
-            Unit::Seconds,
-            signals.staleness_s.unwrap_or(f64::NAN),
-        ));
+        let mut samples = stat_samples(totals);
+        samples.push(gauge(agents, self.len() as f64));
+        samples.push(gauge(running, self.running_count() as f64));
+        samples.extend(health_gauges(&self.signals(), &self.policy, health));
         MetricsSnapshot::from_samples(samples)
     }
 

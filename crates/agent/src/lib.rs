@@ -66,7 +66,7 @@ pub mod transport;
 
 pub use agent::{run_agent, AgentHandle, AgentStats};
 pub use cluster::{ClusterConfig, ClusterOutcome, UdpCluster};
-pub use fleet::{Fleet, FLEET_GAUGE_NAMES};
+pub use fleet::Fleet;
 pub use metrics::{stats_snapshot, AgentMetricsSlot, StatMetric, STAT_METRICS};
 pub use oracle::MeasurementOracle;
 pub use transport::{FaultySocket, Transport};

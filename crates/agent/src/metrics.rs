@@ -23,7 +23,7 @@
 //! documented in `docs/operations.md` and cross-checked by CI.
 
 use crate::agent::AgentStats;
-use dmf_ops::{LiveQuality, MetricKind, MetricSample, MetricsSnapshot, SampleValue, Unit};
+use dmf_ops::{LiveQuality, MetricSample, MetricsSnapshot, SampleValue, Unit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -122,19 +122,18 @@ pub const STAT_METRICS: [StatMetric; 12] = [
 /// [`render_text`](MetricsSnapshot::render_text) /
 /// [`render_json`](MetricsSnapshot::render_json)).
 pub fn stats_snapshot(stats: &AgentStats) -> MetricsSnapshot {
-    MetricsSnapshot::from_samples(
-        STAT_METRICS
-            .iter()
-            .map(|m| MetricSample {
-                name: m.name.to_string(),
-                kind: MetricKind::Counter,
-                unit: m.unit,
-                help: m.help.to_string(),
-                labels: Vec::new(),
-                value: SampleValue::Counter((m.read)(stats)),
-            })
-            .collect(),
-    )
+    MetricsSnapshot::from_samples(stat_samples(STAT_METRICS.map(|m| (m.read)(stats))))
+}
+
+/// One counter sample per [`STAT_METRICS`] row, `values` in table
+/// order: the counter half of both [`stats_snapshot`] and
+/// [`Fleet::metrics`](crate::fleet::Fleet::metrics).
+pub(crate) fn stat_samples(values: [u64; STAT_METRICS.len()]) -> Vec<MetricSample> {
+    STAT_METRICS
+        .iter()
+        .zip(values)
+        .map(|(m, v)| MetricSample::new((m.name, m.help, m.unit), SampleValue::Counter(v)))
+        .collect()
 }
 
 /// The live metrics mirror of one fleet slot (see the [module
@@ -156,11 +155,6 @@ impl AgentMetricsSlot {
             live: std::array::from_fn(|_| AtomicU64::new(0)),
             quality,
         }
-    }
-
-    /// The quality window this slot records into.
-    pub fn quality(&self) -> &LiveQuality {
-        &self.quality
     }
 
     /// Publishes a running agent's current counters. Called by
@@ -258,13 +252,14 @@ mod tests {
 
     #[test]
     fn quality_records_refresh_staleness() {
-        let slot = AgentMetricsSlot::new(Arc::new(LiveQuality::new(8)));
-        assert_eq!(slot.quality().signals(None).staleness_s, None);
+        let quality = Arc::new(LiveQuality::new(8));
+        let slot = AgentMetricsSlot::new(Arc::clone(&quality));
+        assert_eq!(quality.signals(None).staleness_s, None);
         slot.record_quality(true, 1.0);
         slot.record_quality(false, -1.0);
-        let staleness_s = slot.quality().signals(None).staleness_s;
-        assert!(staleness_s.expect("updated") >= 0.0);
-        assert_eq!(slot.quality().len(), 2);
-        assert_eq!(slot.quality().auc(), Some(1.0));
+        let s = quality.signals(None);
+        assert!(s.staleness_s.expect("updated") >= 0.0);
+        assert_eq!(s.quality_samples, 2);
+        assert_eq!(s.rolling_auc, Some(1.0));
     }
 }

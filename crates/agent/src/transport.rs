@@ -76,14 +76,7 @@ impl Transport for FaultySocket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmf_proto::FaultCounts;
     use std::time::Duration;
-
-    impl FaultySocket {
-        fn fault_counts(&self) -> FaultCounts {
-            self.injector.lock().expect("injector lock").counts()
-        }
-    }
 
     fn pair() -> (UdpSocket, UdpSocket, SocketAddr) {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -102,7 +95,6 @@ mod tests {
         let mut buf = [0u8; 16];
         let (len, _) = Transport::recv_from(&b, &mut buf).unwrap();
         assert_eq!(&buf[..len], b"hello");
-        assert_eq!(faulty.fault_counts(), FaultCounts::default());
     }
 
     #[test]
@@ -116,9 +108,17 @@ mod tests {
         for _ in 0..10 {
             faulty.send_to(b"gone", b_addr).unwrap();
         }
+        // The receiver's read timeout expires with none of the 10
+        // datagrams delivered.
         let mut buf = [0u8; 16];
-        assert!(Transport::recv_from(&b, &mut buf).is_err(), "all dropped");
-        assert_eq!(faulty.fault_counts().drops, 10);
+        let err = Transport::recv_from(&b, &mut buf).expect_err("all 10 dropped");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         let mut buf = [0u8; 64];
         let (len, _) = Transport::recv_from(&b, &mut buf).unwrap();
         assert_eq!(len, 32);
-        assert_ne!(&buf[..len], &[0u8; 32], "one bit must differ");
-        assert_eq!(faulty.fault_counts().bit_flips, 1);
+        let flipped: u32 = buf[..len].iter().map(|b| b.count_ones()).sum();
+        assert_eq!(flipped, 1, "exactly one bit must differ");
     }
 }

@@ -1,10 +1,10 @@
 //! Point-in-time metric snapshots and the two exposition formats.
 //!
 //! Both renderers consume a [`MetricsSnapshot`] — the immutable,
-//! deterministically sorted value produced by
-//! [`Registry::snapshot`](crate::registry::Registry::snapshot) — so
-//! text and JSON views of one scrape can never disagree with each
-//! other.
+//! deterministically sorted value an exporter builds at scrape time
+//! from its `const` table of (name, help, unit) rows, one
+//! [`MetricSample::new`] per series — so text and JSON views of one
+//! scrape can never disagree with each other.
 //!
 //! # The exposition contract
 //!
@@ -25,12 +25,44 @@
 //! histogram buckets kept as parallel numeric arrays so consumers
 //! never have to parse `+Inf`.
 
-use crate::registry::Unit;
 use std::fmt::Write as _;
 
 /// Version stamped into both exposition formats. Bumped when the
 /// rendered shape changes incompatibly.
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// The unit of a metric's value, carried into the JSON exposition and
+/// the reference documentation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// Dimensionless (event counts, depths).
+    None,
+    /// Bytes.
+    Bytes,
+    /// Microseconds.
+    Micros,
+    /// Seconds.
+    Seconds,
+    /// A ratio in `[0, 1]` (AUC, rejection rate).
+    Ratio,
+    /// Samples currently held in a window.
+    Samples,
+}
+
+impl Unit {
+    /// The unit's name in the JSON exposition (`""` for
+    /// [`Unit::None`]).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Unit::None => "",
+            Unit::Bytes => "bytes",
+            Unit::Micros => "us",
+            Unit::Seconds => "s",
+            Unit::Ratio => "ratio",
+            Unit::Samples => "samples",
+        }
+    }
+}
 
 /// What kind of series a sample came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,6 +107,17 @@ pub enum SampleValue {
     },
 }
 
+impl SampleValue {
+    /// The kind of series this value belongs to.
+    fn kind(&self) -> MetricKind {
+        match self {
+            SampleValue::Counter(_) => MetricKind::Counter,
+            SampleValue::Gauge(_) => MetricKind::Gauge,
+            SampleValue::Histogram { .. } => MetricKind::Histogram,
+        }
+    }
+}
+
 /// One metric series at snapshot time: identity, metadata and value.
 #[derive(Clone, Debug)]
 pub struct MetricSample {
@@ -92,8 +135,24 @@ pub struct MetricSample {
     pub value: SampleValue,
 }
 
-/// A deterministic point-in-time view of a registry, sorted by
-/// `(name, labels)`.
+impl MetricSample {
+    /// A label-free sample of `value` for the metric an exporter's
+    /// table row names; the kind follows the value. Labeled series set
+    /// `labels` on the result.
+    pub fn new((name, help, unit): (&str, &str, Unit), value: SampleValue) -> Self {
+        Self {
+            name: name.to_string(),
+            kind: value.kind(),
+            unit,
+            help: help.to_string(),
+            labels: Vec::new(),
+            value,
+        }
+    }
+}
+
+/// A deterministic point-in-time view of an exporter's series, sorted
+/// by `(name, labels)`.
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// The samples, in exposition order.
@@ -361,6 +420,20 @@ requests_total{type=\"predict\"} 7
             "]}"
         );
         assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn labeled_series_share_a_name_and_sort_by_label() {
+        let row = ("requests_total", "Requests by type.", Unit::None);
+        let labeled = |value: &str, n| MetricSample {
+            labels: vec![("type".into(), value.into())],
+            ..MetricSample::new(row, SampleValue::Counter(n))
+        };
+        let snap = MetricsSnapshot::from_samples(vec![labeled("b", 2), labeled("a", 1)]);
+        assert_eq!(snap.metrics[0].labels, vec![("type".into(), "a".into())]);
+        assert_eq!(snap.metrics[0].value, SampleValue::Counter(1));
+        assert_eq!(snap.metrics[1].value, SampleValue::Counter(2));
+        assert_eq!(snap.metrics[1].kind, MetricKind::Counter);
     }
 
     #[test]

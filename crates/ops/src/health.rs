@@ -23,7 +23,12 @@
 //! Recovery is implicit: the next evaluation with passing signals
 //! returns [`Health::Healthy`]. The full operator-facing description
 //! of each rule, with triage steps, lives in `docs/operations.md`.
+//!
+//! Every exporter with a quality window (the service, the fleet)
+//! publishes the same four gauges of it through [`health_gauges`],
+//! under names from its own table.
 
+use crate::export::{MetricSample, SampleValue, Unit};
 use std::fmt;
 
 /// Why a warm member is degraded. All payloads are the observed value
@@ -210,6 +215,36 @@ impl HealthPolicy {
             Health::Degraded { reasons }
         }
     }
+}
+
+/// The four health gauges an exporter derives from its observed
+/// signals and declared rules, recomputed at every scrape: rolling AUC
+/// (ratio, `NaN` while undefined), quality-window fill (samples),
+/// seconds since the last applied update (`NaN` before the first) and
+/// the verdict's [`Health::code`]. `rows` holds the exporter's own
+/// (name, help) pair for each, in that order.
+pub fn health_gauges(
+    signals: &HealthSignals,
+    policy: &HealthPolicy,
+    rows: [(&str, &str); 4],
+) -> [MetricSample; 4] {
+    let [auc, samples, staleness, state] = rows;
+    let gauge =
+        |(name, help), unit, v: f64| MetricSample::new((name, help, unit), SampleValue::Gauge(v));
+    [
+        gauge(auc, Unit::Ratio, signals.rolling_auc.unwrap_or(f64::NAN)),
+        gauge(samples, Unit::Samples, signals.quality_samples as f64),
+        gauge(
+            staleness,
+            Unit::Seconds,
+            signals.staleness_s.unwrap_or(f64::NAN),
+        ),
+        gauge(
+            state,
+            Unit::None,
+            f64::from(policy.evaluate(signals).code()),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -5,19 +5,26 @@
 //! The ROADMAP's observability goal; the operator-facing contract
 //! lives in `docs/operations.md`.
 //!
-//! * [`registry`] — typed metric handles ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) behind a [`Registry`]. Updates are single relaxed
+//! There is one way to export a metric: each exporter (the service's
+//! `ServiceMetrics`, the agents' `stats_snapshot`, the fleet's
+//! `Fleet::metrics`) names its series in a `const` table of
+//! (name, help, unit) rows and builds a [`MetricsSnapshot`] from that
+//! table at scrape time. `tests/ops_docs.rs` checks every sample of all
+//! three against the runbook and the naming rules.
+//!
+//! * [`handle`] — typed metric handles ([`Counter`], [`Gauge`],
+//!   [`Histogram`]), plain owned atomics. Updates are single relaxed
 //!   atomics, safe to leave enabled on the training and serving hot
-//!   paths; the registry mutex is touched only at registration and
-//!   snapshot time.
+//!   paths.
 //! * [`export`] — deterministic point-in-time [`MetricsSnapshot`]s
-//!   rendered as Prometheus-style text and schema-versioned JSON.
-//!   Both formats are a documented public contract pinned
-//!   byte-for-byte by golden-file tests.
+//!   of [`MetricSample`]s, rendered as Prometheus-style text and
+//!   schema-versioned JSON. Both formats are a documented public
+//!   contract pinned byte-for-byte by golden-file tests.
 //! * [`health`] — `Healthy` / `Degraded(reasons)` / `Unready`
 //!   verdicts computed as a pure function of declared rules
 //!   ([`HealthPolicy`]) over observed signals ([`HealthSignals`]):
-//!   rolling AUC below floor, stale coordinates, high rejection rate.
+//!   rolling AUC below floor, stale coordinates, high rejection rate;
+//!   [`health_gauges`] publishes them as four gauges.
 //! * [`quality`] — [`LiveQuality`], a shareable wrapper over
 //!   [`dmf_eval::window::RollingAuc`] feeding the live quality gauge
 //!   from recently observed (measurement, prediction) pairs.
@@ -39,13 +46,13 @@
 #[deny(missing_docs)]
 pub mod export;
 #[deny(missing_docs)]
+pub mod handle;
+#[deny(missing_docs)]
 pub mod health;
 #[deny(missing_docs)]
 pub mod quality;
-#[deny(missing_docs)]
-pub mod registry;
 
-pub use export::{MetricKind, MetricSample, MetricsSnapshot, SampleValue, SCHEMA_VERSION};
-pub use health::{DegradedReason, Health, HealthPolicy, HealthSignals};
+pub use export::{MetricKind, MetricSample, MetricsSnapshot, SampleValue, Unit, SCHEMA_VERSION};
+pub use handle::{Counter, Gauge, Histogram};
+pub use health::{health_gauges, DegradedReason, Health, HealthPolicy, HealthSignals};
 pub use quality::LiveQuality;
-pub use registry::{Counter, Gauge, Histogram, MetricDesc, Registry, Unit};

@@ -22,7 +22,7 @@
 //! a ring-slot write and a clock stamp.
 
 use crate::health::HealthSignals;
-use dmf_eval::window::{RollingAuc, WindowStats};
+use dmf_eval::window::RollingAuc;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -69,37 +69,6 @@ impl LiveQuality {
         w.last_record = Some(Instant::now());
     }
 
-    /// Pairs currently held (`<= capacity`).
-    pub fn len(&self) -> usize {
-        self.lock().ring.len()
-    }
-
-    /// True when no pairs are held.
-    pub fn is_empty(&self) -> bool {
-        self.lock().ring.is_empty()
-    }
-
-    /// Maximum pairs retained.
-    pub fn capacity(&self) -> usize {
-        self.lock().ring.capacity()
-    }
-
-    /// Rolling AUC; `None` while the window holds only one class.
-    pub fn auc(&self) -> Option<f64> {
-        self.lock().ring.auc()
-    }
-
-    /// Sign accuracy; `None` while empty.
-    pub fn accuracy(&self) -> Option<f64> {
-        self.lock().ring.accuracy()
-    }
-
-    /// Full window statistics; `None` while the window holds only one
-    /// class.
-    pub fn stats(&self) -> Option<WindowStats> {
-        self.lock().ring.stats()
-    }
-
     /// The health signals this window observes, read under one lock:
     /// fill, rolling AUC, and staleness as seconds since the last
     /// record (`None` before the first). `rejection_rate` comes from
@@ -113,14 +82,6 @@ impl LiveQuality {
             rejection_rate,
         }
     }
-
-    /// Drops every pair (e.g. after a restore, so stale pairs cannot
-    /// vouch for fresh coordinates). The member goes `Unready` until
-    /// the window warms back up. The staleness clock keeps its last
-    /// stamp.
-    pub fn clear(&self) {
-        self.lock().ring.clear();
-    }
 }
 
 #[cfg(test)]
@@ -129,6 +90,12 @@ mod tests {
     use dmf_eval::window::window_stats;
     use dmf_eval::ScoredLabel;
     use std::sync::Arc;
+
+    /// The window's fill and AUC, the two signals the ring feeds.
+    fn fill_and_auc(live: &LiveQuality) -> (usize, Option<u64>) {
+        let s = live.signals(None);
+        (s.quality_samples, s.rolling_auc.map(f64::to_bits))
+    }
 
     #[test]
     fn matches_the_underlying_rolling_window_exactly() {
@@ -145,9 +112,8 @@ mod tests {
             live.record(p, s);
             offline.record(p, s);
         }
-        assert_eq!(live.stats(), offline.stats());
-        assert_eq!(live.len(), 4);
-        assert_eq!(live.capacity(), 4);
+        // Bit for bit, and only the 4 most recent pairs count.
+        assert_eq!(fill_and_auc(&live), (4, offline.auc().map(f64::to_bits)));
     }
 
     #[test]
@@ -161,7 +127,8 @@ mod tests {
             .iter()
             .map(|&(positive, score)| ScoredLabel { positive, score })
             .collect();
-        assert_eq!(live.stats(), window_stats(&batch));
+        let offline = window_stats(&batch).expect("mixed window").auc;
+        assert_eq!(fill_and_auc(&live), (4, Some(offline.to_bits())));
     }
 
     #[test]
@@ -180,8 +147,9 @@ mod tests {
         for h in handles {
             h.join().expect("recorder thread");
         }
-        assert_eq!(live.len(), 32);
-        assert!(live.auc().is_some());
+        let (fill, auc) = fill_and_auc(&live);
+        assert_eq!(fill, 32);
+        assert!(auc.is_some());
     }
 
     #[test]
@@ -196,21 +164,5 @@ mod tests {
         assert_eq!(s.rolling_auc, Some(1.0));
         assert!(s.staleness_s.expect("recorded") >= 0.0);
         assert_eq!(s.rejection_rate, Some(0.25));
-        live.clear();
-        assert!(
-            live.signals(None).staleness_s.is_some(),
-            "clear keeps the clock"
-        );
-    }
-
-    #[test]
-    fn clear_empties_the_window() {
-        let live = LiveQuality::new(8);
-        live.record(true, 1.0);
-        live.record(false, -1.0);
-        assert!(!live.is_empty());
-        live.clear();
-        assert!(live.is_empty());
-        assert_eq!(live.auc(), None);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The text and JSON renderings of a [`MetricsSnapshot`] are a public
 //! contract (scrapers parse them; `docs/operations.md` documents
-//! them). This test renders one registry exercising every feature of
+//! them). This test renders one snapshot exercising every feature of
 //! the format — plain and labeled counters, integral / fractional /
 //! NaN gauges, a histogram — and compares the bytes against
 //! `tests/golden/metrics.{txt,json}`.
@@ -12,68 +12,73 @@
 //! `DMF_UPDATE_GOLDEN=1` to regenerate the files, and update the
 //! runbook in the same commit.
 
-use dmf_ops::{MetricDesc, MetricsSnapshot, Registry, Unit};
+use dmf_ops::{Counter, Gauge, Histogram, MetricSample, MetricsSnapshot, SampleValue, Unit};
 use std::path::PathBuf;
 
-/// A registry whose snapshot exercises every exposition feature with
-/// fixed, hand-picked values.
+/// A snapshot exercising every exposition feature with fixed,
+/// hand-picked values, built the way every exporter builds one: a
+/// sample per table row, values read from the handles.
 fn golden_snapshot() -> MetricsSnapshot {
-    let registry = Registry::new();
-
-    for (kind, count) in [("predict", 7u64), ("update", 3)] {
-        let c = registry.counter(MetricDesc::labeled(
-            "dmf_demo_requests_total",
-            "Requests executed, by request type.",
-            Unit::None,
-            "type",
-            kind,
-        ));
-        c.add(count);
-    }
-    registry.counter(MetricDesc::plain(
+    const REQUESTS: (&str, &str, Unit) = (
+        "dmf_demo_requests_total",
+        "Requests executed, by request type.",
+        Unit::None,
+    );
+    const RESTARTS: (&str, &str, Unit) = (
         "dmf_demo_restarts_total",
         "Agent restarts (never incremented here: zero renders too).",
         Unit::None,
-    ));
-    let bytes = registry.counter(MetricDesc::plain(
+    );
+    const BYTES_SENT: (&str, &str, Unit) = (
         "dmf_demo_bytes_sent_total",
         "Application bytes handed to the transport.",
         Unit::Bytes,
-    ));
-    bytes.add(4096);
-
-    let auc = registry.gauge(MetricDesc::plain(
+    );
+    const ROLLING_AUC: (&str, &str, Unit) = (
         "dmf_demo_rolling_auc",
         "Rolling AUC over the live quality window (NaN while undefined).",
         Unit::Ratio,
-    ));
-    auc.set(0.875);
-    let staleness = registry.gauge(MetricDesc::plain(
+    );
+    const STALENESS: (&str, &str, Unit) = (
         "dmf_demo_staleness_seconds",
         "Seconds since the last applied update (NaN before the first).",
         Unit::Seconds,
-    ));
-    staleness.set(f64::NAN);
-    let in_flight = registry.gauge(MetricDesc::plain(
+    );
+    const IN_FLIGHT: (&str, &str, Unit) = (
         "dmf_demo_in_flight",
         "Integral gauges render with a decimal point.",
         Unit::None,
-    ));
-    in_flight.set(3.0);
-
-    let latency = registry.histogram(
-        MetricDesc::plain(
-            "dmf_demo_latency_us",
-            "Per-request execution latency in microseconds.",
-            Unit::Micros,
-        ),
-        &[100, 1_000, 10_000],
     );
+    const LATENCY: (&str, &str, Unit) = (
+        "dmf_demo_latency_us",
+        "Per-request execution latency in microseconds.",
+        Unit::Micros,
+    );
+
+    let mut samples: Vec<MetricSample> = [("predict", 7u64), ("update", 3)]
+        .into_iter()
+        .map(|(kind, count)| MetricSample {
+            labels: vec![("type".into(), kind.into())],
+            ..MetricSample::new(REQUESTS, SampleValue::Counter(count))
+        })
+        .collect();
+    let bytes = Counter::default();
+    bytes.add(4096);
+    let in_flight = Gauge::default();
+    in_flight.set(3.0);
+    let latency = Histogram::new(&[100, 1_000, 10_000]);
     for v in [40u64, 150, 5_000, 20_000] {
         latency.observe(v);
     }
-
-    registry.snapshot()
+    samples.extend([
+        MetricSample::new(RESTARTS, SampleValue::Counter(0)),
+        MetricSample::new(BYTES_SENT, SampleValue::Counter(bytes.get())),
+        MetricSample::new(ROLLING_AUC, SampleValue::Gauge(0.875)),
+        MetricSample::new(STALENESS, SampleValue::Gauge(f64::NAN)),
+        MetricSample::new(IN_FLIGHT, SampleValue::Gauge(in_flight.get())),
+        MetricSample::new(LATENCY, latency.value()),
+    ]);
+    MetricsSnapshot::from_samples(samples)
 }
 
 fn golden_path(name: &str) -> PathBuf {

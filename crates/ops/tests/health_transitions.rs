@@ -10,7 +10,7 @@
 //! the seed — the test pins the whole trajectory and replays it to
 //! prove byte determinism.
 
-use dmf_ops::{DegradedReason, Health, HealthPolicy, HealthSignals, LiveQuality};
+use dmf_ops::{DegradedReason, Health, HealthPolicy, LiveQuality};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,13 +45,7 @@ fn run_stream(seed: u64) -> Vec<(usize, u8)> {
         let score = separation * if inverted { -1.0 } else { 1.0 } + rng.gen_range(-0.3..0.3);
         quality.record(positive, score);
 
-        let signals = HealthSignals {
-            quality_samples: quality.len(),
-            rolling_auc: quality.auc(),
-            staleness_s: None,
-            rejection_rate: None,
-        };
-        let code = policy.evaluate(&signals).code();
+        let code = policy.evaluate(&quality.signals(None)).code();
         if last_code != Some(code) {
             transitions.push((step, code));
             last_code = Some(code);
@@ -116,13 +110,7 @@ fn the_degraded_verdict_names_the_quality_reason_with_observed_values() {
         // Inverted separation: positives score low.
         quality.record(positive, if positive { -1.0 } else { 1.0 });
     }
-    let signals = HealthSignals {
-        quality_samples: quality.len(),
-        rolling_auc: quality.auc(),
-        staleness_s: None,
-        rejection_rate: None,
-    };
-    match policy().evaluate(&signals) {
+    match policy().evaluate(&quality.signals(None)) {
         Health::Degraded { reasons } => {
             assert_eq!(reasons.len(), 1);
             match reasons[0] {

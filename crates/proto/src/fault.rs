@@ -68,19 +68,20 @@ pub struct FaultInjector {
     counts: FaultCounts,
 }
 
-/// How many faults of each kind have fired.
+/// How many faults of each kind have fired (read by this module's
+/// tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounts {
+struct FaultCounts {
     /// Datagrams discarded.
-    pub drops: u64,
+    drops: u64,
     /// Datagrams cut short.
-    pub truncations: u64,
+    truncations: u64,
     /// Datagrams with a flipped bit.
-    pub bit_flips: u64,
+    bit_flips: u64,
     /// Datagrams delivered twice.
-    pub duplicates: u64,
+    duplicates: u64,
     /// Datagrams held back for reordering.
-    pub reorders: u64,
+    reorders: u64,
 }
 
 impl FaultInjector {
@@ -167,7 +168,8 @@ impl FaultInjector {
     }
 
     /// Fault counters so far.
-    pub fn counts(&self) -> FaultCounts {
+    #[cfg(test)]
+    fn counts(&self) -> FaultCounts {
         self.counts
     }
 }

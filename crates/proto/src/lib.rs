@@ -65,6 +65,6 @@ pub use codec::{
 };
 pub use context::{Ack, ContextError, DecoderContext, EncoderContext};
 pub use delta::{Block, CoordUpdate, UpdatePayload};
-pub use fault::{FaultCounts, FaultInjector, FaultSpec};
+pub use fault::{FaultInjector, FaultSpec};
 pub use message::Message;
 pub use message_v2::MessageV2;

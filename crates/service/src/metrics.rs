@@ -11,21 +11,23 @@
 //!
 //! Hot-path discipline: every per-request record is a handful of
 //! relaxed atomics plus (on updates only) one ring-slot write behind
-//! the quality mutex. The derived gauges (rolling AUC, staleness,
-//! health state) are refreshed lazily — at snapshot and health time —
-//! so serving traffic never pays for them.
+//! the quality mutex. The snapshot is built at scrape time from the
+//! `METRICS` and `HEALTH_GAUGES` tables: counters, the in-flight
+//! gauge and the histogram are read from their handles, and the four
+//! health gauges (rolling AUC, quality samples, staleness, health
+//! state) are derived from the quality window and the policy then
+//! ([`health_gauges`]), so serving traffic never pays for them.
 //!
 //! Instrumentation is opt-in per connection
-//! ([`ServerConnection::with_metrics`](crate::ServerConnection::with_metrics)
-//! (crate::connection::ServerConnection::with_metrics)); connections
-//! built without it serve exactly as before. The full metric
-//! reference lives in `docs/operations.md` and is cross-checked
-//! against this module's registrations by CI.
+//! ([`ServerConnection::with_metrics`](crate::ServerConnection::with_metrics));
+//! connections built without it serve exactly as before. The full
+//! metric reference lives in `docs/operations.md`; `tests/ops_docs.rs`
+//! checks every sample [`ServiceMetrics::snapshot`] exports against it.
 
 use crate::protocol::MetricsFormat;
 use dmf_ops::{
-    Counter, Gauge, Health, HealthPolicy, HealthSignals, Histogram, LiveQuality, MetricDesc,
-    MetricsSnapshot, Registry, Unit,
+    health_gauges, Counter, Gauge, Health, HealthPolicy, HealthSignals, Histogram, LiveQuality,
+    MetricSample, MetricsSnapshot, SampleValue, Unit,
 };
 use std::sync::Mutex;
 
@@ -37,6 +39,62 @@ pub const DEFAULT_QUALITY_WINDOW: usize = 512;
 /// `dmf_service_request_latency_us` (an overflow bucket is implicit).
 const LATENCY_BUCKETS_US: [u64; 11] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+];
+
+/// (name, help, unit) of the series read from the handles: requests
+/// (label `type`), request errors, overload rejections, in-flight
+/// depth, request latency, shard updates (label `shard`).
+const METRICS: [(&str, &str, Unit); 6] = [
+    (
+        "dmf_service_requests_total",
+        "Requests executed, by request type.",
+        Unit::None,
+    ),
+    (
+        "dmf_service_request_errors_total",
+        "Requests answered with an error response.",
+        Unit::None,
+    ),
+    (
+        "dmf_service_overload_rejections_total",
+        "Requests rejected at admission because the in-flight window was full.",
+        Unit::None,
+    ),
+    (
+        "dmf_service_in_flight",
+        "Requests admitted and not yet executed (admission-window depth).",
+        Unit::None,
+    ),
+    (
+        "dmf_service_request_latency_us",
+        "Per-request execution latency in microseconds.",
+        Unit::Micros,
+    ),
+    (
+        "dmf_service_shard_updates_total",
+        "Measurement updates applied, by owning shard.",
+        Unit::None,
+    ),
+];
+
+/// (name, help) of the four [`health_gauges`], in their order.
+const HEALTH_GAUGES: [(&str, &str); 4] = [
+    (
+        "dmf_service_rolling_auc",
+        "Rolling AUC over the live quality window (NaN while undefined).",
+    ),
+    (
+        "dmf_service_quality_samples",
+        "Pairs currently held in the live quality window.",
+    ),
+    (
+        "dmf_service_update_staleness_seconds",
+        "Seconds since the last applied update (NaN before the first).",
+    ),
+    (
+        "dmf_service_health_state",
+        "Health verdict: 0 healthy, 1 degraded, 2 unready.",
+    ),
 ];
 
 /// Which request type a sample belongs to — the `type` label of
@@ -93,17 +151,12 @@ impl RequestKind {
 /// [module docs](self)). Share it via `Arc` between the connections
 /// serving one [`PredictionService`](crate::PredictionService).
 pub struct ServiceMetrics {
-    registry: Registry,
     requests: [Counter; RequestKind::ALL.len()],
     request_errors: Counter,
     overload_rejections: Counter,
     in_flight: Gauge,
     latency: Histogram,
-    shard_updates: Vec<Counter>,
-    rolling_auc: Gauge,
-    quality_samples: Gauge,
-    staleness: Gauge,
-    health_state: Gauge,
+    shard_updates: Box<[Counter]>,
     quality: LiveQuality,
     policy: Mutex<HealthPolicy>,
 }
@@ -118,98 +171,16 @@ impl ServiceMetrics {
     /// As [`new`](Self::new) with an explicit quality-window capacity
     /// (must be at least 1).
     fn with_quality_window(shards: usize, window: usize) -> Self {
-        let registry = Registry::new();
-        let requests = RequestKind::ALL.map(|k| {
-            registry.counter(MetricDesc::labeled(
-                "dmf_service_requests_total",
-                "Requests executed, by request type.",
-                Unit::None,
-                "type",
-                k.as_str(),
-            ))
-        });
-        let request_errors = registry.counter(MetricDesc::plain(
-            "dmf_service_request_errors_total",
-            "Requests answered with an error response.",
-            Unit::None,
-        ));
-        let overload_rejections = registry.counter(MetricDesc::plain(
-            "dmf_service_overload_rejections_total",
-            "Requests rejected at admission because the in-flight window was full.",
-            Unit::None,
-        ));
-        let in_flight = registry.gauge(MetricDesc::plain(
-            "dmf_service_in_flight",
-            "Requests admitted and not yet executed (admission-window depth).",
-            Unit::None,
-        ));
-        let latency = registry.histogram(
-            MetricDesc::plain(
-                "dmf_service_request_latency_us",
-                "Per-request execution latency in microseconds.",
-                Unit::Micros,
-            ),
-            &LATENCY_BUCKETS_US,
-        );
-        let shard_updates = (0..shards)
-            .map(|s| {
-                registry.counter(MetricDesc::labeled(
-                    "dmf_service_shard_updates_total",
-                    "Measurement updates applied, by owning shard.",
-                    Unit::None,
-                    "shard",
-                    s.to_string(),
-                ))
-            })
-            .collect();
-        let rolling_auc = registry.gauge(MetricDesc::plain(
-            "dmf_service_rolling_auc",
-            "Rolling AUC over the live quality window (NaN while undefined).",
-            Unit::Ratio,
-        ));
-        let quality_samples = registry.gauge(MetricDesc::plain(
-            "dmf_service_quality_samples",
-            "Pairs currently held in the live quality window.",
-            Unit::Samples,
-        ));
-        let staleness = registry.gauge(MetricDesc::plain(
-            "dmf_service_update_staleness_seconds",
-            "Seconds since the last applied update (NaN before the first).",
-            Unit::Seconds,
-        ));
-        let health_state = registry.gauge(MetricDesc::plain(
-            "dmf_service_health_state",
-            "Health verdict: 0 healthy, 1 degraded, 2 unready.",
-            Unit::None,
-        ));
-        rolling_auc.set(f64::NAN);
-        staleness.set(f64::NAN);
-        health_state.set(f64::from(
-            Health::Unready {
-                reason: String::new(),
-            }
-            .code(),
-        ));
         Self {
-            registry,
-            requests,
-            request_errors,
-            overload_rejections,
-            in_flight,
-            latency,
-            shard_updates,
-            rolling_auc,
-            quality_samples,
-            staleness,
-            health_state,
+            requests: Default::default(),
+            request_errors: Counter::default(),
+            overload_rejections: Counter::default(),
+            in_flight: Gauge::default(),
+            latency: Histogram::new(&LATENCY_BUCKETS_US),
+            shard_updates: (0..shards).map(|_| Counter::default()).collect(),
             quality: LiveQuality::new(window),
             policy: Mutex::new(HealthPolicy::default()),
         }
-    }
-
-    /// The live quality window (shared with whatever records into it).
-    pub fn quality(&self) -> &LiveQuality {
-        &self.quality
     }
 
     /// Replaces the health rules (takes effect on the next
@@ -228,8 +199,8 @@ impl ServiceMetrics {
         self.latency.observe(latency_us);
     }
 
-    /// Records an admission rejection ([`ErrorCode::Overloaded`](crate::protocol::ErrorCode::Overloaded)
-    /// (crate::protocol::ErrorCode::Overloaded)).
+    /// Records an admission rejection
+    /// ([`ErrorCode::Overloaded`](crate::protocol::ErrorCode::Overloaded)).
     pub fn record_overload(&self) {
         self.overload_rejections.inc();
     }
@@ -261,33 +232,49 @@ impl ServiceMetrics {
         self.quality.signals(rejection_rate)
     }
 
-    /// Evaluates health under the current policy and refreshes the
-    /// `dmf_service_health_state` gauge.
+    /// Evaluates health under the current policy.
     pub fn health(&self) -> Health {
-        let h = self
-            .policy
-            .lock()
-            .expect("policy lock")
-            .evaluate(&self.signals());
-        self.health_state.set(f64::from(h.code()));
-        h
+        self.policy().evaluate(&self.signals())
     }
 
-    /// Refreshes the derived gauges and snapshots every metric.
+    fn policy(&self) -> HealthPolicy {
+        *self.policy.lock().expect("policy lock")
+    }
+
+    /// Snapshots every metric: the `METRICS` rows read from their
+    /// handles and the `HEALTH_GAUGES` derived from the signals.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let signals = self.signals();
-        self.rolling_auc
-            .set(signals.rolling_auc.unwrap_or(f64::NAN));
-        self.quality_samples.set(signals.quality_samples as f64);
-        self.staleness.set(signals.staleness_s.unwrap_or(f64::NAN));
-        self.health_state.set(f64::from(
-            self.policy
-                .lock()
-                .expect("policy lock")
-                .evaluate(&signals)
-                .code(),
+        let [requests, errors, overloads, in_flight, latency, shard_updates] = METRICS;
+        let labeled = |row, key: &str, value: String, counter: &Counter| MetricSample {
+            labels: vec![(key.to_string(), value)],
+            ..MetricSample::new(row, SampleValue::Counter(counter.get()))
+        };
+        let mut samples: Vec<MetricSample> = RequestKind::ALL
+            .iter()
+            .zip(&self.requests)
+            .map(|(kind, c)| labeled(requests, "type", kind.as_str().to_string(), c))
+            .chain(
+                self.shard_updates
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, c)| labeled(shard_updates, "shard", shard.to_string(), c)),
+            )
+            .collect();
+        samples.extend([
+            MetricSample::new(errors, SampleValue::Counter(self.request_errors.get())),
+            MetricSample::new(
+                overloads,
+                SampleValue::Counter(self.overload_rejections.get()),
+            ),
+            MetricSample::new(in_flight, SampleValue::Gauge(self.in_flight.get())),
+            MetricSample::new(latency, self.latency.value()),
+        ]);
+        samples.extend(health_gauges(
+            &self.signals(),
+            &self.policy(),
+            HEALTH_GAUGES,
         ));
-        self.registry.snapshot()
+        MetricsSnapshot::from_samples(samples)
     }
 
     /// Renders a snapshot in the requested exposition format.
@@ -316,7 +303,13 @@ mod tests {
         assert_eq!(m.requests[RequestKind::Update.index()].get(), 1);
         assert_eq!(m.request_errors.get(), 1);
         assert_eq!(m.overload_rejections.get(), 1);
-        assert_eq!(m.latency.count(), 3);
+        match m.latency.value() {
+            SampleValue::Histogram { counts, sum, .. } => {
+                assert_eq!(counts.iter().sum::<u64>(), 3);
+                assert_eq!(sum, 9_160);
+            }
+            other => panic!("histogram expected, got {other:?}"),
+        }
         assert_eq!(m.in_flight.get(), 5.0);
     }
 

@@ -222,7 +222,7 @@ fn live_rolling_auc_agrees_with_the_offline_windowed_auc() {
     }
     let responses = exchange(&mut conn, &mut client, &wire);
     assert_eq!(responses.len(), ops);
-    let live_auc = metrics.quality().auc().expect("mixed window");
+    let live_auc = metrics.signals().rolling_auc.expect("mixed window");
 
     assert!(
         (live_auc - offline_auc).abs() <= 0.01,

@@ -122,8 +122,8 @@ fn main() -> Result<(), DmfsgdError> {
     println!(
         "  snapshot restores into a Session: offline AUC {offline:.3}, live gauge {}",
         fleet
-            .quality()
-            .auc()
+            .signals()
+            .rolling_auc
             .map_or("n/a".into(), |a| format!("{a:.3}")),
     );
 

@@ -23,7 +23,7 @@
 //! | [`core`] | `dmf-core` | the DMFSGD algorithms, sessions and the simnet driver |
 //! | [`eval`] | `dmf-eval` | ROC/AUC, PR, confusion, convergence, peer selection |
 //! | [`proto`] | `dmf-proto` | binary wire protocol |
-//! | [`ops`] | `dmf-ops` | metrics registry, exporters, health policy, live quality |
+//! | [`ops`] | `dmf-ops` | metric handles, table-built snapshots, exporters, health policy, live quality |
 //! | [`service`] | `dmf-service` | sharded, pipelined prediction service |
 //! | [`agent`] | `dmf-agent` | real UDP deployment and long-running [`agent::Fleet`] |
 //!

@@ -1,12 +1,17 @@
 //! Keeps `docs/operations.md` and the code honest about each other:
-//! every metric name the registries export must be documented in the
-//! runbook, and every metric name the runbook mentions must exist in
-//! a registry. Either drift direction is a test failure, so the
-//! operator-facing reference can be trusted without reading source.
+//! every metric name the three exporters (the service's
+//! `ServiceMetrics`, the agents' `stats_snapshot`, the live
+//! `Fleet::metrics`) export must be documented in the runbook, and
+//! every metric name the runbook mentions must be exported. Either
+//! drift direction is a test failure, so the operator-facing reference
+//! can be trusted without reading source. Every exported sample also
+//! obeys the naming rules scrapers rely on.
 
-use dmfsgd::agent::{FLEET_GAUGE_NAMES, STAT_METRICS};
+use dmfsgd::agent::{stats_snapshot, AgentStats, ClusterConfig, Fleet};
+use dmfsgd::datasets::rtt::meridian_like;
+use dmfsgd::ops::{MetricKind, MetricSample};
 use dmfsgd::service::ServiceMetrics;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The metric-name namespace the runbook documents. Crate paths like
 /// `dmf_agent::Fleet` never match (they contain `::`), and the `dmf-`
@@ -46,19 +51,37 @@ fn documented_names(doc: &str) -> BTreeSet<String> {
     names
 }
 
-/// Every metric name the live registries can export.
+/// Every sample of each exporter, by exporter: a two-shard service,
+/// the one-shot agent dump, and a small live fleet.
+fn exported_samples() -> [(&'static str, Vec<MetricSample>); 3] {
+    let d = meridian_like(12, 5);
+    let tau = d.median();
+    let fleet = Fleet::launch(d, tau, ClusterConfig::default()).expect("launch");
+    let fleet_samples = fleet.metrics().metrics;
+    fleet.shutdown().expect("shutdown");
+    [
+        ("service", ServiceMetrics::new(2).snapshot().metrics),
+        ("agent", stats_snapshot(&AgentStats::default()).metrics),
+        ("fleet", fleet_samples),
+    ]
+}
+
+/// Every metric name the exporters export.
 fn exported_names() -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for sample in ServiceMetrics::new(2).snapshot().metrics {
-        names.insert(sample.name);
-    }
-    for metric in &STAT_METRICS {
-        names.insert(metric.name.to_string());
-    }
-    for name in FLEET_GAUGE_NAMES {
-        names.insert(name.to_string());
-    }
-    names
+    exported_samples()
+        .into_iter()
+        .flat_map(|(_, samples)| samples)
+        .map(|m| m.name)
+        .collect()
+}
+
+/// `[a-z][a-z0-9_]*`: the metric- and label-name shape every scraper
+/// accepts.
+fn is_valid_name(name: &str) -> bool {
+    name.starts_with(|c: char| c.is_ascii_lowercase())
+        && name
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
 fn runbook() -> String {
@@ -88,7 +111,7 @@ fn every_documented_metric_exists_in_a_registry() {
         .collect();
     assert!(
         phantom.is_empty(),
-        "docs/operations.md documents metrics no registry exports: {phantom:?}"
+        "docs/operations.md documents metrics no exporter exports: {phantom:?}"
     );
 }
 
@@ -103,4 +126,27 @@ fn the_runbook_documents_the_whole_namespace_non_trivially() {
     }
     // 10 service + 12 agent + 6 fleet names today; only grows.
     assert!(documented.len() >= 28, "got {}", documented.len());
+}
+
+#[test]
+fn every_exported_sample_is_well_formed() {
+    let mut kinds: BTreeMap<String, MetricKind> = BTreeMap::new();
+    for (exporter, samples) in exported_samples() {
+        let mut series = BTreeSet::new();
+        for m in samples {
+            assert!(is_valid_name(&m.name), "{exporter}: bad name {:?}", m.name);
+            for (key, _) in &m.labels {
+                assert!(is_valid_name(key), "{exporter}: {} label {key:?}", m.name);
+            }
+            assert!(!m.help.is_empty(), "{exporter}: {} has no help", m.name);
+            assert!(
+                series.insert((m.name.clone(), m.labels.clone())),
+                "{exporter}: {} {:?} exported twice",
+                m.name,
+                m.labels
+            );
+            let kind = *kinds.entry(m.name.clone()).or_insert(m.kind);
+            assert_eq!(kind, m.kind, "{exporter}: {} has two kinds", m.name);
+        }
+    }
 }

@@ -26,9 +26,9 @@ GUARDS=(
   "crates/eval/src/lib.rs:window"
   "crates/linalg/src/lib.rs:simd"
   "crates/ops/src/lib.rs:export"
+  "crates/ops/src/lib.rs:handle"
   "crates/ops/src/lib.rs:health"
   "crates/ops/src/lib.rs:quality"
-  "crates/ops/src/lib.rs:registry"
   "crates/service/src/lib.rs:client"
   "crates/service/src/lib.rs:connection"
   "crates/service/src/lib.rs:loopback"
